@@ -9,11 +9,15 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci vet build test race sim chaos overload fuzz bench-smoke bench clean
+.PHONY: all ci fmt vet build test race sim chaos overload fuzz bench-smoke bench clean
 
 all: ci
 
-ci: vet build test race sim bench-smoke bench fuzz
+ci: fmt vet build test race sim bench-smoke bench fuzz
+
+# Fails when any file is not gofmt-clean (gofmt itself exits 0 either way).
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -260,13 +260,13 @@ func TestPolicyEncodeRoundTrip(t *testing.T) {
 func TestPolicyDecodeRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
 		nil,
-		{1, 0, 1},                        // short
-		{2, 0, 1, 0, 0, 0, 0, 0, 0},      // unknown version
-		{1, 9, 1, 0, 0, 0, 0, 0, 0},      // mode off the ladder
-		{1, 0, 0xFF, 0, 0, 0, 0, 0, 0},   // unknown flags
-		{1, 0, 1, 8, 2, 0, 0, 0, 0},      // shards under ARQ
-		{1, 1, 0, 0, 3, 0, 0, 0, 0},      // repair shards without data shards
-		{1, 1, 0, 200, 100, 0, 0, 0, 0},  // k+m > 255
+		{1, 0, 1},                                // short
+		{2, 0, 1, 0, 0, 0, 0, 0, 0},              // unknown version
+		{1, 9, 1, 0, 0, 0, 0, 0, 0},              // mode off the ladder
+		{1, 0, 0xFF, 0, 0, 0, 0, 0, 0},           // unknown flags
+		{1, 0, 1, 8, 2, 0, 0, 0, 0},              // shards under ARQ
+		{1, 1, 0, 0, 3, 0, 0, 0, 0},              // repair shards without data shards
+		{1, 1, 0, 200, 100, 0, 0, 0, 0},          // k+m > 255
 		{1, byte(ModeSkip), 0, 8, 1, 0, 0, 0, 0}, // shards in skip mode
 	}
 	for i, b := range bad {

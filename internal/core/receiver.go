@@ -25,10 +25,8 @@ type ReceiverConfig struct {
 
 // RStream aggregates receiver-side state and statistics for one stream.
 type RStream struct {
-	expected int64
-	received map[int64]bool
-	nacked   map[int64]int
-	groups   map[int64]*fecGroupState
+	recv   SeqWindow
+	groups map[int64]*fecGroupState
 
 	Delivered   int64 // in-time data packets
 	Late        int64 // data that arrived after its deadline
@@ -43,6 +41,10 @@ type fecGroupState struct {
 	got      map[int]bool
 	complete bool
 }
+
+// receiverWindow is how many sequences back a Receiver remembers per
+// stream; anything older is treated as a duplicate.
+const receiverWindow = 1024
 
 // Receiver is the ARTP receiving endpoint: it acks every packet (the ack
 // carries the echoed send timestamp that drives the delay-based congestion
@@ -71,9 +73,8 @@ func (r *Receiver) Stream(id int) *RStream {
 	st, ok := r.streams[id]
 	if !ok {
 		st = &RStream{
-			received: make(map[int64]bool),
-			nacked:   make(map[int64]int),
-			groups:   make(map[int64]*fecGroupState),
+			recv:   NewSeqWindow(receiverWindow),
+			groups: make(map[int64]*fecGroupState),
 		}
 		r.streams[id] = st
 	}
@@ -109,11 +110,11 @@ func (r *Receiver) Handle(pkt *simnet.Packet) {
 		return
 	}
 
-	if st.received[hdr.Seq] {
+	expected := st.recv.Next()
+	if !st.recv.Mark(hdr.Seq) {
 		st.Duplicates++
 		return
 	}
-	st.received[hdr.Seq] = true
 
 	if hdr.Deadline > 0 && now > hdr.Deadline {
 		st.Late++
@@ -130,21 +131,8 @@ func (r *Receiver) Handle(pkt *simnet.Packet) {
 
 	// Gap detection for reliable classes: if this packet jumps ahead of
 	// expected, schedule a NACK for the holes after the reorder wait.
-	if hdr.Seq >= st.expected {
-		if hdr.Seq > st.expected {
-			r.scheduleNack(hdr.Stream, st, st.expected, hdr.Seq, hdr.PathID)
-		}
-		st.expected = hdr.Seq + 1
-	}
-	// Trim state below the contiguity frontier.
-	r.trim(st)
-}
-
-func (r *Receiver) trim(st *RStream) {
-	for seq := range st.received {
-		if seq < st.expected-1024 {
-			delete(st.received, seq)
-		}
+	if hdr.Seq > expected {
+		r.scheduleNack(hdr.Stream, st, expected, hdr.Seq, hdr.PathID)
 	}
 }
 
@@ -171,9 +159,10 @@ func (r *Receiver) ack(hdr DataHdr) {
 // scheduleNack collects the missing range [from, to) and reports whatever
 // is still missing (and not FEC-recovered) after the reorder wait.
 func (r *Receiver) scheduleNack(streamID int, st *RStream, from, to int64, pathID int) {
+	from = max(from, st.recv.Floor()) // older holes can no longer be filled
 	missing := make([]int64, 0, to-from)
 	for seq := from; seq < to; seq++ {
-		if !st.received[seq] && st.nacked[seq] < 2 {
+		if st.recv.Nackable(seq) {
 			missing = append(missing, seq)
 		}
 	}
@@ -183,8 +172,7 @@ func (r *Receiver) scheduleNack(streamID int, st *RStream, from, to int64, pathI
 	r.sim.Schedule(r.cfg.ReorderWait, func() {
 		still := missing[:0]
 		for _, seq := range missing {
-			if !st.received[seq] && st.nacked[seq] < 2 {
-				st.nacked[seq]++
+			if st.recv.Nack(seq) {
 				still = append(still, seq)
 			}
 		}
@@ -231,8 +219,7 @@ func (r *Receiver) fecAccount(st *RStream, hdr DataHdr) {
 	base := (hdr.FECGroup - 1) * int64(g.k)
 	for idx := 0; idx < g.k; idx++ {
 		seq := base + int64(idx)
-		if !st.received[seq] {
-			st.received[seq] = true
+		if st.recv.Mark(seq) {
 			st.Recovered++
 			if inTime {
 				st.Delivered++
@@ -240,9 +227,6 @@ func (r *Receiver) fecAccount(st *RStream, hdr DataHdr) {
 				st.Late++
 			}
 		}
-	}
-	if base+int64(g.k) > st.expected {
-		st.expected = base + int64(g.k)
 	}
 	// Forget old groups to bound memory.
 	for id := range st.groups {

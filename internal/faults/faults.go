@@ -102,14 +102,14 @@ type DirConfig struct {
 // are disjoint; Forwarded counts packets actually passed on (duplicates
 // add DupForwarded on top).
 type Counters struct {
-	Received     int64 // packets offered to the engine
-	Forwarded    int64 // packets passed through (possibly corrupted/delayed)
-	Dropped      int64 // losses from the probabilistic/GE/DropEvery models
-	RateDropped  int64 // losses from the rate cap
-	Blackholed   int64 // losses inside blackhole windows
-	Corrupted    int64 // forwarded packets that had a bit flipped
-	Duplicated   int64 // packets forwarded twice
-	Reordered    int64 // packets held back to force reordering
+	Received    int64 // packets offered to the engine
+	Forwarded   int64 // packets passed through (possibly corrupted/delayed)
+	Dropped     int64 // losses from the probabilistic/GE/DropEvery models
+	RateDropped int64 // losses from the rate cap
+	Blackholed  int64 // losses inside blackhole windows
+	Corrupted   int64 // forwarded packets that had a bit flipped
+	Duplicated  int64 // packets forwarded twice
+	Reordered   int64 // packets held back to force reordering
 }
 
 // verdict is the decision core's output for one packet.

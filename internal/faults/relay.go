@@ -33,15 +33,15 @@ type Config struct {
 type Relay struct {
 	sock *net.UDPConn
 
-	mu        sync.Mutex
-	upstream  *net.UDPAddr
-	wasUp     map[string]bool // every address that has been upstream
-	client    *net.UDPAddr
-	engines   [2]*engine // indexed by Direction (Up, Down)
-	dq        delayHeap
-	seq       uint64
-	closed    bool
-	swaps     int64
+	mu       sync.Mutex
+	upstream *net.UDPAddr
+	wasUp    map[string]bool // every address that has been upstream
+	client   *net.UDPAddr
+	engines  [2]*engine // indexed by Direction (Up, Down)
+	dq       delayHeap
+	seq      uint64
+	closed   bool
+	swaps    int64
 
 	clock vclock.Clock
 	start time.Time
@@ -199,8 +199,8 @@ func (h delayHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(*delayed)) }
+func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *delayHeap) Push(x any)   { *h = append(*h, x.(*delayed)) }
 func (h *delayHeap) Pop() any {
 	old := *h
 	n := len(old)

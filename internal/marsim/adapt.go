@@ -120,14 +120,14 @@ type AdaptResult struct {
 
 	RMSError float64 `json:"rms_error_px"` // RMS of the drift model
 
-	Switches     int64   `json:"mode_switches"` // controller runs only
-	Ticks        int64   `json:"ctrl_ticks"`
-	RetxFlips    int64   `json:"retx_flips"` // ARQ<->FEC transitions
-	FinalMode    string  `json:"final_mode"`
-	DecisionHash uint64  `json:"decision_hash"`  // 0 for fixed policies
-	WireLoss     float64 `json:"wire_loss"`      // session loss EWMA at teardown
-	PeakWireLoss float64 `json:"peak_wire_loss"` // max loss EWMA seen during the run
-	TraceHash    uint64  `json:"trace_hash"`
+	Switches     int64         `json:"mode_switches"` // controller runs only
+	Ticks        int64         `json:"ctrl_ticks"`
+	RetxFlips    int64         `json:"retx_flips"` // ARQ<->FEC transitions
+	FinalMode    string        `json:"final_mode"`
+	DecisionHash uint64        `json:"decision_hash"`  // 0 for fixed policies
+	WireLoss     float64       `json:"wire_loss"`      // session loss EWMA at teardown
+	PeakWireLoss float64       `json:"peak_wire_loss"` // max loss EWMA seen during the run
+	TraceHash    uint64        `json:"trace_hash"`
 	SimTime      time.Duration `json:"sim_time_ns"`
 
 	// Decisions is the controller's retained decision trace (nil for fixed

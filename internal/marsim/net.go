@@ -3,6 +3,7 @@ package marsim
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"time"
 
 	"marnet/internal/phy"
@@ -16,12 +17,15 @@ import (
 const udpOverhead = 28
 
 // datagram is what a simulated packet carries: the application bytes plus
-// the addressing the receiving endpoint reports upward.
+// the addressing the receiving endpoint reports upward. Addresses travel
+// in two forms: a comparable key for routing and the text the trace prints,
+// rendered once per endpoint rather than once per packet.
 type datagram struct {
-	data  []byte
-	src   *net.UDPAddr
-	dst   string // destination endpoint key ("ip:port")
-	cross bool   // background cross-traffic, terminates at the sink
+	data    []byte
+	src     *Endpoint
+	dst     netip.AddrPort // destination endpoint key (wire.PeerKey)
+	dstText string         // "ip:port", as the trace prints it
+	cross   bool           // background cross-traffic, terminates at the sink
 }
 
 // Net is the in-memory datagram network: endpoints joined through a
@@ -34,7 +38,7 @@ type Net struct {
 	clock *Clock
 	trace *Trace
 
-	endpoints map[string]*Endpoint
+	endpoints map[netip.AddrPort]*Endpoint
 	nextID    int
 	links     []*simnet.Link
 
@@ -54,7 +58,7 @@ func NewNet(sim *simnet.Sim, clock *Clock, trace *Trace) *Net {
 		sim:       sim,
 		clock:     clock,
 		trace:     trace,
-		endpoints: make(map[string]*Endpoint),
+		endpoints: make(map[netip.AddrPort]*Endpoint),
 	}
 }
 
@@ -68,7 +72,7 @@ func (n *Net) NewEndpoint(name string, p phy.Profile) *Endpoint {
 		IP:   net.IPv4(10, 0, byte(id/250), byte(id%250+1)),
 		Port: 9000,
 	}
-	ep := &Endpoint{n: n, name: name, addr: addr, key: addr.String()}
+	ep := &Endpoint{n: n, name: name, addr: addr, key: wire.PeerKey(addr), text: addr.String()}
 	ep.up = simnet.NewLink(n.sim, p.Up, p.OneWay, simnet.HandlerFunc(n.route),
 		simnet.WithJitter(p.Jitter), simnet.WithLoss(p.Loss), simnet.WithName(name+"/up"))
 	ep.down = simnet.NewLink(n.sim, p.Down, p.OneWay, simnet.HandlerFunc(ep.deliver),
@@ -86,13 +90,13 @@ func (n *Net) route(pkt *simnet.Packet) {
 	if !ok {
 		n.sink++
 		if !d.cross { // cross-traffic termination is routine, not a trace event
-			n.trace.eventf("sink", "%s -> %s %dB no route", d.src, d.dst, pkt.Size-udpOverhead)
+			n.trace.packet("sink", d.src.text, d.dstText, pkt.Size-udpOverhead, " no route")
 		}
 		return
 	}
 	if ep.closed {
 		n.dropClosed++
-		n.trace.eventf("drop", "%s -> %s %dB endpoint closed", d.src, d.dst, pkt.Size-udpOverhead)
+		n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
 		return
 	}
 	ep.down.Send(pkt)
@@ -142,7 +146,8 @@ type Endpoint struct {
 	n      *Net
 	name   string
 	addr   *net.UDPAddr
-	key    string
+	key    netip.AddrPort // routing key in Net.endpoints
+	text   string         // addr.String(), rendered once for the trace
 	up     *simnet.Link
 	down   *simnet.Link
 	recv   func(pkt []byte, from *net.UDPAddr)
@@ -159,12 +164,18 @@ func (ep *Endpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	}
 	n := ep.n
 	n.appTx++
-	n.trace.eventf("tx", "%s -> %s %dB", ep.key, addr.String(), len(b))
+	d := &datagram{data: append([]byte(nil), b...), src: ep, dst: wire.PeerKey(addr)}
+	if dst, ok := n.endpoints[d.dst]; ok {
+		d.dstText = dst.text
+	} else {
+		d.dstText = addr.String() // no such endpoint: the sink line still names it
+	}
+	n.trace.packet("tx", ep.text, d.dstText, len(b), "")
 	pkt := &simnet.Packet{
 		ID:      n.sim.NextPacketID(),
 		Size:    len(b) + udpOverhead,
 		Created: n.sim.Now(),
-		Payload: &datagram{data: append([]byte(nil), b...), src: ep.addr, dst: addr.String()},
+		Payload: d,
 	}
 	ep.up.Send(pkt)
 	return len(b), nil
@@ -192,12 +203,12 @@ func (ep *Endpoint) deliver(pkt *simnet.Packet) {
 	d := pkt.Payload.(*datagram)
 	if ep.closed || ep.recv == nil {
 		ep.n.dropClosed++
-		ep.n.trace.eventf("drop", "%s -> %s %dB endpoint closed", d.src, d.dst, pkt.Size-udpOverhead)
+		ep.n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
 		return
 	}
 	ep.n.delivered++
-	ep.n.trace.eventf("rx", "%s -> %s %dB", d.src, d.dst, pkt.Size-udpOverhead)
-	ep.recv(d.data, d.src)
+	ep.n.trace.packet("rx", d.src.text, d.dstText, pkt.Size-udpOverhead, "")
+	ep.recv(d.data, d.src.addr)
 }
 
 // LocalAddr reports the endpoint's synthetic address.
@@ -340,7 +351,7 @@ func (h *Host) StartCrossTraffic(bps float64, pktSize int) (stop func()) {
 				ID:      h.n.sim.NextPacketID(),
 				Size:    pktSize,
 				Created: h.n.sim.Now(),
-				Payload: &datagram{src: ep.addr, dst: "cross-sink", cross: true},
+				Payload: &datagram{src: ep, cross: true}, // the zero dst routes nowhere
 			})
 		}
 		ev = h.n.sim.Schedule(interval, tick)

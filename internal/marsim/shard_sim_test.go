@@ -17,7 +17,7 @@ import (
 // listener must collapse to a single shard — otherwise per-shard reader
 // goroutines would race the virtual clock and the trace would stop being
 // a pure function of the seed. The scenario scripts a mid-run partition
-// so the dead/resume path (the part the shard route table owns) is in
+// so the dead/resume path (where a peer's conn is replaced) is in
 // the trace too, and returns the served shard count alongside the result.
 func runShardedSim(seed int64) (*Result, int, error) {
 	s := NewScenario("sharded-sim", seed)

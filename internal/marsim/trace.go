@@ -1,9 +1,9 @@
 package marsim
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"time"
 
 	"marnet/internal/simnet"
@@ -19,27 +19,57 @@ import (
 // repo's determinism regression.
 type Trace struct {
 	sim   *simnet.Sim
-	buf   bytes.Buffer
+	buf   []byte
 	lines int
 }
 
 // NewTrace creates an empty trace stamped from sim's virtual clock.
 func NewTrace(sim *simnet.Sim) *Trace { return &Trace{sim: sim} }
 
-// eventf appends one stamped line: "<µs> <kind> <formatted detail>".
-func (t *Trace) eventf(kind, format string, args ...any) {
-	fmt.Fprintf(&t.buf, "%10d %-5s ", t.sim.Now().Microseconds(), kind)
-	fmt.Fprintf(&t.buf, format, args...)
-	t.buf.WriteByte('\n')
+// head opens a line: "<µs, right-aligned in 10> <kind, left-aligned in 5> ",
+// exactly what fmt's "%10d %-5s " renders.
+func (t *Trace) head(kind string) {
+	var num [20]byte
+	us := strconv.AppendInt(num[:0], t.sim.Now().Microseconds(), 10)
+	for i := len(us); i < 10; i++ {
+		t.buf = append(t.buf, ' ')
+	}
+	t.buf = append(t.buf, us...)
+	t.buf = append(t.buf, ' ')
+	t.buf = append(t.buf, kind...)
+	for i := len(kind); i < 5; i++ {
+		t.buf = append(t.buf, ' ')
+	}
+	t.buf = append(t.buf, ' ')
+}
+
+// packet appends one network event: "<head>src -> dst <size>B<note>". It is
+// written per simulated packet, so it formats by hand into the trace buffer
+// and allocates only when the buffer grows.
+func (t *Trace) packet(kind, src, dst string, size int, note string) {
+	t.head(kind)
+	t.buf = append(t.buf, src...)
+	t.buf = append(t.buf, " -> "...)
+	t.buf = append(t.buf, dst...)
+	t.buf = append(t.buf, ' ')
+	t.buf = strconv.AppendInt(t.buf, int64(size), 10)
+	t.buf = append(t.buf, 'B')
+	t.buf = append(t.buf, note...)
+	t.buf = append(t.buf, '\n')
 	t.lines++
 }
 
 // Logf records an application-level event (scenario phase changes, call
 // outcomes, state transitions) into the trace.
-func (t *Trace) Logf(format string, args ...any) { t.eventf("app", format, args...) }
+func (t *Trace) Logf(format string, args ...any) {
+	t.head("app")
+	t.buf = fmt.Appendf(t.buf, format, args...)
+	t.buf = append(t.buf, '\n')
+	t.lines++
+}
 
 // Bytes returns the full trace contents.
-func (t *Trace) Bytes() []byte { return t.buf.Bytes() }
+func (t *Trace) Bytes() []byte { return t.buf }
 
 // Lines reports how many events were recorded.
 func (t *Trace) Lines() int { return t.lines }
@@ -48,7 +78,7 @@ func (t *Trace) Lines() int { return t.lines }
 // for byte-equality checks across runs and in soak logs.
 func (t *Trace) Hash() uint64 {
 	h := fnv.New64a()
-	h.Write(t.buf.Bytes()) //nolint:errcheck // hash.Hash never errors
+	h.Write(t.buf) //nolint:errcheck // hash.Hash never errors
 	return h.Sum64()
 }
 

@@ -1,0 +1,81 @@
+package marsim
+
+import (
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"marnet/internal/phy"
+)
+
+// traceRig is two endpoints on links slow enough that every line of the
+// test gets its own timestamp: 1 Mb/s and 5 ms each way, no jitter or loss.
+func traceRig(t *testing.T) (s *Scenario, a, b *Endpoint) {
+	t.Helper()
+	s = NewScenario("trace", 1)
+	p := phy.Profile{Name: "test", Up: 1e6, Down: 1e6, OneWay: 5 * time.Millisecond}
+	a, b = s.Net.NewEndpoint("a", p), s.Net.NewEndpoint("b", p)
+	a.Start(func([]byte, *net.UDPAddr) {})
+	b.Start(func([]byte, *net.UDPAddr) {})
+	return s, a, b
+}
+
+// The packet lines are formatted by hand (strconv into the trace buffer);
+// every Trace.Hash the repo pins depends on them matching what fmt's
+// "%10d %-5s %s -> %s %dB" used to render, byte for byte: the timestamp
+// right-aligned in ten columns, the kind left-aligned in five, endpoints as
+// ip:port.
+func TestTraceGoldenLines(t *testing.T) {
+	s, a, b := traceRig(t)
+	s.At(1234*time.Microsecond, func() {
+		a.WriteToUDP(make([]byte, 100), b.UDPAddr()) //nolint:errcheck // simulated
+	})
+	s.At(20*time.Millisecond, func() { s.Logf("phase %d of %s", 2, "golden") })
+	s.At(30*time.Millisecond, func() {
+		b.WriteToUDP(make([]byte, 7), a.UDPAddr()) //nolint:errcheck // simulated
+		a.Close()
+	})
+	s.At(1500*time.Millisecond, func() {
+		b.WriteToUDP(make([]byte, 1200), &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 53}) //nolint:errcheck // simulated
+	})
+	if err := s.Sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// 128 B on the wire at 1 Mb/s is 1024 µs per link, 35 B is 280 µs.
+	want := []string{
+		"      1234 tx    10.0.0.1:9000 -> 10.0.0.2:9000 100B",
+		"     13282 rx    10.0.0.1:9000 -> 10.0.0.2:9000 100B",
+		"     20000 app   phase 2 of golden",
+		"     30000 tx    10.0.0.2:9000 -> 10.0.0.1:9000 7B",
+		"     35280 drop  10.0.0.2:9000 -> 10.0.0.1:9000 7B endpoint closed",
+		"   1500000 tx    10.0.0.2:9000 -> 192.0.2.1:53 1200B",
+		"   1514824 sink  10.0.0.2:9000 -> 192.0.2.1:53 1200B no route",
+	}
+	got := strings.Split(strings.TrimSuffix(string(s.Trace.Bytes()), "\n"), "\n")
+	if len(got) != len(want) || s.Trace.Lines() != len(want) {
+		t.Fatalf("trace has %d lines (Lines() = %d), want %d:\n%s", len(got), s.Trace.Lines(), len(want), s.Trace.Bytes())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d:\n got %q\nwant %q", i, got[i], want[i])
+		}
+	}
+	// And the same through fmt, which is what wrote these lines before.
+	if line := fmt.Sprintf("%10d %-5s %s -> %s %dB", 13282, "rx", a.UDPAddr(), b.UDPAddr().String(), 100); line != got[1] {
+		t.Errorf("fmt renders %q, trace has %q", line, got[1])
+	}
+}
+
+// A tx and an rx line cost no allocation once the trace buffer has room.
+func TestTracePacketLineZeroAlloc(t *testing.T) {
+	s, _, _ := traceRig(t)
+	s.Trace.buf = make([]byte, 0, 1<<20)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Trace.packet("tx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
+		s.Trace.packet("rx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
+	}); allocs != 0 {
+		t.Fatalf("trace packet line: %.2f allocs per tx+rx pair, want 0", allocs)
+	}
+}

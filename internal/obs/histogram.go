@@ -29,7 +29,7 @@ func bucketOf(v int64) int {
 		}
 		return int(v)
 	}
-	k := bits.Len64(uint64(v)) - 1        // 2^k <= v < 2^(k+1), k >= 2
+	k := bits.Len64(uint64(v)) - 1         // 2^k <= v < 2^(k+1), k >= 2
 	sub := int((uint64(v) >> (k - 2)) & 3) // two significant bits below the top
 	return 4*k + sub
 }

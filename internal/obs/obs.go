@@ -35,7 +35,7 @@ import (
 	"sync/atomic"
 )
 
-func floatBits(f float64) uint64  { return math.Float64bits(f) }
+func floatBits(f float64) uint64 { return math.Float64bits(f) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // Counter is a lock-free monotonically increasing counter.

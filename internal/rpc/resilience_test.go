@@ -227,8 +227,8 @@ func TestFailoverValidation(t *testing.T) {
 }
 
 func TestServerConnsTrackLivePopulation(t *testing.T) {
-	// Satellite 1: the server's dispatch table must shrink when peers are
-	// evicted, not leak one entry per departed address.
+	// The server's peer population must shrink when peers are evicted, not
+	// leak one connection per departed address.
 	srv, err := NewServer("127.0.0.1:0", nil, testHandler,
 		WithPeerIdleTimeout(150*time.Millisecond))
 	if err != nil {
@@ -247,13 +247,10 @@ func TestServerConnsTrackLivePopulation(t *testing.T) {
 		cl.Close()
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && srv.TrackedPeers() > 0 {
+	for time.Now().Before(deadline) && srv.Clients() > 0 {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if n := srv.TrackedPeers(); n != 0 {
-		t.Errorf("tracked peers = %d after idle eviction, want 0", n)
-	}
-	if srv.Clients() != 0 {
-		t.Errorf("live conns = %d, want 0", srv.Clients())
+	if n := srv.Clients(); n != 0 {
+		t.Errorf("live conns = %d after idle eviction, want 0", n)
 	}
 }

@@ -250,10 +250,6 @@ type Server struct {
 	svcModel ServiceModel
 	wg       sync.WaitGroup
 
-	// conns is the sharded route table: peer address → conn, looked up on
-	// every request by whichever shard's reader received it.
-	conns *wire.ShardMap[*wire.Conn]
-
 	mu          sync.Mutex
 	served      int64
 	stats       ServerStats
@@ -286,7 +282,6 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 		tracer:      so.tracer,
 		clock:       clock,
 		svcModel:    so.svcModel,
-		conns:       wire.NewShardMap[*wire.Conn](4 * so.shards),
 		freeWorkers: so.workers,
 	}
 	muxOpts := []wire.MuxOption{wire.WithMuxClock(clock)}
@@ -318,19 +313,6 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 		s.gate.Close()
 		return nil, err
 	}
-	// Each shard's mux registers a peer's conn before its first datagram
-	// is processed, so onMessage can always resolve the sender — and
-	// unregisters it on close/eviction so the table tracks the live peer
-	// population instead of leaking an entry per departed address. A peer
-	// belongs to exactly one shard (kernel flow hash / demux hash), so
-	// two shards never fight over one key; DeleteIf still guards against
-	// a departing conn evicting a fresh successor after resume.
-	mux.SetOnConn(func(conn *wire.Conn, peer *net.UDPAddr) {
-		s.conns.Put(peer.String(), conn)
-	})
-	mux.SetOnConnClosed(func(conn *wire.Conn, peer *net.UDPAddr) {
-		s.conns.DeleteIf(peer.String(), func(cur *wire.Conn) bool { return cur == conn })
-	})
 	s.mux = mux
 	if s.svcModel == nil {
 		for i := 0; i < so.workers; i++ {
@@ -349,10 +331,6 @@ func (s *Server) Clients() int { return len(s.mux.Conns()) }
 
 // Shards reports how many datapath shards the server runs.
 func (s *Server) Shards() int { return s.mux.Shards() }
-
-// TrackedPeers reports how many per-peer entries the dispatch table holds
-// (equal to Clients unless something leaks).
-func (s *Server) TrackedPeers() int { return s.conns.Len() }
 
 // Served reports how many calls were answered.
 func (s *Server) Served() int64 {
@@ -420,13 +398,10 @@ func (s *Server) Close() error {
 }
 
 func (s *Server) onMessage(m wire.Message) {
-	if m.Stream != reqStream || len(m.Payload) < reqHeader || m.Peer == nil {
+	if m.Stream != reqStream || len(m.Payload) < reqHeader {
 		return
 	}
-	conn, _ := s.conns.Get(m.Peer.String())
-	if conn == nil {
-		return // cannot happen after SetOnConn registration; defensive
-	}
+	conn := m.Conn // the answer goes back on the connection the request came in on
 	id := binary.LittleEndian.Uint64(m.Payload)
 	method := m.Payload[8]
 	prio := core.Priority(m.Payload[9])

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"net"
 	"testing"
+
+	"marnet/internal/core"
 )
 
 // The two halves of the frame pipeline as plain Go benchmarks, so
@@ -52,4 +55,38 @@ func BenchmarkDecodeOpen(b *testing.B) {
 			b.Fatal(oerr)
 		}
 	}
+}
+
+// BenchmarkOnData is the receive-side cost of one data frame — decode,
+// duplicate check, ack, window bookkeeping, delivery — on a stream whose
+// history is as deep as it gets (a full recvWindow of earlier frames).
+func BenchmarkOnData(b *testing.B) {
+	var sink int
+	c, err := ListenVia(&fuzzPC{}, Config{OnMessage: func(m Message) { sink += len(m.Payload) }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
+	payload := make([]byte, 1000)
+	h := Header{Type: TypeData, Stream: 1, Class: uint8(core.ClassLossRecovery), Prio: uint8(core.PrioHighest)}
+	deliver := func(seq int64) {
+		h.Seq = seq
+		frame, err := AppendFrame((*fb)[:0], h, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.handleDatagram(frame, from)
+	}
+	for seq := int64(0); seq < recvWindow; seq++ {
+		deliver(seq)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deliver(recvWindow + int64(i))
+	}
+	_ = sink
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -34,9 +34,12 @@ type Message struct {
 	Stream  uint16
 	Seq     int64
 	Payload []byte
-	// Peer is the remote address the datagram came from (useful behind a
-	// Mux, where one handler may serve many peers).
+	// Peer is the remote address the datagram came from and Conn the
+	// connection that delivered it (useful behind a Mux, where one handler
+	// serves many peers and answers on the connection the request came in
+	// on).
 	Peer *net.UDPAddr
+	Conn *Conn
 	// TraceID/SpanID carry the sender's trace context when the frame was
 	// traced (wire v3); both are zero for untraced frames. SpanID names
 	// the sender's span — the parent of any span the receiver starts.
@@ -155,10 +158,9 @@ type wstream struct {
 	outstanding map[int64]*wpending
 	maxAcked    int64
 
-	// receive side
-	expected int64
-	received map[int64]bool
-	nacked   map[int64]int
+	// recv is the receive side: which of the last recvWindow sequences
+	// arrived and which holes were NACKed.
+	recv core.SeqWindow
 
 	// Stats
 	sent  int64
@@ -218,6 +220,21 @@ type popped struct {
 	pp *wpending
 }
 
+// recvWindow is how many sequences back a stream remembers (see DESIGN.md
+// §3: 2048 frames is seconds of traffic, far beyond any frame still inside
+// a 75 ms deadline); a frame older than that is dropped as a duplicate.
+const recvWindow = 2048
+
+func newStream(spec StreamSpec, now time.Time) *wstream {
+	return &wstream{
+		spec:        spec,
+		lastFill:    now,
+		outstanding: make(map[int64]*wpending),
+		maxAcked:    -1,
+		recv:        core.NewSeqWindow(recvWindow),
+	}
+}
+
 // sweepInterval is the retransmit sweep period (tail-loss probe cadence).
 const sweepInterval = 50 * time.Millisecond
 
@@ -237,7 +254,7 @@ type Conn struct {
 	mu        sync.Mutex
 	peer      *net.UDPAddr
 	ctrl      *core.Controller
-	streams   map[uint16]*wstream
+	streams   []*wstream // sorted by id; the order is fixed at declaration
 	bands     [4]frameQueue
 	closed    bool
 	done      chan struct{}
@@ -267,15 +284,15 @@ type Conn struct {
 	sendDgs    []Datagram
 	sendFrames []*[]byte // per-slot frame buffers, grown to MaxBurst once
 
-	// nackScratch backs the gap list built on the receive path (guarded
-	// by mu).
-	nackScratch []int64
+	// seqScratch backs the sequence lists built under mu: the gap list on
+	// the receive path, the loss candidates of an ack or a sweep.
+	seqScratch []int64
 
 	// Mux mode: datagrams arrive via the mux's shared transport (through
 	// recvCh and a pump goroutine on asynchronous transports, direct
 	// dispatch on synchronous ones), writes go through the shared
 	// transport, and Close must not close it.
-	recvCh  chan []byte
+	recvCh  chan demuxPkt
 	muxced  bool
 	onClose func()
 
@@ -378,7 +395,6 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 		cfg:       cfg,
 		peer:      peer,
 		ctrl:      core.NewController(cfg.StartBudget),
-		streams:   make(map[uint16]*wstream, len(cfg.Streams)),
 		done:      make(chan struct{}),
 		sealer:    sl,
 		state:     StateActive,
@@ -402,15 +418,9 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 		c.sendFrames[i] = getFrameBuf()
 	}
 	for _, spec := range cfg.Streams {
-		c.streams[spec.ID] = &wstream{
-			spec:        spec,
-			tokens:      4 * 1500, // initial burst credit
-			lastFill:    now,
-			outstanding: make(map[int64]*wpending),
-			maxAcked:    -1,
-			received:    make(map[int64]bool),
-			nacked:      make(map[int64]int),
-		}
+		st := newStream(spec, now)
+		st.tokens = 4 * 1500 // initial burst credit
+		c.addStreamLocked(st)
 	}
 	c.ctrl.SetOnChange(c.reallocateLocked)
 	c.reallocateLocked()
@@ -434,17 +444,46 @@ func (c *Conn) start() {
 }
 
 // muxPump feeds datagrams queued by an asynchronous mux into the protocol;
-// synchronous (simulated) transports dispatch directly instead.
+// synchronous (simulated) transports dispatch directly instead. The buffer
+// is the mux's loan: it goes back to the pool (poisoned in debug builds)
+// as soon as the protocol is done with it.
 func (c *Conn) muxPump() {
 	defer c.wg.Done()
 	for {
 		select {
-		case dgram := <-c.recvCh:
-			c.handleDatagram(dgram, c.peer)
+		case p := <-c.recvCh:
+			c.handleDatagram((*p.buf)[:p.n], c.peer)
+			poisonBuf((*p.buf)[:p.n])
+			demuxBufPool.Put(p.buf)
 		case <-c.done:
 			return
 		}
 	}
+}
+
+// streamLocked finds a stream by id (nil when unknown).
+func (c *Conn) streamLocked(id uint16) *wstream {
+	if i, ok := c.streamIndex(id); ok {
+		return c.streams[i]
+	}
+	return nil
+}
+
+func (c *Conn) streamIndex(id uint16) (int, bool) {
+	return slices.BinarySearchFunc(c.streams, id, func(st *wstream, id uint16) int {
+		return int(st.spec.ID) - int(id)
+	})
+}
+
+// addStreamLocked files a stream at its place in id order (replacing a
+// stream declared twice, as the map this slice replaced did).
+func (c *Conn) addStreamLocked(st *wstream) {
+	i, ok := c.streamIndex(st.spec.ID)
+	if ok {
+		c.streams[i] = st
+		return
+	}
+	c.streams = slices.Insert(c.streams, i, st)
 }
 
 // keepaliveFire probes the peer every Keepalive interval and flips the
@@ -577,7 +616,7 @@ func (c *Conn) requeueFrames(keys []frameKey) {
 		return
 	}
 	for _, k := range keys {
-		st := c.streams[k.stream]
+		st := c.streamLocked(k.stream)
 		if st == nil {
 			continue
 		}
@@ -628,18 +667,12 @@ func (c *Conn) now() time.Duration { return c.clock.Now().Sub(c.epoch) }
 
 // reallocateLocked distributes the budget across streams by priority; the
 // caller must hold mu (the controller invokes it via OnChange from paths
-// that do). Streams are visited in sorted-id order within each priority so
+// that do). Streams are visited in id order within each priority so
 // allocation is deterministic under a virtual clock.
 func (c *Conn) reallocateLocked() {
-	ids := make([]uint16, 0, len(c.streams))
-	for id := range c.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	remaining := c.ctrl.Budget()
 	for p := core.PrioHighest; p <= core.PrioLowest; p++ {
-		for _, id := range ids {
-			st := c.streams[id]
+		for _, st := range c.streams {
 			if st.spec.Priority != p {
 				continue
 			}
@@ -680,8 +713,8 @@ func (c *Conn) SendTraced(streamID uint16, payload []byte, traceID, spanID uint6
 	if c.closed {
 		return false, ErrClosed
 	}
-	st, ok := c.streams[streamID]
-	if !ok {
+	st := c.streamLocked(streamID)
+	if st == nil {
 		return false, fmt.Errorf("wire: unknown stream %d", streamID)
 	}
 	now := c.clock.Now()
@@ -798,7 +831,7 @@ func (c *Conn) paceFire() {
 		}
 		f.hdr.SendMicro = nowStamp
 		var pp *wpending
-		if st := c.streams[f.hdr.Stream]; st != nil {
+		if st := c.streamLocked(f.hdr.Stream); st != nil {
 			if p, ok := st.outstanding[f.hdr.Seq]; ok {
 				p.queued = false
 				p.lastSent = now
@@ -993,53 +1026,40 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte) {
 	}
 	c.writeFrame(ack, nil, c.peer) //nolint:errcheck // best-effort ack
 
-	st, ok := c.streams[hdr.Stream]
-	if !ok {
+	st := c.streamLocked(hdr.Stream)
+	if st == nil {
 		// The peer sends on a stream we did not declare: accept with
 		// default state so one-directional setups work.
-		st = &wstream{
-			spec:        StreamSpec{ID: hdr.Stream, Class: core.Class(hdr.Class), Priority: core.Priority(hdr.Prio)},
-			outstanding: make(map[int64]*wpending),
-			maxAcked:    -1,
-			received:    make(map[int64]bool),
-			nacked:      make(map[int64]int),
-			lastFill:    c.clock.Now(),
-		}
-		c.streams[hdr.Stream] = st
+		st = newStream(StreamSpec{ID: hdr.Stream, Class: core.Class(hdr.Class), Priority: core.Priority(hdr.Prio)}, c.clock.Now())
+		c.addStreamLocked(st)
 	}
-	if st.received[hdr.Seq] {
+	expected := st.recv.Next()
+	if !st.recv.Mark(hdr.Seq) {
 		st.dups++
 		return
 	}
-	st.received[hdr.Seq] = true
 	st.recvd++
 
-	// Gap-driven NACK for reliable classes.
-	if core.Class(hdr.Class) != core.ClassFullBestEffort && hdr.Seq > st.expected {
-		missing := c.nackScratch[:0]
-		for s := st.expected; s < hdr.Seq && len(missing) < 64; s++ {
-			if !st.received[s] && st.nacked[s] < 2 {
-				st.nacked[s]++
+	// Gap-driven NACK for reliable classes: the holes this frame jumped
+	// over, as far back as the window still reaches.
+	if core.Class(hdr.Class) != core.ClassFullBestEffort && hdr.Seq > expected {
+		missing := c.seqScratch[:0]
+		for s := max(expected, st.recv.Floor()); s < hdr.Seq && len(missing) < 64; s++ {
+			if st.recv.Nack(s) {
 				missing = append(missing, s)
 			}
 		}
-		c.nackScratch = missing[:0]
+		c.seqScratch = missing[:0]
 		if len(missing) > 0 {
 			c.writeNackLocked(hdr.Stream, missing)
 		}
 	}
-	if hdr.Seq >= st.expected {
-		st.expected = hdr.Seq + 1
-	}
-	for s := range st.received {
-		if s < st.expected-2048 {
-			delete(st.received, s)
-		}
-	}
 	if c.cfg.OnMessage != nil {
+		// The one copy on the receive path: dgram is the transport's (or
+		// the mux's) loan, and OnMessage may keep what it is handed.
 		msg := Message{
 			Stream: hdr.Stream, Seq: hdr.Seq,
-			Payload: append([]byte(nil), payload...), Peer: c.peer,
+			Payload: append([]byte(nil), payload...), Peer: c.peer, Conn: c,
 			TraceID: hdr.TraceID, SpanID: hdr.SpanID,
 		}
 		// Deliver without holding the lock.
@@ -1097,8 +1117,8 @@ func (c *Conn) onAckLocked(hdr Header) {
 		c.AckedRTT = rtt
 		c.ctrl.OnAck(now, rtt)
 	}
-	st, ok := c.streams[hdr.Stream]
-	if !ok {
+	st := c.streamLocked(hdr.Stream)
+	if st == nil {
 		return
 	}
 	if pp, ok := st.outstanding[hdr.Seq]; ok {
@@ -1112,14 +1132,21 @@ func (c *Conn) onAckLocked(hdr Header) {
 	// Collect loss candidates first and process them in sequence order so
 	// retransmission order is independent of map iteration.
 	const reorderSlack = 3
-	var lost []int64
+	lost := c.seqScratch[:0]
 	for seq, pp := range st.outstanding {
 		if seq < st.maxAcked-reorderSlack && c.lossEligibleLocked(pp) {
 			lost = append(lost, seq)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	for _, seq := range lost {
+	c.loseLocked(st, lost)
+}
+
+// loseLocked declares the listed outstanding sequences of st lost, in
+// sequence order. seqs is (a prefix of) seqScratch.
+func (c *Conn) loseLocked(st *wstream, seqs []int64) {
+	c.seqScratch = seqs[:0]
+	slices.Sort(seqs)
+	for _, seq := range seqs {
 		if pp, ok := st.outstanding[seq]; ok {
 			c.onLostLocked(st, seq, pp)
 		}
@@ -1131,8 +1158,8 @@ func (c *Conn) onNackLocked(hdr Header, payload []byte) {
 	if err != nil {
 		return
 	}
-	st, ok := c.streams[hdr.Stream]
-	if !ok {
+	st := c.streamLocked(hdr.Stream)
+	if st == nil {
 		return
 	}
 	for _, seq := range missing {
@@ -1193,7 +1220,8 @@ func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending) {
 
 // sweepFire retransmits reliable tail losses that produce no gap signal,
 // then re-arms itself. Streams and sequences are visited in sorted order
-// so the retransmission schedule is deterministic.
+// so the retransmission schedule is deterministic; a sweep that finds
+// nothing stale — nearly all of them — sorts and allocates nothing.
 func (c *Conn) sweepFire() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1204,27 +1232,14 @@ func (c *Conn) sweepFire() {
 	if stale < 100*time.Millisecond {
 		stale = 100 * time.Millisecond
 	}
-	ids := make([]uint16, 0, len(c.streams))
-	for id := range c.streams {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := c.streams[id]
-		seqs := make([]int64, 0, len(st.outstanding))
-		for seq := range st.outstanding {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			pp, ok := st.outstanding[seq]
-			if !ok {
-				continue
-			}
+	for _, st := range c.streams {
+		lost := c.seqScratch[:0]
+		for seq, pp := range st.outstanding {
 			if !pp.queued && !pp.sending && !pp.lastSent.IsZero() && c.clock.Since(pp.lastSent) >= stale {
-				c.onLostLocked(st, seq, pp)
+				lost = append(lost, seq)
 			}
 		}
+		c.loseLocked(st, lost)
 	}
 	c.sweepTimer = vclock.Rearm(c.clock, c.sweepTimer, sweepInterval, c.sweepFn)
 }
@@ -1269,8 +1284,8 @@ func (c *Conn) streamSeqs() map[uint16]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[uint16]int64, len(c.streams))
-	for id, st := range c.streams {
-		out[id] = st.nextSeq
+	for _, st := range c.streams {
+		out[st.spec.ID] = st.nextSeq
 	}
 	return out
 }
@@ -1283,7 +1298,7 @@ func (c *Conn) setStreamSeqs(seqs map[uint16]int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, seq := range seqs {
-		if st, ok := c.streams[id]; ok && seq > st.nextSeq {
+		if st := c.streamLocked(id); st != nil && seq > st.nextSeq {
 			st.nextSeq = seq
 		}
 	}
@@ -1293,8 +1308,8 @@ func (c *Conn) setStreamSeqs(seqs map[uint16]int64) {
 func (c *Conn) Stats(streamID uint16) StreamStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.streams[streamID]
-	if !ok {
+	st := c.streamLocked(streamID)
+	if st == nil {
 		return StreamStats{}
 	}
 	return st.snapshot()
@@ -1338,8 +1353,8 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 
 	c.mu.Lock()
 	ids := make([]uint16, 0, len(c.streams))
-	for id := range c.streams {
-		ids = append(ids, id)
+	for _, st := range c.streams {
+		ids = append(ids, st.spec.ID)
 	}
 	c.mu.Unlock()
 	for _, id := range ids {

@@ -70,6 +70,37 @@ type demuxShard struct {
 	closed atomic.Bool
 }
 
+// ShardOfAddr assigns a peer address to one of n shards by hashing its
+// IP and port — the demux twin of the kernel's SO_REUSEPORT flow hash.
+// It allocates nothing for IPv4 and IPv6 addresses.
+func ShardOfAddr(addr *net.UDPAddr, n int) int {
+	if n <= 1 || addr == nil {
+		return 0
+	}
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	ip := addr.IP
+	if ip4 := ip.To4(); ip4 != nil {
+		ip = ip4
+	}
+	for i := 0; i < len(ip); i++ {
+		h ^= uint32(ip[i])
+		h *= prime32
+	}
+	h ^= uint32(addr.Port) & 0xff
+	h *= prime32
+	h ^= uint32(addr.Port) >> 8
+	h *= prime32
+	return int(h & uint32(size-1))
+}
+
 // newShardDemux builds the demux with n shard transports over pc. The
 // underlying transport is started only once every shard has installed its
 // delivery callback (the Nth Start call), so no packet can arrive for a

@@ -1,5 +1,7 @@
 // Package wire is the real-network implementation of the ARTP protocol
-// (see package core for the simulator version and the protocol rationale).
+// (package core holds the protocol rationale and the vocabulary both
+// engines share: Class, Priority, Controller and the receive-side
+// core.SeqWindow).
 // It runs over UDP sockets, as Section VI-H of the paper recommends: "the
 // actual implementation of this protocol may be done on top of UDP at the
 // application level, making it easier to integrate in applications as an

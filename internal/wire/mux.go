@@ -3,8 +3,10 @@ package wire
 import (
 	"fmt"
 	"net"
-	"sort"
+	"net/netip"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"marnet/internal/vclock"
@@ -28,16 +30,25 @@ type Mux struct {
 	idleTimeout time.Duration
 
 	mu           sync.Mutex
-	conns        map[string]*Conn
+	conns        map[netip.AddrPort]*Conn // keyed by PeerKey
 	onConnClosed func(conn *Conn, peer *net.UDPAddr)
 	closed       bool
 	evictTimer   vclock.Timer
 	done         chan struct{}
 
-	// Stats (guarded by mu).
+	// Stats (Accepted and Evicted guarded by mu).
 	Accepted int64
-	Evicted  int64 // peers closed by idle eviction
-	Overruns int64 // datagrams dropped because a peer's queue was full
+	Evicted  int64        // peers closed by idle eviction
+	Overruns atomic.Int64 // datagrams dropped because a peer's queue was full
+}
+
+// PeerKey is the comparable form of a peer address, the key of every
+// per-peer table on the datapath: building and hashing it allocates
+// nothing, unlike addr.String(). IPv4-mapped addresses are unmapped, so
+// the 4-byte and 16-byte spellings of one peer share a key.
+func PeerKey(addr *net.UDPAddr) netip.AddrPort {
+	ap := addr.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // MuxOption configures a Mux at listen time.
@@ -86,7 +97,7 @@ func ListenMuxVia(pc PacketConn, configFor func(peer *net.UDPAddr) Config, opts 
 		pc:        pc,
 		clock:     vclock.System,
 		configFor: configFor,
-		conns:     make(map[string]*Conn),
+		conns:     make(map[netip.AddrPort]*Conn),
 		done:      make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -128,8 +139,8 @@ func (m *Mux) evictPeriod() time.Duration {
 }
 
 // evictFire closes peers that have been silent longer than idleTimeout and
-// re-arms itself. Peers are scanned in sorted-key order so eviction order
-// is deterministic under a virtual clock.
+// re-arms itself. Peers are scanned in address order so eviction order is
+// deterministic under a virtual clock.
 func (m *Mux) evictFire() {
 	var idle []*Conn
 	m.mu.Lock()
@@ -137,11 +148,11 @@ func (m *Mux) evictFire() {
 		m.mu.Unlock()
 		return
 	}
-	keys := make([]string, 0, len(m.conns))
+	keys := make([]netip.AddrPort, 0, len(m.conns))
 	for k := range m.conns {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, netip.AddrPort.Compare)
 	for _, k := range keys {
 		c := m.conns[k]
 		if m.clock.Since(c.LastActivity()) > m.idleTimeout {
@@ -190,7 +201,7 @@ func (m *Mux) Close() error {
 	for _, c := range m.conns {
 		conns = append(conns, c)
 	}
-	m.conns = map[string]*Conn{}
+	m.conns = map[netip.AddrPort]*Conn{}
 	m.mu.Unlock()
 
 	for _, c := range conns {
@@ -213,19 +224,24 @@ func (m *Mux) route(dgram []byte, raddr *net.UDPAddr) {
 		conn.handleDatagram(dgram, raddr)
 		return
 	}
-	copied := append([]byte(nil), dgram...)
+	if len(dgram) > recvBufLen {
+		return // larger than any frame: DecodeFrame would reject it anyway
+	}
+	// The transport's buffer is only loaned for this call; the pump gets a
+	// pooled one and returns it when the protocol is done.
+	buf := demuxBufPool.Get().(*[]byte)
+	n := copy(*buf, dgram)
 	select {
-	case conn.recvCh <- copied:
+	case conn.recvCh <- demuxPkt{buf: buf, n: n}:
 	default:
-		m.mu.Lock()
-		m.Overruns++
-		m.mu.Unlock()
+		demuxBufPool.Put(buf)
+		m.Overruns.Add(1)
 	}
 }
 
 // connFor returns (creating if necessary) the peer's connection.
 func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
-	key := raddr.String()
+	key := PeerKey(raddr)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -269,7 +285,7 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 // dropConn removes a closing connection from the peer table, but only if
 // it is still the registered connection for its key — a duplicate conn
 // losing the accept race must not evict the winner.
-func (m *Mux) dropConn(key string, c *Conn) {
+func (m *Mux) dropConn(key netip.AddrPort, c *Conn) {
 	m.mu.Lock()
 	var closed func(*Conn, *net.UDPAddr)
 	if m.conns[key] == c {
@@ -303,9 +319,9 @@ func newMuxConn(m *Mux, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	c := newConnCommon(m.pc, peer, cfg, sl)
 	c.muxced = true
 	if !m.pc.Synchronous() {
-		c.recvCh = make(chan []byte, 256)
+		c.recvCh = make(chan demuxPkt, 256)
 	}
-	key := peer.String()
+	key := PeerKey(peer)
 	c.onClose = func() { m.dropConn(key, c) }
 	c.start()
 	return c, nil

@@ -127,20 +127,6 @@ func (g *MuxGroup) LocalAddr() *net.UDPAddr {
 	return g.muxes[0].LocalAddr()
 }
 
-// SetOnConn installs the new-peer callback on every shard.
-func (g *MuxGroup) SetOnConn(fn func(conn *Conn, peer *net.UDPAddr)) {
-	for _, m := range g.muxes {
-		m.SetOnConn(fn)
-	}
-}
-
-// SetOnConnClosed installs the peer-departure callback on every shard.
-func (g *MuxGroup) SetOnConnClosed(fn func(conn *Conn, peer *net.UDPAddr)) {
-	for _, m := range g.muxes {
-		m.SetOnConnClosed(fn)
-	}
-}
-
 // Conns snapshots the live peer connections across all shards.
 func (g *MuxGroup) Conns() []*Conn {
 	var out []*Conn
@@ -156,8 +142,8 @@ func (g *MuxGroup) Stats() (accepted, evicted, overruns int64) {
 		m.mu.Lock()
 		accepted += m.Accepted
 		evicted += m.Evicted
-		overruns += m.Overruns
 		m.mu.Unlock()
+		overruns += m.Overruns.Load()
 	}
 	return
 }

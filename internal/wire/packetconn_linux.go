@@ -104,6 +104,12 @@ type batchIO struct {
 	rbufs  [ioBatch][]byte
 	rctrl  [ioBatch][groCtrlLen]byte
 	acache map[addrKey]*net.UDPAddr // owned by the reader goroutine
+	// recvFn is the RawConn.Read callback and rgot/rerrno its results. They
+	// live here, not in readBatch, so the closure and what it captures are
+	// allocated once per socket instead of once per recvmmsg.
+	recvFn func(fd uintptr) bool
+	rgot   int
+	rerrno syscall.Errno
 }
 
 func newBatchIO(sock *net.UDPConn) *batchIO {
@@ -427,6 +433,14 @@ func (b *batchIO) groSegSize(i int) int {
 // segment size before delivery, so the callback sees exactly the frames
 // the peer sent.
 func (b *batchIO) readLoop(recv func(pkt []byte, from *net.UDPAddr)) {
+	b.readInit()
+	for b.readBatch(recv) {
+	}
+}
+
+// readInit allocates everything the reader will ever need: the packet
+// buffers, the address cache and the recvmmsg callback.
+func (b *batchIO) readInit() {
 	bufLen := recvBufLen
 	if b.gro {
 		// A coalesced GRO buffer holds up to a maximal UDP datagram.
@@ -436,62 +450,66 @@ func (b *batchIO) readLoop(recv func(pkt []byte, from *net.UDPAddr)) {
 		b.rbufs[i] = make([]byte, bufLen)
 	}
 	b.acache = make(map[addrKey]*net.UDPAddr)
-	for {
-		for i := range b.rhdrs {
-			b.riovs[i] = syscall.Iovec{Base: &b.rbufs[i][0], Len: uint64(bufLen)}
-			b.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&b.rsas[i])),
-				Namelen: uint32(unsafe.Sizeof(b.rsas[i])),
-				Iov:     &b.riovs[i],
-				Iovlen:  1,
-			}}
-			if b.gro {
-				b.rhdrs[i].hdr.Control = &b.rctrl[i][0]
-				b.rhdrs[i].hdr.SetControllen(groCtrlLen)
+	b.recvFn = func(fd uintptr) bool {
+		for {
+			r1, _, e := syscall.Syscall6(sysRECVMMSG,
+				fd, uintptr(unsafe.Pointer(&b.rhdrs[0])), ioBatch, 0, 0, 0)
+			if e == syscall.EINTR {
+				continue // signal delivery / async preemption: retry
 			}
-		}
-		var got int
-		var errno syscall.Errno
-		rerr := b.rc.Read(func(fd uintptr) bool {
-			for {
-				r1, _, e := syscall.Syscall6(sysRECVMMSG,
-					fd, uintptr(unsafe.Pointer(&b.rhdrs[0])), ioBatch, 0, 0, 0)
-				if e == syscall.EINTR {
-					continue // signal delivery / async preemption: retry
-				}
-				if e == syscall.EAGAIN {
-					return false // park in the poller until readable
-				}
-				got, errno = int(r1), e
-				return true
+			if e == syscall.EAGAIN {
+				return false // park in the poller until readable
 			}
-		})
-		if rerr != nil {
-			return // RawConn.Read fails only when the socket is closed
-		}
-		switch errno {
-		case 0:
-		case syscall.ENOMEM, syscall.ENOBUFS:
-			continue // transient kernel memory pressure: keep the reader alive
-		default:
-			return // unrecoverable (EBADF-class): the socket is gone
-		}
-		if got <= 0 {
-			return
-		}
-		for i := 0; i < got; i++ {
-			n := int(b.rhdrs[i].n)
-			if n > bufLen {
-				n = bufLen
-			}
-			from := b.addrOf(&b.rsas[i])
-			pkt := b.rbufs[i][:n]
-			if seg := b.groSegSize(i); seg > 0 && seg < n {
-				splitSegments(pkt, seg, from, recv)
-			} else {
-				recv(pkt, from)
-			}
-			poisonBuf(pkt)
+			b.rgot, b.rerrno = int(r1), e
+			return true
 		}
 	}
+}
+
+// readBatch moves one recvmmsg vector from the socket to recv, blocking
+// until at least one datagram is there. It reports false once the socket
+// is gone.
+func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr)) bool {
+	bufLen := len(b.rbufs[0])
+	for i := range b.rhdrs {
+		b.riovs[i] = syscall.Iovec{Base: &b.rbufs[i][0], Len: uint64(bufLen)}
+		b.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&b.rsas[i])),
+			Namelen: uint32(unsafe.Sizeof(b.rsas[i])),
+			Iov:     &b.riovs[i],
+			Iovlen:  1,
+		}}
+		if b.gro {
+			b.rhdrs[i].hdr.Control = &b.rctrl[i][0]
+			b.rhdrs[i].hdr.SetControllen(groCtrlLen)
+		}
+	}
+	if err := b.rc.Read(b.recvFn); err != nil {
+		return false // RawConn.Read fails only when the socket is closed
+	}
+	switch b.rerrno {
+	case 0:
+	case syscall.ENOMEM, syscall.ENOBUFS:
+		return true // transient kernel memory pressure: keep the reader alive
+	default:
+		return false // unrecoverable (EBADF-class): the socket is gone
+	}
+	if b.rgot <= 0 {
+		return false
+	}
+	for i := 0; i < b.rgot; i++ {
+		n := int(b.rhdrs[i].n)
+		if n > bufLen {
+			n = bufLen
+		}
+		from := b.addrOf(&b.rsas[i])
+		pkt := b.rbufs[i][:n]
+		if seg := b.groSegSize(i); seg > 0 && seg < n {
+			splitSegments(pkt, seg, from, recv)
+		} else {
+			recv(pkt, from)
+		}
+		poisonBuf(pkt)
+	}
+	return true
 }

@@ -96,12 +96,12 @@ func TestPathCodecRejectsGarbage(t *testing.T) {
 	// Parity geometry violations must all be rejected.
 	shard := make([]byte, 8)
 	for _, h := range []PathParityHeader{
-		{Group: 0, Index: 4, K: 4, M: 2, ShardLen: 8},  // group 0 reserved
-		{Group: 1, Index: 2, K: 4, M: 2, ShardLen: 8},  // index below K
-		{Group: 1, Index: 6, K: 4, M: 2, ShardLen: 8},  // index past K+M
+		{Group: 0, Index: 4, K: 4, M: 2, ShardLen: 8},            // group 0 reserved
+		{Group: 1, Index: 2, K: 4, M: 2, ShardLen: 8},            // index below K
+		{Group: 1, Index: 6, K: 4, M: 2, ShardLen: 8},            // index past K+M
 		{Group: 1, Index: 4, K: 4, M: 2, Actual: 5, ShardLen: 8}, // actual > K
-		{Group: 1, Index: 4, K: 0, M: 2, ShardLen: 8},  // zero K
-		{Group: 1, Index: 4, K: 4, M: 0, ShardLen: 8},  // zero M
+		{Group: 1, Index: 4, K: 0, M: 2, ShardLen: 8},            // zero K
+		{Group: 1, Index: 4, K: 4, M: 0, ShardLen: 8},            // zero M
 	} {
 		frame := AppendPathParity(nil, 1, 0, h, shard)
 		_, body, err := DecodePathHeader(frame)
@@ -265,10 +265,10 @@ func (e *hubEP) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	return len(b), nil
 }
 
-func (e *hubEP) LocalAddr() net.Addr                            { return e.addr }
-func (e *hubEP) Close() error                                   { e.closed = true; return nil }
-func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr))   { e.recv = fn }
-func (e *hubEP) Synchronous() bool                              { return true }
+func (e *hubEP) LocalAddr() net.Addr                          { return e.addr }
+func (e *hubEP) Close() error                                 { e.closed = true; return nil }
+func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr)) { e.recv = fn }
+func (e *hubEP) Synchronous() bool                            { return true }
 
 // --- path set state machine ------------------------------------------------
 

@@ -51,11 +51,11 @@ const (
 const (
 	PathMagic      = 0xA27C
 	PathVersion    = 1
-	PathPrefixLen  = 13              // magic + version + kind + session + path id
-	pathDataOver   = 5               // group + index
+	PathPrefixLen  = 13                           // magic + version + kind + session + path id
+	pathDataOver   = 5                            // group + index
 	PathDataOver   = PathPrefixLen + pathDataOver // total data encapsulation overhead
-	pathProbeLen   = 21              // seq + sendMicro + srttMicro + intervalMicro + state
-	pathParityOver = 10              // group + index + k + m + actual + shardLen
+	pathProbeLen   = 21                           // seq + sendMicro + srttMicro + intervalMicro + state
+	pathParityOver = 10                           // group + index + k + m + actual + shardLen
 )
 
 // Path codec errors.

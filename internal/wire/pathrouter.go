@@ -20,6 +20,7 @@ package wire
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -70,7 +71,7 @@ type PathRouter struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*routerSession
-	byCanon  map[string]*routerSession
+	byCanon  map[netip.AddrPort]*routerSession // keyed by PeerKey(canon)
 	recv     func(pkt []byte, from *net.UDPAddr)
 	closed   bool
 
@@ -100,7 +101,7 @@ func NewPathRouter(pc PacketConn, cfg RouterConfig) *PathRouter {
 		cfg:      cfg,
 		clock:    vclock.OrSystem(cfg.Clock),
 		sessions: make(map[uint64]*routerSession),
-		byCanon:  make(map[string]*routerSession),
+		byCanon:  make(map[netip.AddrPort]*routerSession),
 	}
 	r.flushFn = r.flushFire
 	return r
@@ -150,7 +151,7 @@ func (r *PathRouter) Close() error {
 			r.fecUnrepaired += s.rx.Unrepaired
 		}
 		r.sessions = make(map[uint64]*routerSession)
-		r.byCanon = make(map[string]*routerSession)
+		r.byCanon = make(map[netip.AddrPort]*routerSession)
 	}
 	r.mu.Unlock()
 	return r.pc.Close()
@@ -175,7 +176,7 @@ func (r *PathRouter) sessionLocked(id uint64) *routerSession {
 			r.fecRepaired += oldest.rx.Repaired
 			r.fecUnrepaired += oldest.rx.Unrepaired
 			delete(r.sessions, oldest.id)
-			delete(r.byCanon, oldest.canon.String())
+			delete(r.byCanon, PeerKey(oldest.canon))
 		}
 	}
 	s = &routerSession{
@@ -188,7 +189,7 @@ func (r *PathRouter) sessionLocked(id uint64) *routerSession {
 		s.tx, _ = newFECGroups(r.cfg.FEC.K, r.cfg.FEC.M) // geometry validated in config
 	}
 	r.sessions[id] = s
-	r.byCanon[s.canon.String()] = s
+	r.byCanon[PeerKey(s.canon)] = s
 	return s
 }
 
@@ -344,7 +345,7 @@ func (r *PathRouter) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 		r.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	s := r.byCanon[addr.String()]
+	s := r.byCanon[PeerKey(addr)]
 	if s == nil {
 		r.mu.Unlock()
 		return r.pc.WriteToUDP(b, addr)

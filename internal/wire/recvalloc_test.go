@@ -3,8 +3,6 @@ package wire
 import (
 	"bytes"
 	"net"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -90,91 +88,6 @@ func TestDemuxIngestZeroAlloc(t *testing.T) {
 	run() // warm the delivery-buffer pool
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("demux ingest/recycle: %.2f allocs/op, want 0", allocs)
-	}
-}
-
-// End-to-end regression pin for the recv loop over real loopback sockets:
-// the pre-refactor loop cost ~4 allocs per packet (AAD header render,
-// aead.Open growing a fresh plaintext, and two address allocations per
-// recvfrom). With openInPlace, the pooled AAD scratch, and the reader-owned
-// address cache the steady-state budget is near zero; the pin allows 0.5
-// allocs/packet of process-wide noise (GC bookkeeping, timer wheels).
-func TestRecvLoopAllocRegression(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation pins are meaningless under -race")
-	}
-	sl, err := newSealer(benchKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recvSock, err := listenLoopback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := newUDPPacketConn(recvSock)
-	defer pc.Close()
-	sendSock, err := listenLoopback()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sendSock.Close()
-
-	const packets = 5000
-	frame, err := sl.appendSealedFrame(nil, Header{Type: TypeData, Stream: 1, Class: 1, Prio: 1, Seq: 1}, bytes.Repeat([]byte{0xE7}, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered, failed atomic.Int64
-	pc.Start(func(pkt []byte, from *net.UDPAddr) {
-		hdr, payload, err := DecodeFrame(pkt)
-		if err != nil {
-			failed.Add(1)
-			return
-		}
-		if _, err := sl.openInPlace(hdr, payload); err != nil {
-			failed.Add(1)
-			return
-		}
-		delivered.Add(1)
-	})
-
-	dst := recvSock.LocalAddr().(*net.UDPAddr)
-	// Warm pools, addr cache, and socket buffers off the record.
-	for i := 0; i < 200; i++ {
-		if _, err := sendSock.WriteToUDP(frame, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	delivered.Store(0)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	// Send until the reader has opened `packets` frames; kernel-dropped
-	// datagrams never reach user space, so they cannot skew the per-packet
-	// malloc figure.
-	deadline := time.Now().Add(10 * time.Second)
-	for sent := 0; delivered.Load() < packets; sent++ {
-		if _, err := sendSock.WriteToUDP(frame, dst); err != nil {
-			t.Fatal(err)
-		}
-		if sent%64 == 0 {
-			time.Sleep(100 * time.Microsecond) // let the reader keep up
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recv stalled: delivered=%d failed=%d of %d", delivered.Load(), failed.Load(), packets)
-		}
-	}
-	got := delivered.Load()
-	runtime.ReadMemStats(&after)
-	if n := failed.Load(); n > 0 {
-		t.Fatalf("%d frames failed to open", n)
-	}
-	perPacket := float64(after.Mallocs-before.Mallocs) / float64(got)
-	t.Logf("recv loop: %.3f mallocs/packet over %d packets", perPacket, got)
-	if perPacket >= 0.5 {
-		t.Fatalf("recv loop regressed to %.3f mallocs/packet (pre-refactor ~4, budget < 0.5)", perPacket)
 	}
 }
 

@@ -1,0 +1,202 @@
+package wire
+
+import (
+	"math/rand"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"marnet/internal/core"
+)
+
+// capturePC is a transport that goes nowhere and remembers what a Conn
+// wrote to it: how many acks, and which sequences were NACKed.
+type capturePC struct {
+	fuzzPC
+	mu     sync.Mutex
+	acks   int
+	nacked map[int64]int
+}
+
+func (p *capturePC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
+	hdr, payload, err := DecodeFrame(b)
+	if err != nil {
+		return 0, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch hdr.Type {
+	case TypeAck:
+		p.acks++
+	case TypeNack:
+		missing, err := DecodeNackPayload(payload)
+		if err != nil {
+			return 0, err
+		}
+		for _, seq := range missing {
+			p.nacked[seq]++
+		}
+	}
+	return len(b), nil
+}
+
+// The receive state of a stream is a fixed window however long the stream
+// runs and however much it loses: 100k sequences with 5 % loss leave it
+// exactly as large as it started (the NACK-count map it replaced kept an
+// entry for every sequence ever lost), every lost sequence is NACKed
+// exactly once, and a frame replayed from 3000 sequences back — older than
+// the window — is a duplicate, not a second delivery.
+func TestRecvWindowConstantUnderLoss(t *testing.T) {
+	pc := &capturePC{nacked: make(map[int64]int)}
+	delivered := make(map[int64]int)
+	c, err := ListenVia(pc, Config{OnMessage: func(m Message) { delivered[m.Seq]++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	frame := func(seq int64) []byte {
+		f, err := AppendFrame(nil, Header{
+			Type: TypeData, Stream: 7, Class: uint8(core.ClassLossRecovery),
+			Prio: uint8(core.PrioHighest), Seq: seq,
+		}, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	const total = 100_000
+	rng := rand.New(rand.NewSource(15))
+	lost := make(map[int64]bool)
+	sent := 0
+	c.handleDatagram(frame(0), from) // creates the stream
+	sent++
+	size := c.streamLocked(7).recv.Size()
+	if size != recvWindow {
+		t.Fatalf("receive window = %d slots, want %d", size, recvWindow)
+	}
+	for seq := int64(1); seq < total; seq++ {
+		if seq < total-1 && rng.Float64() < 0.05 { // the last frame arrives, so every hole is seen
+			lost[seq] = true
+			continue
+		}
+		c.handleDatagram(frame(seq), from)
+		sent++
+	}
+	if len(lost) < total/25 {
+		t.Fatalf("only %d of %d sequences lost: the loss process is broken", len(lost), total)
+	}
+
+	st := c.streamLocked(7)
+	if got := st.recv.Size(); got != size {
+		t.Errorf("receive window grew from %d to %d slots", size, got)
+	}
+	if got := st.recv.Next(); got != total {
+		t.Errorf("expected sequence = %d, want %d", got, total)
+	}
+	if len(delivered) != sent {
+		t.Errorf("delivered %d distinct sequences of %d sent", len(delivered), sent)
+	}
+	if pc.acks != sent {
+		t.Errorf("acked %d of %d frames", pc.acks, sent)
+	}
+	if len(pc.nacked) != len(lost) {
+		t.Errorf("NACKed %d sequences, lost %d", len(pc.nacked), len(lost))
+	}
+	for seq, n := range pc.nacked {
+		if !lost[seq] || n != 1 {
+			t.Fatalf("sequence %d NACKed %d times (lost: %v), want once and only if lost", seq, n, lost[seq])
+		}
+	}
+
+	// A retransmission inside the window fills its hole; a replay from
+	// beyond it cannot be told from a duplicate and is treated as one.
+	var inWindow, tooOld int64 = -1, -1
+	for seq := int64(total - 1); seq >= 0 && (inWindow < 0 || tooOld < 0); seq-- {
+		switch {
+		case lost[seq] && inWindow < 0 && seq >= total-recvWindow:
+			inWindow = seq
+		case !lost[seq] && tooOld < 0 && seq <= total-3000:
+			tooOld = seq
+		}
+	}
+	before := c.Stats(7)
+	c.handleDatagram(frame(inWindow), from)
+	c.handleDatagram(frame(tooOld), from)
+	after := c.Stats(7)
+	if delivered[inWindow] != 1 {
+		t.Errorf("late sequence %d inside the window delivered %d times, want 1", inWindow, delivered[inWindow])
+	}
+	if delivered[tooOld] != 1 {
+		t.Errorf("sequence %d replayed from %d back delivered %d times, want 1", tooOld, total-tooOld, delivered[tooOld])
+	}
+	if d := after.Duplicates - before.Duplicates; d != 1 {
+		t.Errorf("Duplicates rose by %d, want 1 (the replay)", d)
+	}
+	if d := after.Received - before.Received; d != 1 {
+		t.Errorf("Received rose by %d, want 1 (the late arrival)", d)
+	}
+}
+
+// The per-packet bookkeeping off the protocol's critical path stays free
+// of allocations: finding a known peer's connection, sharing the budget
+// out after an ack, and a retransmit sweep with nothing to retransmit.
+func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race")
+	}
+	streams := []StreamSpec{
+		{ID: 9, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e5},
+		{ID: 3, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 1e6},
+		{ID: 5, Class: core.ClassFullBestEffort, Priority: core.PrioLowest, Rate: 5e6},
+	}
+	m, err := ListenMuxVia(&fuzzPC{}, func(*net.UDPAddr) Config { return Config{Streams: streams} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	peer := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 5000}
+	c := m.connFor(peer)
+	if c == nil {
+		t.Fatal("no conn for a new peer")
+	}
+	again := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3).To4(), Port: 5000} // same peer, other spelling
+	if allocs := testing.AllocsPerRun(200, func() {
+		if m.connFor(again) != c {
+			t.Fatal("known peer routed to another conn")
+		}
+	}); allocs != 0 {
+		t.Errorf("Mux.connFor on a hit: %.2f allocs/op, want 0", allocs)
+	}
+
+	for i, want := range []uint16{3, 5, 9} {
+		if got := c.streams[i].spec.ID; got != want {
+			t.Fatalf("streams[%d] = stream %d, want %d (id order)", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.mu.Lock()
+		c.reallocateLocked()
+		c.mu.Unlock()
+	}); allocs != 0 {
+		t.Errorf("reallocateLocked: %.2f allocs/op, want 0", allocs)
+	}
+
+	// Frames in flight, none of them stale yet.
+	for i := 0; i < 8; i++ {
+		if _, err := c.Send(3, []byte("in flight")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c.QueuedFrames() > 0 { // let the pacer finish: its timers are not the sweep's
+		time.Sleep(time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(200, c.sweepFire); allocs != 0 {
+		t.Errorf("sweepFire with nothing stale: %.2f allocs/op, want 0", allocs)
+	}
+	if got := c.Stats(3).Retx; got != 0 {
+		t.Errorf("sweep retransmitted %d fresh frames", got)
+	}
+}

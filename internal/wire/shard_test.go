@@ -183,3 +183,52 @@ func BenchmarkShardRecvSmoke(b *testing.B) {
 		b.ReportMetric(rows[0].PacketsPerSec, "packets/s")
 	}
 }
+
+// Shard assignment must be a pure function of (address, shard count): the
+// same peer always lands on the same shard, every result is a valid shard
+// index, and a realistic peer population reaches more than one shard.
+func TestShardOfStable(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		seen := make(map[int]bool)
+		for i := 0; i < 4096; i++ {
+			addr := &net.UDPAddr{IP: net.IPv4(10, 0, byte(i%256), byte((i*7)%256)), Port: 10000 + i}
+			a, b := ShardOfAddr(addr, n), ShardOfAddr(addr, n)
+			if a != b {
+				t.Fatalf("ShardOfAddr(%v,%d) unstable: %d then %d", addr, n, a, b)
+			}
+			if a < 0 || a >= n {
+				t.Fatalf("ShardOfAddr(%v,%d) = %d out of range", addr, n, a)
+			}
+			seen[a] = true
+		}
+		if n > 1 && len(seen) < 2 {
+			t.Fatalf("n=%d: all 4096 peers hashed to one shard", n)
+		}
+	}
+}
+
+func TestShardOfAddrSpread(t *testing.T) {
+	const n = 4
+	seen := make(map[int]bool)
+	for i := 0; i < 64; i++ {
+		a := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 20000 + i}
+		s := ShardOfAddr(a, n)
+		if s < 0 || s >= n {
+			t.Fatalf("shard %d out of range", s)
+		}
+		if s != ShardOfAddr(a, n) {
+			t.Fatal("ShardOfAddr unstable")
+		}
+		seen[s] = true
+	}
+	if len(seen) < 2 {
+		t.Fatal("64 distinct ports all hashed to one shard")
+	}
+	// IPv4 and its v4-in-v6 mapped form are the same peer and must land
+	// on the same shard.
+	a4 := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7).To4(), Port: 443}
+	a16 := &net.UDPAddr{IP: net.IPv4(192, 0, 2, 7).To16(), Port: 443}
+	if ShardOfAddr(a4, n) != ShardOfAddr(a16, n) {
+		t.Fatal("v4 and v4-mapped-v6 forms of one address hashed differently")
+	}
+}

@@ -18,9 +18,9 @@ func (f *fuzzPC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) { return len(
 func (f *fuzzPC) LocalAddr() net.Addr {
 	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
 }
-func (f *fuzzPC) Close() error                                    { f.closed.Store(true); return nil }
-func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr))       {}
-func (f *fuzzPC) Synchronous() bool                               { return false }
+func (f *fuzzPC) Close() error                              { f.closed.Store(true); return nil }
+func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr)) {}
+func (f *fuzzPC) Synchronous() bool                         { return false }
 
 // FuzzShardDemux hammers the two recv-side boundaries a hostile (or GRO-
 // coalescing) network can push malformed shapes through: the segment
