@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -109,7 +110,8 @@ type Sender struct {
 	pacing  bool
 	sweep   simnet.Event
 	stopped bool
-	flatten bool // ablation: ignore priorities entirely
+	lostSeq []int64 // loseInOrder's scratch
+	flatten bool    // ablation: ignore priorities entirely
 
 	// Stats.
 	PacedOut     int64
@@ -457,11 +459,28 @@ func (s *Sender) onAck(ack AckHdr) {
 	// horizon is presumed lost — unless it was (re)sent so recently that
 	// its ack could not have arrived yet.
 	const reorderSlack = 3
+	s.loseInOrder(st, func(seq int64, pp *pendingPkt) bool {
+		return seq < st.maxAcked-reorderSlack && s.lossEligible(pp)
+	})
+}
+
+// loseInOrder runs onLostPacket over every outstanding packet of st that
+// lost selects, in ascending sequence order. Declaring a loss feeds the
+// controller and re-enqueues the packet, so the order is visible in every
+// figure downstream; ranging over the map directly made one seed print
+// different numbers from run to run.
+func (s *Sender) loseInOrder(st *Stream, lost func(seq int64, pp *pendingPkt) bool) {
+	seqs := s.lostSeq[:0]
 	for seq, pp := range st.outstanding {
-		if seq < st.maxAcked-reorderSlack && s.lossEligible(pp) {
-			s.onLostPacket(st, seq, pp)
+		if lost(seq, pp) {
+			seqs = append(seqs, seq)
 		}
 	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		s.onLostPacket(st, seq, st.outstanding[seq])
+	}
+	s.lostSeq = seqs[:0]
 }
 
 // minPathSRTT returns the smallest measured smoothed RTT across paths (the
@@ -562,11 +581,9 @@ func (s *Sender) armSweep() {
 		stale := interval
 		again := false
 		for _, st := range s.streams {
-			for seq, pp := range st.outstanding {
-				if !pp.queued && now-pp.created >= stale {
-					s.onLostPacket(st, seq, pp)
-				}
-			}
+			s.loseInOrder(st, func(_ int64, pp *pendingPkt) bool {
+				return !pp.queued && now-pp.created >= stale
+			})
 			if len(st.outstanding) > 0 {
 				again = true
 			}

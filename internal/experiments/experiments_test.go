@@ -330,3 +330,25 @@ func TestSectionVIHShape(t *testing.T) {
 		t.Error("format missing FQ-CoDel row")
 	}
 }
+
+// Same seed, same figure: core.Sender used to declare losses in map order,
+// so Figure 4's phase-3 metadata rate and Section VI-D's handover-only row
+// printed different numbers from run to run of one seed. Five runs each,
+// rendered as marbench prints them, must be one text.
+func TestFiguresRepeatPerSeed(t *testing.T) {
+	for _, fig := range []struct {
+		name   string
+		render func() string
+	}{
+		{"Figure4", func() string { return Figure4(42).Format() }},
+		{"SectionVID", func() string { return SectionVID(42).Format() }},
+	} {
+		first := fig.render()
+		for run := 2; run <= 5; run++ {
+			if got := fig.render(); got != first {
+				t.Errorf("%s: run %d of seed 42 (marbench's default) differs from run 1:\n%s\n--- run 1 ---\n%s", fig.name, run, got, first)
+				break
+			}
+		}
+	}
+}

@@ -20,12 +20,28 @@ const udpOverhead = 28
 // the addressing the receiving endpoint reports upward. Addresses travel
 // in two forms: a comparable key for routing and the text the trace prints,
 // rendered once per endpoint rather than once per packet.
+//
+// A datagram, the simnet.Packet that carries it and its data buffer are one
+// recycled record: Net.get hands one out per injected datagram and every
+// terminal outcome (delivered, sink, endpoint closed) returns it with
+// Net.put. What a link loses, filters or tail-drops is left to the GC.
 type datagram struct {
-	data    []byte
+	pkt     simnet.Packet // pkt.Payload is the datagram itself
+	data    []byte        // the bytes, in room unless larger; a loan to recv while delivering
+	room    [1500]byte    // one MTU, inline: a record (and a pool miss) is one heap object
 	src     *Endpoint
 	dst     netip.AddrPort // destination endpoint key (wire.PeerKey)
 	dstText string         // "ip:port", as the trace prints it
 	cross   bool           // background cross-traffic, terminates at the sink
+}
+
+// ClonePayload implements simnet.PayloadCloner: a duplicated packet gets a
+// record and a data buffer of its own, so each delivery recycles its own.
+func (d *datagram) ClonePayload() any {
+	c := d.src.n.get()
+	c.data = append(c.data, d.data...)
+	c.src, c.dst, c.dstText, c.cross = d.src, d.dst, d.dstText, d.cross
+	return c
 }
 
 // Net is the in-memory datagram network: endpoints joined through a
@@ -41,6 +57,7 @@ type Net struct {
 	endpoints map[netip.AddrPort]*Endpoint
 	nextID    int
 	links     []*simnet.Link
+	free      []*datagram // recycled datagram records
 
 	// Packet conservation accounting: every injected packet must end in
 	// exactly one terminal counter (delivered, sink, dropClosed) or one
@@ -82,6 +99,26 @@ func (n *Net) NewEndpoint(name string, p phy.Profile) *Endpoint {
 	return ep
 }
 
+// get takes a cleared datagram record off the free list (or makes one).
+func (n *Net) get() *datagram {
+	if k := len(n.free); k > 0 {
+		d := n.free[k-1]
+		n.free = n.free[:k-1]
+		return d
+	}
+	d := &datagram{}
+	d.data = d.room[:0]
+	return d
+}
+
+// put recycles a datagram at its terminal outcome; d is dead to the caller.
+func (n *Net) put(d *datagram) {
+	wire.PoisonBuf(d.data)
+	d.data = d.data[:0]
+	d.src, d.dstText, d.dst, d.cross = nil, "", netip.AddrPort{}, false
+	n.free = append(n.free, d)
+}
+
 // route is the core: an uplink delivered a packet, forward it onto the
 // destination's downlink (or account its terminal fate).
 func (n *Net) route(pkt *simnet.Packet) {
@@ -92,11 +129,13 @@ func (n *Net) route(pkt *simnet.Packet) {
 		if !d.cross { // cross-traffic termination is routine, not a trace event
 			n.trace.packet("sink", d.src.text, d.dstText, pkt.Size-udpOverhead, " no route")
 		}
+		n.put(d)
 		return
 	}
 	if ep.closed {
 		n.dropClosed++
 		n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
+		n.put(d)
 		return
 	}
 	ep.down.Send(pkt)
@@ -164,20 +203,17 @@ func (ep *Endpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	}
 	n := ep.n
 	n.appTx++
-	d := &datagram{data: append([]byte(nil), b...), src: ep, dst: wire.PeerKey(addr)}
+	d := n.get()
+	d.data = append(d.data, b...)
+	d.src, d.dst = ep, wire.PeerKey(addr)
 	if dst, ok := n.endpoints[d.dst]; ok {
 		d.dstText = dst.text
 	} else {
 		d.dstText = addr.String() // no such endpoint: the sink line still names it
 	}
 	n.trace.packet("tx", ep.text, d.dstText, len(b), "")
-	pkt := &simnet.Packet{
-		ID:      n.sim.NextPacketID(),
-		Size:    len(b) + udpOverhead,
-		Created: n.sim.Now(),
-		Payload: d,
-	}
-	ep.up.Send(pkt)
+	d.pkt = simnet.Packet{ID: n.sim.NextPacketID(), Size: len(b) + udpOverhead, Created: n.sim.Now(), Payload: d}
+	ep.up.Send(&d.pkt)
 	return len(b), nil
 }
 
@@ -199,16 +235,20 @@ func (ep *Endpoint) WriteBatch(dgs []wire.Datagram) (int, error) {
 }
 
 // deliver is the downlink handler: hand the datagram to the stack above.
+// The bytes are a loan for the duration of recv, as with a socket's receive
+// buffer: the record is recycled (poisoned first under -race) on return.
 func (ep *Endpoint) deliver(pkt *simnet.Packet) {
 	d := pkt.Payload.(*datagram)
 	if ep.closed || ep.recv == nil {
 		ep.n.dropClosed++
 		ep.n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
+		ep.n.put(d)
 		return
 	}
 	ep.n.delivered++
 	ep.n.trace.packet("rx", d.src.text, d.dstText, pkt.Size-udpOverhead, "")
 	ep.recv(d.data, d.src.addr)
+	ep.n.put(d)
 }
 
 // LocalAddr reports the endpoint's synthetic address.
@@ -347,12 +387,10 @@ func (h *Host) StartCrossTraffic(bps float64, pktSize int) (stop func()) {
 		}
 		if ep := h.current(); ep != nil {
 			h.n.crossTx++
-			ep.up.Send(&simnet.Packet{
-				ID:      h.n.sim.NextPacketID(),
-				Size:    pktSize,
-				Created: h.n.sim.Now(),
-				Payload: &datagram{src: ep, cross: true}, // the zero dst routes nowhere
-			})
+			d := h.n.get()
+			d.src, d.cross = ep, true // the zero dst routes nowhere
+			d.pkt = simnet.Packet{ID: h.n.sim.NextPacketID(), Size: pktSize, Created: h.n.sim.Now(), Payload: d}
+			ep.up.Send(&d.pkt)
 		}
 		ev = h.n.sim.Schedule(interval, tick)
 	}

@@ -1,0 +1,150 @@
+package marsim
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"marnet/internal/core"
+	"marnet/internal/overload"
+	"marnet/internal/phy"
+	"marnet/internal/rpc"
+	"marnet/internal/wire"
+)
+
+// callRig is the steady-state offloaded call on virtual time: one client,
+// one server with a modeled service time, AEAD on, a loss-free link, so
+// every call is the same four datagrams (request, its ack, response, its
+// ack) and every per-call object is the stack's own.
+type callRig struct {
+	s        *Scenario
+	cl       *rpc.Client
+	srv      *rpc.Server
+	req      []byte
+	done     func([]byte, error)
+	oks      int
+	lastErr  error
+	deadline time.Duration
+}
+
+func newCallRig(tb testing.TB, gate overload.Config) *callRig {
+	tb.Helper()
+	key := []byte("0123456789abcdef")
+	link := phy.Profile{Name: "pin", Up: 100e6, Down: 100e6, OneWay: time.Millisecond}
+	r := &callRig{s: NewScenario("callrig", 1), req: make([]byte, 600), deadline: 75 * time.Millisecond}
+	resp := make([]byte, 64)
+	ep := r.s.Net.NewEndpoint("server", link)
+	srv, err := rpc.NewServer("sim", key,
+		func(uint8, []byte) []byte { return resp },
+		rpc.WithPacketConn(ep),
+		rpc.WithClock(r.s.Clock),
+		rpc.WithWorkers(4),
+		rpc.WithOverload(gate),
+		rpc.WithServiceModel(func(uint8, []byte) time.Duration { return time.Millisecond }))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.srv = srv
+	host := r.s.Net.NewHost("mobile", link)
+	r.cl, err = rpc.Dial("sim://server", rpc.ClientConfig{
+		Key: key, Clock: r.s.Clock, Dialer: host.Dialer(ep), Seed: 2,
+		RequestRate: 1e9, StartBudget: 1e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r.done = func(_ []byte, err error) {
+		if err == nil {
+			r.oks++
+		}
+		r.lastErr = err
+	}
+	tb.Cleanup(func() {
+		r.cl.Close()  //nolint:errcheck // teardown
+		r.srv.Close() //nolint:errcheck // teardown
+	})
+	return r
+}
+
+// raceBuild reports whether the race detector is compiled in, by its one
+// effect visible from here: wire poisons receive buffers only then.
+func raceBuild() bool {
+	probe := []byte{0}
+	wire.PoisonBuf(probe)
+	return probe[0] != 0
+}
+
+// skipAllocPinUnderRace: wire's sync.Pools drop a quarter of their puts
+// under the race detector, so object counts mean nothing there.
+func skipAllocPinUnderRace(t *testing.T) {
+	t.Helper()
+	if raceBuild() {
+		t.Skip("sync.Pool sheds entries at random under the race detector; the plain test pass enforces the count")
+	}
+}
+
+// call issues one CallAsync and runs virtual time until it (and the acks
+// trailing it) have settled.
+func (r *callRig) call() {
+	r.cl.CallAsync(methodRecognize, r.req, core.PrioHighest, r.deadline, r.done)
+	r.s.Sim.RunUntil(r.s.Sim.Now() + 20*time.Millisecond) //nolint:errcheck // horizon is unreachable in 20 ms
+}
+
+// A full CallAsync round trip on the simulator — seal, uplink, route,
+// downlink, open, gate, handler, modeled service, and the whole way back —
+// allocates only what leaves the stack: the request copy the handler
+// reads and the response copy the caller keeps (it measures 2; the bound
+// leaves room for a handler's own result and a pool refill). The handler
+// here returns a shared slice, so its result is not in the count.
+func TestSimCallAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newCallRig(t, overload.Config{})
+	for i := 0; i < 200; i++ {
+		r.call()
+	}
+	if r.oks != 200 {
+		t.Fatalf("warm-up: %d/200 calls ok, last error %v", r.oks, r.lastErr)
+	}
+	if got := testing.AllocsPerRun(200, r.call); got > 8 {
+		t.Errorf("steady-state call allocates %.1f objects, want <= 8", got)
+	}
+	if r.lastErr != nil {
+		t.Fatalf("measured calls failed: %v", r.lastErr)
+	}
+}
+
+// A call the gate refuses at the door (its estimate says the work cannot
+// finish in the budget) costs the same pooled records plus the typed
+// error's trip back.
+func TestSimRejectedCallAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newCallRig(t, overload.Config{})
+	r.srv.Gate().Estimator().Observe(methodRecognize, time.Second)
+	for i := 0; i < 200; i++ {
+		r.call()
+	}
+	if r.oks != 0 || !errors.Is(r.lastErr, rpc.ErrCannotFinish) {
+		t.Fatalf("warm-up: %d calls ok, last error %v, want every call refused as cannot-finish", r.oks, r.lastErr)
+	}
+	if got := testing.AllocsPerRun(200, r.call); got > 10 {
+		t.Errorf("refused call allocates %.1f objects, want <= 10", got)
+	}
+}
+
+// BenchmarkSimCall is the cost of one simulated offloaded call, all
+// layers, in wall ns and heap objects.
+func BenchmarkSimCall(b *testing.B) {
+	r := newCallRig(b, overload.Config{})
+	for i := 0; i < 200; i++ {
+		r.call()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.call()
+	}
+	b.StopTimer()
+	if r.oks != 200+b.N {
+		b.Fatalf("%d/%d calls ok, last error %v", r.oks, 200+b.N, r.lastErr)
+	}
+}

@@ -1,7 +1,9 @@
 package marsim
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"strings"
 	"testing"
@@ -68,14 +70,62 @@ func TestTraceGoldenLines(t *testing.T) {
 	}
 }
 
-// A tx and an rx line cost no allocation once the trace buffer has room.
+// A tx and an rx line cost no allocation while the current chunk has room
+// (the warm-up run allocates it; the 2002 lines measured fill a tenth).
 func TestTracePacketLineZeroAlloc(t *testing.T) {
 	s, _, _ := traceRig(t)
-	s.Trace.buf = make([]byte, 0, 1<<20)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s.Trace.packet("tx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
 		s.Trace.packet("rx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
 	}); allocs != 0 {
 		t.Fatalf("trace packet line: %.2f allocs per tx+rx pair, want 0", allocs)
+	}
+}
+
+// The log is stored in fixed chunks; what it reads back as must not show
+// where they end. Three and a half chunks of mixed lines — among them an
+// app line longer than a whole chunk's spare room, and one longer than a
+// chunk — are compared with the same lines rendered by fmt into one buffer.
+func TestTraceChunkBoundaries(t *testing.T) {
+	s, _, _ := traceRig(t)
+	var ref bytes.Buffer
+	lines := 0
+	logf := func(format string, args ...any) {
+		s.Trace.Logf(format, args...)
+		fmt.Fprintf(&ref, "%10d %-5s ", s.Sim.Now().Microseconds(), "app")
+		fmt.Fprintf(&ref, format, args...)
+		ref.WriteByte('\n')
+		lines++
+	}
+	packet := func(kind string, size int, note string) {
+		s.Trace.packet(kind, "10.0.0.1:9000", "10.0.0.2:9000", size, note)
+		fmt.Fprintf(&ref, "%10d %-5s %s -> %s %dB%s\n", s.Sim.Now().Microseconds(), kind, "10.0.0.1:9000", "10.0.0.2:9000", size, note)
+		lines++
+	}
+	long := strings.Repeat("x", 3000)
+	for i := 0; ref.Len() < 7*traceChunk/2; i++ {
+		s.Sim.RunUntil(time.Duration(i) * 37 * time.Microsecond) //nolint:errcheck // no events queued
+		packet("tx", i%1500, "")
+		packet("drop", i%1500, " endpoint closed")
+		if spare := traceChunk - ref.Len()%traceChunk; spare < len(long) {
+			logf("call %d err: %s", i, long) // straddles the chunk boundary
+		}
+		if i == 5000 {
+			logf("one line, %d bytes: %s", traceChunk+100, strings.Repeat("y", traceChunk+100))
+		}
+	}
+	if n := len(s.Trace.chunks); n < 4 {
+		t.Fatalf("test wrote %d chunks, want >= 4", n)
+	}
+	if got := s.Trace.Bytes(); !bytes.Equal(got, ref.Bytes()) {
+		t.Fatalf("chunked trace (%d bytes) differs from the single-buffer reference (%d bytes)", len(got), ref.Len())
+	}
+	h := fnv.New64a()
+	h.Write(ref.Bytes())
+	if got, want := s.Trace.Hash(), h.Sum64(); got != want {
+		t.Errorf("Hash() = %016x, reference %016x", got, want)
+	}
+	if got := s.Trace.Lines(); got != lines {
+		t.Errorf("Lines() = %d, wrote %d", got, lines)
 	}
 }

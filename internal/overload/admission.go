@@ -26,6 +26,37 @@ type Item struct {
 	Job any
 }
 
+// itemRing is one tier's FIFO: a ring of QueueCap slots made once (Offer
+// checks the cap before pushing). A slice queue advanced with q[1:] walks
+// off its array and reallocates once per item when depth oscillates 0↔1.
+type itemRing struct {
+	buf     []*Item
+	head, n int
+}
+
+func (r *itemRing) push(it *Item) {
+	r.buf[(r.head+r.n)%len(r.buf)] = it
+	r.n++
+}
+
+// popFront removes the oldest item; the ring must not be empty.
+func (r *itemRing) popFront() *Item {
+	it := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return it
+}
+
+// popBack removes the newest item; the ring must not be empty.
+func (r *itemRing) popBack() *Item {
+	i := (r.head + r.n - 1) % len(r.buf)
+	it := r.buf[i]
+	r.buf[i] = nil
+	r.n--
+	return it
+}
+
 // AdmissionConfig tunes the per-tier bounded queues and the CoDel-style
 // queue-delay shedder.
 type AdmissionConfig struct {
@@ -92,7 +123,7 @@ type Admission struct {
 	cond *sync.Cond
 	cfg  AdmissionConfig
 
-	tiers  [][]*Item
+	tiers  []itemRing
 	closed bool
 
 	// CoDel state, mirroring internal/queue/codel.go.
@@ -118,13 +149,16 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	cfg.defaults()
 	a := &Admission{
 		cfg:        cfg,
-		tiers:      make([][]*Item, cfg.Tiers),
+		tiers:      make([]itemRing, cfg.Tiers),
 		delayTier:  make([]time.Duration, cfg.Tiers),
 		offered:    make([]int64, cfg.Tiers),
 		admitted:   make([]int64, cfg.Tiers),
 		tailDrop:   make([]int64, cfg.Tiers),
 		codelShed:  make([]int64, cfg.Tiers),
 		dispatched: make([]int64, cfg.Tiers),
+	}
+	for i := range a.tiers {
+		a.tiers[i].buf = make([]*Item, cfg.QueueCap)
 	}
 	a.cond = sync.NewCond(&a.mu)
 	return a
@@ -145,7 +179,7 @@ func (a *Admission) Offer(it *Item) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.offered[tier]++
-	if a.closed || len(a.tiers[tier]) >= a.cfg.QueueCap {
+	if a.closed || a.tiers[tier].n >= a.cfg.QueueCap {
 		a.tailDrop[tier]++
 		return false
 	}
@@ -153,7 +187,7 @@ func (a *Admission) Offer(it *Item) bool {
 	if it.Degrade == 0 {
 		it.Degrade = TierFull
 	}
-	a.tiers[tier] = append(a.tiers[tier], it)
+	a.tiers[tier].push(it)
 	a.admitted[tier]++
 	a.cond.Signal()
 	return true
@@ -197,12 +231,9 @@ func (a *Admission) TryPop() (it *Item, shed []*Item, ok bool) {
 }
 
 func (a *Admission) popLocked() *Item {
-	for t := 0; t < a.cfg.Tiers; t++ {
-		if q := a.tiers[t]; len(q) > 0 {
-			it := q[0]
-			q[0] = nil
-			a.tiers[t] = q[1:]
-			return it
+	for t := range a.tiers {
+		if q := &a.tiers[t]; q.n > 0 {
+			return q.popFront()
 		}
 	}
 	return nil
@@ -265,12 +296,9 @@ func (a *Admission) controlLaw(t time.Time) time.Time {
 // expendable, and within it the request that has invested the least wait.
 func (a *Admission) shedLowestLocked() *Item {
 	for t := a.cfg.Tiers - 1; t >= a.cfg.ProtectTiers; t-- {
-		if q := a.tiers[t]; len(q) > 0 {
-			it := q[len(q)-1]
-			q[len(q)-1] = nil
-			a.tiers[t] = q[:len(q)-1]
+		if q := &a.tiers[t]; q.n > 0 {
 			a.codelShed[t]++
-			return it
+			return q.popBack()
 		}
 	}
 	return nil
@@ -278,8 +306,8 @@ func (a *Admission) shedLowestLocked() *Item {
 
 func (a *Admission) depthLocked() int {
 	n := 0
-	for _, q := range a.tiers {
-		n += len(q)
+	for i := range a.tiers {
+		n += a.tiers[i].n
 	}
 	return n
 }

@@ -369,3 +369,88 @@ func TestGateConcurrent(t *testing.T) {
 		t.Fatalf("admitted work unaccounted for: %+v", st)
 	}
 }
+
+// At light load a tier's depth oscillates between 0 and 1. The queue must
+// settle into storage it owns: an Offer/TryPop cycle allocates nothing
+// beyond the caller's Item (a slice queue advanced with q[1:] reallocated
+// once per offer), and the same holds for the gate's Admit/TryNext/Done.
+func TestAdmissionCycleZeroAlloc(t *testing.T) {
+	clk := newFakeClock()
+	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
+	items := []*Item{{Tier: 0}, {Tier: 2}, {Tier: 3}}
+	n := 0
+	cycle := func() {
+		it := items[n%len(items)]
+		n++
+		if !a.Offer(it) {
+			t.Fatal("offer refused at depth 0")
+		}
+		if got, shed, ok := a.TryPop(); !ok || got != it || len(shed) != 0 {
+			t.Fatalf("TryPop = %v, %d shed, ok=%v", got, len(shed), ok)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("Offer/TryPop at depth 0<->1: %.2f allocs per cycle, want 0", allocs)
+	}
+
+	g := NewGate(Config{Clock: clk.Now})
+	gateCycle := func() {
+		it := items[n%len(items)]
+		n++
+		it.Deadline = clk.Now().Add(time.Hour)
+		if v := g.Admit(it); v != Admit {
+			t.Fatalf("Admit = %v", v)
+		}
+		run, rejected, ok := g.TryNext()
+		if !ok || run != it || len(rejected) != 0 {
+			t.Fatalf("TryNext = %v, %d rejected, ok=%v", run, len(rejected), ok)
+		}
+		g.Done(run, time.Millisecond)
+	}
+	gateCycle()
+	if allocs := testing.AllocsPerRun(1000, gateCycle); allocs != 0 {
+		t.Errorf("Admit/TryNext/Done at depth 0<->1: %.2f allocs per cycle, want 0", allocs)
+	}
+}
+
+// The ring behind each tier keeps FIFO order through wrap-around, sheds
+// from the back, and can be filled to its capacity and drained again.
+func TestItemRingOrder(t *testing.T) {
+	r := itemRing{buf: make([]*Item, 8)}
+	var model []int // the same queue as a plain slice
+	next := 0
+	push := func(k int) {
+		for i := 0; i < k; i++ {
+			r.push(&Item{Method: uint8(next)})
+			model = append(model, next)
+			next++
+		}
+	}
+	pop := func(k int) {
+		for i := 0; i < k; i++ {
+			if it := r.popFront(); int(it.Method) != model[0] {
+				t.Fatalf("popFront = %d, want %d", it.Method, model[0])
+			}
+			model = model[1:]
+		}
+	}
+	push(5)
+	pop(3)
+	push(6) // wraps; the ring is full
+	pop(4)
+	if it := r.popBack(); int(it.Method) != model[len(model)-1] {
+		t.Fatalf("popBack = %d, want %d", it.Method, model[len(model)-1])
+	}
+	model = model[:len(model)-1]
+	push(5) // full again, head mid-buffer
+	pop(len(model))
+	if r.n != 0 {
+		t.Fatalf("ring holds %d items after draining the model", r.n)
+	}
+	for i, slot := range r.buf {
+		if slot != nil {
+			t.Errorf("slot %d still holds an item after the drain", i)
+		}
+	}
+}

@@ -23,20 +23,79 @@ import (
 // calls executes deterministically on one event loop. The blocking Call /
 // CallPri API is a thin channel wait over CallAsync.
 
-// completion is a finishing action a locked transition hands back to run
-// after Client.mu is released (user callbacks and breaker/budget updates
-// must not run under the lock).
-type completion func()
+// completion is what a locked transition hands back when it finished a call,
+// by value: the callState is already back on the free list. Zero: in flight.
+type completion struct {
+	callVars // the finished call's own
+	resp     []byte
+	err      error
+	total    time.Duration
+	success  bool
+}
 
-type callOutcome struct {
-	resp []byte
-	err  error
+// run is the unlocked tail of a finished call (callbacks and breaker/budget
+// updates must not run under Client.mu); done may issue the next call.
+func (c *Client) run(fin completion) {
+	if fin.done == nil {
+		return
+	}
+	if !fin.probe {
+		c.breaker.record(fin.success, c.clock.Now())
+	}
+	c.finishCall(fin.span, fin.lastInfo, fin.total, fin.used)
+	fin.done(fin.resp, fin.err)
+}
+
+// callTimer is one of a callState's three timers: the callback is bound
+// once and the timer re-armed in place (vclock.Rearm) for every attempt of
+// every call, so arming allocates nothing. Such a callback cannot carry the
+// attempt or call it was armed for; the guard lives here, under Client.mu.
+// On the system clock a Stop that reports false means the callback's
+// goroutine has already started: one fire is in flight that belongs to
+// nobody. owed counts those, and fired swallows them first — in this call
+// or, once the state has been through the free list, in a later one.
+type callTimer struct {
+	t     vclock.Timer
+	fn    func()
+	armed bool
+	owed  int
+}
+
+func (ct *callTimer) arm(clock vclock.Clock, d time.Duration) {
+	ct.t = vclock.Rearm(clock, ct.t, d, ct.fn)
+	ct.armed = true
+}
+
+func (ct *callTimer) stop() {
+	if ct.armed && !ct.t.Stop() {
+		ct.owed++
+	}
+	ct.armed = false
+}
+
+// fired reports, from inside the callback, whether this fire is the armed
+// one (and disarms) rather than one a failed Stop left in flight.
+func (ct *callTimer) fired() bool {
+	if ct.owed > 0 {
+		ct.owed--
+		return false
+	}
+	live := ct.armed
+	ct.armed = false
+	return live
 }
 
 // callState is one in-flight call: attempt bookkeeping plus the timers
-// that drive it. All fields are guarded by Client.mu.
+// that drive it, guarded by Client.mu and recycled through Client.free.
 type callState struct {
-	c        *Client
+	c                          *Client // set once; callbacks read it before they hold c.mu
+	hedgeT, timeoutT, backoffT callTimer
+	callVars
+}
+
+// callVars is the part of a callState that belongs to one call; it is
+// zeroed when the state goes back on the free list.
+type callVars struct {
 	method   uint8
 	req      []byte
 	prio     core.Priority
@@ -51,15 +110,12 @@ type callState struct {
 	attempts int // attempt budget
 	attempt  int // current attempt index (0-based)
 	used     int // attempts actually launched
-	finished bool
 
 	// Current attempt state.
 	aStart   time.Time
 	aTimeout time.Duration
 	id1, id2 uint64 // primary and hedged request ids (0 = none)
 	hstart   time.Time
-
-	hedgeT, timeoutT, backoffT vclock.Timer
 
 	lastErr  error
 	lastInfo attemptInfo
@@ -70,6 +126,9 @@ type callState struct {
 // goroutine (on a virtual clock: the simulation loop). Semantics are
 // identical to CallPri: deadline split across retries, hedging,
 // breaker, typed server rejections.
+//
+// Ownership: req must stay unchanged until done runs (retries and hedges
+// resend it); the resp handed to done is the caller's to keep.
 func (c *Client) CallAsync(method uint8, req []byte, prio core.Priority, deadline time.Duration, done func([]byte, error)) {
 	if len(req)+reqHeader > wire.MaxPayload {
 		done(nil, fmt.Errorf("%w: %d bytes", ErrTooBig, len(req)))
@@ -96,27 +155,31 @@ func (c *Client) CallAsync(method uint8, req []byte, prio core.Priority, deadlin
 	if attempts < 1 {
 		attempts = 1
 	}
-	cs := &callState{
-		c: c, method: method, req: req, prio: prio, deadline: deadline,
-		span: c.cfg.Tracer.StartTrace("call"), done: done,
-		started: c.clock.Now(), attempts: attempts,
-	}
-	c.startCall(cs)
+	c.startCall(method, req, prio, deadline, attempts, false, c.cfg.Tracer.StartTrace("call"), done)
 }
 
-func (c *Client) startCall(cs *callState) {
+// startCall takes a callState off the free list (or makes one, binding its
+// timer callbacks) and launches the first attempt.
+func (c *Client) startCall(method uint8, req []byte, prio core.Priority, deadline time.Duration, attempts int, probe bool, span *obs.Span, done func([]byte, error)) {
 	c.mu.Lock()
+	var cs *callState
+	if n := len(c.free); n > 0 {
+		cs = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cs = &callState{c: c}
+		cs.hedgeT.fn, cs.timeoutT.fn, cs.backoffT.fn = cs.onHedgeFire, cs.onAttemptTimeout, cs.onBackoffFire
+	}
+	cs.callVars = callVars{method: method, req: req, prio: prio, deadline: deadline, attempts: attempts,
+		probe: probe, span: span, done: done, started: c.clock.Now()}
 	fin := cs.beginAttemptLocked()
 	c.mu.Unlock()
-	if fin != nil {
-		fin()
-	}
+	c.run(fin)
 }
 
 // beginAttemptLocked launches attempt cs.attempt, arming its timeout and
-// hedge timers. It returns the completion to run unlocked when the call
-// ends synchronously (deadline already burned, launch failure on the last
-// attempt, ...).
+// hedge timers. It returns a completion when the call ends synchronously
+// (deadline already burned, launch failure on the last attempt, ...).
 func (cs *callState) beginAttemptLocked() completion {
 	c := cs.c
 	remaining := cs.deadline - c.clock.Since(cs.started)
@@ -135,14 +198,13 @@ func (cs *callState) beginAttemptLocked() completion {
 	}
 	cs.id1, cs.id2 = id, 0
 	cs.hstart = time.Time{}
-	myAttempt := cs.attempt
 	if c.cfg.Hedge.Enabled {
 		if d := c.hedgeDelay(per); d < per {
-			cs.hedgeT = c.clock.AfterFunc(d, func() { cs.onHedgeFire(myAttempt) })
+			cs.hedgeT.arm(c.clock, d)
 		}
 	}
-	cs.timeoutT = c.clock.AfterFunc(per, func() { cs.onAttemptTimeout(myAttempt) })
-	return nil
+	cs.timeoutT.arm(c.clock, per)
+	return completion{}
 }
 
 // launchLocked registers a request id for cs and sends the request once,
@@ -155,7 +217,9 @@ func (c *Client) launchLocked(cs *callState, budget time.Duration) (uint64, erro
 	id := c.nextID
 	c.pending[id] = cs
 
-	buf := make([]byte, reqHeader+len(cs.req))
+	pb := frameBufPool.Get().(*[]byte)
+	defer frameBufPool.Put(pb)
+	buf := (*pb)[:reqHeader+len(cs.req)]
 	binary.LittleEndian.PutUint64(buf, id)
 	buf[8] = cs.method
 	buf[9] = byte(cs.prio)
@@ -189,9 +253,6 @@ func (c *Client) launchLocked(cs *callState, budget time.Duration) (uint64, erro
 // (the caller has already removed id from the pending map).
 func (cs *callState) onResultLocked(id uint64, res callResult) completion {
 	c := cs.c
-	if cs.finished {
-		return nil
-	}
 	info := attemptInfo{queued: res.queued, service: res.service}
 	if id == cs.id2 {
 		info.rtt = c.clock.Since(cs.hstart)
@@ -251,33 +312,30 @@ func (cs *callState) attemptFailedLocked(err error, info attemptInfo) completion
 	}
 	cs.attempt++
 	if sleep > 0 {
-		cs.backoffT = c.clock.AfterFunc(sleep, cs.onBackoffFire)
-		return nil
+		cs.backoffT.arm(c.clock, sleep)
+		return completion{}
 	}
 	return cs.beginAttemptLocked()
 }
 
-// onAttemptTimeout fires when attempt myAttempt exhausts its share of the
-// deadline with no response.
-func (cs *callState) onAttemptTimeout(myAttempt int) {
+// onAttemptTimeout fires when the current attempt exhausts its share of
+// the deadline with no response.
+func (cs *callState) onAttemptTimeout() {
 	c := cs.c
 	c.mu.Lock()
 	var fin completion
-	if !cs.finished && cs.attempt == myAttempt && cs.backoffT == nil {
+	if cs.timeoutT.fired() {
 		fin = cs.attemptFailedLocked(fmt.Errorf("%w after %v", ErrDeadline, cs.aTimeout), attemptInfo{})
 	}
 	c.mu.Unlock()
-	if fin != nil {
-		fin()
-	}
+	c.run(fin)
 }
 
 // onHedgeFire duplicates a straggling request; the first response wins.
-func (cs *callState) onHedgeFire(myAttempt int) {
+func (cs *callState) onHedgeFire() {
 	c := cs.c
 	c.mu.Lock()
-	if !cs.finished && cs.attempt == myAttempt && cs.id2 == 0 {
-		cs.hedgeT = nil
+	if cs.hedgeT.fired() && cs.id2 == 0 {
 		if id, err := c.launchLocked(cs, cs.aTimeout-c.clock.Since(cs.aStart)); err == nil {
 			cs.id2 = id
 			cs.hstart = c.clock.Now()
@@ -292,28 +350,19 @@ func (cs *callState) onBackoffFire() {
 	c := cs.c
 	c.mu.Lock()
 	var fin completion
-	cs.backoffT = nil
-	if !cs.finished {
+	if cs.backoffT.fired() {
 		fin = cs.beginAttemptLocked()
 	}
 	c.mu.Unlock()
-	if fin != nil {
-		fin()
-	}
+	c.run(fin)
 }
 
 // endAttemptLocked stops the current attempt's timers and unregisters its
 // request ids; late responses for them are dropped on lookup.
 func (cs *callState) endAttemptLocked() {
 	c := cs.c
-	if cs.hedgeT != nil {
-		cs.hedgeT.Stop()
-		cs.hedgeT = nil
-	}
-	if cs.timeoutT != nil {
-		cs.timeoutT.Stop()
-		cs.timeoutT = nil
-	}
+	cs.hedgeT.stop()
+	cs.timeoutT.stop()
 	if cs.id1 != 0 {
 		delete(c.pending, cs.id1)
 		cs.id1 = 0
@@ -324,31 +373,19 @@ func (cs *callState) endAttemptLocked() {
 	}
 }
 
-// completeLocked finishes the call and returns the unlocked finishing
-// action: breaker verdict, budget attribution, the caller's done callback.
+// completeLocked finishes the call: it copies the outcome out, scrubs the
+// state and puts it on the free list. Nothing may touch cs afterwards.
 func (cs *callState) completeLocked(resp []byte, err error, success bool) completion {
 	c := cs.c
-	if cs.finished {
-		return nil
-	}
-	cs.finished = true
 	cs.endAttemptLocked()
-	if cs.backoffT != nil {
-		cs.backoffT.Stop()
-		cs.backoffT = nil
-	}
+	cs.backoffT.stop()
 	if !success && !cs.probe && errors.Is(err, ErrDeadline) {
 		c.stats.Timeouts++
 	}
-	span, info, total, used := cs.span, cs.lastInfo, c.clock.Since(cs.started), cs.used
-	done, probe := cs.done, cs.probe
-	return func() {
-		if !probe {
-			c.breaker.record(success, c.clock.Now())
-		}
-		c.finishCall(span, info, total, used)
-		done(resp, err)
-	}
+	fin := completion{cs.callVars, resp, err, c.clock.Since(cs.started), success}
+	cs.callVars = callVars{}
+	c.free = append(c.free, cs)
+	return fin
 }
 
 // failPendingLocked completes every in-flight call with err (Close path).
@@ -363,12 +400,10 @@ func (c *Client) failPendingLocked(err error) []completion {
 	var fins []completion
 	for _, id := range ids {
 		cs, ok := c.pending[id]
-		if !ok || cs.finished {
-			continue
+		if !ok {
+			continue // an earlier id of the same call already completed it
 		}
-		if fin := cs.completeLocked(nil, err, false); fin != nil {
-			fins = append(fins, fin)
-		}
+		fins = append(fins, cs.completeLocked(nil, err, false))
 	}
 	c.pending = make(map[uint64]*callState)
 	return fins

@@ -75,12 +75,9 @@ func NewFailoverFromClients(clients []*Client) (*FailoverClient, error) {
 // Blocking wrapper over CallAsync — use CallAsync from a simulation's
 // event loop.
 func (fc *FailoverClient) Call(method uint8, req []byte, deadline time.Duration) ([]byte, error) {
-	ch := make(chan callOutcome, 1)
-	fc.CallAsync(method, req, deadline, func(resp []byte, err error) {
-		ch <- callOutcome{resp, err}
-	})
-	out := <-ch
-	return out.resp, out.err
+	w := waiterPool.Get().(*waiter)
+	fc.CallAsync(method, req, deadline, w.done)
+	return w.wait()
 }
 
 // CallAsync is Call without blocking: done is invoked exactly once with

@@ -97,7 +97,9 @@ var (
 )
 
 // Handler computes a response for a method and request payload. Handlers
-// run on the server's worker pool, behind admission control.
+// run on the server's worker pool, behind admission control. req is valid
+// only until the handler returns (copy what must outlive the call); the
+// returned slice is read until the response has been sent and not kept.
 type Handler func(method uint8, req []byte) []byte
 
 // TierHandler is a degradation-aware handler: the gate's ladder tells it
@@ -222,17 +224,49 @@ type ServerStats struct {
 	Gate overload.GateStats
 }
 
-// serverCall is the queued unit of work: everything a worker needs to run
-// the handler and answer the right peer. arrived anchors the queue-wait
-// measurement; traceID/spanID carry the client's trace context (zero when
-// the request was untraced).
+// serverCall is the queued unit of work: the gate's overload.Item (whose
+// Job points back at the record) and everything a worker needs to run the
+// handler and answer the right peer, in one record recycled once its
+// response or refusal is out. arrived anchors the queue-wait measurement;
+// traceID/spanID carry the client's trace context (zero when untraced).
 type serverCall struct {
+	item    overload.Item
+	s       *Server
 	conn    *wire.Conn
 	id      uint64
 	req     []byte
 	arrived time.Time
 	traceID uint64
 	spanID  uint64
+
+	// Event-dispatch mode: the service in progress, its timer made once.
+	t0       time.Time
+	queued   time.Duration
+	span     *obs.Span
+	resp     []byte
+	timer    vclock.Timer
+	complete func()
+}
+
+func (s *Server) getCall() *serverCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		call := s.free[n-1]
+		s.free = s.free[:n-1]
+		return call
+	}
+	call := &serverCall{s: s}
+	call.item.Job, call.complete = call, call.serviceDone
+	return call
+}
+
+// putCall recycles a record the caller and the gate are both done with.
+func (s *Server) putCall(call *serverCall) {
+	*call = serverCall{item: overload.Item{Job: call}, s: s, timer: call.timer, complete: call.complete}
+	s.mu.Lock()
+	s.free = append(s.free, call)
+	s.mu.Unlock()
 }
 
 // Server answers calls from any number of clients: behind one shared UDP
@@ -253,7 +287,8 @@ type Server struct {
 	mu          sync.Mutex
 	served      int64
 	stats       ServerStats
-	freeWorkers int // event-dispatch mode: idle worker slots
+	freeWorkers int           // event-dispatch mode: idle worker slots
+	free        []*serverCall // recycled call records
 }
 
 // NewServer listens on addr. key (optional) enables AES-GCM sealing.
@@ -416,14 +451,11 @@ func (s *Server) onMessage(m wire.Message) {
 		return
 	}
 
-	it := &overload.Item{
-		Tier:   prio.AdmissionTier(),
-		Method: method,
-		Job: &serverCall{
-			conn: conn, id: id, req: m.Payload[reqHeader:],
-			arrived: s.clock.Now(), traceID: m.TraceID, spanID: m.SpanID,
-		},
-	}
+	call := s.getCall()
+	call.conn, call.id, call.req = conn, id, m.Payload[reqHeader:]
+	call.arrived, call.traceID, call.spanID = s.clock.Now(), m.TraceID, m.SpanID
+	it := &call.item
+	it.Tier, it.Method = prio.AdmissionTier(), method
 	if budget > 0 {
 		// The budget was the client's remaining deadline when it sent the
 		// request; the answer still has to cross the network back, so one
@@ -467,48 +499,68 @@ func (s *Server) pump() {
 	}
 }
 
+// serve runs the handler for a call the gate handed over.
+func (call *serverCall) serve() {
+	s, run := call.s, &call.item
+	call.t0 = s.clock.Now()
+	call.queued = call.t0.Sub(call.arrived)
+	call.span = s.tracer.StartSpan("server", obs.TraceID(call.traceID), obs.SpanID(call.spanID))
+	if s.tiered != nil {
+		call.resp = s.tiered(run.Method, call.req, run.Degrade)
+	} else {
+		call.resp = s.handler(run.Method, call.req)
+	}
+}
+
+// answer sends a served call's response, settles it with the gate and
+// recycles the record.
+func (call *serverCall) answer() {
+	s, run := call.s, &call.item
+	took := s.clock.Since(call.t0)
+	call.span.Stage(obs.StageQueue, call.queued)
+	call.span.Stage(obs.StageCompute, took)
+	call.span.Finish()
+	status := byte(statusOK)
+	if run.Degrade != overload.TierFull && run.Degrade != 0 {
+		status = statusDegraded
+	}
+	err := s.respondTraced(call.conn, call.id, run.Method, status, call.resp,
+		call.traceID, call.spanID, call.queued, took)
+	if err == nil {
+		s.mu.Lock()
+		s.served++
+		if status == statusDegraded {
+			s.stats.Degraded++
+		}
+		s.mu.Unlock()
+	}
+	s.gate.Done(run, took)
+	s.putCall(call)
+}
+
 // dispatch (event-dispatch mode) runs the handler inline and holds the
 // worker slot for the modeled service time on the server's clock; the
 // response goes out when that time has elapsed, exactly as a worker pool
 // would behave if the handler really took that long.
 func (s *Server) dispatch(run *overload.Item) {
 	call := run.Job.(*serverCall)
-	t0 := s.clock.Now()
-	queued := t0.Sub(call.arrived)
-	span := s.tracer.StartSpan("server", obs.TraceID(call.traceID), obs.SpanID(call.spanID))
-	var resp []byte
-	if s.tiered != nil {
-		resp = s.tiered(run.Method, call.req, run.Degrade)
-	} else {
-		resp = s.handler(run.Method, call.req)
-	}
+	call.serve()
 	service := s.svcModel(run.Method, call.req)
 	if service < 0 {
 		service = 0
 	}
-	s.clock.AfterFunc(service, func() {
-		took := s.clock.Now().Sub(t0)
-		span.Stage(obs.StageQueue, queued)
-		span.Stage(obs.StageCompute, took)
-		span.Finish()
-		status := byte(statusOK)
-		if run.Degrade != overload.TierFull && run.Degrade != 0 {
-			status = statusDegraded
-		}
-		err := s.respondTraced(call.conn, call.id, run.Method, status, resp,
-			call.traceID, call.spanID, queued, took)
-		s.gate.Done(run, took)
-		s.mu.Lock()
-		s.freeWorkers++
-		if err == nil {
-			s.served++
-			if status == statusDegraded {
-				s.stats.Degraded++
-			}
-		}
-		s.mu.Unlock()
-		s.pump()
-	})
+	call.timer = vclock.Rearm(s.clock, call.timer, service, call.complete)
+}
+
+// serviceDone (event-dispatch mode) fires when a call's modeled service
+// time has elapsed: answer, free the worker slot, look for more work.
+func (call *serverCall) serviceDone() {
+	s := call.s
+	call.answer()
+	s.mu.Lock()
+	s.freeWorkers++
+	s.mu.Unlock()
+	s.pump()
 }
 
 // worker consumes the admission queues: every item the gate hands over
@@ -525,42 +577,16 @@ func (s *Server) worker() {
 			return
 		}
 		call := run.Job.(*serverCall)
-		t0 := s.clock.Now()
-		queued := t0.Sub(call.arrived)
-		span := s.tracer.StartSpan("server", obs.TraceID(call.traceID), obs.SpanID(call.spanID))
-		var resp []byte
-		if s.tiered != nil {
-			resp = s.tiered(run.Method, call.req, run.Degrade)
-		} else {
-			resp = s.handler(run.Method, call.req)
-		}
-		took := s.clock.Since(t0)
-		span.Stage(obs.StageQueue, queued)
-		span.Stage(obs.StageCompute, took)
-		span.Finish()
-		status := byte(statusOK)
-		if run.Degrade != overload.TierFull && run.Degrade != 0 {
-			status = statusDegraded
-		}
-		err := s.respondTraced(call.conn, call.id, run.Method, status, resp,
-			call.traceID, call.spanID, queued, took)
-		if err == nil {
-			s.mu.Lock()
-			s.served++
-			if status == statusDegraded {
-				s.stats.Degraded++
-			}
-			s.mu.Unlock()
-		}
-		s.gate.Done(run, took)
+		call.serve()
+		call.answer()
 	}
 }
 
-// refuse answers a rejected request with its typed status and records it.
-// onArrival distinguishes decisions made before the request entered a
-// queue from decisions made at dequeue.
+// refuse answers a rejected request with its typed status, records it and
+// recycles its record. onArrival distinguishes decisions made before the
+// request entered a queue from decisions made at dequeue.
 func (s *Server) refuse(it *overload.Item, v overload.Verdict, onArrival bool) {
-	call, okJob := it.Job.(*serverCall)
+	call := it.Job.(*serverCall)
 	var status byte
 	s.mu.Lock()
 	switch v {
@@ -585,30 +611,25 @@ func (s *Server) refuse(it *overload.Item, v overload.Verdict, onArrival bool) {
 		s.stats.Shed++
 	}
 	s.mu.Unlock()
-	if okJob {
-		// Refusals on traced calls still carry the timing trailer (queue
-		// wait up to the refusal, zero service time) so the client's
-		// budget attribution can blame the server queue, not the network.
-		var queued time.Duration
-		if !call.arrived.IsZero() {
-			queued = s.clock.Since(call.arrived)
-		}
-		s.respondTraced(call.conn, call.id, it.Method, status, nil, //nolint:errcheck // best-effort rejection notice
-			call.traceID, call.spanID, queued, 0)
-	}
+	// Refusals on traced calls still carry the timing trailer (queue wait
+	// up to the refusal, zero service time) so the client's budget
+	// attribution can blame the server queue, not the network.
+	s.respondTraced(call.conn, call.id, it.Method, status, nil, //nolint:errcheck // best-effort rejection notice
+		call.traceID, call.spanID, s.clock.Since(call.arrived), 0)
+	s.putCall(call)
 }
 
-// respBufPool recycles response assembly buffers. wire.Conn.Send copies
-// the bytes into its own pooled payload buffer before returning, so the
-// assembly buffer can go straight back on the pool — the response path
-// then allocates nothing for payloads within MaxPayload.
-var respBufPool = sync.Pool{New: func() any {
+// frameBufPool recycles request and response assembly buffers. wire.Conn.Send
+// copies the bytes into its own pooled payload buffer before returning, so
+// the assembly buffer goes straight back on the pool — both paths then
+// allocate nothing for payloads within MaxPayload.
+var frameBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, wire.MaxPayload)
 	return &b
 }}
 
 func (s *Server) respond(conn *wire.Conn, id uint64, method, status byte, payload []byte) error {
-	pb := respBufPool.Get().(*[]byte)
+	pb := frameBufPool.Get().(*[]byte)
 	out := (*pb)[:respHeader]
 	binary.LittleEndian.PutUint64(out, id)
 	out[8] = method
@@ -616,7 +637,7 @@ func (s *Server) respond(conn *wire.Conn, id uint64, method, status byte, payloa
 	out = append(out, payload...)
 	_, err := conn.Send(respStream, out)
 	*pb = out[:0]
-	respBufPool.Put(pb)
+	frameBufPool.Put(pb)
 	return err
 }
 
@@ -628,7 +649,7 @@ func (s *Server) respondTraced(conn *wire.Conn, id uint64, method, status byte, 
 	if traceID == 0 {
 		return s.respond(conn, id, method, status, payload)
 	}
-	pb := respBufPool.Get().(*[]byte)
+	pb := frameBufPool.Get().(*[]byte)
 	out := (*pb)[:respHeader+traceTrailer]
 	binary.LittleEndian.PutUint64(out, id)
 	out[8] = method
@@ -638,7 +659,7 @@ func (s *Server) respondTraced(conn *wire.Conn, id uint64, method, status byte, 
 	out = append(out, payload...)
 	_, err := conn.SendTraced(respStream, out, traceID, spanID)
 	*pb = out[:0]
-	respBufPool.Put(pb)
+	frameBufPool.Put(pb)
 	return err
 }
 
@@ -717,6 +738,7 @@ type Client struct {
 	mu            sync.Mutex
 	nextID        uint64
 	pending       map[uint64]*callState
+	free          []*callState // recycled call states, see callState
 	closed        bool
 	rng           *rand.Rand
 	stats         ClientStats
@@ -951,7 +973,7 @@ func (c *Client) Close() error {
 	fins := c.failPendingLocked(ErrClosed)
 	c.mu.Unlock()
 	for _, fin := range fins {
-		fin()
+		c.run(fin)
 	}
 	return c.sess.Close()
 }
@@ -968,9 +990,10 @@ func (c *Client) onMessage(m wire.Message) {
 		service = time.Duration(binary.LittleEndian.Uint32(body[4:])) * time.Microsecond
 		body = body[traceTrailer:]
 	}
+	// m.Payload is this callback's own copy; the response is a slice of it.
 	res := callResult{
 		status:  m.Payload[9],
-		payload: append([]byte(nil), body...),
+		payload: body,
 		queued:  queued,
 		service: service,
 	}
@@ -985,9 +1008,7 @@ func (c *Client) onMessage(m wire.Message) {
 		fin = cs.onResultLocked(id, res)
 	}
 	c.mu.Unlock()
-	if fin != nil {
-		fin()
-	}
+	c.run(fin)
 }
 
 // resolveLocked turns a wire response into the caller's result, counting
@@ -1043,15 +1064,9 @@ func (c *Client) hedgeDelay(timeout time.Duration) time.Duration {
 // steer away without a round trip. Probes skip the breaker and the
 // call-level counters — they are how failover looks past an open breaker.
 func (c *Client) Probe(timeout time.Duration) (overload.Probe, error) {
-	ch := make(chan callOutcome, 1)
-	cs := &callState{
-		c: c, method: MethodProbe, prio: c.cfg.Priority, deadline: timeout,
-		probe: true, attempts: 1, started: c.clock.Now(),
-		done: func(resp []byte, err error) { ch <- callOutcome{resp, err} },
-	}
-	c.startCall(cs)
-	out := <-ch
-	payload, err := out.resp, out.err
+	w := waiterPool.Get().(*waiter)
+	c.startCall(MethodProbe, nil, c.cfg.Priority, timeout, 1, true, nil, w.done)
+	payload, err := w.wait()
 	if err != nil {
 		return 0, err
 	}
@@ -1079,11 +1094,33 @@ func (c *Client) Call(method uint8, req []byte, deadline time.Duration) ([]byte,
 // simulation's event loop (the wait would deadlock virtual time); issue
 // CallAsync there instead.
 func (c *Client) CallPri(method uint8, req []byte, prio core.Priority, deadline time.Duration) ([]byte, error) {
-	ch := make(chan callOutcome, 1)
-	c.CallAsync(method, req, prio, deadline, func(resp []byte, err error) {
-		ch <- callOutcome{resp, err}
-	})
-	out := <-ch
+	w := waiterPool.Get().(*waiter)
+	c.CallAsync(method, req, prio, deadline, w.done)
+	return w.wait()
+}
+
+// waiter is what a blocking call parks on: a one-slot channel and the done
+// callback that fills it, bound once and recycled. done runs exactly once
+// per call, so a waiter that has been waited on is empty again.
+type waiter struct {
+	ch   chan callOutcome
+	done func([]byte, error)
+}
+
+type callOutcome struct {
+	resp []byte
+	err  error
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan callOutcome, 1)}
+	w.done = func(resp []byte, err error) { w.ch <- callOutcome{resp, err} }
+	return w
+}}
+
+func (w *waiter) wait() ([]byte, error) {
+	out := <-w.ch
+	waiterPool.Put(w)
 	return out.resp, out.err
 }
 

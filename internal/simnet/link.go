@@ -54,6 +54,46 @@ type Link struct {
 	onTx   func(*Packet) // optional tap at serialization time
 	filter PacketFilter  // optional external fault process
 	name   string
+
+	txNext func()    // startTx, bound once: re-arming the serializer allocates nothing
+	free   []*flight // recycled in-flight records
+}
+
+// flight is one packet propagating on the wire: a pooled record whose
+// arrival callback is bound once, so scheduling a delivery costs no closure.
+type flight struct {
+	l      *Link
+	pkt    *Packet
+	arrive func()
+}
+
+func (f *flight) land() {
+	l, pkt := f.l, f.pkt
+	f.pkt = nil
+	l.free = append(l.free, f)
+	l.stats.Delivered++
+	l.dst.Handle(pkt)
+}
+
+// propagate schedules pkt's arrival at dst after d.
+func (l *Link) propagate(pkt *Packet, d time.Duration) {
+	var f *flight
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = &flight{l: l}
+		f.arrive = f.land
+	}
+	f.pkt = pkt
+	l.sim.Schedule(d, f.arrive)
+}
+
+// PayloadCloner is implemented by payloads that two deliveries must not
+// share (pooled ones the receiver recycles): a link that duplicates a packet
+// gives the copy ClonePayload's result instead of the original's payload.
+type PayloadCloner interface {
+	ClonePayload() any
 }
 
 // LinkOption configures a Link.
@@ -90,6 +130,7 @@ func NewLink(sim *Sim, rate float64, d time.Duration, dst Handler, opts ...LinkO
 		dst:   dst,
 		queue: NewDropTail(1000),
 	}
+	l.txNext = l.startTx
 	for _, opt := range opts {
 		opt(l)
 	}
@@ -191,20 +232,17 @@ func (l *Link) startTx() {
 	case filtered:
 		l.stats.FilterDrops++
 	default:
-		l.sim.Schedule(arrive, func() {
-			l.stats.Delivered++
-			l.dst.Handle(pkt)
-		})
+		l.propagate(pkt, arrive)
 		if duplicate {
 			dup := *pkt
+			if c, ok := pkt.Payload.(PayloadCloner); ok {
+				dup.Payload = c.ClonePayload()
+			}
 			l.stats.FilterDups++
-			l.sim.Schedule(arrive, func() {
-				l.stats.Delivered++
-				l.dst.Handle(&dup)
-			})
+			l.propagate(&dup, arrive)
 		}
 	}
-	l.sim.Schedule(txTime, l.startTx)
+	l.sim.Schedule(txTime, l.txNext)
 }
 
 func (l *Link) serialization(size int) time.Duration {

@@ -258,3 +258,71 @@ func TestCollectorAndSink(t *testing.T) {
 		t.Errorf("sink N=%d", sk.N)
 	}
 }
+
+// Forwarding a packet across a bare link allocates nothing in steady state:
+// the in-flight record is recycled and both of the link's callbacks (arrival,
+// serializer re-arm) are bound once.
+func TestLinkForwardingZeroAlloc(t *testing.T) {
+	sim := New(1)
+	sink := &Sink{}
+	l := NewLink(sim, 100e6, time.Millisecond, sink, WithJitter(time.Millisecond))
+	pkts := []*Packet{{Size: 1000}, {Size: 200}, {Size: 1200}}
+	burst := func() {
+		for _, p := range pkts { // three in flight at once
+			l.Send(p)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
+		t.Errorf("Link.Send -> arrival: %.2f allocs per 3-packet burst, want 0", allocs)
+	}
+	if st := l.Stats(); st.Delivered != st.SentPackets || sink.N != st.Delivered {
+		t.Errorf("link %+v, sink saw %d", st, sink.N)
+	}
+}
+
+type dupAll struct{}
+
+func (dupAll) Filter(*Packet, time.Duration) Verdict { return Verdict{Duplicate: true} }
+
+// cloneCounter is a payload that asks not to be shared between deliveries.
+type cloneCounter struct{ clones int }
+
+func (c *cloneCounter) ClonePayload() any {
+	c.clones++
+	return &cloneCounter{}
+}
+
+// A duplicated packet is a second Packet; its payload is the original's
+// unless the payload is a PayloadCloner, in which case the copy gets a
+// payload of its own — what lets a receiver recycle each delivery's payload
+// without freeing one twice.
+func TestLinkDuplicateClonesPayload(t *testing.T) {
+	sim := New(1)
+	col := NewCollector(sim)
+	l := NewLink(sim, 100e6, time.Millisecond, col, WithFilter(dupAll{}))
+
+	orig := &cloneCounter{}
+	shared := &struct{ n int }{}
+	l.Send(&Packet{ID: 1, Size: 100, Payload: orig})
+	l.Send(&Packet{ID: 2, Size: 100, Payload: shared})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if col.Count() != 4 || l.Stats().FilterDups != 2 {
+		t.Fatalf("delivered %d packets with %d duplicates, want 4 and 2", col.Count(), l.Stats().FilterDups)
+	}
+	a, b, c, d := col.Packets[0], col.Packets[1], col.Packets[2], col.Packets[3]
+	if a == b || a.ID != 1 || b.ID != 1 || a.Size != b.Size {
+		t.Errorf("duplicate of packet 1 is not a distinct, identical packet: %+v %+v", a, b)
+	}
+	if a.Payload != any(orig) || b.Payload == a.Payload || orig.clones != 1 {
+		t.Errorf("cloner payload: original %p, copy %p, %d clones; want distinct payloads and one clone", a.Payload, b.Payload, orig.clones)
+	}
+	if c.Payload != any(shared) || d.Payload != any(shared) {
+		t.Errorf("plain payload not shared by the duplicate: %p %p", c.Payload, d.Payload)
+	}
+}

@@ -453,7 +453,7 @@ func (c *Conn) muxPump() {
 		select {
 		case p := <-c.recvCh:
 			c.handleDatagram((*p.buf)[:p.n], c.peer)
-			poisonBuf((*p.buf)[:p.n])
+			PoisonBuf((*p.buf)[:p.n])
 			demuxBufPool.Put(p.buf)
 		case <-c.done:
 			return

@@ -72,14 +72,11 @@ type demuxShard struct {
 
 // ShardOfAddr assigns a peer address to one of n shards by hashing its
 // IP and port — the demux twin of the kernel's SO_REUSEPORT flow hash.
-// It allocates nothing for IPv4 and IPv6 addresses.
+// The result is in [0, n) for every n, power of two or not. It allocates
+// nothing for IPv4 and IPv6 addresses.
 func ShardOfAddr(addr *net.UDPAddr, n int) int {
 	if n <= 1 || addr == nil {
 		return 0
-	}
-	size := 1
-	for size < n {
-		size <<= 1
 	}
 	const (
 		offset32 = 2166136261
@@ -98,7 +95,7 @@ func ShardOfAddr(addr *net.UDPAddr, n int) int {
 	h *= prime32
 	h ^= uint32(addr.Port) >> 8
 	h *= prime32
-	return int(h & uint32(size-1))
+	return int(h % uint32(n))
 }
 
 // newShardDemux builds the demux with n shard transports over pc. The
@@ -157,7 +154,7 @@ func (s *demuxShard) drain() {
 				s.recv((*p.buf)[:p.n], p.from)
 			}
 			s.d.delivered.Add(1)
-			poisonBuf((*p.buf)[:p.n])
+			PoisonBuf((*p.buf)[:p.n])
 			demuxBufPool.Put(p.buf)
 		case <-s.d.done:
 			return

@@ -51,7 +51,10 @@ var poisonRecvBuffers = raceEnabled
 
 const poisonByte = 0xDB
 
-func poisonBuf(b []byte) {
+// PoisonBuf is what a PacketConn implementation calls on a receive buffer
+// once its delivery callback has returned and before the buffer is reused
+// (see poisonRecvBuffers); it is a no-op outside race-detector builds.
+func PoisonBuf(b []byte) {
 	if !poisonRecvBuffers {
 		return
 	}
@@ -106,7 +109,7 @@ func (u *udpPacketConn) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 				return // closed
 			}
 			recv(buf[:n], raddr)
-			poisonBuf(buf[:n])
+			PoisonBuf(buf[:n])
 		}
 	}()
 }

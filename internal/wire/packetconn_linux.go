@@ -509,7 +509,7 @@ func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr)) bool {
 		} else {
 			recv(pkt, from)
 		}
-		poisonBuf(pkt)
+		PoisonBuf(pkt)
 	}
 	return true
 }

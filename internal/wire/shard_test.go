@@ -186,9 +186,10 @@ func BenchmarkShardRecvSmoke(b *testing.B) {
 
 // Shard assignment must be a pure function of (address, shard count): the
 // same peer always lands on the same shard, every result is a valid shard
-// index, and a realistic peer population reaches more than one shard.
+// index — for shard counts that are not powers of two as well — and a
+// realistic peer population reaches every shard.
 func TestShardOfStable(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 16} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
 		seen := make(map[int]bool)
 		for i := 0; i < 4096; i++ {
 			addr := &net.UDPAddr{IP: net.IPv4(10, 0, byte(i%256), byte((i*7)%256)), Port: 10000 + i}
@@ -201,8 +202,8 @@ func TestShardOfStable(t *testing.T) {
 			}
 			seen[a] = true
 		}
-		if n > 1 && len(seen) < 2 {
-			t.Fatalf("n=%d: all 4096 peers hashed to one shard", n)
+		if len(seen) != n {
+			t.Fatalf("n=%d: 4096 peers reached %d shards", n, len(seen))
 		}
 	}
 }

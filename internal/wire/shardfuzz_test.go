@@ -30,7 +30,8 @@ func (f *fuzzPC) Synchronous() bool                         { return false }
 // matches the ceiling division, nothing panics feeding segments through
 // DecodeFrame, and the demux conserves packets (every ingest accounted as
 // queued, dropped-full or dropped-oversize, with queued payloads byte-
-// identical to what went in).
+// identical to what went in) for every shard count from 1 to 9, taken from
+// the peer's port so that non-powers of two are always among the seeds.
 func FuzzShardDemux(f *testing.F) {
 	sl, err := newSealer(benchKey)
 	if err != nil {
@@ -50,6 +51,9 @@ func FuzzShardDemux(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xDB}, recvBufLen+100), 1200, uint16(40005))
 	f.Add([]byte{}, -1, uint16(0))
 	f.Add([]byte{0x7B, 0xA2}, 1<<30, uint16(65535))
+	for port := uint16(0); port < 64; port++ { // every shard count, seven peers each
+		f.Add(frame, 0, port)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, segSize int, port uint16) {
 		from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)}
@@ -96,7 +100,8 @@ func FuzzShardDemux(f *testing.F) {
 		}
 
 		// --- demux ingest conservation ---
-		d := newShardDemux(&fuzzPC{}, 4)
+		shards := 1 + int(port)%9
+		d := newShardDemux(&fuzzPC{}, shards)
 		d.ingest(data, from)
 		st := d.Stats()
 		if st.Enqueued+st.DroppedFull+st.DroppedOversize != 1 {
@@ -110,7 +115,7 @@ func FuzzShardDemux(f *testing.F) {
 			t.Fatalf("in-range datagram (%d B) not queued: %+v", len(data), st)
 		}
 		if st.Enqueued == 1 {
-			shard := ShardOfAddr(from, 4)
+			shard := ShardOfAddr(from, shards)
 			select {
 			case p := <-d.shards[shard].ch:
 				if p.from != from {
