@@ -11,11 +11,11 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci fmt vet build test allocs race sim chaos overload fuzz bench-smoke bench clean
+.PHONY: all ci fmt vet build test benchmark-check allocs race sim chaos overload fuzz bench-smoke bench clean
 
 all: ci
 
-ci: fmt vet build test allocs race sim bench-smoke bench fuzz
+ci: fmt vet build test benchmark-check allocs race sim bench-smoke bench fuzz
 
 # Fails when any file is not gofmt-clean (gofmt itself exits 0 either way).
 fmt:
@@ -29,6 +29,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a module of its own that calls this module's exported API,
+# so `./...` above never compiles it: a change that deletes a name it uses
+# fails here instead of at the acceptance driver.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The allocation pins, by name and without the race detector (which
 # allocates on its own account): what one offloaded call, one simulated
@@ -64,32 +70,37 @@ overload:
 # One iteration of every hot-path benchmark: catches benchmarks that no
 # longer compile or panic without paying for a full measurement run. The
 # allocation bound on the disabled-tracing fast path is asserted by
-# TestDisabledTracingAllocs in the regular test pass.
+# TestDisabledTracingAllocs in the regular test pass. The marbench studies
+# run with every gate on, the city at smoke scale, into a directory that
+# is thrown away; the shard study's smoke is TestShardStudySmoke.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./internal/obs/ ./internal/queue/ ./internal/wire/ ./internal/simnet/
 	$(GO) test -run '^$$' -bench BenchmarkSimCall -benchtime 100x -benchmem ./internal/marsim/
-	$(GO) run ./cmd/marbench -adapt-out /dev/null -multipath-out /dev/null -obs-out /dev/null -city-out /dev/null -city-users 2000 -city-minutes 1
+	@d="$$(mktemp -d)"; $(GO) run ./cmd/marbench -out "$$d" -city-users 2000 -city-minutes 1 adapt multipath obsload city; rc=$$?; rm -rf "$$d"; exit $$rc
 
-# The wire datapath saturation study on real loopback sockets, recorded as
-# a machine-readable artifact. The packet count is fixed (never derived
-# from timing or GOMAXPROCS), so BENCH_wire.json diffs are meaningful
-# across commits on the same host; absolute numbers vary across hosts —
-# the ratios (fast path vs legacy, batched vs not) are the tracked result.
+# The studies benchmark/ cannot express, each recorded as BENCH_<name>.json
+# with the host, CPU count, GOMAXPROCS, Go version and commit it came from.
+# marbench fails the run when a study's gate does not hold. (The offloaded
+# call itself, end to end and per layer, is benchmark/'s: BENCHMARK.json.)
+# BENCH_shards.json is the core-scaling curve: wire.Dial senders into a
+# wire.ListenMuxShards server at 1/2/4/8 shards on real loopback sockets,
+# a fixed packet count so diffs mean something on one host; 4 shards must
+# deliver >= 2.5x 1 shard on a host with >= 4 CPUs, and on a smaller host
+# no ratio is computed or printed.
 # BENCH_adapt.json is the adaptive-degradation study: fully simulated, so
 # its numbers are deterministic per seed and diff across commits anywhere.
 # BENCH_multipath.json is the multipath robustness head-to-head
 # (single-path vs failover vs multipath+FEC under burst loss and a
 # mid-stream blackhole), equally deterministic per seed.
-# BENCH_obs.json is the observability overhead study; marbench fails the
-# run if the flight recorder costs allocations, measurable disabled-path
-# time, or more than 2% on the wire fast path.
+# BENCH_obs.json is the observability overhead study: the flight recorder
+# must cost no allocation, no measurable disabled-path time, and under 2%
+# of what a sealed frame costs on the wire.
 # BENCH_city.json is the fleet-scale city provisioning study: a 100k-user,
 # 10-virtual-minute city solved and replayed through the Section VI-F
-# loop; marbench fails the run if the placement holds < 95% of deadlines,
-# loses to the cloud baseline, leaks queue entries, or blows the
-# wall-time ceiling.
+# loop; the placement must hold >= 95% of deadlines, beat the cloud
+# baseline, leak no queue entries, and finish under the wall-time ceiling.
 bench:
-	$(GO) run ./cmd/marbench -bench-out BENCH_wire.json -adapt-out BENCH_adapt.json -multipath-out BENCH_multipath.json -obs-out BENCH_obs.json -city-out BENCH_city.json
+	$(GO) run ./cmd/marbench -out . shards adapt multipath obsload city
 
 # Short coverage-guided smoke over the wire-format decoders, the policy
 # header codec, the Reed-Solomon reconstructor, the flight-recorder

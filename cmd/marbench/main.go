@@ -1,216 +1,208 @@
 // Command marbench regenerates every table and figure of the paper and
 // prints them in the paper's layout. Run with no arguments for everything,
-// or name the experiments to run:
+// or name the studies to run:
 //
-//	marbench table1 table2 fig2 fig3 fig4 fig5 s3b s4a s4c s4d s6c s6d s6f s6h overload budget wire adapt multipath obsload city
+//	marbench table1 table2 fig2 fig3 fig4 fig5 s3b s4a s4c s4d s6c s6d s6f s6h overload budget shards adapt multipath obsload city
+//
+// A study with acceptance gates fails the run when one does not hold.
+// With -out DIR, each study that has an artifact also writes it there as
+// BENCH_<name>.json, stamped with where and from what it was produced.
+// The one offloaded call against the 75 ms budget, end to end and layer
+// by layer, is benchmark/'s job, not this command's.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 
 	"marnet/internal/experiments"
 	"marnet/internal/trace"
 )
 
+// options are the flags a study may read.
+type options struct {
+	seed        int64
+	cityUsers   int
+	cityMinutes float64
+}
+
+// result is what every study returns; one that also has a Pass method is
+// gated by it.
+type result interface{ Format() string }
+
+type study struct {
+	name     string
+	run      func(options) result
+	artifact string // written under -out as BENCH_<artifact>.json; "" = printed only
+}
+
+var studies = []study{
+	{name: "table1", run: func(options) result { return experiments.TableI() }},
+	{name: "table2", run: func(o options) result { return experiments.TableII(o.seed) }},
+	{name: "fig2", run: func(o options) result { return experiments.Figure2(o.seed) }},
+	{name: "fig3", run: func(o options) result { return experiments.Figure3(o.seed) }},
+	{name: "fig4", run: func(o options) result { return experiments.Figure4(o.seed) }},
+	{name: "fig5", run: func(o options) result { return experiments.Figure5(o.seed) }},
+	{name: "s3b", run: func(options) result { return experiments.SectionIIIB() }},
+	{name: "s4a", run: func(o options) result { return experiments.SectionIVA(o.seed) }},
+	{name: "s4c", run: func(o options) result { return experiments.SectionIVC(o.seed) }},
+	{name: "s4d", run: func(o options) result { return experiments.SectionIVD(o.seed) }},
+	{name: "s6c", run: func(o options) result { return experiments.SectionVIC(o.seed) }},
+	{name: "s6d", run: func(o options) result { return experiments.SectionVID(o.seed) }},
+	{name: "s6f", run: func(o options) result { return experiments.SectionVIF(o.seed) }},
+	{name: "s6h", run: func(o options) result { return experiments.SectionVIH(o.seed) }},
+	{name: "overload", run: func(o options) result { return experiments.Overload(o.seed) }},
+	{name: "budget", run: func(o options) result { return experiments.Budget(o.seed) }},
+	// 4-shard delivered packets/s at least 2.5x 1-shard, on hosts with the
+	// CPUs to scale.
+	{name: "shards", artifact: "shards", run: func(o options) result { return experiments.Shards(o.seed) }},
+	// Adaptive beats every fixed tier on fewer bytes than fixed-full, and
+	// a same-seed rerun reproduces the decision hash.
+	{name: "adapt", artifact: "adapt", run: func(o options) result { return experiments.Adapt(o.seed) }},
+	// Both multipath modes survive the blackhole with zero resets, cutover
+	// within one keepalive, >= 90% of burst holes repaired, deterministic.
+	{name: "multipath", artifact: "multipath", run: func(o options) result { return experiments.Multipath(o.seed) }},
+	// Zero allocations per recorded event, a disabled hook that costs
+	// nothing measurable, under 2% of a sealed frame.
+	{name: "obsload", artifact: "obs", run: func(o options) result { return experiments.ObsLoad(o.seed) }},
+	// The placement holds >= 95% of deadlines, beats the cloud baseline,
+	// keeps the event queue bounded and, at full scale, finishes inside
+	// the wall-time ceiling.
+	{name: "city", artifact: "city", run: func(o options) result {
+		return experiments.CityAt(o.seed, o.cityUsers, o.cityMinutes)
+	}},
+}
+
 func main() {
-	seed := flag.Int64("seed", 42, "simulation seed")
-	csvDir := flag.String("csv", "", "also write figure series as CSV files into this directory")
-	benchOut := flag.String("bench-out", "", "write the wire bench result as JSON to this file (runs the wire experiment)")
-	adaptOut := flag.String("adapt-out", "", "write the adaptive-degradation study as JSON to this file (runs the adapt experiment)")
-	multipathOut := flag.String("multipath-out", "", "write the multipath robustness study as JSON to this file (runs the multipath experiment)")
-	obsOut := flag.String("obs-out", "", "write the observability overhead study as JSON to this file (runs the obsload experiment)")
-	cityOut := flag.String("city-out", "", "write the fleet-scale city provisioning study as JSON to this file (runs the city experiment)")
-	cityUsers := flag.Int("city-users", 0, "city study population (0 = full scale, 100000)")
-	cityMinutes := flag.Float64("city-minutes", 0, "city study virtual minutes (0 = full scale, 10)")
-	flag.Parse()
-	// With only artifact flags and no named experiments, run only those
-	// benches: the CI bench target wants the JSON artifacts, not the full
-	// paper suite.
-	if (*benchOut == "" && *adaptOut == "" && *multipathOut == "" && *obsOut == "" && *cityOut == "") || flag.NArg() > 0 {
-		if err := run(flag.Args(), *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
+	if err := marbench(os.Args[1:], studies, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "marbench:", err)
+		os.Exit(1)
+	}
+}
+
+// marbench runs the named studies of table (all of them when none is
+// named), in table order.
+func marbench(args []string, table []study, stdout io.Writer) error {
+	fs := flag.NewFlagSet("marbench", flag.ContinueOnError)
+	var o options
+	fs.Int64Var(&o.seed, "seed", 42, "simulation seed")
+	fs.IntVar(&o.cityUsers, "city-users", 0, "city study population (0 = full scale, 100000)")
+	fs.Float64Var(&o.cityMinutes, "city-minutes", 0, "city study virtual minutes (0 = full scale, 10)")
+	csvDir := fs.String("csv", "", "also write figure series as CSV files into this directory")
+	outDir := fs.String("out", "", "write each study's artifact as BENCH_<name>.json into this directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	want := make(map[string]bool, fs.NArg())
+	for _, a := range fs.Args() {
+		want[strings.ToLower(a)] = true
+	}
+	for name := range want {
+		known := false
+		for _, st := range table {
+			known = known || st.name == name
+		}
+		if !known {
+			return fmt.Errorf("unknown study %q", name)
+		}
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
+	}
+	for _, st := range table {
+		if len(want) > 0 && !want[st.name] {
+			continue
+		}
+		res := st.run(o)
+		fmt.Fprintln(stdout, res.Format())
+		if gated, ok := res.(interface{ Pass() bool }); ok && !gated.Pass() {
+			return fmt.Errorf("%s study failed acceptance (see above)", st.name)
+		}
+		if *outDir != "" && st.artifact != "" {
+			path := filepath.Join(*outDir, "BENCH_"+st.artifact+".json")
+			if err := writeArtifact(path, st.name, res); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 		}
 	}
 	if *csvDir != "" {
-		if err := writeCSVs(*csvDir, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
+		return writeCSVs(*csvDir, o.seed, stdout)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *adaptOut != "" {
-		if err := writeAdapt(*adaptOut, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *multipathOut != "" {
-		if err := writeMultipath(*multipathOut, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *obsOut != "" {
-		if err := writeObs(*obsOut, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *cityOut != "" {
-		if err := writeCity(*cityOut, *seed, *cityUsers, *cityMinutes); err != nil {
-			fmt.Fprintln(os.Stderr, "marbench:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeCity runs the fleet-scale city provisioning study and records it
-// as machine-readable JSON (the BENCH_city.json artifact `make bench`
-// tracks). The acceptance gates — the solver's placement holds >= 95% of
-// offload deadlines under the full 100k-user city load (stadium crowd
-// included), strictly beats the cloud baseline, keeps the event queue
-// bounded by the live population, and finishes ten virtual minutes
-// within the wall-time ceiling — fail the run loudly. Scaled-down smoke
-// runs (via -city-users/-city-minutes) keep every gate except the
-// wall-time bound, which is recorded as waived.
-func writeCity(path string, seed int64, users int, minutes float64) error {
-	res := experiments.CityAt(seed, users, minutes)
-	fmt.Println(res.Format())
-	if res.Err != "" {
-		return fmt.Errorf("city study: %s", res.Err)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("city study failed acceptance: hold=%.4f beatsCloud=%v queueBounded=%v wall=%.1fs (gate %s)",
-			res.HoldRate, res.PlacementBeatsCloud, res.QueueBounded, res.WallSeconds, res.WallGate)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 
-// writeObs runs the observability overhead study and records it as
-// machine-readable JSON (the BENCH_obs.json artifact `make bench`
-// tracks). The acceptance gates — zero allocations per recorded event,
-// a disabled hook that costs nothing measurable, and under 2% tax on the
-// wire send fast path — fail the run loudly.
-func writeObs(path string, seed int64) error {
-	res := experiments.ObsLoad(seed)
-	fmt.Println(res.Format())
-	if res.Err != "" {
-		return fmt.Errorf("obsload study: %s", res.Err)
-	}
-	if !res.Pass() {
-		return fmt.Errorf("obsload study failed acceptance: allocs/event=%.2f disabled=%.2fns wireOverhead=%.2f%% codec=%v deterministic=%v snaps=%d storm=%v slo=%v",
-			res.RecordAllocsPerEvent, res.DisabledNsPerOp, res.Wire.OverheadPct,
-			res.CodecRoundTrip, res.Deterministic, res.FlightSnapshots, res.FlightStormSeen, res.FlightSLOFired)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+// provenance is what a number needs before it counts (ROADMAP aim 1).
+type provenance struct {
+	Host       string `json:"host"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
 }
 
-// writeMultipath runs the multipath robustness study and records it as
-// machine-readable JSON (the BENCH_multipath.json artifact `make bench`
-// tracks). Fully simulated: the artifact is a function of the seed alone.
-func writeMultipath(path string, seed int64) error {
-	res := experiments.Multipath(seed)
-	fmt.Println(res.Format())
-	if res.Err != "" {
-		return fmt.Errorf("multipath study: %s", res.Err)
+func writeArtifact(path, name string, res result) error {
+	host, err := os.Hostname()
+	if err != nil {
+		host = "unknown"
 	}
-	if !res.ZeroResets || !res.CutoverWithinKeepalive || !res.RepairsWithoutRetx || !res.Deterministic {
-		return fmt.Errorf("multipath study failed acceptance: zeroResets=%v cutover=%v repairs=%v deterministic=%v",
-			res.ZeroResets, res.CutoverWithinKeepalive, res.RepairsWithoutRetx, res.Deterministic)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
+	data, err := json.MarshalIndent(struct {
+		Provenance provenance `json:"provenance"`
+		Study      string     `json:"study"`
+		Result     result     `json:"result"`
+	}{
+		provenance{Host: host, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion: runtime.Version(), Commit: commit()},
+		name, res,
+	}, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// writeAdapt runs the adaptive-degradation study and records it as
-// machine-readable JSON (the BENCH_adapt.json artifact `make bench`
-// tracks). The study is fully simulated, so the artifact is a function
-// of the seed alone.
-func writeAdapt(path string, seed int64) error {
-	res := experiments.Adapt(seed)
-	fmt.Println(res.Format())
-	if res.Err != "" {
-		return fmt.Errorf("adapt study: %s", res.Err)
+// commit is the revision the binary was built from: stamped by the go
+// tool when it could see the repository, else asked of git, else unknown.
+// Uncommitted changes are marked, since the numbers are theirs too.
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", ""
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+		if rev != "" {
+			return rev + dirty
+		}
 	}
-	if !res.AdaptiveBeatsAllTiers || !res.FewerBytesThanFull || !res.Deterministic {
-		return fmt.Errorf("adapt study failed acceptance: beatsAll=%v fewerBytes=%v deterministic=%v",
-			res.AdaptiveBeatsAllTiers, res.FewerBytesThanFull, res.Deterministic)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
-		return err
+		return "unknown"
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		rev += "+dirty"
 	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeBench runs the wire datapath saturation bench and records it as
-// machine-readable JSON (the BENCH_wire.json artifact `make bench` tracks).
-// The core-scaling acceptance gate — 4-shard delivered packets/s at least
-// 2.5x the 1-shard figure — fails the run loudly on any host with the
-// cores to scale; hosts with fewer than 4 CPUs record the curve with the
-// gate waived (and say so in the artifact).
-func writeBench(path string, seed int64) error {
-	res := experiments.WireBench(seed)
-	fmt.Println(res.Format())
-	if res.Err != "" {
-		return fmt.Errorf("wire bench: %s", res.Err)
-	}
-	if !res.ShardGatePass() {
-		return fmt.Errorf("wire bench failed shard-scaling acceptance: 4-shard/1-shard = %.2fx < 2.5x (numcpu=%d, gate %s)",
-			res.ShardSpeedup4, res.NumCPU, res.ShardGate)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return rev
 }
 
 // writeCSVs exports the time-series figures (3 and 4) as CSV for external
 // plotting.
-func writeCSVs(dir string, seed int64) error {
+func writeCSVs(dir string, seed int64, stdout io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -238,55 +230,6 @@ func writeCSVs(dir string, seed int64) error {
 	if err := write("figure4_artp_budget.csv", f4.Budget); err != nil {
 		return err
 	}
-	fmt.Printf("wrote figure CSVs to %s\n", dir)
-	return nil
-}
-
-func run(args []string, seed int64) error {
-	all := []struct {
-		name string
-		fn   func(int64) string
-	}{
-		{"table1", func(int64) string { return experiments.TableI().Format() }},
-		{"table2", func(s int64) string { return experiments.TableII(s).Format() }},
-		{"fig2", func(s int64) string { return experiments.Figure2(s).Format() }},
-		{"fig3", func(s int64) string { return experiments.Figure3(s).Format() }},
-		{"fig4", func(s int64) string { return experiments.Figure4(s).Format() }},
-		{"fig5", func(s int64) string { return experiments.Figure5(s).Format() }},
-		{"s3b", func(int64) string { return experiments.SectionIIIB().Format() }},
-		{"s4a", func(s int64) string { return experiments.SectionIVA(s).Format() }},
-		{"s4c", func(s int64) string { return experiments.SectionIVC(s).Format() }},
-		{"s4d", func(s int64) string { return experiments.SectionIVD(s).Format() }},
-		{"s6c", func(s int64) string { return experiments.SectionVIC(s).Format() }},
-		{"s6d", func(s int64) string { return experiments.SectionVID(s).Format() }},
-		{"s6f", func(s int64) string { return experiments.SectionVIF(s).Format() }},
-		{"s6h", func(s int64) string { return experiments.SectionVIH(s).Format() }},
-		{"overload", func(s int64) string { return experiments.Overload(s).Format() }},
-		{"budget", func(s int64) string { return experiments.Budget(s).Format() }},
-		{"wire", func(s int64) string { return experiments.WireBench(s).Format() }},
-		{"adapt", func(s int64) string { return experiments.Adapt(s).Format() }},
-		{"multipath", func(s int64) string { return experiments.Multipath(s).Format() }},
-		{"obsload", func(s int64) string { return experiments.ObsLoad(s).Format() }},
-		{"city", func(s int64) string { return experiments.City(s).Format() }},
-	}
-	want := make(map[string]bool, len(args))
-	for _, a := range args {
-		want[strings.ToLower(a)] = true
-	}
-	known := make(map[string]bool, len(all))
-	for _, e := range all {
-		known[e.name] = true
-	}
-	for name := range want {
-		if !known[name] {
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-	for _, e := range all {
-		if len(want) > 0 && !want[e.name] {
-			continue
-		}
-		fmt.Println(e.fn(seed))
-	}
+	fmt.Fprintf(stdout, "wrote figure CSVs to %s\n", dir)
 	return nil
 }

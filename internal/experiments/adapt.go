@@ -50,6 +50,11 @@ type AdaptBenchResult struct {
 	Err string `json:"err,omitempty"`
 }
 
+// Pass reports whether the acceptance flags all hold.
+func (r AdaptBenchResult) Pass() bool {
+	return r.Err == "" && r.AdaptiveBeatsAllTiers && r.FewerBytesThanFull && r.Deterministic
+}
+
 func adaptRow(r *marsim.AdaptResult) AdaptRow {
 	return AdaptRow{
 		Policy: r.Kind, Hits: r.Hits, Frames: r.Frames, HitRate: r.HitRate(),

@@ -46,6 +46,11 @@ type MultipathBenchResult struct {
 	Err       string `json:"err,omitempty"`
 }
 
+// Pass reports whether the flags `make bench` is held to all hold.
+func (r MultipathBenchResult) Pass() bool {
+	return r.Err == "" && r.ZeroResets && r.CutoverWithinKeepalive && r.RepairsWithoutRetx && r.Deterministic
+}
+
 func multipathRow(r *marsim.MultipathResult) MultipathRow {
 	repaired := r.RepairedUp + r.RepairedDown
 	unrepaired := r.UnrepairedUp + r.UnrepairedDown

@@ -9,14 +9,13 @@ import (
 
 	"marnet/internal/marsim"
 	"marnet/internal/obs"
-	"marnet/internal/wire"
 )
 
 // ObsLoadResult pins the cost of the deep-diagnosis layer: the flight
-// recorder's per-event cost (enabled, disabled, and riding the wire send
-// fast path), the SLO engine's per-observation cost, the snapshot codec
-// round trip, and the determinism of the recorded GE-burst scenario.
-// Marshalled as-is into BENCH_obs.json by `make bench`.
+// recorder's per-event cost (enabled, disabled, and as a share of what a
+// sealed frame costs on the wire), the SLO engine's per-observation cost,
+// the snapshot codec round trip, and the determinism of the recorded
+// GE-burst scenario. Marshalled as-is into BENCH_obs.json by `make bench`.
 type ObsLoadResult struct {
 	Seed       int64 `json:"seed"`
 	GOMAXPROCS int   `json:"gomaxprocs"`
@@ -28,9 +27,12 @@ type ObsLoadResult struct {
 	SLONsPerObserve      float64 `json:"slo_ns_per_observe"`
 	SLOAllocsPerObserve  float64 `json:"slo_allocs_per_observe"`
 
-	// Wire fast-path tax: send-fastpath with a recorder hooked per frame
-	// versus without, min-of-alternating-trials.
-	Wire wire.RecorderOverheadResult `json:"wire"`
+	// The recorder's tax on the wire: one frame through a keyed wire.Dial
+	// -> Conn.Send -> mux server loop with the recorder attached (what
+	// benchmark/ calls wire.send_keyed_ns_per_frame, here in wall time),
+	// the events that frame recorded, and their cost — EventsPerFrame x
+	// RecordNsPerOp — as a share of the frame.
+	Wire WireTax `json:"wire"`
 
 	// CodecRoundTrip: a frozen snapshot survives Encode→Decode unchanged.
 	CodecRoundTrip bool `json:"codec_round_trip"`
@@ -43,6 +45,14 @@ type ObsLoadResult struct {
 	Err             string `json:"err,omitempty"`
 }
 
+// WireTax is the flight recorder's cost set against one sealed frame.
+type WireTax struct {
+	Frames         int     `json:"frames"`
+	FrameNs        float64 `json:"frame_ns"`
+	EventsPerFrame float64 `json:"events_per_frame"`
+	OverheadPct    float64 `json:"overhead_pct"`
+}
+
 // Acceptance bounds for the obsload study. The disabled-hook bound is
 // generous against CI-runner noise: the real cost is one nil check, a
 // fraction of a nanosecond.
@@ -53,7 +63,6 @@ const (
 	obsRecordIters      = 1 << 16
 	obsBenchPackets     = 4000
 	obsBenchPayload     = 1000
-	obsBenchTrials      = 16
 	obsAllocsRunsRecord = 4096
 )
 
@@ -95,7 +104,7 @@ func nsPerOp(iters int, f func()) float64 {
 
 // ObsLoad measures the observability layer's own cost and verifies the
 // recorded GE-burst scenario end to end. The microbenchmarks and the
-// wire overhead run on the host (absolute numbers vary; the gates are
+// keyed frame loop run on the host (absolute numbers vary; the gates are
 // ratios and zeros), the flight scenario runs on virtual time (its
 // results are a function of the seed alone).
 func ObsLoad(seed int64) ObsLoadResult {
@@ -131,13 +140,24 @@ func ObsLoad(seed int64) ObsLoadResult {
 	res.SLONsPerObserve = nsPerOp(obsRecordIters, observeOnce)
 	res.SLOAllocsPerObserve = allocsPerRun(obsAllocsRunsRecord, observeOnce)
 
-	// 4. The wire fast-path tax.
-	w, err := wire.RunRecorderOverheadBench(obsBenchPackets, obsBenchPayload, obsBenchTrials)
+	// 4. The tax on the wire: the per-event cost above against a whole
+	// sealed frame, sender to receiver, with the recorder riding along.
+	wrec := obs.NewFlightRecorder(obs.RecorderConfig{Session: "obsload-wire"})
+	row, err := keyedLoop(1, 1, obsBenchPackets, obsBenchPayload, wrec)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	res.Wire = w
+	if row.Delivered < int64(obsBenchPackets) {
+		res.Err = fmt.Sprintf("keyed frame loop delivered %d of %d frames", row.Delivered, obsBenchPackets)
+		return res
+	}
+	res.Wire = WireTax{
+		Frames: obsBenchPackets, FrameNs: row.NsPerFrame,
+		// The one sender's warm-up frames were recorded too.
+		EventsPerFrame: float64(wrec.Recorded()) / float64(obsBenchPackets+keyedWarm),
+	}
+	res.Wire.OverheadPct = 100 * res.Wire.EventsPerFrame * res.RecordNsPerOp / res.Wire.FrameNs
 
 	// 5. Codec round trip on a real frozen snapshot.
 	snap := rec.Freeze("obsload")
@@ -179,8 +199,8 @@ func (r ObsLoadResult) Format() string {
 	fmt.Fprintf(&b, "  %-34s %10.1f %12.2f\n", "recorder RecordAt (enabled)", r.RecordNsPerOp, r.RecordAllocsPerEvent)
 	fmt.Fprintf(&b, "  %-34s %10.2f %12s\n", "recorder RecordAt (nil recorder)", r.DisabledNsPerOp, "0.00")
 	fmt.Fprintf(&b, "  %-34s %10.1f %12.2f\n", "SLO Observe", r.SLONsPerObserve, r.SLOAllocsPerObserve)
-	fmt.Fprintf(&b, "  wire send fast path: base %.0f ns/op -> recorded %.0f ns/op (%.2f%% overhead, %.2f allocs/op)\n",
-		r.Wire.BaseNsPerOp, r.Wire.RecordNsPerOp, r.Wire.OverheadPct, r.Wire.RecordAllocsPerOp)
+	fmt.Fprintf(&b, "  keyed wire frame: %.0f ns/frame, %.2f events/frame x %.1f ns = %.2f%% overhead\n",
+		r.Wire.FrameNs, r.Wire.EventsPerFrame, r.RecordNsPerOp, r.Wire.OverheadPct)
 	fmt.Fprintf(&b, "  snapshot codec round trip: %v\n", r.CodecRoundTrip)
 	fmt.Fprintf(&b, "  flight scenario: snapshots=%d storm=%v slo=%v deterministic=%v\n",
 		r.FlightSnapshots, r.FlightStormSeen, r.FlightSLOFired, r.Deterministic)

@@ -9,9 +9,9 @@
 // The engine has two frontends sharing one decision core:
 //
 //   - Relay: a UDP impairment middlebox between a client and an upstream
-//     server (the chaos-grade replacement for wire.Relay), with
-//     per-direction impairments and a single ordered delay queue so equal
-//     delays never reorder.
+//     server — the one relay every real-socket test and demo goes
+//     through — with per-direction impairments and a single ordered
+//     delay queue so equal delays never reorder.
 //   - LinkFilter: a pure in-process simnet.PacketFilter that applies the
 //     same decision core to simulated links, driven by simulated time.
 //
@@ -69,8 +69,8 @@ type DirConfig struct {
 	// GE enables Gilbert–Elliott burst loss.
 	GE *GilbertElliott
 	// DropEvery deterministically drops every n-th packet (0 = disabled);
-	// it composes with the probabilistic models and is what the legacy
-	// relay's tests use for exactly reproducible loss.
+	// it composes with the probabilistic models and is what the wire and
+	// rpc loss-recovery tests use for exactly reproducible loss.
 	DropEvery int
 	// Dup is the probability a forwarded packet is delivered twice.
 	Dup float64

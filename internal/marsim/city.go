@@ -202,7 +202,7 @@ type City struct {
 	arrivals   int64
 	departures int64
 	maxPending int
-	histo      [1024]int64 // end-to-end latency, 1ms buckets, last = overflow
+	histo      []int64 // end-to-end latency, 1ms buckets, grown to the slowest offload seen
 
 	offloads, hits, misses, shed int64
 	crowdOffloads, crowdHits     int64
@@ -555,7 +555,9 @@ func (c *City) offload(u *cityUser, now time.Duration) {
 	e2e := backlog + air + 2*u.netLat + c.cfg.Compute
 	bucket := int(e2e / time.Millisecond)
 	if bucket >= len(c.histo) {
-		bucket = len(c.histo) - 1
+		// The droptail above bounds e2e, so this settles after a few
+		// growths and no bucket ever stands for "this or more".
+		c.histo = append(c.histo, make([]int64, bucket+1-len(c.histo))...)
 	}
 	c.histo[bucket]++
 	if e2e <= c.cfg.Deadline {

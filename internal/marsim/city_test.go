@@ -218,6 +218,25 @@ func TestCityPlacementBeatsCloud(t *testing.T) {
 	}
 }
 
+// A saturated cell's latency is reported as measured, however long: one
+// cell under twenty times the load its air time can carry sits at the
+// droptail bound, so nearly every admitted offload waits out a 3 s
+// backlog — far past the 1024 ms at which the percentiles once pinned.
+func TestCityPercentilesCoverBacklog(t *testing.T) {
+	cfg := CityConfig{Seed: 5, Users: 400, SideKm: 2, CellGrid: 1, Sites: 4,
+		Horizon: time.Minute, OffloadEvery: 100 * time.Millisecond, MaxAccessBacklog: 3 * time.Second}
+	_, res := runCity(t, cfg, false)
+	if res.Shed == 0 {
+		t.Fatalf("cell never reached the droptail bound: %+v", res)
+	}
+	if res.P50 < 2*time.Second {
+		t.Errorf("p50 = %v on a cell backlogged to %v", res.P50, cfg.MaxAccessBacklog)
+	}
+	if res.P50 > res.P95 || res.P95 > res.P99 || res.P99 > cfg.MaxAccessBacklog+time.Second {
+		t.Errorf("percentiles %v / %v / %v out of order or past the bound", res.P50, res.P95, res.P99)
+	}
+}
+
 func max(a, b time.Duration) time.Duration {
 	if a > b {
 		return a

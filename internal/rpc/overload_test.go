@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/faults"
 	"marnet/internal/overload"
-	"marnet/internal/wire"
 )
 
 // TestServerExpiredOnArrival sends a call whose budget is smaller than the
@@ -20,7 +20,8 @@ func TestServerExpiredOnArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	relay, err := wire.NewRelay(srv.Addr(), 0, 20*time.Millisecond)
+	slow := faults.DirConfig{Delay: 20 * time.Millisecond}
+	relay, err := faults.NewRelay(srv.Addr(), faults.Config{Up: slow, Down: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +154,7 @@ func TestFailoverSteersAroundDraining(t *testing.T) {
 	if _, err := fc.Call(methodEcho, []byte("b"), 2*time.Second); err != nil {
 		t.Fatalf("call during drain: %v", err)
 	}
+	var backupResponses int64 = 1
 	drainRejects := primary.Stats().Draining
 	if drainRejects == 0 {
 		t.Fatal("primary never saw the drain discovery call")
@@ -162,12 +164,14 @@ func TestFailoverSteersAroundDraining(t *testing.T) {
 		if _, err := fc.Call(methodEcho, []byte{byte(i)}, 2*time.Second); err != nil {
 			t.Fatalf("steered call %d: %v", i, err)
 		}
+		backupResponses++
 	}
 	if got := primary.Stats().Draining; got != drainRejects {
 		t.Errorf("primary still receiving calls while draining: %d -> %d", drainRejects, got)
 	}
-	if backup.Served() < 6 {
-		t.Errorf("backup served = %d, want >= 6", backup.Served())
+	// A response the client has seen is a response the server has counted.
+	if got := backup.Served(); got < backupResponses {
+		t.Errorf("backup served = %d after %d responses observed", got, backupResponses)
 	}
 	if st := fc.Stats(); st.Failovers < 6 {
 		t.Errorf("failovers = %d, want >= 6", st.Failovers)

@@ -524,14 +524,21 @@ func (call *serverCall) answer() {
 	if run.Degrade != overload.TierFull && run.Degrade != 0 {
 		status = statusDegraded
 	}
-	err := s.respondTraced(call.conn, call.id, run.Method, status, call.resp,
-		call.traceID, call.spanID, call.queued, took)
-	if err == nil {
+	// Counted before the send, so whoever has seen the response finds it
+	// counted; a response that could not be sent is taken back.
+	var degraded int64
+	if status == statusDegraded {
+		degraded = 1
+	}
+	s.mu.Lock()
+	s.served++
+	s.stats.Degraded += degraded
+	s.mu.Unlock()
+	if err := s.respondTraced(call.conn, call.id, run.Method, status, call.resp,
+		call.traceID, call.spanID, call.queued, took); err != nil {
 		s.mu.Lock()
-		s.served++
-		if status == statusDegraded {
-			s.stats.Degraded++
-		}
+		s.served--
+		s.stats.Degraded -= degraded
 		s.mu.Unlock()
 	}
 	s.gate.Done(run, took)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"marnet/internal/faults"
 	"marnet/internal/wire"
 )
 
@@ -122,7 +123,8 @@ func TestCallThroughLossyRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	relay, err := wire.NewRelay(srv.Addr(), 6, 2*time.Millisecond)
+	lossy := faults.DirConfig{DropEvery: 6, Delay: 2 * time.Millisecond}
+	relay, err := faults.NewRelay(srv.Addr(), faults.Config{Up: lossy, Down: lossy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestCallThroughLossyRelay(t *testing.T) {
 	if okCount < 28 { // transport retransmission should repair nearly all
 		t.Errorf("only %d/30 calls succeeded through the lossy relay", okCount)
 	}
-	if relay.Dropped() == 0 {
+	if relay.Counters(faults.Both).Dropped == 0 {
 		t.Error("relay dropped nothing")
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // The two halves of the frame pipeline as plain Go benchmarks, so
 // `make bench-smoke` catches regressions (and compile rot) without the
-// socket harness. The full end-to-end legs live in RunPipelineBench.
+// socket harness. The end-to-end figures are benchmark/'s wire.* rows.
 
 func BenchmarkEncodeSeal(b *testing.B) {
 	sl, err := newSealer(benchKey)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/faults"
 )
 
 func TestSealerRoundTrip(t *testing.T) {
@@ -196,11 +197,7 @@ func TestEncryptedThroughLossyRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	relay, err := NewRelay(server.LocalAddr().String(), 8, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := lossyRelay(t, server.LocalAddr().String(), 8, time.Millisecond)
 	client, err := Dial(relay.Addr(), Config{
 		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 2e6}},
 		StartBudget: 5e6,
@@ -217,7 +214,7 @@ func TestEncryptedThroughLossyRelay(t *testing.T) {
 		}
 	}
 	if !waitFor(t, 8*time.Second, func() bool { return rx.count() >= n }) {
-		t.Fatalf("received %d/%d (relay dropped %d)", rx.count(), n, relay.Dropped())
+		t.Fatalf("received %d/%d (relay dropped %d)", rx.count(), n, relay.Counters(faults.Both).Dropped)
 	}
 }
 

@@ -109,8 +109,10 @@ func TestKeepalivePingsKeepIdleConnectionAliveVirtual(t *testing.T) {
 
 func TestSimDeliveryInvariants(t *testing.T) {
 	// The per-stream sequence invariants on the simulated network: on a
-	// loss-free FIFO path delivery is strictly monotonic; on a lossy path
-	// retransmission recovers every message exactly once (no duplicates).
+	// loss-free FIFO path delivery is strictly monotonic and nothing is
+	// retransmitted (exact on the virtual clock; on wall-clock loopback a
+	// late ack lets the sweep fire); on a lossy path retransmission
+	// recovers every message exactly once (no duplicates).
 	cases := []struct {
 		name   string
 		loss   float64
@@ -148,13 +150,20 @@ func TestSimDeliveryInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			var retx int64
 			s.Defer(func() { server.Close() })
-			s.Defer(func() { client.Close() })
+			s.Defer(func() {
+				retx = client.Stats(1).Retx
+				client.Close()
+			})
 			if err := s.Run(3 * time.Second); err != nil {
 				t.Fatal(err)
 			}
 			if err := checker.Err(); err != nil {
 				t.Error(err)
+			}
+			if lossy := tc.loss > 0; lossy != (retx > 0) {
+				t.Errorf("retransmits = %d on a link with loss %v", retx, tc.loss)
 			}
 			if got := checker.Delivered(1); got != n {
 				t.Errorf("delivered %d/%d distinct seqs", got, n)

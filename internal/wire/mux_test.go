@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/faults"
 )
 
 // muxCollector tags received messages with the peer that sent them.
@@ -112,11 +113,7 @@ func TestMuxPerPeerIsolationUnderLoss(t *testing.T) {
 	}
 	defer mux.Close()
 
-	relay, err := NewRelay(mux.LocalAddr().String(), 5, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := lossyRelay(t, mux.LocalAddr().String(), 5, time.Millisecond)
 
 	lossy, err := Dial(relay.Addr(), Config{Streams: clientStreams(), StartBudget: 5e6})
 	if err != nil {
@@ -151,8 +148,8 @@ func TestMuxPerPeerIsolationUnderLoss(t *testing.T) {
 }
 
 // relayClientAddr is the relay's socket address as seen by the mux.
-func relayClientAddr(r *Relay) *net.UDPAddr {
-	addr, _ := r.sock.LocalAddr().(*net.UDPAddr)
+func relayClientAddr(r *faults.Relay) *net.UDPAddr {
+	addr, _ := net.ResolveUDPAddr("udp", r.Addr())
 	return addr
 }
 

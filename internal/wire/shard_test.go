@@ -167,23 +167,6 @@ func TestMuxGroupSingleShardCollapse(t *testing.T) {
 	}
 }
 
-// BenchmarkShardRecvSmoke is the CI smoke for the shard scaling bench:
-// `make bench-smoke` runs it at -benchtime 1x to prove the 2-shard
-// datapath stands up, moves packets, and tears down — the full {1,2,4,8}
-// curve with the acceptance gate lives in `make bench` (marbench wire).
-func BenchmarkShardRecvSmoke(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := RunShardScalingBench([]int{2}, 4000, 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 1 || rows[0].Delivered == 0 {
-			b.Fatalf("2-shard smoke delivered nothing: %+v", rows)
-		}
-		b.ReportMetric(rows[0].PacketsPerSec, "packets/s")
-	}
-}
-
 // Shard assignment must be a pure function of (address, shard count): the
 // same peer always lands on the same shard, every result is a valid shard
 // index — for shard counts that are not powers of two as well — and a

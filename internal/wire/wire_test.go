@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/faults"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -173,12 +174,10 @@ func TestLoopbackDelivery(t *testing.T) {
 			t.Fatal("critical send shed")
 		}
 	}
+	// Zero retransmits is asserted where time is exact: on the lossless
+	// simulated link of TestSimDeliveryInvariants.
 	if !waitFor(t, 3*time.Second, func() bool { return rx.count() >= n }) {
 		t.Fatalf("received %d/%d", rx.count(), n)
-	}
-	st := client.Stats(1)
-	if st.Retx != 0 {
-		t.Errorf("loopback retransmits = %d", st.Retx)
 	}
 }
 
@@ -190,11 +189,7 @@ func TestLossRecoveryThroughLossyRelay(t *testing.T) {
 	}
 	defer server.Close()
 
-	relay, err := NewRelay(server.LocalAddr().String(), 7, 2*time.Millisecond) // drop every 7th
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
+	relay := lossyRelay(t, server.LocalAddr().String(), 7, 2*time.Millisecond)
 
 	client, err := Dial(relay.Addr(), Config{
 		Streams: []StreamSpec{
@@ -214,9 +209,9 @@ func TestLossRecoveryThroughLossyRelay(t *testing.T) {
 		}
 	}
 	if !waitFor(t, 8*time.Second, func() bool { return rx.count() >= n }) {
-		t.Fatalf("received %d/%d through lossy relay (relay dropped %d)", rx.count(), n, relay.Dropped())
+		t.Fatalf("received %d/%d through lossy relay (relay dropped %d)", rx.count(), n, relay.Counters(faults.Both).Dropped)
 	}
-	if relay.Dropped() == 0 {
+	if relay.Counters(faults.Both).Dropped == 0 {
 		t.Error("relay dropped nothing — test is vacuous")
 	}
 	if st := client.Stats(1); st.Retx == 0 {
@@ -410,26 +405,5 @@ func TestServerAcceptsUndeclaredStream(t *testing.T) {
 	}
 	if st := server.Stats(7); st.Received != 10 {
 		t.Errorf("server stats for learned stream = %+v", st)
-	}
-}
-
-func TestRelayCloseIdempotentAndAddr(t *testing.T) {
-	server, err := Listen("127.0.0.1:0", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	relay, err := NewRelay(server.LocalAddr().String(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relay.Addr() == "" {
-		t.Error("empty relay address")
-	}
-	if err := relay.Close(); err != nil {
-		t.Errorf("close: %v", err)
-	}
-	if err := relay.Close(); err != nil {
-		t.Errorf("double close: %v", err)
 	}
 }
