@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci fmt vet build test benchmark-check allocs race sim chaos overload fuzz bench-smoke bench clean
+.PHONY: all ci fmt vet build test benchmark-check allocs race sim chaos overload fuzz bench-smoke bench bench-pair clean
 
 all: ci
 
@@ -38,10 +38,11 @@ benchmark-check:
 
 # The allocation pins, by name and without the race detector (which
 # allocates on its own account): what one offloaded call, one simulated
-# datagram, one link hop, one admission cycle, one received batch and one
-# trace line may cost in heap objects. They also run in `test`; this target
-# is the list, and fails if one of them is renamed away.
-ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestTracePacketLineZeroAlloc|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestRecvLoopAllocRegression
+# datagram, one link hop, one admission cycle, one received batch, one
+# trace line and one keyed Send transmitted on its caller may cost in heap
+# objects. They also run in `test`; this target is the list, and fails if
+# one of them is renamed away.
+ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestTracePacketLineZeroAlloc|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc
 allocs:
 	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
@@ -101,6 +102,30 @@ bench-smoke:
 # baseline, leak no queue entries, and finish under the wall-time ceiling.
 bench:
 	$(GO) run ./cmd/marbench -out . shards adapt multipath obsload city
+
+# The paired run of benchmark/README.md's recipe, parent against this tree:
+# BASE's committed files are exported under the git-ignored .bench_build/,
+# both benchmark binaries are built once, every (workload, seed) pair runs
+# back to back with the side that goes first alternating from one pair to
+# the next, and -compare prints the verdicts (exit 1 on a regression).
+#   make bench-pair BASE=HEAD~1 SEEDS="1 2 3 4 5 777" WORKLOADS="pipelined lockstep"
+BASE ?= HEAD
+SEEDS ?= 1 2 3 4 5 777
+WORKLOADS ?= lockstep pipelined lossy storm simdrive
+PAIR = .bench_build/pair
+bench-pair:
+	rm -rf $(PAIR) && mkdir -p $(PAIR)/base $(PAIR)/old $(PAIR)/new
+	git archive $(BASE) | tar -x -C $(PAIR)/base
+	cd $(PAIR)/base/benchmark && $(GO) build -o ../../old.bin .
+	cd benchmark && $(GO) build -o ../$(PAIR)/new.bin .
+	@n=0; for w in $(WORKLOADS); do for s in $(SEEDS); do \
+		n=$$((n+1)); if [ $$((n%2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \
+		for side in $$order; do \
+			echo "$$w seed $$s: $$side"; \
+			$(PAIR)/$$side.bin -workload $$w -seed $$s -seconds 18 -trace 0 > $(PAIR)/$$side/$$w.$$s.json || exit 1; \
+		done; \
+	done; done
+	$(PAIR)/new.bin -compare '$(PAIR)/old/*.json' '$(PAIR)/new/*.json'
 
 # Short coverage-guided smoke over the wire-format decoders, the policy
 # header codec, the Reed-Solomon reconstructor, the flight-recorder

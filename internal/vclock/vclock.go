@@ -17,6 +17,11 @@
 //     closed flag under its mutex;
 //   - callbacks fire without locks held; re-check state under the mutex
 //     before acting, because a Stop can race a firing callback.
+//
+// The granularity rule (see DESIGN §3g): never arm a timer shorter than
+// Granularity(clock). Work due inside one granule is done now, and the time
+// it ran early is carried forward as debt against the next deadline — a
+// shorter timer would fire up to a whole granule late.
 package vclock
 
 import "time"
@@ -65,6 +70,22 @@ func Rearm(clock Clock, t Timer, d time.Duration, fn func()) Timer {
 	return clock.AfterFunc(d, fn)
 }
 
+// Granular is the optional capability of a Clock whose timers have a
+// floor: Granularity is the shortest delay an AfterFunc can be relied on to
+// time. A clock without it (the simulator's, a test's hand-driven one)
+// times every delay exactly.
+type Granular interface {
+	Granularity() time.Duration
+}
+
+// Granularity returns clock's timer floor, zero when it has none.
+func Granularity(clock Clock) time.Duration {
+	if g, ok := clock.(Granular); ok {
+		return g.Granularity()
+	}
+	return 0
+}
+
 // System is the wall-clock implementation backed by package time.
 var System Clock = systemClock{}
 
@@ -84,6 +105,12 @@ func (systemClock) Since(t time.Time) time.Duration { return time.Since(t) }
 func (systemClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return sysTimer{time.AfterFunc(d, fn)}
 }
+
+// Granularity is one millisecond: a timer on an idle P fires from the
+// netpoller's wake-up, and epoll_wait's timeout is whole milliseconds
+// (runtime/netpoll_epoll.go: delay < 1e6 → waitms = 1), so a 44 µs timer
+// on an otherwise idle process is a 1 ms timer.
+func (systemClock) Granularity() time.Duration { return time.Millisecond }
 
 type sysTimer struct{ t *time.Timer }
 

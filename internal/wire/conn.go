@@ -108,14 +108,14 @@ type Config struct {
 	// default) costs one pointer check per event site. Give it the same
 	// Clock as the connection so its timeline lines up with the protocol.
 	Recorder *obs.FlightRecorder
-	// MaxBurst caps how many queued frames one pace fire may coalesce
-	// into a single batch write when the transport supports batching
-	// (BatchWriter). The default (0 or 1) keeps the legacy one frame per
-	// fire, so existing deployments and the deterministic simulations are
-	// timing-identical. A burst still pays its full serialization time:
-	// nextSend advances by the batch's cumulative budget gap, so the
-	// average rate honors the controller exactly — only the micro-spacing
-	// inside one burst collapses. Values above MaxBatchFrames are
+	// MaxBurst caps how many queued frames one pass of the transmit loop
+	// may coalesce into a single batch write when the transport supports
+	// batching (BatchWriter); the default (0 or 1) writes one frame at a
+	// time. A burst still pays its full serialization time: nextSend
+	// advances by the batch's cumulative budget gap, so the average rate
+	// honors the controller exactly — only the micro-spacing inside one
+	// burst collapses (the same argument lets the pacer send a frame up to
+	// one clock granule early, see drain). Values above MaxBatchFrames are
 	// clamped.
 	MaxBurst int
 }
@@ -136,10 +136,10 @@ type wpending struct {
 	lastSent time.Time
 	retx     int
 	queued   bool
-	// sending marks the window where the pace loop has popped this frame
+	// sending marks the window where the transmit loop has popped this frame
 	// and is writing it outside the lock; orphaned marks a record removed
 	// from the outstanding map during that window, deferring the buffer
-	// release to the pace loop's finalize step.
+	// release to the transmit loop's finalize step.
 	sending  bool
 	orphaned bool
 	// Trace context rides with the pending record so retransmits carry
@@ -240,14 +240,16 @@ const sweepInterval = 50 * time.Millisecond
 
 // Conn is an ARTP endpoint over a datagram transport. Both sides of a
 // connection are symmetric: each may declare sending streams and receive
-// the peer's. All protocol timers (pacing, sweep, keepalive) run as
-// reset-in-place timer chains on the injected clock, so a Conn over a
-// synchronous simulated transport spawns no goroutines at all — and the
-// steady-state pace chain allocates nothing.
+// the peer's. Frames are transmitted by whichever goroutine made them
+// sendable (see drain); the protocol timers (pacing gaps, sweep, keepalive)
+// run as reset-in-place timer chains on the injected clock, so a Conn over
+// a synchronous simulated transport spawns no goroutines at all — and the
+// steady-state send path allocates nothing.
 type Conn struct {
 	pc    PacketConn
 	bw    BatchWriter // pc's batch capability, nil when unsupported
 	clock vclock.Clock
+	grain time.Duration // vclock.Granularity(clock): no pace timer is shorter
 	epoch time.Time
 	cfg   Config
 
@@ -263,12 +265,15 @@ type Conn struct {
 	lastHeard time.Time // last authenticated frame from the peer
 
 	// Timer chains (guarded by mu). Each timer object is created once and
-	// re-armed in place (vclock.Rearm), keeping the hot pace chain
-	// allocation-free; the armed flag tracks whether a fire is pending.
+	// re-armed in place (vclock.Rearm), keeping the chains allocation-free.
 	// nextSend is the earliest instant the next frame may be serialized,
-	// enforcing the budget gap across idle periods.
+	// enforcing the budget gap across idle periods. paceArmed says the
+	// queued frames have a transmitter: a drain that is owed or running, or
+	// the pace timer waiting out a gap. drainOwed tells a critical section's
+	// own unlockAndDrain that it is the caller; false whenever mu is free.
 	paceTimer  vclock.Timer
 	paceArmed  bool
+	drainOwed  bool
 	paceFn     func()
 	nextSend   time.Time
 	sweepTimer vclock.Timer
@@ -276,9 +281,9 @@ type Conn struct {
 	kaTimer    vclock.Timer
 	kaFn       func()
 
-	// sendMu serializes the pace loop's pop→encode→write→finalize cycle
-	// and guards the batch scratch. Lock order: sendMu before mu, never
-	// the reverse.
+	// sendMu serializes the transmit loop's pop→encode→write→finalize
+	// cycle and guards the batch scratch. Lock order: sendMu before mu,
+	// never the reverse.
 	sendMu     sync.Mutex
 	sendPops   []popped
 	sendDgs    []Datagram
@@ -391,6 +396,7 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 	c := &Conn{
 		pc:        pc,
 		clock:     clock,
+		grain:     vclock.Granularity(clock),
 		epoch:     now,
 		cfg:       cfg,
 		peer:      peer,
@@ -611,7 +617,7 @@ func (c *Conn) FailoverCount() int64 {
 // died under them.
 func (c *Conn) requeueFrames(keys []frameKey) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockAndDrain(c.clock.Now())
 	if c.closed {
 		return
 	}
@@ -709,7 +715,15 @@ func (c *Conn) SendTraced(streamID uint16, payload []byte, traceID, spanID uint6
 		return false, fmt.Errorf("%w (%d bytes)", ErrOversize, len(payload))
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	// One clock reading serves a frame that leaves at once: admission, the
+	// pacing decision, lastSent and the SendMicro stamp.
+	now := c.clock.Now()
+	ok, err := c.sendLocked(streamID, payload, traceID, spanID, now)
+	c.unlockAndDrain(now)
+	return ok, err
+}
+
+func (c *Conn) sendLocked(streamID uint16, payload []byte, traceID, spanID uint64, now time.Time) (bool, error) {
 	if c.closed {
 		return false, ErrClosed
 	}
@@ -717,7 +731,6 @@ func (c *Conn) SendTraced(streamID uint16, payload []byte, traceID, spanID uint6
 	if st == nil {
 		return false, fmt.Errorf("wire: unknown stream %d", streamID)
 	}
-	now := c.clock.Now()
 	dt := now.Sub(st.lastFill).Seconds()
 	st.lastFill = now
 	size := len(payload) + HeaderLen
@@ -768,53 +781,93 @@ func (c *Conn) enqueueLocked(st *wstream, seq int64, payload []byte, pbuf *[]byt
 	c.schedulePaceLocked()
 }
 
-// schedulePaceLocked arms the pace timer if frames are queued and no fire
-// is pending. The delay honours nextSend, so the budget gap survives idle
-// periods between enqueues. The timer object is created once and re-armed
-// in place afterwards, keeping the chain allocation-free.
+// schedulePaceLocked gives the frame just queued a transmitter: the one the
+// queue already has (paceArmed), or else the caller, who now owes the drain
+// and pays it in unlockAndDrain. No timer is armed here: whether there is a
+// gap to wait out is the drain's decision.
 func (c *Conn) schedulePaceLocked() {
-	if c.paceArmed || c.closed || c.emptyBandsLocked() {
-		return
+	if !c.paceArmed {
+		c.paceArmed, c.drainOwed = true, true
 	}
-	d := c.nextSend.Sub(c.clock.Now())
-	if d < 0 {
-		d = 0
+}
+
+// unlockAndDrain ends a critical section that may have queued frames: it
+// releases mu and, if the section came to owe the drain, transmits on this
+// goroutine. now is the section's clock reading.
+func (c *Conn) unlockAndDrain(now time.Time) {
+	owed := c.drainOwed
+	c.drainOwed = false
+	c.mu.Unlock()
+	if owed {
+		c.drain(now)
 	}
-	c.paceArmed = true
+}
+
+// paceFire is the pace timer's callback: the gap it was armed for is over.
+func (c *Conn) paceFire() { c.drain(c.clock.Now()) }
+
+// paceDueLocked reports whether the head of the queue may leave at now —
+// nextSend is within one clock granule. The granule of budget sent early
+// is debt nextSend carries forward, so the rate still averages to the
+// budget while no timer is asked to time what the clock cannot (44 µs on
+// the system clock is a 1 ms sleep). When the head is not due this is the
+// one place the pace timer is armed, always for more than a granule.
+func (c *Conn) paceDueLocked(now time.Time) bool {
+	c.paceArmed = !c.closed && !c.emptyBandsLocked()
+	if !c.paceArmed {
+		return false
+	}
+	d := c.nextSend.Sub(now)
+	if d <= c.grain {
+		return true
+	}
 	if c.paceTimer == nil {
 		c.paceTimer = c.clock.AfterFunc(d, c.paceFn)
 	} else {
 		c.paceTimer = vclock.Rearm(c.clock, c.paceTimer, d, c.paceFn)
 	}
+	return false
 }
 
-// paceFire drains up to MaxBurst frames from the highest non-empty bands
-// at the controller budget into one transport write, then re-arms itself
-// if more are queued. With the default MaxBurst of 1 (or a transport
-// without batch support) it serializes exactly one frame per fire — the
-// legacy pacing, timing-identical to every release before batching.
+// drain is the transmit loop: while the head of the queue is due it pops
+// up to MaxBurst frames from the highest non-empty bands into one
+// transport write, on the goroutine that made them sendable — the Send
+// caller, the reader that decoded a NACK, the sweep, or the pace timer
+// after a gap. now is the caller's clock reading; the loop reads the clock
+// again only when it goes round.
 //
-// Lock choreography: sendMu serializes concurrent fires and guards the
-// batch scratch; mu covers the pop/stamp/re-arm and the finalize step,
-// but is released around encode+write so the read path never waits on a
-// system call.
-func (c *Conn) paceFire() {
+// Lock choreography: sendMu guards the batch scratch; mu covers the
+// pop/stamp and the finalize/arm step, but is released around encode+write
+// so the read path never waits on a system call. paceArmed stays set across
+// the write, so whoever queues a frame meanwhile — another goroutine, or a
+// transport that delivers inline and re-enters this Conn — leaves it to
+// this loop, which looks at the queue again before it gives the role up.
+func (c *Conn) drain(now time.Time) {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-
 	c.mu.Lock()
-	c.paceArmed = false
-	if c.closed {
+	for round := 0; c.paceDueLocked(now); round++ {
+		if round > 0 {
+			now = c.clock.Now()
+		}
+		pops, peer := c.popBurstLocked(now)
 		c.mu.Unlock()
-		return
+		sent := c.writePopped(pops, peer)
+		c.mu.Lock()
+		c.finishBurstLocked(pops, sent, peer)
 	}
+	c.mu.Unlock()
+}
+
+// popBurstLocked takes the next burst off the bands, stamps it with now and
+// advances nextSend by its budget gap.
+func (c *Conn) popBurstLocked(now time.Time) ([]popped, *net.UDPAddr) {
 	burst := c.cfg.MaxBurst
 	if c.bw == nil {
 		burst = 1
 	}
 	pops := c.sendPops[:0]
-	nowStamp := uint64(c.now().Microseconds())
-	now := c.clock.Now()
+	nowStamp := uint64(now.Sub(c.epoch).Microseconds())
 	totalWire := 0
 	for len(pops) < burst {
 		var f outFrame
@@ -846,7 +899,7 @@ func (c *Conn) paceFire() {
 		}
 		totalWire += wireLen
 		if r := c.cfg.Recorder; r != nil {
-			// RecordAt reuses the pace fire's clock reading, so the hot
+			// RecordAt reuses the drain's clock reading, so the hot
 			// path pays no extra clock call per frame.
 			if pp != nil && pp.retx > 0 {
 				r.RecordAt(now, obs.EvFrameRetransmit, uint8(pp.retx), f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
@@ -857,26 +910,20 @@ func (c *Conn) paceFire() {
 		pops = append(pops, popped{f: f, pp: pp})
 	}
 	c.sendPops = pops[:0] // keep the (possibly grown) scratch
-	if len(pops) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	peer := c.peer
 	budget := c.ctrl.Budget()
 	if budget < 1 {
 		budget = 1
 	}
 	gap := time.Duration(float64(totalWire*8) / budget * float64(time.Second))
-	c.nextSend = now.Add(gap)
-	if !c.emptyBandsLocked() {
-		c.paceArmed = true
-		c.paceTimer = vclock.Rearm(c.clock, c.paceTimer, gap, c.paceFn)
+	if now.After(c.nextSend) {
+		c.nextSend = now // idle time earns no credit; time sent early stays owed
 	}
-	c.mu.Unlock()
+	c.nextSend = c.nextSend.Add(gap)
+	return pops, c.peer
+}
 
-	sent := c.writePopped(pops, peer)
-
-	c.mu.Lock()
+// finishBurstLocked accounts a written burst and releases what it held.
+func (c *Conn) finishBurstLocked(pops []popped, sent int, peer *net.UDPAddr) {
 	if peer != nil {
 		c.SentFrames += int64(sent)
 		if len(pops) > 1 {
@@ -902,7 +949,6 @@ func (c *Conn) paceFire() {
 		}
 		pops[i] = popped{}
 	}
-	c.mu.Unlock()
 }
 
 // writePopped encodes the popped frames into the per-connection frame
@@ -991,7 +1037,8 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	if c.peer == nil {
 		c.peer = raddr
 	}
-	c.lastHeard = c.clock.Now()
+	now := c.clock.Now()
+	c.lastHeard = now
 	revived := false
 	if c.state == StateDead {
 		c.state = StateActive
@@ -1001,7 +1048,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	case TypeData:
 		c.onDataLocked(hdr, payload)
 	case TypeAck:
-		c.onAckLocked(hdr)
+		c.onAckLocked(hdr, now.Sub(c.epoch))
 	case TypeNack:
 		c.onNackLocked(hdr, payload)
 	case TypePing:
@@ -1010,7 +1057,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	case TypePong:
 		// Liveness is the lastHeard update above; nothing else to do.
 	}
-	c.mu.Unlock()
+	c.unlockAndDrain(now) // retransmissions a loss verdict queued leave from here
 	if revived && c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateActive)
 	}
@@ -1091,27 +1138,26 @@ func (c *Conn) writeNackLocked(stream uint16, missing []int64) {
 // removePendingLocked retires a reliable frame's record from the
 // outstanding map and returns its buffers to the pools — unless a band
 // entry or an in-flight write still references them, in which case the
-// pace loop inherits the release (see pool.go for the full ownership
+// transmit loop inherits the release (see pool.go for the full ownership
 // rules).
 func (c *Conn) removePendingLocked(st *wstream, seq int64, pp *wpending) {
 	delete(st.outstanding, seq)
 	if pp.queued {
 		// A band entry still holds the payload and is now its sole owner;
-		// paceFire releases it after the write when it finds no outstanding
+		// the transmit loop releases it after the write when it finds no outstanding
 		// record. The bookkeeping record itself is done with — recycle it.
 		putPending(pp)
 		return
 	}
 	if pp.sending {
-		pp.orphaned = true // paceFire's finalize step releases both
+		pp.orphaned = true // the transmit loop's finalize step releases both
 		return
 	}
 	putPayloadBuf(pp.pbuf)
 	putPending(pp)
 }
 
-func (c *Conn) onAckLocked(hdr Header) {
-	now := c.now()
+func (c *Conn) onAckLocked(hdr Header, now time.Duration) {
 	rtt := now - time.Duration(hdr.SendMicro)*time.Microsecond
 	if rtt > 0 {
 		c.AckedRTT = rtt
@@ -1224,7 +1270,8 @@ func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending) {
 // nothing stale — nearly all of them — sorts and allocates nothing.
 func (c *Conn) sweepFire() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	now := c.clock.Now()
+	defer c.unlockAndDrain(now)
 	if c.closed {
 		return
 	}
@@ -1235,7 +1282,7 @@ func (c *Conn) sweepFire() {
 	for _, st := range c.streams {
 		lost := c.seqScratch[:0]
 		for seq, pp := range st.outstanding {
-			if !pp.queued && !pp.sending && !pp.lastSent.IsZero() && c.clock.Since(pp.lastSent) >= stale {
+			if !pp.queued && !pp.sending && !pp.lastSent.IsZero() && now.Sub(pp.lastSent) >= stale {
 				lost = append(lost, seq)
 			}
 		}

@@ -52,6 +52,9 @@ func TestRecvBufferPoisonCatchesRetention(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("datagram never delivered")
 	}
+	// The callback signalled from inside the call; Close waits for the
+	// reader, so the poisoning that follows the callback's return is done.
+	pc.Close()
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -9,7 +9,7 @@ import "sync"
 //     (capacity MaxPayload). Ownership follows the frame: a reliable
 //     frame's buffer lives in its wpending until the sequence leaves the
 //     outstanding map; a best-effort frame's buffer is released by the
-//     pace loop right after the datagram is written.
+//     transmit loop right after the datagram is written.
 //   - frame buffers: the full wire image (header + nonce + ciphertext or
 //     plain payload) built immediately before the transport write and
 //     released immediately after — transports never retain them.
