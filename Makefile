@@ -55,9 +55,12 @@ race:
 # matrix, the virtual-clock scenario acceptance runs, the 10-minute
 # time-compressed soak smoke, and the fleet-tier city suite (its own
 # 3-seed x 2-scenario determinism matrix, the 30k-endpoint conservation
-# run, and the per-cell performance-anomaly property), race-checked.
+# run, and the per-cell performance-anomaly property), race-checked; then
+# rpc's closed loop on a fat simulated link, whose server must answer at
+# the rate it is asked and not at its start budget.
 sim:
 	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud' -v ./internal/marsim/
+	$(GO) test -race -run 'TestServerAnswersAtArrivalRate' -v ./internal/rpc/
 
 # The full chaos acceptance storm (skipped under -short), race-checked.
 chaos:
@@ -107,24 +110,28 @@ bench:
 # BASE's committed files are exported under the git-ignored .bench_build/,
 # both benchmark binaries are built once, every (workload, seed) pair runs
 # back to back with the side that goes first alternating from one pair to
-# the next, and -compare prints the verdicts (exit 1 on a regression).
+# the next, and -compare prints the verdicts (exit 1 on a regression). The
+# exported tree is removed when the run ends, however it ends (a second copy
+# of the sources doubles every grep over the checkout); the two binaries and
+# the results stay until the next run or `make clean`.
 #   make bench-pair BASE=HEAD~1 SEEDS="1 2 3 4 5 777" WORKLOADS="pipelined lockstep"
 BASE ?= HEAD
 SEEDS ?= 1 2 3 4 5 777
 WORKLOADS ?= lockstep pipelined lossy storm simdrive
 PAIR = .bench_build/pair
 bench-pair:
-	rm -rf $(PAIR) && mkdir -p $(PAIR)/base $(PAIR)/old $(PAIR)/new
-	git archive $(BASE) | tar -x -C $(PAIR)/base
-	cd $(PAIR)/base/benchmark && $(GO) build -o ../../old.bin .
-	cd benchmark && $(GO) build -o ../$(PAIR)/new.bin .
-	@n=0; for w in $(WORKLOADS); do for s in $(SEEDS); do \
+	@set -e; rm -rf $(PAIR); mkdir -p $(PAIR)/base $(PAIR)/old $(PAIR)/new; \
+	trap 'rm -rf $(PAIR)/base' EXIT; \
+	git archive $(BASE) | tar -x -C $(PAIR)/base; \
+	(cd $(PAIR)/base/benchmark && $(GO) build -o ../../old.bin .); \
+	(cd benchmark && $(GO) build -o ../$(PAIR)/new.bin .); \
+	n=0; for w in $(WORKLOADS); do for s in $(SEEDS); do \
 		n=$$((n+1)); if [ $$((n%2)) -eq 1 ]; then order="old new"; else order="new old"; fi; \
 		for side in $$order; do \
 			echo "$$w seed $$s: $$side"; \
-			$(PAIR)/$$side.bin -workload $$w -seed $$s -seconds 18 -trace 0 > $(PAIR)/$$side/$$w.$$s.json || exit 1; \
+			$(PAIR)/$$side.bin -workload $$w -seed $$s -seconds 18 -trace 0 > $(PAIR)/$$side/$$w.$$s.json; \
 		done; \
-	done; done
+	done; done; \
 	$(PAIR)/new.bin -compare '$(PAIR)/old/*.json' '$(PAIR)/new/*.json'
 
 # Short coverage-guided smoke over the wire-format decoders, the policy
@@ -143,3 +150,4 @@ fuzz:
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(PAIR)

@@ -12,6 +12,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -149,6 +151,7 @@ type provenance struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	Commit     string `json:"commit"`
+	Sources    string `json:"sources,omitempty"` // digest of the tracked *.go files, when the tree is dirty
 }
 
 func writeArtifact(path, name string, res result) error {
@@ -156,13 +159,14 @@ func writeArtifact(path, name string, res result) error {
 	if err != nil {
 		host = "unknown"
 	}
+	rev, sources := commit()
 	data, err := json.MarshalIndent(struct {
 		Provenance provenance `json:"provenance"`
 		Study      string     `json:"study"`
 		Result     result     `json:"result"`
 	}{
 		provenance{Host: host, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-			GoVersion: runtime.Version(), Commit: commit()},
+			GoVersion: runtime.Version(), Commit: rev, Sources: sources},
 		name, res,
 	}, "", "  ")
 	if err != nil {
@@ -173,31 +177,61 @@ func writeArtifact(path, name string, res result) error {
 
 // commit is the revision the binary was built from: stamped by the go
 // tool when it could see the repository, else asked of git, else unknown.
-// Uncommitted changes are marked, since the numbers are theirs too.
-func commit() string {
+// Uncommitted changes are marked, since the numbers are theirs too, and
+// then sources names them: the commit alone is only their parent.
+func commit() (rev, sources string) {
+	dirty := false
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		rev, dirty := "", ""
 		for _, s := range bi.Settings {
-			switch {
-			case s.Key == "vcs.revision":
+			switch s.Key {
+			case "vcs.revision":
 				rev = s.Value
-			case s.Key == "vcs.modified" && s.Value == "true":
-				dirty = "+dirty"
+			case "vcs.modified":
+				dirty = s.Value == "true"
 			}
 		}
-		if rev != "" {
-			return rev + dirty
+	}
+	if rev == "" {
+		out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+		if err != nil {
+			return "unknown", ""
 		}
+		rev = strings.TrimSpace(string(out))
+		st, err := exec.Command("git", "status", "--porcelain").Output()
+		dirty = err == nil && len(st) > 0
 	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if !dirty {
+		return rev, ""
+	}
+	return rev + "+dirty", sourcesDigest()
+}
+
+// sourcesDigest is the first 12 hex digits of what
+//
+//	git ls-files -z '*.go' | xargs -0 sha256sum | sha256sum
+//
+// prints at the root of the repository: one name for the tracked Go sources
+// as they are on disk, so that an artifact made from an uncommitted tree
+// still says which sources produced it. Empty when git or a file is missing.
+func sourcesDigest() string {
+	top, err := exec.Command("git", "rev-parse", "--show-toplevel").Output()
 	if err != nil {
-		return "unknown"
+		return ""
 	}
-	rev := strings.TrimSpace(string(out))
-	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
-		rev += "+dirty"
+	root := strings.TrimSpace(string(top))
+	files, err := exec.Command("git", "-C", root, "ls-files", "-z", "*.go").Output()
+	if err != nil {
+		return ""
 	}
-	return rev
+	all := sha256.New()
+	for _, name := range strings.Split(strings.TrimRight(string(files), "\x00"), "\x00") {
+		data, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			return ""
+		}
+		fmt.Fprintf(all, "%x  %s\n", sha256.Sum256(data), name)
+	}
+	return hex.EncodeToString(all.Sum(nil))[:12]
 }
 
 // writeCSVs exports the time-series figures (3 and 4) as CSV for external

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,6 +38,7 @@ func TestOutWritesStampedArtifacts(t *testing.T) {
 		var doc struct {
 			Provenance struct {
 				Commit    string `json:"commit"`
+				Sources   string `json:"sources"`
 				GoVersion string `json:"go_version"`
 				NumCPU    int    `json:"num_cpu"`
 			} `json:"provenance"`
@@ -49,12 +51,32 @@ func TestOutWritesStampedArtifacts(t *testing.T) {
 		if p := doc.Provenance; p.Commit == "" || p.GoVersion == "" || p.NumCPU < 1 {
 			t.Errorf("BENCH_%s.json: provenance %+v incomplete", name, p)
 		}
+		if p := doc.Provenance; strings.HasSuffix(p.Commit, "+dirty") != (p.Sources != "") {
+			t.Errorf("BENCH_%s.json: commit %q with sources %q: a dirty tree, and only a dirty tree, names its sources", name, p.Commit, p.Sources)
+		}
 		if len(doc.Result) == 0 {
 			t.Errorf("BENCH_%s.json: empty result", name)
 		}
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 5 {
 		t.Errorf("%d files under -out, want the 5 artifacts", len(files))
+	}
+}
+
+// The sources stamp is the documented shell pipeline's, so anyone can check
+// an artifact against a checkout without this program.
+func TestSourcesDigestMatchesPipeline(t *testing.T) {
+	got := sourcesDigest()
+	if got == "" {
+		t.Skip("not in a git checkout")
+	}
+	out, err := exec.Command("sh", "-c",
+		`cd "$(git rev-parse --show-toplevel)" && git ls-files -z '*.go' | xargs -0 sha256sum | sha256sum`).Output()
+	if err != nil {
+		t.Skip("no shell pipeline to compare with:", err)
+	}
+	if want := string(out[:12]); got != want {
+		t.Fatalf("sourcesDigest() = %s, the pipeline prints %s", got, want)
 	}
 }
 

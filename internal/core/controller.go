@@ -14,6 +14,17 @@ import (
 // "a sudden rise of delay or jitter should be treated as a congestion
 // indication, with immediate reaction" — and (b) loss of packets from
 // non-discardable streams.
+//
+// Rate discovery: additive growth at Gain is a ramp sized for radio links of
+// a few Mb/s, so a budget that starts far below what the path carries would
+// take minutes to find it. ObservePeerRate tells the controller the rate the
+// peer was measured sending at — by Section IV-D's asymmetry (MAR uploads
+// over links whose downlink is at least their uplink) a rate the reverse
+// path is already known to carry — and while the budget is below it the
+// calm-and-queue-free proportional growth below is in force, up to that
+// rate and never past the budget the last decrease cut from (see
+// probeTarget). A controller that was never told a peer rate, or whose
+// budget already exceeds it, behaves exactly as one without the method.
 type Controller struct {
 	// Budget bounds in bits/s.
 	MinBudget float64
@@ -33,7 +44,8 @@ type Controller struct {
 	// calm, queue-free periods so the budget can re-track links whose
 	// capacity swings by orders of magnitude (D2D mobility). Off by
 	// default: on near-saturated steady links it trades some stability for
-	// agility.
+	// agility. (Bounded by an observed peer rate the same growth applies
+	// without this switch: see ObservePeerRate.)
 	RecoveryGrowth bool
 
 	budget       float64
@@ -43,6 +55,8 @@ type Controller struct {
 	jitter       time.Duration
 	lastDecrease time.Duration
 	lastIncrease time.Duration
+	peerRate     float64 // last ObservePeerRate reading, bits/s (0 = none)
+	cutFrom      float64 // budget in force at the most recent decrease (0 = none)
 
 	// Trace, when set, records the budget after every change.
 	Trace *trace.Series
@@ -54,6 +68,13 @@ type Controller struct {
 
 	onChange func()
 }
+
+// BaseRTTFloor is the shortest interval the controller treats as one round
+// trip — for the decrease guard and for growth per RTT — however small the
+// measured base RTT. An endpoint measuring its peer's sending rate for
+// ObservePeerRate averages over at least this long, so one reading spans
+// what the controller calls an RTT.
+const BaseRTTFloor = 10 * time.Millisecond
 
 // NewController returns a controller starting at startBudget bits/s.
 func NewController(startBudget float64) *Controller {
@@ -78,6 +99,27 @@ func (c *Controller) BaseRTT() time.Duration { return c.baseRTT }
 
 // Jitter reports the mean absolute RTT deviation.
 func (c *Controller) Jitter() time.Duration { return c.jitter }
+
+// ObservePeerRate records the rate, in bits/s, at which the peer was last
+// measured sending to this endpoint. It changes no budget by itself: OnAck
+// probes toward it while the path stays calm and queue-free.
+func (c *Controller) ObservePeerRate(bps float64) { c.peerRate = bps }
+
+// PeerRate reports the last ObservePeerRate reading (0 before the first).
+func (c *Controller) PeerRate() float64 { return c.peerRate }
+
+// probeTarget is where proportional growth toward the peer's rate stops: the
+// observed rate, capped by the budget the most recent decrease cut from.
+// The cap is what keeps a downlink narrower than the uplink safe — there the
+// smoothed RTT lags 25 %/RTT growth, so an uncapped probe overshoots the
+// link again after every cut (TestProbeDoesNotBloatSlowDownlink has the
+// rows); past the cap only the additive step explores.
+func (c *Controller) probeTarget() float64 {
+	if c.cutFrom > 0 && c.cutFrom < c.peerRate {
+		return c.cutFrom
+	}
+	return c.peerRate
+}
 
 // SetOnChange installs the callback invoked after every budget change (the
 // sender uses it to re-run priority allocation).
@@ -138,14 +180,18 @@ func (c *Controller) OnAck(now time.Duration, rtt time.Duration) {
 	// re-track links whose capacity swings by orders of magnitude (D2D
 	// mobility, cellular fades). Near saturation the delay hovers around
 	// the trigger and growth stays additive, keeping the equilibrium calm.
-	base := c.baseRTT
-	if base < 10*time.Millisecond {
-		base = 10 * time.Millisecond
-	}
+	// The same law closes the distance to the peer's observed rate, whether
+	// or not RecoveryGrowth is set, and then stops exactly at probeTarget.
+	base := max(c.baseRTT, BaseRTTFloor)
 	calm := c.lastDecrease == 0 || now-c.lastDecrease > 8*base
 	headroom := c.srtt <= c.baseRTT+c.trigger()/4
-	if c.RecoveryGrowth && calm && headroom {
-		if prop := c.budget * 0.25 * dt / base.Seconds(); prop > inc {
+	room := c.probeTarget() - c.budget
+	if (c.RecoveryGrowth || room > 0) && calm && headroom {
+		prop := c.budget * 0.25 * dt / base.Seconds()
+		if !c.RecoveryGrowth && prop > room {
+			prop = room
+		}
+		if prop > inc {
 			inc = prop
 		}
 	}
@@ -189,15 +235,12 @@ func (c *Controller) trigger() time.Duration {
 // queue-free path RTT — using the inflated smoothed RTT here would slow the
 // reaction exactly when the queue is deepest).
 func (c *Controller) decrease(now time.Duration) {
-	guard := c.baseRTT
-	if guard < 10*time.Millisecond {
-		guard = 10 * time.Millisecond
-	}
-	if c.lastDecrease != 0 && now-c.lastDecrease < guard {
+	if c.lastDecrease != 0 && now-c.lastDecrease < max(c.baseRTT, BaseRTTFloor) {
 		return
 	}
 	c.lastDecrease = now
 	c.lastIncrease = now
+	c.cutFrom = c.budget
 	// Severity-proportional cut: a delay just past the trigger gets a
 	// gentle trim (x0.95); delay at twice the trigger or worse gets the
 	// full Beta cut. Mild standing queues — the steady state when many

@@ -323,6 +323,11 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 	if so.idleTimeout > 0 {
 		muxOpts = append(muxOpts, wire.WithIdleTimeout(so.idleTimeout))
 	}
+	// StartBudget is only where a conn's budget starts: its controller
+	// probes from there toward the rate the client's requests are observed
+	// arriving at (core.Controller, "Rate discovery"), so a server answers as
+	// fast as it is asked instead of at a number typed here. Rate is inert
+	// for a non-discardable stream.
 	configFor := func(*net.UDPAddr) wire.Config {
 		return wire.Config{
 			Streams: []wire.StreamSpec{
@@ -462,7 +467,7 @@ func (s *Server) onMessage(m wire.Message) {
 		// estimated one-way trip is charged before anchoring. A request
 		// that spent its whole budget in flight is dead on arrival.
 		d := time.Duration(budget)*time.Microsecond - conn.SRTT()/2
-		it.Deadline = s.clock.Now().Add(d)
+		it.Deadline = call.arrived.Add(d)
 	}
 	if v := s.gate.Admit(it); v != overload.Admit {
 		s.refuse(it, v, true)

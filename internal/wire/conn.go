@@ -293,6 +293,13 @@ type Conn struct {
 	// the receive path, the loss candidates of an ack or a sweep.
 	seqScratch []int64
 
+	// The peer's sending rate, measured on arrivals (guarded by mu): wire
+	// bits of new data frames since arrStart. The first arrival at least
+	// core.BaseRTTFloor later closes the window and hands bits ÷ elapsed to
+	// the controller — no timer, only the event stream.
+	arrStart time.Time
+	arrBits  int
+
 	// Mux mode: datagrams arrive via the mux's shared transport (through
 	// recvCh and a pump goroutine on asynchronous transports, direct
 	// dispatch on synchronous ones), writes go through the shared
@@ -1046,7 +1053,20 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	}
 	switch hdr.Type {
 	case TypeData:
-		c.onDataLocked(hdr, payload)
+		// Ack everything immediately, echoing the send timestamp — with mu
+		// released around the write, as drain does for data: the system
+		// call is most of a frame's cost and Send and the drain wait on mu.
+		// The ack still leaves before any NACK and before OnMessage.
+		peer := c.peer
+		c.mu.Unlock()
+		ack := Header{Type: TypeAck, Stream: hdr.Stream, Seq: hdr.Seq, SendMicro: hdr.SendMicro}
+		c.writeFrame(ack, nil, peer) //nolint:errcheck // best-effort ack
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return
+		}
+		c.onDataLocked(hdr, payload, len(dgram), now)
 	case TypeAck:
 		c.onAckLocked(hdr, now.Sub(c.epoch))
 	case TypeNack:
@@ -1063,21 +1083,14 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	}
 }
 
-func (c *Conn) onDataLocked(hdr Header, payload []byte) {
-	// Ack everything immediately, echoing the send timestamp.
-	ack := Header{
-		Type:      TypeAck,
-		Stream:    hdr.Stream,
-		Seq:       hdr.Seq,
-		SendMicro: hdr.SendMicro,
-	}
-	c.writeFrame(ack, nil, c.peer) //nolint:errcheck // best-effort ack
-
+// onDataLocked files one data frame that has been acknowledged already;
+// wireLen is its size on the wire and now the reader's clock reading.
+func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Time) {
 	st := c.streamLocked(hdr.Stream)
 	if st == nil {
 		// The peer sends on a stream we did not declare: accept with
 		// default state so one-directional setups work.
-		st = newStream(StreamSpec{ID: hdr.Stream, Class: core.Class(hdr.Class), Priority: core.Priority(hdr.Prio)}, c.clock.Now())
+		st = newStream(StreamSpec{ID: hdr.Stream, Class: core.Class(hdr.Class), Priority: core.Priority(hdr.Prio)}, now)
 		c.addStreamLocked(st)
 	}
 	expected := st.recv.Next()
@@ -1086,6 +1099,7 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte) {
 		return
 	}
 	st.recvd++
+	c.observeArrivalLocked(wireLen, now)
 
 	// Gap-driven NACK for reliable classes: the holes this frame jumped
 	// over, as far back as the window still reaches.
@@ -1113,6 +1127,20 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte) {
 		c.mu.Unlock()
 		c.cfg.OnMessage(msg)
 		c.mu.Lock()
+	}
+}
+
+// observeArrivalLocked accounts one new (not duplicate) data frame toward
+// the peer's sending rate and, when the window is old enough, closes it.
+func (c *Conn) observeArrivalLocked(wireLen int, now time.Time) {
+	if c.arrStart.IsZero() {
+		c.arrStart = now // the first frame opens the window and is not in it
+		return
+	}
+	c.arrBits += wireLen * 8
+	if el := now.Sub(c.arrStart); el >= core.BaseRTTFloor {
+		c.ctrl.ObservePeerRate(float64(c.arrBits) / el.Seconds())
+		c.arrStart, c.arrBits = now, 0
 	}
 }
 

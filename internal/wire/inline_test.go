@@ -20,17 +20,31 @@ func (grainClock) Granularity() time.Duration { return time.Millisecond }
 // the conn — that the writer did not hold the conn's state lock.
 type stampPC struct {
 	stubPC
-	clk  *manualClock
-	conn *Conn
-	at   []time.Time
-	held int // data frames written with conn.mu held
+	clk      *manualClock
+	conn     *Conn
+	at       []time.Time
+	held     int    // data frames written with conn.mu held
+	acks     int    // acks written
+	heldAcks int    // of them, with conn.mu held
+	onAck    func() // runs inside the write of every ack
 }
 
 func (p *stampPC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
-	if h, _, err := DecodeFrame(b); err == nil && h.Type == TypeData && p.conn != nil {
-		if p.conn.mu.TryLock() {
+	if h, _, err := DecodeFrame(b); err == nil && (h.Type == TypeData || h.Type == TypeAck) && p.conn != nil {
+		free := p.conn.mu.TryLock()
+		if free {
 			p.conn.mu.Unlock()
-		} else {
+		}
+		switch {
+		case h.Type == TypeAck:
+			p.acks++
+			if !free {
+				p.heldAcks++
+			}
+			if p.onAck != nil {
+				p.onAck()
+			}
+		case !free:
 			p.held++
 		}
 	}
@@ -238,6 +252,89 @@ func TestRetransmitDrainsAfterUnlock(t *testing.T) {
 	}
 	if pc.held != 0 {
 		t.Fatalf("%d data frames were written with conn.mu held", pc.held)
+	}
+}
+
+func dataFrame(seq int64, payload []byte) []byte {
+	frame, err := AppendFrame(nil, Header{Type: TypeData, Stream: 1, Class: uint8(core.ClassCritical), Seq: seq}, payload)
+	if err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+// TestAckWrittenWithMuFree: the receive path writes its ack with conn.mu
+// released, like the drain its data — so a Send does not wait out the
+// reader's system call — and still before the frame is delivered. A conn
+// closed while the ack was on its way delivers nothing afterwards. The
+// second half is the race detector's view of the window the unlock opens:
+// senders and the reader at once.
+func TestAckWrittenWithMuFree(t *testing.T) {
+	clk := newManualClock()
+	pc := &stampPC{clk: clk}
+	var order []string
+	c, err := DialVia(pc, stubPeer, Config{
+		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9}},
+		StartBudget: 1e9,
+		Clock:       clk,
+		OnMessage:   func(Message) { order = append(order, "deliver") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pc.conn = c
+	pc.onAck = func() { order = append(order, "ack") }
+	const frames = 50
+	for i := int64(0); i < frames; i++ {
+		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer)
+		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer) // a duplicate is acked too
+		clk.advance(100 * time.Microsecond)
+	}
+	if pc.acks != 2*frames || pc.heldAcks != 0 {
+		t.Fatalf("%d acks for %d frames, %d of them written with conn.mu held; want %d and 0", pc.acks, 2*frames, pc.heldAcks, 2*frames)
+	}
+	if len(order) != 3*frames || order[0] != "ack" || order[1] != "deliver" || order[2] != "ack" {
+		t.Fatalf("%d events starting %v, want ack, deliver, ack (the duplicate's) per frame", len(order), order[:min(len(order), 3)])
+	}
+
+	pc.onAck = func() { c.Close() } // from inside the write: mu must be free for it
+	delivered := len(order)
+	c.handleDatagram(dataFrame(frames, []byte("late")), stubPeer)
+	if c.State() != StateClosed || len(order) != delivered {
+		t.Fatalf("state %v, %d deliveries after the close; want closed and none", c.State(), len(order)-delivered)
+	}
+
+	// Acks now leave concurrently with the drain's data frames, so this half
+	// runs over the plain stubPC, which locks its own counters.
+	c2, err := DialVia(&stubPC{}, stubPeer, Config{
+		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9}},
+		StartBudget: 1e9,
+		Clock:       clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	var wg sync.WaitGroup
+	for s := 0; s < 3; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if ok, err := c2.Send(1, []byte("concurrent")); err != nil || !ok {
+					t.Error("send refused", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < 200; i++ {
+		c2.handleDatagram(dataFrame(i, []byte("request")), stubPeer)
+	}
+	wg.Wait()
+	if got := c2.Stats(1).Received; got != 200 {
+		t.Fatalf("received %d of 200 frames", got)
 	}
 }
 

@@ -140,9 +140,73 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 	}
 }
 
+// TestArrivalRateFeedsController: what the controller is told about the
+// peer is the wire bits of new data frames over the time they took to
+// arrive, read off the arrivals themselves — a window closes on the first
+// arrival at least core.BaseRTTFloor after it opened, never on a timer, and
+// a duplicate is not traffic the peer's application offered.
+func TestArrivalRateFeedsController(t *testing.T) {
+	clk := newManualClock()
+	c, err := ListenVia(&stubPC{}, Config{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(seq int64) []byte {
+		f, err := AppendFrame(nil, Header{Type: TypeData, Stream: 7, Class: uint8(core.ClassLossRecovery), Seq: seq}, make([]byte, 600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	peerRate := func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.ctrl.PeerRate()
+	}
+	mark := len(clk.arms)
+	seq, wireBits := int64(0), float64(len(frame(0))*8)
+	for _, tc := range []struct {
+		frames int
+		every  time.Duration
+	}{{101, time.Millisecond}, {41, 3 * time.Millisecond}, {400, 50 * time.Microsecond}} {
+		for i := 0; i < tc.frames; i++ {
+			if i > 0 {
+				clk.advance(tc.every)
+			}
+			c.handleDatagram(frame(seq), stubPeer)
+			c.handleDatagram(frame(seq), stubPeer) // every frame twice: the copy must not count
+			seq++
+		}
+		want := wireBits / tc.every.Seconds()
+		if got := peerRate(); got < want*0.99 || got > want*1.01 {
+			t.Fatalf("%d frames of %.0f bits, one every %v: observed %.0f b/s, want %.0f within 1 %%", tc.frames, wireBits, tc.every, got, want)
+		}
+	}
+	if got := c.Stats(7); got.Received != seq || got.Duplicates != seq {
+		t.Fatalf("received %d, duplicates %d, want %d of each", got.Received, got.Duplicates, seq)
+	}
+
+	// Silence closes nothing: the reading stands until the next arrival, which
+	// then averages over the silence.
+	before := peerRate()
+	clk.advance(time.Second)
+	if got := peerRate(); got != before {
+		t.Fatalf("the reading moved from %.0f to %.0f with no arrival", before, got)
+	}
+	c.handleDatagram(frame(seq), stubPeer)
+	if got := peerRate(); got <= 0 || got > before/50 {
+		t.Fatalf("one frame after a second of silence: observed %.0f b/s, want the open window averaged over the second (was %.0f)", got, before)
+	}
+	if arms := paceArms(clk, mark); len(arms) != 0 {
+		t.Fatalf("measuring arrivals armed timers %v, want none", arms)
+	}
+}
+
 // The per-packet bookkeeping off the protocol's critical path stays free
 // of allocations: finding a known peer's connection, sharing the budget
-// out after an ack, and a retransmit sweep with nothing to retransmit.
+// out after an ack, a retransmit sweep with nothing to retransmit, and the
+// arrival accounting that measures the peer's rate.
 func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")
@@ -198,5 +262,18 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 	if got := c.Stats(3).Retx; got != 0 {
 		t.Errorf("sweep retransmitted %d fresh frames", got)
+	}
+
+	at := c.clock.Now()
+	if allocs := testing.AllocsPerRun(200, func() {
+		at = at.Add(3 * time.Millisecond) // every fourth arrival closes a window
+		c.mu.Lock()
+		c.observeArrivalLocked(700, at)
+		c.mu.Unlock()
+	}); allocs != 0 {
+		t.Errorf("observeArrivalLocked: %.2f allocs/op, want 0", allocs)
+	}
+	if got, want := c.ctrl.PeerRate(), 700*8/0.003; got < want*0.99 || got > want*1.01 {
+		t.Errorf("observed peer rate %.0f b/s, want %.0f", got, want)
 	}
 }
