@@ -60,7 +60,7 @@ race:
 # the rate it is asked and not at its start budget.
 sim:
 	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud' -v ./internal/marsim/
-	$(GO) test -race -run 'TestServerAnswersAtArrivalRate' -v ./internal/rpc/
+	$(GO) test -race -run 'TestServerAnswersAtArrivalRate|TestCallIsTwoDatagrams' -v ./internal/rpc/
 
 # The full chaos acceptance storm (skipped under -short), race-checked.
 chaos:

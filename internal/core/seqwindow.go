@@ -62,6 +62,11 @@ func (w *SeqWindow) Mark(seq int64) bool {
 	return true
 }
 
+// Has reports whether seq is inside the window and marked received.
+func (w *SeqWindow) Has(seq int64) bool {
+	return seq < w.next && seq >= w.Floor() && w.slots[seq&int64(len(w.slots)-1)]&seqReceived != 0
+}
+
 // Nackable reports whether seq is a hole that may still be NACKed: inside
 // the window, not received, NACKed fewer than twice.
 func (w *SeqWindow) Nackable(seq int64) bool {

@@ -167,7 +167,10 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // Offer submits an item for admission. It returns false when the item's
 // tier queue is at capacity (or the queues are closed); the item is
 // stamped and queued otherwise.
-func (a *Admission) Offer(it *Item) bool {
+func (a *Admission) Offer(it *Item) bool { return a.offer(it, a.cfg.Clock()) }
+
+// offer is Offer at the caller's clock reading.
+func (a *Admission) offer(it *Item, now time.Time) bool {
 	tier := it.Tier
 	if tier < 0 {
 		tier = 0
@@ -183,7 +186,7 @@ func (a *Admission) Offer(it *Item) bool {
 		a.tailDrop[tier]++
 		return false
 	}
-	it.Enqueued = a.cfg.Clock()
+	it.Enqueued = now
 	if it.Degrade == 0 {
 		it.Degrade = TierFull
 	}
@@ -199,35 +202,34 @@ func (a *Admission) Offer(it *Item) bool {
 // item a rejection answer, so sheds surface to clients immediately instead
 // of as silence.
 func (a *Admission) Pop() (it *Item, shed []*Item, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if it := a.popLocked(); it != nil {
-			now := a.cfg.Clock()
-			shed = a.codelLocked(it, now)
-			a.dispatched[it.Tier]++
-			a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
-			return it, shed, true
-		}
-		if a.closed {
-			return nil, nil, false
-		}
-		a.cond.Wait()
-	}
+	it, shed, _, ok = a.pop(true)
+	return it, shed, ok
 }
 
 // TryPop is Pop without blocking; ok is false when no work is queued.
 func (a *Admission) TryPop() (it *Item, shed []*Item, ok bool) {
+	it, shed, _, ok = a.pop(false)
+	return it, shed, ok
+}
+
+// pop is Pop (wait) or TryPop, and hands back the clock reading the pop was
+// judged at.
+func (a *Admission) pop(wait bool) (it *Item, shed []*Item, now time.Time, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if it := a.popLocked(); it != nil {
-		now := a.cfg.Clock()
-		shed = a.codelLocked(it, now)
-		a.dispatched[it.Tier]++
-		a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
-		return it, shed, true
+	for {
+		if it := a.popLocked(); it != nil {
+			now = a.cfg.Clock()
+			shed = a.codelLocked(it, now)
+			a.dispatched[it.Tier]++
+			a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
+			return it, shed, now, true
+		}
+		if a.closed || !wait {
+			return nil, nil, now, false
+		}
+		a.cond.Wait()
 	}
-	return nil, nil, false
 }
 
 func (a *Admission) popLocked() *Item {

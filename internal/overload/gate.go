@@ -199,7 +199,7 @@ func (g *Gate) Admit(it *Item) Verdict {
 			}
 		}
 	}
-	if !g.adm.Offer(it) {
+	if !g.adm.offer(it, now) {
 		g.recordVerdict(RejectQueueFull, it)
 		return RejectQueueFull
 	}
@@ -214,30 +214,18 @@ func (g *Gate) Admit(it *Item) Verdict {
 // in the queue, items whose budget no longer fits). ok=false after Close;
 // rejected may be non-empty even then. The returned item's Degrade field
 // carries the ladder's response tier.
-func (g *Gate) Next() (run *Item, rejected []Rejection, ok bool) {
-	for {
-		it, shed, popOK := g.adm.Pop()
-		for _, s := range shed {
-			g.recordVerdict(RejectShed, s)
-			rejected = append(rejected, Rejection{Item: s, Verdict: RejectShed})
-		}
-		if !popOK {
-			return nil, rejected, false
-		}
-		if run, rejected = g.vet(it, rejected); run != nil {
-			return run, rejected, true
-		}
-	}
-}
+func (g *Gate) Next() (run *Item, rejected []Rejection, ok bool) { return g.next(true) }
 
 // TryNext is Next without blocking: ok is false when no work is queued
 // right now (rejections decided along the way may still be returned).
 // Event-driven servers — the deterministic simulation dispatch mode in
 // particular — pump the gate with TryNext from completion callbacks
 // instead of parking worker goroutines in Next.
-func (g *Gate) TryNext() (run *Item, rejected []Rejection, ok bool) {
+func (g *Gate) TryNext() (run *Item, rejected []Rejection, ok bool) { return g.next(false) }
+
+func (g *Gate) next(wait bool) (run *Item, rejected []Rejection, ok bool) {
 	for {
-		it, shed, popOK := g.adm.TryPop()
+		it, shed, now, popOK := g.adm.pop(wait)
 		for _, s := range shed {
 			g.recordVerdict(RejectShed, s)
 			rejected = append(rejected, Rejection{Item: s, Verdict: RejectShed})
@@ -245,17 +233,16 @@ func (g *Gate) TryNext() (run *Item, rejected []Rejection, ok bool) {
 		if !popOK {
 			return nil, rejected, false
 		}
-		if run, rejected = g.vet(it, rejected); run != nil {
+		if run, rejected = g.vet(it, rejected, now); run != nil {
 			return run, rejected, true
 		}
 	}
 }
 
 // vet applies the dispatch-time checks (expired-in-queue,
-// cannot-finish, ladder) to a popped item. It returns the item ready to
-// run, or nil with the rejection appended.
-func (g *Gate) vet(it *Item, rejected []Rejection) (*Item, []Rejection) {
-	now := g.clock()
+// cannot-finish, ladder) to an item popped at now. It returns the item
+// ready to run, or nil with the rejection appended.
+func (g *Gate) vet(it *Item, rejected []Rejection, now time.Time) (*Item, []Rejection) {
 	if !it.Deadline.IsZero() {
 		remaining := it.Deadline.Sub(now)
 		if remaining <= 0 {

@@ -159,8 +159,11 @@ type wstream struct {
 	maxAcked    int64
 
 	// recv is the receive side: which of the last recvWindow sequences
-	// arrived and which holes were NACKed.
-	recv core.SeqWindow
+	// arrived and which holes were NACKed. runStart is where the run of
+	// consecutively received sequences ending at recv.Next()-1 began (or
+	// later): a gap resets it, a hole filled just below it moves it back.
+	recv     core.SeqWindow
+	runStart int64
 
 	// Stats
 	sent  int64
@@ -238,6 +241,11 @@ func newStream(spec StreamSpec, now time.Time) *wstream {
 // sweepInterval is the retransmit sweep period (tail-loss probe cadence).
 const sweepInterval = 50 * time.Millisecond
 
+const (
+	maxAckDelay = 25 * time.Millisecond // cap on an ack's wait for a ride, whatever SRTT says
+	rejoinLimit = 64                    // how far back a filled hole re-joins the newest run
+)
+
 // Conn is an ARTP endpoint over a datagram transport. Both sides of a
 // connection are symmetric: each may declare sending streams and receive
 // the peer's. Frames are transmitted by whichever goroutine made them
@@ -281,13 +289,28 @@ type Conn struct {
 	kaTimer    vclock.Timer
 	kaFn       func()
 
+	// Acknowledgements owed to the peer (guarded by mu; header.go,
+	// "Acknowledgements"): the ranges, the send stamp and arrival time of
+	// the newest data frame among them (the echo, and what the hold is
+	// measured from), and when the oldest was filed. ackTimer sends them
+	// as a pure ack if nothing rode in time; ackArmed says it is pending.
+	owed      [MaxAckRanges]AckRange
+	owedN     int
+	owedEcho  uint64
+	owedAt    time.Time
+	owedSince time.Time
+	ackTimer  vclock.Timer
+	ackArmed  bool
+	ackFn     func()
+
 	// sendMu serializes the transmit loop's pop→encode→write→finalize
 	// cycle and guards the batch scratch. Lock order: sendMu before mu,
 	// never the reverse.
 	sendMu     sync.Mutex
 	sendPops   []popped
 	sendDgs    []Datagram
-	sendFrames []*[]byte // per-slot frame buffers, grown to MaxBurst once
+	sendFrames []*[]byte            // per-slot frame buffers, grown to MaxBurst once
+	sendAcks   [maxAckBlockLen]byte // the block riding the burst being written
 
 	// seqScratch backs the sequence lists built under mu: the gap list on
 	// the receive path, the loss candidates of an ack or a sweep.
@@ -311,13 +334,15 @@ type Conn struct {
 	wg sync.WaitGroup
 
 	// Stats (guarded by mu).
-	SentFrames   int64
-	BatchWrites  int64 // transport writes that carried more than one frame
-	BatchFrames  int64 // frames sent inside multi-frame writes
-	AckedRTT     time.Duration
-	AuthFailures int64
-	LostFrames   int64 // transmissions declared lost (gap, nack or sweep)
-	Failovers    int64 // frames re-enqueued off a dead path by the path manager
+	SentFrames      int64
+	AcksSent        int64 // pure-ack datagrams written
+	AcksPiggybacked int64 // acknowledgement blocks that rode a data frame
+	BatchWrites     int64 // transport writes that carried more than one frame
+	BatchFrames     int64 // frames sent inside multi-frame writes
+	AckedRTT        time.Duration
+	AuthFailures    int64
+	LostFrames      int64 // transmissions declared lost (gap, nack or sweep)
+	Failovers       int64 // frames re-enqueued off a dead path by the path manager
 
 	// Smoothed per-transmission loss rate: every delivery confirmation
 	// contributes a 0 sample, every loss declaration a 1. This is the
@@ -423,6 +448,7 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 	c.paceFn = c.paceFire
 	c.sweepFn = c.sweepFire
 	c.kaFn = c.keepaliveFire
+	c.ackFn = c.ackFire
 	burst := cfg.MaxBurst
 	c.sendPops = make([]popped, 0, burst)
 	c.sendDgs = make([]Datagram, 0, burst)
@@ -653,13 +679,13 @@ func (c *Conn) Close() error {
 	c.closed = true
 	c.state = StateClosed
 	close(c.done)
-	for _, t := range []vclock.Timer{c.paceTimer, c.sweepTimer, c.kaTimer} {
+	for _, t := range []vclock.Timer{c.paceTimer, c.sweepTimer, c.kaTimer, c.ackTimer} {
 		if t != nil {
 			t.Stop()
 		}
 	}
-	c.paceTimer, c.sweepTimer, c.kaTimer = nil, nil, nil
-	c.paceArmed = false
+	c.paceTimer, c.sweepTimer, c.kaTimer, c.ackTimer = nil, nil, nil, nil
+	c.paceArmed, c.ackArmed = false, false
 	c.mu.Unlock()
 	if c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateClosed)
@@ -890,6 +916,11 @@ func (c *Conn) popBurstLocked(now time.Time) ([]popped, *net.UDPAddr) {
 			break
 		}
 		f.hdr.SendMicro = nowStamp
+		if c.owedN > 0 {
+			// Everything owed rides on the first frame of the burst.
+			f.hdr.Acks = c.takeAcksLocked(c.sendAcks[:0], now)
+			c.AcksPiggybacked++
+		}
 		var pp *wpending
 		if st := c.streamLocked(f.hdr.Stream); st != nil {
 			if p, ok := st.outstanding[f.hdr.Seq]; ok {
@@ -1051,26 +1082,20 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 		c.state = StateActive
 		revived = true
 	}
+	if len(hdr.Acks) > 0 {
+		c.onAcksLocked(hdr.Acks, now) // whatever the frame's type
+	}
 	switch hdr.Type {
 	case TypeData:
-		// Ack everything immediately, echoing the send timestamp — with mu
-		// released around the write, as drain does for data: the system
-		// call is most of a frame's cost and Send and the drain wait on mu.
-		// The ack still leaves before any NACK and before OnMessage.
-		peer := c.peer
-		c.mu.Unlock()
-		ack := Header{Type: TypeAck, Stream: hdr.Stream, Seq: hdr.Seq, SendMicro: hdr.SendMicro}
-		c.writeFrame(ack, nil, peer) //nolint:errcheck // best-effort ack
-		c.mu.Lock()
-		if c.closed {
+		c.onDataLocked(hdr, payload, len(dgram), now)
+		if c.closed { // while mu was released around an ack write or OnMessage
 			c.mu.Unlock()
 			return
 		}
-		c.onDataLocked(hdr, payload, len(dgram), now)
 	case TypeAck:
-		c.onAckLocked(hdr, now.Sub(c.epoch))
+		// A header and a block, which is processed already.
 	case TypeNack:
-		c.onNackLocked(hdr, payload)
+		c.onNackLocked(hdr, payload, now)
 	case TypePing:
 		pong := Header{Type: TypePong, SendMicro: hdr.SendMicro}
 		c.writeFrame(pong, nil, c.peer) //nolint:errcheck // best-effort heartbeat
@@ -1083,8 +1108,10 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	}
 }
 
-// onDataLocked files one data frame that has been acknowledged already;
-// wireLen is its size on the wire and now the reader's clock reading.
+// onDataLocked files one data frame: its acknowledgement is owed, and sent
+// at once in the cases that cannot wait (with mu released around the write —
+// the conn may be closed on return); a new frame is then delivered. wireLen
+// is its size on the wire and now the reader's clock reading.
 func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Time) {
 	st := c.streamLocked(hdr.Stream)
 	if st == nil {
@@ -1094,7 +1121,37 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		c.addStreamLocked(st)
 	}
 	expected := st.recv.Next()
-	if !st.recv.Mark(hdr.Seq) {
+	fresh := st.recv.Mark(hdr.Seq)
+	// The acknowledgement names the frame alone, or the whole run when the
+	// frame is part of it.
+	ack := AckRange{Stream: hdr.Stream, First: hdr.Seq, Run: 1}
+	switch {
+	case !fresh: // a duplicate moves no run
+	case hdr.Seq > expected:
+		st.runStart = hdr.Seq // a gap: a new run starts here
+	case hdr.Seq == st.runStart-1:
+		// The hole below the run is filled: the run reaches back through it,
+		// as far as is cheap to look (every ack since named what lies beyond).
+		for n := 0; n < rejoinLimit && st.recv.Has(st.runStart-1); n++ {
+			st.runStart--
+		}
+	}
+	if first := max(st.runStart, st.recv.Floor()); hdr.Seq >= first {
+		ack.First, ack.Run = first, uint16(st.recv.Next()-first)
+	}
+	c.oweAckLocked(ack, hdr.SendMicro, now)
+	switch {
+	case !fresh || hdr.Seq != expected || c.ctrl.SRTT() == 0 || c.owedN == MaxAckRanges:
+		// A duplicate, an arrival out of order (the peer's loss detection
+		// is waiting on it), a peer we cannot time a delay for, or no room
+		// to owe more. The ack leaves before any NACK and before OnMessage.
+		if c.flushAcksLocked(now); c.closed {
+			return
+		}
+	case !c.ackArmed:
+		c.armAckLocked(c.ackDelayLocked())
+	}
+	if !fresh {
 		st.dups++
 		return
 	}
@@ -1128,6 +1185,85 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		c.cfg.OnMessage(msg)
 		c.mu.Lock()
 	}
+}
+
+// oweAckLocked files one acknowledgement. A range that overlaps or abuts one
+// already owed on its stream — an in-order arrival's run and the one its
+// predecessor filed — is merged into it.
+func (c *Conn) oweAckLocked(r AckRange, sendMicro uint64, now time.Time) {
+	c.owedEcho, c.owedAt = sendMicro, now
+	if c.owedN == 0 {
+		c.owedSince = now
+	}
+	end := r.First + int64(r.Run)
+	for i := range c.owed[:c.owedN] {
+		if o := &c.owed[i]; o.Stream == r.Stream && r.First <= o.First+int64(o.Run) && o.First <= end {
+			end = max(end, o.First+int64(o.Run))
+			o.First = min(o.First, r.First)
+			o.Run = uint16(min(end-o.First, 1<<16-1))
+			return
+		}
+	}
+	c.owed[c.owedN] = r
+	c.owedN++
+}
+
+// takeAcksLocked encodes everything owed into dst as the block of a frame
+// leaving at now, and owes nothing any more.
+func (c *Conn) takeAcksLocked(dst []byte, now time.Time) AckBlock {
+	b := AppendAckBlock(dst, c.owedEcho, now.Sub(c.owedAt), c.owed[:c.owedN])
+	c.owedN = 0
+	return b
+}
+
+// flushAcksLocked sends everything owed as one pure ack, with mu released
+// around the write as drain does for data: the system call is most of a
+// frame's cost and Send and the drain wait on mu. Owed acks always leave
+// together, so none overtakes an earlier one.
+func (c *Conn) flushAcksLocked(now time.Time) {
+	var block [maxAckBlockLen]byte
+	ack := Header{Type: TypeAck, Acks: c.takeAcksLocked(block[:0], now)}
+	peer := c.peer
+	c.AcksSent++
+	c.mu.Unlock()
+	c.writeFrame(ack, nil, peer) //nolint:errcheck // best-effort ack
+	c.mu.Lock()
+}
+
+// ackDelayLocked is how long an acknowledgement may wait for a ride: a
+// quarter of the round trip, so the peer's estimate of when it should have
+// heard moves by little, but no less than the clock can time.
+func (c *Conn) ackDelayLocked() time.Duration {
+	return min(max(c.ctrl.SRTT()/4, c.grain), maxAckDelay)
+}
+
+// armAckLocked arms the ack timer, when something is owed and it is not
+// pending; a ride that empties the list lets it fire on nothing (no Stop).
+func (c *Conn) armAckLocked(d time.Duration) {
+	c.ackArmed = true
+	if c.ackTimer == nil {
+		c.ackTimer = c.clock.AfterFunc(d, c.ackFn)
+	} else {
+		c.ackTimer = vclock.Rearm(c.clock, c.ackTimer, d, c.ackFn)
+	}
+}
+
+// ackFire is the ack timer's callback: what is owed and old enough leaves as
+// a pure ack; what was filed after a ride emptied the list waits out the
+// rest of its own delay.
+func (c *Conn) ackFire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ackArmed = false
+	if c.closed || c.owedN == 0 {
+		return
+	}
+	now := c.clock.Now()
+	if wait := c.ackDelayLocked() - now.Sub(c.owedSince); wait > 0 {
+		c.armAckLocked(max(wait, c.grain))
+		return
+	}
+	c.flushAcksLocked(now)
 }
 
 // observeArrivalLocked accounts one new (not duplicate) data frame toward
@@ -1185,34 +1321,49 @@ func (c *Conn) removePendingLocked(st *wstream, seq int64, pp *wpending) {
 	putPending(pp)
 }
 
-func (c *Conn) onAckLocked(hdr Header, now time.Duration) {
-	rtt := now - time.Duration(hdr.SendMicro)*time.Microsecond
+// onAcksLocked processes the acknowledgement block of an arriving frame: one
+// RTT sample — the hold subtracted, so a held ack does not read as a slow
+// path — and, per stream named, one pass over what is outstanding that
+// retires what a range covers and declares lost what has fallen more than
+// the reorder slack behind the newest acknowledged sequence, in sequence
+// order so nothing depends on map iteration.
+func (c *Conn) onAcksLocked(b AckBlock, now time.Time) {
+	at := now.Sub(c.epoch)
+	rtt := at - time.Duration(b.Echo())*time.Microsecond - b.Hold()
 	if rtt > 0 {
 		c.AckedRTT = rtt
-		c.ctrl.OnAck(now, rtt)
+		c.ctrl.OnAck(at, rtt)
 	}
-	st := c.streamLocked(hdr.Stream)
-	if st == nil {
-		return
-	}
-	if pp, ok := st.outstanding[hdr.Seq]; ok {
-		c.lossSampleLocked(0)
-		c.cfg.Recorder.Record(obs.EvFrameAck, 0, hdr.Stream, uint32(hdr.Seq), uint64(rtt.Microseconds()))
-		c.removePendingLocked(st, hdr.Seq, pp)
-	}
-	if hdr.Seq > st.maxAcked {
-		st.maxAcked = hdr.Seq
-	}
-	// Collect loss candidates first and process them in sequence order so
-	// retransmission order is independent of map iteration.
 	const reorderSlack = 3
-	lost := c.seqScratch[:0]
-	for seq, pp := range st.outstanding {
-		if seq < st.maxAcked-reorderSlack && c.lossEligibleLocked(pp) {
-			lost = append(lost, seq)
+	for i, n := 0, b.Len(); i < n; i++ {
+		r := b.Range(i)
+		st := c.streamLocked(r.Stream)
+		if st == nil {
+			continue
+		}
+		st.maxAcked = max(st.maxAcked, r.First+int64(r.Run)-1)
+		if i+1 < n && b.Range(i+1).Stream == r.Stream {
+			continue // the pass runs once per stream, after its last range
+		}
+		seqs := c.seqScratch[:0]
+		for seq, pp := range st.outstanding {
+			if b.Covers(r.Stream, seq) || seq < st.maxAcked-reorderSlack && c.lossEligibleLocked(pp, now) {
+				seqs = append(seqs, seq)
+			}
+		}
+		c.seqScratch = seqs[:0]
+		slices.Sort(seqs)
+		for _, seq := range seqs {
+			pp := st.outstanding[seq]
+			if !b.Covers(r.Stream, seq) {
+				c.onLostLocked(st, seq, pp)
+				continue
+			}
+			c.lossSampleLocked(0)
+			c.cfg.Recorder.RecordAt(now, obs.EvFrameAck, 0, r.Stream, uint32(seq), uint64(rtt.Microseconds()))
+			c.removePendingLocked(st, seq, pp)
 		}
 	}
-	c.loseLocked(st, lost)
 }
 
 // loseLocked declares the listed outstanding sequences of st lost, in
@@ -1227,7 +1378,7 @@ func (c *Conn) loseLocked(st *wstream, seqs []int64) {
 	}
 }
 
-func (c *Conn) onNackLocked(hdr Header, payload []byte) {
+func (c *Conn) onNackLocked(hdr Header, payload []byte, now time.Time) {
 	missing, err := DecodeNackPayload(payload)
 	if err != nil {
 		return
@@ -1237,21 +1388,17 @@ func (c *Conn) onNackLocked(hdr Header, payload []byte) {
 		return
 	}
 	for _, seq := range missing {
-		if pp, ok := st.outstanding[seq]; ok && c.lossEligibleLocked(pp) {
+		if pp, ok := st.outstanding[seq]; ok && c.lossEligibleLocked(pp, now) {
 			c.onLostLocked(st, seq, pp)
 		}
 	}
 }
 
-func (c *Conn) lossEligibleLocked(pp *wpending) bool {
+func (c *Conn) lossEligibleLocked(pp *wpending, now time.Time) bool {
 	if pp.queued || pp.sending || pp.lastSent.IsZero() {
 		return false
 	}
-	guard := c.ctrl.SRTT()
-	if guard < 5*time.Millisecond {
-		guard = 5 * time.Millisecond
-	}
-	return c.clock.Since(pp.lastSent) >= guard
+	return now.Sub(pp.lastSent) >= max(c.ctrl.SRTT(), 5*time.Millisecond)
 }
 
 // lossEWMAGain smooths the per-transmission loss indicator; 1/16 rides
@@ -1353,6 +1500,14 @@ func (c *Conn) BatchStats() (writes, frames int64) {
 	return c.BatchWrites, c.BatchFrames
 }
 
+// AckStats reports how acknowledgements left: pure-ack datagrams written, and
+// blocks that rode a data frame instead.
+func (c *Conn) AckStats() (sent, piggybacked int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.AcksSent, c.AcksPiggybacked
+}
+
 // streamSeqs snapshots every sending stream's next sequence number, for
 // session resumption.
 func (c *Conn) streamSeqs() map[uint16]int64 {
@@ -1404,6 +1559,14 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.SentFrames
+	}, labels...)
+	reg.CounterFunc("mar_wire_acks_sent_total", func() int64 {
+		sent, _ := c.AckStats()
+		return sent
+	}, labels...)
+	reg.CounterFunc("mar_wire_acks_piggybacked_total", func() int64 {
+		_, piggybacked := c.AckStats()
+		return piggybacked
 	}, labels...)
 	reg.CounterFunc("mar_wire_auth_failures_total", c.AuthFailureCount, labels...)
 	reg.CounterFunc("mar_wire_batch_writes_total", func() int64 {

@@ -107,10 +107,8 @@ func (s *sealer) appendSealedFrame(dst []byte, h Header, payload []byte) ([]byte
 	if sealedLen > MaxPayload {
 		return dst, fmt.Errorf("%w: %d bytes sealed", ErrOversize, sealedLen)
 	}
-	switch h.Type {
-	case TypeData, TypeAck, TypeNack, TypePing, TypePong:
-	default:
-		return dst, fmt.Errorf("%w: %d", ErrBadType, h.Type)
+	if err := checkHeader(h); err != nil {
+		return dst, err
 	}
 	hlen := headerLen(h)
 	base := len(dst)
@@ -129,8 +127,8 @@ func (s *sealer) appendSealedFrame(dst []byte, h Header, payload []byte) ([]byte
 // field (which describes the sealed length and is therefore written
 // after sealing); the length is excluded from authentication. Both the
 // legacy and the traced layouts keep the payload length as the last two
-// header bytes, so stripping them works for every version — and on v3
-// frames the trace ids are authenticated along with the rest.
+// header bytes, so stripping them works for every version — and the trace
+// ids and the acknowledgement block are authenticated along with the rest.
 func headerAAD(h Header) []byte {
 	frame, err := AppendFrame(nil, h, nil)
 	if err != nil {
@@ -140,11 +138,12 @@ func headerAAD(h Header) []byte {
 }
 
 // aadPool recycles the scratch buffers openInPlace renders associated
-// data into. The AAD is at most HeaderLenTraced bytes, but passing a
-// stack array through the cipher.AEAD interface forces it to escape, so
-// a pooled buffer is what keeps the recv leg at zero allocations.
+// data into. The AAD is at most a traced header with a full
+// acknowledgement block, but passing a stack array through the cipher.AEAD
+// interface forces it to escape, so a pooled buffer is what keeps the recv
+// leg at zero allocations.
 var aadPool = sync.Pool{New: func() any {
-	b := make([]byte, HeaderLenTraced)
+	b := make([]byte, HeaderLenTraced+maxAckBlockLen)
 	return &b
 }}
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // FuzzHeaderDecode throws arbitrary bytes at the frame decoder. Invariants:
@@ -48,6 +49,26 @@ func FuzzHeaderDecode(f *testing.F) {
 		frame, _ := AppendFrame(nil, Header{Type: TypeAck, TraceID: 1, SpanID: 2}, nil)
 		return frame[:HeaderLen+4]
 	}())
+	// Acknowledgement blocks: one range and eight, traced and not, as a pure
+	// ack and riding data; a count of zero; a block cut short.
+	for _, n := range []int{1, MaxAckRanges} {
+		for _, h := range []Header{
+			{Type: TypeAck},
+			{Type: TypeData, Stream: 7, Seq: 42, SendMicro: 123456},
+			{Type: TypeData, Stream: 7, Seq: 42, TraceID: 0xDEADBEEFCAFEF00D, SpanID: 1},
+		} {
+			h.Acks = AppendAckBlock(nil, 987654321, 2500*time.Microsecond, testRanges(n))
+			frame, err := AppendFrame(nil, h, []byte("acked"))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
+			f.Add(frame[:len(frame)-len("acked")-9])
+			zero := append([]byte(nil), frame...)
+			zero[headerLen(h)-2-len(h.Acks)] = 0
+			f.Add(zero)
+		}
+	}
 	// Batch-boundary shapes: the batched I/O path hands the decoder frames
 	// cut from mmsg ring buffers, so seed the exact edges — a frame filling
 	// MaxPayload to the byte, two frames packed back-to-back (a decoder
@@ -88,7 +109,7 @@ func FuzzHeaderDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		if h2 != h || !bytes.Equal(payload2, payload) {
+		if !sameHeader(h2, h) || !bytes.Equal(payload2, payload) {
 			t.Fatalf("round trip changed the frame:\n %+v %q\n-> %+v %q", h, payload, h2, payload2)
 		}
 	})

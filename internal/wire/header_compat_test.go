@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
+	"time"
 
 	"marnet/internal/core"
 )
@@ -35,7 +37,7 @@ func TestDecodeLegacyVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v%d decode: %v", version, err)
 		}
-		if h != want {
+		if !sameHeader(h, want) {
 			t.Fatalf("v%d header = %+v, want %+v", version, h, want)
 		}
 		if h.TraceID != 0 || h.SpanID != 0 {
@@ -64,6 +66,168 @@ func TestUntracedEncodesAsV1(t *testing.T) {
 	}
 }
 
+// TestFrameWithoutAcksEncodesAsBefore: the acknowledgement block is an
+// extension a frame without one does not pay for — a traced frame is still
+// the 42-byte v3 layout, byte for byte (the untraced case is the test above).
+func TestFrameWithoutAcksEncodesAsBefore(t *testing.T) {
+	h := Header{Type: TypeData, Stream: 16, Class: 2, Prio: 1, Seq: 1000, SendMicro: 42, TraceID: 0xABCDEF, SpanID: 0x123456}
+	payload := []byte("req")
+	frame, err := AppendFrame(nil, h, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeLegacy(VersionTraced, h, nil)[:HeaderLen-2]
+	want = binary.LittleEndian.AppendUint64(want, h.TraceID)
+	want = binary.LittleEndian.AppendUint64(want, h.SpanID)
+	want = binary.LittleEndian.AppendUint16(want, uint16(len(payload)))
+	want = append(want, payload...)
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("traced frame without a block differs from v3:\n got %x\nwant %x", frame, want)
+	}
+}
+
+func testRanges(n int) []AckRange {
+	out := make([]AckRange, n)
+	for i := range out {
+		out[i] = AckRange{Stream: uint16(3 + i), First: int64(1000*i - 1), Run: uint16(1 + 255*i)}
+	}
+	return out
+}
+
+// TestAckBlockRoundTrip: one range and eight, on traced and untraced frames,
+// on a data frame and as a pure ack: the version byte says 1 | traced·2 |
+// acks·4, the header grows by 13 + 12n bytes, the payload length stays the
+// last two header bytes and everything comes back as it went in.
+func TestAckBlockRoundTrip(t *testing.T) {
+	for _, n := range []int{1, MaxAckRanges} {
+		for _, traced := range []bool{false, true} {
+			for _, typ := range []uint8{TypeData, TypeAck} {
+				ranges := testRanges(n)
+				h := Header{Type: typ, Stream: 9, Class: 1, Prio: 2, Seq: 77, SendMicro: 5555,
+					Acks: AppendAckBlock(nil, 123456789, 2500*time.Microsecond, ranges)}
+				wantVer, wantLen := uint8(Version|versionAcksBit), HeaderLen+13+12*n
+				if traced {
+					h.TraceID, h.SpanID = 0xDEADBEEF, 0xF00D
+					wantVer, wantLen = wantVer|versionTracedBit, wantLen+16
+				}
+				var payload []byte
+				if typ == TypeData {
+					payload = []byte("hello")
+				}
+				frame, err := AppendFrame(nil, h, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if frame[2] != wantVer || len(frame) != wantLen+len(payload) {
+					t.Fatalf("n=%d traced=%v: version %d and %d bytes, want %d and %d", n, traced, frame[2], len(frame), wantVer, wantLen+len(payload))
+				}
+				if got := binary.LittleEndian.Uint16(frame[wantLen-2:]); int(got) != len(payload) {
+					t.Fatalf("n=%d traced=%v: last two header bytes say %d, want the payload length %d", n, traced, got, len(payload))
+				}
+				got, gotPayload, err := DecodeFrame(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.PayloadLen = uint16(len(payload))
+				if !sameHeader(got, h) || !bytes.Equal(gotPayload, payload) {
+					t.Fatalf("n=%d traced=%v: round trip %+v %q, want %+v %q", n, traced, got, gotPayload, h, payload)
+				}
+				if got.Acks.Len() != n || got.Acks.Echo() != 123456789 || got.Acks.Hold() != 2500*time.Microsecond {
+					t.Fatalf("block = %d ranges, echo %d, hold %v", got.Acks.Len(), got.Acks.Echo(), got.Acks.Hold())
+				}
+				for i, want := range ranges {
+					if r := got.Acks.Range(i); r != want {
+						t.Fatalf("range %d = %+v, want %+v", i, r, want)
+					}
+					if !got.Acks.Covers(want.Stream, want.First) || !got.Acks.Covers(want.Stream, want.First+int64(want.Run)-1) ||
+						got.Acks.Covers(want.Stream, want.First-1) || got.Acks.Covers(want.Stream, want.First+int64(want.Run)) || got.Acks.Covers(99, want.First) {
+						t.Fatalf("Covers disagrees with range %+v", want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAckBlockDecodeRejects: a count of zero, a count above eight and a block
+// that runs past the datagram are malformed, and no encoder emits them.
+func TestAckBlockDecodeRejects(t *testing.T) {
+	h := Header{Type: TypeData, Seq: 1, Acks: AppendAckBlock(nil, 1, 0, testRanges(3))}
+	frame, err := AppendFrame(nil, h, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []byte{0, MaxAckRanges + 1, 255} {
+		bad := append([]byte(nil), frame...)
+		bad[HeaderLen-2] = count
+		if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrBadAcks) {
+			t.Errorf("count %d: %v, want ErrBadAcks", count, err)
+		}
+	}
+	for cut := HeaderLen - 2; cut < headerLen(h); cut++ {
+		if _, _, err := DecodeFrame(frame[:cut]); err == nil {
+			t.Errorf("frame cut inside its block at byte %d decoded", cut)
+		}
+	}
+	grown := append([]byte(nil), frame...)
+	grown[HeaderLen-2] = MaxAckRanges // declares more ranges than the datagram holds
+	if _, _, err := DecodeFrame(grown); err == nil {
+		t.Error("block running past the datagram decoded")
+	}
+	for _, acks := range []AckBlock{{0}, h.Acks[:len(h.Acks)-1], append(AckBlock{MaxAckRanges + 1}, make([]byte, 12+12*(MaxAckRanges+1))...)} {
+		if _, err := AppendFrame(nil, Header{Type: TypeAck, Acks: acks}, nil); !errors.Is(err, ErrBadAcks) {
+			t.Errorf("AppendFrame took a malformed %d-byte block: %v", len(acks), err)
+		}
+	}
+}
+
+// TestAckBlockIsAuthenticated: the block travels in the clear (PathSet reads
+// it) but inside the AEAD's associated data — flipping any bit of it makes
+// the frame undecodable or fails authentication, on both open paths.
+func TestAckBlockIsAuthenticated(t *testing.T) {
+	s, err := newSealer(benchKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, traced := range []bool{false, true} {
+		h := Header{Type: TypeData, Stream: 16, Seq: 5, Acks: AppendAckBlock(nil, 99, time.Millisecond, testRanges(2))}
+		if traced {
+			h.TraceID, h.SpanID = 111, 222
+		}
+		frame, err := s.appendSealedFrame(nil, h, []byte("secret"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := func(frame []byte) error {
+			got, sealed, err := DecodeFrame(frame)
+			if err != nil {
+				return err
+			}
+			if _, err := s.open(got, sealed); err != nil {
+				return err
+			}
+			plain, err := s.openInPlace(got, sealed)
+			if err == nil && string(plain) != "secret" {
+				t.Fatalf("opened %q", plain)
+			}
+			return err
+		}
+		if err := open(append([]byte(nil), frame...)); err != nil {
+			t.Fatalf("untouched frame: %v", err)
+		}
+		start := headerLen(h) - 2 - len(h.Acks)
+		for i := start; i < start+len(h.Acks); i++ {
+			for bit := 0; bit < 8; bit++ {
+				bad := append([]byte(nil), frame...)
+				bad[i] ^= 1 << bit
+				if open(bad) == nil {
+					t.Fatalf("traced=%v: flipping bit %d of block byte %d went unnoticed", traced, bit, i-start)
+				}
+			}
+		}
+	}
+}
+
 // TestTracedRoundTrip: trace context survives encode/decode and flips the
 // version byte to 3 with the 42-byte layout.
 func TestTracedRoundTrip(t *testing.T) {
@@ -86,7 +250,7 @@ func TestTracedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PayloadLen = 3
-	if got != h || string(payload) != "req" {
+	if !sameHeader(got, h) || string(payload) != "req" {
 		t.Fatalf("round trip: got %+v %q, want %+v", got, payload, h)
 	}
 }

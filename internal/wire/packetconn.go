@@ -33,7 +33,7 @@ type PacketConn interface {
 }
 
 // recvBufLen sizes each receive buffer. The largest conforming ARTP frame
-// is maxFrameLen (1242) bytes; 2048 leaves room to *observe* an oversized
+// is maxFrameLen (1351) bytes; 2048 leaves room to *observe* an oversized
 // datagram (and reject it in DecodeFrame) instead of silently truncating
 // it into something that might parse.
 const recvBufLen = 2048

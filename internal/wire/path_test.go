@@ -225,11 +225,14 @@ func TestPathFECUnrepairedAccounting(t *testing.T) {
 // --- hub: a deterministic in-memory multi-endpoint network -----------------
 
 // hub connects named endpoints; writes deliver synchronously to the
-// destination's recv callback. drop() installs directional loss.
+// destination's recv callback — or, given a clock, delay later on it.
+// drop() installs directional loss.
 type hub struct {
-	mu   sync.Mutex
-	eps  map[string]*hubEP
-	drop func(src, dst *net.UDPAddr, pkt []byte) bool
+	mu    sync.Mutex
+	eps   map[string]*hubEP
+	drop  func(src, dst *net.UDPAddr, pkt []byte) bool
+	clk   *manualClock
+	delay time.Duration
 }
 
 type hubEP struct {
@@ -261,6 +264,10 @@ func (e *hubEP) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 		return len(b), nil
 	}
 	cp := append([]byte(nil), b...)
+	if e.h.clk != nil {
+		e.h.clk.AfterFunc(e.h.delay, func() { dst.recv(cp, e.addr) })
+		return len(b), nil
+	}
 	dst.recv(cp, e.addr)
 	return len(b), nil
 }
@@ -465,6 +472,67 @@ func TestPathSetInteractivePinningAndStriping(t *testing.T) {
 	}
 	if counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("bulk frames did not stripe: %v", counts)
+	}
+}
+
+// TestPathSetAttributesPiggybackedAcks: in a request/response exchange no
+// acknowledgement travels alone — the response carries the request's — so
+// the path set credits what any frame's block acknowledges, not only pure
+// acks: after 200 exchanges striped over two paths nothing is left in flight
+// and both paths have a delivery rate.
+func TestPathSetAttributesPiggybackedAcks(t *testing.T) {
+	clock := newManualClock()
+	h := newHub()
+	h.clk, h.delay = clock, time.Millisecond
+	wifi, lte := h.endpoint(1), h.endpoint(2)
+	serverEP := h.endpoint(100)
+	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
+	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 1e9}}
+	var srv *Conn
+	srv, err := ListenVia(router, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
+		OnMessage: func(m Message) { mustSend(t, srv, 2, []byte("response")) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ps, err := NewPathSet(
+		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
+		PathSetConfig{Session: 41, Clock: clock, Peer: serverEP.addr, ProbeInterval: 25 * time.Millisecond, Stripe: true},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	responses := 0
+	cli, err := DialVia(ps, serverEP.addr, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
+		OnMessage: func(Message) { responses++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	stepClock(clock, 25*time.Millisecond) // let probes register the paths
+
+	const exchanges = 200
+	for i := 0; i < exchanges; i++ {
+		mustSend(t, cli, 2, bytes.Repeat([]byte{byte(i)}, 64))
+		stepClock(clock, 4*time.Millisecond)
+	}
+	stepClock(clock, 50*time.Millisecond) // the last response's ack leaves on the timer
+	if responses != exchanges || cli.Stats(2).Retx != 0 || srv.Stats(2).Retx != 0 {
+		t.Fatalf("%d of %d responses, %d + %d retransmissions", responses, exchanges, cli.Stats(2).Retx, srv.Stats(2).Retx)
+	}
+	if srv.AcksPiggybacked < exchanges-2 || srv.AcksSent > 2 {
+		t.Fatalf("server: %d blocks rode responses and %d pure acks left, want nearly all %d riding", srv.AcksPiggybacked, srv.AcksSent, exchanges)
+	}
+	ps.mu.Lock()
+	inflight := len(ps.inflight)
+	ps.mu.Unlock()
+	if inflight != 0 {
+		t.Errorf("%d frames still in flight in the path set: riding acks were not attributed", inflight)
+	}
+	for _, p := range ps.Stats().Paths {
+		if p.DeliveryRate <= 0 || p.SentFrames < exchanges/4 {
+			t.Errorf("path %s: delivery rate %.0f B/s over %d frames sent, want both paths carrying and credited", p.Name, p.DeliveryRate, p.SentFrames)
+		}
 	}
 }
 

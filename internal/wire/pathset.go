@@ -750,8 +750,8 @@ func (ps *PathSet) onProbeAck(pathIdx int, probe PathProbe) {
 	}
 }
 
-// onPathData strips the encapsulation, attributes any inner ACK back to
-// the path that carried the acked frame, feeds the FEC reassembler, and
+// onPathData strips the encapsulation, attributes what the inner frame
+// acknowledges back to the paths that carried it, feeds the FEC reassembler, and
 // delivers the inner frame (plus anything the parity just repaired).
 func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net.UDPAddr) {
 	var recovered [][]byte
@@ -760,13 +760,8 @@ func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net
 		ps.mu.Unlock()
 		return
 	}
-	if ih, _, err := DecodeFrame(inner); err == nil && ih.Type == TypeAck {
-		if e, ok := ps.inflight[frameKey{ih.Stream, ih.Seq}]; ok {
-			delete(ps.inflight, frameKey{ih.Stream, ih.Seq})
-			if e.path < len(ps.paths) {
-				ps.paths[e.path].ackedBytes += int64(e.bytes)
-			}
-		}
+	if ih, _, err := DecodeFrame(inner); err == nil {
+		ps.creditAcksLocked(ih.Acks)
 	}
 	recovered = ps.rx.onData(group, index, inner)
 	recv, closed := ps.recv, ps.closed
@@ -777,6 +772,35 @@ func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net
 	recv(inner, from)
 	for _, frame := range recovered {
 		recv(frame, from)
+	}
+}
+
+// creditAcksLocked attributes what a frame of any type acknowledges to the
+// paths that carried it. A range names a run as long as the peer's receive
+// window, nearly all of it credited long ago, so each range walks whichever
+// is shorter: its sequences or the frames in flight.
+func (ps *PathSet) creditAcksLocked(b AckBlock) {
+	credit := func(k frameKey, e inflightEntry) {
+		delete(ps.inflight, k)
+		if e.path < len(ps.paths) {
+			ps.paths[e.path].ackedBytes += int64(e.bytes)
+		}
+	}
+	for i, n := 0, b.Len(); i < n; i++ {
+		r := b.Range(i)
+		if len(ps.inflight) < int(r.Run) {
+			for k, e := range ps.inflight {
+				if b.Covers(k.stream, k.seq) {
+					credit(k, e)
+				}
+			}
+			return // Covers looked at every range
+		}
+		for k := (frameKey{r.Stream, r.First}); k.seq < r.First+int64(r.Run); k.seq++ {
+			if e, ok := ps.inflight[k]; ok {
+				credit(k, e)
+			}
+		}
 	}
 }
 

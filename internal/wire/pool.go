@@ -19,9 +19,9 @@ import "sync"
 // All pools store pointers so Get/Put themselves do not allocate; see
 // DESIGN.md §3g for the ownership rules in full.
 
-// maxFrameLen is the largest possible wire frame: a traced header plus a
-// full payload.
-const maxFrameLen = HeaderLenTraced + MaxPayload
+// maxFrameLen is the largest possible wire frame: a traced header, a full
+// acknowledgement block and a full payload.
+const maxFrameLen = HeaderLenTraced + maxAckBlockLen + MaxPayload
 
 var payloadPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, MaxPayload)

@@ -205,8 +205,9 @@ func TestArrivalRateFeedsController(t *testing.T) {
 
 // The per-packet bookkeeping off the protocol's critical path stays free
 // of allocations: finding a known peer's connection, sharing the budget
-// out after an ack, a retransmit sweep with nothing to retransmit, and the
-// arrival accounting that measures the peer's rate.
+// out after an ack, a retransmit sweep with nothing to retransmit, the
+// arrival accounting that measures the peer's rate, and an acknowledgement
+// from owed to retired, riding or alone.
 func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")
@@ -275,5 +276,71 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 	if got, want := c.ctrl.PeerRate(), 700*8/0.003; got < want*0.99 || got > want*1.01 {
 		t.Errorf("observed peer rate %.0f b/s, want %.0f", got, want)
+	}
+
+	// An acknowledgement's whole life on a keyed conn that may hold acks: a
+	// request arrives and its ack is owed (the timer is re-armed in place),
+	// the response takes the block along, and the block that comes back
+	// retires the response from the outstanding map.
+	clk := newManualClock()
+	seal, err := newSealer(benchKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *Conn {
+		c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: clk, Key: benchKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	var in, block []byte
+	arrive := func(c *Conn, h Header, payload []byte) {
+		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.handleDatagram(in, stubPeer)
+	}
+	rr := dial()
+	clk.advance(20 * time.Millisecond)
+	request, seq := make([]byte, 600), int64(0)
+	exchange := func() {
+		arrive(rr, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request)
+		if ok, err := rr.Send(1, request[:64]); err != nil || !ok {
+			t.Fatal("send refused", err)
+		}
+		echo := uint64(clk.Now().Sub(rr.epoch).Microseconds()) - 10_000
+		block = AppendAckBlock(block[:0], echo, 0, []AckRange{{Stream: 1, First: 0, Run: uint16(min(seq+1, recvWindow))}})
+		arrive(rr, Header{Type: TypeAck, Acks: block}, nil)
+		seq++
+		clk.advance(20 * time.Microsecond)
+	}
+	for i := 0; i < 64; i++ {
+		exchange()
+	}
+	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+		t.Errorf("owe, ride, retire: %.2f allocs/op, want 0", allocs)
+	}
+	if sent, rode := rr.AckStats(); sent != 1 || rode != seq-1 || outstandingFrames(rr, 1) != 0 {
+		t.Errorf("%d pure acks and %d ridden blocks over %d exchanges with %d frames outstanding; want 1 (before the first RTT sample), %d, 0",
+			sent, rode, seq, outstandingFrames(rr, 1), seq-1)
+	}
+
+	// The pure-ack write, as the receiver of a one-way flow does it per frame.
+	ow := dial()
+	seq = 0
+	oneWay := func() {
+		arrive(ow, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request)
+		seq++
+	}
+	for i := 0; i < 64; i++ {
+		oneWay()
+	}
+	if allocs := testing.AllocsPerRun(200, oneWay); allocs != 0 {
+		t.Errorf("pure-ack write: %.2f allocs/op, want 0", allocs)
+	}
+	if sent, rode := ow.AckStats(); sent != seq || rode != 0 {
+		t.Errorf("%d pure acks and %d ridden blocks for %d one-way frames, want one pure ack each", sent, rode, seq)
 	}
 }

@@ -28,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.PayloadLen = uint16(len(payload))
-	if got != h {
+	if !sameHeader(got, h) {
 		t.Errorf("header = %+v, want %+v", got, h)
 	}
 	if !bytes.Equal(gotPayload, payload) {
