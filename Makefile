@@ -11,11 +11,11 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci fmt vet build test benchmark-check allocs race sim chaos overload fuzz bench-smoke bench bench-pair clean
+.PHONY: all ci fmt vet build test benchmark-check allocs race sim examples chaos overload fuzz bench-smoke bench bench-pair clean
 
 all: ci
 
-ci: fmt vet build test benchmark-check allocs race sim bench-smoke bench fuzz
+ci: fmt vet build test benchmark-check allocs race sim examples bench-smoke bench fuzz
 
 # Fails when any file is not gofmt-clean (gofmt itself exits 0 either way).
 fmt:
@@ -61,6 +61,17 @@ race:
 sim:
 	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud' -v ./internal/marsim/
 	$(GO) test -race -run 'TestServerAnswersAtArrivalRate|TestCallIsTwoDatagrams' -v ./internal/rpc/
+
+# The examples that run on virtual time, end to end (seconds each): the
+# build only compiles them, so each must also exit 0 and print the line its
+# story ends on.
+examples:
+	@check() { out="$$($(GO) run ./examples/$$1)" && echo "$$out" | grep -Eq "$$2" || { \
+		echo "examples/$$1 did not end its story (/$$2/):"; echo "$$out" | tail -5; return 1; }; echo "examples/$$1: ok"; }; \
+	check quickstart '^metadata +delivered=100 ' && \
+	check graceful_degradation '^metadata delivered ([0-9]+)/\1 ' && \
+	check multipath_handover ' no stall$$' && \
+	check d2d_privacy '^session total: [1-9][0-9]* delivered, [0-9]+ late \((9[0-9]|100)\.[0-9] % in time\)'
 
 # The full chaos acceptance storm (skipped under -short), race-checked.
 chaos:

@@ -17,9 +17,11 @@ import (
 	"marnet/internal/core"
 	"marnet/internal/device"
 	"marnet/internal/experiments"
+	"marnet/internal/marsim"
 	"marnet/internal/offload"
 	"marnet/internal/simnet"
 	"marnet/internal/vision"
+	"marnet/internal/wire"
 )
 
 // metric makes a label safe for testing.B.ReportMetric (no whitespace).
@@ -153,54 +155,32 @@ func BenchmarkSectionVIH_Aqm(b *testing.B) {
 
 // --- Ablations: ARTP with individual design elements removed. -----------
 
-// ablationRun drives the Figure-4 style workload with a configurable
-// sender and reports the critical stream's in-time delivery percentage and
-// mean latency.
-func ablationRun(seed int64, configure func(*core.Sender, *core.Multipath)) (delivered float64, meanLat time.Duration) {
+// ablationRun drives the Figure-4 style workload — a critical stream and
+// a bulk one over a 3 Mb/s, 1 %-loss uplink squeezed to 0.8 Mb/s at 5 s —
+// with the critical stream declared at critPrio, and reports its in-time
+// delivery percentage and mean latency.
+func ablationRun(seed int64, critPrio core.Priority) (delivered float64, meanLat time.Duration) {
 	sim := simnet.New(seed)
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	up := simnet.NewLink(sim, 3e6, 15*time.Millisecond, serverMux, simnet.WithLoss(0.01))
 	down := simnet.NewLink(sim, 3e6, 15*time.Millisecond, clientMux)
-	mp := core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1})
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1, Paths: mp, StartBudget: 2.5e6,
-	})
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-	configure(snd, mp)
-
-	crit, err := snd.AddStream(core.StreamConfig{
-		Name: "critical", Class: core.ClassCritical, Priority: core.PrioHighest,
-		Rate: 0.2e6,
-	})
-	if err != nil {
-		panic(err)
-	}
-	bulk, err := snd.AddStream(core.StreamConfig{
-		Name: "bulk", Class: core.ClassFullBestEffort, Priority: core.PrioLowest,
-		Rate: 2.5e6,
-	})
-	if err != nil {
-		panic(err)
-	}
+	s := marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, wire.Config{StartBudget: 2.5e6, Streams: []wire.StreamSpec{
+		{ID: 1, Class: core.ClassCritical, Priority: critPrio, Rate: 0.2e6},
+		{ID: 2, Class: core.ClassFullBestEffort, Priority: core.PrioLowest, Rate: 2.5e6},
+	}})
 	sim.ScheduleAt(5*time.Second, func() { up.SetRate(0.8e6) })
 	const n = 1000 // 10 s at 100/s
 	for i := 0; i < n; i++ {
-		i := i
 		sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			snd.Submit(crit, 200)
-			snd.Submit(bulk, 1200)
-			snd.Submit(bulk, 1200)
+			marsim.Send(sim, s.Client, 1, 200)
+			marsim.Send(sim, s.Client, 2, 1200)
+			marsim.Send(sim, s.Client, 2, 1200)
 		})
 	}
 	if err := sim.RunUntil(14 * time.Second); err != nil {
 		panic(err)
 	}
-	snd.Stop()
-	rs := rcv.Stream(crit.ID)
+	rs := s.Tally.Stream(1)
 	return float64(rs.Delivered) / n, rs.Latency.Mean()
 }
 
@@ -208,35 +188,20 @@ func BenchmarkAblation_FullARTP(b *testing.B) {
 	var d float64
 	var lat time.Duration
 	for i := 0; i < b.N; i++ {
-		d, lat = ablationRun(int64(i)+1, func(*core.Sender, *core.Multipath) {})
+		d, lat = ablationRun(int64(i)+1, core.PrioHighest)
 	}
 	b.ReportMetric(d*100, "critical_delivered_pct")
 	b.ReportMetric(float64(lat.Microseconds())/1000, "critical_mean_ms")
 }
 
-// No priorities: every stream competes in one band (the critical stream
-// loses its head start, so its latency through the squeeze suffers).
+// No priorities: both streams declared at one priority, so they share one
+// band (the critical stream loses its head start, so its latency through
+// the squeeze suffers).
 func BenchmarkAblation_NoPriorities(b *testing.B) {
 	var d float64
 	var lat time.Duration
 	for i := 0; i < b.N; i++ {
-		d, lat = ablationRun(int64(i)+1, func(s *core.Sender, _ *core.Multipath) {
-			s.FlattenPriorities()
-		})
-	}
-	b.ReportMetric(d*100, "critical_delivered_pct")
-	b.ReportMetric(float64(lat.Microseconds())/1000, "critical_mean_ms")
-}
-
-// No delay reaction: the controller never cuts (pure pacing at the start
-// budget), so the squeeze turns into standing queues.
-func BenchmarkAblation_NoDelayCC(b *testing.B) {
-	var d float64
-	var lat time.Duration
-	for i := 0; i < b.N; i++ {
-		d, lat = ablationRun(int64(i)+1, func(s *core.Sender, _ *core.Multipath) {
-			s.Controller().DelayThreshold = time.Hour // never triggers
-		})
+		d, lat = ablationRun(int64(i)+1, core.PrioLowest)
 	}
 	b.ReportMetric(d*100, "critical_delivered_pct")
 	b.ReportMetric(float64(lat.Microseconds())/1000, "critical_mean_ms")

@@ -10,10 +10,11 @@ import (
 	"log"
 	"time"
 
-	"marnet/internal/core"
 	"marnet/internal/mar"
+	"marnet/internal/marsim"
 	"marnet/internal/simnet"
 	"marnet/internal/trace"
+	"marnet/internal/wire"
 )
 
 func main() {
@@ -28,44 +29,37 @@ func run() error {
 	up := simnet.NewLink(sim, 4e6, 15*time.Millisecond, serverMux)
 	down := simnet.NewLink(sim, 4e6, 15*time.Millisecond, clientMux)
 
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths:       core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1}),
-		StartBudget: 3.5e6,
-	})
-	snd.Controller().MinBudget = 0.12e6
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-
-	meta, err := mar.NewMetadataSource(sim, snd, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
+	meta, err := mar.NewMetadataSource(sim, 1, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
 	if err != nil {
 		return err
 	}
-	sensors, err := mar.NewSensorSource(sim, snd, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 200})
+	sensors, err := mar.NewSensorSource(sim, 2, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 200})
 	if err != nil {
 		return err
 	}
-	video, err := mar.NewVideoSource(sim, snd, mar.VideoConfig{
+	video, err := mar.NewVideoSource(sim, 3, mar.VideoConfig{
 		FPS: 30, GOP: 10, Bitrate: 2.4e6, Deadline: 250 * time.Millisecond,
 	})
 	if err != nil {
 		return err
 	}
+	s := marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, wire.Config{
+		Streams:     []wire.StreamSpec{meta.Spec, sensors.Spec, video.Ref, video.Inter},
+		StartBudget: 3.5e6,
+	})
 	const horizon = 30 * time.Second
-	meta.Start(horizon)
-	sensors.Start(horizon)
-	video.Start(horizon)
+	meta.Start(s.Client, horizon)
+	sensors.Start(s.Client, horizon)
+	video.Start(s.Client, horizon)
 
-	streams := map[string]int{
-		"metadata": meta.Strm.ID, "sensors": sensors.Strm.ID,
+	streams := map[string]uint16{
+		"metadata": meta.Spec.ID, "sensors": sensors.Spec.ID,
 		"ref-frames": video.Ref.ID, "inter-frames": video.Inter.ID,
 	}
 	for _, id := range streams {
-		rcv.Stream(id).GoodputRate = trace.NewThroughput(time.Second)
+		s.Tally.Stream(id).Goodput = trace.NewThroughput(time.Second)
 	}
+	rate := func(name string) float64 { return s.Tally.Stream(streams[name]).Goodput.Rate(sim.Now() - time.Second) }
 
 	// Two squeezes: plenty -> tight -> barely-anything.
 	sim.ScheduleAt(10*time.Second, func() {
@@ -78,26 +72,19 @@ func run() error {
 	})
 
 	// Narrate once per second.
-	for s := 1; s <= 30; s++ {
-		at := time.Duration(s) * time.Second
-		sim.ScheduleAt(at, func() {
-			now := sim.Now()
+	for sec := 1; sec <= 30; sec++ {
+		sim.ScheduleAt(time.Duration(sec)*time.Second, func() {
 			refQ, interQ := video.Quality()
-			fmt.Printf("t=%2.0fs budget=%4.2f Mb/s  meta=%6.0f  sensors=%7.0f  ref=%8.0f  inter=%8.0f b/s  quality(ref=%.2f inter=%.2f sensors=%.2f)\n",
-				now.Seconds(), snd.Controller().Budget()/1e6,
-				rcv.Stream(streams["metadata"]).GoodputRate.Rate(now-time.Second),
-				rcv.Stream(streams["sensors"]).GoodputRate.Rate(now-time.Second),
-				rcv.Stream(streams["ref-frames"]).GoodputRate.Rate(now-time.Second),
-				rcv.Stream(streams["inter-frames"]).GoodputRate.Rate(now-time.Second),
+			fmt.Printf("t=%2ds budget=%4.2f Mb/s  meta=%6.0f  sensors=%7.0f  ref=%8.0f  inter=%8.0f b/s  quality(ref=%.2f inter=%.2f sensors=%.2f)\n",
+				sec, s.Client.Budget()/1e6, rate("metadata"), rate("sensors"), rate("ref-frames"), rate("inter-frames"),
 				refQ, interQ, sensors.RateScale())
 		})
 	}
 	if err := sim.RunUntil(horizon + 2*time.Second); err != nil {
 		return err
 	}
-	snd.Stop()
 
 	fmt.Printf("\nmetadata delivered %d/%d — the critical class survived both squeezes.\n",
-		rcv.Stream(meta.Strm.ID).Delivered, meta.Generated)
+		s.Tally.Stream(meta.Spec.ID).Delivered, meta.Generated)
 	return nil
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/marsim"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
+	"marnet/internal/wire"
 )
 
 func main() {
@@ -27,62 +29,47 @@ func run() error {
 	up := phy.LTE.Uplink(sim, serverMux)
 	down := phy.LTE.Downlink(sim, clientMux)
 
-	// 2. An ARTP sender (the mobile device) and receiver (the surrogate).
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths:       core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1}),
-		StartBudget: 4e6,
-	})
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-
-	// 3. Three streams, one per traffic class.
-	meta, err := snd.AddStream(core.StreamConfig{
-		Name: "metadata", Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.1e6,
-	})
-	if err != nil {
-		return err
+	// 2. Three streams, one per traffic class, on a session from the mobile
+	//    device to the surrogate: wire.DialVia over a one-path PathSet,
+	//    which adds FEC(8,2), and wire.ListenVia behind a PathRouter, which
+	//    repairs from it — the calls a session on UDP sockets makes, here on
+	//    simulated links.
+	streams := []wire.StreamSpec{
+		{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.1e6},
+		{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 1.5e6, Deadline: 250 * time.Millisecond},
+		{ID: 3, Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: 0.5e6},
 	}
-	frames, err := snd.AddStream(core.StreamConfig{
-		Name: "ref-frames", Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard,
-		Rate: 1.5e6, Deadline: 250 * time.Millisecond, FECK: 8, FECM: 2,
-	})
-	if err != nil {
-		return err
-	}
-	sensors, err := snd.AddStream(core.StreamConfig{
-		Name: "sensors", Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: 0.5e6,
-	})
+	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux,
+		wire.PathSetConfig{FEC: wire.PathFEC{K: 8, M: 2}},
+		wire.Config{StartBudget: 4e6, Streams: streams}, up)
 	if err != nil {
 		return err
 	}
 
-	// 4. Drive one second of traffic.
+	// 3. Drive one second of traffic; every payload carries its send time,
+	//    from which the server's tally measures latency.
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
 		sim.ScheduleAt(at, func() {
-			snd.Submit(meta, 100)
-			snd.Submit(frames, 1000)
-			snd.Submit(sensors, 300)
+			marsim.Send(sim, s.Client, 1, 100)
+			marsim.Send(sim, s.Client, 2, 1000)
+			marsim.Send(sim, s.Client, 3, 300)
 		})
 	}
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		return err
 	}
-	snd.Stop()
 
-	// 5. Inspect the outcome.
-	for _, st := range []*core.Stream{meta, frames, sensors} {
-		rs := rcv.Stream(st.ID)
-		fmt.Printf("%-11s delivered=%3d late=%d fec-recovered=%d retx=%d shed=%d p95-latency=%v\n",
-			st.Cfg.Name, rs.Delivered, rs.Late, rs.Recovered,
-			st.RetxPackets, st.ShedPackets, rs.Latency.Percentile(95).Round(time.Millisecond))
+	// 4. Inspect the outcome.
+	for i, name := range []string{"metadata", "ref-frames", "sensors"} {
+		id := streams[i].ID
+		rs, st := s.Tally.Stream(id), s.Client.Stats(id)
+		fmt.Printf("%-11s delivered=%3d late=%d retx=%d shed=%d p95-latency=%v\n",
+			name, rs.Delivered, rs.Late, st.Retx, st.Shed, rs.Latency.Percentile(95).Round(time.Millisecond))
 	}
-	fmt.Printf("controller: budget=%.2f Mb/s srtt=%v base=%v\n",
-		snd.Controller().Budget()/1e6, snd.Controller().SRTT().Round(time.Millisecond),
-		snd.Controller().BaseRTT().Round(time.Millisecond))
+	fmt.Printf("fec: %d parity shards sent, %d frames repaired\n",
+		s.Paths.Stats().ParitySent, s.Router.Stats().FECRepaired)
+	fmt.Printf("session: budget=%.2f Mb/s srtt=%v\n",
+		s.Client.Budget()/1e6, s.Client.SRTT().Round(time.Millisecond))
 	return nil
 }

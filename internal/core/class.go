@@ -1,5 +1,5 @@
-// Package core implements ARTP, the AR-oriented transport protocol whose
-// design Section VI of the paper lays out. The protocol provides:
+// Package core is the vocabulary of ARTP, the AR-oriented transport
+// protocol whose design Section VI of the paper lays out:
 //
 //   - Classful traffic (Section VI-A): three baseline traffic classes with
 //     different reliability semantics — full best effort, best effort with
@@ -9,19 +9,15 @@
 //     congestion window (Section VI-B, Figure 4).
 //   - A delay-reactive congestion controller that treats rising delay and
 //     jitter as congestion signals (Section VI-B).
-//   - Selective loss recovery bounded by the application's latency budget,
-//     plus FEC for loss-tolerant-but-valuable streams (Section VI-C).
-//   - Multipath scheduling across heterogeneous access links with min-RTT,
-//     weighted, and redundant policies (Section VI-D).
-//   - QoS feedback to the application so it can adapt (encode quality,
-//     sensor sampling) rather than stall (Section VI-B).
+//   - The receive-side sequence window every stream keeps.
 //
-// This package is the deterministic simulator implementation used by the
-// experiment harness; package wire implements the same semantics on real
-// UDP sockets.
+// The protocol has one engine, package wire: wire.Conn runs the classes,
+// priorities, controller, budget-bounded loss recovery (Section VI-C) and
+// QoS feedback over any datagram transport — UDP sockets, or the simulator
+// through internal/marsim — and wire.PathSet adds multipath scheduling,
+// probing failover and cross-path FEC (Section VI-D). The tests of this
+// package hold that engine to each class's delivery contract.
 package core
-
-import "time"
 
 // Class is an ARTP traffic class (Section VI-A).
 type Class int
@@ -113,53 +109,4 @@ func (p Priority) AdmissionTier() int {
 		return AdmissionTiers - 1
 	}
 	return t
-}
-
-// Packet kinds carried in simnet.Packet.Kind.
-const (
-	KindData = 10
-	KindAck  = 11
-	KindNack = 12
-)
-
-// Wire overheads.
-const (
-	HeaderSize = 24 // ARTP+UDP/IP header bytes on data packets
-	AckSize    = 40
-	NackSize   = 48
-)
-
-// DataHdr is the payload attached to ARTP data packets in the simulator.
-type DataHdr struct {
-	Stream   int
-	Seq      int64
-	PathID   int
-	SendTime time.Duration
-	Retx     bool
-
-	// FEC group description (zero group means no FEC).
-	FECGroup int64
-	FECIndex int
-	FECK     int
-	FECM     int
-	Repair   bool
-
-	// AppBytes is the application payload size (excluding headers).
-	AppBytes int
-	// Deadline is the absolute sim time after which the data is useless.
-	Deadline time.Duration
-}
-
-// AckHdr acknowledges one data packet.
-type AckHdr struct {
-	Stream   int
-	Seq      int64
-	PathID   int
-	EchoSend time.Duration // DataHdr.SendTime echoed back
-}
-
-// NackHdr reports missing sequence numbers for a stream.
-type NackHdr struct {
-	Stream  int
-	Missing []int64
 }

@@ -1,21 +1,17 @@
 package core
 
-import (
-	"time"
-
-	"marnet/internal/trace"
-)
+import "time"
 
 // Controller is ARTP's graceful-degradation congestion controller (Section
 // VI-B). Instead of a congestion window it maintains a sending *budget* in
 // bits/s. The budget grows additively while the path looks healthy and is
 // cut multiplicatively when congestion is signalled. Congestion signals are
-// (a) smoothed RTT rising past the observed base RTT by DelayThreshold —
+// (a) smoothed RTT rising past the observed base RTT by delayThreshold —
 // "a sudden rise of delay or jitter should be treated as a congestion
 // indication, with immediate reaction" — and (b) loss of packets from
 // non-discardable streams.
 //
-// Rate discovery: additive growth at Gain is a ramp sized for radio links of
+// Rate discovery: additive growth at gain is a ramp sized for radio links of
 // a few Mb/s, so a budget that starts far below what the path carries would
 // take minutes to find it. ObservePeerRate tells the controller the rate the
 // peer was measured sending at — by Section IV-D's asymmetry (MAR uploads
@@ -26,28 +22,6 @@ import (
 // probeTarget). A controller that was never told a peer rate, or whose
 // budget already exceeds it, behaves exactly as one without the method.
 type Controller struct {
-	// Budget bounds in bits/s.
-	MinBudget float64
-	MaxBudget float64
-
-	// Beta is the multiplicative decrease factor (default 0.7).
-	Beta float64
-	// Gain is the additive increase in bits/s per second of healthy
-	// operation (default 1 Mb/s per second).
-	Gain float64
-	// DelayThreshold is how far above base RTT the smoothed RTT may rise
-	// before it is treated as congestion (default 25 ms — below the "few
-	// dozen milliseconds" of RTT variance the paper tolerates, above the
-	// mean-vs-min gap of a jittery cellular link).
-	DelayThreshold time.Duration
-	// RecoveryGrowth enables proportional (~25%/RTT) budget growth during
-	// calm, queue-free periods so the budget can re-track links whose
-	// capacity swings by orders of magnitude (D2D mobility). Off by
-	// default: on near-saturated steady links it trades some stability for
-	// agility. (Bounded by an observed peer rate the same growth applies
-	// without this switch: see ObservePeerRate.)
-	RecoveryGrowth bool
-
 	budget       float64
 	baseRTT      time.Duration
 	srtt         time.Duration
@@ -58,8 +32,6 @@ type Controller struct {
 	peerRate     float64 // last ObservePeerRate reading, bits/s (0 = none)
 	cutFrom      float64 // budget in force at the most recent decrease (0 = none)
 
-	// Trace, when set, records the budget after every change.
-	Trace *trace.Series
 	// Decreases counts congestion events acted on.
 	Decreases int64
 	// RandomLosses counts valuable losses ignored because the delay signal
@@ -76,16 +48,25 @@ type Controller struct {
 // what the controller calls an RTT.
 const BaseRTTFloor = 10 * time.Millisecond
 
+const (
+	// Budget bounds in bits/s.
+	minBudget = 64e3
+	maxBudget = 1e9
+	// beta is the multiplicative decrease factor.
+	beta = 0.7
+	// gain is the additive increase in bits/s per second of healthy
+	// operation.
+	gain = 1e6
+	// delayThreshold is how far above base RTT the smoothed RTT may rise
+	// before it is treated as congestion: below the "few dozen
+	// milliseconds" of RTT variance the paper tolerates, above the
+	// mean-vs-min gap of a jittery cellular link.
+	delayThreshold = 25 * time.Millisecond
+)
+
 // NewController returns a controller starting at startBudget bits/s.
 func NewController(startBudget float64) *Controller {
-	return &Controller{
-		MinBudget:      64e3,
-		MaxBudget:      1e9,
-		Beta:           0.7,
-		Gain:           1e6,
-		DelayThreshold: 25 * time.Millisecond,
-		budget:         startBudget,
-	}
+	return &Controller{budget: startBudget}
 }
 
 // Budget reports the current sending budget in bits/s.
@@ -125,10 +106,7 @@ func (c *Controller) probeTarget() float64 {
 // sender uses it to re-run priority allocation).
 func (c *Controller) SetOnChange(fn func()) { c.onChange = fn }
 
-func (c *Controller) record(now time.Duration) {
-	if c.Trace != nil {
-		c.Trace.Add(now, c.budget)
-	}
+func (c *Controller) changed() {
 	if c.onChange != nil {
 		c.onChange()
 	}
@@ -173,33 +151,21 @@ func (c *Controller) OnAck(now time.Duration, rtt time.Duration) {
 	}
 	dt := (now - c.lastIncrease).Seconds()
 	c.lastIncrease = now
-	inc := c.Gain * dt
-	// Exponential recovery: when the path has been calm for a while AND
+	inc := gain * dt
+	// Proportional growth toward the peer's observed rate: while the
+	// budget is below probeTarget, the path has been calm for a while AND
 	// the delay sits right at its floor (no queue anywhere — clear
-	// headroom), grow proportionally (~25% per base RTT) so the budget can
-	// re-track links whose capacity swings by orders of magnitude (D2D
-	// mobility, cellular fades). Near saturation the delay hovers around
-	// the trigger and growth stays additive, keeping the equilibrium calm.
-	// The same law closes the distance to the peer's observed rate, whether
-	// or not RecoveryGrowth is set, and then stops exactly at probeTarget.
+	// headroom), grow ~25% per base RTT, stopping exactly at the target.
+	// Near saturation the delay hovers around the trigger and growth stays
+	// additive, keeping the equilibrium calm.
 	base := max(c.baseRTT, BaseRTTFloor)
 	calm := c.lastDecrease == 0 || now-c.lastDecrease > 8*base
 	headroom := c.srtt <= c.baseRTT+c.trigger()/4
-	room := c.probeTarget() - c.budget
-	if (c.RecoveryGrowth || room > 0) && calm && headroom {
-		prop := c.budget * 0.25 * dt / base.Seconds()
-		if !c.RecoveryGrowth && prop > room {
-			prop = room
-		}
-		if prop > inc {
-			inc = prop
-		}
+	if room := c.probeTarget() - c.budget; room > 0 && calm && headroom {
+		inc = max(inc, min(c.budget*0.25*dt/base.Seconds(), room))
 	}
-	c.budget += inc
-	if c.budget > c.MaxBudget {
-		c.budget = c.MaxBudget
-	}
-	c.record(now)
+	c.budget = min(c.budget+inc, maxBudget)
+	c.changed()
 }
 
 // OnLoss signals the loss of a packet; lossOfValuable marks losses from
@@ -225,10 +191,10 @@ func (c *Controller) OnLoss(now time.Duration, lossOfValuable bool) {
 // a standing queue (cellular links jitter by tens of milliseconds with no
 // congestion at all — Section IV-A).
 func (c *Controller) trigger() time.Duration {
-	if j := 3 * c.jitter; j > c.DelayThreshold {
+	if j := 3 * c.jitter; j > delayThreshold {
 		return j
 	}
-	return c.DelayThreshold
+	return delayThreshold
 }
 
 // decrease applies a multiplicative cut, at most once per base RTT (the
@@ -243,21 +209,21 @@ func (c *Controller) decrease(now time.Duration) {
 	c.cutFrom = c.budget
 	// Severity-proportional cut: a delay just past the trigger gets a
 	// gentle trim (x0.95); delay at twice the trigger or worse gets the
-	// full Beta cut. Mild standing queues — the steady state when many
+	// full beta cut. Mild standing queues — the steady state when many
 	// flows share one bottleneck — then converge near capacity instead of
 	// synchronously collapsing.
-	factor := c.Beta
+	factor := beta
 	if over := c.srtt - (c.baseRTT + c.trigger()); over > 0 {
 		sev := float64(over) / float64(c.trigger())
 		if sev > 1 {
 			sev = 1
 		}
-		factor = 0.95 - (0.95-c.Beta)*sev
+		factor = 0.95 - (0.95-beta)*sev
 	}
 	c.budget *= factor
-	if c.budget < c.MinBudget {
-		c.budget = c.MinBudget
+	if c.budget < minBudget {
+		c.budget = minBudget
 	}
 	c.Decreases++
-	c.record(now)
+	c.changed()
 }

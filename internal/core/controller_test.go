@@ -7,16 +7,15 @@ import (
 
 func TestControllerAdditiveIncrease(t *testing.T) {
 	c := NewController(1e6)
-	c.Gain = 2e6
 	now := time.Duration(0)
 	// Healthy acks at a steady 20 ms RTT for one second.
 	for i := 0; i < 100; i++ {
 		now += 10 * time.Millisecond
 		c.OnAck(now, 20*time.Millisecond)
 	}
-	// ~1 s at 2 Mb/s/s gain => ~+2 Mb/s.
-	if got := c.Budget(); got < 2.5e6 || got > 3.5e6 {
-		t.Errorf("budget = %v, want ~3e6", got)
+	// ~1 s at 1 Mb/s/s gain => ~+1 Mb/s.
+	if got := c.Budget(); got < 1.5e6 || got > 2.5e6 {
+		t.Errorf("budget = %v, want ~2e6", got)
 	}
 	if c.Decreases != 0 {
 		t.Errorf("unexpected decreases: %d", c.Decreases)
@@ -98,7 +97,6 @@ func TestControllerIgnoresRandomLossWhenDelayHealthy(t *testing.T) {
 
 func TestControllerBudgetFloorsAndCaps(t *testing.T) {
 	c := NewController(100e3)
-	c.MinBudget = 64e3
 	now := time.Duration(0)
 	c.OnAck(now, 20*time.Millisecond) // establish the baseline
 	// Sustained heavy delay keeps cutting until the floor (the first big
@@ -113,48 +111,41 @@ func TestControllerBudgetFloorsAndCaps(t *testing.T) {
 	}
 
 	c2 := NewController(1e9)
-	c2.MaxBudget = 1e9
-	c2.Gain = 1e9
+	c2.ObservePeerRate(2e9)
 	now = 0
 	for i := 0; i < 50; i++ {
 		now += 10 * time.Millisecond
 		c2.OnAck(now, 10*time.Millisecond)
 	}
-	if got := c2.Budget(); got > 1e9 {
-		t.Errorf("budget = %v exceeds cap", got)
+	if got := c2.Budget(); got != 1e9 {
+		t.Errorf("budget = %v, want the 1 Gb/s cap", got)
 	}
 }
 
 func TestControllerRecoveryGrowth(t *testing.T) {
-	// With RecoveryGrowth on, a calm queue-free path lets the budget climb
-	// proportionally — orders of magnitude faster than the additive gain.
-	grow := func(recovery bool) float64 {
+	// Below the peer's observed rate, a calm queue-free path lets the budget
+	// climb proportionally — orders of magnitude faster than the additive
+	// gain.
+	grow := func(peerRate float64, rtt time.Duration) float64 {
 		c := NewController(100e3)
-		c.RecoveryGrowth = recovery
+		c.ObservePeerRate(peerRate)
 		now := time.Duration(0)
+		c.OnAck(now, 20*time.Millisecond)
 		for i := 0; i < 100; i++ {
 			now += 10 * time.Millisecond
-			c.OnAck(now, 20*time.Millisecond)
+			c.OnAck(now, rtt)
 		}
 		return c.Budget()
 	}
-	additive := grow(false)
-	proportional := grow(true)
+	additive := grow(0, 20*time.Millisecond)
+	proportional := grow(1e9, 20*time.Millisecond)
 	if proportional < 4*additive {
 		t.Errorf("recovery growth %v not much faster than additive %v", proportional, additive)
 	}
 
-	// But with the delay hovering near the trigger (standing queue), the
-	// proportional mode must stay additive.
-	c := NewController(100e3)
-	c.RecoveryGrowth = true
-	now := time.Duration(0)
-	c.OnAck(now, 20*time.Millisecond)
-	for i := 0; i < 100; i++ {
-		now += 10 * time.Millisecond
-		c.OnAck(now, 40*time.Millisecond) // excess ~20ms, below the 25ms trigger
-	}
-	nearSat := c.Budget()
+	// But with the delay hovering near the trigger (standing queue), growth
+	// stays additive however far below the peer's rate the budget is.
+	nearSat := grow(1e9, 40*time.Millisecond) // excess ~20ms, below the 25ms trigger
 	if nearSat > 2*additive {
 		t.Errorf("no-headroom growth %v should match additive %v", nearSat, additive)
 	}
@@ -169,5 +160,17 @@ func TestControllerOnChangeFires(t *testing.T) {
 	c.OnLoss(300*time.Millisecond, true)
 	if calls == 0 {
 		t.Error("OnChange never fired")
+	}
+}
+
+func TestControllerAccessors(t *testing.T) {
+	c := NewController(1e6)
+	c.OnAck(10*time.Millisecond, 20*time.Millisecond)
+	c.OnAck(20*time.Millisecond, 30*time.Millisecond)
+	if c.SRTT() == 0 || c.BaseRTT() != 20*time.Millisecond {
+		t.Errorf("srtt=%v base=%v", c.SRTT(), c.BaseRTT())
+	}
+	if c.Jitter() == 0 {
+		t.Error("jitter should be nonzero after differing samples")
 	}
 }

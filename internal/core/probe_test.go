@@ -151,7 +151,7 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 			*now += ms
 			before := c.Budget()
 			c.OnAck(*now, rtt)
-			step := (c.Budget() - before) / (c.Gain * ms.Seconds())
+			step := (c.Budget() - before) / (gain * ms.Seconds())
 			lo, hi = math.Min(lo, step), math.Max(hi, step)
 		}
 		return lo, hi
@@ -227,12 +227,11 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 			}
 		}},
 		{"peer rate above MaxBudget: capped", func(t *testing.T, c *Controller) {
-			c.MaxBudget = 50e6
-			c.ObservePeerRate(200e6)
+			c.ObservePeerRate(2e9)
 			now := time.Duration(0)
-			feed(c, &now, 200*ms, 200*time.Microsecond)
-			if c.Budget() != 50e6 {
-				t.Fatalf("budget %.0f, want MaxBudget", c.Budget())
+			feed(c, &now, 400*ms, 200*time.Microsecond)
+			if c.Budget() != maxBudget {
+				t.Fatalf("budget %.0f, want maxBudget", c.Budget())
 			}
 		}},
 	} {
@@ -242,7 +241,7 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 	// A peer that sends less than the budget, or was never measured: 1 000
 	// seeded acks (congestion episodes and losses included) give the budget
 	// series of a controller that never heard of peer rates, value for value.
-	for _, peerRate := range []float64{0, 32e3} { // 32 kb/s is under MinBudget
+	for _, peerRate := range []float64{0, 32e3} { // 32 kb/s is under minBudget
 		rng := rand.New(rand.NewSource(21))
 		plain, told := NewController(20e6), NewController(20e6)
 		now := time.Duration(0)

@@ -2,14 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
-	"marnet/internal/core"
 	"marnet/internal/mar"
+	"marnet/internal/marsim"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
 	"marnet/internal/tcp"
+	"marnet/internal/wire"
 )
 
 // SectionIVDResult quantifies the paper's Section IV-D argument in two
@@ -59,37 +61,29 @@ func marByteBalance(seed int64) (up, down int64) {
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	upLink := simnet.NewLink(sim, 10e6, 15*time.Millisecond, serverMux)
 	downLink := simnet.NewLink(sim, 10e6, 15*time.Millisecond, clientMux)
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths:       core.NewMultipath(&core.Path{ID: 1, Out: upLink, Weight: 1}),
+	meta, err := mar.NewMetadataSource(sim, 1, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
+	if err != nil {
+		panic(err)
+	}
+	sensors, err := mar.NewSensorSource(sim, 2, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 100})
+	if err != nil {
+		panic(err)
+	}
+	video, err := mar.NewVideoSource(sim, 3, mar.VideoConfig{FPS: 30, GOP: 10, Bitrate: 2.5e6})
+	if err != nil {
+		panic(err)
+	}
+	s := marsim.DialLinks(sim, 1, upLink, downLink, clientMux, serverMux, wire.Config{
+		Streams:     []wire.StreamSpec{meta.Spec, sensors.Spec, video.Ref, video.Inter},
 		StartBudget: 5e6,
 	})
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: downLink,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-
-	meta, err := mar.NewMetadataSource(sim, snd, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
-	if err != nil {
-		panic(err)
-	}
-	sensors, err := mar.NewSensorSource(sim, snd, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 100})
-	if err != nil {
-		panic(err)
-	}
-	video, err := mar.NewVideoSource(sim, snd, mar.VideoConfig{FPS: 30, GOP: 10, Bitrate: 2.5e6})
-	if err != nil {
-		panic(err)
-	}
 	const horizon = 10 * time.Second
-	meta.Start(horizon)
-	sensors.Start(horizon)
-	video.Start(horizon)
+	meta.Start(s.Client, horizon)
+	sensors.Start(s.Client, horizon)
+	video.Start(s.Client, horizon)
 	// Server results: small pose/meta responses at frame rate riding the
 	// downlink (modelled as plain packets; acks are counted automatically).
 	for i := 0; i < 300; i++ {
-		i := i
 		sim.Schedule(time.Duration(i)*33*time.Millisecond, func() {
 			downLink.Send(&simnet.Packet{
 				ID: sim.NextPacketID(), Src: 2, Dst: 1, Flow: 2, Size: 400,
@@ -99,7 +93,6 @@ func marByteBalance(seed int64) (up, down int64) {
 	if err := sim.RunUntil(horizon + 2*time.Second); err != nil {
 		panic(err)
 	}
-	snd.Stop()
 	return upLink.Stats().SentBytes, downLink.Stats().SentBytes
 }
 
@@ -141,8 +134,13 @@ func (r SectionIVDResult) Format() string {
 	fmt.Fprintf(&b, "MAR session wire bytes: up %.2f MB, down %.2f MB -> up:down = %.1f:1\n",
 		float64(r.MARUpBytes)/1e6, float64(r.MARDownBytes)/1e6, r.MARUpDownRatio)
 	fmt.Fprintf(&b, "while access links are provisioned the other way (down:up):\n")
-	for name, asym := range r.LinkAsymmetry {
-		fmt.Fprintf(&b, "  %-12s %.2f:1\n", name, asym)
+	names := make([]string, 0, len(r.LinkAsymmetry))
+	for name := range r.LinkAsymmetry {
+		names = append(names, name)
+	}
+	sort.Strings(names) // one text per seed
+	for _, name := range names {
+		fmt.Fprintf(&b, "  %-12s %.2f:1\n", name, r.LinkAsymmetry[name])
 	}
 	fmt.Fprintf(&b, "download goodput on the shared ADSL link:\n")
 	fmt.Fprintf(&b, "  alone          %8.2f Mb/s\n", r.DownloadAloneBps/1e6)

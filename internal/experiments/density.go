@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/marsim"
 	"marnet/internal/simnet"
 	"marnet/internal/trace"
+	"marnet/internal/wire"
 )
 
 // SectionIVCRow is one cell-load point.
@@ -50,46 +52,24 @@ func densityRun(seed int64, nUsers int, cellBps, demandBps float64) SectionIVCRo
 	cell := simnet.NewLink(sim, cellBps, 15*time.Millisecond, serverMux,
 		simnet.WithQueue(simnet.NewDropTail(300)))
 
-	type user struct {
-		snd *core.Sender
-		st  *core.Stream
-		rcv *core.Receiver
-	}
-	users := make([]user, nUsers)
+	users := make([]*marsim.LinkSession, nUsers)
 	for i := range users {
 		clientMux := simnet.NewDemux()
 		down := simnet.NewLink(sim, cellBps, 15*time.Millisecond, clientMux)
-		local := simnet.Addr(100 + 2*i)
-		peer := simnet.Addr(101 + 2*i)
-		snd := core.NewSender(sim, core.SenderConfig{
-			Local: local, Peer: peer, FlowID: uint64(i + 1),
-			Paths:       core.NewMultipath(&core.Path{ID: 1, Out: cell, Weight: 1}),
+		users[i] = marsim.DialLinks(sim, simnet.Addr(100+2*i), cell, down, clientMux, serverMux, wire.Config{
 			StartBudget: demandBps / 2,
+			Streams:     []wire.StreamSpec{{ID: 1, Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: demandBps}},
 		})
-		rcv := core.NewReceiver(sim, core.ReceiverConfig{
-			Local: peer, Peer: local, FlowID: uint64(i + 1), DefaultOut: down,
-		})
-		clientMux.Register(local, snd)
-		serverMux.Register(peer, rcv)
-		st, err := snd.AddStream(core.StreamConfig{
-			Name: "mar", Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay,
-			Rate: demandBps,
-		})
-		if err != nil {
-			panic(err)
-		}
-		rcv.Stream(st.ID).GoodputRate = trace.NewThroughput(time.Second)
-		users[i] = user{snd: snd, st: st, rcv: rcv}
+		users[i].Tally.Stream(1).Goodput = trace.NewThroughput(time.Second)
 	}
 
 	const horizon = 20 * time.Second
 	pktBytes := 1200
 	interval := time.Duration(float64(pktBytes*8) / demandBps * float64(time.Second))
-	for i := range users {
-		i := i
+	for i, u := range users {
 		var tick func()
 		tick = func() {
-			users[i].snd.Submit(users[i].st, pktBytes)
+			marsim.Send(sim, u.Client, 1, pktBytes)
 			if sim.Now()+interval <= horizon {
 				sim.Schedule(interval, tick)
 			}
@@ -106,10 +86,8 @@ func densityRun(seed int64, nUsers int, cellBps, demandBps float64) SectionIVCRo
 	rates := make([]float64, nUsers)
 	var sum, sumSq, min float64
 	min = math.Inf(1)
-	for i := range users {
-		users[i].snd.Stop()
-		g := users[i].rcv.Stream(users[i].st.ID).GoodputRate
-		rates[i] = g.Series("u").Window(horizon/2, horizon)
+	for i, u := range users {
+		rates[i] = u.Tally.Stream(1).Goodput.Series("u").Window(horizon/2, horizon)
 		sum += rates[i]
 		sumSq += rates[i] * rates[i]
 		if rates[i] < min {

@@ -331,17 +331,21 @@ func TestSectionVIHShape(t *testing.T) {
 	}
 }
 
-// Same seed, same figure: core.Sender used to declare losses in map order,
-// so Figure 4's phase-3 metadata rate and Section VI-D's handover-only row
-// printed different numbers from run to run of one seed. Five runs each,
-// rendered as marbench prints them, must be one text.
+// Same seed, same figure: nothing an ARTP session does — loss
+// declarations, timers, same-instant events — may depend on map order or
+// the wall clock. Five runs of every study a session drives, rendered as
+// marbench prints them, must be one text.
 func TestFiguresRepeatPerSeed(t *testing.T) {
 	for _, fig := range []struct {
 		name   string
 		render func() string
 	}{
 		{"Figure4", func() string { return Figure4(42).Format() }},
+		{"SectionIVC", func() string { return SectionIVC(42).Format() }},
+		{"SectionIVD", func() string { return SectionIVD(42).Format() }},
+		{"SectionVIC", func() string { return SectionVIC(42).Format() }},
 		{"SectionVID", func() string { return SectionVID(42).Format() }},
+		{"SectionVIH", func() string { return SectionVIH(42).Format() }},
 	} {
 		first := fig.render()
 		for run := 2; run <= 5; run++ {

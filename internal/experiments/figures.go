@@ -5,13 +5,14 @@ import (
 	"strings"
 	"time"
 
-	"marnet/internal/core"
 	"marnet/internal/mar"
+	"marnet/internal/marsim"
 	"marnet/internal/offload"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
 	"marnet/internal/tcp"
 	"marnet/internal/trace"
+	"marnet/internal/wire"
 )
 
 // Figure2Result reproduces the 802.11 performance anomaly.
@@ -143,7 +144,7 @@ func (r Figure3Result) Format() string {
 type Figure4Result struct {
 	// TCPCwnd is the TCP sender's cwnd (segments) over time.
 	TCPCwnd *trace.Series
-	// Budget is ARTP's controller budget over time.
+	// Budget is ARTP's sending budget over time, sampled every 100 ms.
 	Budget *trace.Series
 	// PerStream delivered-goodput series (bits/s, 500 ms bins), keyed by
 	// the Figure 4 traffic names.
@@ -167,49 +168,42 @@ func Figure4(seed int64) Figure4Result {
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	upA := simnet.NewLink(sim, 4e6, 15*time.Millisecond, serverMux)
 	downA := simnet.NewLink(sim, 4e6, 15*time.Millisecond, clientMux)
-	path := &core.Path{ID: 1, Out: upA, Weight: 1}
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths: core.NewMultipath(path), StartBudget: 3.5e6,
-	})
-	snd.Controller().Trace = trace.NewSeries("budget")
-	// Keep the floor above the critical traffic's needs: graceful
-	// degradation must always be able to fund the highest priority class.
-	snd.Controller().MinBudget = 0.12e6
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: downA,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-
-	meta, err := mar.NewMetadataSource(sim, snd, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
+	meta, err := mar.NewMetadataSource(sim, 1, mar.MetadataConfig{Bytes: 150, Interval: 20 * time.Millisecond})
 	if err != nil {
 		panic(err)
 	}
-	sensors, err := mar.NewSensorSource(sim, snd, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 200})
+	sensors, err := mar.NewSensorSource(sim, 2, mar.SensorConfig{SampleBytes: 250, SamplesPerS: 200})
 	if err != nil {
 		panic(err)
 	}
-	video, err := mar.NewVideoSource(sim, snd, mar.VideoConfig{
+	video, err := mar.NewVideoSource(sim, 3, mar.VideoConfig{
 		FPS: 30, GOP: 10, Bitrate: 2.4e6, Deadline: 250 * time.Millisecond,
 	})
 	if err != nil {
 		panic(err)
 	}
+	s := marsim.DialLinks(sim, 1, upA, downA, clientMux, serverMux, wire.Config{
+		Streams:     []wire.StreamSpec{meta.Spec, sensors.Spec, video.Ref, video.Inter},
+		StartBudget: 3.5e6,
+	})
 	const horizon = 45 * time.Second
-	meta.Start(horizon)
-	sensors.Start(horizon)
-	video.Start(horizon)
+	meta.Start(s.Client, horizon)
+	sensors.Start(s.Client, horizon)
+	video.Start(s.Client, horizon)
 
-	// Attach goodput samplers at the receiver.
-	names := map[string]int{
-		"metadata":     meta.Strm.ID,
-		"sensors":      sensors.Strm.ID,
+	// Goodput samplers at the receiver, and the budget every 100 ms.
+	names := map[string]uint16{
+		"metadata":     meta.Spec.ID,
+		"sensors":      sensors.Spec.ID,
 		"ref-frames":   video.Ref.ID,
 		"inter-frames": video.Inter.ID,
 	}
 	for _, id := range names {
-		rcv.Stream(id).GoodputRate = trace.NewThroughput(500 * time.Millisecond)
+		s.Tally.Stream(id).Goodput = trace.NewThroughput(500 * time.Millisecond)
+	}
+	budget := trace.NewSeries("budget")
+	for at := time.Duration(0); at <= horizon; at += 100 * time.Millisecond {
+		sim.ScheduleAt(at, func() { budget.Add(at, s.Client.Budget()) })
 	}
 
 	// TCP flow over an identical, independent link B with the same squeeze
@@ -236,19 +230,18 @@ func Figure4(seed int64) Figure4Result {
 	if err := sim.RunUntil(horizon + 3*time.Second); err != nil {
 		panic(err)
 	}
-	snd.Stop()
 
 	perStream := make(map[string]*trace.Series, len(names))
 	for name, id := range names {
-		perStream[name] = rcv.Stream(id).GoodputRate.Series(name)
+		perStream[name] = s.Tally.Stream(id).Goodput.Series(name)
 	}
 	res := Figure4Result{
 		TCPCwnd:       fl.Sender.CwndTrace,
-		Budget:        snd.Controller().Trace,
+		Budget:        budget,
 		PerStream:     perStream,
 		Squeezes:      squeezes,
 		MetaGenerated: meta.Generated,
-		MetaDelivered: rcv.Stream(meta.Strm.ID).Delivered,
+		MetaDelivered: s.Tally.Stream(meta.Spec.ID).Delivered,
 	}
 	res.Phase = func(name string, phase int) float64 {
 		windows := [][2]time.Duration{

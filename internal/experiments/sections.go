@@ -10,10 +10,12 @@ import (
 	"marnet/internal/edge"
 	"marnet/internal/fec"
 	"marnet/internal/mar"
+	"marnet/internal/marsim"
 	"marnet/internal/phy"
 	"marnet/internal/queue"
 	"marnet/internal/simnet"
 	"marnet/internal/tcp"
+	"marnet/internal/wire"
 )
 
 // SectionVICRow is one RTT point of the loss-recovery analysis. InTime is
@@ -72,52 +74,42 @@ func SectionVIC(seed int64) SectionVICResult {
 
 // vicRun runs one configuration and returns the fraction of packets
 // delivered (or FEC-recovered) within the deadline, and the fraction
-// delivered at all.
+// delivered at all. FEC rides a one-path PathSet, whose parity shares the
+// data's path.
 func vicRun(seed int64, rtt, budget time.Duration, lossP float64, arq bool, fecK, fecM int) (inTime, complete float64) {
 	sim := simnet.New(seed)
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	oneWay := rtt / 2
 	up := simnet.NewLink(sim, 20e6, oneWay, serverMux, simnet.WithLoss(lossP))
 	down := simnet.NewLink(sim, 20e6, oneWay, clientMux)
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths:       core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1}),
-		StartBudget: 10e6,
-	})
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-
 	class := core.ClassLossRecovery
 	if !arq && fecK == 0 {
 		class = core.ClassFullBestEffort
 	}
-	st, err := snd.AddStream(core.StreamConfig{
-		Name: "ref", Class: class, Priority: core.PrioHighest,
-		Rate: 2e6, Deadline: budget, FECK: fecK, FECM: fecM,
-	})
-	if err != nil {
-		panic(err)
+	cfg := wire.Config{StartBudget: 10e6, Streams: []wire.StreamSpec{{
+		ID: 1, Class: class, Priority: core.PrioHighest, Rate: 2e6, Deadline: budget,
+	}}}
+	var s *marsim.LinkSession
+	if fecK == 0 {
+		s = marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, cfg)
+	} else {
+		s = dialPaths(sim, down, clientMux, serverMux, wire.PathSetConfig{FEC: wire.PathFEC{K: fecK, M: fecM}}, cfg, up)
 	}
 	// Each 30 FPS frame is shipped as 4 packets, as a real encoder would
 	// packetize it; intra-frame gaps give the receiver a fast loss signal.
 	const frames = 600 // 20 s at 30 FPS
 	const pktsPerFrame = 4
 	for i := 0; i < frames; i++ {
-		i := i
 		sim.Schedule(time.Duration(i)*33*time.Millisecond, func() {
 			for j := 0; j < pktsPerFrame; j++ {
-				snd.Submit(st, 300)
+				marsim.Send(sim, s.Client, 1, 300)
 			}
 		})
 	}
 	if err := sim.RunUntil(30 * time.Second); err != nil {
 		panic(err)
 	}
-	snd.Stop()
-	rs := rcv.Stream(st.ID)
+	rs := s.Tally.Stream(1)
 	total := float64(frames * pktsPerFrame)
 	return float64(rs.Delivered) / total, float64(rs.Delivered+rs.Late) / total
 }
@@ -154,20 +146,22 @@ type SectionVIDResult struct {
 }
 
 // SectionVID evaluates the paper's three multipath behaviours during WiFi
-// outages (AP handovers): (1) WiFi with LTE only as handover cover, (2)
-// WiFi preferred with LTE fallback — same policy, stressed harder, and (3)
-// WiFi and LTE simultaneously. Reported: in-time delivery, latency, and
-// LTE byte cost.
+// outages (AP handovers), each on a two-path PathSet whose probes notice
+// the outage: (1) WiFi with LTE only as handover cover, (2) WiFi preferred
+// with LTE fallback — the same failover, its losses repaired by parity on
+// LTE, and (3) WiFi and LTE simultaneously — a bulk priority striped over
+// both, with the same parity (band 0 is pinned to one path and never
+// stripes). Reported: in-time delivery, latency, and LTE byte cost.
 func SectionVID(seed int64) SectionVIDResult {
-	type behavior struct {
-		name   string
-		policy core.Policy
-		dup    bool
-	}
-	behaviors := []behavior{
-		{"WiFi + LTE handover only", core.PolicyFailover, false},
-		{"WiFi preferred, LTE fallback", core.PolicyFailover, true},
-		{"WiFi and LTE simultaneously", core.PolicySpread, true},
+	fec := wire.PathFEC{K: 2, M: 2}
+	behaviors := []struct {
+		name string
+		ps   wire.PathSetConfig
+		prio core.Priority
+	}{
+		{"WiFi + LTE handover only", wire.PathSetConfig{}, core.PrioHighest},
+		{"WiFi preferred, LTE fallback", wire.PathSetConfig{FEC: fec}, core.PrioHighest},
+		{"WiFi and LTE simultaneously", wire.PathSetConfig{FEC: fec, Stripe: true}, core.PrioNoDiscard},
 	}
 	var out SectionVIDResult
 	for i, bh := range behaviors {
@@ -176,58 +170,40 @@ func SectionVID(seed int64) SectionVIDResult {
 		wifiUp := simnet.NewLink(sim, 20e6, 8*time.Millisecond, serverMux, simnet.WithJitter(3*time.Millisecond))
 		lteUp := simnet.NewLink(sim, 7.9e6, 38*time.Millisecond, serverMux, simnet.WithJitter(10*time.Millisecond))
 		down := simnet.NewLink(sim, 50e6, 8*time.Millisecond, clientMux)
-
-		wifiPath := &core.Path{ID: 1, Out: wifiUp, Weight: 20}
-		ltePath := &core.Path{ID: 2, Out: lteUp, Weight: 8}
-		mp := core.NewMultipath(wifiPath, ltePath)
-		mp.Policy = bh.policy
-		mp.DuplicateCritical = bh.dup
-		mp.DownAfter = 250 * time.Millisecond
-
-		snd := core.NewSender(sim, core.SenderConfig{
-			Local: 1, Peer: 2, FlowID: 1, Paths: mp, StartBudget: 6e6,
-		})
-		rcv := core.NewReceiver(sim, core.ReceiverConfig{
-			Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-		})
-		clientMux.Register(1, snd)
-		serverMux.Register(2, rcv)
-
-		st, err := snd.AddStream(core.StreamConfig{
-			Name: "mar", Class: core.ClassLossRecovery, Priority: core.PrioHighest,
-			Rate: 4e6, Deadline: 150 * time.Millisecond,
-		})
-		if err != nil {
-			panic(err)
-		}
+		s := dialPaths(sim, down, clientMux, serverMux, bh.ps, wire.Config{StartBudget: 6e6, Streams: []wire.StreamSpec{{
+			ID: 1, Class: core.ClassLossRecovery, Priority: bh.prio, Rate: 4e6, Deadline: 150 * time.Millisecond,
+		}}}, wifiUp, lteUp)
 
 		// WiFi outages: 3 s every 10 s (handover gaps, Section IV-A4).
-		// The forced-down signal models the client noticing disassociation.
 		for _, start := range []time.Duration{10 * time.Second, 20 * time.Second} {
-			start := start
 			phy.Outage(sim, wifiUp, 0, start, 3*time.Second)
-			sim.ScheduleAt(start+200*time.Millisecond, func() { wifiPath.SetDown(true) })
-			sim.ScheduleAt(start+3*time.Second, func() { wifiPath.SetDown(false) })
 		}
-
 		const packets = 3000 // 30 s at 100 pkt/s
 		for i := 0; i < packets; i++ {
-			i := i
-			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { snd.Submit(st, 1000) })
+			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { marsim.Send(sim, s.Client, 1, 1000) })
 		}
 		if err := sim.RunUntil(35 * time.Second); err != nil {
 			panic(err)
 		}
-		snd.Stop()
-		rs := rcv.Stream(st.ID)
+		rs := s.Tally.Stream(1)
 		out.Rows = append(out.Rows, SectionVIDRow{
 			Behavior:  bh.name,
 			Delivered: float64(rs.Delivered) / packets,
 			MeanLat:   rs.Latency.Mean().Round(100 * time.Microsecond),
-			LTEBytes:  ltePath.SentBytes,
+			LTEBytes:  s.Paths.Stats().Paths[1].SentBytes,
 		})
 	}
 	return out
+}
+
+// dialPaths is marsim.DialPaths for a study: client subflows at addresses
+// 1, 3, ..., the server at 2, and a bad configuration is a bug.
+func dialPaths(sim *simnet.Sim, down simnet.Handler, clientMux, serverMux *simnet.Demux, ps wire.PathSetConfig, cfg wire.Config, ups ...simnet.Handler) *marsim.LinkSession {
+	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux, ps, cfg, ups...)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // Format renders the behaviours.
@@ -358,8 +334,10 @@ func SectionVIH(seed int64) SectionVIHResult {
 		{"StrictPriority", func() simnet.Queue {
 			q := queue.NewStrictPriority(2, 500)
 			q.Classify = func(p *simnet.Packet) int {
-				if p.Kind == core.KindData && core.Priority(p.Prio) == core.PrioHighest {
-					return 0
+				if b, ok := p.Payload.([]byte); ok {
+					if h, _, err := wire.DecodeFrame(b); err == nil && h.Type == wire.TypeData && core.Priority(h.Prio) == core.PrioHighest {
+						return 0
+					}
 				}
 				if p.Kind == tcp.KindAck {
 					return 0 // let ACKs breathe, like real priority configs do
@@ -377,26 +355,11 @@ func SectionVIH(seed int64) SectionVIHResult {
 		down := simnet.NewLink(sim, 16e6, 15*time.Millisecond, clientMux)
 
 		// MAR control stream over ARTP.
-		snd := core.NewSender(sim, core.SenderConfig{
-			Local: 1, Peer: 2, FlowID: 1,
-			Paths:       core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1}),
-			StartBudget: 0.3e6,
-		})
-		rcv := core.NewReceiver(sim, core.ReceiverConfig{
-			Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-		})
-		clientMux.Register(1, snd)
-		serverMux.Register(2, rcv)
-		st, err := snd.AddStream(core.StreamConfig{
-			Name: "mar-control", Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.2e6,
-		})
-		if err != nil {
-			panic(err)
-		}
+		ctl := marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, wire.Config{StartBudget: 0.3e6,
+			Streams: []wire.StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.2e6}}})
 		const packets = 2000 // 20 s at 100/s
 		for i := 0; i < packets; i++ {
-			i := i
-			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { snd.Submit(st, 200) })
+			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { marsim.Send(sim, ctl.Client, 1, 200) })
 		}
 
 		// Two bulk TCP uploads sharing the uplink.
@@ -416,8 +379,7 @@ func SectionVIH(seed int64) SectionVIHResult {
 		if err := sim.RunUntil(25 * time.Second); err != nil {
 			panic(err)
 		}
-		snd.Stop()
-		rs := rcv.Stream(st.ID)
+		rs := ctl.Tally.Stream(1)
 		var bulkRate float64
 		for _, fl := range bulk {
 			bulkRate += fl.Receiver.Goodput.Series("g").Window(5*time.Second, 25*time.Second)

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/marsim"
 	"marnet/internal/simnet"
+	"marnet/internal/wire"
 )
 
 func TestBandwidthArithmeticMatchesPaper(t *testing.T) {
@@ -166,28 +168,17 @@ func TestBestStrategyFollowsHardware(t *testing.T) {
 	}
 }
 
-func newMARSession(t *testing.T) (*simnet.Sim, *core.Sender, *core.Receiver) {
-	t.Helper()
-	sim := simnet.New(77)
+// dial opens a session declaring specs over a 10 Mb/s, 10 ms duplex link.
+func dial(sim *simnet.Sim, specs ...wire.StreamSpec) *marsim.LinkSession {
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	up := simnet.NewLink(sim, 10e6, 10*time.Millisecond, serverMux)
 	down := simnet.NewLink(sim, 10e6, 10*time.Millisecond, clientMux)
-	snd := core.NewSender(sim, core.SenderConfig{
-		Local: 1, Peer: 2, FlowID: 1,
-		Paths:       core.NewMultipath(&core.Path{ID: 1, Out: up, Weight: 1}),
-		StartBudget: 8e6,
-	})
-	rcv := core.NewReceiver(sim, core.ReceiverConfig{
-		Local: 2, Peer: 1, FlowID: 1, DefaultOut: down,
-	})
-	clientMux.Register(1, snd)
-	serverMux.Register(2, rcv)
-	return sim, snd, rcv
+	return marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, wire.Config{StartBudget: 8e6, Streams: specs})
 }
 
 func TestVideoSourceGOPStructure(t *testing.T) {
-	sim, snd, rcv := newMARSession(t)
-	v, err := NewVideoSource(sim, snd, VideoConfig{
+	sim := simnet.New(77)
+	v, err := NewVideoSource(sim, 1, VideoConfig{
 		FPS: 30, GOP: 10, Bitrate: 2e6,
 	})
 	if err != nil {
@@ -203,85 +194,83 @@ func TestVideoSourceGOPStructure(t *testing.T) {
 	if refB <= interB {
 		t.Error("reference frames should be larger than interframes")
 	}
-	v.Start(2 * time.Second)
+	s := dial(sim, v.Ref, v.Inter)
+	v.Start(s.Client, 2*time.Second)
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snd.Stop()
 	if v.GeneratedFrames < 60 {
 		t.Errorf("generated %d frames, want ~61", v.GeneratedFrames)
 	}
-	refDeliv := rcv.Stream(v.Ref.ID).Delivered
-	interDeliv := rcv.Stream(v.Inter.ID).Delivered
+	refDeliv := s.Tally.Stream(v.Ref.ID).Delivered
+	interDeliv := s.Tally.Stream(v.Inter.ID).Delivered
 	if refDeliv == 0 || interDeliv == 0 {
 		t.Errorf("deliveries ref=%d inter=%d", refDeliv, interDeliv)
 	}
 }
 
 func TestVideoSourceValidation(t *testing.T) {
-	sim, snd, _ := newMARSession(t)
-	if _, err := NewVideoSource(sim, snd, VideoConfig{FPS: 0, GOP: 5, Bitrate: 1e6}); err == nil {
+	sim := simnet.New(77)
+	if _, err := NewVideoSource(sim, 1, VideoConfig{FPS: 0, GOP: 5, Bitrate: 1e6}); err == nil {
 		t.Error("FPS=0 should fail")
 	}
-	if _, err := NewVideoSource(sim, snd, VideoConfig{FPS: 30, GOP: 5, Bitrate: 1e6, FECK: 4, FECM: 0}); err == nil {
-		t.Error("bad FEC should propagate error from core")
+	if _, err := NewVideoSource(sim, 1, VideoConfig{FPS: 30, GOP: 0, Bitrate: 1e6}); err == nil {
+		t.Error("GOP=0 should fail")
 	}
 }
 
 func TestSensorSourceAdaptsRate(t *testing.T) {
-	sim, snd, _ := newMARSession(t)
-	s, err := NewSensorSource(sim, snd, SensorConfig{SampleBytes: 100, SamplesPerS: 100})
+	sim := simnet.New(77)
+	s, err := NewSensorSource(sim, 1, SensorConfig{SampleBytes: 100, SamplesPerS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start(2 * time.Second)
+	s.Start(dial(sim, s.Spec).Client, 2*time.Second)
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snd.Stop()
 	if s.Generated < 150 {
 		t.Errorf("generated %d samples at full rate, want ~200", s.Generated)
 	}
 
 	// Manually squeeze the allocation: the sampler must decimate.
-	sim2, snd2, _ := newMARSession(t)
-	s2, _ := NewSensorSource(sim2, snd2, SensorConfig{SampleBytes: 100, SamplesPerS: 100})
+	sim2 := simnet.New(77)
+	s2, _ := NewSensorSource(sim2, 1, SensorConfig{SampleBytes: 100, SamplesPerS: 100})
+	conn := dial(sim2, s2.Spec).Client
 	s2.rateScale = 0.25
-	s2.Start(2 * time.Second)
+	s2.Start(conn, 2*time.Second)
 	if err := sim2.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snd2.Stop()
 	if s2.Generated > 70 || s2.Skipped < 100 {
 		t.Errorf("decimation failed: generated=%d skipped=%d", s2.Generated, s2.Skipped)
 	}
 }
 
 func TestSensorSourceValidation(t *testing.T) {
-	sim, snd, _ := newMARSession(t)
-	if _, err := NewSensorSource(sim, snd, SensorConfig{SampleBytes: 0, SamplesPerS: 10}); err == nil {
+	if _, err := NewSensorSource(simnet.New(77), 1, SensorConfig{SampleBytes: 0, SamplesPerS: 10}); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
 
 func TestMetadataSourceConstantCritical(t *testing.T) {
-	sim, snd, rcv := newMARSession(t)
-	m, err := NewMetadataSource(sim, snd, MetadataConfig{Bytes: 120, Interval: 40 * time.Millisecond})
+	sim := simnet.New(77)
+	m, err := NewMetadataSource(sim, 1, MetadataConfig{Bytes: 120, Interval: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Strm.Cfg.Class != core.ClassCritical || m.Strm.Cfg.Priority != core.PrioHighest {
+	if m.Spec.Class != core.ClassCritical || m.Spec.Priority != core.PrioHighest {
 		t.Error("metadata must be critical/highest")
 	}
-	m.Start(2 * time.Second)
+	s := dial(sim, m.Spec)
+	m.Start(s.Client, 2*time.Second)
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snd.Stop()
-	if got := rcv.Stream(m.Strm.ID).Delivered; got != m.Generated {
+	if got := s.Tally.Stream(m.Spec.ID).Delivered; got != m.Generated {
 		t.Errorf("delivered %d of %d metadata packets", got, m.Generated)
 	}
-	if _, err := NewMetadataSource(sim, snd, MetadataConfig{}); err == nil {
+	if _, err := NewMetadataSource(sim, 2, MetadataConfig{}); err == nil {
 		t.Error("invalid config should fail")
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/marsim"
 	"marnet/internal/simnet"
+	"marnet/internal/wire"
 )
 
 // MTU-ish chunk for application datagrams handed to ARTP.
@@ -22,8 +24,6 @@ type VideoConfig struct {
 	// Deadline is the per-frame latency budget (default 75 ms, the paper's
 	// bound).
 	Deadline time.Duration
-	// FECK/FECM protect reference frames (optional).
-	FECK, FECM int
 }
 
 // VideoSource generates the two video substreams of the Figure 4 scenario:
@@ -32,12 +32,12 @@ type VideoConfig struct {
 // variable"). QoS feedback from ARTP adjusts the encode quality of each
 // substream independently.
 type VideoSource struct {
-	cfg VideoConfig
-	sim *simnet.Sim
-	snd *core.Sender
+	cfg  VideoConfig
+	sim  *simnet.Sim
+	conn *wire.Conn
 
-	Ref   *core.Stream
-	Inter *core.Stream
+	// Ref and Inter are the substreams to declare on the sending conn.
+	Ref, Inter wire.StreamSpec
 
 	refQuality   float64
 	interQuality float64
@@ -47,8 +47,9 @@ type VideoSource struct {
 	GeneratedBytes  int64
 }
 
-// NewVideoSource registers the two substreams on the sender.
-func NewVideoSource(sim *simnet.Sim, snd *core.Sender, cfg VideoConfig) (*VideoSource, error) {
+// NewVideoSource declares the two substreams, reference frames on stream
+// ref and interframes on ref+1.
+func NewVideoSource(sim *simnet.Sim, ref uint16, cfg VideoConfig) (*VideoSource, error) {
 	if cfg.FPS <= 0 || cfg.GOP <= 0 || cfg.Bitrate <= 0 {
 		return nil, fmt.Errorf("mar: invalid video config %+v", cfg)
 	}
@@ -58,27 +59,20 @@ func NewVideoSource(sim *simnet.Sim, snd *core.Sender, cfg VideoConfig) (*VideoS
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = MaxTolerableRTT
 	}
-	v := &VideoSource{cfg: cfg, sim: sim, snd: snd, refQuality: 1, interQuality: 1}
-
+	v := &VideoSource{cfg: cfg, sim: sim, refQuality: 1, interQuality: 1}
 	refShare, interShare := v.rateShares()
-	var err error
-	v.Ref, err = snd.AddStream(core.StreamConfig{
-		Name:     "video-ref",
+	v.Ref = wire.StreamSpec{
+		ID:       ref,
 		Class:    core.ClassLossRecovery,
 		Priority: core.PrioHighest,
 		Rate:     refShare,
 		Deadline: cfg.Deadline,
-		FECK:     cfg.FECK,
-		FECM:     cfg.FECM,
 		OnAllocate: func(r float64) {
 			v.refQuality = clamp01(r / refShare)
 		},
-	})
-	if err != nil {
-		return nil, err
 	}
-	v.Inter, err = snd.AddStream(core.StreamConfig{
-		Name:     "video-inter",
+	v.Inter = wire.StreamSpec{
+		ID:       ref + 1,
 		Class:    core.ClassFullBestEffort,
 		Priority: core.PrioLowest,
 		Rate:     interShare,
@@ -86,9 +80,6 @@ func NewVideoSource(sim *simnet.Sim, snd *core.Sender, cfg VideoConfig) (*VideoS
 		OnAllocate: func(r float64) {
 			v.interQuality = clamp01(r / interShare)
 		},
-	})
-	if err != nil {
-		return nil, err
 	}
 	return v, nil
 }
@@ -115,8 +106,10 @@ func (v *VideoSource) FrameSizes() (refBytes, interBytes int) {
 // Quality reports the current encode quality factors in [0,1].
 func (v *VideoSource) Quality() (ref, inter float64) { return v.refQuality, v.interQuality }
 
-// Start schedules frame generation until the given sim-time horizon.
-func (v *VideoSource) Start(until time.Duration) {
+// Start schedules frame generation on conn until the given sim-time
+// horizon.
+func (v *VideoSource) Start(conn *wire.Conn, until time.Duration) {
+	v.conn = conn
 	period := time.Second / time.Duration(v.cfg.FPS)
 	var tick func()
 	tick = func() {
@@ -133,25 +126,17 @@ func (v *VideoSource) emitFrame() {
 	isRef := v.frame%int64(v.cfg.GOP) == 0
 	v.frame++
 	v.GeneratedFrames++
-	var stream *core.Stream
-	var size int
+	stream, size := v.Inter.ID, int(float64(interSize)*v.interQuality)
 	if isRef {
-		stream = v.Ref
-		size = int(float64(refSize) * v.refQuality)
-	} else {
-		stream = v.Inter
-		size = int(float64(interSize) * v.interQuality)
+		stream, size = v.Ref.ID, int(float64(refSize)*v.refQuality)
 	}
 	if size <= 0 {
 		return // quality floored: frame skipped entirely
 	}
 	v.GeneratedBytes += int64(size)
 	for size > 0 {
-		n := size
-		if n > chunkBytes {
-			n = chunkBytes
-		}
-		v.snd.Submit(stream, n)
+		n := min(size, chunkBytes)
+		marsim.Send(v.sim, v.conn, stream, n)
 		size -= n
 	}
 }
@@ -171,36 +156,33 @@ type SensorConfig struct {
 type SensorSource struct {
 	cfg  SensorConfig
 	sim  *simnet.Sim
-	snd  *core.Sender
-	Strm *core.Stream
+	conn *wire.Conn
+	// Spec is the stream to declare on the sending conn.
+	Spec wire.StreamSpec
 
 	rateScale float64
 	Generated int64
 	Skipped   int64
 }
 
-// NewSensorSource registers the sensor stream.
-func NewSensorSource(sim *simnet.Sim, snd *core.Sender, cfg SensorConfig) (*SensorSource, error) {
+// NewSensorSource declares the sensor stream with the given id.
+func NewSensorSource(sim *simnet.Sim, id uint16, cfg SensorConfig) (*SensorSource, error) {
 	if cfg.SampleBytes <= 0 || cfg.SamplesPerS <= 0 {
 		return nil, fmt.Errorf("mar: invalid sensor config %+v", cfg)
 	}
 	if cfg.Priority == 0 {
 		cfg.Priority = core.PrioNoDiscard
 	}
-	s := &SensorSource{cfg: cfg, sim: sim, snd: snd, rateScale: 1}
+	s := &SensorSource{cfg: cfg, sim: sim, rateScale: 1}
 	rate := float64(cfg.SampleBytes*8) * cfg.SamplesPerS
-	var err error
-	s.Strm, err = snd.AddStream(core.StreamConfig{
-		Name:     "sensors",
+	s.Spec = wire.StreamSpec{
+		ID:       id,
 		Class:    core.ClassFullBestEffort,
 		Priority: cfg.Priority,
 		Rate:     rate,
 		OnAllocate: func(r float64) {
 			s.rateScale = clamp01(r / rate)
 		},
-	})
-	if err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -208,10 +190,11 @@ func NewSensorSource(sim *simnet.Sim, snd *core.Sender, cfg SensorConfig) (*Sens
 // RateScale reports the current sampling-rate scale in [0,1].
 func (s *SensorSource) RateScale() float64 { return s.rateScale }
 
-// Start schedules sampling until the horizon. The sampler decimates:
-// at scale q it emits every sample with probability proportional to q by
-// skipping deterministically.
-func (s *SensorSource) Start(until time.Duration) {
+// Start schedules sampling on conn until the horizon. The sampler
+// decimates: at scale q it emits every sample with probability
+// proportional to q by skipping deterministically.
+func (s *SensorSource) Start(conn *wire.Conn, until time.Duration) {
+	s.conn = conn
 	period := time.Duration(float64(time.Second) / s.cfg.SamplesPerS)
 	var acc float64
 	var tick func()
@@ -220,7 +203,7 @@ func (s *SensorSource) Start(until time.Duration) {
 		if acc >= 1 {
 			acc -= 1
 			s.Generated++
-			s.snd.Submit(s.Strm, s.cfg.SampleBytes)
+			marsim.Send(s.sim, s.conn, s.Spec.ID, s.cfg.SampleBytes)
 		} else {
 			s.Skipped++
 		}
@@ -243,37 +226,33 @@ type MetadataConfig struct {
 type MetadataSource struct {
 	cfg  MetadataConfig
 	sim  *simnet.Sim
-	snd  *core.Sender
-	Strm *core.Stream
+	conn *wire.Conn
+	// Spec is the stream to declare on the sending conn.
+	Spec wire.StreamSpec
 
 	Generated int64
 }
 
-// NewMetadataSource registers the metadata stream.
-func NewMetadataSource(sim *simnet.Sim, snd *core.Sender, cfg MetadataConfig) (*MetadataSource, error) {
+// NewMetadataSource declares the metadata stream with the given id.
+func NewMetadataSource(sim *simnet.Sim, id uint16, cfg MetadataConfig) (*MetadataSource, error) {
 	if cfg.Bytes <= 0 || cfg.Interval <= 0 {
 		return nil, fmt.Errorf("mar: invalid metadata config %+v", cfg)
 	}
-	m := &MetadataSource{cfg: cfg, sim: sim, snd: snd}
-	var err error
-	m.Strm, err = snd.AddStream(core.StreamConfig{
-		Name:     "metadata",
+	return &MetadataSource{cfg: cfg, sim: sim, Spec: wire.StreamSpec{
+		ID:       id,
 		Class:    core.ClassCritical,
 		Priority: core.PrioHighest,
 		Rate:     float64(cfg.Bytes*8) / cfg.Interval.Seconds(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	}}, nil
 }
 
-// Start schedules metadata emission until the horizon.
-func (m *MetadataSource) Start(until time.Duration) {
+// Start schedules metadata emission on conn until the horizon.
+func (m *MetadataSource) Start(conn *wire.Conn, until time.Duration) {
+	m.conn = conn
 	var tick func()
 	tick = func() {
 		m.Generated++
-		m.snd.Submit(m.Strm, m.cfg.Bytes)
+		marsim.Send(m.sim, m.conn, m.Spec.ID, m.cfg.Bytes)
 		if m.sim.Now()+m.cfg.Interval <= until {
 			m.sim.Schedule(m.cfg.Interval, tick)
 		}

@@ -323,6 +323,13 @@ type Conn struct {
 	arrStart time.Time
 	arrBits  int
 
+	// srtt is the measured smoothed RTT everything that times the network
+	// reads. The controller is fed the same samples, except over a PathSet
+	// (set once by bindConn), where each is rebased onto the path that
+	// carried the frame it echoes (PathSet.rebaseRTT). Guarded by mu.
+	paths *PathSet
+	srtt  time.Duration
+
 	// Mux mode: datagrams arrive via the mux's shared transport (through
 	// recvCh and a pump goroutine on asynchronous transports, direct
 	// dispatch on synchronous ones), writes go through the shared
@@ -615,7 +622,7 @@ func (c *Conn) Budget() float64 {
 func (c *Conn) SRTT() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ctrl.SRTT()
+	return c.srtt
 }
 
 // LossRate reports the smoothed per-transmission loss rate in [0,1]
@@ -1141,7 +1148,7 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 	}
 	c.oweAckLocked(ack, hdr.SendMicro, now)
 	switch {
-	case !fresh || hdr.Seq != expected || c.ctrl.SRTT() == 0 || c.owedN == MaxAckRanges:
+	case !fresh || hdr.Seq != expected || c.srtt == 0 || c.owedN == MaxAckRanges:
 		// A duplicate, an arrival out of order (the peer's loss detection
 		// is waiting on it), a peer we cannot time a delay for, or no room
 		// to owe more. The ack leaves before any NACK and before OnMessage.
@@ -1234,7 +1241,7 @@ func (c *Conn) flushAcksLocked(now time.Time) {
 // quarter of the round trip, so the peer's estimate of when it should have
 // heard moves by little, but no less than the clock can time.
 func (c *Conn) ackDelayLocked() time.Duration {
-	return min(max(c.ctrl.SRTT()/4, c.grain), maxAckDelay)
+	return min(max(c.srtt/4, c.grain), maxAckDelay)
 }
 
 // armAckLocked arms the ack timer, when something is owed and it is not
@@ -1332,7 +1339,16 @@ func (c *Conn) onAcksLocked(b AckBlock, now time.Time) {
 	rtt := at - time.Duration(b.Echo())*time.Microsecond - b.Hold()
 	if rtt > 0 {
 		c.AckedRTT = rtt
-		c.ctrl.OnAck(at, rtt)
+		if c.srtt == 0 {
+			c.srtt = rtt
+		} else {
+			c.srtt = (7*c.srtt + rtt) / 8
+		}
+		delay := rtt
+		if c.paths != nil {
+			delay = c.paths.rebaseRTT(rtt, b.Echo())
+		}
+		c.ctrl.OnAck(at, delay)
 	}
 	const reorderSlack = 3
 	for i, n := 0, b.Len(); i < n; i++ {
@@ -1398,7 +1414,7 @@ func (c *Conn) lossEligibleLocked(pp *wpending, now time.Time) bool {
 	if pp.queued || pp.sending || pp.lastSent.IsZero() {
 		return false
 	}
-	return now.Sub(pp.lastSent) >= max(c.ctrl.SRTT(), 5*time.Millisecond)
+	return now.Sub(pp.lastSent) >= max(c.srtt, 5*time.Millisecond)
 }
 
 // lossEWMAGain smooths the per-transmission loss indicator; 1/16 rides
@@ -1423,7 +1439,7 @@ func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending) {
 	c.ctrl.OnLoss(c.now(), !st.spec.Priority.Discardable())
 	if pp.class == core.ClassLossRecovery {
 		affordable := pp.deadline.IsZero() ||
-			(c.ctrl.SRTT() > 0 && c.clock.Now().Add(c.ctrl.SRTT()/2).Before(pp.deadline))
+			(c.srtt > 0 && c.clock.Now().Add(c.srtt/2).Before(pp.deadline))
 		if !affordable || pp.retx >= c.cfg.RetxLimit {
 			c.removePendingLocked(st, seq, pp)
 			return
@@ -1450,7 +1466,7 @@ func (c *Conn) sweepFire() {
 	if c.closed {
 		return
 	}
-	stale := 2 * c.ctrl.SRTT()
+	stale := 2 * c.srtt
 	if stale < 100*time.Millisecond {
 		stale = 100 * time.Millisecond
 	}

@@ -1,11 +1,11 @@
-// Package wire is the real-network implementation of the ARTP protocol
-// (package core holds the protocol rationale and the vocabulary both
-// engines share: Class, Priority, Controller and the receive-side
-// core.SeqWindow).
-// It runs over UDP sockets, as Section VI-H of the paper recommends: "the
-// actual implementation of this protocol may be done on top of UDP at the
-// application level, making it easier to integrate in applications as an
-// external library".
+// Package wire is ARTP's one engine (package core holds the protocol's
+// vocabulary: Class, Priority, Controller and the receive-side
+// core.SeqWindow). It runs over any datagram transport: UDP sockets, as
+// Section VI-H of the paper recommends — "the actual implementation of
+// this protocol may be done on top of UDP at the application level, making
+// it easier to integrate in applications as an external library" — and
+// the simulator's links through internal/marsim, where every figure and
+// study of the paper is measured.
 //
 // The wire format is a fixed little-endian header followed by the payload.
 // Versions 1 and 2 share the 26-byte legacy layout:

@@ -536,6 +536,72 @@ func TestPathSetAttributesPiggybackedAcks(t *testing.T) {
 	}
 }
 
+// TestPathSetRebasesOntoTheEchoedFramesPath: the controller's delay sample
+// is rebased onto the base RTT of the path that carried the frame the
+// acknowledgement echoes — a best-effort frame as much as a reliable one,
+// however recently another class took the other path.
+func TestPathSetRebasesOntoTheEchoedFramesPath(t *testing.T) {
+	h := newHub()
+	wifi, lte := h.endpoint(1), h.endpoint(2)
+	server := h.endpoint(100)
+	server.Start(func([]byte, *net.UDPAddr) {})
+	ps, err := NewPathSet(
+		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
+		PathSetConfig{Session: 42, Clock: newManualClock(), Peer: server.addr, Stripe: true},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	ms := time.Millisecond
+	write := func(stamp uint64, class core.Class, prio core.Priority) {
+		t.Helper()
+		f, err := AppendFrame(nil, Header{Type: TypeData, Stream: 3, Class: uint8(class), Prio: uint8(prio), SendMicro: stamp}, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ps.WriteToUDP(f, server.addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ps.rebaseRTT(80*ms, 100); got != 80*ms {
+		t.Errorf("before any probe answer: %v, want the sample passed through", got)
+	}
+	ps.mu.Lock()
+	ps.paths[0].srtt, ps.paths[0].minRTT = 17*ms, 16*ms
+	ps.paths[1].srtt, ps.paths[1].minRTT = 78*ms, 76*ms
+	ps.paths[0].state = PathDown
+	ps.mu.Unlock()
+	write(100, core.ClassFullBestEffort, core.PrioLowest) // LTE: the only live path
+	ps.mu.Lock()
+	ps.paths[0].state = PathUp
+	ps.mu.Unlock()
+	write(200, core.ClassCritical, core.PrioHighest)      // pinned to WiFi
+	write(300, core.ClassFullBestEffort, core.PrioLowest) // one stamp, striped
+	write(300, core.ClassFullBestEffort, core.PrioLowest) // over both paths
+	if n := ps.Stats().Paths[1].SentFrames; n != 2 {
+		t.Fatalf("LTE carried %d frames, want the best-effort one and half the stripe", n)
+	}
+	for _, tc := range []struct {
+		rtt  time.Duration
+		echo uint64
+		want time.Duration
+	}{
+		{80 * ms, 100, 14 * ms}, // best-effort on LTE, after which a critical frame took WiFi
+		{70 * ms, 100, 10 * ms}, // faster than LTE's fastest probe: no queue at all
+		{20 * ms, 200, 14 * ms}, // critical on WiFi
+		{80 * ms, 200, 74 * ms}, // a queue on WiFi, not hidden by LTE's base
+		{20 * ms, 300, 14 * ms}, // the stripe's WiFi frame: LTE's base is above the sample
+		{80 * ms, 300, 14 * ms}, // the stripe's LTE frame
+		{80 * ms, 50, 14 * ms},  // a stamp never written: any path could have carried it
+		{40 * ms, 50, 34 * ms},
+	} {
+		if got := ps.rebaseRTT(tc.rtt, tc.echo); got != tc.want {
+			t.Errorf("rebaseRTT(%v, echo %d) = %v, want %v", tc.rtt, tc.echo, got, tc.want)
+		}
+	}
+}
+
 // --- router ----------------------------------------------------------------
 
 func TestPathRouterEndToEnd(t *testing.T) {

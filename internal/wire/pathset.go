@@ -146,6 +146,17 @@ type inflightEntry struct {
 // entries are dropped (attribution degrades gracefully to "unknown").
 const maxInflightEntries = 8192
 
+// sentStamp remembers which path carried a data frame of any class, by the
+// send stamp an acknowledgement echoes (rebaseRTT).
+type sentStamp struct {
+	micro uint64
+	path  int
+}
+
+// sentStamps is how many data frames the stamp ring remembers: a round
+// trip's worth of 1200 B frames at 100 Mb/s and 100 ms.
+const sentStamps = 1024
+
 // subPath is the per-subflow state.
 type subPath struct {
 	name string
@@ -153,6 +164,7 @@ type subPath struct {
 
 	state        PathState
 	srtt         time.Duration
+	minRTT       time.Duration // the fastest probe answer: the path's base RTT
 	loss         float64
 	lossKnown    bool
 	pending      int // probes sent since the last probe-ack
@@ -184,7 +196,9 @@ type PathSet struct {
 	closed   bool
 	requeue  func(keys []frameKey) // bound Conn failover hook
 	inflight map[frameKey]inflightEntry
-	infifo   []frameKey // insertion order, for bounded eviction
+	infifo   []frameKey            // insertion order, for bounded eviction
+	sent     [sentStamps]sentStamp // ring of the data frames written
+	sentN    uint64                // data frames written
 
 	tx *fecGroups
 	rx *fecReassembler
@@ -256,11 +270,64 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 
 // bindConn installs the failover hook: newConnCommon calls this when a
 // Conn is built directly over a PathSet, so path-down evacuation can
-// re-enqueue in-flight frames without exporting Conn internals.
+// re-enqueue in-flight frames without exporting Conn internals. The Conn,
+// not yet shared, also learns to feed its controller rebaseRTT.
 func (ps *PathSet) bindConn(c *Conn) {
 	ps.mu.Lock()
 	ps.requeue = c.requeueFrames
 	ps.mu.Unlock()
+	c.paths = ps
+}
+
+// rebaseRTT is the delay a bound Conn's controller reacts to (Section
+// VI-D heterogeneity): core.BaseRTTFloor plus how far rtt exceeds the base
+// RTT of the path that carried the frame whose send stamp the sample
+// echoes, whatever its class. Fed the raw sample, the controller would
+// read the mere existence of a slower path — LTE beside WiFi — as
+// congestion at every cutover and cut the budget to its floor.
+//
+// A burst striped over several paths shares one stamp, and a frame the
+// ring has forgotten could have taken any path: of the candidates, the
+// sample is rebased onto the slowest base it is not below, since no frame
+// arrives faster than its path's base, and onto the floor if it is below
+// them all. A sample no candidate's probes have timed yet passes through.
+func (ps *PathSet) rebaseRTT(rtt time.Duration, echo uint64) time.Duration {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	var below, above time.Duration // slowest base <= rtt, fastest base > rtt
+	consider := func(p *subPath) {
+		switch base := p.minRTT; {
+		case base == 0:
+		case base <= rtt:
+			below = max(below, base)
+		case above == 0 || base < above:
+			above = base
+		}
+	}
+	found := false
+	// Stamps only grow in write order: walk back to the first older one.
+	for n := ps.sentN; n > 0 && ps.sentN-n < sentStamps; n-- {
+		s := ps.sent[(n-1)%sentStamps]
+		if s.micro < echo {
+			break
+		}
+		if s.micro == echo {
+			found = true
+			consider(ps.paths[s.path])
+		}
+	}
+	if !found {
+		for _, p := range ps.paths {
+			consider(p)
+		}
+	}
+	switch {
+	case below > 0:
+		return core.BaseRTTFloor + rtt - below
+	case above > 0:
+		return core.BaseRTTFloor
+	}
+	return rtt
 }
 
 // Start installs the upward delivery callback, starts every subflow, and
@@ -347,6 +414,8 @@ func (ps *PathSet) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	var index uint8
 	var parity []parityOut
 	if hdr.Type == TypeData {
+		ps.sent[ps.sentN%sentStamps] = sentStamp{micro: hdr.SendMicro, path: idx}
+		ps.sentN++
 		if core.Class(hdr.Class) != core.ClassFullBestEffort {
 			ps.recordInflightLocked(frameKey{hdr.Stream, hdr.Seq}, inflightEntry{path: idx, bytes: len(b)})
 		}
@@ -730,6 +799,9 @@ func (ps *PathSet) onProbeAck(pathIdx int, probe PathProbe) {
 	p.probesAcked++
 	rtt := time.Duration(ps.micros()-probe.SendMicro) * time.Microsecond
 	if rtt > 0 {
+		if p.minRTT == 0 || rtt < p.minRTT {
+			p.minRTT = rtt
+		}
 		if p.srtt == 0 {
 			p.srtt = rtt
 		} else {
