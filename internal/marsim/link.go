@@ -66,9 +66,6 @@ func (e *LinkEndpoint) LocalAddr() net.Addr { return e.udp }
 // Start installs the inbound delivery callback.
 func (e *LinkEndpoint) Start(recv func(pkt []byte, from *net.UDPAddr)) { e.recv = recv }
 
-// Synchronous reports event-loop delivery: true, this is a simulation.
-func (e *LinkEndpoint) Synchronous() bool { return true }
-
 // Close detaches the endpoint: it sends nothing more, and drops what
 // arrives.
 func (e *LinkEndpoint) Close() error {

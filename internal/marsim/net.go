@@ -260,9 +260,6 @@ func (ep *Endpoint) UDPAddr() *net.UDPAddr { return ep.addr }
 // Start installs the inbound delivery callback.
 func (ep *Endpoint) Start(recv func(pkt []byte, from *net.UDPAddr)) { ep.recv = recv }
 
-// Synchronous reports event-loop delivery: true, this is a simulation.
-func (ep *Endpoint) Synchronous() bool { return true }
-
 // Close detaches the endpoint; in-flight packets toward it are dropped
 // (and accounted) on arrival.
 func (ep *Endpoint) Close() error {

@@ -13,10 +13,10 @@ import (
 )
 
 // runShardedSim builds the real rpc server ASKING for four shards over a
-// simulated endpoint. The endpoint is synchronous, so the sharded
-// listener must collapse to a single shard — otherwise per-shard reader
-// goroutines would race the virtual clock and the trace would stop being
-// a pure function of the seed. The scenario scripts a mid-run partition
+// simulated endpoint. A caller-supplied transport is one shard, so the
+// listener must ignore the count — otherwise per-shard drain goroutines
+// would race the virtual clock and the trace would stop being a pure
+// function of the seed. The scenario scripts a mid-run partition
 // so the dead/resume path (where a peer's conn is replaced) is in
 // the trace too, and returns the served shard count alongside the result.
 func runShardedSim(seed int64) (*Result, int, error) {
@@ -80,9 +80,10 @@ func runShardedSim(seed int64) (*Result, int, error) {
 }
 
 // TestShardedSimCollapse pins the degenerate case the whole determinism
-// story depends on: WithShards(4) over a synchronous simulated transport
-// serves exactly one shard, spawns zero goroutines (enforced by
-// runScenario), and still carries traffic across a partition/resume.
+// story depends on: WithShards(4) over a simulated transport (a
+// WithPacketConn one, hence one shard) serves exactly one shard, spawns
+// zero goroutines (enforced by runScenario), and still carries traffic
+// across a partition/resume.
 func TestShardedSimCollapse(t *testing.T) {
 	var shards int
 	res := runScenario(t, "sharded-sim", func(seed int64) (*Result, error) {

@@ -166,7 +166,8 @@ func WithClock(clock vclock.Clock) ServerOption {
 
 // WithPacketConn serves over a caller-supplied transport (e.g. a simulated
 // network endpoint) instead of binding a UDP socket; the addr argument to
-// NewServer is then ignored. The server owns the transport and closes it.
+// NewServer is then ignored, and so is WithShards: the transport is one
+// shard. The server owns the transport and closes it.
 func WithPacketConn(pc wire.PacketConn) ServerOption {
 	return func(o *serverOptions) { o.pc = pc }
 }
@@ -177,9 +178,9 @@ func WithPacketConn(pc wire.PacketConn) ServerOption {
 // its reader goroutine, pacers, band queues and buffer pools; the route
 // table is sharded too, so shards share no lock on the packet path. The
 // admission gate stays server-wide by design — overload is a property of
-// the whole server, not of a shard. Over a synchronous simulated
-// transport (WithPacketConn of a marsim Endpoint) the count collapses to
-// one so simulation stays deterministic.
+// the whole server, not of a shard. It applies to sockets only: a
+// WithPacketConn transport (a marsim Endpoint) is one shard whatever n
+// says, so simulation stays deterministic.
 func WithShards(n int) ServerOption {
 	return func(o *serverOptions) { o.shards = n }
 }
@@ -343,9 +344,7 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 	var mux *wire.MuxGroup
 	var err error
 	if so.pc != nil {
-		// A synchronous (simulated) transport collapses to one shard
-		// inside ListenMuxShardsVia, keeping simulation deterministic.
-		mux, err = wire.ListenMuxShardsVia(so.pc, so.shards, configFor, muxOpts...)
+		mux, err = wire.ListenMuxShardsVia(so.pc, configFor, muxOpts...) // one shard
 	} else {
 		mux, err = wire.ListenMuxShards(addr, so.shards, configFor, muxOpts...)
 	}

@@ -78,9 +78,13 @@ type Config struct {
 	Streams     []StreamSpec
 	StartBudget float64 // bits/s, default 1 Mb/s
 	RetxLimit   int     // default 3
-	// OnMessage is invoked from the read loop for every newly received
-	// data frame (duplicates are filtered). The payload is owned by the
-	// callee.
+	// OnMessage is invoked for every newly received data frame (duplicates
+	// are filtered), for every conn — Dial, Listen or Mux, socket or
+	// simulated — on the goroutine that read the datagram: the socket's
+	// reader (a demux shard's drain on the hashing fallback) or the
+	// simulation's event loop. It must not block, since that goroutine
+	// serves every peer of the transport; it may close its own conn. The
+	// payload is owned by the callee.
 	OnMessage func(Message)
 	// Key, when set (16/24/32 bytes), seals every payload with AES-GCM and
 	// authenticates headers (Section VI-G). Both endpoints must share it.
@@ -249,10 +253,11 @@ const (
 // Conn is an ARTP endpoint over a datagram transport. Both sides of a
 // connection are symmetric: each may declare sending streams and receive
 // the peer's. Frames are transmitted by whichever goroutine made them
-// sendable (see drain); the protocol timers (pacing gaps, sweep, keepalive)
-// run as reset-in-place timer chains on the injected clock, so a Conn over
-// a synchronous simulated transport spawns no goroutines at all — and the
-// steady-state send path allocates nothing.
+// sendable (see drain) and received on whichever goroutine read the
+// datagram (see handleDatagram); the protocol timers (pacing gaps, sweep,
+// keepalive) run as reset-in-place timer chains on the injected clock, so a
+// Conn spawns no goroutines of its own — and the steady-state send path
+// allocates nothing.
 type Conn struct {
 	pc    PacketConn
 	bw    BatchWriter // pc's batch capability, nil when unsupported
@@ -267,7 +272,6 @@ type Conn struct {
 	streams   []*wstream // sorted by id; the order is fixed at declaration
 	bands     [4]frameQueue
 	closed    bool
-	done      chan struct{}
 	sealer    *sealer // nil when Config.Key is unset
 	state     State
 	lastHeard time.Time // last authenticated frame from the peer
@@ -330,15 +334,11 @@ type Conn struct {
 	paths *PathSet
 	srtt  time.Duration
 
-	// Mux mode: datagrams arrive via the mux's shared transport (through
-	// recvCh and a pump goroutine on asynchronous transports, direct
-	// dispatch on synchronous ones), writes go through the shared
-	// transport, and Close must not close it.
-	recvCh  chan demuxPkt
+	// Mux mode: datagrams arrive through the mux's route on the goroutine
+	// that read them, writes go through the shared transport, and Close
+	// must not close it.
 	muxced  bool
 	onClose func()
-
-	wg sync.WaitGroup
 
 	// Stats (guarded by mu).
 	SentFrames      int64
@@ -399,11 +399,22 @@ func ListenVia(pc PacketConn, cfg Config) (*Conn, error) {
 }
 
 func newConn(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
+	c, err := newConnCommon(pc, peer, cfg)
+	if err != nil {
+		pc.Close()
+		return nil, err
+	}
+	c.start()
+	return c, nil
+}
+
+// newConnCommon applies the Config defaults and builds the connection
+// state without starting delivery or timers.
+func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	var sl *sealer
 	if cfg.Key != nil {
 		var err error
 		if sl, err = newSealer(cfg.Key); err != nil {
-			pc.Close()
 			return nil, err
 		}
 	}
@@ -413,14 +424,6 @@ func newConn(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	if cfg.RetxLimit <= 0 {
 		cfg.RetxLimit = 3
 	}
-	c := newConnCommon(pc, peer, cfg, sl)
-	c.start()
-	return c, nil
-}
-
-// newConnCommon builds the connection state without starting delivery or
-// timers.
-func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Conn {
 	if cfg.KeepaliveMiss <= 0 {
 		cfg.KeepaliveMiss = 3
 	}
@@ -440,7 +443,6 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 		cfg:       cfg,
 		peer:      peer,
 		ctrl:      core.NewController(cfg.StartBudget),
-		done:      make(chan struct{}),
 		sealer:    sl,
 		state:     StateActive,
 		lastHeard: now,
@@ -470,16 +472,13 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config, sl *sealer) *Co
 	}
 	c.ctrl.SetOnChange(c.reallocateLocked)
 	c.reallocateLocked()
-	return c
+	return c, nil
 }
 
 // start begins inbound delivery and arms the periodic timer chains.
 func (c *Conn) start() {
 	if !c.muxced {
 		c.pc.Start(c.handleDatagram)
-	} else if !c.pc.Synchronous() {
-		c.wg.Add(1)
-		go c.muxPump()
 	}
 	c.mu.Lock()
 	c.sweepTimer = c.clock.AfterFunc(sweepInterval, c.sweepFn)
@@ -487,24 +486,6 @@ func (c *Conn) start() {
 		c.kaTimer = c.clock.AfterFunc(c.cfg.Keepalive, c.kaFn)
 	}
 	c.mu.Unlock()
-}
-
-// muxPump feeds datagrams queued by an asynchronous mux into the protocol;
-// synchronous (simulated) transports dispatch directly instead. The buffer
-// is the mux's loan: it goes back to the pool (poisoned in debug builds)
-// as soon as the protocol is done with it.
-func (c *Conn) muxPump() {
-	defer c.wg.Done()
-	for {
-		select {
-		case p := <-c.recvCh:
-			c.handleDatagram((*p.buf)[:p.n], c.peer)
-			PoisonBuf((*p.buf)[:p.n])
-			demuxBufPool.Put(p.buf)
-		case <-c.done:
-			return
-		}
-	}
 }
 
 // streamLocked finds a stream by id (nil when unknown).
@@ -685,7 +666,6 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.state = StateClosed
-	close(c.done)
 	for _, t := range []vclock.Timer{c.paceTimer, c.sweepTimer, c.kaTimer, c.ackTimer} {
 		if t != nil {
 			t.Stop()
@@ -697,16 +677,13 @@ func (c *Conn) Close() error {
 	if c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateClosed)
 	}
-	var err error
 	if c.muxced {
 		if c.onClose != nil {
 			c.onClose()
 		}
-	} else {
-		err = c.pc.Close()
+		return nil
 	}
-	c.wg.Wait()
-	return err
+	return c.pc.Close()
 }
 
 func (c *Conn) now() time.Duration { return c.clock.Now().Sub(c.epoch) }
@@ -1052,8 +1029,9 @@ func (c *Conn) QueuedFrames() int {
 }
 
 // handleDatagram parses and processes one inbound datagram. It is the
-// transport's delivery callback: on a real socket it runs on the reader
-// goroutine, on a simulated transport it runs on the event loop.
+// transport's delivery callback, directly or through a Mux's route: on a
+// real socket it runs on the reader goroutine (or a demux shard's drain),
+// on a simulated transport on the event loop.
 func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	hdr, payload, derr := DecodeFrame(dgram)
 	if derr != nil {

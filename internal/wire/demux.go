@@ -178,8 +178,6 @@ func (s *demuxShard) WriteBatch(dgs []Datagram) (int, error) {
 
 func (s *demuxShard) LocalAddr() net.Addr { return s.d.pc.LocalAddr() }
 
-func (s *demuxShard) Synchronous() bool { return false }
-
 func (s *demuxShard) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 	s.recv = recv
 	s.d.wg.Add(1)

@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"marnet/internal/vclock"
@@ -34,12 +33,10 @@ type Mux struct {
 	onConnClosed func(conn *Conn, peer *net.UDPAddr)
 	closed       bool
 	evictTimer   vclock.Timer
-	done         chan struct{}
 
-	// Stats (Accepted and Evicted guarded by mu).
+	// Stats (guarded by mu).
 	Accepted int64
-	Evicted  int64        // peers closed by idle eviction
-	Overruns atomic.Int64 // datagrams dropped because a peer's queue was full
+	Evicted  int64 // peers closed by idle eviction
 }
 
 // PeerKey is the comparable form of a peer address, the key of every
@@ -98,7 +95,6 @@ func ListenMuxVia(pc PacketConn, configFor func(peer *net.UDPAddr) Config, opts 
 		clock:     vclock.System,
 		configFor: configFor,
 		conns:     make(map[netip.AddrPort]*Conn),
-		done:      make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -192,7 +188,6 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
-	close(m.done)
 	if m.evictTimer != nil {
 		m.evictTimer.Stop()
 		m.evictTimer = nil
@@ -211,31 +206,12 @@ func (m *Mux) Close() error {
 }
 
 // route is the transport's delivery callback: it finds (or creates) the
-// peer's connection and hands the datagram over. On an asynchronous
-// transport each peer has a bounded queue and a pump goroutine, so one
-// slow peer cannot stall the others; a synchronous (simulated) transport
-// dispatches inline on the event loop.
+// peer's connection and hands the datagram over on the goroutine that read
+// it — a socket's reader, a demux shard's drain or a simulation's event
+// loop — exactly as a Dial or Listen conn receives.
 func (m *Mux) route(dgram []byte, raddr *net.UDPAddr) {
-	conn := m.connFor(raddr)
-	if conn == nil {
-		return // shutting down
-	}
-	if m.pc.Synchronous() {
+	if conn := m.connFor(raddr); conn != nil { // nil: shutting down
 		conn.handleDatagram(dgram, raddr)
-		return
-	}
-	if len(dgram) > recvBufLen {
-		return // larger than any frame: DecodeFrame would reject it anyway
-	}
-	// The transport's buffer is only loaned for this call; the pump gets a
-	// pooled one and returns it when the protocol is done.
-	buf := demuxBufPool.Get().(*[]byte)
-	n := copy(*buf, dgram)
-	select {
-	case conn.recvCh <- demuxPkt{buf: buf, n: n}:
-	default:
-		demuxBufPool.Put(buf)
-		m.Overruns.Add(1)
 	}
 }
 
@@ -300,27 +276,14 @@ func (m *Mux) dropConn(key netip.AddrPort, c *Conn) {
 
 // newMuxConn builds a per-peer Conn that shares the mux transport.
 func newMuxConn(m *Mux, peer *net.UDPAddr, cfg Config) (*Conn, error) {
-	var sl *sealer
-	if cfg.Key != nil {
-		var err error
-		if sl, err = newSealer(cfg.Key); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.StartBudget <= 0 {
-		cfg.StartBudget = 1e6
-	}
-	if cfg.RetxLimit <= 0 {
-		cfg.RetxLimit = 3
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = m.clock
 	}
-	c := newConnCommon(m.pc, peer, cfg, sl)
-	c.muxced = true
-	if !m.pc.Synchronous() {
-		c.recvCh = make(chan demuxPkt, 256)
+	c, err := newConnCommon(m.pc, peer, cfg)
+	if err != nil {
+		return nil, err
 	}
+	c.muxced = true
 	key := PeerKey(peer)
 	c.onClose = func() { m.dropConn(key, c) }
 	c.start()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -217,5 +218,108 @@ func TestMuxOnConnCallback(t *testing.T) {
 		return len(seen) == 1
 	}) {
 		t.Fatal("OnConn never fired")
+	}
+}
+
+// A handler may close its own conn: the mux delivers on the transport's
+// reader, so Close has no delivery goroutine of the conn's to wait for. It
+// returns at once, the closed-conn callback fires, and the mux goes on
+// serving other peers.
+func TestMuxConnClosesItselfFromOnMessage(t *testing.T) {
+	rx := newMuxCollector()
+	var once sync.Once
+	returned := make(chan struct{})
+	mux, err := ListenMux("127.0.0.1:0", func(peer *net.UDPAddr) Config {
+		count := rx.handlerFor(peer)
+		return Config{OnMessage: func(m Message) {
+			first := false
+			once.Do(func() {
+				first = true
+				m.Conn.Close() //nolint:errcheck // the closed conn's own handler
+				close(returned)
+			})
+			if !first {
+				count(m)
+			}
+		}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	dropped := make(chan struct{}, 1)
+	mux.SetOnConnClosed(func(*Conn, *net.UDPAddr) {
+		select {
+		case dropped <- struct{}{}:
+		default:
+		}
+	})
+
+	first, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams(), StartBudget: 5e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	first.Send(1, []byte("bye")) //nolint:errcheck
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Conn.Close called from its own OnMessage never returned")
+	}
+	select {
+	case <-dropped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("SetOnConnClosed never fired for the self-closed conn")
+	}
+
+	second, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams(), StartBudget: 5e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	const n = 10
+	for i := 0; i < n; i++ {
+		second.Send(1, []byte{byte(i)}) //nolint:errcheck
+	}
+	if !waitFor(t, 3*time.Second, func() bool { return rx.count(second.LocalAddr()) >= n }) {
+		t.Fatalf("second client: %d/%d delivered after the first conn closed itself", rx.count(second.LocalAddr()), n)
+	}
+}
+
+// A peer costs the mux a Conn, not a goroutine: every peer is served on
+// the socket's one reader. Accepting 32 peers may move the goroutine count
+// only by timer callbacks in flight.
+func TestMuxSpawnsNoGoroutinePerPeer(t *testing.T) {
+	const peers = 32
+	rx := newMuxCollector()
+	mux, err := ListenMux("127.0.0.1:0", func(peer *net.UDPAddr) Config {
+		return Config{OnMessage: rx.handlerFor(peer)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	clients := make([]*Conn, 0, peers)
+	for i := 0; i < peers; i++ {
+		cl, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams(), StartBudget: 5e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		clients = append(clients, cl)
+	}
+	base := runtime.NumGoroutine()
+	for _, cl := range clients {
+		cl.Send(1, []byte("hello")) //nolint:errcheck
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return len(mux.Conns()) == peers }) {
+		t.Fatalf("accepted %d of %d peers", len(mux.Conns()), peers)
+	}
+	grew := 0
+	if !waitFor(t, time.Second, func() bool {
+		grew = runtime.NumGoroutine() - base
+		return grew <= 2
+	}) {
+		t.Fatalf("accepting %d peers added %d goroutines, want <= 2", peers, grew)
 	}
 }

@@ -62,20 +62,16 @@ func ListenMuxShards(addr string, shards int, configFor func(peer *net.UDPAddr) 
 	return g, err
 }
 
-// ListenMuxShardsVia shards a caller-supplied transport. A synchronous
-// (simulated) transport collapses to a single shard: the demux's queues
-// and drain goroutines would break the deterministic event loop, and a
-// simulation has no cores to scale across anyway — the protocol behavior
-// under test is identical either way.
-func ListenMuxShardsVia(pc PacketConn, shards int, configFor func(peer *net.UDPAddr) Config, opts ...MuxOption) (*MuxGroup, error) {
-	if shards <= 1 || pc.Synchronous() {
-		m, err := ListenMuxVia(pc, configFor, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return &MuxGroup{muxes: []*Mux{m}}, nil
+// ListenMuxShardsVia serves a caller-supplied transport (a simulated
+// endpoint) as a group of one shard: the transport has one delivery
+// goroutine, a simulation has no cores to scale across, and the demux's
+// queues and drain goroutines would break its deterministic event loop.
+func ListenMuxShardsVia(pc PacketConn, configFor func(peer *net.UDPAddr) Config, opts ...MuxOption) (*MuxGroup, error) {
+	m, err := ListenMuxVia(pc, configFor, opts...)
+	if err != nil {
+		return nil, err
 	}
-	return newDemuxGroup(pc, shards, configFor, opts...)
+	return &MuxGroup{muxes: []*Mux{m}}, nil
 }
 
 func newDemuxGroup(pc PacketConn, shards int, configFor func(peer *net.UDPAddr) Config, opts ...MuxOption) (*MuxGroup, error) {
@@ -137,13 +133,12 @@ func (g *MuxGroup) Conns() []*Conn {
 }
 
 // Stats sums the per-shard mux counters.
-func (g *MuxGroup) Stats() (accepted, evicted, overruns int64) {
+func (g *MuxGroup) Stats() (accepted, evicted int64) {
 	for _, m := range g.muxes {
 		m.mu.Lock()
 		accepted += m.Accepted
 		evicted += m.Evicted
 		m.mu.Unlock()
-		overruns += m.Overruns.Load()
 	}
 	return
 }

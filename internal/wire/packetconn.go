@@ -22,14 +22,11 @@ type PacketConn interface {
 	Close() error
 	// Start installs the inbound delivery callback and begins delivery. It
 	// must be called at most once. The callback may retain pkt only for the
-	// duration of the call (the buffer is reused).
+	// duration of the call (the buffer is reused). It runs on whatever
+	// goroutine read the datagram — a socket's reader, a simulation's event
+	// loop — and every layer above handles the datagram there, so it must
+	// not block.
 	Start(recv func(pkt []byte, from *net.UDPAddr))
-	// Synchronous reports whether datagrams are delivered from a
-	// deterministic single-threaded event loop (a simulation) rather than a
-	// reader goroutine. Synchronous transports need no per-peer buffering in
-	// the mux, and connections over them schedule all their periodic work on
-	// the injected clock instead of goroutines.
-	Synchronous() bool
 }
 
 // recvBufLen sizes each receive buffer. The largest conforming ARTP frame
@@ -91,8 +88,6 @@ func (u *udpPacketConn) WriteBatch(dgs []Datagram) (int, error) {
 }
 
 func (u *udpPacketConn) LocalAddr() net.Addr { return u.sock.LocalAddr() }
-
-func (u *udpPacketConn) Synchronous() bool { return false }
 
 func (u *udpPacketConn) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 	u.wg.Add(1)

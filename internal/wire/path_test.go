@@ -275,7 +275,6 @@ func (e *hubEP) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 func (e *hubEP) LocalAddr() net.Addr                          { return e.addr }
 func (e *hubEP) Close() error                                 { e.closed = true; return nil }
 func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr)) { e.recv = fn }
-func (e *hubEP) Synchronous() bool                            { return true }
 
 // --- path set state machine ------------------------------------------------
 
@@ -320,7 +319,7 @@ func TestPathSetProbeStateMachine(t *testing.T) {
 	st := ps.Stats()
 	for _, p := range st.Paths {
 		if p.State != PathUp || p.ProbesAcked == 0 || p.SRTT != 0 {
-			// Synchronous hub: RTT is 0 virtual time, SRTT stays 0 — but
+			// Inline hub: RTT is 0 virtual time, SRTT stays 0 — but
 			// acks must have landed and the path must be up.
 			if p.State != PathUp || p.ProbesAcked == 0 {
 				t.Fatalf("path %s not healthy: %+v", p.Name, p)

@@ -129,9 +129,6 @@ func (r *PathRouter) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 	r.pc.Start(r.handle)
 }
 
-// Synchronous delegates to the inner transport.
-func (r *PathRouter) Synchronous() bool { return r.pc.Synchronous() }
-
 // LocalAddr delegates to the inner transport.
 func (r *PathRouter) LocalAddr() net.Addr { return r.pc.LocalAddr() }
 

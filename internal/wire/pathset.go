@@ -187,7 +187,6 @@ type PathSet struct {
 	cfg   PathSetConfig
 	clock vclock.Clock
 	epoch time.Time
-	sync  bool
 
 	mu       sync.Mutex
 	paths    []*subPath
@@ -242,7 +241,6 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 		peer:     cfg.Peer,
 		inflight: make(map[frameKey]inflightEntry),
 		rx:       newFECReassembler(),
-		sync:     true,
 	}
 	if cfg.FEC.K > 0 {
 		if cfg.FEC.M <= 0 || cfg.FEC.K+cfg.FEC.M > 16 {
@@ -259,9 +257,6 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 	}
 	for _, p := range paths {
 		ps.paths = append(ps.paths, &subPath{name: p.Name, pc: p.PC, state: PathUp})
-		if !p.PC.Synchronous() {
-			ps.sync = false
-		}
 	}
 	ps.probeFn = ps.probeFire
 	ps.flushFn = ps.flushFire
@@ -345,9 +340,6 @@ func (ps *PathSet) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 		p.pc.Start(func(pkt []byte, from *net.UDPAddr) { ps.handle(idx, pkt, from) })
 	}
 }
-
-// Synchronous reports whether every subflow is simulated.
-func (ps *PathSet) Synchronous() bool { return ps.sync }
 
 // LocalAddr reports the first subflow's bound address.
 func (ps *PathSet) LocalAddr() net.Addr { return ps.paths[0].pc.LocalAddr() }

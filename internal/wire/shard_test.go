@@ -91,16 +91,18 @@ func TestMuxGroupReusePortSpread(t *testing.T) {
 	if nonEmpty < 2 {
 		t.Fatalf("kernel hashed all %d clients to one shard: %v", clients, counts)
 	}
-	accepted, evicted, _ := g.Stats()
+	accepted, evicted := g.Stats()
 	if accepted != clients || evicted != 0 {
 		t.Fatalf("accepted=%d evicted=%d, want %d/0", accepted, evicted, clients)
 	}
 }
 
-// The portable fallback path: one socket feeding the hashing demux. The
-// same ownership and delivery properties must hold, and the demux's
-// packet-conservation identity must balance — everything enqueued is
-// delivered (nothing stuck, nothing dropped) once traffic quiesces.
+// The portable fallback path: one socket feeding the hashing demux, built
+// directly because on Linux ListenMuxShards reaches it only when
+// SO_REUSEPORT fails. The same ownership and delivery properties must
+// hold, and the demux's packet-conservation identity must balance —
+// everything enqueued is delivered (nothing stuck, nothing dropped) once
+// traffic quiesces.
 func TestMuxGroupDemuxFallback(t *testing.T) {
 	const shards, clients, perClient = 4, 12, 10
 	rx := newMuxCollector()
@@ -108,7 +110,7 @@ func TestMuxGroupDemuxFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ListenMuxShardsVia(newUDPPacketConn(sock), shards, func(peer *net.UDPAddr) Config {
+	g, err := newDemuxGroup(newUDPPacketConn(sock), shards, func(peer *net.UDPAddr) Config {
 		return Config{OnMessage: rx.handlerFor(peer)}
 	})
 	if err != nil {
@@ -116,7 +118,7 @@ func TestMuxGroupDemuxFallback(t *testing.T) {
 	}
 	defer g.Close()
 	if g.ReusePort() {
-		t.Fatal("caller-supplied transport must use the demux path")
+		t.Fatal("the demux group must not report reuseport")
 	}
 	if g.Shards() != shards {
 		t.Fatalf("Shards() = %d, want %d", g.Shards(), shards)

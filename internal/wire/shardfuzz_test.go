@@ -20,7 +20,6 @@ func (f *fuzzPC) LocalAddr() net.Addr {
 }
 func (f *fuzzPC) Close() error                              { f.closed.Store(true); return nil }
 func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr)) {}
-func (f *fuzzPC) Synchronous() bool                         { return false }
 
 // FuzzShardDemux hammers the two recv-side boundaries a hostile (or GRO-
 // coalescing) network can push malformed shapes through: the segment
