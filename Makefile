@@ -39,12 +39,13 @@ benchmark-check:
 # The allocation pins, by name and without the race detector (which
 # allocates on its own account): what one offloaded call, one simulated
 # datagram, one link hop, one admission cycle, one received batch, one
-# trace line and one keyed Send transmitted on its caller may cost in heap
-# objects. They also run in `test`; this target is the list, and fails if
-# one of them is renamed away.
-ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestTracePacketLineZeroAlloc|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc
+# trace line, one keyed Send transmitted on its caller and one request
+# served on the goroutine that read it may cost in heap objects. They also
+# run in `test`; this target is the list, and fails if one of them is
+# renamed away.
+ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestTracePacketLineZeroAlloc|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc
 allocs:
-	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/)"; rc=$$?; \
+	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/ ./internal/rpc/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
 	for t in $$(echo '$(ALLOC_PINS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "allocation pin $$t did not run"; exit 1; }; done
 

@@ -9,6 +9,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"marnet/internal/overload"
+	"marnet/internal/rpc"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/trace_digests.txt from this tree")
@@ -35,8 +38,22 @@ func sortedDigest(trace []byte) uint64 {
 func resultDigest(r *Result) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v %d %d %d %d %+v %+v %+v %+v",
-		r.SimTime, r.Calls, r.OKs, r.Fails, r.Reconnects, r.Transitions, r.Client, r.Server, r.Tiers)
+		r.SimTime, r.Calls, r.OKs, r.Fails, r.Reconnects, r.Transitions, r.Client, simServerCounters(r.Server), r.Tiers)
 	return h.Sum64()
+}
+
+// serverCounters prints, under %+v, exactly as rpc.ServerStats did before it
+// counted calls served on a reader goroutine: the column hashes the text,
+// and Inline is 0 on the simulator, whose transports report no backlog.
+type serverCounters struct {
+	Served, Degraded, Probes, ExpiredOnArrival, ExpiredInQueue, Shed, QueueFull, CannotFinish, Draining int64
+
+	Gate overload.GateStats
+}
+
+func simServerCounters(st rpc.ServerStats) serverCounters {
+	return serverCounters{st.Served, st.Degraded, st.Probes, st.ExpiredOnArrival, st.ExpiredInQueue,
+		st.Shed, st.QueueFull, st.CannotFinish, st.Draining, st.Gate}
 }
 
 // TestTraceDigestsGolden pins the determinism matrix: per scenario and seed,
@@ -64,6 +81,9 @@ func TestTraceDigestsGolden(t *testing.T) {
 			r, err := sc.run(seed)
 			if err != nil {
 				t.Fatalf("%s seed=%d: %v", sc.name, seed, err)
+			}
+			if r.Server.Inline != 0 {
+				t.Errorf("%s seed=%d: the simulated server served %d calls on a reader goroutine", sc.name, seed, r.Server.Inline)
 			}
 			fmt.Fprintf(&got, "%s %d %d %016x %016x %016x\n", sc.name, seed,
 				bytes.Count(r.Trace, []byte{'\n'}), r.TraceHash, sortedDigest(r.Trace), resultDigest(r))

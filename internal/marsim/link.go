@@ -19,7 +19,7 @@ type LinkEndpoint struct {
 	addr   simnet.Addr
 	udp    *net.UDPAddr
 	out    simnet.Handler
-	recv   func(pkt []byte, from *net.UDPAddr)
+	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed bool
 }
 
@@ -56,7 +56,7 @@ func (e *LinkEndpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 // Handle delivers an arriving packet to the stack above.
 func (e *LinkEndpoint) Handle(pkt *simnet.Packet) {
 	if b, ok := pkt.Payload.([]byte); ok && !e.closed && e.recv != nil {
-		e.recv(b, LinkAddr(pkt.Src))
+		e.recv(b, LinkAddr(pkt.Src), 0)
 	}
 }
 
@@ -64,7 +64,7 @@ func (e *LinkEndpoint) Handle(pkt *simnet.Packet) {
 func (e *LinkEndpoint) LocalAddr() net.Addr { return e.udp }
 
 // Start installs the inbound delivery callback.
-func (e *LinkEndpoint) Start(recv func(pkt []byte, from *net.UDPAddr)) { e.recv = recv }
+func (e *LinkEndpoint) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) { e.recv = recv }
 
 // Close detaches the endpoint: it sends nothing more, and drops what
 // arrives.

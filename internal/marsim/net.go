@@ -189,7 +189,7 @@ type Endpoint struct {
 	text   string         // addr.String(), rendered once for the trace
 	up     *simnet.Link
 	down   *simnet.Link
-	recv   func(pkt []byte, from *net.UDPAddr)
+	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed bool
 	host   *Host
 }
@@ -247,7 +247,7 @@ func (ep *Endpoint) deliver(pkt *simnet.Packet) {
 	}
 	ep.n.delivered++
 	ep.n.trace.packet("rx", d.src.text, d.dstText, pkt.Size-udpOverhead, "")
-	ep.recv(d.data, d.src.addr)
+	ep.recv(d.data, d.src.addr, 0)
 	ep.n.put(d)
 }
 
@@ -258,7 +258,7 @@ func (ep *Endpoint) LocalAddr() net.Addr { return ep.addr }
 func (ep *Endpoint) UDPAddr() *net.UDPAddr { return ep.addr }
 
 // Start installs the inbound delivery callback.
-func (ep *Endpoint) Start(recv func(pkt []byte, from *net.UDPAddr)) { ep.recv = recv }
+func (ep *Endpoint) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) { ep.recv = recv }
 
 // Close detaches the endpoint; in-flight packets toward it are dropped
 // (and accounted) on arrival.

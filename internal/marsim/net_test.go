@@ -17,7 +17,7 @@ import (
 func TestDatagramPathZeroAlloc(t *testing.T) {
 	s, a, b := traceRig(t)
 	got := 0
-	b.Start(func(pkt []byte, _ *net.UDPAddr) { got += len(pkt) })
+	b.Start(func(pkt []byte, _ *net.UDPAddr, _ int) { got += len(pkt) })
 	payload := make([]byte, 1000)
 	send := func() {
 		for i := 0; i < 3; i++ { // three in flight at once
@@ -54,7 +54,7 @@ func TestDuplicateDeliveryRecyclesOnce(t *testing.T) {
 	a, b := host.NewEndpoint(), s.Net.NewEndpoint("b", p)
 	var bufs []*byte
 	var seen [][]byte
-	b.Start(func(pkt []byte, _ *net.UDPAddr) {
+	b.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		bufs = append(bufs, &pkt[0])
 		seen = append(seen, append([]byte(nil), pkt...))
 	})
@@ -96,7 +96,7 @@ func TestDeliveredBufferPoisonedOnReturn(t *testing.T) {
 	}
 	s, a, b := traceRig(t)
 	var kept []byte
-	b.Start(func(pkt []byte, _ *net.UDPAddr) {
+	b.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		if pkt[0] != 'x' {
 			t.Errorf("delivered %q", pkt)
 		}

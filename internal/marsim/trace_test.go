@@ -19,8 +19,8 @@ func traceRig(t *testing.T) (s *Scenario, a, b *Endpoint) {
 	s = NewScenario("trace", 1)
 	p := phy.Profile{Name: "test", Up: 1e6, Down: 1e6, OneWay: 5 * time.Millisecond}
 	a, b = s.Net.NewEndpoint("a", p), s.Net.NewEndpoint("b", p)
-	a.Start(func([]byte, *net.UDPAddr) {})
-	b.Start(func([]byte, *net.UDPAddr) {})
+	a.Start(func([]byte, *net.UDPAddr, int) {})
+	b.Start(func([]byte, *net.UDPAddr, int) {})
 	return s, a, b
 }
 

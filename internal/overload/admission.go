@@ -171,29 +171,67 @@ func (a *Admission) Offer(it *Item) bool { return a.offer(it, a.cfg.Clock()) }
 
 // offer is Offer at the caller's clock reading.
 func (a *Admission) offer(it *Item, now time.Time) bool {
-	tier := it.Tier
-	if tier < 0 {
-		tier = 0
-	}
-	if tier >= a.cfg.Tiers {
-		tier = a.cfg.Tiers - 1
-	}
-	it.Tier = tier
+	a.clampTier(it)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.offered[tier]++
-	if a.closed || a.tiers[tier].n >= a.cfg.QueueCap {
-		a.tailDrop[tier]++
+	a.offered[it.Tier]++
+	if a.closed || a.tiers[it.Tier].n >= a.cfg.QueueCap {
+		a.tailDrop[it.Tier]++
 		return false
 	}
+	a.admitLocked(it, now)
+	a.tiers[it.Tier].push(it)
+	a.cond.Signal()
+	return true
+}
+
+// take is offer and pop in one step, for a caller that will run the item
+// itself: when nothing of its tier or a higher one is queued — so a pop
+// would hand over exactly this item — it is counted offered, admitted and
+// dispatched at now, its zero sojourn feeds the delay signals as a pop's
+// would, and no waiting Pop is woken, since nobody else is to pop it. It
+// reports false, changing nothing, when the item would have to wait its
+// turn (or the queues are closed).
+func (a *Admission) take(it *Item, now time.Time) bool {
+	a.clampTier(it)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return false
+	}
+	for t := 0; t <= it.Tier; t++ {
+		if a.tiers[t].n > 0 {
+			return false
+		}
+	}
+	a.offered[it.Tier]++
+	a.admitLocked(it, now)
+	a.dispatchLocked(it, now) // a zero sojourn is under Target: nothing is shed
+	return true
+}
+
+// clampTier maps an item's tier into [0, Tiers).
+func (a *Admission) clampTier(it *Item) {
+	it.Tier = min(max(it.Tier, 0), a.cfg.Tiers-1)
+}
+
+// admitLocked stamps and counts an item entering the queues at now.
+func (a *Admission) admitLocked(it *Item, now time.Time) {
 	it.Enqueued = now
 	if it.Degrade == 0 {
 		it.Degrade = TierFull
 	}
-	a.tiers[tier].push(it)
-	a.admitted[tier]++
-	a.cond.Signal()
-	return true
+	a.admitted[it.Tier]++
+}
+
+// dispatchLocked counts an item leaving the queues for a worker at now,
+// runs the queue-delay controller against its sojourn, and returns what
+// that shed.
+func (a *Admission) dispatchLocked(it *Item, now time.Time) []*Item {
+	shed := a.codelLocked(it, now)
+	a.dispatched[it.Tier]++
+	a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
+	return shed
 }
 
 // Pop blocks until work is available (or the queues close: ok=false). It
@@ -220,10 +258,7 @@ func (a *Admission) pop(wait bool) (it *Item, shed []*Item, now time.Time, ok bo
 	for {
 		if it := a.popLocked(); it != nil {
 			now = a.cfg.Clock()
-			shed = a.codelLocked(it, now)
-			a.dispatched[it.Tier]++
-			a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
-			return it, shed, now, true
+			return it, a.dispatchLocked(it, now), now, true
 		}
 		if a.closed || !wait {
 			return nil, nil, now, false

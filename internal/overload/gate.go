@@ -106,8 +106,12 @@ type GateStats struct {
 // tracking, and the drain protocol.
 //
 // Serving-layer contract: Admit every arriving request; run workers in a
-// loop around Next; answer every Rejection immediately; call Done exactly
-// once per item Next returned.
+// loop around Next (or pump TryNext from completions); answer every
+// Rejection immediately; call Done exactly once per item Next or TryNext
+// returned. A goroutine that may itself run a request cheaply admits it
+// with AdmitInline instead: when nothing is queued ahead of it, the
+// request is handed straight back — no queue, no worker woken — and that
+// goroutine owes its Done (or its refusal) as a worker would.
 type Gate struct {
 	cfg   Config
 	adm   *Admission
@@ -164,13 +168,28 @@ func (g *Gate) recordVerdict(v Verdict, it *Item) {
 // when admitted. Rejections are cheap and immediate: they run before any
 // decode or dispatch work is spent on the request.
 func (g *Gate) Admit(it *Item) Verdict {
+	v, _ := g.admit(it, false)
+	return v
+}
+
+// AdmitInline is Admit for a caller that will serve the request on its own
+// goroutine if nothing is queued ahead of it. Then the request skips the
+// queue — dispatched at once and vetted as Next vets, with no parked
+// worker woken for it — and inline is true: the request is the caller's
+// exactly as an item Next returned is a worker's, to run and settle with
+// Done when v is Admit, or to answer as refused when the vet said v.
+// Otherwise it is queued or refused exactly as Admit would, and inline is
+// false.
+func (g *Gate) AdmitInline(it *Item) (v Verdict, inline bool) { return g.admit(it, true) }
+
+func (g *Gate) admit(it *Item, inline bool) (Verdict, bool) {
 	now := g.clock()
 	g.mu.Lock()
 	if g.draining {
 		g.drainRejects++
 		g.mu.Unlock()
 		g.recordVerdict(RejectDraining, it)
-		return RejectDraining
+		return RejectDraining, false
 	}
 	g.mu.Unlock()
 
@@ -181,7 +200,7 @@ func (g *Gate) Admit(it *Item) Verdict {
 			g.expArrival++
 			g.mu.Unlock()
 			g.recordVerdict(RejectExpired, it)
-			return RejectExpired
+			return RejectExpired, false
 		}
 		// Cannot-finish at admission: predicted wait (the smoothed queue
 		// delay of this request's own tier — higher priorities jump the
@@ -195,18 +214,25 @@ func (g *Gate) Admit(it *Item) Verdict {
 				g.cannotFinish++
 				g.mu.Unlock()
 				g.recordVerdict(RejectCannotFinish, it)
-				return RejectCannotFinish
+				return RejectCannotFinish, false
 			}
 		}
 	}
-	if !g.adm.offer(it, now) {
+	taken := inline && g.adm.take(it, now)
+	if !taken && !g.adm.offer(it, now) {
 		g.recordVerdict(RejectQueueFull, it)
-		return RejectQueueFull
+		return RejectQueueFull, false
 	}
 	g.mu.Lock()
 	g.admitted++
 	g.mu.Unlock()
-	return Admit
+	if !taken {
+		return Admit, false
+	}
+	if run, rejected := g.vet(it, nil, now); run == nil {
+		return rejected[0].Verdict, true
+	}
+	return Admit, true
 }
 
 // Next blocks until a runnable item is available, returning it plus every

@@ -296,6 +296,59 @@ func TestGateLadderDegradesDispatch(t *testing.T) {
 	}
 }
 
+// AdmitInline hands a request back only when a pop would have handed over
+// exactly that request — nothing of its tier or a higher one queued — and
+// counts it as an admission plus a dispatch. A worker parked in Next is
+// not woken for it: the next thing that worker gets is the next request
+// that was queued.
+func TestAdmitInlineTakesOnlyFirstInLine(t *testing.T) {
+	clk := newFakeClock()
+	g := NewGate(Config{Clock: clk.Now})
+	defer g.Close()
+
+	got := make(chan *Item)
+	go func() {
+		run, _, _ := g.Next()
+		got <- run
+	}()
+	first := &Item{Tier: 1}
+	if v, inline := g.AdmitInline(first); v != Admit || !inline {
+		t.Fatalf("AdmitInline on empty queues = %v, inline %v; want admit, inline", v, inline)
+	}
+	if g.Inflight() != 1 || g.adm.Depth() != 0 {
+		t.Fatalf("inflight %d, depth %d after an inline admission; want 1, 0", g.Inflight(), g.adm.Depth())
+	}
+	g.Done(first, time.Microsecond)
+
+	queued := &Item{Tier: 1}
+	if g.Admit(queued) != Admit {
+		t.Fatal("admission refused")
+	}
+	if run := <-got; run != queued {
+		t.Fatalf("the parked worker got %+v, want the queued item, not the inline one", run)
+	}
+	g.Done(queued, time.Microsecond)
+
+	// A tier-2 item waits in the queue: tier 1 jumps it, tier 3 does not.
+	if g.Admit(&Item{Tier: 2}) != Admit {
+		t.Fatal("admission refused")
+	}
+	if _, inline := g.AdmitInline(&Item{Tier: 3}); inline {
+		t.Error("a tier-3 request was handed back past a queued tier-2 one")
+	}
+	if v, inline := g.AdmitInline(&Item{Tier: 1}); v != Admit || !inline {
+		t.Errorf("a tier-1 request behind only tier 2 = %v, inline %v; want admit, inline", v, inline)
+	}
+	if _, inline := g.AdmitInline(&Item{Tier: 2}); inline {
+		t.Error("a tier-2 request was handed back past a queued one of its own tier")
+	}
+
+	st := g.Stats()
+	if st.Admitted != 6 || st.Admission.Dispatched[1] != 3 || st.Admission.Admitted[2] != 2 || st.Admission.Admitted[3] != 1 {
+		t.Fatalf("stats %+v: want 6 admitted, three tier-1 dispatches, two tier-2 and one tier-3 admissions", st)
+	}
+}
+
 // TestWaitDrainVirtualClock pins WaitDrain to the injected clock: a one-
 // hour drain timeout resolves in milliseconds of real time when the Sleep
 // hook advances the virtual clock in ten-minute jumps — only possible if
@@ -346,7 +399,12 @@ func TestGateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				g.Admit(&Item{Tier: p % 4, Method: uint8(p), Deadline: time.Now().Add(time.Second)})
+				it := &Item{Tier: p % 4, Method: uint8(p), Deadline: time.Now().Add(time.Second)}
+				if p%2 == 0 {
+					g.Admit(it)
+				} else if v, inline := g.AdmitInline(it); v == Admit && inline {
+					g.Done(it, 10*time.Microsecond) // the producer served it
+				}
 			}
 		}()
 	}
@@ -373,7 +431,8 @@ func TestGateConcurrent(t *testing.T) {
 // At light load a tier's depth oscillates between 0 and 1. The queue must
 // settle into storage it owns: an Offer/TryPop cycle allocates nothing
 // beyond the caller's Item (a slice queue advanced with q[1:] reallocated
-// once per offer), and the same holds for the gate's Admit/TryNext/Done.
+// once per offer), and the same holds for the gate's Admit/TryNext/Done
+// and AdmitInline/Done.
 func TestAdmissionCycleZeroAlloc(t *testing.T) {
 	clk := newFakeClock()
 	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
@@ -411,6 +470,19 @@ func TestAdmissionCycleZeroAlloc(t *testing.T) {
 	gateCycle()
 	if allocs := testing.AllocsPerRun(1000, gateCycle); allocs != 0 {
 		t.Errorf("Admit/TryNext/Done at depth 0<->1: %.2f allocs per cycle, want 0", allocs)
+	}
+
+	inlineCycle := func() {
+		it := items[n%len(items)]
+		n++
+		it.Deadline = clk.Now().Add(time.Hour)
+		if v, inline := g.AdmitInline(it); v != Admit || !inline {
+			t.Fatalf("AdmitInline = %v, inline %v", v, inline)
+		}
+		g.Done(it, time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(1000, inlineCycle); allocs != 0 {
+		t.Errorf("AdmitInline/Done: %.2f allocs per cycle, want 0", allocs)
 	}
 }
 

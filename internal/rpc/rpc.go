@@ -97,9 +97,12 @@ var (
 )
 
 // Handler computes a response for a method and request payload. Handlers
-// run on the server's worker pool, behind admission control. req is valid
-// only until the handler returns (copy what must outlive the call); the
-// returned slice is read until the response has been sent and not kept.
+// run behind admission control, on the server's worker pool — except that
+// a method measured at under 50 µs a call runs on the goroutine that read
+// its request whenever more datagrams wait behind that request, so a
+// handler must be safe on either goroutine. req is valid only until the
+// handler returns (copy what must outlive the call); the returned slice is
+// read until the response has been sent and not kept.
 type Handler func(method uint8, req []byte) []byte
 
 // TierHandler is a degradation-aware handler: the gate's ladder tells it
@@ -137,7 +140,10 @@ func WithOverload(cfg overload.Config) ServerOption {
 
 // WithWorkers sets the handler worker pool size (default 8). The pool is
 // what turns queue depth into the load signal: admitted work waits in the
-// tiered queues, not in hidden goroutines.
+// tiered queues, not in hidden goroutines. The pool serves every request
+// but the cheap ones (measured under 50 µs) that arrive in a backlogged
+// read batch, which the reader serves itself; a slow or not yet measured
+// method always goes to the pool.
 func WithWorkers(n int) ServerOption {
 	return func(o *serverOptions) { o.workers = n }
 }
@@ -210,6 +216,7 @@ func WithServiceModel(m ServiceModel) ServerOption {
 type ServerStats struct {
 	Served   int64 // calls answered with a handler response
 	Degraded int64 // of Served, answered below TierFull
+	Inline   int64 // of Served, run on the goroutine that read the request
 	Probes   int64 // health probes answered
 
 	// ExpiredOnArrival counts requests whose propagated deadline had
@@ -229,7 +236,8 @@ type ServerStats struct {
 // Job points back at the record) and everything a worker needs to run the
 // handler and answer the right peer, in one record recycled once its
 // response or refusal is out. arrived anchors the queue-wait measurement;
-// traceID/spanID carry the client's trace context (zero when untraced).
+// traceID/spanID carry the client's trace context (zero when untraced);
+// inline marks a call the reader serves itself.
 type serverCall struct {
 	item    overload.Item
 	s       *Server
@@ -239,6 +247,7 @@ type serverCall struct {
 	arrived time.Time
 	traceID uint64
 	spanID  uint64
+	inline  bool
 
 	// Event-dispatch mode: the service in progress, its timer made once.
 	t0       time.Time
@@ -397,6 +406,7 @@ func (s *Server) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	}
 	reg.CounterFunc("mar_rpc_server_served_total", func() int64 { return s.Stats().Served }, labels...)
 	reg.CounterFunc("mar_rpc_server_degraded_total", func() int64 { return s.Stats().Degraded }, labels...)
+	reg.CounterFunc("mar_rpc_server_inline_total", func() int64 { return s.Stats().Inline }, labels...)
 	reg.CounterFunc("mar_rpc_server_probes_total", func() int64 { return s.Stats().Probes }, labels...)
 	reg.CounterFunc("mar_rpc_server_expired_on_arrival_total", func() int64 { return s.Stats().ExpiredOnArrival }, labels...)
 	reg.CounterFunc("mar_rpc_server_expired_in_queue_total", func() int64 { return s.Stats().ExpiredInQueue }, labels...)
@@ -468,13 +478,50 @@ func (s *Server) onMessage(m wire.Message) {
 		d := time.Duration(budget)*time.Microsecond - conn.SRTT()/2
 		it.Deadline = call.arrived.Add(d)
 	}
-	if v := s.gate.Admit(it); v != overload.Admit {
-		s.refuse(it, v, true)
-		return
+	// Once Admit has queued the record a worker may own it: only an
+	// inline admission leaves it to this goroutine.
+	var v overload.Verdict
+	inline := false
+	if s.cheapInline(method, m.Backlog) {
+		v, inline = s.gate.AdmitInline(it)
+	} else {
+		v = s.gate.Admit(it)
 	}
-	if s.svcModel != nil {
+	switch {
+	case v != overload.Admit:
+		s.refuse(it, v, !inline)
+	case inline:
+		call.inline = true
+		call.serve()
+		call.answer()
+	case s.svcModel != nil:
 		s.pump()
 	}
+}
+
+// inlineServiceMax is the service-time line under which the reader
+// goroutine serves a request itself instead of waking a worker: the
+// gate→worker hand-off it saves costs a call about 50 µs of scheduler wait
+// on a busy server, so a method whose estimate is below that is cheaper to
+// run than to hand over. Well above the microsecond a recognition stub
+// takes, well below anything that sleeps or blocks.
+const inlineServiceMax = 50 * time.Microsecond
+
+// cheapInline reports whether a request for method that its reader
+// delivered with backlog datagrams behind it may be served on that reader.
+// Only when there is a backlog: then the reader is busy anyway and the CPU,
+// not the network, is what the next request waits for, while a request
+// that arrived alone is better served by an idle worker in parallel with
+// the reader's next read. And only for a method whose measured service
+// estimate is under inlineServiceMax, so a slow handler never holds up the
+// datagrams behind it. The event-dispatch mode models service time on its
+// worker slots and never serves inline.
+func (s *Server) cheapInline(method uint8, backlog int) bool {
+	if backlog == 0 || s.svcModel != nil {
+		return false
+	}
+	est, ok := s.gate.Estimator().Estimate(method)
+	return ok && est < inlineServiceMax
 }
 
 // pump (event-dispatch mode) hands queued work to free worker slots until
@@ -530,19 +577,24 @@ func (call *serverCall) answer() {
 	}
 	// Counted before the send, so whoever has seen the response finds it
 	// counted; a response that could not be sent is taken back.
-	var degraded int64
+	var degraded, inline int64
 	if status == statusDegraded {
 		degraded = 1
+	}
+	if call.inline {
+		inline = 1
 	}
 	s.mu.Lock()
 	s.served++
 	s.stats.Degraded += degraded
+	s.stats.Inline += inline
 	s.mu.Unlock()
 	if err := s.respondTraced(call.conn, call.id, run.Method, status, call.resp,
 		call.traceID, call.spanID, call.queued, took); err != nil {
 		s.mu.Lock()
 		s.served--
 		s.stats.Degraded -= degraded
+		s.stats.Inline -= inline
 		s.mu.Unlock()
 	}
 	s.gate.Done(run, took)

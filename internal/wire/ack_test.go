@@ -36,7 +36,7 @@ func (p *pipePC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
 	if len(h.Acks) > 0 {
 		p.blocks = append(p.blocks, h.Acks)
 	}
-	p.clk.AfterFunc(p.delay, func() { p.to.handleDatagram(cp, stubPeer) })
+	p.clk.AfterFunc(p.delay, func() { p.to.handleDatagram(cp, stubPeer, 0) })
 	return len(b), nil
 }
 
@@ -116,7 +116,7 @@ func TestDroppedAcksAreRepairedNotRetransmitted(t *testing.T) {
 		t.Fatalf("%d frames left the sender, want %d", len(pa.frames), frames)
 	}
 	for _, f := range pa.frames {
-		b.handleDatagram(f, stubPeer)
+		b.handleDatagram(f, stubPeer, 0)
 	}
 	// b has never sent, so it cannot time a delay: one pure ack per frame.
 	if len(pb.frames) != frames {
@@ -127,7 +127,7 @@ func TestDroppedAcksAreRepairedNotRetransmitted(t *testing.T) {
 		t.Fatalf("last ack = %+v (%v), want one range naming the whole run", last, err)
 	}
 	clk.advance(10 * time.Millisecond) // past the loss guard: every frame is old enough to be declared lost
-	a.handleDatagram(pb.frames[frames-1], stubPeer)
+	a.handleDatagram(pb.frames[frames-1], stubPeer, 0)
 	if st := a.Stats(1); st.Retx != 0 || a.LostFrameCount() != 0 || outstandingFrames(a, 1) != 0 {
 		t.Fatalf("after the one ack that arrived: %d retransmissions, %d declared lost, %d outstanding; want 0, 0, 0",
 			st.Retx, a.LostFrameCount(), outstandingFrames(a, 1))
@@ -285,7 +285,7 @@ func primedReceiver(t *testing.T, clk *manualClock, rtt time.Duration) (*Conn, *
 		t.Fatal(err)
 	}
 	clk.advance(rtt)
-	c.handleDatagram(pureAck(sent.SendMicro, 0, AckRange{Stream: 1, First: 0, Run: 1}), stubPeer)
+	c.handleDatagram(pureAck(sent.SendMicro, 0, AckRange{Stream: 1, First: 0, Run: 1}), stubPeer, 0)
 	if got := c.SRTT(); got != rtt || outstandingFrames(c, 1) != 0 {
 		t.Fatalf("primed conn: SRTT %v with %d outstanding, want %v and 0", got, outstandingFrames(c, 1), rtt)
 	}
@@ -318,14 +318,14 @@ func TestAcksLeaveTogetherAndInOrder(t *testing.T) {
 	clk := newManualClock()
 	c, pc := primedReceiver(t, clk, 10*time.Millisecond)
 	for _, stream := range []uint16{2, 1, 3} {
-		c.handleDatagram(streamFrame(stream, 0), stubPeer)
-		c.handleDatagram(streamFrame(stream, 1), stubPeer)
+		c.handleDatagram(streamFrame(stream, 0), stubPeer, 0)
+		c.handleDatagram(streamFrame(stream, 1), stubPeer, 0)
 		clk.advance(100 * time.Microsecond)
 	}
 	if len(pc.frames) != 0 {
 		t.Fatalf("%d datagrams left for in-order arrivals inside the ack delay, want none", len(pc.frames))
 	}
-	c.handleDatagram(streamFrame(1, 1), stubPeer) // a duplicate: acked at once
+	c.handleDatagram(streamFrame(1, 1), stubPeer, 0) // a duplicate: acked at once
 	if len(pc.frames) != 1 {
 		t.Fatalf("%d datagrams for the duplicate, want one", len(pc.frames))
 	}
@@ -344,8 +344,8 @@ func TestAcksLeaveTogetherAndInOrder(t *testing.T) {
 	}
 
 	// Owed again, and this time a data frame takes them — all of them.
-	c.handleDatagram(streamFrame(3, 2), stubPeer)
-	c.handleDatagram(streamFrame(2, 2), stubPeer)
+	c.handleDatagram(streamFrame(3, 2), stubPeer, 0)
+	c.handleDatagram(streamFrame(2, 2), stubPeer, 0)
 	mustSend(t, c, 1, []byte("response"))
 	h, _, err = DecodeFrame(pc.frames[1])
 	if err != nil || h.Type != TypeData || h.Acks.Len() != 2 ||
@@ -368,7 +368,7 @@ func TestOwedRunOutlivesTheWindow(t *testing.T) {
 	c, pc := primedReceiver(t, clk, 10*time.Millisecond)
 	const frames = recvWindow + 100
 	for seq := int64(0); seq < frames; seq++ {
-		c.handleDatagram(streamFrame(2, seq), stubPeer)
+		c.handleDatagram(streamFrame(2, seq), stubPeer, 0)
 		if seq%500 == 499 { // a response now and then, well inside the ack delay
 			mustSend(t, c, 1, []byte("response"))
 			clk.advance(100 * time.Microsecond)
@@ -408,20 +408,20 @@ func TestOutOfOrderArrivalsAreAckedAtOnce(t *testing.T) {
 		return out
 	}
 	for seq := int64(0); seq < 3; seq++ {
-		c.handleDatagram(streamFrame(1, seq), stubPeer)
+		c.handleDatagram(streamFrame(1, seq), stubPeer, 0)
 	}
-	c.handleDatagram(streamFrame(1, 5), stubPeer) // opens the gap 3..4: the ack, then the NACK
+	c.handleDatagram(streamFrame(1, 5), stubPeer, 0) // opens the gap 3..4: the ack, then the NACK
 	if len(pc.frames) != 2 {
 		t.Fatalf("%d datagrams for the gap opener, want the ack and the NACK", len(pc.frames))
 	}
 	if got := ranges(pc.frames[0]); len(got) != 2 || got[0] != (AckRange{1, 0, 3}) || got[1] != (AckRange{1, 5, 1}) {
 		t.Fatalf("gap opener acked as %+v, want the owed run 0..2 and then 5 alone", got)
 	}
-	c.handleDatagram(streamFrame(1, 3), stubPeer) // fills a hole without touching the newest run
+	c.handleDatagram(streamFrame(1, 3), stubPeer, 0) // fills a hole without touching the newest run
 	if got := ranges(pc.frames[2]); len(got) != 1 || got[0] != (AckRange{1, 3, 1}) {
 		t.Fatalf("hole filler 3 acked as %+v, want it alone, at once", got)
 	}
-	c.handleDatagram(streamFrame(1, 4), stubPeer) // touches the run that starts at 5: 0..5 is whole again
+	c.handleDatagram(streamFrame(1, 4), stubPeer, 0) // touches the run that starts at 5: 0..5 is whole again
 	if got := ranges(pc.frames[3]); len(got) != 1 || got[0] != (AckRange{1, 0, 6}) {
 		t.Fatalf("hole filler 4 acked as %+v, want the re-joined run 0..5", got)
 	}
@@ -432,7 +432,7 @@ func TestOutOfOrderArrivalsAreAckedAtOnce(t *testing.T) {
 		if len(pc.frames) != 0 {
 			t.Fatalf("an ack left with %d ranges owed", stream-10)
 		}
-		c.handleDatagram(streamFrame(stream, 0), stubPeer)
+		c.handleDatagram(streamFrame(stream, 0), stubPeer, 0)
 	}
 	if len(pc.frames) != 1 || len(ranges(pc.frames[0])) != MaxAckRanges {
 		t.Fatalf("%d datagrams when the ranges filled up, want one ack carrying all %d", len(pc.frames), MaxAckRanges)
@@ -458,7 +458,7 @@ func TestAckTimerOnlyWhileOwed(t *testing.T) {
 	defer oneWay.Close()
 	mark := len(clk.arms)
 	for seq := int64(0); seq < 200; seq++ {
-		oneWay.handleDatagram(streamFrame(1, seq), stubPeer)
+		oneWay.handleDatagram(streamFrame(1, seq), stubPeer, 0)
 		clk.advance(time.Millisecond)
 	}
 	if arms := paceArms(clk, mark); len(arms) != 0 {
@@ -473,7 +473,7 @@ func TestAckTimerOnlyWhileOwed(t *testing.T) {
 	mark = len(clk.arms)
 	seq := int64(0)
 	for el := time.Duration(0); el < span; el += spacing {
-		busy.handleDatagram(streamFrame(2, seq), stubPeer)
+		busy.handleDatagram(streamFrame(2, seq), stubPeer, 0)
 		seq++
 		if seq%rideEvery == 0 { // a response every millisecond takes what is owed
 			mustSend(t, busy, 1, []byte("response"))

@@ -78,7 +78,7 @@ func BenchmarkOnData(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.handleDatagram(frame, from)
+		c.handleDatagram(frame, from, 0)
 	}
 	for seq := int64(0); seq < recvWindow; seq++ {
 		deliver(seq)

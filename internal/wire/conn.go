@@ -45,6 +45,13 @@ type Message struct {
 	// the sender's span — the parent of any span the receiver starts.
 	TraceID uint64
 	SpanID  uint64
+	// Backlog is how many datagrams the reader that delivered this one
+	// already holds behind it — the rest of its recvmmsg batch, or a demux
+	// shard's queue. It is 0 when the datagram was read alone and on every
+	// transport that reads one datagram at a time (the simulator's): a
+	// receiver that sees it above 0 knows its CPU, not the network, is what
+	// the next request waits for.
+	Backlog int
 }
 
 // State is the liveness of a connection's peer as judged by keepalive.
@@ -83,8 +90,10 @@ type Config struct {
 	// simulated — on the goroutine that read the datagram: the socket's
 	// reader (a demux shard's drain on the hashing fallback) or the
 	// simulation's event loop. It must not block, since that goroutine
-	// serves every peer of the transport; it may close its own conn. The
-	// payload is owned by the callee.
+	// serves every peer of the transport; it may close its own conn, and it
+	// may do short work of its own there — answer on m.Conn, say — when
+	// m.Backlog says the reader is busy anyway. The payload is owned by the
+	// callee.
 	OnMessage func(Message)
 	// Key, when set (16/24/32 bytes), seals every payload with AES-GCM and
 	// authenticates headers (Section VI-G). Both endpoints must share it.
@@ -1031,8 +1040,9 @@ func (c *Conn) QueuedFrames() int {
 // handleDatagram parses and processes one inbound datagram. It is the
 // transport's delivery callback, directly or through a Mux's route: on a
 // real socket it runs on the reader goroutine (or a demux shard's drain),
-// on a simulated transport on the event loop.
-func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
+// on a simulated transport on the event loop. backlog is the reader's (see
+// Message.Backlog).
+func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 	hdr, payload, derr := DecodeFrame(dgram)
 	if derr != nil {
 		return // ignore malformed datagrams
@@ -1072,7 +1082,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 	}
 	switch hdr.Type {
 	case TypeData:
-		c.onDataLocked(hdr, payload, len(dgram), now)
+		c.onDataLocked(hdr, payload, len(dgram), now, backlog)
 		if c.closed { // while mu was released around an ack write or OnMessage
 			c.mu.Unlock()
 			return
@@ -1096,8 +1106,9 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr) {
 // onDataLocked files one data frame: its acknowledgement is owed, and sent
 // at once in the cases that cannot wait (with mu released around the write —
 // the conn may be closed on return); a new frame is then delivered. wireLen
-// is its size on the wire and now the reader's clock reading.
-func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Time) {
+// is its size on the wire, now the reader's clock reading and backlog its
+// count of datagrams behind this one.
+func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Time, backlog int) {
 	st := c.streamLocked(hdr.Stream)
 	if st == nil {
 		// The peer sends on a stream we did not declare: accept with
@@ -1163,7 +1174,7 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		msg := Message{
 			Stream: hdr.Stream, Seq: hdr.Seq,
 			Payload: append([]byte(nil), payload...), Peer: c.peer, Conn: c,
-			TraceID: hdr.TraceID, SpanID: hdr.SpanID,
+			TraceID: hdr.TraceID, SpanID: hdr.SpanID, Backlog: backlog,
 		}
 		// Deliver without holding the lock.
 		c.mu.Unlock()
@@ -1350,7 +1361,7 @@ func (c *Conn) onAcksLocked(b AckBlock, now time.Time) {
 		for _, seq := range seqs {
 			pp := st.outstanding[seq]
 			if !b.Covers(r.Stream, seq) {
-				c.onLostLocked(st, seq, pp)
+				c.onLostLocked(st, seq, pp, now)
 				continue
 			}
 			c.lossSampleLocked(0)
@@ -1361,13 +1372,13 @@ func (c *Conn) onAcksLocked(b AckBlock, now time.Time) {
 }
 
 // loseLocked declares the listed outstanding sequences of st lost, in
-// sequence order. seqs is (a prefix of) seqScratch.
-func (c *Conn) loseLocked(st *wstream, seqs []int64) {
+// sequence order at now. seqs is (a prefix of) seqScratch.
+func (c *Conn) loseLocked(st *wstream, seqs []int64, now time.Time) {
 	c.seqScratch = seqs[:0]
 	slices.Sort(seqs)
 	for _, seq := range seqs {
 		if pp, ok := st.outstanding[seq]; ok {
-			c.onLostLocked(st, seq, pp)
+			c.onLostLocked(st, seq, pp, now)
 		}
 	}
 }
@@ -1383,7 +1394,7 @@ func (c *Conn) onNackLocked(hdr Header, payload []byte, now time.Time) {
 	}
 	for _, seq := range missing {
 		if pp, ok := st.outstanding[seq]; ok && c.lossEligibleLocked(pp, now) {
-			c.onLostLocked(st, seq, pp)
+			c.onLostLocked(st, seq, pp, now)
 		}
 	}
 }
@@ -1410,14 +1421,15 @@ func (c *Conn) lossSampleLocked(lost float64) {
 	c.lossRate += lossEWMAGain * (lost - c.lossRate)
 }
 
-func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending) {
+// onLostLocked acts on one loss verdict reached at the caller's now.
+func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending, now time.Time) {
 	c.lossSampleLocked(1)
 	c.LostFrames++
 	c.cfg.Recorder.Record(obs.EvFrameLost, uint8(pp.retx), st.spec.ID, uint32(seq), 0)
-	c.ctrl.OnLoss(c.now(), !st.spec.Priority.Discardable())
+	c.ctrl.OnLoss(now.Sub(c.epoch), !st.spec.Priority.Discardable())
 	if pp.class == core.ClassLossRecovery {
 		affordable := pp.deadline.IsZero() ||
-			(c.srtt > 0 && c.clock.Now().Add(c.srtt/2).Before(pp.deadline))
+			(c.srtt > 0 && now.Add(c.srtt/2).Before(pp.deadline))
 		if !affordable || pp.retx >= c.cfg.RetxLimit {
 			c.removePendingLocked(st, seq, pp)
 			return
@@ -1455,7 +1467,7 @@ func (c *Conn) sweepFire() {
 				lost = append(lost, seq)
 			}
 		}
-		c.loseLocked(st, lost)
+		c.loseLocked(st, lost, now)
 	}
 	c.sweepTimer = vclock.Rearm(c.clock, c.sweepTimer, sweepInterval, c.sweepFn)
 }

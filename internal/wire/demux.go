@@ -66,7 +66,7 @@ type demuxShard struct {
 	d      *shardDemux
 	idx    int
 	ch     chan demuxPkt
-	recv   func(pkt []byte, from *net.UDPAddr)
+	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed atomic.Bool
 }
 
@@ -114,8 +114,9 @@ func newShardDemux(pc PacketConn, n int) *shardDemux {
 
 // ingest is the underlying transport's delivery callback: copy into a
 // pooled buffer, hash to a shard, enqueue. It allocates nothing in steady
-// state and never blocks — a full shard queue sheds that packet alone.
-func (d *shardDemux) ingest(pkt []byte, from *net.UDPAddr) {
+// state and never blocks — a full shard queue sheds that packet alone. The
+// ingest reader's backlog is not the shard's: a drain reports its own queue.
+func (d *shardDemux) ingest(pkt []byte, from *net.UDPAddr, _ int) {
 	if len(pkt) > recvBufLen {
 		// Larger than a delivery buffer: could only be an oversized
 		// non-protocol datagram (DecodeFrame would reject it anyway).
@@ -151,7 +152,7 @@ func (s *demuxShard) drain() {
 		select {
 		case p := <-s.ch:
 			if s.recv != nil {
-				s.recv((*p.buf)[:p.n], p.from)
+				s.recv((*p.buf)[:p.n], p.from, len(s.ch))
 			}
 			s.d.delivered.Add(1)
 			PoisonBuf((*p.buf)[:p.n])
@@ -178,7 +179,7 @@ func (s *demuxShard) WriteBatch(dgs []Datagram) (int, error) {
 
 func (s *demuxShard) LocalAddr() net.Addr { return s.d.pc.LocalAddr() }
 
-func (s *demuxShard) Start(recv func(pkt []byte, from *net.UDPAddr)) {
+func (s *demuxShard) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	s.recv = recv
 	s.d.wg.Add(1)
 	go s.drain()

@@ -129,9 +129,9 @@ func (p *stubPC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
 	return len(b), nil
 }
 
-func (p *stubPC) LocalAddr() net.Addr                       { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1} }
-func (p *stubPC) Close() error                              { return nil }
-func (p *stubPC) Start(func(pkt []byte, from *net.UDPAddr)) {}
+func (p *stubPC) LocalAddr() net.Addr                                    { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1} }
+func (p *stubPC) Close() error                                           { return nil }
+func (p *stubPC) Start(func(pkt []byte, from *net.UDPAddr, backlog int)) {}
 
 // stubBatchPC adds BatchWriter, recording the size of every batch.
 type stubBatchPC struct {

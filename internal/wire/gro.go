@@ -13,23 +13,22 @@ const groRecvBufLen = 1 << 16
 // and delivers each segment to recv with the shared peer address: every
 // segment is segSize bytes except the last, which may be shorter — the
 // exact inverse of the GSO send layout. A non-positive segSize or one
-// that covers the whole packet delivers pkt unsplit. Returns the number
-// of deliveries. The function is pure over (pkt, segSize) and shared by
-// the linux readLoop and FuzzShardDemux, so the kernel-facing boundary
-// math is the same code the fuzzer hammers.
-func splitSegments(pkt []byte, segSize int, from *net.UDPAddr, recv func(pkt []byte, from *net.UDPAddr)) int {
+// that covers the whole packet delivers pkt unsplit. backlog is how many
+// datagrams follow pkt in the reader's batch; each segment is delivered
+// with that plus the segments still behind it. Returns the number of
+// deliveries. The function is pure over (pkt, segSize) and shared by the
+// linux readLoop and FuzzShardDemux, so the kernel-facing boundary math is
+// the same code the fuzzer hammers.
+func splitSegments(pkt []byte, segSize int, from *net.UDPAddr, backlog int, recv func(pkt []byte, from *net.UDPAddr, backlog int)) int {
 	if segSize <= 0 || segSize >= len(pkt) {
-		recv(pkt, from)
+		recv(pkt, from, backlog)
 		return 1
 	}
-	n := 0
-	for off := 0; off < len(pkt); off += segSize {
-		end := off + segSize
-		if end > len(pkt) {
-			end = len(pkt)
-		}
-		recv(pkt[off:end], from)
-		n++
+	segs := (len(pkt) + segSize - 1) / segSize
+	for i := 0; i < segs; i++ {
+		off := i * segSize
+		end := min(off+segSize, len(pkt))
+		recv(pkt[off:end], from, backlog+segs-1-i)
 	}
-	return n
+	return segs
 }

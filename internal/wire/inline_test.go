@@ -236,7 +236,7 @@ func TestRetransmitDrainsAfterUnlock(t *testing.T) {
 	c, pc := reliableConn(t, clk, 1)
 	mark := len(clk.arms)
 
-	c.handleDatagram(nackFor(0), stubPeer)
+	c.handleDatagram(nackFor(0), stubPeer, 0)
 	if pc.writes != 2 || c.Stats(1).Retx != 1 {
 		t.Fatalf("after the NACK returned: %d writes, %d retx, want 2 and 1", pc.writes, c.Stats(1).Retx)
 	}
@@ -287,8 +287,8 @@ func TestAckWrittenWithMuFree(t *testing.T) {
 	pc.onAck = func() { order = append(order, "ack") }
 	const frames = 50
 	for i := int64(0); i < frames; i++ {
-		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer)
-		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer) // a duplicate is acked too
+		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer, 0)
+		c.handleDatagram(dataFrame(i, []byte("request")), stubPeer, 0) // a duplicate is acked too
 		clk.advance(100 * time.Microsecond)
 	}
 	if pc.acks != 2*frames || pc.heldAcks != 0 {
@@ -300,7 +300,7 @@ func TestAckWrittenWithMuFree(t *testing.T) {
 
 	pc.onAck = func() { c.Close() } // from inside the write: mu must be free for it
 	delivered := len(order)
-	c.handleDatagram(dataFrame(frames, []byte("late")), stubPeer)
+	c.handleDatagram(dataFrame(frames, []byte("late")), stubPeer, 0)
 	if c.State() != StateClosed || len(order) != delivered {
 		t.Fatalf("state %v, %d deliveries after the close; want closed and none", c.State(), len(order)-delivered)
 	}
@@ -330,7 +330,7 @@ func TestAckWrittenWithMuFree(t *testing.T) {
 		}()
 	}
 	for i := int64(0); i < 200; i++ {
-		c2.handleDatagram(dataFrame(i, []byte("request")), stubPeer)
+		c2.handleDatagram(dataFrame(i, []byte("request")), stubPeer, 0)
 	}
 	wg.Wait()
 	if got := c2.Stats(1).Received; got != 200 {
@@ -364,7 +364,7 @@ func TestInlineDrainConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < each; i++ {
-			c.handleDatagram(nackFor(int64(i%8)), stubPeer)
+			c.handleDatagram(nackFor(int64(i%8)), stubPeer, 0)
 		}
 	}()
 	go func() {

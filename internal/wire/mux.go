@@ -209,9 +209,9 @@ func (m *Mux) Close() error {
 // peer's connection and hands the datagram over on the goroutine that read
 // it — a socket's reader, a demux shard's drain or a simulation's event
 // loop — exactly as a Dial or Listen conn receives.
-func (m *Mux) route(dgram []byte, raddr *net.UDPAddr) {
+func (m *Mux) route(dgram []byte, raddr *net.UDPAddr, backlog int) {
 	if conn := m.connFor(raddr); conn != nil { // nil: shutting down
-		conn.handleDatagram(dgram, raddr)
+		conn.handleDatagram(dgram, raddr, backlog)
 	}
 }
 

@@ -25,8 +25,10 @@ type PacketConn interface {
 	// duration of the call (the buffer is reused). It runs on whatever
 	// goroutine read the datagram — a socket's reader, a simulation's event
 	// loop — and every layer above handles the datagram there, so it must
-	// not block.
-	Start(recv func(pkt []byte, from *net.UDPAddr))
+	// not block. backlog is how many datagrams that reader already holds
+	// behind this one (the rest of its recvmmsg batch); a transport that
+	// reads one datagram at a time reports 0.
+	Start(recv func(pkt []byte, from *net.UDPAddr, backlog int))
 }
 
 // recvBufLen sizes each receive buffer. The largest conforming ARTP frame
@@ -89,7 +91,7 @@ func (u *udpPacketConn) WriteBatch(dgs []Datagram) (int, error) {
 
 func (u *udpPacketConn) LocalAddr() net.Addr { return u.sock.LocalAddr() }
 
-func (u *udpPacketConn) Start(recv func(pkt []byte, from *net.UDPAddr)) {
+func (u *udpPacketConn) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	u.wg.Add(1)
 	go func() {
 		defer u.wg.Done()
@@ -103,7 +105,7 @@ func (u *udpPacketConn) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 			if err != nil {
 				return // closed
 			}
-			recv(buf[:n], raddr)
+			recv(buf[:n], raddr, 0)
 			PoisonBuf(buf[:n])
 		}
 	}()

@@ -431,8 +431,8 @@ func (b *batchIO) groSegSize(i int) int {
 // from the reader-owned cache, so the steady-state delivery path performs
 // zero allocations. GRO-coalesced datagrams are re-split at the advertised
 // segment size before delivery, so the callback sees exactly the frames
-// the peer sent.
-func (b *batchIO) readLoop(recv func(pkt []byte, from *net.UDPAddr)) {
+// the peer sent, each with the count of those still behind it in the batch.
+func (b *batchIO) readLoop(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	b.readInit()
 	for b.readBatch(recv) {
 	}
@@ -469,7 +469,7 @@ func (b *batchIO) readInit() {
 // readBatch moves one recvmmsg vector from the socket to recv, blocking
 // until at least one datagram is there. It reports false once the socket
 // is gone.
-func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr)) bool {
+func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr, backlog int)) bool {
 	bufLen := len(b.rbufs[0])
 	for i := range b.rhdrs {
 		b.riovs[i] = syscall.Iovec{Base: &b.rbufs[i][0], Len: uint64(bufLen)}
@@ -504,11 +504,7 @@ func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr)) bool {
 		}
 		from := b.addrOf(&b.rsas[i])
 		pkt := b.rbufs[i][:n]
-		if seg := b.groSegSize(i); seg > 0 && seg < n {
-			splitSegments(pkt, seg, from, recv)
-		} else {
-			recv(pkt, from)
-		}
+		splitSegments(pkt, b.groSegSize(i), from, b.rgot-1-i, recv)
 		PoisonBuf(pkt)
 	}
 	return true

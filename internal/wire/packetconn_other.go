@@ -13,4 +13,4 @@ func newBatchIO(*net.UDPConn) *batchIO { return nil }
 
 func (*batchIO) writeBatch(dgs []Datagram) (int, error) { return 0, nil }
 
-func (*batchIO) readLoop(func(pkt []byte, from *net.UDPAddr)) {}
+func (*batchIO) readLoop(func(pkt []byte, from *net.UDPAddr, backlog int)) {}

@@ -30,7 +30,7 @@ func TestRecvBufferPoisonCatchesRetention(t *testing.T) {
 	var retained []byte // contract violation, on purpose
 	var copied []byte
 	got := make(chan struct{}, 1)
-	pc.Start(func(pkt []byte, _ *net.UDPAddr) {
+	pc.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		mu.Lock()
 		retained = pkt
 		copied = append([]byte(nil), pkt...)

@@ -238,7 +238,7 @@ type hub struct {
 type hubEP struct {
 	h      *hub
 	addr   *net.UDPAddr
-	recv   func([]byte, *net.UDPAddr)
+	recv   func([]byte, *net.UDPAddr, int)
 	closed bool
 }
 
@@ -265,16 +265,16 @@ func (e *hubEP) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	}
 	cp := append([]byte(nil), b...)
 	if e.h.clk != nil {
-		e.h.clk.AfterFunc(e.h.delay, func() { dst.recv(cp, e.addr) })
+		e.h.clk.AfterFunc(e.h.delay, func() { dst.recv(cp, e.addr, 0) })
 		return len(b), nil
 	}
-	dst.recv(cp, e.addr)
+	dst.recv(cp, e.addr, 0)
 	return len(b), nil
 }
 
-func (e *hubEP) LocalAddr() net.Addr                          { return e.addr }
-func (e *hubEP) Close() error                                 { e.closed = true; return nil }
-func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr)) { e.recv = fn }
+func (e *hubEP) LocalAddr() net.Addr                                       { return e.addr }
+func (e *hubEP) Close() error                                              { e.closed = true; return nil }
+func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr, backlog int)) { e.recv = fn }
 
 // --- path set state machine ------------------------------------------------
 
@@ -284,7 +284,7 @@ func TestPathSetProbeStateMachine(t *testing.T) {
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	server := h.endpoint(100)
 	// The server endpoint answers probes like a router would.
-	server.Start(func(pkt []byte, from *net.UDPAddr) {
+	server.Start(func(pkt []byte, from *net.UDPAddr, _ int) {
 		if IsPathFrame(pkt) {
 			if hdr, _, err := DecodePathHeader(pkt); err == nil && hdr.Kind == PathKindProbe {
 				ack := append([]byte(nil), pkt...)
@@ -311,7 +311,7 @@ func TestPathSetProbeStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr) {})
+	ps.Start(func([]byte, *net.UDPAddr, int) {})
 
 	for i := 0; i < 4; i++ {
 		clock.advance(50 * time.Millisecond)
@@ -377,7 +377,7 @@ func TestPathSetFailoverEvacuatesInflight(t *testing.T) {
 	h := newHub()
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	server := h.endpoint(100)
-	server.Start(func([]byte, *net.UDPAddr) {}) // mute server: nothing acked
+	server.Start(func([]byte, *net.UDPAddr, int) {}) // mute server: nothing acked
 
 	ps, err := NewPathSet(
 		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
@@ -388,7 +388,7 @@ func TestPathSetFailoverEvacuatesInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr) {})
+	ps.Start(func([]byte, *net.UDPAddr, int) {})
 
 	var requeued []frameKey
 	ps.mu.Lock()
@@ -427,7 +427,7 @@ func TestPathSetInteractivePinningAndStriping(t *testing.T) {
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	server := h.endpoint(100)
 	var got []uint8 // path id of each delivered data frame
-	server.Start(func(pkt []byte, _ *net.UDPAddr) {
+	server.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		if hdr, _, err := DecodePathHeader(pkt); err == nil && hdr.Kind == PathKindData {
 			got = append(got, hdr.PathID)
 		}
@@ -441,7 +441,7 @@ func TestPathSetInteractivePinningAndStriping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr) {})
+	ps.Start(func([]byte, *net.UDPAddr, int) {})
 	ps.mu.Lock()
 	ps.paths[0].srtt = 5 * time.Millisecond
 	ps.paths[1].srtt = 30 * time.Millisecond
@@ -543,7 +543,7 @@ func TestPathSetRebasesOntoTheEchoedFramesPath(t *testing.T) {
 	h := newHub()
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	server := h.endpoint(100)
-	server.Start(func([]byte, *net.UDPAddr) {})
+	server.Start(func([]byte, *net.UDPAddr, int) {})
 	ps, err := NewPathSet(
 		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
 		PathSetConfig{Session: 42, Clock: newManualClock(), Peer: server.addr, Stripe: true},
@@ -612,7 +612,7 @@ func TestPathRouterEndToEnd(t *testing.T) {
 	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
 	var serverGot [][]byte
 	var serverFrom []*net.UDPAddr
-	router.Start(func(pkt []byte, from *net.UDPAddr) {
+	router.Start(func(pkt []byte, from *net.UDPAddr, _ int) {
 		serverGot = append(serverGot, append([]byte(nil), pkt...))
 		serverFrom = append(serverFrom, from)
 	})
@@ -628,7 +628,7 @@ func TestPathRouterEndToEnd(t *testing.T) {
 	}
 	defer ps.Close()
 	var clientGot [][]byte
-	ps.Start(func(pkt []byte, _ *net.UDPAddr) {
+	ps.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		clientGot = append(clientGot, append([]byte(nil), pkt...))
 	})
 
@@ -685,7 +685,7 @@ func TestPathRouterFECRepairsUplinkBurst(t *testing.T) {
 
 	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
 	var serverSeqs []int64
-	router.Start(func(pkt []byte, _ *net.UDPAddr) {
+	router.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 		if hdr, _, err := DecodeFrame(pkt); err == nil && hdr.Type == TypeData {
 			serverSeqs = append(serverSeqs, hdr.Seq)
 		}
@@ -701,7 +701,7 @@ func TestPathRouterFECRepairsUplinkBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr) {})
+	ps.Start(func([]byte, *net.UDPAddr, int) {})
 	clock.advance(50 * time.Millisecond) // register both paths
 
 	// Burst-drop data frames 1 and 2 on the wifi subflow only; parity

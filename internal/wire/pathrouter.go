@@ -72,7 +72,7 @@ type PathRouter struct {
 	mu       sync.Mutex
 	sessions map[uint64]*routerSession
 	byCanon  map[netip.AddrPort]*routerSession // keyed by PeerKey(canon)
-	recv     func(pkt []byte, from *net.UDPAddr)
+	recv     func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed   bool
 
 	flushTimer vclock.Timer
@@ -119,7 +119,7 @@ func canonicalAddr(session uint64) *net.UDPAddr {
 
 // Start installs the upward delivery callback, arms the downlink FEC
 // flush chain, and starts the inner transport.
-func (r *PathRouter) Start(recv func(pkt []byte, from *net.UDPAddr)) {
+func (r *PathRouter) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	r.mu.Lock()
 	r.recv = recv
 	if r.cfg.FEC.K > 0 {
@@ -203,15 +203,16 @@ func (s *routerSession) touchLocked(pathID uint8, from *net.UDPAddr, now time.Ti
 	return p
 }
 
-// handle demultiplexes one inbound datagram from the shared socket.
-func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr) {
+// handle demultiplexes one inbound datagram from the shared socket; every
+// frame it hands up carries the socket reader's backlog.
+func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr, backlog int) {
 	if !IsPathFrame(pkt) {
 		r.mu.Lock()
 		r.passthrough++
 		recv, closed := r.recv, r.closed
 		r.mu.Unlock()
 		if recv != nil && !closed {
-			recv(pkt, from)
+			recv(pkt, from, backlog)
 		}
 		return
 	}
@@ -261,9 +262,9 @@ func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr) {
 		if recv == nil {
 			return
 		}
-		recv(inner, canon)
+		recv(inner, canon, backlog)
 		for _, frame := range recovered {
-			recv(frame, canon)
+			recv(frame, canon, backlog)
 		}
 	case PathKindParity:
 		phdr, shard, perr := DecodePathParity(body)
@@ -284,7 +285,7 @@ func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr) {
 			return
 		}
 		for _, frame := range recovered {
-			recv(frame, canon)
+			recv(frame, canon, backlog)
 		}
 	case PathKindProbeAck:
 		// The router never originates probes; a stray ack is dropped.

@@ -191,7 +191,7 @@ type PathSet struct {
 	mu       sync.Mutex
 	paths    []*subPath
 	peer     *net.UDPAddr
-	recv     func(pkt []byte, from *net.UDPAddr)
+	recv     func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed   bool
 	requeue  func(keys []frameKey) // bound Conn failover hook
 	inflight map[frameKey]inflightEntry
@@ -327,7 +327,7 @@ func (ps *PathSet) rebaseRTT(rtt time.Duration, echo uint64) time.Duration {
 
 // Start installs the upward delivery callback, starts every subflow, and
 // arms the probe (and FEC flush) chains.
-func (ps *PathSet) Start(recv func(pkt []byte, from *net.UDPAddr)) {
+func (ps *PathSet) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	ps.mu.Lock()
 	ps.recv = recv
 	ps.probeTimer = ps.clock.AfterFunc(ps.cfg.ProbeInterval, ps.probeFn)
@@ -337,7 +337,7 @@ func (ps *PathSet) Start(recv func(pkt []byte, from *net.UDPAddr)) {
 	ps.mu.Unlock()
 	for i, p := range ps.paths {
 		idx := i
-		p.pc.Start(func(pkt []byte, from *net.UDPAddr) { ps.handle(idx, pkt, from) })
+		p.pc.Start(func(pkt []byte, from *net.UDPAddr, backlog int) { ps.handle(idx, pkt, from, backlog) })
 	}
 }
 
@@ -721,8 +721,9 @@ func (ps *PathSet) flushFire() {
 	}
 }
 
-// handle demultiplexes one inbound datagram from subflow pathIdx.
-func (ps *PathSet) handle(pathIdx int, pkt []byte, from *net.UDPAddr) {
+// handle demultiplexes one inbound datagram from subflow pathIdx; every
+// frame it hands up carries that subflow reader's backlog.
+func (ps *PathSet) handle(pathIdx int, pkt []byte, from *net.UDPAddr, backlog int) {
 	if !IsPathFrame(pkt) {
 		// A legacy (single-path) peer: deliver as-is.
 		ps.mu.Lock()
@@ -730,7 +731,7 @@ func (ps *PathSet) handle(pathIdx int, pkt []byte, from *net.UDPAddr) {
 		closed := ps.closed
 		ps.mu.Unlock()
 		if recv != nil && !closed {
-			recv(pkt, from)
+			recv(pkt, from, backlog)
 		}
 		return
 	}
@@ -755,7 +756,7 @@ func (ps *PathSet) handle(pathIdx int, pkt []byte, from *net.UDPAddr) {
 		if derr != nil {
 			return
 		}
-		ps.onPathData(group, index, inner, from)
+		ps.onPathData(group, index, inner, from, backlog)
 	case PathKindParity:
 		phdr, shard, perr := DecodePathParity(body)
 		if perr != nil {
@@ -769,7 +770,7 @@ func (ps *PathSet) handle(pathIdx int, pkt []byte, from *net.UDPAddr) {
 			return
 		}
 		for _, frame := range recovered {
-			recv(frame, from)
+			recv(frame, from, backlog)
 		}
 	}
 }
@@ -817,7 +818,7 @@ func (ps *PathSet) onProbeAck(pathIdx int, probe PathProbe) {
 // onPathData strips the encapsulation, attributes what the inner frame
 // acknowledges back to the paths that carried it, feeds the FEC reassembler, and
 // delivers the inner frame (plus anything the parity just repaired).
-func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net.UDPAddr) {
+func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net.UDPAddr, backlog int) {
 	var recovered [][]byte
 	ps.mu.Lock()
 	if ps.closed {
@@ -833,9 +834,9 @@ func (ps *PathSet) onPathData(group uint32, index uint8, inner []byte, from *net
 	if recv == nil || closed {
 		return
 	}
-	recv(inner, from)
+	recv(inner, from, backlog)
 	for _, frame := range recovered {
-		recv(frame, from)
+		recv(frame, from, backlog)
 	}
 }
 

@@ -5,6 +5,7 @@ package wire
 import (
 	"bytes"
 	"net"
+	"slices"
 	"testing"
 )
 
@@ -45,7 +46,7 @@ func TestRecvLoopAllocRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered, failed int
-	recv := func(pkt []byte, _ *net.UDPAddr) {
+	recv := func(pkt []byte, _ *net.UDPAddr, _ int) {
 		hdr, payload, err := DecodeFrame(pkt)
 		if err == nil {
 			_, err = sl.openInPlace(hdr, payload)
@@ -83,5 +84,39 @@ func TestRecvLoopAllocRegression(t *testing.T) {
 	}
 	if failed > 0 || delivered != sent {
 		t.Fatalf("delivered %d of %d frames, %d failed to open", delivered, sent, failed)
+	}
+}
+
+// Every datagram of a recvmmsg batch is delivered with the count still
+// behind it — whether the kernel hands the four over as four messages or
+// as one GRO-coalesced buffer the reader splits — and the last with 0.
+func TestReadBatchReportsBacklog(t *testing.T) {
+	recvSock, err := listenLoopback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recvSock.Close()
+	sendSock, err := listenLoopback()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sendSock.Close()
+	b := newBatchIO(recvSock)
+	if b == nil {
+		t.Fatal("no batch I/O on a linux UDP socket")
+	}
+	b.readInit()
+	dst := recvSock.LocalAddr().(*net.UDPAddr).AddrPort()
+	for i := 0; i < 4; i++ {
+		if _, err := sendSock.WriteToUDPAddrPort(bytes.Repeat([]byte{byte(i)}, 200), dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var backlogs []int
+	if !b.readBatch(func(_ []byte, _ *net.UDPAddr, backlog int) { backlogs = append(backlogs, backlog) }) {
+		t.Fatal("readBatch: socket closed")
+	}
+	if want := []int{3, 2, 1, 0}; !slices.Equal(backlogs, want) {
+		t.Fatalf("backlogs %v, want %v", backlogs, want)
 	}
 }

@@ -52,16 +52,16 @@ func TestSplitSegmentsZeroAlloc(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5A}, 4*1200+300)
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
 	sink := 0
-	cb := func(pkt []byte, _ *net.UDPAddr) { sink += len(pkt) }
+	cb := func(pkt []byte, _ *net.UDPAddr, _ int) { sink += len(pkt) }
 	// GRO leg: a coalesced datagram re-expanded into MTU-sized segments.
 	if allocs := testing.AllocsPerRun(200, func() {
-		splitSegments(data, 1200, from, cb)
+		splitSegments(data, 1200, from, 0, cb)
 	}); allocs != 0 {
 		t.Fatalf("splitSegments (coalesced): %.2f allocs/op, want 0", allocs)
 	}
 	// Non-GRO leg: whole-datagram passthrough.
 	if allocs := testing.AllocsPerRun(200, func() {
-		splitSegments(data, 0, from, cb)
+		splitSegments(data, 0, from, 0, cb)
 	}); allocs != 0 {
 		t.Fatalf("splitSegments (passthrough): %.2f allocs/op, want 0", allocs)
 	}
@@ -77,7 +77,7 @@ func TestDemuxIngestZeroAlloc(t *testing.T) {
 	shard := d.shards[ShardOfAddr(from, 4)]
 	pkt := bytes.Repeat([]byte{0x11}, 900)
 	run := func() {
-		d.ingest(pkt, from)
+		d.ingest(pkt, from, 0)
 		select {
 		case p := <-shard.ch:
 			demuxBufPool.Put(p.buf)
@@ -105,13 +105,13 @@ func TestDemuxDeliveryBufferPoisoned(t *testing.T) {
 	var retained []byte // contract violation, on purpose
 	seen := make(chan struct{})
 	for _, sh := range d.shards {
-		sh.Start(func(pkt []byte, _ *net.UDPAddr) {
+		sh.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
 			retained = pkt
 			close(seen)
 		})
 	}
 
-	d.ingest([]byte("retained-after-return"), from)
+	d.ingest([]byte("retained-after-return"), from, 0)
 	select {
 	case <-seen:
 	case <-time.After(2 * time.Second):

@@ -71,7 +71,7 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	lost := make(map[int64]bool)
 	sent := 0
-	c.handleDatagram(frame(0), from) // creates the stream
+	c.handleDatagram(frame(0), from, 0) // creates the stream
 	sent++
 	size := c.streamLocked(7).recv.Size()
 	if size != recvWindow {
@@ -82,7 +82,7 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 			lost[seq] = true
 			continue
 		}
-		c.handleDatagram(frame(seq), from)
+		c.handleDatagram(frame(seq), from, 0)
 		sent++
 	}
 	if len(lost) < total/25 {
@@ -123,8 +123,8 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 		}
 	}
 	before := c.Stats(7)
-	c.handleDatagram(frame(inWindow), from)
-	c.handleDatagram(frame(tooOld), from)
+	c.handleDatagram(frame(inWindow), from, 0)
+	c.handleDatagram(frame(tooOld), from, 0)
 	after := c.Stats(7)
 	if delivered[inWindow] != 1 {
 		t.Errorf("late sequence %d inside the window delivered %d times, want 1", inWindow, delivered[inWindow])
@@ -174,8 +174,8 @@ func TestArrivalRateFeedsController(t *testing.T) {
 			if i > 0 {
 				clk.advance(tc.every)
 			}
-			c.handleDatagram(frame(seq), stubPeer)
-			c.handleDatagram(frame(seq), stubPeer) // every frame twice: the copy must not count
+			c.handleDatagram(frame(seq), stubPeer, 0)
+			c.handleDatagram(frame(seq), stubPeer, 0) // every frame twice: the copy must not count
 			seq++
 		}
 		want := wireBits / tc.every.Seconds()
@@ -194,7 +194,7 @@ func TestArrivalRateFeedsController(t *testing.T) {
 	if got := peerRate(); got != before {
 		t.Fatalf("the reading moved from %.0f to %.0f with no arrival", before, got)
 	}
-	c.handleDatagram(frame(seq), stubPeer)
+	c.handleDatagram(frame(seq), stubPeer, 0)
 	if got := peerRate(); got <= 0 || got > before/50 {
 		t.Fatalf("one frame after a second of silence: observed %.0f b/s, want the open window averaged over the second (was %.0f)", got, before)
 	}
@@ -300,7 +300,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
 			t.Fatal(err)
 		}
-		c.handleDatagram(in, stubPeer)
+		c.handleDatagram(in, stubPeer, 0)
 	}
 	rr := dial()
 	clk.advance(20 * time.Millisecond)

@@ -18,8 +18,8 @@ func (f *fuzzPC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) { return len(
 func (f *fuzzPC) LocalAddr() net.Addr {
 	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
 }
-func (f *fuzzPC) Close() error                              { f.closed.Store(true); return nil }
-func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr)) {}
+func (f *fuzzPC) Close() error                                           { f.closed.Store(true); return nil }
+func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr, backlog int)) {}
 
 // FuzzShardDemux hammers the two recv-side boundaries a hostile (or GRO-
 // coalescing) network can push malformed shapes through: the segment
@@ -60,15 +60,23 @@ func FuzzShardDemux(f *testing.F) {
 		// --- splitSegments invariants ---
 		var segs [][]byte
 		total := 0
-		n := splitSegments(data, segSize, from, func(pkt []byte, fr *net.UDPAddr) {
+		const behind = 3 // datagrams after this one in the reader's batch
+		var backlogs []int
+		n := splitSegments(data, segSize, from, behind, func(pkt []byte, fr *net.UDPAddr, backlog int) {
 			if fr != from {
 				t.Fatal("splitSegments changed the peer address")
 			}
 			segs = append(segs, pkt)
+			backlogs = append(backlogs, backlog)
 			total += len(pkt)
 		})
 		if n != len(segs) {
 			t.Fatalf("splitSegments returned %d, delivered %d", n, len(segs))
+		}
+		for i, b := range backlogs {
+			if want := behind + n - 1 - i; b != want {
+				t.Fatalf("segment %d of %d delivered with backlog %d, want %d", i, n, b, want)
+			}
 		}
 		if total != len(data) {
 			t.Fatalf("segments sum to %d bytes, input was %d", total, len(data))
@@ -101,7 +109,7 @@ func FuzzShardDemux(f *testing.F) {
 		// --- demux ingest conservation ---
 		shards := 1 + int(port)%9
 		d := newShardDemux(&fuzzPC{}, shards)
-		d.ingest(data, from)
+		d.ingest(data, from, 0)
 		st := d.Stats()
 		if st.Enqueued+st.DroppedFull+st.DroppedOversize != 1 {
 			t.Fatalf("one ingest accounted as %+v", st)
