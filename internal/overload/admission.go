@@ -1,10 +1,16 @@
 package overload
 
 import (
-	"math"
 	"sync"
 	"time"
+
+	"marnet/internal/queue/codel"
 )
+
+// Tiers is the number of admission tiers, one per ARTP priority level
+// (core.AdmissionTiers; a constant of its own so the package stays free of
+// core). Tier 0 is protected: the queue-delay controller never sheds it.
+const Tiers = 4
 
 // Item is one unit of admitted work moving through the admission queues.
 type Item struct {
@@ -57,48 +63,13 @@ func (r *itemRing) popBack() *Item {
 	return it
 }
 
-// AdmissionConfig tunes the per-tier bounded queues and the CoDel-style
-// queue-delay shedder.
+// AdmissionConfig sizes the per-tier bounded queues.
 type AdmissionConfig struct {
-	// Tiers is the number of priority tiers (default core.AdmissionTiers=4;
-	// kept as a plain int so the package stays dependency-free).
-	Tiers int
 	// QueueCap bounds each tier's queue (default 128). The cap is the
 	// hard backstop; CoDel shedding acts long before it fills.
 	QueueCap int
-	// Target is the acceptable standing queue delay (default 5 ms, as in
-	// RFC 8289); sojourns above it for a full Interval trigger shedding.
-	Target time.Duration
-	// Interval is the sliding-minimum window width (default 100 ms).
-	Interval time.Duration
-	// ProtectTiers is how many of the top tiers are exempt from CoDel
-	// shedding (default 1: tier 0 — PrioHighest — is only ever tail-capped,
-	// mirroring "never discarded" in the transport).
-	ProtectTiers int
 	// Clock is the time source (default time.Now).
 	Clock func() time.Time
-}
-
-func (c *AdmissionConfig) defaults() {
-	if c.Tiers <= 0 {
-		c.Tiers = 4
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 128
-	}
-	if c.Target <= 0 {
-		c.Target = 5 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.ProtectTiers <= 0 {
-		c.ProtectTiers = 1
-	}
-	if c.ProtectTiers > c.Tiers {
-		c.ProtectTiers = c.Tiers
-	}
-	c.Clock = clockOrNow(c.Clock)
 }
 
 // AdmissionStats is a snapshot of the queue counters. Slices are indexed
@@ -112,26 +83,22 @@ type AdmissionStats struct {
 }
 
 // Admission is the tiered admission queue: bounded FIFO per tier, strict
-// highest-tier-first dispatch, and a CoDel-style controller that watches
-// the sojourn time of dispatched work and sheds queued items — always from
-// the lowest unprotected tier — when the queue delay stays above Target
-// for a full Interval. This is the ARTP twist on RFC 8289: the signal is
-// classic CoDel, but the drop falls on the traffic the priority model says
-// is expendable, not on the head of the line.
+// highest-tier-first dispatch, and the CoDel law (package codel) run on the
+// sojourn of dispatched work, shedding queued items — always from the
+// lowest tier above 0 — when the queue delay stays above codel.Target
+// for a full codel.Interval. This is the ARTP twist on RFC 8289: the signal
+// is classic CoDel, but the drop falls on the traffic the priority model
+// says is expendable, not on the head of the line.
 type Admission struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	cfg  AdmissionConfig
 
-	tiers  []itemRing
+	tiers  [Tiers]itemRing
 	closed bool
 
-	// CoDel state, mirroring internal/queue/codel.go.
-	firstAbove time.Time
-	dropNext   time.Time
-	count      int
-	lastCount  int
-	dropping   bool
+	law   codel.Law
+	epoch time.Time // the law's time origin: it runs on now.Sub(epoch)
 
 	// delayEWMA tracks the sojourn of dispatched items; the gate reads it
 	// as the load signal for the ladder and the health probe. delayTier
@@ -139,24 +106,18 @@ type Admission struct {
 	// queues, so its expected wait is its own tier's recent sojourn, not
 	// the global mix.
 	delayEWMA time.Duration
-	delayTier []time.Duration
+	delayTier [Tiers]time.Duration
 
-	offered, admitted, tailDrop, codelShed, dispatched []int64
+	offered, admitted, tailDrop, codelShed, dispatched [Tiers]int64
 }
 
 // NewAdmission builds the queues.
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	cfg.defaults()
-	a := &Admission{
-		cfg:        cfg,
-		tiers:      make([]itemRing, cfg.Tiers),
-		delayTier:  make([]time.Duration, cfg.Tiers),
-		offered:    make([]int64, cfg.Tiers),
-		admitted:   make([]int64, cfg.Tiers),
-		tailDrop:   make([]int64, cfg.Tiers),
-		codelShed:  make([]int64, cfg.Tiers),
-		dispatched: make([]int64, cfg.Tiers),
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 128
 	}
+	cfg.Clock = clockOrNow(cfg.Clock)
+	a := &Admission{cfg: cfg, epoch: cfg.Clock()}
 	for i := range a.tiers {
 		a.tiers[i].buf = make([]*Item, cfg.QueueCap)
 	}
@@ -212,7 +173,7 @@ func (a *Admission) take(it *Item, now time.Time) bool {
 
 // clampTier maps an item's tier into [0, Tiers).
 func (a *Admission) clampTier(it *Item) {
-	it.Tier = min(max(it.Tier, 0), a.cfg.Tiers-1)
+	it.Tier = min(max(it.Tier, 0), Tiers-1)
 }
 
 // admitLocked stamps and counts an item entering the queues at now.
@@ -225,12 +186,23 @@ func (a *Admission) admitLocked(it *Item, now time.Time) {
 }
 
 // dispatchLocked counts an item leaving the queues for a worker at now,
-// runs the queue-delay controller against its sojourn, and returns what
-// that shed.
+// runs the CoDel law against its sojourn, and returns what that shed. The
+// law judges the dispatched item; each drop it calls for falls on
+// shedLowestLocked's victim, and when nothing sheddable is queued the
+// dropping state ends.
 func (a *Admission) dispatchLocked(it *Item, now time.Time) []*Item {
-	shed := a.codelLocked(it, now)
+	var shed []*Item
+	sojourn, at := now.Sub(it.Enqueued), now.Sub(a.epoch)
+	for a.law.Drop(sojourn, at, a.depthLocked() > 0) {
+		s := a.shedLowestLocked()
+		if s == nil {
+			a.law.Stop()
+			break
+		}
+		shed = append(shed, s)
+	}
 	a.dispatched[it.Tier]++
-	a.observeDelayLocked(it.Tier, now.Sub(it.Enqueued))
+	a.observeDelayLocked(it.Tier, sojourn)
 	return shed
 }
 
@@ -276,63 +248,13 @@ func (a *Admission) popLocked() *Item {
 	return nil
 }
 
-// codelLocked runs the queue-delay controller against the sojourn of the
-// item being dispatched and returns the queued items it shed.
-func (a *Admission) codelLocked(head *Item, now time.Time) []*Item {
-	sojourn := now.Sub(head.Enqueued)
-	if sojourn < a.cfg.Target || a.depthLocked() == 0 {
-		// Delay at its floor (or nothing left queued behind the head):
-		// leave the dropping state.
-		a.firstAbove = time.Time{}
-		a.dropping = false
-		return nil
-	}
-	if a.firstAbove.IsZero() {
-		a.firstAbove = now.Add(a.cfg.Interval)
-		return nil
-	}
-	if now.Before(a.firstAbove) {
-		return nil
-	}
-	var shed []*Item
-	if !a.dropping {
-		a.dropping = true
-		// Resume the drop cadence if shedding stopped only recently
-		// (RFC 8289 §5.4).
-		if a.count > a.lastCount+1 && now.Sub(a.dropNext) < 16*a.cfg.Interval {
-			a.count -= a.lastCount
-		} else {
-			a.count = 1
-		}
-		a.lastCount = a.count
-		if s := a.shedLowestLocked(); s != nil {
-			shed = append(shed, s)
-		}
-		a.dropNext = a.controlLaw(now)
-		return shed
-	}
-	for !now.Before(a.dropNext) {
-		s := a.shedLowestLocked()
-		if s == nil {
-			a.dropping = false
-			break
-		}
-		shed = append(shed, s)
-		a.count++
-		a.dropNext = a.controlLaw(a.dropNext)
-	}
-	return shed
-}
-
-func (a *Admission) controlLaw(t time.Time) time.Time {
-	return t.Add(time.Duration(float64(a.cfg.Interval) / math.Sqrt(float64(a.count))))
-}
-
 // shedLowestLocked removes the newest item of the lowest-priority
-// unprotected non-empty tier — the work the ARTP priority model marks
+// non-empty tier above tier 0 — the work the ARTP priority model marks
 // expendable, and within it the request that has invested the least wait.
+// Tier 0 (PrioHighest) is only ever tail-capped, mirroring "never
+// discarded" in the transport.
 func (a *Admission) shedLowestLocked() *Item {
-	for t := a.cfg.Tiers - 1; t >= a.cfg.ProtectTiers; t-- {
+	for t := Tiers - 1; t > 0; t-- {
 		if q := &a.tiers[t]; q.n > 0 {
 			a.codelShed[t]++
 			return q.popBack()
@@ -386,7 +308,7 @@ func (a *Admission) QueueDelay() time.Duration {
 func (a *Admission) QueueDelayTier(tier int) time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if tier < 0 || tier >= len(a.delayTier) {
+	if tier < 0 || tier >= Tiers {
 		return 0
 	}
 	return a.delayTier[tier]
@@ -405,12 +327,12 @@ func (a *Admission) Close() {
 func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cp := func(s []int64) []int64 { return append([]int64(nil), s...) }
+	cp := func(s *[Tiers]int64) []int64 { return append([]int64(nil), s[:]...) }
 	return AdmissionStats{
-		Offered:    cp(a.offered),
-		Admitted:   cp(a.admitted),
-		TailDrop:   cp(a.tailDrop),
-		CoDelShed:  cp(a.codelShed),
-		Dispatched: cp(a.dispatched),
+		Offered:    cp(&a.offered),
+		Admitted:   cp(&a.admitted),
+		TailDrop:   cp(&a.tailDrop),
+		CoDelShed:  cp(&a.codelShed),
+		Dispatched: cp(&a.dispatched),
 	}
 }

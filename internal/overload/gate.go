@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"marnet/internal/obs"
+	"marnet/internal/queue/codel"
 )
 
 // Config assembles a Gate.
@@ -144,7 +145,6 @@ func NewGate(cfg Config) *Gate {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	cfg.Admission.defaults() // gate reads Target etc. directly, so default here
 	return &Gate{
 		cfg:   cfg,
 		adm:   NewAdmission(cfg.Admission),
@@ -374,7 +374,7 @@ func (g *Gate) Estimator() *Estimator { return g.est }
 
 // Health derives the probe state clients steer by: draining beats
 // degraded beats healthy. Degraded means the ladder has left TierFull or
-// the queue delay has reached twice the CoDel target — overload is
+// the queue delay has reached twice codel.Target — overload is
 // building even if nothing has been shed yet.
 func (g *Gate) Health() Probe {
 	g.mu.Lock()
@@ -387,7 +387,7 @@ func (g *Gate) Health() Probe {
 	if g.cfg.Ladder.Enabled() && g.cfg.Ladder.Tier(qd) != TierFull {
 		return ProbeDegraded
 	}
-	if qd >= 2*g.cfg.Admission.Target {
+	if qd >= 2*codel.Target {
 		return ProbeDegraded
 	}
 	return ProbeHealthy

@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -72,23 +73,18 @@ func TestAdmissionTailDrop(t *testing.T) {
 // lowest tier first, and (c) never touches the protected top tier.
 func TestAdmissionCoDelShedsLowestTier(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{
-		QueueCap: 100,
-		Target:   5 * time.Millisecond,
-		Interval: 20 * time.Millisecond,
-		Clock:    clk.Now,
-	})
+	a := NewAdmission(AdmissionConfig{QueueCap: 100, Clock: clk.Now})
 	// A backlog across three tiers, all enqueued at t0.
 	for i := 0; i < 12; i++ {
 		a.Offer(&Item{Tier: 0})
 		a.Offer(&Item{Tier: 1})
 		a.Offer(&Item{Tier: 3})
 	}
-	// Serve slowly: 10 ms per dispatch, so sojourn exceeds the target
-	// immediately and stays there past the interval.
+	// Serve slowly: 50 ms per dispatch, so sojourn exceeds the target
+	// immediately and stays there for many intervals.
 	dispatched := 0
 	for a.Depth() > 0 {
-		clk.Advance(10 * time.Millisecond)
+		clk.Advance(50 * time.Millisecond)
 		if _, _, ok := a.TryPop(); !ok {
 			break
 		}
@@ -111,6 +107,67 @@ func TestAdmissionCoDelShedsLowestTier(t *testing.T) {
 		t.Fatalf("tier0 dispatched = %d, want all 12", got)
 	}
 	_ = dispatched
+}
+
+// TestAdmissionResumesDropCadence pins RFC 8289 §5.4 on the gate's queue: a
+// shedding episode that opens soon after the last one ended resumes at the
+// last episode's drop count — delta, which counts the new episode's entry
+// drop — rather than one step slower.
+func TestAdmissionResumesDropCadence(t *testing.T) {
+	clk := newFakeClock()
+	start := clk.Now()
+	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
+	for i := 0; i < 100; i++ {
+		a.Offer(&Item{Tier: 3}) // the victims
+	}
+	var sheds []time.Duration // shed instants since start
+	pop := func() {
+		_, shed, ok := a.TryPop()
+		if !ok {
+			t.Fatal("nothing to pop")
+		}
+		for range shed {
+			sheds = append(sheds, clk.Now().Sub(start))
+		}
+	}
+	// A standing queue: tier-1 work offered every millisecond is
+	// dispatched six milliseconds later.
+	for i := 0; i < 6; i++ {
+		clk.Advance(time.Millisecond)
+		a.Offer(&Item{Tier: 1})
+	}
+	standing := func(until time.Duration) {
+		for clk.Now().Sub(start) < until {
+			clk.Advance(time.Millisecond)
+			a.Offer(&Item{Tier: 1})
+			pop()
+		}
+	}
+	standing(350 * time.Millisecond)
+	// The dip: a tier-0 request jumps the queue and leaves at once.
+	clk.Advance(time.Millisecond)
+	a.Offer(&Item{Tier: 0})
+	pop()
+	standing(600 * time.Millisecond)
+
+	want := []time.Duration{
+		// Episode 1 opens one Interval after the first standing dispatch
+		// (7 ms) and sheds Interval/√count apart: 207 + 70.7 → 278,
+		// + 57.7 → 336; it ends at the dip (351 ms) with count 4.
+		107, 207, 278, 336,
+		// The queue stands again from 352 ms, so episode 2 opens at
+		// 452 ms, 67 ms after episode 1's next shed was due — inside 16
+		// intervals, so count = delta = 4: 452 + 100/√4 = 502, + 100/√5
+		// → 547, + 100/√6 → 588. Resuming at delta − 1 = 3 sheds at 510
+		// and 560 instead.
+		452, 502, 547, 588,
+	}
+	for i := range want {
+		want[i] *= time.Millisecond
+	}
+	if !reflect.DeepEqual(sheds, want) {
+		t.Fatalf("sheds at %v, want %v", sheds, want)
+	}
 }
 
 func TestEstimatorEWMA(t *testing.T) {

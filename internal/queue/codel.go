@@ -1,48 +1,36 @@
 // Package queue implements the queueing disciplines the paper discusses for
 // MAR uplinks (Section VI-H): CoDel and FQ-CoDel active queue management,
 // and a strict-priority discipline for classful traffic. All disciplines
-// implement simnet.Queue.
+// implement simnet.Queue. The CoDel law itself — RFC 8289's controller,
+// shared with overload.Admission — is the standard-library-only subpackage
+// codel, so the serving path can run it without linking the simulator.
 package queue
 
 import (
-	"math"
 	"time"
 
+	"marnet/internal/queue/codel"
 	"marnet/internal/simnet"
 )
 
-// CoDel default parameters from RFC 8289.
-const (
-	// DefaultTarget is the acceptable standing-queue sojourn time.
-	DefaultTarget = 5 * time.Millisecond
-	// DefaultInterval is the sliding-minimum window width.
-	DefaultInterval = 100 * time.Millisecond
-)
-
 // CoDel is the Controlled Delay AQM (RFC 8289): packets whose sojourn time
-// stays above Target for a full Interval are dropped at dequeue, with drop
-// spacing decreasing by the inverse square root of the drop count.
+// stays above codel.Target for a full codel.Interval are dropped at
+// dequeue, with drop spacing decreasing by the inverse square root of the
+// drop count.
 type CoDel struct {
-	Target   time.Duration
-	Interval time.Duration
-	MaxPkts  int // tail bound; 0 = unlimited
+	MaxPkts int // tail bound; 0 = unlimited
 
-	fifo simnet.DropTail
-
-	firstAboveTime time.Duration
-	dropNext       time.Duration
-	count          int
-	lastCount      int
-	dropping       bool
-	drops          int64
+	fifo  simnet.DropTail
+	law   codel.Law
+	drops int64
 }
 
 var _ simnet.Queue = (*CoDel)(nil)
 
-// NewCoDel returns a CoDel queue with RFC 8289 defaults and the given hard
-// packet bound (0 = unlimited).
+// NewCoDel returns a CoDel queue with the given hard packet bound (0 =
+// unlimited).
 func NewCoDel(maxPkts int) *CoDel {
-	return &CoDel{Target: DefaultTarget, Interval: DefaultInterval, MaxPkts: maxPkts}
+	return &CoDel{MaxPkts: maxPkts}
 }
 
 // Enqueue appends pkt, stamping its enqueue time.
@@ -63,70 +51,18 @@ func (c *CoDel) Bytes() int { return c.fifo.Bytes() }
 // Drops reports AQM plus tail drops.
 func (c *CoDel) Drops() int64 { return c.drops + c.fifo.Drops() }
 
-// shouldDrop runs the sliding-minimum test: it reports whether the packet's
-// sojourn time has been above target for at least one interval.
-func (c *CoDel) shouldDrop(pkt *simnet.Packet, now time.Duration) bool {
-	sojourn := now - pkt.Enq
-	if sojourn < c.Target || c.fifo.Bytes() <= 1500 {
-		c.firstAboveTime = 0
-		return false
-	}
-	if c.firstAboveTime == 0 {
-		c.firstAboveTime = now + c.Interval
-		return false
-	}
-	return now >= c.firstAboveTime
-}
-
-func (c *CoDel) controlLaw(t time.Duration) time.Duration {
-	return t + time.Duration(float64(c.Interval)/math.Sqrt(float64(c.count)))
-}
-
-// Dequeue implements the CoDel state machine.
+// Dequeue hands out the head, first dropping every head the law condemns.
+// The law drops only when something waits behind the head — here, more
+// than an MTU of it — so a dropped head always has a successor.
 func (c *CoDel) Dequeue(now time.Duration) *simnet.Packet {
 	pkt := c.fifo.Dequeue(now)
 	if pkt == nil {
-		c.dropping = false
+		c.law.Stop()
 		return nil
 	}
-	if c.dropping {
-		if !c.shouldDrop(pkt, now) {
-			c.dropping = false
-			return pkt
-		}
-		for now >= c.dropNext && c.dropping {
-			c.drops++
-			c.count++
-			pkt = c.fifo.Dequeue(now)
-			if pkt == nil {
-				c.dropping = false
-				return nil
-			}
-			if !c.shouldDrop(pkt, now) {
-				c.dropping = false
-				return pkt
-			}
-			c.dropNext = c.controlLaw(c.dropNext)
-		}
-		return pkt
-	}
-	if c.shouldDrop(pkt, now) {
+	for c.law.Drop(now-pkt.Enq, now, c.fifo.Bytes() > 1500) {
 		c.drops++
-		c.count++
 		pkt = c.fifo.Dequeue(now)
-		if pkt == nil {
-			c.dropping = false
-			return nil
-		}
-		c.dropping = true
-		// Resume drop cadence if we recently stopped dropping (RFC 8289 §5.4).
-		if c.count > c.lastCount+1 && now-c.dropNext < 16*c.Interval {
-			c.count = c.count - c.lastCount
-		} else {
-			c.count = 1
-		}
-		c.lastCount = c.count
-		c.dropNext = c.controlLaw(now)
 	}
 	return pkt
 }

@@ -33,9 +33,8 @@ type fqFlow struct {
 
 var _ simnet.Queue = (*FQCoDel)(nil)
 
-// NewFQCoDel returns an FQ-CoDel queue with RFC-default CoDel parameters,
-// the given total packet bound (0 = unlimited), 1024 flow buckets, and a
-// quantum of one MTU.
+// NewFQCoDel returns an FQ-CoDel queue with the given total packet bound (0
+// = unlimited), 1024 flow buckets, and a quantum of one MTU.
 func NewFQCoDel(maxPkts int) *FQCoDel {
 	q := &FQCoDel{Quantum: 1514, MaxPkts: maxPkts, NumFlows: 1024}
 	q.flows = make([]*fqFlow, q.NumFlows)
@@ -48,7 +47,7 @@ func (q *FQCoDel) flowOf(pkt *simnet.Packet) *fqFlow {
 	idx := int(h % uint64(q.NumFlows))
 	f := q.flows[idx]
 	if f == nil {
-		f = &fqFlow{codel: CoDel{Target: DefaultTarget, Interval: DefaultInterval}}
+		f = &fqFlow{}
 		q.flows[idx] = f
 	}
 	return f

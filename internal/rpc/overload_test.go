@@ -10,6 +10,15 @@ import (
 	"marnet/internal/overload"
 )
 
+// The server maps each request's core.Priority onto one of the gate's
+// admission tiers; overload keeps its own count so it stays free of core,
+// and the two must agree or a priority lands in the wrong tier.
+func TestAdmissionTiersMatchPriorities(t *testing.T) {
+	if overload.Tiers != core.AdmissionTiers {
+		t.Fatalf("overload.Tiers = %d, core.AdmissionTiers = %d", overload.Tiers, core.AdmissionTiers)
+	}
+}
+
 // TestServerExpiredOnArrival sends a call whose budget is smaller than the
 // one-way network delay: by the time the request reaches the server, its
 // deadline is unmeetable, and the server must refuse it before dispatch —
