@@ -72,7 +72,8 @@ examples:
 	check quickstart '^metadata +delivered=100 ' && \
 	check graceful_degradation '^metadata delivered ([0-9]+)/\1 ' && \
 	check multipath_handover ' no stall$$' && \
-	check d2d_privacy '^session total: [1-9][0-9]* delivered, [0-9]+ late \((9[0-9]|100)\.[0-9] % in time\)'
+	check d2d_privacy '^session total: [1-9][0-9]* delivered, [0-9]+ late \((9[0-9]|100)\.[0-9] % in time\)' && \
+	check offload_pipeline '^on a smartphone over LTE, Glimpse holds the 75 ms budget best: [0-9.]+ % of frames$$'
 
 # The full chaos acceptance storm (skipped under -short), race-checked.
 chaos:

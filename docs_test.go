@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"marnet/internal/experiments"
 )
@@ -344,5 +345,56 @@ func TestSectionVIHMatchesDocs(t *testing.T) {
 	}
 	if seen != 2 {
 		t.Errorf("EXPERIMENTS.md's Section VI-H table has %d of the FQ-CoDel and StrictPriority rows", seen)
+	}
+}
+
+// TestOffloadFiguresMatchDocs renders Table II and Figure 5 at the seed
+// EXPERIMENTS.md quotes (marbench's default, 42) and holds every row of
+// both tables to them — the last of each "old → new" cell.
+func TestOffloadFiguresMatchDocs(t *testing.T) {
+	exp := readFile(t, "EXPERIMENTS.md")
+	ms := func(d time.Duration) string { return strconv.FormatFloat(float64(d)/1e6, 'f', 1, 64) }
+	now := `(?:[\d.]+ → )?([\d.]+)`
+
+	t2 := experiments.TableII(42)
+	table := regexp.MustCompile(`(?m)^\| ([A-Za-z]+ server / (?:WiFi|LTE)) \| (\d+) ms \| ` + now + ` ms \|$`)
+	seen := 0
+	for _, m := range submatches(t, exp, "EXPERIMENTS.md", table) {
+		for _, r := range t2.Rows {
+			if !strings.EqualFold(m[1], r.Platform+" / "+r.Connection) {
+				continue
+			}
+			seen++
+			if paper := strconv.Itoa(int(r.PaperRTT / time.Millisecond)); m[2] != paper {
+				t.Errorf("EXPERIMENTS.md Table II %s: paper RTT reads %s ms, the study quotes %s ms", m[1], m[2], paper)
+			}
+			if got := ms(r.LinkRTT); m[3] != got {
+				t.Errorf("EXPERIMENTS.md Table II %s: RTT reads %s ms, TableII(42) gives %s ms", m[1], m[3], got)
+			}
+		}
+	}
+	if seen != len(t2.Rows) {
+		t.Errorf("EXPERIMENTS.md's Table II has %d of the study's %d rows", seen, len(t2.Rows))
+	}
+
+	f5 := experiments.Figure5(42)
+	table = regexp.MustCompile(`(?m)^\| ((?:cloud only|5[a-d]) [^|]*) \| ` + now + ` ms \| ` + now + `% \|$`)
+	seen = 0
+	for _, m := range submatches(t, exp, "EXPERIMENTS.md", table) {
+		for _, r := range f5.Rows {
+			if !strings.HasPrefix(m[1], r.Scenario) {
+				continue
+			}
+			seen++
+			if got := ms(r.MeanLat); m[2] != got {
+				t.Errorf("EXPERIMENTS.md Figure 5 %s: mean latency reads %s ms, Figure5(42) gives %s ms", m[1], m[2], got)
+			}
+			if got := strconv.FormatFloat(math.Round(1000*r.HitRate)/10, 'f', -1, 64); m[3] != got {
+				t.Errorf("EXPERIMENTS.md Figure 5 %s: ≤75 ms reads %s%%, Figure5(42) gives %s%%", m[1], m[3], got)
+			}
+		}
+	}
+	if seen != len(f5.Rows) {
+		t.Errorf("EXPERIMENTS.md's Figure 5 table has %d of the study's %d rows", seen, len(f5.Rows))
 	}
 }

@@ -2,7 +2,8 @@
 // synthetic camera frame (real pixels, real features, real homography),
 // times each stage, feeds those costs into the paper's Section III cost
 // model, and then replays the four offloading strategies over a simulated
-// LTE link to show which ones hold a 30 FPS deadline on a smartphone.
+// LTE link — every offloaded frame a set of rpc calls over ARTP — to show
+// which one holds the 75 ms budget at 30 FPS on a smartphone.
 package main
 
 import (
@@ -78,33 +79,39 @@ func run() error {
 		name, delay.Round(time.Millisecond), app.Deadline().Round(time.Millisecond))
 
 	// --- Part 3: replay all four strategies over a simulated link. -------
-	fmt.Printf("%-12s %12s %12s %10s %12s\n", "pipeline", "mean lat", "p95 lat", "<=75ms", "uplink MB/s")
+	// Each offloaded frame is a set of rpc calls over ARTP (wire.Conn) on
+	// the simulated LTE link; the cloud's compute is the server's service
+	// model.
+	// A frame whose calls fail (ARTP gave up on them within the call
+	// deadline) is a miss without a latency: "failed" counts them.
+	fmt.Printf("%-12s %12s %12s %10s %8s %12s\n", "pipeline", "mean lat", "p95 lat", "<=75ms", "failed", "uplink MB/s")
+	best, bestHit := "", 0.0
 	for _, pl := range offload.StandardPipelines() {
 		sim := simnet.New(3)
 		clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 		up := phy.LTE.Uplink(sim, serverMux)
 		down := phy.LTE.Downlink(sim, clientMux)
-		srv := offload.NewServer(sim, 100, cloud.ComputeOps, func(simnet.Addr) simnet.Handler { return down })
-		serverMux.Register(100, srv)
-		cl, err := offload.NewClient(sim, pl, offload.ClientConfig{
-			Local: 1, Server: 100, FlowID: 1, Uplink: up,
-			DeviceOps: smartphone.ComputeOps, FPS: 30, Deadline: mar.MaxTolerableRTT,
-		})
+		r, err := offload.NewRunner(sim, pl, cloud.ComputeOps, up, down, clientMux, serverMux)
 		if err != nil {
 			return err
 		}
-		clientMux.Register(1, cl)
-		cl.Run(10 * time.Second)
+		if err := r.Run(smartphone.ComputeOps, 30, mar.MaxTolerableRTT, 10*time.Second); err != nil {
+			return err
+		}
 		if err := sim.RunUntil(15 * time.Second); err != nil {
 			return err
 		}
-		total := cl.DeadlineHits + cl.DeadlineMiss
-		fmt.Printf("%-12s %12v %12v %9.1f%% %12.2f\n",
+		hit := float64(r.DeadlineHits) / float64(r.DeadlineHits+r.DeadlineMiss)
+		if hit > bestHit {
+			best, bestHit = pl.Name, hit
+		}
+		fmt.Printf("%-12s %12v %12v %9.1f%% %8d %12.2f\n",
 			pl.Name,
-			cl.Latency.Mean().Round(100*time.Microsecond),
-			cl.Latency.Percentile(95).Round(100*time.Microsecond),
-			100*float64(cl.DeadlineHits)/float64(total),
-			float64(cl.UpBytes)/10/1e6)
+			r.Latency.Mean().Round(100*time.Microsecond),
+			r.Latency.Percentile(95).Round(100*time.Microsecond),
+			100*hit, r.Failed,
+			float64(r.UpBytes)/10/1e6)
 	}
+	fmt.Printf("\non a smartphone over LTE, %s holds the 75 ms budget best: %.1f %% of frames\n", best, 100*bestHit)
 	return nil
 }

@@ -331,16 +331,19 @@ func TestSectionVIHShape(t *testing.T) {
 	}
 }
 
-// Same seed, same figure: nothing an ARTP session does — loss
-// declarations, timers, same-instant events — may depend on map order or
-// the wall clock. Five runs of every study a session drives, rendered as
-// marbench prints them, must be one text.
+// Same seed, same figure: nothing an ARTP session or an rpc call over it
+// does — loss declarations, timers, same-instant events — may depend on
+// map order or the wall clock. Five runs of every study a session drives,
+// rendered as marbench prints them, must be one text.
 func TestFiguresRepeatPerSeed(t *testing.T) {
 	for _, fig := range []struct {
 		name   string
 		render func() string
 	}{
+		{"TableII", func() string { return TableII(42).Format() }},
 		{"Figure4", func() string { return Figure4(42).Format() }},
+		{"Figure5", func() string { return Figure5(42).Format() }},
+		{"SectionIVA", func() string { return SectionIVA(42).Format() }},
 		{"SectionIVC", func() string { return SectionIVC(42).Format() }},
 		{"SectionIVD", func() string { return SectionIVD(42).Format() }},
 		{"SectionVIC", func() string { return SectionVIC(42).Format() }},

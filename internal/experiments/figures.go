@@ -366,24 +366,20 @@ func Figure5(seed int64) Figure5Result {
 		clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 		up := simnet.NewPath(sim, serverMux, sc.hops...)
 		down := simnet.NewPath(sim, clientMux, sc.hops...)
-		srv := offload.NewServer(sim, 100, sc.serverOps, func(simnet.Addr) simnet.Handler { return down })
-		serverMux.Register(100, srv)
-		cl, err := offload.NewClient(sim, sc.pipeline, offload.ClientConfig{
-			Local: 1, Server: 100, FlowID: 1, Uplink: up,
-			DeviceOps: 2e7, FPS: 30, Deadline: mar.MaxTolerableRTT,
-		})
+		r, err := offload.NewRunner(sim, sc.pipeline, sc.serverOps, up, down, clientMux, serverMux)
 		if err != nil {
 			panic(err)
 		}
-		clientMux.Register(1, cl)
-		cl.Run(10 * time.Second)
+		if err := r.Run(2e7, 30, mar.MaxTolerableRTT, 10*time.Second); err != nil {
+			panic(err)
+		}
 		if err := sim.RunUntil(15 * time.Second); err != nil {
 			panic(err)
 		}
-		total := cl.DeadlineHits + cl.DeadlineMiss
+		total := r.DeadlineHits + r.DeadlineMiss
 		hit := 0.0
 		if total > 0 {
-			hit = float64(cl.DeadlineHits) / float64(total)
+			hit = float64(r.DeadlineHits) / float64(total)
 		}
 		energy, err := mar.DefaultEnergyModel().PipelineEnergy(
 			sc.radio, sc.pipeline.LocalOps, sc.pipeline.UploadBytes, sc.pipeline.ResultBytes)
@@ -392,10 +388,10 @@ func Figure5(seed int64) Figure5Result {
 		}
 		out.Rows = append(out.Rows, Figure5Row{
 			Scenario:  sc.name,
-			MeanLat:   cl.Latency.Mean().Round(100 * time.Microsecond),
-			P95Lat:    cl.Latency.Percentile(95).Round(100 * time.Microsecond),
+			MeanLat:   r.Latency.Mean().Round(100 * time.Microsecond),
+			P95Lat:    r.Latency.Percentile(95).Round(100 * time.Microsecond),
 			HitRate:   hit,
-			UplinkMBs: float64(cl.UpBytes) / 1e6,
+			UplinkMBs: float64(r.UpBytes) / 1e6,
 			FrameJ:    energy.Total(),
 		})
 	}

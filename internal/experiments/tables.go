@@ -47,7 +47,7 @@ type TableIIRow struct {
 	Connection string
 	LinkRTT    time.Duration // measured mean
 	PaperRTT   time.Duration // the paper's reported value
-	Lost       int64
+	Lost       int64         // probes whose call failed
 }
 
 // TableIIResult reproduces Table II: CloudRidAR link RTT in four scenarios.
@@ -71,6 +71,8 @@ type tableIIScenario struct {
 //     interconnection detour between Eduroam and the campus network double
 //     the delay despite the shorter distance (paper: 72 ms).
 //  4. Google Cloud over LTE (paper: 120 ms).
+//
+// The RTT is the mean of 200 offload.Probe calls, one every 25 ms.
 func TableII(seed int64) TableIIResult {
 	wifiLocal := phy.WiFiLocal
 	campusWiFi := phy.WiFiLocal // managed campus AP: low jitter, a bit more base delay
@@ -116,21 +118,20 @@ func TableII(seed int64) TableIIResult {
 		serverMux := simnet.NewDemux()
 		uplink := simnet.NewPath(sim, serverMux, sc.hops...)
 		downlink := simnet.NewPath(sim, clientMux, sc.hops...)
-		srv := offload.NewServer(sim, 100, 2e10, func(simnet.Addr) simnet.Handler { return downlink })
-		serverMux.Register(100, srv)
-		p := offload.NewPinger(sim, 1, 100, uplink, 64)
-		clientMux.Register(1, p)
-		p.Run(200, 25*time.Millisecond)
+		r, err := offload.NewRunner(sim, offload.Probe, 0, uplink, downlink, clientMux, serverMux)
+		if err != nil {
+			panic(err)
+		}
+		r.Ping(200, 25*time.Millisecond)
 		if err := sim.RunUntil(10 * time.Second); err != nil {
 			panic(err) // deterministic harness: a horizon here is a bug
 		}
-		p.Finish()
 		out.Rows = append(out.Rows, TableIIRow{
 			Platform:   sc.platform,
 			Connection: sc.connection,
-			LinkRTT:    p.RTT.Mean().Round(100 * time.Microsecond),
+			LinkRTT:    r.Latency.Mean().Round(100 * time.Microsecond),
 			PaperRTT:   sc.paper,
-			Lost:       p.Lost,
+			Lost:       r.Failed,
 		})
 	}
 	return out
@@ -210,18 +211,17 @@ func SectionIVA(seed int64) SectionIVAResult {
 		clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 		up := p.Uplink(sim, serverMux)
 		down := p.Downlink(sim, clientMux)
-		srv := offload.NewServer(sim, 100, 1e10, func(simnet.Addr) simnet.Handler { return down })
-		serverMux.Register(100, srv)
-		pin := offload.NewPinger(sim, 1, 100, up, 64)
-		clientMux.Register(1, pin)
-		pin.Run(200, 20*time.Millisecond)
+		r, err := offload.NewRunner(sim, offload.Probe, 0, up, down, clientMux, serverMux)
+		if err != nil {
+			panic(err)
+		}
+		r.Ping(200, 20*time.Millisecond)
 		if err := sim.RunUntil(10 * time.Second); err != nil {
 			panic(err)
 		}
-		pin.Finish()
 		out.Rows = append(out.Rows, SectionIVARow{
 			Profile:     p,
-			MeasuredRTT: pin.RTT.Mean().Round(100 * time.Microsecond),
+			MeasuredRTT: r.Latency.Mean().Round(100 * time.Microsecond),
 			Asymmetry:   p.Asymmetry(),
 		})
 	}

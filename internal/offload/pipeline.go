@@ -1,5 +1,5 @@
-// Package offload implements the MAR computation-offloading pipelines the
-// paper surveys (Section III-B) on top of the simnet substrate:
+// Package offload describes the MAR computation-offloading pipelines the
+// paper surveys (Section III-B) and runs them over ARTP:
 //
 //   - LocalOnly: the whole vision pipeline runs on the device.
 //   - FullOffload: every compressed frame is shipped to the surrogate.
@@ -8,53 +8,31 @@
 //   - Glimpse: the device tracks locally and ships only trigger frames
 //     (Chen et al., SenSys'15).
 //
-// A Client generates frames at a fixed rate, spends the pipeline's local
-// compute time, optionally ships bytes to a Server (which spends remote
-// compute time and returns a result), and records the end-to-end per-frame
-// latency against the application deadline.
+// A Runner generates frames at a fixed rate, spends the pipeline's local
+// compute time, ships the offloaded frames to a surrogate as rpc calls
+// over a wire.Conn on the caller's simulated path (the surrogate's compute
+// is the rpc.Server's service model), and records each frame's latency
+// against the application budget.
 package offload
-
-import (
-	"fmt"
-	"time"
-
-	"marnet/internal/overload"
-	"marnet/internal/simnet"
-	"marnet/internal/trace"
-)
-
-// Packet kinds.
-const (
-	KindRequest  = 20
-	KindResponse = 21
-	KindPing     = 22
-	KindPong     = 23
-	// KindReject is the surrogate's immediate refusal under overload: a
-	// tiny packet the client converts into local degradation (reuse the
-	// previous pose) instead of a timeout.
-	KindReject = 24
-)
-
-const chunkBytes = 1400
 
 // Pipeline describes one offloading strategy for a fixed workload.
 type Pipeline struct {
 	Name string
 	// LocalOps is the per-frame device computation (ops).
 	LocalOps float64
-	// RemoteOps is the per-frame surrogate computation (ops); 0 disables
-	// offloading entirely (LocalOnly).
+	// RemoteOps is the per-frame surrogate computation (ops).
 	RemoteOps float64
-	// UploadBytes / ResultBytes per offloaded frame.
+	// UploadBytes / ResultBytes per offloaded frame; an UploadBytes of 0
+	// disables offloading entirely (LocalOnly).
 	UploadBytes int
 	ResultBytes int
 	// TriggerEvery offloads only every n-th frame (Glimpse); 1 = every
-	// frame; ignored when RemoteOps is 0.
+	// frame; ignored when the pipeline does not offload.
 	TriggerEvery int
 }
 
 // Offloads reports whether the pipeline ships anything.
-func (p Pipeline) Offloads() bool { return p.RemoteOps > 0 && p.UploadBytes > 0 }
+func (p Pipeline) Offloads() bool { return p.UploadBytes > 0 }
 
 // The reference vision workload, calibrated from internal/vision on a
 // 320x240 synthetic frame: full recognition (detect+describe+match+RANSAC)
@@ -85,328 +63,6 @@ func StandardPipelines() []Pipeline {
 	}
 }
 
-type reqChunk struct {
-	Client    simnet.Addr
-	Frame     int64
-	Last      bool
-	SentAt    time.Duration
-	RemoteOps float64
-	RespBytes int
-}
-
-type respChunk struct {
-	Frame int64
-	Last  bool
-	// Tier records the fidelity the surrogate served (zero = legacy
-	// servers that never degrade = TierFull).
-	Tier overload.Tier
-}
-
-// ClientConfig wires a Client into a topology.
-type ClientConfig struct {
-	Local, Server simnet.Addr
-	FlowID        uint64
-	Uplink        simnet.Handler // egress toward the server
-	// DeviceOps is the device compute capacity (ops/s).
-	DeviceOps float64
-	// FPS and Deadline define the workload's timing; Deadline defaults to
-	// one frame period.
-	FPS      int
-	Deadline time.Duration
-}
-
-// Client runs one pipeline over a topology.
-type Client struct {
-	cfg  ClientConfig
-	pl   Pipeline
-	sim  *simnet.Sim
-	next int64
-
-	rxBytes map[int64]int
-
-	// Results.
-	Latency      trace.DurStats
-	DeadlineHits int64
-	DeadlineMiss int64
-	UpBytes      int64
-	DownBytes    int64
-	LocalFrames  int64
-	Offloaded    int64
-	// Degraded counts frames answered below full fidelity; Rejected counts
-	// frames the surrogate refused outright (the client degrades locally —
-	// neither a deadline hit nor a pending loss).
-	Degraded int64
-	Rejected int64
-	start    map[int64]time.Duration
-}
-
-// NewClient builds a client for the pipeline.
-func NewClient(sim *simnet.Sim, pl Pipeline, cfg ClientConfig) (*Client, error) {
-	if cfg.DeviceOps <= 0 || cfg.FPS <= 0 {
-		return nil, fmt.Errorf("offload: invalid client config %+v", cfg)
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = time.Second / time.Duration(cfg.FPS)
-	}
-	if pl.TriggerEvery <= 0 {
-		pl.TriggerEvery = 1
-	}
-	return &Client{
-		cfg: cfg, pl: pl, sim: sim,
-		rxBytes: make(map[int64]int),
-		start:   make(map[int64]time.Duration),
-	}, nil
-}
-
-// Run schedules frame generation until the horizon.
-func (c *Client) Run(until time.Duration) {
-	period := time.Second / time.Duration(c.cfg.FPS)
-	var tick func()
-	tick = func() {
-		c.emitFrame()
-		if c.sim.Now()+period <= until {
-			c.sim.Schedule(period, tick)
-		}
-	}
-	c.sim.Schedule(0, tick)
-}
-
-func (c *Client) emitFrame() {
-	frame := c.next
-	c.next++
-	t0 := c.sim.Now()
-	localDelay := time.Duration(c.pl.LocalOps / c.cfg.DeviceOps * float64(time.Second))
-	offload := c.pl.Offloads() && frame%int64(c.pl.TriggerEvery) == 0
-	c.sim.Schedule(localDelay, func() {
-		if !offload {
-			c.LocalFrames++
-			c.finish(t0)
-			return
-		}
-		c.Offloaded++
-		c.start[frame] = t0
-		c.sendRequest(frame)
-	})
-}
-
-func (c *Client) sendRequest(frame int64) {
-	remaining := c.pl.UploadBytes
-	for remaining > 0 {
-		n := remaining
-		if n > chunkBytes {
-			n = chunkBytes
-		}
-		remaining -= n
-		c.UpBytes += int64(n)
-		pkt := &simnet.Packet{
-			ID:      c.sim.NextPacketID(),
-			Src:     c.cfg.Local,
-			Dst:     c.cfg.Server,
-			Flow:    c.cfg.FlowID,
-			Size:    n,
-			Kind:    KindRequest,
-			Created: c.sim.Now(),
-			Payload: reqChunk{
-				Client:    c.cfg.Local,
-				Frame:     frame,
-				Last:      remaining == 0,
-				SentAt:    c.sim.Now(),
-				RemoteOps: c.pl.RemoteOps,
-				RespBytes: c.pl.ResultBytes,
-			},
-		}
-		c.cfg.Uplink.Handle(pkt)
-	}
-}
-
-// Handle consumes response chunks (and overload rejections).
-func (c *Client) Handle(pkt *simnet.Packet) {
-	if pkt.Kind == KindReject {
-		resp, ok := pkt.Payload.(respChunk)
-		if !ok {
-			return
-		}
-		if _, pending := c.start[resp.Frame]; pending {
-			delete(c.start, resp.Frame)
-			c.Rejected++
-		}
-		return
-	}
-	if pkt.Kind != KindResponse {
-		return
-	}
-	resp, ok := pkt.Payload.(respChunk)
-	if !ok {
-		return
-	}
-	c.DownBytes += int64(pkt.Size)
-	if !resp.Last {
-		return
-	}
-	t0, ok := c.start[resp.Frame]
-	if !ok {
-		return
-	}
-	delete(c.start, resp.Frame)
-	if resp.Tier == overload.TierFeatures || resp.Tier == overload.TierCached {
-		c.Degraded++
-	}
-	c.finish(t0)
-}
-
-func (c *Client) finish(t0 time.Duration) {
-	lat := c.sim.Now() - t0
-	c.Latency.Observe(lat)
-	if lat <= c.cfg.Deadline {
-		c.DeadlineHits++
-	} else {
-		c.DeadlineMiss++
-	}
-}
-
-// PendingFrames reports offloaded frames whose responses never arrived
-// (lost in the network or still in flight at the end of a run).
-func (c *Client) PendingFrames() int { return len(c.start) }
-
-// Server is the offloading surrogate: it reassembles requests, spends the
-// remote compute time (modelling a surrogate with ServerOps capacity) and
-// returns the result.
-//
-// With a Ladder configured the surrogate protects itself: its compute
-// backlog (how long a newly arrived frame would wait for the core) drives
-// the degradation tier — full recognition, features-only (a quarter of the
-// cost), cached pose (free), or an immediate reject packet. A ladder
-// implies serialized compute: backlog only means something when frames
-// share the core instead of running in unlimited parallel.
-type Server struct {
-	sim  *simnet.Sim
-	addr simnet.Addr
-	// ServerOps is the surrogate compute capacity (ops/s).
-	ServerOps float64
-	// Downlink returns packets toward a client address.
-	Downlink func(client simnet.Addr) simnet.Handler
-	// Ladder degrades answers as the compute backlog grows; the zero
-	// ladder always serves full fidelity.
-	Ladder overload.Ladder
-	// Serialize runs frames one at a time on the surrogate core even
-	// without a ladder (legacy default: unlimited parallelism).
-	Serialize bool
-
-	rx        map[string]int
-	busyUntil time.Duration
-	Requests  int64
-	// Per-tier serve counters plus outright rejections.
-	ServedFull     int64
-	ServedFeatures int64
-	ServedCached   int64
-	Rejected       int64
-}
-
-// NewServer builds a surrogate.
-func NewServer(sim *simnet.Sim, addr simnet.Addr, ops float64, downlink func(simnet.Addr) simnet.Handler) *Server {
-	return &Server{sim: sim, addr: addr, ServerOps: ops, Downlink: downlink, rx: make(map[string]int)}
-}
-
-// Handle consumes request chunks; on the last chunk of a frame it runs the
-// remote computation and replies.
-func (s *Server) Handle(pkt *simnet.Packet) {
-	switch pkt.Kind {
-	case KindPing:
-		// Echo for RTT measurement.
-		pong := &simnet.Packet{
-			ID: s.sim.NextPacketID(), Src: s.addr, Dst: pkt.Src,
-			Flow: pkt.Flow, Size: pkt.Size, Kind: KindPong,
-			Created: s.sim.Now(), Payload: pkt.Payload,
-		}
-		s.Downlink(pkt.Src).Handle(pong)
-		return
-	case KindRequest:
-	default:
-		return
-	}
-	req, ok := pkt.Payload.(reqChunk)
-	if !ok {
-		return
-	}
-	if !req.Last {
-		return
-	}
-	s.Requests++
-	now := s.sim.Now()
-	tier := overload.TierFull
-	if s.Ladder.Enabled() {
-		backlog := s.busyUntil - now
-		if backlog < 0 {
-			backlog = 0
-		}
-		tier = s.Ladder.Tier(backlog)
-	}
-	ops := req.RemoteOps
-	switch tier {
-	case overload.TierReject:
-		s.Rejected++
-		s.reject(req)
-		return
-	case overload.TierFeatures:
-		ops /= 4
-		s.ServedFeatures++
-	case overload.TierCached:
-		ops = 0
-		s.ServedCached++
-	default:
-		s.ServedFull++
-	}
-	compute := time.Duration(0)
-	if s.ServerOps > 0 {
-		compute = time.Duration(ops / s.ServerOps * float64(time.Second))
-	}
-	wait := compute
-	if s.Serialize || s.Ladder.Enabled() {
-		start := s.busyUntil
-		if start < now {
-			start = now
-		}
-		s.busyUntil = start + compute
-		wait = s.busyUntil - now
-	}
-	s.sim.Schedule(wait, func() { s.respond(req, tier) })
-}
-
-// reject answers a frame with an immediate refusal packet.
-func (s *Server) reject(req reqChunk) {
-	pkt := &simnet.Packet{
-		ID:      s.sim.NextPacketID(),
-		Src:     s.addr,
-		Dst:     req.Client,
-		Size:    40,
-		Kind:    KindReject,
-		Created: s.sim.Now(),
-		Payload: respChunk{Frame: req.Frame, Last: true, Tier: overload.TierReject},
-	}
-	s.Downlink(req.Client).Handle(pkt)
-}
-
-func (s *Server) respond(req reqChunk, tier overload.Tier) {
-	out := s.Downlink(req.Client)
-	remaining := req.RespBytes
-	if remaining <= 0 {
-		remaining = 1
-	}
-	for remaining > 0 {
-		n := remaining
-		if n > chunkBytes {
-			n = chunkBytes
-		}
-		remaining -= n
-		pkt := &simnet.Packet{
-			ID:      s.sim.NextPacketID(),
-			Src:     s.addr,
-			Dst:     req.Client,
-			Size:    n,
-			Kind:    KindResponse,
-			Created: s.sim.Now(),
-			Payload: respChunk{Frame: req.Frame, Last: remaining == 0, Tier: tier},
-		}
-		out.Handle(pkt)
-	}
-}
+// Probe is the link-RTT probe of Table II: a 64-byte request the
+// surrogate answers at once with 64 bytes.
+var Probe = Pipeline{Name: "probe", UploadBytes: 64, ResultBytes: 64, TriggerEvery: 1}
