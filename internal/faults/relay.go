@@ -73,12 +73,19 @@ func NewRelay(upstream string, cfg Config) (*Relay, error) {
 	}
 	r.engines[Up] = newEngine(cfg.Up, cfg.Seed)
 	r.engines[Down] = newEngine(cfg.Down, cfg.Seed+1)
+	// Events due at the start hold before the first packet is read, not
+	// whenever the timeline goroutine first runs.
+	events := sortEvents(cfg.Timeline)
+	for len(events) > 0 && events[0].At <= 0 {
+		r.applyEvent(events[0])
+		events = events[1:]
+	}
 	r.wg.Add(2)
 	go r.readLoop()
 	go r.dispatchLoop()
-	if len(cfg.Timeline) > 0 {
+	if len(events) > 0 {
 		r.wg.Add(1)
-		go r.timelineLoop(sortEvents(cfg.Timeline))
+		go r.timelineLoop(events)
 	}
 	return r, nil
 }

@@ -237,6 +237,31 @@ func TestRelayTimelineBlackholeWindow(t *testing.T) {
 	}
 }
 
+// A timeline event at 0 is in force when NewRelay returns: the first
+// packets meet it, whenever the timeline goroutine happens to run.
+func TestRelayTimelineAtZeroHoldsFromTheStart(t *testing.T) {
+	sink := newSink(t, false)
+	relay, err := NewRelay(sink.addr(), Config{
+		Timeline: []Event{
+			{At: 0, Dir: Both, Blackhole: On},
+			{At: time.Hour, Dir: Both, Blackhole: Off},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	client := newTestClient(t)
+	raddr, _ := net.ResolveUDPAddr("udp", relay.Addr())
+	for i := 0; i < 10; i++ {
+		client.WriteToUDP([]byte{byte(i)}, raddr) //nolint:errcheck
+	}
+	waitFor(t, time.Second, func() bool { return relay.Counters(Up).Received >= 10 })
+	if c := relay.Counters(Up); c.Blackholed != 10 || sink.count() != 0 {
+		t.Fatalf("blackholed %d of 10 packets sent at once, %d delivered; want all blackholed", c.Blackholed, sink.count())
+	}
+}
+
 func TestRelayDeterministicLossAcrossRuns(t *testing.T) {
 	// Same seed + same packet sequence → same drop pattern, run to run.
 	pattern := func(seed int64) []bool {

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"time"
 
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
 	"marnet/internal/wire"
@@ -17,9 +18,9 @@ import (
 const udpOverhead = 28
 
 // datagram is what a simulated packet carries: the application bytes plus
-// the addressing the receiving endpoint reports upward. Addresses travel
-// in two forms: a comparable key for routing and the text the trace prints,
-// rendered once per endpoint rather than once per packet.
+// the addressing the receiving endpoint reports upward. The destination
+// travels in two forms: a comparable key for routing and the trace's name
+// id for the address, interned once per endpoint rather than per packet.
 //
 // A datagram, the simnet.Packet that carries it and its data buffer are one
 // recycled record: Net.get hands one out per injected datagram and every
@@ -31,7 +32,7 @@ type datagram struct {
 	room    [1500]byte    // one MTU, inline: a record (and a pool miss) is one heap object
 	src     *Endpoint
 	dst     netip.AddrPort // destination endpoint key (wire.PeerKey)
-	dstText string         // "ip:port", as the trace prints it
+	dstName uint32         // the destination's trace name id
 	cross   bool           // background cross-traffic, terminates at the sink
 }
 
@@ -40,7 +41,7 @@ type datagram struct {
 func (d *datagram) ClonePayload() any {
 	c := d.src.n.get()
 	c.data = append(c.data, d.data...)
-	c.src, c.dst, c.dstText, c.cross = d.src, d.dst, d.dstText, d.cross
+	c.src, c.dst, c.dstName, c.cross = d.src, d.dst, d.dstName, d.cross
 	return c
 }
 
@@ -89,7 +90,7 @@ func (n *Net) NewEndpoint(name string, p phy.Profile) *Endpoint {
 		IP:   net.IPv4(10, 0, byte(id/250), byte(id%250+1)),
 		Port: 9000,
 	}
-	ep := &Endpoint{n: n, name: name, addr: addr, key: wire.PeerKey(addr), text: addr.String()}
+	ep := &Endpoint{n: n, name: name, addr: addr, key: wire.PeerKey(addr), tid: n.trace.endpoint(addr.String())}
 	ep.up = simnet.NewLink(n.sim, p.Up, p.OneWay, simnet.HandlerFunc(n.route),
 		simnet.WithJitter(p.Jitter), simnet.WithLoss(p.Loss), simnet.WithName(name+"/up"))
 	ep.down = simnet.NewLink(n.sim, p.Down, p.OneWay, simnet.HandlerFunc(ep.deliver),
@@ -115,7 +116,7 @@ func (n *Net) get() *datagram {
 func (n *Net) put(d *datagram) {
 	wire.PoisonBuf(d.data)
 	d.data = d.data[:0]
-	d.src, d.dstText, d.dst, d.cross = nil, "", netip.AddrPort{}, false
+	d.src, d.dstName, d.dst, d.cross = nil, 0, netip.AddrPort{}, false
 	n.free = append(n.free, d)
 }
 
@@ -127,14 +128,14 @@ func (n *Net) route(pkt *simnet.Packet) {
 	if !ok {
 		n.sink++
 		if !d.cross { // cross-traffic termination is routine, not a trace event
-			n.trace.packet("sink", d.src.text, d.dstText, pkt.Size-udpOverhead, " no route")
+			n.trace.packet(obs.EvDgramSink, d.src.tid, d.dstName, pkt.Size-udpOverhead)
 		}
 		n.put(d)
 		return
 	}
 	if ep.closed {
 		n.dropClosed++
-		n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
+		n.trace.packet(obs.EvDgramDrop, d.src.tid, d.dstName, pkt.Size-udpOverhead)
 		n.put(d)
 		return
 	}
@@ -186,7 +187,7 @@ type Endpoint struct {
 	name   string
 	addr   *net.UDPAddr
 	key    netip.AddrPort // routing key in Net.endpoints
-	text   string         // addr.String(), rendered once for the trace
+	tid    uint32         // addr's name id in the trace
 	up     *simnet.Link
 	down   *simnet.Link
 	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
@@ -207,11 +208,11 @@ func (ep *Endpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	d.data = append(d.data, b...)
 	d.src, d.dst = ep, wire.PeerKey(addr)
 	if dst, ok := n.endpoints[d.dst]; ok {
-		d.dstText = dst.text
+		d.dstName = dst.tid
 	} else {
-		d.dstText = addr.String() // no such endpoint: the sink line still names it
+		d.dstName = n.trace.intern(addr.String()) // no such endpoint: the sink line still names it
 	}
-	n.trace.packet("tx", ep.text, d.dstText, len(b), "")
+	n.trace.packet(obs.EvDgramTx, ep.tid, d.dstName, len(b))
 	d.pkt = simnet.Packet{ID: n.sim.NextPacketID(), Size: len(b) + udpOverhead, Created: n.sim.Now(), Payload: d}
 	ep.up.Send(&d.pkt)
 	return len(b), nil
@@ -241,12 +242,12 @@ func (ep *Endpoint) deliver(pkt *simnet.Packet) {
 	d := pkt.Payload.(*datagram)
 	if ep.closed || ep.recv == nil {
 		ep.n.dropClosed++
-		ep.n.trace.packet("drop", d.src.text, d.dstText, pkt.Size-udpOverhead, " endpoint closed")
+		ep.n.trace.packet(obs.EvDgramDrop, d.src.tid, d.dstName, pkt.Size-udpOverhead)
 		ep.n.put(d)
 		return
 	}
 	ep.n.delivered++
-	ep.n.trace.packet("rx", d.src.text, d.dstText, pkt.Size-udpOverhead, "")
+	ep.n.trace.packet(obs.EvDgramRx, d.src.tid, d.dstName, pkt.Size-udpOverhead)
 	ep.recv(d.data, d.src.addr, 0)
 	ep.n.put(d)
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 )
 
@@ -70,52 +72,120 @@ func TestTraceGoldenLines(t *testing.T) {
 	}
 }
 
-// A tx and an rx line cost no allocation while the current chunk has room
-// (the warm-up run allocates it; the 2002 lines measured fill a tenth).
+// A tx and an rx record cost no allocation while the current chunk has
+// room (the warm-up run allocates it; the 2002 records measured fill a
+// sixteenth).
 func TestTracePacketLineZeroAlloc(t *testing.T) {
-	s, _, _ := traceRig(t)
+	s, a, b := traceRig(t)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		s.Trace.packet("tx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
-		s.Trace.packet("rx", "10.0.0.1:9000", "10.0.0.2:9000", 1028, "")
+		s.Trace.packet(obs.EvDgramTx, a.tid, b.tid, 1028)
+		s.Trace.packet(obs.EvDgramRx, a.tid, b.tid, 1028)
 	}); allocs != 0 {
-		t.Fatalf("trace packet line: %.2f allocs per tx+rx pair, want 0", allocs)
+		t.Fatalf("trace packet record: %.2f allocs per tx+rx pair, want 0", allocs)
 	}
 }
 
-// The log is stored in fixed chunks; what it reads back as must not show
-// where they end. Three and a half chunks of mixed lines — among them an
-// app line longer than a whole chunk's spare room, and one longer than a
-// chunk — are compared with the same lines rendered by fmt into one buffer.
+// The log holds a record per packet, not its ~54-byte line: across whole
+// chunks, the live heap grows by the 32-byte record alone.
+func TestTraceBytesPerEvent(t *testing.T) {
+	s, a, b := traceRig(t)
+	const records = 4 * chunkEvents // 131 072, whole chunks: the slack of a filling one is not the steady cost
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < records/2; i++ {
+		s.Trace.packet(obs.EvDgramTx, a.tid, b.tid, 1028)
+		s.Trace.packet(obs.EvDgramRx, a.tid, b.tid, 1028)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / records
+	t.Logf("%d records: %.2f heap bytes each", s.Trace.Lines(), per)
+	if per > 33 {
+		t.Fatalf("the trace grows %.2f heap bytes per tx/rx record, want <= 33", per)
+	}
+	runtime.KeepAlive(s)
+}
+
+// Hash streams the rendered lines through FNV-1a one at a time: what it
+// allocates does not grow with the log.
+func TestTraceHashStreams(t *testing.T) {
+	s, a, b := traceRig(t)
+	long := strings.Repeat("x", 3000)
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Trace.packet(obs.EvDgramTx, a.tid, b.tid, i)
+			if i%100 == 0 {
+				s.Trace.Logf("call %d err: %s", i, long)
+			}
+		}
+	}
+	measure := func() (allocs float64, size uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, func() { s.Trace.Hash() })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun's warm-up and 5 runs
+	}
+	write(1000)
+	smallAllocs, smallBytes := measure()
+	write(100000)
+	bigAllocs, bigBytes := measure()
+	t.Logf("Hash over %d lines: %.0f allocs, %d B; over %d lines: %.0f allocs, %d B",
+		1000+1000/100, smallAllocs, smallBytes, s.Trace.Lines(), bigAllocs, bigBytes)
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+64 {
+		t.Fatalf("Hash allocates %.0f objects, %d B over %d lines and %.0f, %d B over 1010: want the same",
+			bigAllocs, bigBytes, s.Trace.Lines(), smallAllocs, smallBytes)
+	}
+}
+
+// The records and the Logf text are stored in fixed chunks; what the trace
+// reads back as must not show where either ends. Three and a half chunks of
+// records — packet lines of every kind and app lines, among them texts
+// straddling a text-chunk boundary and one longer than a text chunk — are
+// compared with the same lines rendered by fmt into one buffer.
 func TestTraceChunkBoundaries(t *testing.T) {
-	s, _, _ := traceRig(t)
+	s, a, b := traceRig(t)
+	sink := s.Trace.intern("192.0.2.1:53")
 	var ref bytes.Buffer
-	lines := 0
+	lines, straddles := 0, 0
 	logf := func(format string, args ...any) {
+		text := fmt.Sprintf(format, args...)
+		if start := s.Trace.textLen(); text != "" && (start+len(text)-1)/traceChunk > start/traceChunk {
+			straddles++
+		}
 		s.Trace.Logf(format, args...)
-		fmt.Fprintf(&ref, "%10d %-5s ", s.Sim.Now().Microseconds(), "app")
-		fmt.Fprintf(&ref, format, args...)
-		ref.WriteByte('\n')
+		fmt.Fprintf(&ref, "%10d %-5s %s\n", s.Sim.Now().Microseconds(), "app", text)
 		lines++
 	}
-	packet := func(kind string, size int, note string) {
-		s.Trace.packet(kind, "10.0.0.1:9000", "10.0.0.2:9000", size, note)
-		fmt.Fprintf(&ref, "%10d %-5s %s -> %s %dB%s\n", s.Sim.Now().Microseconds(), kind, "10.0.0.1:9000", "10.0.0.2:9000", size, note)
+	labels := map[obs.EventKind][2]string{ // kind and note, as the lines print them
+		obs.EvDgramTx:   {"tx", ""},
+		obs.EvDgramRx:   {"rx", ""},
+		obs.EvDgramDrop: {"drop", " endpoint closed"},
+		obs.EvDgramSink: {"sink", " no route"},
+	}
+	packet := func(kind obs.EventKind, dst uint32, dstText string, size int) {
+		s.Trace.packet(kind, a.tid, dst, size)
+		fmt.Fprintf(&ref, "%10d %-5s %s -> %s %dB%s\n", s.Sim.Now().Microseconds(), labels[kind][0], a.UDPAddr(), dstText, size, labels[kind][1])
 		lines++
 	}
 	long := strings.Repeat("x", 3000)
-	for i := 0; ref.Len() < 7*traceChunk/2; i++ {
+	for i := 0; lines < 7*chunkEvents/2; i++ {
 		s.Sim.RunUntil(time.Duration(i) * 37 * time.Microsecond) //nolint:errcheck // no events queued
-		packet("tx", i%1500, "")
-		packet("drop", i%1500, " endpoint closed")
-		if spare := traceChunk - ref.Len()%traceChunk; spare < len(long) {
-			logf("call %d err: %s", i, long) // straddles the chunk boundary
+		packet(obs.EvDgramTx, b.tid, "10.0.0.2:9000", i%1500)
+		packet(obs.EvDgramRx, b.tid, "10.0.0.2:9000", i%1500)
+		packet(obs.EvDgramDrop, b.tid, "10.0.0.2:9000", i%1500)
+		packet(obs.EvDgramSink, sink, "192.0.2.1:53", i%1500)
+		logf("call %d: %s", i, strings.Repeat("z", i%200))
+		if spare := traceChunk - s.Trace.textLen()%traceChunk; spare < len(long) {
+			logf("call %d err: %s", i, long) // straddles the text-chunk boundary
 		}
 		if i == 5000 {
 			logf("one line, %d bytes: %s", traceChunk+100, strings.Repeat("y", traceChunk+100))
 		}
 	}
-	if n := len(s.Trace.chunks); n < 4 {
-		t.Fatalf("test wrote %d chunks, want >= 4", n)
+	if n, m := len(s.Trace.chunks), len(s.Trace.text); n < 4 || m < 4 || straddles < 3 {
+		t.Fatalf("test wrote %d record chunks and %d text chunks, %d texts straddling; want >= 4, >= 4, >= 3", n, m, straddles)
 	}
 	if got := s.Trace.Bytes(); !bytes.Equal(got, ref.Bytes()) {
 		t.Fatalf("chunked trace (%d bytes) differs from the single-buffer reference (%d bytes)", len(got), ref.Len())

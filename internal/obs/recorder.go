@@ -68,6 +68,21 @@ const (
 	// EvSLOTrigger: the SLO engine's multi-window burn-rate alert fired.
 	// B=fast burn ×1000, C=slow burn ×1000.
 	EvSLOTrigger
+	// EvDgramTx: a simulated datagram left its endpoint (marsim's trace).
+	// B=payload bytes, C=source<<32|destination, as trace name ids.
+	EvDgramTx
+	// EvDgramRx: a simulated datagram reached its endpoint's receiver.
+	// Fields as EvDgramTx.
+	EvDgramRx
+	// EvDgramDrop: a simulated datagram arrived at a closed endpoint.
+	// Fields as EvDgramTx.
+	EvDgramDrop
+	// EvDgramSink: a simulated datagram had no endpoint to route to.
+	// Fields as EvDgramTx.
+	EvDgramSink
+	// EvAppLog: an application log line in marsim's trace. B=text length,
+	// C=text offset in the trace's text arena.
+	EvAppLog
 
 	evKindEnd // sentinel: first invalid kind
 )
@@ -84,6 +99,11 @@ var evKindNames = [...]string{
 	EvBudgetSplit:     "budget_split",
 	EvSessionReset:    "session_reset",
 	EvSLOTrigger:      "slo_trigger",
+	EvDgramTx:         "dgram_tx",
+	EvDgramRx:         "dgram_rx",
+	EvDgramDrop:       "dgram_drop",
+	EvDgramSink:       "dgram_sink",
+	EvAppLog:          "app_log",
 }
 
 // String names the kind for timelines and JSON dumps.

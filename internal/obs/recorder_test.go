@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +229,23 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if dec.Session != snap.Session || dec.Reason != snap.Reason ||
 		dec.At != snap.At || dec.Seq != snap.Seq || len(dec.Events) != len(snap.Events) {
 		t.Fatalf("decoded header differs: %+v vs %+v", dec, snap)
+	}
+	// Every kind, the datagram and app-log kinds among them, survives the
+	// round trip and renders in the timeline by its name.
+	seen, timeline := map[EventKind]bool{}, dec.Timeline()
+	for i, e := range dec.Events {
+		if e != snap.Events[i] {
+			t.Fatalf("event %d decoded as %+v, recorded %+v", i, e, snap.Events[i])
+		}
+		if line := timeline[i+1]; !strings.Contains(line, " "+evKindNames[e.Kind]+" ") {
+			t.Errorf("timeline line %q does not name kind %d %q", line, e.Kind, evKindNames[e.Kind])
+		}
+		seen[e.Kind] = true
+	}
+	for k := EventKind(1); k < evKindEnd; k++ {
+		if !seen[k] || evKindNames[k] == "" {
+			t.Errorf("kind %d (%q) missing from the round trip or unnamed", k, k)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package rpc_test
 
 import (
-	"bytes"
-	"strconv"
 	"testing"
 	"time"
 
 	"marnet/internal/core"
 	"marnet/internal/marsim"
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/rpc"
 )
@@ -39,28 +38,24 @@ func ackRig(t *testing.T) (*marsim.Scenario, *rpc.Client, *marsim.Endpoint) {
 	return s, cl, ep
 }
 
-// sentDatagrams reads the trace: when each datagram was handed to the
-// network, by size, split into those addressed to the server and the rest.
-// The session's keepalive (a bare sealed header each way every 250 ms) is no
-// part of a call and is left out.
-func sentDatagrams(trace []byte, server string) (toServer, fromServer map[int][]time.Duration) {
+// sentDatagrams reads the trace's records: when each datagram was handed to
+// the network, by size, split into those addressed to the server and the
+// rest. The session's keepalive (a bare sealed header each way every
+// 250 ms) is no part of a call and is left out.
+func sentDatagrams(trace *marsim.Trace, server string) (toServer, fromServer map[int][]time.Duration) {
 	toServer, fromServer = map[int][]time.Duration{}, map[int][]time.Duration{}
-	for _, line := range bytes.Split(trace, []byte{'\n'}) {
-		f := bytes.Fields(line) // <µs> tx <src> -> <dst> <size>B
-		if len(f) != 6 || string(f[1]) != "tx" {
-			continue
-		}
-		us, _ := strconv.Atoi(string(f[0]))                                  //nolint:errcheck // the trace's own format
-		size, _ := strconv.Atoi(string(bytes.TrimSuffix(f[5], []byte("B")))) //nolint:errcheck // as above
-		if size == heartbeat {
-			continue
+	trace.Events(func(e obs.Event) bool {
+		size := int(e.B)
+		if e.Kind != obs.EvDgramTx || size == heartbeat {
+			return true
 		}
 		into := fromServer
-		if string(f[4]) == server {
+		if _, dst := trace.Ends(e); dst == server {
 			into = toServer
 		}
-		into[size] = append(into[size], time.Duration(us)*time.Microsecond)
-	}
+		into[size] = append(into[size], e.At.Truncate(time.Microsecond)) // the trace's resolution
+		return true
+	})
 	return toServer, fromServer
 }
 
@@ -111,7 +106,7 @@ func TestCallIsTwoDatagrams(t *testing.T) {
 		if err := s.Run(time.Second + 100*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		up, down := sentDatagrams(s.Trace.Bytes(), ep.UDPAddr().String())
+		up, down := sentDatagrams(s.Trace, ep.UDPAddr().String())
 		perCall := float64(datagrams(up)+datagrams(down)) / float64(completed)
 		t.Logf("%d calls, %d + %d datagrams: %.3f a call; %d + %d of them pure acks",
 			completed, datagrams(up), datagrams(down), perCall, len(up[pureAck]), len(down[pureAck]))
@@ -140,7 +135,7 @@ func TestCallIsTwoDatagrams(t *testing.T) {
 		if err := s.Run(time.Second + 100*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		up, down := sentDatagrams(s.Trace.Bytes(), ep.UDPAddr().String())
+		up, down := sentDatagrams(s.Trace, ep.UDPAddr().String())
 		perCall := float64(datagrams(up)+datagrams(down)) / calls
 		if len(answered) != calls || perCall > 3.05 {
 			t.Fatalf("%d of %d calls answered at %.3f datagrams a call, want all at no more than 3.05", len(answered), calls, perCall)

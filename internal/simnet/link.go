@@ -209,7 +209,9 @@ func (l *Link) startTx() {
 	l.stats.SentBytes += int64(pkt.Size)
 
 	// Wire propagation: decide loss and delivery time now, at the head of
-	// serialization, so reordering cannot occur on a FIFO wire.
+	// serialization. Without jitter the wire is FIFO; with it, each packet
+	// draws its own extra delay, so a later packet can overtake an earlier
+	// one whose draw was larger (TestLinkJitterReorders).
 	lost := l.lossP > 0 && l.sim.Rand().Float64() < l.lossP
 	extra := time.Duration(0)
 	if l.jitter > 0 {

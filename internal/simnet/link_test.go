@@ -135,6 +135,38 @@ func TestLinkJitterBounds(t *testing.T) {
 	}
 }
 
+// Each packet draws its own jitter, so packets sent closer together than
+// the jitter span arrive out of send order: the link is not FIFO once
+// jitter is on. Pins the behaviour a reordering-tolerant loss detector
+// has to live with.
+func TestLinkJitterReorders(t *testing.T) {
+	s := New(5)
+	col := NewCollector(s)
+	link := NewLink(s, 1e9, 10*time.Millisecond, col, WithJitter(5*time.Millisecond))
+	for i := 0; i < 100; i++ {
+		i := i
+		s.Schedule(time.Duration(i)*time.Millisecond, func() {
+			link.Send(&Packet{ID: uint64(i), Size: 100})
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if col.Count() != 100 {
+		t.Fatalf("delivered %d packets, want 100", col.Count())
+	}
+	overtaken := 0
+	for i := 1; i < col.Count(); i++ {
+		if col.Packets[i].ID < col.Packets[i-1].ID {
+			overtaken++
+		}
+	}
+	if overtaken == 0 {
+		t.Fatal("100 packets 1 ms apart on a link with 5 ms of jitter arrived in send order")
+	}
+	t.Logf("%d of 100 arrivals overtook the packet sent before them", overtaken)
+}
+
 func TestLinkRateChange(t *testing.T) {
 	s := New(1)
 	col := NewCollector(s)
