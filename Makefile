@@ -11,7 +11,7 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci fmt vet build test benchmark-check allocs race sim examples chaos overload fuzz bench-smoke bench bench-pair clean
+.PHONY: all ci fmt vet build test benchmark-check allocs race sim examples chaos overload fuzz bench-smoke bench bench-pair loc clean
 
 all: ci
 
@@ -162,6 +162,18 @@ fuzz:
 	$(GO) test -fuzz FuzzPolicyDecode -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -fuzz FuzzReconstruct -fuzztime $(FUZZTIME) ./internal/fec/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/obs/
+
+# Go line counts, non-test and test, for each package directory outside
+# benchmark/ (its own module) and in total: the figures ROADMAP.md and
+# CHANGES.md quote. It prints; it is not a gate.
+loc:
+	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' -print | sort | xargs wc -l | \
+	awk '$$2 == "total" { next } \
+		{ d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); k = ($$2 ~ /_test\.go$$/) ? "test" : "src"; \
+		  n[d, k] += $$1; all[k] += $$1; dirs[d] = 1 } \
+		END { printf "%-32s %9s %9s\n", "package", "non-test", "test"; \
+		      for (d in dirs) printf "%-32s %9d %9d\n", d, n[d, "src"], n[d, "test"] | "sort"; close("sort"); \
+		      printf "%-32s %9d %9d\n", "total", all["src"], all["test"] }'
 
 clean:
 	$(GO) clean ./...

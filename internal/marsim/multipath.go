@@ -247,14 +247,13 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 	}
 
 	cl, err := rpc.Dial("sim://server", rpc.ClientConfig{
-		Clock:         s.Clock,
-		Dialer:        dialer,
-		Seed:          seed + 1,
-		Keepalive:     mpKeepalive,
-		KeepaliveMiss: 3,
-		RedialMin:     40 * time.Millisecond,
-		RedialMax:     160 * time.Millisecond,
-		Retry:         rpc.RetryPolicy{Max: 2},
+		Clock:     s.Clock,
+		Dialer:    dialer,
+		Seed:      seed + 1,
+		Keepalive: mpKeepalive,
+		RedialMin: 40 * time.Millisecond,
+		RedialMax: 160 * time.Millisecond,
+		Retry:     rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
 			s.Logf("session %v at %s", st, stamp(s.Sim.Now()))

@@ -218,23 +218,6 @@ func (ep *Endpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	return len(b), nil
 }
 
-var _ wire.BatchWriter = (*Endpoint)(nil)
-
-// WriteBatch implements wire.BatchWriter for the simulated transport: the
-// datagrams are injected back-to-back at one virtual instant, which is
-// exactly what a kernel sendmmsg does on real hardware (the link then
-// serializes them by size, so pacing semantics downstream are unchanged).
-// Each datagram goes through WriteToUDP, so packet-conservation accounting
-// and tracing see batched and unbatched sends identically.
-func (ep *Endpoint) WriteBatch(dgs []wire.Datagram) (int, error) {
-	for i := range dgs {
-		if _, err := ep.WriteToUDP(dgs[i].B, dgs[i].Addr); err != nil {
-			return i, err
-		}
-	}
-	return len(dgs), nil
-}
-
 // deliver is the downlink handler: hand the datagram to the stack above.
 // The bytes are a loan for the duration of recv, as with a socket's receive
 // buffer: the record is recycled (poisoned first under -race) on return.

@@ -250,14 +250,13 @@ func RunPartitionResume(seed int64) (*Result, error) {
 
 	res := &Result{}
 	cl, err := rpc.Dial("sim://server", rpc.ClientConfig{
-		Clock:         s.Clock,
-		Dialer:        host.Dialer(serverEp),
-		Seed:          seed + 1,
-		Keepalive:     100 * time.Millisecond,
-		KeepaliveMiss: 3,
-		RedialMin:     40 * time.Millisecond,
-		RedialMax:     160 * time.Millisecond,
-		Retry:         rpc.RetryPolicy{Max: 2},
+		Clock:     s.Clock,
+		Dialer:    host.Dialer(serverEp),
+		Seed:      seed + 1,
+		Keepalive: 100 * time.Millisecond,
+		RedialMin: 40 * time.Millisecond,
+		RedialMax: 160 * time.Millisecond,
+		Retry:     rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
 			s.Logf("session %v at %s", st, stamp(s.Sim.Now()))

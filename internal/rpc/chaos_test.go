@@ -58,7 +58,6 @@ func TestChaosStormSuite(t *testing.T) {
 	fc, err := DialFailover([]string{relay.Addr(), backup.Addr()}, ClientConfig{
 		Key:             key,
 		Keepalive:       50 * time.Millisecond,
-		KeepaliveMiss:   3,
 		RedialMin:       20 * time.Millisecond,
 		RedialMax:       200 * time.Millisecond,
 		RequestDeadline: 80 * time.Millisecond,

@@ -58,7 +58,7 @@ const (
 // [4B queue-wait µs][4B service-time µs]. The client uses it to attribute
 // the frame's latency budget (obs.BudgetReport) without clock sync: both
 // values are durations measured entirely on the server. Untraced
-// responses are byte-identical to the legacy layout.
+// responses carry no trailer.
 const (
 	reqHeader    = 14
 	respHeader   = 10
@@ -460,7 +460,7 @@ func (s *Server) onMessage(m wire.Message) {
 		s.mu.Lock()
 		s.stats.Probes++
 		s.mu.Unlock()
-		s.respondTraced(conn, id, method, statusOK, []byte{byte(s.gate.Health())},
+		s.respond(conn, id, method, statusOK, []byte{byte(s.gate.Health())},
 			m.TraceID, m.SpanID, 0, 0)
 		return
 	}
@@ -589,7 +589,7 @@ func (call *serverCall) answer() {
 	s.stats.Degraded += degraded
 	s.stats.Inline += inline
 	s.mu.Unlock()
-	if err := s.respondTraced(call.conn, call.id, run.Method, status, call.resp,
+	if err := s.respond(call.conn, call.id, run.Method, status, call.resp,
 		call.traceID, call.spanID, call.queued, took); err != nil {
 		s.mu.Lock()
 		s.served--
@@ -677,7 +677,7 @@ func (s *Server) refuse(it *overload.Item, v overload.Verdict, onArrival bool) {
 	// Refusals on traced calls still carry the timing trailer (queue wait
 	// up to the refusal, zero service time) so the client's budget
 	// attribution can blame the server queue, not the network.
-	s.respondTraced(call.conn, call.id, it.Method, status, nil, //nolint:errcheck // best-effort rejection notice
+	s.respond(call.conn, call.id, it.Method, status, nil, //nolint:errcheck // best-effort rejection notice
 		call.traceID, call.spanID, s.clock.Since(call.arrived), 0)
 	s.putCall(call)
 }
@@ -691,34 +691,21 @@ var frameBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-func (s *Server) respond(conn *wire.Conn, id uint64, method, status byte, payload []byte) error {
+// respond answers a call. A traced call (traceID != 0) gets its trace
+// context echoed in the frame header and the server-measured queue wait and
+// service time as a trailer; an untraced response carries neither.
+func (s *Server) respond(conn *wire.Conn, id uint64, method, status byte, payload []byte, traceID, spanID uint64, queued, service time.Duration) error {
 	pb := frameBufPool.Get().(*[]byte)
 	out := (*pb)[:respHeader]
 	binary.LittleEndian.PutUint64(out, id)
 	out[8] = method
 	out[9] = status
-	out = append(out, payload...)
-	_, err := conn.Send(respStream, out)
-	*pb = out[:0]
-	frameBufPool.Put(pb)
-	return err
-}
-
-// respondTraced answers a traced call: the response frame echoes the
-// trace context (wire v3) and carries the server-measured queue wait and
-// service time as a trailer. Untraced calls (traceID 0) fall back to the
-// legacy response layout.
-func (s *Server) respondTraced(conn *wire.Conn, id uint64, method, status byte, payload []byte, traceID, spanID uint64, queued, service time.Duration) error {
-	if traceID == 0 {
-		return s.respond(conn, id, method, status, payload)
+	if traceID != 0 {
+		out = binary.LittleEndian.AppendUint32(out, clampMicros(queued))
+		out = binary.LittleEndian.AppendUint32(out, clampMicros(service))
+	} else {
+		spanID = 0
 	}
-	pb := frameBufPool.Get().(*[]byte)
-	out := (*pb)[:respHeader+traceTrailer]
-	binary.LittleEndian.PutUint64(out, id)
-	out[8] = method
-	out[9] = status
-	binary.LittleEndian.PutUint32(out[respHeader:], clampMicros(queued))
-	binary.LittleEndian.PutUint32(out[respHeader+4:], clampMicros(service))
 	out = append(out, payload...)
 	_, err := conn.SendTraced(respStream, out, traceID, spanID)
 	*pb = out[:0]
@@ -835,9 +822,9 @@ type ClientConfig struct {
 	Priority core.Priority
 
 	// Keepalive is the heartbeat interval for dead-peer detection and
-	// session resumption (default 250 ms; KeepaliveMiss defaults to 3).
-	Keepalive     time.Duration
-	KeepaliveMiss int
+	// session resumption (default 250 ms; three silent intervals mean the
+	// peer is dead).
+	Keepalive time.Duration
 	// RedialMin/RedialMax bound the session re-dial backoff.
 	RedialMin, RedialMax time.Duration
 	// Retry, Hedge and Breaker make individual calls survive loss bursts,
@@ -921,13 +908,12 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 			{ID: reqStream, Class: core.ClassLossRecovery, Priority: core.PrioHighest,
 				Rate: cfg.RequestRate, Deadline: cfg.RequestDeadline},
 		},
-		StartBudget:   cfg.StartBudget,
-		Key:           cfg.Key,
-		OnMessage:     c.onMessage,
-		Keepalive:     cfg.Keepalive,
-		KeepaliveMiss: cfg.KeepaliveMiss,
-		Clock:         cfg.Clock,
-		Recorder:      cfg.Recorder,
+		StartBudget: cfg.StartBudget,
+		Key:         cfg.Key,
+		OnMessage:   c.onMessage,
+		Keepalive:   cfg.Keepalive,
+		Clock:       cfg.Clock,
+		Recorder:    cfg.Recorder,
 	}
 	scfg := wire.SessionConfig{
 		RedialMin:     cfg.RedialMin,

@@ -101,7 +101,6 @@ func TestShardStormCrossShardRace(t *testing.T) {
 				Key:             key,
 				StartBudget:     20e6,
 				Keepalive:       keepalive,
-				KeepaliveMiss:   3,
 				RedialMin:       20 * time.Millisecond,
 				RedialMax:       150 * time.Millisecond,
 				RequestDeadline: reqDeadline,

@@ -9,16 +9,25 @@ import (
 	"testing"
 )
 
-// TestWireGoroutineSites guards the package's concurrency model: a datagram
-// is handled on the goroutine that read it, so the only goroutines wire
-// starts are the UDP socket's reader (packetconn.go) and the hashing
-// demux's per-shard drain (demux.go). Every other go statement, and any
-// method asking a transport whether it delivers inline (the fork this
-// model replaced), fails. All platform variants are parsed, whatever the
-// build tags.
+// TestWireGoroutineSites guards the package's concurrency model and its
+// one write path: a datagram is handled on the goroutine that read it, so
+// the only goroutines wire starts are the UDP socket's reader
+// (packetconn.go) and the hashing demux's per-shard drain (demux.go); and a
+// conn writes one frame per WriteToUDP. Every other go statement, any
+// method asking a transport whether it delivers inline (the fork this model
+// replaced), and any WriteBatch method or BatchWriter type (the send-batching
+// path no caller turned on) fails. A second write path comes back only with
+// a workload that turns it on. All platform variants are parsed, whatever
+// the build tags.
 func TestWireGoroutineSites(t *testing.T) {
 	allowed := map[string]int{"packetconn.go": 1, "demux.go": 1}
-	fork := "Synchro" + "nous" // split, so a grep for the name finds live code only
+	// The names of the paths this model replaced, split so a grep for them
+	// finds live code only.
+	banned := map[string]string{
+		"Synchro" + "nous": "every transport delivers inline",
+		"Write" + "Batch":  "a conn writes one frame per WriteToUDP",
+		"Batch" + "Writer": "a conn writes one frame per WriteToUDP",
+	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -41,14 +50,18 @@ func TestWireGoroutineSites(t *testing.T) {
 					t.Errorf("%s: go statement outside the socket reader and the demux drain", fset.Position(n.Pos()))
 				}
 			case *ast.FuncDecl:
-				if n.Recv != nil && n.Name.Name == fork {
-					t.Errorf("%s: method %s: every transport delivers inline", fset.Position(n.Pos()), fork)
+				if why, ok := banned[n.Name.Name]; ok && n.Recv != nil {
+					t.Errorf("%s: method %s: %s", fset.Position(n.Pos()), n.Name.Name, why)
+				}
+			case *ast.TypeSpec:
+				if why, ok := banned[n.Name.Name]; ok {
+					t.Errorf("%s: type %s: %s", fset.Position(n.Pos()), n.Name.Name, why)
 				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
 					for _, id := range m.Names {
-						if id.Name == fork {
-							t.Errorf("%s: interface method %s: every transport delivers inline", fset.Position(id.Pos()), fork)
+						if why, ok := banned[id.Name]; ok {
+							t.Errorf("%s: interface method %s: %s", fset.Position(id.Pos()), id.Name, why)
 						}
 					}
 				}

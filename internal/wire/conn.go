@@ -61,7 +61,7 @@ type State int
 const (
 	// StateActive: frames (or heartbeat replies) are arriving.
 	StateActive State = iota
-	// StateDead: KeepaliveMiss probe intervals elapsed with nothing heard.
+	// StateDead: keepaliveMiss probe intervals elapsed with nothing heard.
 	StateDead
 	// StateClosed: Close was called locally.
 	StateClosed
@@ -99,13 +99,10 @@ type Config struct {
 	// authenticates headers (Section VI-G). Both endpoints must share it.
 	Key []byte
 	// Keepalive, when > 0, sends a heartbeat ping every interval and
-	// declares the peer dead after KeepaliveMiss unanswered intervals.
+	// declares the peer dead after keepaliveMiss (3) unanswered intervals.
 	// Peers answer pings automatically whether or not they enable
 	// keepalive themselves.
 	Keepalive time.Duration
-	// KeepaliveMiss is how many silent probe intervals mean death
-	// (default 3).
-	KeepaliveMiss int
 	// OnStateChange observes liveness transitions (Active↔Dead, and Closed
 	// on local close). It is called without internal locks held; it must
 	// not call back into blocking Conn methods from the same goroutine it
@@ -121,22 +118,10 @@ type Config struct {
 	// default) costs one pointer check per event site. Give it the same
 	// Clock as the connection so its timeline lines up with the protocol.
 	Recorder *obs.FlightRecorder
-	// MaxBurst caps how many queued frames one pass of the transmit loop
-	// may coalesce into a single batch write when the transport supports
-	// batching (BatchWriter); the default (0 or 1) writes one frame at a
-	// time. A burst still pays its full serialization time: nextSend
-	// advances by the batch's cumulative budget gap, so the average rate
-	// honors the controller exactly — only the micro-spacing inside one
-	// burst collapses (the same argument lets the pacer send a frame up to
-	// one clock granule early, see drain). Values above MaxBatchFrames are
-	// clamped.
-	MaxBurst int
 }
 
-// MaxBatchFrames bounds MaxBurst (and sizes the per-connection batch
-// scratch): more frames per syscall than this yields no measurable win
-// and inflates jitter for competing flows.
-const MaxBatchFrames = 64
+// keepaliveMiss is how many silent probe intervals mean the peer is dead.
+const keepaliveMiss = 3
 
 // wpending is the bookkeeping record of one reliable frame awaiting
 // acknowledgment. Records are pooled: they return to pendingPool when the
@@ -229,13 +214,6 @@ func (q *frameQueue) pop() outFrame {
 	return f
 }
 
-// popped pairs a frame being written with its pending record (nil for
-// best-effort frames or sequences already acknowledged).
-type popped struct {
-	f  outFrame
-	pp *wpending
-}
-
 // recvWindow is how many sequences back a stream remembers (see DESIGN.md
 // §3: 2048 frames is seconds of traffic, far beyond any frame still inside
 // a 75 ms deadline); a frame older than that is dropped as a duplicate.
@@ -269,7 +247,6 @@ const (
 // allocates nothing.
 type Conn struct {
 	pc    PacketConn
-	bw    BatchWriter // pc's batch capability, nil when unsupported
 	clock vclock.Clock
 	grain time.Duration // vclock.Granularity(clock): no pace timer is shorter
 	epoch time.Time
@@ -317,13 +294,11 @@ type Conn struct {
 	ackFn     func()
 
 	// sendMu serializes the transmit loop's pop→encode→write→finalize
-	// cycle and guards the batch scratch. Lock order: sendMu before mu,
-	// never the reverse.
-	sendMu     sync.Mutex
-	sendPops   []popped
-	sendDgs    []Datagram
-	sendFrames []*[]byte            // per-slot frame buffers, grown to MaxBurst once
-	sendAcks   [maxAckBlockLen]byte // the block riding the burst being written
+	// cycle and guards the buffers it writes from. Lock order: sendMu
+	// before mu, never the reverse.
+	sendMu    sync.Mutex
+	sendFrame *[]byte              // the encoded frame being written
+	sendAcks  [maxAckBlockLen]byte // the block riding the frame being written
 
 	// seqScratch backs the sequence lists built under mu: the gap list on
 	// the receive path, the loss candidates of an ack or a sweep.
@@ -353,8 +328,6 @@ type Conn struct {
 	SentFrames      int64
 	AcksSent        int64 // pure-ack datagrams written
 	AcksPiggybacked int64 // acknowledgement blocks that rode a data frame
-	BatchWrites     int64 // transport writes that carried more than one frame
-	BatchFrames     int64 // frames sent inside multi-frame writes
 	AckedRTT        time.Duration
 	AuthFailures    int64
 	LostFrames      int64 // transmissions declared lost (gap, nack or sweep)
@@ -433,15 +406,6 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 	if cfg.RetxLimit <= 0 {
 		cfg.RetxLimit = 3
 	}
-	if cfg.KeepaliveMiss <= 0 {
-		cfg.KeepaliveMiss = 3
-	}
-	if cfg.MaxBurst < 1 {
-		cfg.MaxBurst = 1
-	}
-	if cfg.MaxBurst > MaxBatchFrames {
-		cfg.MaxBurst = MaxBatchFrames
-	}
 	clock := vclock.OrSystem(cfg.Clock)
 	now := clock.Now()
 	c := &Conn{
@@ -456,8 +420,8 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 		state:     StateActive,
 		lastHeard: now,
 		nextSend:  now,
+		sendFrame: getFrameBuf(),
 	}
-	c.bw, _ = pc.(BatchWriter)
 	if ps, ok := pc.(*PathSet); ok {
 		// A Conn built directly over a PathSet gets the sub-RTT failover
 		// hook: path-down evacuation re-enqueues in-flight frames here.
@@ -467,13 +431,6 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 	c.sweepFn = c.sweepFire
 	c.kaFn = c.keepaliveFire
 	c.ackFn = c.ackFire
-	burst := cfg.MaxBurst
-	c.sendPops = make([]popped, 0, burst)
-	c.sendDgs = make([]Datagram, 0, burst)
-	c.sendFrames = make([]*[]byte, burst)
-	for i := range c.sendFrames {
-		c.sendFrames[i] = getFrameBuf()
-	}
 	for _, spec := range cfg.Streams {
 		st := newStream(spec, now)
 		st.tokens = 4 * 1500 // initial burst credit
@@ -533,7 +490,7 @@ func (c *Conn) keepaliveFire() {
 		return
 	}
 	interval := c.cfg.Keepalive
-	deadAfter := time.Duration(c.cfg.KeepaliveMiss) * interval
+	deadAfter := keepaliveMiss * interval
 	peer := c.peer
 	silent := c.clock.Now().Sub(c.lastHeard)
 	notify := State(-1)
@@ -856,13 +813,13 @@ func (c *Conn) paceDueLocked(now time.Time) bool {
 }
 
 // drain is the transmit loop: while the head of the queue is due it pops
-// up to MaxBurst frames from the highest non-empty bands into one
-// transport write, on the goroutine that made them sendable — the Send
-// caller, the reader that decoded a NACK, the sweep, or the pace timer
+// the frame at the head of the highest non-empty band and writes it, one
+// frame per transport write, on the goroutine that made it sendable — the
+// Send caller, the reader that decoded a NACK, the sweep, or the pace timer
 // after a gap. now is the caller's clock reading; the loop reads the clock
 // again only when it goes round.
 //
-// Lock choreography: sendMu guards the batch scratch; mu covers the
+// Lock choreography: sendMu guards the frame buffer; mu covers the
 // pop/stamp and the finalize/arm step, but is released around encode+write
 // so the read path never waits on a system call. paceArmed stays set across
 // the write, so whoever queues a frame meanwhile — another goroutine, or a
@@ -876,143 +833,100 @@ func (c *Conn) drain(now time.Time) {
 		if round > 0 {
 			now = c.clock.Now()
 		}
-		pops, peer := c.popBurstLocked(now)
+		f, pp, peer := c.popLocked(now)
 		c.mu.Unlock()
-		sent := c.writePopped(pops, peer)
+		sent := c.writePopped(&f, peer)
 		c.mu.Lock()
-		c.finishBurstLocked(pops, sent, peer)
+		c.finishLocked(&f, pp, sent)
 	}
 	c.mu.Unlock()
 }
 
-// popBurstLocked takes the next burst off the bands, stamps it with now and
-// advances nextSend by its budget gap.
-func (c *Conn) popBurstLocked(now time.Time) ([]popped, *net.UDPAddr) {
-	burst := c.cfg.MaxBurst
-	if c.bw == nil {
-		burst = 1
-	}
-	pops := c.sendPops[:0]
-	nowStamp := uint64(now.Sub(c.epoch).Microseconds())
-	totalWire := 0
-	for len(pops) < burst {
-		var f outFrame
-		found := false
-		for b := range c.bands {
-			if !c.bands[b].empty() {
-				f = c.bands[b].pop()
-				found = true
-				break
-			}
-		}
-		if !found {
+// popLocked takes the frame at the head of the highest non-empty band
+// (paceDueLocked has seen one), stamps it with now and advances nextSend by
+// its budget gap. pp is the frame's pending record, nil for a best-effort
+// frame or a sequence already acknowledged.
+func (c *Conn) popLocked(now time.Time) (f outFrame, pp *wpending, peer *net.UDPAddr) {
+	for b := range c.bands {
+		if !c.bands[b].empty() {
+			f = c.bands[b].pop()
 			break
 		}
-		f.hdr.SendMicro = nowStamp
-		if c.owedN > 0 {
-			// Everything owed rides on the first frame of the burst.
-			f.hdr.Acks = c.takeAcksLocked(c.sendAcks[:0], now)
-			c.AcksPiggybacked++
-		}
-		var pp *wpending
-		if st := c.streamLocked(f.hdr.Stream); st != nil {
-			if p, ok := st.outstanding[f.hdr.Seq]; ok {
-				p.queued = false
-				p.lastSent = now
-				p.sending = true
-				pp = p
-			}
-			st.sent++
-		}
-		wireLen := headerLen(f.hdr) + len(f.payload)
-		if c.sealer != nil {
-			wireLen += sealedOver
-		}
-		totalWire += wireLen
-		if r := c.cfg.Recorder; r != nil {
-			// RecordAt reuses the drain's clock reading, so the hot
-			// path pays no extra clock call per frame.
-			if pp != nil && pp.retx > 0 {
-				r.RecordAt(now, obs.EvFrameRetransmit, uint8(pp.retx), f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
-			} else {
-				r.RecordAt(now, obs.EvFrameSend, 0, f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
-			}
-		}
-		pops = append(pops, popped{f: f, pp: pp})
 	}
-	c.sendPops = pops[:0] // keep the (possibly grown) scratch
+	f.hdr.SendMicro = uint64(now.Sub(c.epoch).Microseconds())
+	if c.owedN > 0 {
+		// Everything owed rides on this frame.
+		f.hdr.Acks = c.takeAcksLocked(c.sendAcks[:0], now)
+		c.AcksPiggybacked++
+	}
+	if st := c.streamLocked(f.hdr.Stream); st != nil {
+		if p, ok := st.outstanding[f.hdr.Seq]; ok {
+			p.queued = false
+			p.lastSent = now
+			p.sending = true
+			pp = p
+		}
+		st.sent++
+	}
+	wireLen := headerLen(f.hdr) + len(f.payload)
+	if c.sealer != nil {
+		wireLen += sealedOver
+	}
+	if r := c.cfg.Recorder; r != nil {
+		// RecordAt reuses the drain's clock reading, so the hot path pays
+		// no extra clock call per frame.
+		if pp != nil && pp.retx > 0 {
+			r.RecordAt(now, obs.EvFrameRetransmit, uint8(pp.retx), f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
+		} else {
+			r.RecordAt(now, obs.EvFrameSend, 0, f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
+		}
+	}
 	budget := c.ctrl.Budget()
 	if budget < 1 {
 		budget = 1
 	}
-	gap := time.Duration(float64(totalWire*8) / budget * float64(time.Second))
+	gap := time.Duration(float64(wireLen*8) / budget * float64(time.Second))
 	if now.After(c.nextSend) {
 		c.nextSend = now // idle time earns no credit; time sent early stays owed
 	}
 	c.nextSend = c.nextSend.Add(gap)
-	return pops, c.peer
+	return f, pp, c.peer
 }
 
-// finishBurstLocked accounts a written burst and releases what it held.
-func (c *Conn) finishBurstLocked(pops []popped, sent int, peer *net.UDPAddr) {
-	if peer != nil {
-		c.SentFrames += int64(sent)
-		if len(pops) > 1 {
-			c.BatchWrites++
-			c.BatchFrames += int64(sent)
-		}
+// finishLocked accounts a written frame and releases what it held.
+func (c *Conn) finishLocked(f *outFrame, pp *wpending, sent bool) {
+	if sent {
+		c.SentFrames++
 	}
-	for i := range pops {
-		p := &pops[i]
-		if p.pp != nil {
-			p.pp.sending = false
-			if p.pp.orphaned {
-				// Acked (or dropped) while we were writing: the record
-				// already left the outstanding map, so the buffers come
-				// home here.
-				putPayloadBuf(p.pp.pbuf)
-				putPending(p.pp)
-			}
-		} else if p.f.pbuf != nil {
-			// Best-effort frame, or a reliable one whose record was
-			// removed before the pop: the band reference was the last.
-			putPayloadBuf(p.f.pbuf)
+	if pp != nil {
+		pp.sending = false
+		if pp.orphaned {
+			// Acked (or dropped) while we were writing: the record already
+			// left the outstanding map, so the buffers come home here.
+			putPayloadBuf(pp.pbuf)
+			putPending(pp)
 		}
-		pops[i] = popped{}
+	} else if f.pbuf != nil {
+		// Best-effort frame, or a reliable one whose record was removed
+		// before the pop: the band reference was the last.
+		putPayloadBuf(f.pbuf)
 	}
 }
 
-// writePopped encodes the popped frames into the per-connection frame
-// buffers and hands them to the transport — one WriteToUDP for a single
-// frame, one batch write for several. It reports how many frames the
-// transport accepted; unsent tail frames on a short batch are accounted
-// as loss, exactly like a dropped datagram.
-func (c *Conn) writePopped(pops []popped, peer *net.UDPAddr) int {
+// writePopped encodes the popped frame into the connection's frame buffer
+// and hands it to the transport in one WriteToUDP. It reports whether the
+// transport took it; a frame it refused is left to loss recovery, exactly
+// like a dropped datagram.
+func (c *Conn) writePopped(f *outFrame, peer *net.UDPAddr) bool {
 	if peer == nil {
-		return 0
+		return false
 	}
-	dgs := c.sendDgs[:0]
-	for i := range pops {
-		fb := c.sendFrames[i]
-		frame, err := c.encodeFrame((*fb)[:0], pops[i].f.hdr, pops[i].f.payload)
-		if err != nil {
-			continue
-		}
-		dgs = append(dgs, Datagram{B: frame, Addr: peer})
+	frame, err := c.encodeFrame((*c.sendFrame)[:0], f.hdr, f.payload)
+	if err != nil {
+		return false
 	}
-	c.sendDgs = dgs[:0]
-	switch {
-	case len(dgs) == 0:
-		return 0
-	case len(dgs) == 1:
-		if _, err := c.pc.WriteToUDP(dgs[0].B, peer); err != nil {
-			return 0
-		}
-		return 1
-	default:
-		n, _ := c.bw.WriteBatch(dgs)
-		return n
-	}
+	_, err = c.pc.WriteToUDP(frame, peer)
+	return err == nil
 }
 
 func (c *Conn) emptyBandsLocked() bool {
@@ -1498,14 +1412,6 @@ func (c *Conn) AuthFailureCount() int64 {
 	return c.AuthFailures
 }
 
-// BatchStats reports the batch-coalescing counters: how many transport
-// writes carried more than one frame, and how many frames rode in them.
-func (c *Conn) BatchStats() (writes, frames int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.BatchWrites, c.BatchFrames
-}
-
 // AckStats reports how acknowledgements left: pure-ack datagrams written, and
 // blocks that rode a data frame instead.
 func (c *Conn) AckStats() (sent, piggybacked int64) {
@@ -1575,21 +1481,6 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		return piggybacked
 	}, labels...)
 	reg.CounterFunc("mar_wire_auth_failures_total", c.AuthFailureCount, labels...)
-	reg.CounterFunc("mar_wire_batch_writes_total", func() int64 {
-		w, _ := c.BatchStats()
-		return w
-	}, labels...)
-	reg.CounterFunc("mar_wire_batch_frames_total", func() int64 {
-		_, f := c.BatchStats()
-		return f
-	}, labels...)
-	reg.GaugeFunc("mar_wire_batch_frames_avg", func() float64 {
-		w, f := c.BatchStats()
-		if w == 0 {
-			return 0
-		}
-		return float64(f) / float64(w)
-	}, labels...)
 	reg.GaugeFunc("mar_wire_srtt_seconds", func() float64 { return c.SRTT().Seconds() }, labels...)
 	reg.GaugeFunc("mar_wire_loss_rate", c.LossRate, labels...)
 	reg.CounterFunc("mar_wire_frames_lost_total", c.LostFrameCount, labels...)

@@ -31,8 +31,8 @@ import (
 // with counters starting at 0 would instead collide whenever two sealers
 // drew the same 32-bit prefix, a ~2^16-instantiation birthday bound.)
 // GCM only requires nonce uniqueness per key, never unpredictability, and
-// the receiver treats the 12 bytes as opaque, so v1/v2/v3 frames sealed
-// under the old fully-random scheme interoperate unchanged.
+// the receiver treats the 12 bytes as opaque, so frames sealed under the
+// old fully-random scheme interoperate unchanged.
 
 const (
 	nonceLen   = 12

@@ -163,18 +163,10 @@ func (s *demuxShard) drain() {
 	}
 }
 
-// demuxShard implements PacketConn (plus BatchWriter) over the shared
-// underlying transport.
+// demuxShard implements PacketConn over the shared underlying transport.
 
 func (s *demuxShard) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	return s.d.pc.WriteToUDP(b, addr)
-}
-
-func (s *demuxShard) WriteBatch(dgs []Datagram) (int, error) {
-	if bw, ok := s.d.pc.(BatchWriter); ok {
-		return bw.WriteBatch(dgs)
-	}
-	return writeBatchLoop(s, dgs)
 }
 
 func (s *demuxShard) LocalAddr() net.Addr { return s.d.pc.LocalAddr() }

@@ -110,8 +110,8 @@ func (c *manualClock) advance(d time.Duration) {
 }
 
 // stubPC is a synchronous PacketConn that counts writes and (optionally)
-// records datagram copies. It implements no batch interface, so conns over
-// it take the single-frame path regardless of MaxBurst.
+// records datagram copies. A conn's drain hands it one frame per
+// WriteToUDP, as it does every transport.
 type stubPC struct {
 	mu     sync.Mutex
 	writes int
@@ -132,25 +132,6 @@ func (p *stubPC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
 func (p *stubPC) LocalAddr() net.Addr                                    { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1} }
 func (p *stubPC) Close() error                                           { return nil }
 func (p *stubPC) Start(func(pkt []byte, from *net.UDPAddr, backlog int)) {}
-
-// stubBatchPC adds BatchWriter, recording the size of every batch.
-type stubBatchPC struct {
-	stubPC
-	batchSizes []int
-}
-
-func (p *stubBatchPC) WriteBatch(dgs []Datagram) (int, error) {
-	p.mu.Lock()
-	p.batchSizes = append(p.batchSizes, len(dgs))
-	if p.record {
-		for i := range dgs {
-			p.frames = append(p.frames, append([]byte(nil), dgs[i].B...))
-		}
-	}
-	p.writes++
-	p.mu.Unlock()
-	return len(dgs), nil
-}
 
 var stubPeer = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
 
@@ -271,62 +252,6 @@ func TestFrameQueueBoundedUnderSustainedBacklog(t *testing.T) {
 	}
 	if q.len() != backlog {
 		t.Fatalf("len = %d, want %d", q.len(), backlog)
-	}
-}
-
-// TestBatchCoalescing verifies the MaxBurst contract: the first frame of
-// an idle connection leaves on the caller, alone; the frames queued behind
-// its gap leave in one batch write when the pace timer fires on a
-// batch-capable transport, every frame still decodes intact and in order,
-// and the batch counters record the coalescing.
-func TestBatchCoalescing(t *testing.T) {
-	clk := newManualClock()
-	pc := &stubBatchPC{stubPC: stubPC{record: true}}
-	c, err := DialVia(pc, stubPeer, Config{
-		Streams: []StreamSpec{{
-			ID: 1, Class: core.ClassFullBestEffort, Priority: core.PrioHighest, Rate: 1e9,
-		}},
-		StartBudget: 1e9,
-		Clock:       clk,
-		MaxBurst:    8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Send 8 frames inside the first one's gap.
-	var want [][]byte
-	for i := 0; i < 8; i++ {
-		p := bytes.Repeat([]byte{byte('a' + i)}, 64+i)
-		want = append(want, p)
-		if ok, serr := c.Send(1, p); serr != nil || !ok {
-			t.Fatal("send refused", serr)
-		}
-	}
-	clk.advance(time.Millisecond)
-
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.writes != 2 || len(pc.batchSizes) != 1 || pc.batchSizes[0] != 7 {
-		t.Fatalf("%d writes, batch sizes = %v, want one inline frame and one batch of 7", pc.writes, pc.batchSizes)
-	}
-	if len(pc.frames) != 8 {
-		t.Fatalf("recorded %d frames, want 8", len(pc.frames))
-	}
-	for i, frame := range pc.frames {
-		h, payload, derr := DecodeFrame(frame)
-		if derr != nil {
-			t.Fatalf("frame %d failed to decode: %v", i, derr)
-		}
-		if h.Seq != int64(i) || !bytes.Equal(payload, want[i]) {
-			t.Fatalf("frame %d: seq %d payload %q, want seq %d payload %q",
-				i, h.Seq, payload, i, want[i])
-		}
-	}
-	writes, frames := c.BatchStats()
-	if writes != 1 || frames != 7 {
-		t.Fatalf("BatchStats = (%d, %d), want (1, 7)", writes, frames)
 	}
 }
 

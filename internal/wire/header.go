@@ -8,11 +8,16 @@
 // study of the paper is measured.
 //
 // The wire format is a fixed little-endian header followed by the payload.
-// Versions 1 and 2 share the 26-byte legacy layout:
+// Byte 2 is the one version there is, a flag byte: 1 | traced·2 | acks·4.
+// The base bit is always set; each further bit inserts an extension before
+// the payload length, which stays the LAST two header bytes so that sealing
+// (which authenticates everything before the payload length) is
+// layout-independent. A byte without the base bit, or with a bit above
+// acks, is ErrBadVersion. With neither extension the header is 26 bytes:
 //
 //	off size field
 //	0   2    magic 0xAR7P (0xA27B)
-//	2   1    version (1 or 2)
+//	2   1    flags 1 | traced·2 | acks·4 (here 1)
 //	3   1    frame type
 //	4   2    stream id
 //	6   1    class
@@ -22,27 +27,19 @@
 //	24  2    payload length
 //	26  ...  payload
 //
-// Version 3 extends the header with trace context for cross-host frame
-// tracing. The payload length stays the LAST two header bytes so that
-// sealing (which authenticates everything before the payload length) is
-// layout-independent:
+// The traced bit, set when a frame carries trace context for cross-host
+// frame tracing, inserts the ids:
 //
-//	0   24   identical to the legacy prefix (version byte = 3)
+//	0   24   the prefix above (flags 1|2)
 //	24  8    trace id
 //	32  8    span id of the sender's span (parent for the receiver)
 //	40  2    payload length
 //	42  ...  payload
 //
-// Encoders emit version 3 only when a frame actually carries trace
-// context; untraced frames remain byte-identical to version 1, so a v3
-// sender interoperates with a legacy decoder until tracing is switched
-// on. Decoders accept all three versions.
-//
 // # Acknowledgements
 //
-// The version byte is 1 | traced·2 | acks·4. A frame of any type with the
-// acks bit set carries an acknowledgement block between the trace ids (when
-// present) and the payload length, which stays the last two header bytes:
+// A frame of any type with the acks bit set carries an acknowledgement
+// block between the trace ids (when present) and the payload length:
 //
 //	0   1    count n of ranges, 1..MaxAckRanges
 //	1   8    echo: the send timestamp of the newest data frame acknowledged
@@ -52,8 +49,8 @@
 //
 // 25 bytes for one range, 109 for eight. A receiver owes an acknowledgement
 // for every data frame and pays it on the next data frame going the other
-// way (Conn.popBurstLocked attaches everything owed to the first frame of a
-// burst). A pure TypeAck frame — a header, a block, no payload — leaves only
+// way (Conn.popLocked attaches everything owed to the next frame it
+// sends). A pure TypeAck frame — a header, a block, no payload — leaves only
 // when nothing rides: once the oldest owed acknowledgement is
 // clamp(SRTT/4, clock granule, 25 ms) old, and at once when the connection
 // has no RTT sample yet (a one-way flow is acknowledged frame by frame), for
@@ -99,8 +96,8 @@ const (
 	Magic           = 0xA27B
 	Version         = 1
 	VersionTraced   = 3
-	HeaderLen       = 26   // legacy (v1/v2) header length
-	HeaderLenTraced = 42   // v3 header length: legacy prefix + trace ids
+	HeaderLen       = 26   // header length with no extension
+	HeaderLenTraced = 42   // header length with trace ids (flags 1|2)
 	MaxPayload      = 1200 // keeps frames under typical path MTU
 
 	versionTracedBit = 2 // version byte flag: trace ids present
@@ -204,7 +201,7 @@ var (
 )
 
 // Header is the decoded fixed header. TraceID and SpanID are zero on
-// untraced (v1/v2) frames; a nonzero TraceID marks the frame as part of
+// untraced frames; a nonzero TraceID marks the frame as part of
 // a distributed trace and SpanID names the sender's span, which becomes
 // the parent of any span the receiver starts for this frame. Acks is the
 // acknowledgement block riding on the frame, nil when there is none.
@@ -235,9 +232,8 @@ func checkHeader(h Header) error {
 }
 
 // AppendFrame serializes a frame (header + payload) into dst and returns
-// the extended slice. Frames with trace context encode as version 3;
-// a frame with neither trace context nor an acknowledgement block stays
-// byte-identical to version 1.
+// the extended slice. The flag byte says which extensions follow the
+// prefix: trace context, an acknowledgement block, both or neither.
 func AppendFrame(dst []byte, h Header, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, fmt.Errorf("%w: %d bytes", ErrOversize, len(payload))
@@ -281,9 +277,9 @@ func putHeader(dst []byte, h Header, payloadLen int) {
 }
 
 // DecodeFrame parses one frame from buf, returning the header and a
-// subslice of buf holding the payload. Versions 1 and 2 decode as the
-// legacy 26-byte layout; the traced bit additionally yields trace context
-// and the acks bit an acknowledgement block, also a subslice of buf.
+// subslice of buf holding the payload. The traced bit additionally yields
+// trace context and the acks bit an acknowledgement block, also a subslice
+// of buf.
 func DecodeFrame(buf []byte) (Header, []byte, error) {
 	if len(buf) < HeaderLen {
 		return Header{}, nil, ErrShortFrame
@@ -292,9 +288,6 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 		return Header{}, nil, ErrBadMagic
 	}
 	ver := buf[2]
-	if ver == 2 {
-		ver = Version // the legacy layout under its second number
-	}
 	if ver&Version == 0 || ver > Version|versionTracedBit|versionAcksBit {
 		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
 	}

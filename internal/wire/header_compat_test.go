@@ -10,8 +10,8 @@ import (
 	"marnet/internal/core"
 )
 
-// encodeLegacy hand-rolls the 26-byte v1/v2 layout so the compat tests do
-// not depend on AppendFrame's version selection.
+// encodeLegacy hand-rolls the 26-byte layout under any flag byte, so the
+// compat tests do not depend on AppendFrame's flag selection.
 func encodeLegacy(version uint8, h Header, payload []byte) []byte {
 	buf := make([]byte, HeaderLen+len(payload))
 	binary.LittleEndian.PutUint16(buf[0:], Magic)
@@ -27,25 +27,27 @@ func encodeLegacy(version uint8, h Header, payload []byte) []byte {
 	return buf
 }
 
-// TestDecodeLegacyVersions: a v3-capable decoder accepts frames from v1
-// and v2 senders unchanged (zero trace context).
+// TestDecodeLegacyVersions: the 26-byte layout decodes under flag byte 1
+// (zero trace context), and no longer under 2, the second number it once
+// had: 2 lacks the base bit, so it is ErrBadVersion.
 func TestDecodeLegacyVersions(t *testing.T) {
 	want := Header{Type: TypeData, Stream: 9, Class: 1, Prio: 2, Seq: 77, SendMicro: 5555, PayloadLen: 5}
-	for _, version := range []uint8{1, 2} {
-		frame := encodeLegacy(version, want, []byte("hello"))
-		h, payload, err := DecodeFrame(frame)
-		if err != nil {
-			t.Fatalf("v%d decode: %v", version, err)
-		}
-		if !sameHeader(h, want) {
-			t.Fatalf("v%d header = %+v, want %+v", version, h, want)
-		}
-		if h.TraceID != 0 || h.SpanID != 0 {
-			t.Fatalf("v%d frame must carry no trace context: %+v", version, h)
-		}
-		if string(payload) != "hello" {
-			t.Fatalf("v%d payload = %q", version, payload)
-		}
+	frame := encodeLegacy(1, want, []byte("hello"))
+	h, payload, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatalf("v1 decode: %v", err)
+	}
+	if !sameHeader(h, want) {
+		t.Fatalf("v1 header = %+v, want %+v", h, want)
+	}
+	if h.TraceID != 0 || h.SpanID != 0 {
+		t.Fatalf("v1 frame must carry no trace context: %+v", h)
+	}
+	if string(payload) != "hello" {
+		t.Fatalf("v1 payload = %q", payload)
+	}
+	if _, _, err := DecodeFrame(encodeLegacy(2, want, []byte("hello"))); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v2 decode: err = %v, want ErrBadVersion", err)
 	}
 }
 

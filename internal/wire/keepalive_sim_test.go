@@ -36,7 +36,6 @@ func TestKeepaliveDetectsDeadPeerVirtual(t *testing.T) {
 	client, err := wire.DialVia(clientEp, serverEp.UDPAddr(), wire.Config{
 		Streams:       []wire.StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e6}},
 		Keepalive:     interval,
-		KeepaliveMiss: 3,
 		Clock:         s.Clock,
 		OnStateChange: func(st wire.State) { changes = append(changes, change{st, s.Sim.Now()}) },
 	})
@@ -68,7 +67,7 @@ func TestKeepaliveDetectsDeadPeerVirtual(t *testing.T) {
 	if deadAt == 0 {
 		t.Fatal("dead peer never detected")
 	}
-	// The threshold is KeepaliveMiss probe intervals of silence, detected
+	// The threshold is three probe intervals of silence, detected
 	// at the next probe tick: on the virtual clock, detection lands in
 	// (3, 4] intervals after the last pong — no scheduling slack needed.
 	took := deadAt - killAt

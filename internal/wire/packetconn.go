@@ -8,10 +8,8 @@ import (
 // PacketConn abstracts the datagram socket under a Conn or Mux so the
 // identical protocol code runs over a real kernel UDP socket or the
 // in-memory simulated network in internal/marsim. Implementations must be
-// safe for concurrent WriteToUDP calls.
-//
-// Implementations may additionally satisfy BatchWriter (see batch.go);
-// senders only coalesce frames when they do.
+// safe for concurrent WriteToUDP calls. A Conn writes one frame per
+// WriteToUDP call.
 type PacketConn interface {
 	// WriteToUDP transmits one datagram to addr.
 	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
@@ -63,12 +61,12 @@ func PoisonBuf(b []byte) {
 }
 
 // udpPacketConn is the production PacketConn: a kernel UDP socket plus one
-// reader goroutine. On Linux it reads and writes in batches (recvmmsg /
-// sendmmsg) through batchIO; elsewhere batchIO is absent and it falls back
-// to one system call per datagram.
+// reader goroutine. On Linux it reads in batches (recvmmsg, UDP GRO)
+// through batchIO; elsewhere batchIO is absent and it reads one datagram
+// per system call. It writes one datagram per system call everywhere.
 type udpPacketConn struct {
 	sock *net.UDPConn
-	bio  *batchIO // nil when the platform has no batch syscalls
+	bio  *batchIO // nil when the platform has no batch receive
 	wg   sync.WaitGroup
 }
 
@@ -78,15 +76,6 @@ func newUDPPacketConn(sock *net.UDPConn) *udpPacketConn {
 
 func (u *udpPacketConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 	return u.sock.WriteToUDP(b, addr)
-}
-
-// WriteBatch implements BatchWriter: one sendmmsg per batch on Linux, a
-// plain loop elsewhere (or for addresses the raw path cannot encode).
-func (u *udpPacketConn) WriteBatch(dgs []Datagram) (int, error) {
-	if u.bio != nil {
-		return u.bio.writeBatch(dgs)
-	}
-	return writeBatchLoop(u, dgs)
 }
 
 func (u *udpPacketConn) LocalAddr() net.Addr { return u.sock.LocalAddr() }

@@ -2,56 +2,34 @@
 
 package wire
 
-// Batched kernel I/O: sendmmsg(2) and recvmmsg(2) move a vector of
-// datagrams per system call, which is where the syscall-bound half of the
-// wire fast path comes from — the per-packet cost of the classic
-// write/read loop is dominated by kernel entry, not by copying 1.2 kB.
-// Implemented with the stdlib syscall package only (no new dependencies)
-// via net.UDPConn.SyscallConn, whose Read/Write callbacks park the
+// Batched kernel receive: recvmmsg(2) moves a vector of datagrams per
+// system call, and UDP GRO lets one of them carry a run of a peer's
+// frames, so the per-packet cost of the read loop is not dominated by
+// kernel entry. Implemented with the stdlib syscall package only (no new
+// dependencies) via net.UDPConn.SyscallConn, whose Read callback parks the
 // goroutine in the runtime poller on EAGAIN, so the socket stays in
 // non-blocking mode and integrates with the scheduler exactly like the
-// stdlib's own I/O.
+// stdlib's own I/O. Sends are one WriteToUDP per frame on every platform.
 //
 // The file is gated to 64-bit Linux: struct mmsghdr's layout (msghdr,
 // 4-byte msg_len, 4 bytes of tail padding) is spelled out below and only
 // audited for amd64/arm64. Every other platform takes the portable
-// one-datagram-per-call path, which is semantically identical.
+// one-datagram-per-call read, which is semantically identical.
 
 import (
 	"net"
-	"sync"
 	"syscall"
 	"unsafe"
 )
 
-// ioBatch is the mmsg vector width: how many datagrams one recvmmsg or
-// sendmmsg call can move. It matches MaxBatchFrames so a full sender burst
-// fits one syscall, and gives the receive side the same headroom to drain
-// bursts from several senders in one call.
+// ioBatch is the mmsg vector width: how many datagrams one recvmmsg call
+// can move, headroom to drain bursts from several senders in one call.
 const ioBatch = 64
 
-// UDP generalized segmentation offload: a run of equal-size datagrams to
-// one destination can leave as a single sendmsg whose payload the kernel
-// splits into individual datagrams (UDP_SEGMENT, Linux 4.18+). One pass
-// down the stack for the whole run beats even sendmmsg, which still pays
-// the full per-datagram protocol cost — measured on loopback, the per-
-// packet send floor drops from ~1.6us (sendmmsg) to ~0.3us (GSO).
-const (
-	udpSegment = 103 // UDP_SEGMENT cmsg type / sockopt (linux/udp.h)
-	// gsoMaxSegs is the kernel's UDP_MAX_SEGMENTS.
-	gsoMaxSegs = 64
-	// gsoMaxBytes bounds the coalesced payload to one maximal UDP datagram.
-	gsoMaxBytes = 65507
-	// gsoMinSegs is the shortest run worth a dedicated sendmsg: below it
-	// the plain sendmmsg vector is no worse.
-	gsoMinSegs = 2
-)
-
-// UDP generic receive offload: the recv twin of GSO. With the UDP_GRO
-// sockopt set, the kernel coalesces back-to-back equal-size datagrams of
-// one flow into a single large buffer handed up with one recvmsg, and a
-// UDP_GRO control message carrying the segment size so userspace can
-// re-split (linux 5.0+). One kernel entry then delivers up to 64 frames,
+// UDP generic receive offload: with the UDP_GRO sockopt set, the kernel
+// coalesces back-to-back equal-size datagrams of one flow into a single
+// large buffer handed up with one recvmsg, and a UDP_GRO control message
+// carrying the segment size so userspace can re-split (linux 5.0+). One kernel entry then delivers up to 64 frames,
 // which is where the batched recv leg's headroom beyond recvmmsg comes
 // from. The cmsg payload is the kernel's `int gso_size` (4 bytes).
 const (
@@ -81,22 +59,10 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
-// batchIO owns the scratch vectors for mmsg calls on one socket. Write
-// scratch is guarded by wmu (WriteBatch may be called concurrently);
-// read scratch is owned by the single reader goroutine.
+// batchIO owns the scratch vectors for recvmmsg calls on one socket; they
+// belong to the single reader goroutine.
 type batchIO struct {
-	rc syscall.RawConn
-	// sock is the owning stdlib socket, used for the rare datagram whose
-	// address putSockaddr cannot encode (zoned IPv6 link-local).
-	sock *net.UDPConn
-
-	wmu   sync.Mutex
-	gso   bool // UDP_SEGMENT accepted so far; cleared on first refusal
-	whdrs [ioBatch]mmsghdr
-	wiovs [ioBatch]syscall.Iovec
-	wsas  [ioBatch]syscall.RawSockaddrInet6
-	wcmsg [32]byte // one UDP_SEGMENT cmsg (CmsgSpace(2) <= 32 on 64-bit)
-
+	rc     syscall.RawConn
 	gro    bool // UDP_GRO enabled on the socket at construction
 	rhdrs  [ioBatch]mmsghdr
 	riovs  [ioBatch]syscall.Iovec
@@ -117,7 +83,7 @@ func newBatchIO(sock *net.UDPConn) *batchIO {
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{rc: rc, sock: sock, gso: true}
+	b := &batchIO{rc: rc}
 	// Opt into GRO coalescing; a kernel that predates it (pre-5.0) refuses
 	// the sockopt and the reader simply never sees a UDP_GRO cmsg.
 	cerr := rc.Control(func(fd uintptr) {
@@ -127,31 +93,6 @@ func newBatchIO(sock *net.UDPConn) *batchIO {
 		b.gro = false
 	}
 	return b
-}
-
-// putSockaddr encodes addr into sa, returning the kernel namelen. ok is
-// false for addresses the raw path does not handle (zoned IPv6 link-local);
-// the caller falls back to WriteToUDP for those.
-func putSockaddr(sa *syscall.RawSockaddrInet6, addr *net.UDPAddr) (namelen uint32, ok bool) {
-	if addr == nil {
-		return 0, false
-	}
-	port := uint16(addr.Port)
-	if ip4 := addr.IP.To4(); ip4 != nil {
-		sa4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		*sa4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET}
-		sa4.Port = port<<8 | port>>8 // htons
-		copy(sa4.Addr[:], ip4)
-		return syscall.SizeofSockaddrInet4, true
-	}
-	ip16 := addr.IP.To16()
-	if ip16 == nil || addr.Zone != "" {
-		return 0, false
-	}
-	*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6}
-	sa.Port = port<<8 | port>>8 // htons
-	copy(sa.Addr[:], ip16)
-	return syscall.SizeofSockaddrInet6, true
 }
 
 // sockaddrFromRaw decodes a kernel-filled sockaddr into a fresh UDPAddr.
@@ -171,199 +112,6 @@ func sockaddrFromRaw(sa *syscall.RawSockaddrInet6) *net.UDPAddr {
 		return &net.UDPAddr{IP: ip, Port: int(sa.Port<<8 | sa.Port>>8)}
 	}
 	return nil
-}
-
-// sameUDPAddr reports whether two destination addresses are the same
-// endpoint. The pointer fast path is the common case: a Conn burst reuses
-// one peer address for every frame.
-func sameUDPAddr(a, b *net.UDPAddr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	return a.Port == b.Port && a.Zone == b.Zone && a.IP.Equal(b.IP)
-}
-
-// gsoRun reports how many datagrams at the head of dgs can leave as one
-// GSO send: same destination, every frame the same size (only the last
-// may be shorter), within the kernel's segment-count and total-size
-// limits. Returns 0 when GSO is off or the run is too short to beat the
-// sendmmsg vector.
-func (b *batchIO) gsoRun(dgs []Datagram) int {
-	if !b.gso || len(dgs) < gsoMinSegs {
-		return 0
-	}
-	size := len(dgs[0].B)
-	if size == 0 || dgs[0].Addr == nil {
-		return 0
-	}
-	total := size
-	run := 1
-	for run < len(dgs) && run < gsoMaxSegs {
-		d := &dgs[run]
-		if len(d.B) == 0 || len(d.B) > size || total+len(d.B) > gsoMaxBytes ||
-			!sameUDPAddr(d.Addr, dgs[0].Addr) {
-			break
-		}
-		total += len(d.B)
-		run++
-		if len(d.B) < size {
-			break // a short segment is only valid in last position
-		}
-	}
-	if run < gsoMinSegs {
-		return 0
-	}
-	return run
-}
-
-// writeGSO sends dgs (a run validated by gsoRun) as one sendmsg carrying a
-// UDP_SEGMENT control message: the frames are scatter-gathered by iovec —
-// never copied — and the kernel re-splits them at segment-size boundaries.
-// A kernel that refuses the cmsg flips b.gso off and the caller retries
-// the run on the sendmmsg path, so nothing is lost on old kernels.
-func (b *batchIO) writeGSO(dgs []Datagram) (bool, error) {
-	namelen, ok := putSockaddr(&b.wsas[0], dgs[0].Addr)
-	if !ok {
-		return false, nil // zoned v6 etc.: let the fallback paths sort it
-	}
-	total := 0
-	for i := range dgs {
-		b.wiovs[i] = syscall.Iovec{Base: &dgs[i].B[0], Len: uint64(len(dgs[i].B))}
-		total += len(dgs[i].B)
-	}
-	cmsg := (*syscall.Cmsghdr)(unsafe.Pointer(&b.wcmsg[0]))
-	cmsg.Level = syscall.IPPROTO_UDP
-	cmsg.Type = udpSegment
-	cmsg.SetLen(syscall.CmsgLen(2))
-	*(*uint16)(unsafe.Pointer(&b.wcmsg[syscall.CmsgLen(0)])) = uint16(len(dgs[0].B))
-	hdr := syscall.Msghdr{
-		Name:    (*byte)(unsafe.Pointer(&b.wsas[0])),
-		Namelen: namelen,
-		Iov:     &b.wiovs[0],
-		Control: &b.wcmsg[0],
-	}
-	hdr.Iovlen = uint64(len(dgs))
-	hdr.SetControllen(syscall.CmsgSpace(2))
-	var wrote int
-	var errno syscall.Errno
-	werr := b.rc.Write(func(fd uintptr) bool {
-		for {
-			r1, _, e := syscall.Syscall(syscall.SYS_SENDMSG,
-				fd, uintptr(unsafe.Pointer(&hdr)), 0)
-			if e == syscall.EINTR {
-				continue // interrupted before sending anything: retry
-			}
-			if e == syscall.EAGAIN {
-				return false // park in the poller until writable
-			}
-			wrote, errno = int(r1), e
-			return true
-		}
-	})
-	if werr != nil {
-		return false, werr
-	}
-	switch errno {
-	case 0:
-	case syscall.EINVAL, syscall.EOPNOTSUPP:
-		b.gso = false // kernel predates UDP_SEGMENT; permanent for this socket
-		return false, nil
-	default:
-		return false, errno
-	}
-	if wrote != total {
-		return false, syscall.EIO
-	}
-	return true, nil
-}
-
-// writeBatch transmits dgs with as few kernel entries as possible:
-// equal-size same-peer runs leave as single GSO sends, the rest ride
-// sendmmsg vectors. Datagrams whose address the raw path cannot encode
-// are sent via the stdlib write in order, so ordering is preserved in
-// every mix.
-func (b *batchIO) writeBatch(dgs []Datagram) (int, error) {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	sent := 0
-	for sent < len(dgs) {
-		if run := b.gsoRun(dgs[sent:]); run > 0 {
-			ok, err := b.writeGSO(dgs[sent : sent+run])
-			if err != nil {
-				return sent, err
-			}
-			if ok {
-				sent += run
-				continue
-			}
-			// GSO refused: fall through and move the run by sendmmsg.
-		}
-		n := 0
-		for n < ioBatch && sent+n < len(dgs) {
-			if n > 0 && b.gsoRun(dgs[sent+n:]) > 0 {
-				break // flush the vector, then let GSO take the run
-			}
-			d := &dgs[sent+n]
-			namelen, ok := putSockaddr(&b.wsas[n], d.Addr)
-			if !ok || len(d.B) == 0 {
-				break // flush what we have, then handle this one alone
-			}
-			b.wiovs[n] = syscall.Iovec{Base: &d.B[0], Len: uint64(len(d.B))}
-			b.whdrs[n] = mmsghdr{hdr: syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&b.wsas[n])),
-				Namelen: namelen,
-				Iov:     &b.wiovs[n],
-				Iovlen:  1,
-			}}
-			n++
-		}
-		if n == 0 {
-			// Head of the remainder is un-encodable (zoned v6 etc.): send it
-			// through the owning stdlib socket, which handles every address
-			// form the raw path cannot.
-			if _, err := b.sock.WriteToUDP(dgs[sent].B, dgs[sent].Addr); err != nil {
-				return sent, err
-			}
-			sent++
-			continue
-		}
-		for n > 0 {
-			var wrote int
-			var errno syscall.Errno
-			werr := b.rc.Write(func(fd uintptr) bool {
-				for {
-					r1, _, e := syscall.Syscall6(sysSENDMMSG,
-						fd, uintptr(unsafe.Pointer(&b.whdrs[0])), uintptr(n), 0, 0, 0)
-					if e == syscall.EINTR {
-						continue // interrupted before sending anything: retry
-					}
-					if e == syscall.EAGAIN {
-						return false // park in the poller until writable
-					}
-					wrote, errno = int(r1), e
-					return true
-				}
-			})
-			if werr != nil {
-				return sent, werr
-			}
-			if errno != 0 {
-				return sent, errno
-			}
-			if wrote <= 0 {
-				return sent, syscall.EIO
-			}
-			sent += wrote
-			// A short sendmmsg accepted a prefix; shift and retry the rest
-			// so a short count never reaches the caller without an error.
-			copy(b.whdrs[:], b.whdrs[wrote:n])
-			n -= wrote
-		}
-	}
-	return sent, nil
 }
 
 // addrOf resolves a kernel-filled sockaddr to a *net.UDPAddr through the

@@ -68,119 +68,6 @@ func TestRecvBufferPoisonCatchesRetention(t *testing.T) {
 	}
 }
 
-// TestWriteBatchMixedShapes drives WriteBatch with the exact shapes the
-// GSO/sendmmsg splitter has to get right — an equal-size run, a short
-// tail segment, interleaved destination switches, and odd sizes — and
-// asserts every datagram arrives at the right socket with its boundaries
-// and contents intact. On platforms without the batch syscalls the same
-// batch goes through the portable loop, so the test pins the semantic
-// contract everywhere.
-func TestWriteBatchMixedShapes(t *testing.T) {
-	recv := func() (*net.UDPConn, *net.UDPAddr, *collectorRaw) {
-		sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &collectorRaw{}
-		go func() {
-			buf := make([]byte, 4096)
-			for {
-				n, _, rerr := sock.ReadFromUDP(buf)
-				if rerr != nil {
-					return
-				}
-				c.add(append([]byte(nil), buf[:n]...))
-			}
-		}()
-		return sock, sock.LocalAddr().(*net.UDPAddr), c
-	}
-	sockA, addrA, rxA := recv()
-	defer sockA.Close()
-	sockB, addrB, rxB := recv()
-	defer sockB.Close()
-
-	ssock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := newUDPPacketConn(ssock)
-	defer u.Close()
-
-	mk := func(fill byte, n int) []byte { return bytes.Repeat([]byte{fill}, n) }
-	var dgs []Datagram
-	var wantA, wantB [][]byte
-	to := func(addr *net.UDPAddr, want *[][]byte, payloads ...[]byte) {
-		for _, p := range payloads {
-			dgs = append(dgs, Datagram{B: p, Addr: addr})
-			*want = append(*want, p)
-		}
-	}
-	// Equal-size run (GSO-eligible), ending in a short tail segment.
-	to(addrA, &wantA, mk(1, 700), mk(2, 700), mk(3, 700), mk(4, 700), mk(5, 123))
-	// Destination switch mid-batch, then another run on the new peer.
-	to(addrB, &wantB, mk(6, 300), mk(7, 300), mk(8, 300))
-	// Sizes that grow (a larger frame must start a new run, never join one).
-	to(addrA, &wantA, mk(9, 100), mk(10, 200), mk(11, 300))
-	// Alternating peers: no run at all, pure sendmmsg/portable territory.
-	to(addrA, &wantA, mk(12, 50))
-	to(addrB, &wantB, mk(13, 60))
-	to(addrA, &wantA, mk(14, 70))
-
-	n, err := u.WriteBatch(dgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(dgs) {
-		t.Fatalf("WriteBatch sent %d of %d", n, len(dgs))
-	}
-	check := func(name string, rx *collectorRaw, want [][]byte) {
-		if !waitFor(t, 5*time.Second, func() bool { return rx.count() == len(want) }) {
-			t.Fatalf("%s: got %d datagrams, want %d", name, rx.count(), len(want))
-		}
-		rx.mu.Lock()
-		defer rx.mu.Unlock()
-		got := append([][]byte(nil), rx.pkts...)
-		// UDP does not promise ordering even on loopback; compare as
-		// multisets keyed by the (unique) fill byte.
-		byFill := func(ps [][]byte) map[byte][]byte {
-			m := make(map[byte][]byte, len(ps))
-			for _, p := range ps {
-				m[p[0]] = p
-			}
-			return m
-		}
-		gm, wm := byFill(got), byFill(want)
-		for fill, w := range wm {
-			g, ok := gm[fill]
-			if !ok {
-				t.Fatalf("%s: datagram %#x never arrived", name, fill)
-			}
-			if !bytes.Equal(g, w) {
-				t.Fatalf("%s: datagram %#x corrupted: len %d want %d", name, fill, len(g), len(w))
-			}
-		}
-	}
-	check("peer A", rxA, wantA)
-	check("peer B", rxB, wantB)
-}
-
-type collectorRaw struct {
-	mu   sync.Mutex
-	pkts [][]byte
-}
-
-func (c *collectorRaw) add(p []byte) {
-	c.mu.Lock()
-	c.pkts = append(c.pkts, p)
-	c.mu.Unlock()
-}
-
-func (c *collectorRaw) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pkts)
-}
-
 // TestLoopbackDeliveryWithPoisoning re-runs a full protocol exchange with
 // poisoning forced on: it passes only if no layer above the transport
 // retains receive buffers (the retention audit for conn/mux/rpc delivery

@@ -76,7 +76,7 @@ func (f *fecGroups) place(path int, inner []byte) (group uint32, index uint8, pa
 }
 
 // flush closes every open group that has at least one member — the
-// FlushAfter timer's way of protecting a short tail when the data rate
+// fecFlushAfter timer's way of protecting a short tail when the data rate
 // drops. It returns the repair shards for each closed group.
 func (f *fecGroups) flush() []parityOut {
 	if len(f.open) == 0 {

@@ -35,10 +35,11 @@ type RouterConfig struct {
 	// FEC enables cross-path parity on the downlink (client→server parity
 	// is the client's own business).
 	FEC PathFEC
-	// MaxSessions bounds per-client state (default 1024); beyond it the
-	// longest-silent session is evicted.
-	MaxSessions int
 }
+
+// maxRouterSessions bounds a PathRouter's per-client state; beyond it the
+// longest-silent session is evicted.
+const maxRouterSessions = 1024
 
 // routerPath is the router's view of one client subflow, built entirely
 // from what the client shows it: the source address its datagrams arrive
@@ -90,12 +91,6 @@ var _ PacketConn = (*PathRouter)(nil)
 
 // NewPathRouter wraps a listening transport with multipath routing.
 func NewPathRouter(pc PacketConn, cfg RouterConfig) *PathRouter {
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 1024
-	}
-	if cfg.FEC.K > 0 && cfg.FEC.FlushAfter <= 0 {
-		cfg.FEC.FlushAfter = 25 * time.Millisecond
-	}
 	r := &PathRouter{
 		pc:       pc,
 		cfg:      cfg,
@@ -123,7 +118,7 @@ func (r *PathRouter) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)
 	r.mu.Lock()
 	r.recv = recv
 	if r.cfg.FEC.K > 0 {
-		r.flushTimer = r.clock.AfterFunc(r.cfg.FEC.FlushAfter, r.flushFn)
+		r.flushTimer = r.clock.AfterFunc(fecFlushAfter, r.flushFn)
 	}
 	r.mu.Unlock()
 	r.pc.Start(r.handle)
@@ -161,7 +156,7 @@ func (r *PathRouter) sessionLocked(id uint64) *routerSession {
 	if s != nil {
 		return s
 	}
-	if len(r.sessions) >= r.cfg.MaxSessions {
+	if len(r.sessions) >= maxRouterSessions {
 		var oldest *routerSession
 		for _, cand := range r.sessions {
 			if oldest == nil || cand.lastHeard.Before(oldest.lastHeard) {
@@ -421,7 +416,7 @@ func (r *PathRouter) encodeParityLocked(s *routerSession, dataPath int, parity [
 	return out
 }
 
-// flushFire ships parity for downlink FEC groups that waited FlushAfter,
+// flushFire ships parity for downlink FEC groups that waited fecFlushAfter,
 // then re-arms.
 func (r *PathRouter) flushFire() {
 	r.mu.Lock()
@@ -438,7 +433,7 @@ func (r *PathRouter) flushFire() {
 			writes = append(writes, r.encodeParityLocked(s, -1, parity)...)
 		}
 	}
-	r.flushTimer = vclock.Rearm(r.clock, r.flushTimer, r.cfg.FEC.FlushAfter, r.flushFn)
+	r.flushTimer = vclock.Rearm(r.clock, r.flushTimer, fecFlushAfter, r.flushFn)
 	r.mu.Unlock()
 	for _, w := range writes {
 		r.pc.WriteToUDP(w.frame, w.addr) //nolint:errcheck // parity is best-effort

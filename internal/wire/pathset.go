@@ -89,12 +89,18 @@ type PathConf struct {
 
 // PathFEC configures cross-path parity: every K data frames sent on one
 // path produce M Reed–Solomon repair shards carried on another. K=0
-// disables FEC. FlushAfter bounds how long a partial group may wait for
-// members before its parity ships anyway (default 25 ms).
+// disables FEC.
 type PathFEC struct {
-	K, M       int
-	FlushAfter time.Duration
+	K, M int
 }
+
+// fecFlushAfter bounds how long a partial FEC group may wait for members
+// before its parity ships anyway, on PathSet and PathRouter alike.
+const fecFlushAfter = 25 * time.Millisecond
+
+// degradeLoss is the probe-loss EWMA above which an up path turns
+// degraded; it recovers below half that.
+const degradeLoss = 0.4
 
 // PathSetConfig tunes a PathSet.
 type PathSetConfig struct {
@@ -113,9 +119,6 @@ type PathSetConfig struct {
 	// ProbeMiss is how many consecutive unanswered probes declare a path
 	// down (default 2).
 	ProbeMiss int
-	// DegradeLoss is the probe-loss EWMA above which an up path turns
-	// degraded (default 0.4); it recovers below half that.
-	DegradeLoss float64
 	// FEC enables cross-path parity groups.
 	FEC PathFEC
 	// Stripe spreads bulk bands across live paths by delivery-rate
@@ -181,7 +184,7 @@ type subPath struct {
 }
 
 // PathSet multiplexes one logical ARTP transport over N subflows. It
-// implements PacketConn (and BatchWriter), so DialVia(pathSet, peer, cfg)
+// implements PacketConn, so DialVia(pathSet, peer, cfg)
 // runs the unmodified Conn machinery over it.
 type PathSet struct {
 	cfg   PathSetConfig
@@ -211,10 +214,7 @@ type PathSet struct {
 	paritySent     int64
 }
 
-var (
-	_ PacketConn  = (*PathSet)(nil)
-	_ BatchWriter = (*PathSet)(nil)
-)
+var _ PacketConn = (*PathSet)(nil)
 
 // NewPathSet builds a path manager over the given subflows.
 func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
@@ -229,9 +229,6 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 	}
 	if cfg.ProbeMiss <= 0 {
 		cfg.ProbeMiss = 2
-	}
-	if cfg.DegradeLoss <= 0 {
-		cfg.DegradeLoss = 0.4
 	}
 	clock := vclock.OrSystem(cfg.Clock)
 	ps := &PathSet{
@@ -251,9 +248,6 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 			return nil, err
 		}
 		ps.tx = tx
-		if ps.cfg.FEC.FlushAfter <= 0 {
-			ps.cfg.FEC.FlushAfter = 25 * time.Millisecond
-		}
 	}
 	for _, p := range paths {
 		ps.paths = append(ps.paths, &subPath{name: p.Name, pc: p.PC, state: PathUp})
@@ -332,7 +326,7 @@ func (ps *PathSet) Start(recv func(pkt []byte, from *net.UDPAddr, backlog int)) 
 	ps.recv = recv
 	ps.probeTimer = ps.clock.AfterFunc(ps.cfg.ProbeInterval, ps.probeFn)
 	if ps.tx != nil {
-		ps.flushTimer = ps.clock.AfterFunc(ps.cfg.FEC.FlushAfter, ps.flushFn)
+		ps.flushTimer = ps.clock.AfterFunc(fecFlushAfter, ps.flushFn)
 	}
 	ps.mu.Unlock()
 	for i, p := range ps.paths {
@@ -439,17 +433,6 @@ func writeAdjusted(pc PacketConn, frame []byte, addr *net.UDPAddr, orig int) (in
 		return 0, err
 	}
 	return orig, nil
-}
-
-// WriteBatch implements BatchWriter: each frame still gets its own path
-// decision, so a burst of mixed bands fans out correctly.
-func (ps *PathSet) WriteBatch(dgs []Datagram) (int, error) {
-	for i := range dgs {
-		if _, err := ps.WriteToUDP(dgs[i].B, dgs[i].Addr); err != nil {
-			return i, err
-		}
-	}
-	return len(dgs), nil
 }
 
 // pathWrite is one encapsulated datagram bound for a subflow: the
@@ -627,9 +610,9 @@ func (ps *PathSet) probeFire() {
 			evac = append(evac, ps.evacuateLocked(i)...)
 		case p.state == PathDown:
 			p.state = PathProbing
-		case p.state == PathUp && p.loss >= ps.cfg.DegradeLoss:
+		case p.state == PathUp && p.loss >= degradeLoss:
 			p.state = PathDegraded
-		case p.state == PathDegraded && p.loss < ps.cfg.DegradeLoss/2:
+		case p.state == PathDegraded && p.loss < degradeLoss/2:
 			p.state = PathUp
 		}
 		if p.state != prev {
@@ -701,7 +684,7 @@ func (ps *PathSet) evacuateLocked(path int) []frameKey {
 	return keys
 }
 
-// flushFire closes partial FEC groups that waited FlushAfter, ships their
+// flushFire closes partial FEC groups that waited fecFlushAfter, ships their
 // parity, and re-arms.
 func (ps *PathSet) flushFire() {
 	ps.mu.Lock()
@@ -714,7 +697,7 @@ func (ps *PathSet) flushFire() {
 		writes = ps.encodeParityLocked(-1, parity)
 	}
 	peer := ps.peer
-	ps.flushTimer = vclock.Rearm(ps.clock, ps.flushTimer, ps.cfg.FEC.FlushAfter, ps.flushFn)
+	ps.flushTimer = vclock.Rearm(ps.clock, ps.flushTimer, fecFlushAfter, ps.flushFn)
 	ps.mu.Unlock()
 	for _, w := range writes {
 		w.pc.WriteToUDP(w.frame, peer) //nolint:errcheck // parity is best-effort

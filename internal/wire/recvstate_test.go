@@ -207,7 +207,8 @@ func TestArrivalRateFeedsController(t *testing.T) {
 // of allocations: finding a known peer's connection, sharing the budget
 // out after an ack, a retransmit sweep with nothing to retransmit, the
 // arrival accounting that measures the peer's rate, and an acknowledgement
-// from owed to retired, riding or alone.
+// from owed to retired, riding or alone. Every write here takes the
+// single-frame path: drain pops, seals and writes one frame per round.
 func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")

@@ -66,8 +66,8 @@ type Session struct {
 }
 
 // DialSession dials addr with automatic resumption. cfg.Keepalive is the
-// outage detector; if unset it defaults to 250 ms (KeepaliveMiss defaults
-// to 3, so a dead path is declared within ~750 ms). cfg.OnStateChange is
+// outage detector; if unset it defaults to 250 ms (three silent intervals
+// mean death, so a dead path is declared within ~750 ms). cfg.OnStateChange is
 // reserved for the session's own use — observe via scfg.OnStateChange.
 func DialSession(addr string, cfg Config, scfg SessionConfig) (*Session, error) {
 	return DialSessionWith(func(c Config) (*Conn, error) { return Dial(addr, c) }, cfg, scfg)

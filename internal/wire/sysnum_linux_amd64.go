@@ -2,10 +2,7 @@
 
 package wire
 
-// Syscall numbers the stdlib syscall package predates: its generated
-// tables stop just before sendmmsg(2). Values are from the kernel's
-// arch/x86/entry/syscalls/syscall_64.tbl and are ABI-frozen.
-const (
-	sysSENDMMSG = 307
-	sysRECVMMSG = 299
-)
+// sysRECVMMSG is a syscall number the stdlib syscall package predates: its
+// generated tables stop before the mmsg calls. The value is from the
+// kernel's arch/x86/entry/syscalls/syscall_64.tbl and is ABI-frozen.
+const sysRECVMMSG = 299

@@ -2,10 +2,7 @@
 
 package wire
 
-// Syscall numbers the stdlib syscall package predates; values are from
-// the kernel's generic syscall table (asm-generic/unistd.h) used by
-// arm64 and are ABI-frozen.
-const (
-	sysSENDMMSG = 269
-	sysRECVMMSG = 243
-)
+// sysRECVMMSG is a syscall number the stdlib syscall package predates; the
+// value is from the kernel's generic syscall table (asm-generic/unistd.h)
+// used by arm64 and is ABI-frozen.
+const sysRECVMMSG = 243
