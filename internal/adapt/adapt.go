@@ -122,23 +122,13 @@ type Signals struct {
 // defaults documented on each field.
 type Config struct {
 	// Budget is the motion-to-photon budget (default obs.DefaultBudget,
-	// 75 ms).
+	// 75 ms). ARQ is affordable while SRTT ≤ Budget/2, with a dead band of
+	// Budget/16 (≈4.7 ms at the default budget) around that bound: ARQ→FEC
+	// above it by half the band, FEC→ARQ below it by half the band.
 	Budget time.Duration
-	// RetxRTT is the ARQ-affordability bound (default Budget/2).
-	RetxRTT time.Duration
-	// RetxBand is the dead band around RetxRTT: ARQ→FEC above
-	// RetxRTT+Band/2, FEC→ARQ below RetxRTT−Band/2 (default Budget/16,
-	// ≈4.7 ms at the default budget).
-	RetxBand time.Duration
-	// TargetResidual is the post-FEC residual block-loss target fed to
-	// fec.ResidualLoss (default 1e-3).
-	TargetResidual float64
-	// DataShards is the Reed–Solomon K (default 8); MaxRepair caps M
-	// (default 4, a 1.5× worst-case expansion).
-	DataShards, MaxRepair int
 	// MinDwell is the minimum time between mode switches (default 500 ms).
 	MinDwell time.Duration
-	// UpgradeAfter is how long the miss rate must stay below UpAt before
+	// UpgradeAfter is how long the miss rate must stay below upAt before
 	// climbing a rung (default 1.5 s).
 	UpgradeAfter time.Duration
 	// ProbeAfter forces a one-rung upgrade probe after this long stuck in
@@ -146,9 +136,6 @@ type Config struct {
 	// it, ModeSkip is a trap: shipping nothing produces no samples that
 	// could ever justify shipping again.
 	ProbeAfter time.Duration
-	// DownAt and UpAt are the miss-EWMA thresholds for degrading and
-	// upgrading (defaults 0.5 and 0.1); the gap is the ladder hysteresis.
-	DownAt, UpAt float64
 	// MissGain is the EWMA gain for the miss rate (default 0.3).
 	MissGain float64
 	// NoHysteresis strips every guard — dead band, dwell, sustain, probe —
@@ -164,24 +151,21 @@ type Config struct {
 // degradation pressure applies even if frames are still (barely) landing.
 const netShareHigh = 0.7
 
+const (
+	// downAt and upAt are the miss-EWMA thresholds for degrading and
+	// upgrading; the gap is the ladder hysteresis.
+	downAt, upAt = 0.5, 0.1
+	// dataShards is the Reed–Solomon K under FEC, and maxRepair caps M (a
+	// 1.5× worst-case expansion).
+	dataShards, maxRepair = 8, 4
+	// targetResidual is the post-FEC residual block-loss target fed to
+	// fec.ResidualLoss.
+	targetResidual = 1e-3
+)
+
 func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = obs.DefaultBudget
-	}
-	if c.RetxRTT <= 0 {
-		c.RetxRTT = c.Budget / 2
-	}
-	if c.RetxBand <= 0 {
-		c.RetxBand = c.Budget / 16
-	}
-	if c.TargetResidual <= 0 {
-		c.TargetResidual = 1e-3
-	}
-	if c.DataShards <= 0 {
-		c.DataShards = 8
-	}
-	if c.MaxRepair <= 0 {
-		c.MaxRepair = 4
 	}
 	if c.MinDwell <= 0 {
 		c.MinDwell = 500 * time.Millisecond
@@ -191,12 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = 4 * time.Second
-	}
-	if c.DownAt <= 0 {
-		c.DownAt = 0.5
-	}
-	if c.UpAt <= 0 {
-		c.UpAt = 0.1
 	}
 	if c.MissGain <= 0 {
 		c.MissGain = 0.3
@@ -279,8 +257,8 @@ func (c *Controller) Tick(now time.Duration, sig Signals) Policy {
 		// A network-dominated budget floors the sample at the pressure
 		// threshold — enough to stop upgrades and walk down one rung at a
 		// time, but not a slam to the bottom: frames are still landing.
-		if sig.NetShare > netShareHigh && sample < c.cfg.DownAt {
-			sample = c.cfg.DownAt
+		if sig.NetShare > netShareHigh && sample < downAt {
+			sample = downAt
 		}
 		instant = sample
 		if !c.missKnown {
@@ -295,15 +273,16 @@ func (c *Controller) Tick(now time.Duration, sig Signals) Policy {
 	// does not flap the recovery scheme.
 	prevRetx, prevRetxKnown := c.retx, c.retxKnown
 	if sig.SRTT > 0 {
+		bound, band := c.cfg.Budget/2, c.cfg.Budget/16
 		if c.cfg.NoHysteresis {
-			c.retx = sig.SRTT <= c.cfg.RetxRTT
+			c.retx = sig.SRTT <= bound
 		} else {
 			switch {
 			case !c.retxKnown:
-				c.retx = sig.SRTT <= c.cfg.RetxRTT
-			case c.retx && sig.SRTT > c.cfg.RetxRTT+c.cfg.RetxBand/2:
+				c.retx = sig.SRTT <= bound
+			case c.retx && sig.SRTT > bound+band/2:
 				c.retx = false
-			case !c.retx && sig.SRTT < c.cfg.RetxRTT-c.cfg.RetxBand/2:
+			case !c.retx && sig.SRTT < bound-band/2:
 				c.retx = true
 			}
 		}
@@ -334,8 +313,8 @@ func (c *Controller) Tick(now time.Duration, sig Signals) Policy {
 	// unprotected block has no recovery path at all.
 	p := Policy{Mode: c.mode, Retransmit: c.retx}
 	if !c.retx && c.mode != ModeSkip {
-		p.K = c.cfg.DataShards
-		if m := PlanRepair(p.K, c.cfg.MaxRepair, sig.Loss, c.cfg.TargetResidual); m > 1 {
+		p.K = dataShards
+		if m := PlanRepair(p.K, maxRepair, sig.Loss, targetResidual); m > 1 {
 			p.M = m
 		} else {
 			p.M = 1
@@ -359,18 +338,18 @@ func (c *Controller) Tick(now time.Duration, sig Signals) Policy {
 // reports whether the mode changed (and whether as a blind probe).
 // instant is this tick's raw miss fraction (-1 when no frames completed).
 func (c *Controller) stepModeLocked(now time.Duration, sig Signals, instant float64) (switched, probe bool) {
-	pressure := c.missKnown && c.miss >= c.cfg.DownAt
+	pressure := c.missKnown && c.miss >= downAt
 	if sig.Rejections > 0 {
 		pressure = true // a typed rejection is the server saying "less", now
 	}
-	clean := c.missKnown && c.miss <= c.cfg.UpAt && sig.Rejections == 0 && sig.Degraded == 0
+	clean := c.missKnown && c.miss <= upAt && sig.Rejections == 0 && sig.Degraded == 0
 
 	if c.cfg.NoHysteresis {
 		// Naive thresholding: act on this tick's raw verdict, no smoothing,
 		// no dwell — the strawman the guards exist to beat.
 		if instant >= 0 {
-			pressure = instant >= c.cfg.DownAt || sig.Rejections > 0
-			clean = instant <= c.cfg.UpAt && sig.Rejections == 0 && sig.Degraded == 0
+			pressure = instant >= downAt || sig.Rejections > 0
+			clean = instant <= upAt && sig.Rejections == 0 && sig.Degraded == 0
 		}
 		if pressure && c.mode < ModeSkip {
 			c.switchLocked(now, c.mode+1)
@@ -403,7 +382,7 @@ func (c *Controller) stepModeLocked(now time.Duration, sig Signals, instant floa
 			// A switch changes what ships, so the old miss history no
 			// longer describes the new policy: restart from neutral
 			// instead of letting stale pressure cascade down the ladder.
-			c.miss = (c.cfg.DownAt + c.cfg.UpAt) / 2
+			c.miss = (downAt + upAt) / 2
 			return true, false
 		}
 		return false, false
@@ -420,7 +399,7 @@ func (c *Controller) stepModeLocked(now time.Duration, sig Signals, instant floa
 		if dwelled && now-c.cleanSince >= c.cfg.UpgradeAfter<<c.upPenalty {
 			c.upgraded = true
 			c.switchLocked(now, c.mode-1)
-			c.miss = (c.cfg.DownAt + c.cfg.UpAt) / 2
+			c.miss = (downAt + upAt) / 2
 			return true, false
 		}
 		return false, false
@@ -440,7 +419,7 @@ func (c *Controller) stepModeLocked(now time.Duration, sig Signals, instant floa
 	if now-c.lastSwitch >= c.cfg.ProbeAfter<<c.upPenalty {
 		c.upgraded = true
 		c.switchLocked(now, c.mode-1)
-		c.miss = (c.cfg.DownAt + c.cfg.UpAt) / 2
+		c.miss = (downAt + upAt) / 2
 		return true, true
 	}
 	return false, false

@@ -260,11 +260,11 @@ func TestMultiServerDispatch(t *testing.T) {
 	clientMux := simnet.NewDemux()
 	edgeMux, cloudMux := simnet.NewDemux(), simnet.NewDemux()
 
-	// Two disjoint forward paths entered through one router keyed on the
+	// Two disjoint forward paths entered through one demux keyed on the
 	// packet destination.
-	router := simnet.NewRouter()
-	router.Route(10, simnet.NewLink(sim, 50e6, 3*time.Millisecond, edgeMux))
-	router.Route(20, simnet.NewLink(sim, 20e6, 25*time.Millisecond, cloudMux))
+	router := simnet.NewDemux()
+	router.Register(10, simnet.NewLink(sim, 50e6, 3*time.Millisecond, edgeMux))
+	router.Register(20, simnet.NewLink(sim, 20e6, 25*time.Millisecond, cloudMux))
 	fromEdge := simnet.NewLink(sim, 50e6, 3*time.Millisecond, clientMux)
 	fromCloud := simnet.NewLink(sim, 20e6, 25*time.Millisecond, clientMux)
 

@@ -8,7 +8,7 @@ import (
 )
 
 // LinkFilter adapts the impairment engine to a simnet link: attach it with
-// simnet.WithFilter and the same seeded loss/dup/reorder/timeline machinery
+// Link.SetFilter and the same seeded loss/dup/reorder/timeline machinery
 // that drives the UDP relay drives the simulated wire, keyed to simulated
 // time so runs are exactly reproducible.
 //

@@ -13,7 +13,8 @@ func runFiltered(t *testing.T, f *LinkFilter, n int, gap time.Duration) simnet.L
 	t.Helper()
 	sim := simnet.New(1)
 	recv := simnet.HandlerFunc(func(*simnet.Packet) {})
-	link := simnet.NewLink(sim, 10e6, time.Millisecond, recv, simnet.WithFilter(f))
+	link := simnet.NewLink(sim, 10e6, time.Millisecond, recv)
+	link.SetFilter(f)
 	for i := 0; i < n; i++ {
 		pkt := &simnet.Packet{ID: uint64(i), Size: 500}
 		sim.Schedule(time.Duration(i)*gap, func() { link.Send(pkt) })

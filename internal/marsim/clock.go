@@ -44,8 +44,12 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) vclock.Timer {
 	return &simTimer{clock: c, fn: fn, ev: c.sim.Schedule(d, fn)}
 }
 
-// simTimer implements vclock.Timer (and vclock.Resetter) over a scheduled
-// sim event.
+// Stamp reserves the place among same-instant callbacks that a timer
+// armed now would take (vclock.Sequencer).
+func (c *Clock) Stamp() uint64 { return c.sim.Stamp() }
+
+// simTimer implements vclock.Timer (and vclock.Resetter,
+// vclock.StampResetter) over a scheduled sim event.
 type simTimer struct {
 	clock *Clock
 	fn    func()
@@ -69,11 +73,12 @@ func (t *simTimer) Stop() bool {
 // ordering identical to an AfterFunc call at the same instant, so
 // Reset-based timer chains reproduce the exact traces of AfterFunc
 // chains.
-func (t *simTimer) Reset(d time.Duration) bool {
+func (t *simTimer) Reset(d time.Duration) bool { return t.ResetStamp(d, t.clock.sim.Stamp()) }
+
+// ResetStamp re-arms the timer like Reset, in the place among same-instant
+// callbacks that stamp reserved.
+func (t *simTimer) ResetStamp(d time.Duration, stamp uint64) bool {
 	pending := t.Stop()
-	if d < 0 {
-		d = 0
-	}
-	t.ev = t.clock.sim.Schedule(d, t.fn)
+	t.ev = t.clock.sim.ScheduleStamped(t.clock.sim.Now()+d, stamp, t.fn)
 	return pending
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"marnet/internal/simnet"
+	"marnet/internal/vclock"
 )
 
 // The marsim side of the cancel-leak regression: every virtual-timer Reset
@@ -89,5 +90,27 @@ func TestVirtualTimerStopAfterFire(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Error("Stop returned true on a fired timer")
+	}
+}
+
+// A virtual timer re-armed with vclock.RearmAt fires in the place its
+// stamp reserved among same-instant events, not where the re-arm happened.
+func TestVirtualTimerResetStampKeepsPlace(t *testing.T) {
+	sim := simnet.New(1)
+	clock := NewClock(sim)
+	var order []string
+	fn := func() { order = append(order, "timer") }
+	tm := clock.AfterFunc(time.Hour, fn)
+	stamp := clock.Stamp()
+	sim.Schedule(time.Millisecond, func() { order = append(order, "other") })
+	at := vclock.Deadline{At: clock.Now().Add(time.Millisecond), Stamp: stamp}
+	if got := vclock.RearmAt(clock, tm, at, clock.Now(), fn); got != tm {
+		t.Fatal("RearmAt replaced a virtual timer instead of re-arming it")
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "timer" {
+		t.Fatalf("order = %v, want the timer first", order)
 	}
 }

@@ -16,9 +16,6 @@ type Config struct {
 	// everything at TierFull (queue caps, CoDel shedding and deadline
 	// rejection still apply).
 	Ladder Ladder
-	// EWMAAlpha tunes the service-time estimator (default
-	// DefaultEWMAAlpha).
-	EWMAAlpha float64
 	// Safety scales the service-time estimate when judging whether a
 	// request can finish inside its remaining budget (default 1.5: reject
 	// only when even an optimistic run would not fit).
@@ -148,7 +145,7 @@ func NewGate(cfg Config) *Gate {
 	return &Gate{
 		cfg:   cfg,
 		adm:   NewAdmission(cfg.Admission),
-		est:   NewEstimator(cfg.EWMAAlpha),
+		est:   NewEstimator(DefaultEWMAAlpha),
 		clock: cfg.Clock,
 		sleep: cfg.Sleep,
 	}

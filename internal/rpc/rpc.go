@@ -850,9 +850,6 @@ type ClientConfig struct {
 	// Metrics, when set alongside Tracer, receives the budget tracker's
 	// histograms and blown-frame counters at Dial.
 	Metrics *obs.Registry
-	// MetricsLabels are attached to every metric the budget tracker
-	// registers on Metrics.
-	MetricsLabels []obs.Label
 	// Recorder, when set, is handed to the wire layer (frame-level events)
 	// and receives an EvBudgetSplit per finished traced call; a call that
 	// blows its budget freezes a snapshot, so the ring around the miss
@@ -901,7 +898,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		lat:     newLatencyTracker(),
 	}
 	if cfg.Tracer != nil {
-		c.budget = obs.NewBudgetTracker(cfg.Budget, cfg.Metrics, cfg.MetricsLabels...)
+		c.budget = obs.NewBudgetTracker(cfg.Budget, cfg.Metrics)
 	}
 	wcfg := wire.Config{
 		Streams: []wire.StreamSpec{

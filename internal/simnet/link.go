@@ -51,8 +51,7 @@ type Link struct {
 	dst    Handler
 	busy   bool
 	stats  LinkStats
-	onTx   func(*Packet) // optional tap at serialization time
-	filter PacketFilter  // optional external fault process
+	filter PacketFilter // optional external fault process
 	name   string
 
 	txNext func()    // startTx, bound once: re-arming the serializer allocates nothing
@@ -111,14 +110,6 @@ func WithLoss(p float64) LinkOption { return func(l *Link) { l.lossP = p } }
 
 // WithName labels the link for diagnostics.
 func WithName(name string) LinkOption { return func(l *Link) { l.name = name } }
-
-// WithTxTap installs a callback invoked when each packet begins
-// serialization.
-func WithTxTap(fn func(*Packet)) LinkOption { return func(l *Link) { l.onTx = fn } }
-
-// WithFilter attaches an external per-packet fault process (see
-// internal/faults.NewLinkFilter for the chaos-engine adapter).
-func WithFilter(f PacketFilter) LinkOption { return func(l *Link) { l.filter = f } }
 
 // NewLink creates a link of rate bits/s and one-way propagation delay d,
 // delivering to dst.
@@ -201,9 +192,6 @@ func (l *Link) startTx() {
 		return
 	}
 	l.busy = true
-	if l.onTx != nil {
-		l.onTx(pkt)
-	}
 	txTime := l.serialization(pkt.Size)
 	l.stats.SentPackets++
 	l.stats.SentBytes += int64(pkt.Size)

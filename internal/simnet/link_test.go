@@ -185,6 +185,9 @@ func TestLinkRateChange(t *testing.T) {
 	}
 }
 
+// A Demux in front of a link routes by destination as a router does: the
+// ingress Demux forwards both known destinations onto one link, whose far
+// end is a second Demux that delivers each to its endpoint.
 func TestRouterAndDemux(t *testing.T) {
 	s := New(1)
 	demux := NewDemux()
@@ -192,10 +195,10 @@ func TestRouterAndDemux(t *testing.T) {
 	colB := NewCollector(s)
 	demux.Register(Addr(1), colA)
 	demux.Register(Addr(2), colB)
-	router := NewRouter()
+	router := NewDemux()
 	link := NewLink(s, 1e9, time.Millisecond, demux)
-	router.Route(Addr(1), link)
-	router.Route(Addr(2), link)
+	router.Register(Addr(1), link)
+	router.Register(Addr(2), link)
 
 	router.Handle(&Packet{Dst: 1, Size: 10})
 	router.Handle(&Packet{Dst: 2, Size: 10})
@@ -335,7 +338,8 @@ func (c *cloneCounter) ClonePayload() any {
 func TestLinkDuplicateClonesPayload(t *testing.T) {
 	sim := New(1)
 	col := NewCollector(sim)
-	l := NewLink(sim, 100e6, time.Millisecond, col, WithFilter(dupAll{}))
+	l := NewLink(sim, 100e6, time.Millisecond, col)
+	l.SetFilter(dupAll{})
 
 	orig := &cloneCounter{}
 	shared := &struct{ n int }{}

@@ -38,42 +38,6 @@ func (d *Demux) Handle(pkt *Packet) {
 	d.dropped++
 }
 
-// Router forwards packets onto next-hop links by destination address. It
-// models a store-and-forward IP router with negligible lookup cost (the
-// attached links model all delay).
-type Router struct {
-	routes   map[Addr]Handler
-	fallback Handler
-	dropped  int64
-}
-
-// NewRouter returns an empty router.
-func NewRouter() *Router {
-	return &Router{routes: make(map[Addr]Handler)}
-}
-
-// Route installs a next hop for addr.
-func (r *Router) Route(addr Addr, next Handler) { r.routes[addr] = next }
-
-// SetDefault installs the default next hop.
-func (r *Router) SetDefault(next Handler) { r.fallback = next }
-
-// Dropped reports packets with no matching route.
-func (r *Router) Dropped() int64 { return r.dropped }
-
-// Handle forwards pkt toward its destination.
-func (r *Router) Handle(pkt *Packet) {
-	if next, ok := r.routes[pkt.Dst]; ok {
-		next.Handle(pkt)
-		return
-	}
-	if r.fallback != nil {
-		r.fallback.Handle(pkt)
-		return
-	}
-	r.dropped++
-}
-
 // Collector records every packet it receives, for tests and measurement.
 type Collector struct {
 	Packets []*Packet

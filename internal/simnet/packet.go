@@ -12,7 +12,7 @@ type Addr int
 type Packet struct {
 	ID      uint64        // process-unique, assigned by the creator
 	Src     Addr          // source endpoint
-	Dst     Addr          // destination endpoint, used by Router/Demux
+	Dst     Addr          // destination endpoint, used by Demux
 	Flow    uint64        // flow identifier for fair queueing
 	Size    int           // bytes on the wire
 	Seq     int64         // protocol sequence number

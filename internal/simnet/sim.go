@@ -150,10 +150,23 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) Event {
 // ScheduleAt arranges fn to run at absolute simulated time t. Times in the
 // past are clamped to the current time.
 func (s *Sim) ScheduleAt(t time.Duration, fn func()) Event {
+	return s.ScheduleStamped(t, s.Stamp(), fn)
+}
+
+// Stamp reserves the place among same-time events that an event scheduled
+// now would take. ScheduleStamped hands it to an event scheduled later.
+func (s *Sim) Stamp() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// ScheduleStamped is ScheduleAt for an event ordered among same-time events
+// as if it had been scheduled when stamp was reserved: a timer that serves
+// several deadlines keeps each one's place this way.
+func (s *Sim) ScheduleStamped(t time.Duration, stamp uint64, fn func()) Event {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
 	var r *eventRec
 	if n := len(s.free); n > 0 {
 		r = s.free[n-1]
@@ -162,7 +175,7 @@ func (s *Sim) ScheduleAt(t time.Duration, fn func()) Event {
 	} else {
 		r = &eventRec{sim: s}
 	}
-	r.at, r.seq, r.fn = t, s.seq, fn
+	r.at, r.seq, r.fn = t, stamp, fn
 	s.heapPush(r)
 	s.scheduled++
 	return Event{rec: r, gen: r.gen}

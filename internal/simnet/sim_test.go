@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,24 @@ func TestScheduleFIFOAtSameTime(t *testing.T) {
 		if order[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", order)
 		}
+	}
+}
+
+// An event scheduled with a stamp runs among same-time events where one
+// scheduled when the stamp was reserved would have, before events
+// scheduled in between.
+func TestScheduleStampedKeepsPlace(t *testing.T) {
+	s := New(1)
+	var order []string
+	stamp := s.Stamp()
+	s.Schedule(time.Millisecond, func() { order = append(order, "later") })
+	s.ScheduleStamped(time.Millisecond, stamp, func() { order = append(order, "stamped") })
+	s.Schedule(0, func() { order = append(order, "earlier") })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"earlier", "stamped", "later"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 

@@ -67,7 +67,60 @@ func Rearm(clock Clock, t Timer, d time.Duration, fn func()) Timer {
 		r.Reset(d)
 		return t
 	}
+	if t != nil {
+		t.Stop()
+	}
 	return clock.AfterFunc(d, fn)
+}
+
+// Sequencer is the optional capability of a Clock that runs callbacks due
+// at the same instant in the order they were scheduled (the simulator's).
+// Stamp reserves the place a timer armed now would take, for a deadline
+// whose timer is armed later: one timer serving several deadlines then
+// fires for each where a timer of its own would have.
+type Sequencer interface {
+	Stamp() uint64
+}
+
+// StampResetter is the optional capability of a Sequencer's Timer to be
+// re-armed, like Resetter, into a place a Stamp reserved.
+type StampResetter interface {
+	ResetStamp(d time.Duration, stamp uint64) bool
+}
+
+// A Deadline is an instant a timer must fire at (zero: none) and its place
+// among same-instant callbacks: the Sequencer stamp taken when it was set,
+// 0 on a clock without one.
+type Deadline struct {
+	At    time.Time
+	Stamp uint64
+}
+
+// NewDeadline is a deadline at at, in the place of a timer armed now.
+func NewDeadline(clock Clock, at time.Time) Deadline {
+	d := Deadline{At: at}
+	if s, ok := clock.(Sequencer); ok {
+		d.Stamp = s.Stamp()
+	}
+	return d
+}
+
+// Before reports whether d is set and comes before e (or e is not set), in
+// the order a Sequencer runs their callbacks.
+func (d Deadline) Before(e Deadline) bool {
+	c := d.At.Compare(e.At)
+	return !d.At.IsZero() && (e.At.IsZero() || c < 0 || c == 0 && d.Stamp < e.Stamp)
+}
+
+// RearmAt re-arms t to run fn at d, now being the caller's reading: a
+// StampResetter in d's place among same-instant callbacks, any other t (nil
+// included) by Rearm, in the place of a timer armed now.
+func RearmAt(clock Clock, t Timer, d Deadline, now time.Time, fn func()) Timer {
+	if r, ok := t.(StampResetter); ok {
+		r.ResetStamp(d.At.Sub(now), d.Stamp)
+		return t
+	}
+	return Rearm(clock, t, d.At.Sub(now), fn)
 }
 
 // Granular is the optional capability of a Clock whose timers have a
@@ -116,6 +169,7 @@ type sysTimer struct{ t *time.Timer }
 
 func (s sysTimer) Stop() bool { return s.t.Stop() }
 
-// Reset re-arms the underlying time.Timer. Owners only call it from the
-// timer's own callback or with the timer stopped, per time.Timer rules.
+// Reset re-arms the underlying time.Timer. The timer is an AfterFunc one,
+// so Reset is safe at any time: on a pending timer it moves the fire, on a
+// fired one it schedules another.
 func (s sysTimer) Reset(d time.Duration) bool { return s.t.Reset(d) }

@@ -51,3 +51,46 @@ func TestOrSystemDefaultsNil(t *testing.T) {
 		t.Fatal("OrSystem did not pass through a non-nil clock")
 	}
 }
+
+// stopOnly is a Timer without Reset.
+type stopOnly struct{ stopped bool }
+
+func (s *stopOnly) Stop() bool { was := !s.stopped; s.stopped = true; return was }
+
+// Rearm on a timer that cannot Reset stops it before arming a fresh one, so
+// a pending timer re-armed earlier does not fire twice.
+func TestRearmFallbackStopsOld(t *testing.T) {
+	old := &stopOnly{}
+	fresh := Rearm(System, old, time.Hour, func() {})
+	defer fresh.Stop()
+	if !old.stopped {
+		t.Fatal("Rearm left the old timer pending")
+	}
+	if fresh == Timer(old) {
+		t.Fatal("Rearm returned the timer it could not reset")
+	}
+}
+
+// Deadlines order by instant, then by stamp; an unset one comes after every
+// set one.
+func TestDeadlineOrder(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	a, b := Deadline{At: t0, Stamp: 1}, Deadline{At: t0, Stamp: 2}
+	later := Deadline{At: t0.Add(time.Nanosecond)}
+	var none Deadline
+	for _, c := range []struct {
+		d, e Deadline
+		want bool
+	}{
+		{a, b, true}, {b, a, false}, {a, a, false},
+		{b, later, true}, {later, a, false},
+		{a, none, true}, {none, a, false}, {none, none, false},
+	} {
+		if got := c.d.Before(c.e); got != c.want {
+			t.Errorf("%+v.Before(%+v) = %v, want %v", c.d, c.e, got, c.want)
+		}
+	}
+	if d := NewDeadline(System, t0); d != (Deadline{At: t0}) {
+		t.Errorf("NewDeadline on the system clock = %+v, want no stamp", d)
+	}
+}

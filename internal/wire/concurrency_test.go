@@ -17,10 +17,13 @@ import (
 // method asking a transport whether it delivers inline (the fork this model
 // replaced), and any WriteBatch method or BatchWriter type (the send-batching
 // path no caller turned on) fails. A second write path comes back only with
-// a workload that turns it on. All platform variants are parsed, whatever
-// the build tags.
+// a workload that turns it on. Timers are budgeted per file the same way: a
+// conn runs one alarm (conn.go's one AfterFunc), so a new conn timer is a
+// deadline field behind it. All platform variants are parsed, whatever the
+// build tags.
 func TestWireGoroutineSites(t *testing.T) {
 	allowed := map[string]int{"packetconn.go": 1, "demux.go": 1}
+	timers := map[string]int{"conn.go": 1, "session.go": 3, "mux.go": 2, "pathset.go": 2, "pathrouter.go": 1}
 	// The names of the paths this model replaced, split so a grep for them
 	// finds live code only.
 	banned := map[string]string{
@@ -33,7 +36,7 @@ func TestWireGoroutineSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	found := map[string]int{}
+	found, armed := map[string]int{}, map[string]int{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -48,6 +51,10 @@ func TestWireGoroutineSites(t *testing.T) {
 				found[name]++
 				if found[name] > allowed[name] {
 					t.Errorf("%s: go statement outside the socket reader and the demux drain", fset.Position(n.Pos()))
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "AfterFunc" {
+					armed[name]++
 				}
 			case *ast.FuncDecl:
 				if why, ok := banned[n.Name.Name]; ok && n.Recv != nil {
@@ -72,6 +79,11 @@ func TestWireGoroutineSites(t *testing.T) {
 	for name, want := range allowed {
 		if found[name] != want {
 			t.Errorf("%s: %d go statements, want %d (update this guard with the concurrency model)", name, found[name], want)
+		}
+	}
+	for _, name := range files {
+		if armed[name] != timers[name] {
+			t.Errorf("%s: %d AfterFunc calls, want %d (a new timer in a conn becomes a deadline field behind its one alarm, not a second timer)", name, armed[name], timers[name])
 		}
 	}
 }

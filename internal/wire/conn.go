@@ -108,8 +108,8 @@ type Config struct {
 	// not call back into blocking Conn methods from the same goroutine it
 	// wants to keep serviced.
 	OnStateChange func(State)
-	// Clock supplies time and timer scheduling for every protocol timer
-	// (pacing gaps, the retransmit sweep, keepalive). Nil means the system
+	// Clock supplies time and timer scheduling for every protocol deadline
+	// (pacing gaps, the retransmit sweep, keepalive, acks). Nil means the system
 	// clock; internal/marsim injects a virtual clock so the identical
 	// protocol code runs on deterministic simulated time.
 	Clock vclock.Clock
@@ -241,10 +241,10 @@ const (
 // connection are symmetric: each may declare sending streams and receive
 // the peer's. Frames are transmitted by whichever goroutine made them
 // sendable (see drain) and received on whichever goroutine read the
-// datagram (see handleDatagram); the protocol timers (pacing gaps, sweep,
-// keepalive) run as reset-in-place timer chains on the injected clock, so a
-// Conn spawns no goroutines of its own — and the steady-state send path
-// allocates nothing.
+// datagram (see handleDatagram); the protocol deadlines (pacing gap, sweep,
+// keepalive, ack) share one reset-in-place timer on the injected clock (see
+// onDeadline), so a Conn spawns no goroutines of its own — and the
+// steady-state send path allocates nothing.
 type Conn struct {
 	pc    PacketConn
 	clock vclock.Clock
@@ -262,36 +262,39 @@ type Conn struct {
 	state     State
 	lastHeard time.Time // last authenticated frame from the peer
 
-	// Timer chains (guarded by mu). Each timer object is created once and
-	// re-armed in place (vclock.Rearm), keeping the chains allocation-free.
-	// nextSend is the earliest instant the next frame may be serialized,
-	// enforcing the budget gap across idle periods. paceArmed says the
-	// queued frames have a transmitter: a drain that is owed or running, or
-	// the pace timer waiting out a gap. drainOwed tells a critical section's
-	// own unlockAndDrain that it is the caller; false whenever mu is free.
-	paceTimer  vclock.Timer
-	paceArmed  bool
-	drainOwed  bool
-	paceFn     func()
-	nextSend   time.Time
-	sweepTimer vclock.Timer
-	sweepFn    func()
-	kaTimer    vclock.Timer
-	kaFn       func()
+	// Deadlines (guarded by mu), each with its place among same-instant timers
+	// (vclock.Deadline). paceAt is nextSend while the pacer waits out a gap,
+	// sweepAt the next retransmit sweep while anything is outstanding, kaAt the
+	// next keepalive probe, ackAt (below) when owed acks leave alone. One
+	// timer, alarm, serves them all: it is armed for alarmAt and re-armed in
+	// place only for a deadline earlier than that; a cleared deadline leaves it
+	// be, and a fire that finds nothing due re-arms for the next one
+	// (onDeadline). nextSend is the earliest instant the next frame may be
+	// serialized, enforcing the budget gap across idle periods. paceArmed says
+	// the queued frames have a transmitter: a drain that is owed or running, or
+	// the pacer waiting out a gap. drainOwed tells a critical section's own
+	// unlockAndDrain that it is the caller; false whenever mu is free.
+	alarm     vclock.Timer
+	alarmFn   func()
+	alarmAt   vclock.Deadline
+	paceAt    vclock.Deadline
+	sweepAt   vclock.Deadline
+	kaAt      vclock.Deadline
+	nextSend  time.Time
+	paceArmed bool
+	drainOwed bool
 
 	// Acknowledgements owed to the peer (guarded by mu; header.go,
 	// "Acknowledgements"): the ranges, the send stamp and arrival time of
 	// the newest data frame among them (the echo, and what the hold is
-	// measured from), and when the oldest was filed. ackTimer sends them
-	// as a pure ack if nothing rode in time; ackArmed says it is pending.
+	// measured from), and when the oldest was filed. At ackAt they leave
+	// as a pure ack if nothing rode in time; a ride leaves ackAt set.
 	owed      [MaxAckRanges]AckRange
 	owedN     int
 	owedEcho  uint64
 	owedAt    time.Time
 	owedSince time.Time
-	ackTimer  vclock.Timer
-	ackArmed  bool
-	ackFn     func()
+	ackAt     vclock.Deadline
 
 	// sendMu serializes the transmit loop's pop→encode→write→finalize
 	// cycle and guards the buffers it writes from. Lock order: sendMu
@@ -331,7 +334,6 @@ type Conn struct {
 	AckedRTT        time.Duration
 	AuthFailures    int64
 	LostFrames      int64 // transmissions declared lost (gap, nack or sweep)
-	Failovers       int64 // frames re-enqueued off a dead path by the path manager
 
 	// Smoothed per-transmission loss rate: every delivery confirmation
 	// contributes a 0 sample, every loss declaration a 1. This is the
@@ -427,10 +429,7 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 		// hook: path-down evacuation re-enqueues in-flight frames here.
 		ps.bindConn(c)
 	}
-	c.paceFn = c.paceFire
-	c.sweepFn = c.sweepFire
-	c.kaFn = c.keepaliveFire
-	c.ackFn = c.ackFire
+	c.alarmFn = c.onDeadline
 	for _, spec := range cfg.Streams {
 		st := newStream(spec, now)
 		st.tokens = 4 * 1500 // initial burst credit
@@ -441,17 +440,18 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 	return c, nil
 }
 
-// start begins inbound delivery and arms the periodic timer chains.
+// start begins inbound delivery and sets the first keepalive deadline.
+// There is no sweep deadline until a frame is outstanding (sendLocked).
 func (c *Conn) start() {
 	if !c.muxced {
 		c.pc.Start(c.handleDatagram)
 	}
-	c.mu.Lock()
-	c.sweepTimer = c.clock.AfterFunc(sweepInterval, c.sweepFn)
 	if c.cfg.Keepalive > 0 {
-		c.kaTimer = c.clock.AfterFunc(c.cfg.Keepalive, c.kaFn)
+		c.mu.Lock()
+		now := c.clock.Now()
+		c.setLocked(&c.kaAt, now.Add(c.cfg.Keepalive), now)
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 }
 
 // streamLocked finds a stream by id (nil when unknown).
@@ -479,34 +479,108 @@ func (c *Conn) addStreamLocked(st *wstream) {
 	c.streams = slices.Insert(c.streams, i, st)
 }
 
-// keepaliveFire probes the peer every Keepalive interval and flips the
-// connection state when the silence threshold is crossed (Section VI:
-// dead-peer detection is what lets the session layer fail over instead of
-// stalling on a blackholed path).
-func (c *Conn) keepaliveFire() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+// setLocked sets *d to at, in the place of a timer armed now; now is the
+// caller's clock reading.
+func (c *Conn) setLocked(d *vclock.Deadline, at, now time.Time) {
+	*d = vclock.NewDeadline(c.clock, at)
+	c.armLocked(*d, now)
+}
+
+// armLocked re-arms the alarm, in place, when next comes before the
+// deadline it is armed for.
+func (c *Conn) armLocked(next vclock.Deadline, now time.Time) {
+	if c.closed || !next.Before(c.alarmAt) {
 		return
 	}
-	interval := c.cfg.Keepalive
-	deadAfter := keepaliveMiss * interval
-	peer := c.peer
-	silent := c.clock.Now().Sub(c.lastHeard)
-	notify := State(-1)
-	if c.state == StateActive && silent >= deadAfter {
-		c.state = StateDead
-		notify = StateDead
+	c.alarmAt = next
+	if c.alarm == nil { // the first arm, straight from setLocked: a fresh timer takes its stamp's place
+		c.alarm = c.clock.AfterFunc(next.At.Sub(now), c.alarmFn)
+	} else {
+		c.alarm = vclock.RearmAt(c.clock, c.alarm, next, now, c.alarmFn)
 	}
-	c.kaTimer = vclock.Rearm(c.clock, c.kaTimer, interval, c.kaFn)
+}
+
+// onDeadline is the alarm's callback. It reads the clock once and services
+// what is due in a fixed order — keepalive, sweep, pacer, ack — so a
+// retransmission the sweep queues leaves with the owed acks riding it, then
+// re-arms for the earliest deadline left. Until then alarmAt still names
+// this fire, so a deadline set meanwhile does not arm the alarm twice.
+// Due is every deadline up to a granule ahead (paceDueLocked's rule) and
+// not placed after this fire's.
+func (c *Conn) onDeadline() {
+	c.mu.Lock()
+	now := c.clock.Now()
+	due := vclock.Deadline{At: now.Add(c.grain), Stamp: c.alarmAt.Stamp}
+	if !due.Before(c.kaAt) {
+		// Probe the peer every Keepalive interval and flip the connection
+		// state when the silence threshold is crossed (Section VI: dead-peer
+		// detection is what lets the session layer fail over instead of
+		// stalling on a blackholed path); mu is released around the state
+		// callback and the ping.
+		c.setLocked(&c.kaAt, now.Add(c.cfg.Keepalive), now)
+		dead := c.state == StateActive && now.Sub(c.lastHeard) >= keepaliveMiss*c.cfg.Keepalive
+		if dead {
+			c.state = StateDead
+		}
+		peer := c.peer
+		c.mu.Unlock()
+		if dead && c.cfg.OnStateChange != nil {
+			c.cfg.OnStateChange(StateDead)
+		}
+		if peer != nil {
+			ping := Header{Type: TypePing, SendMicro: uint64(now.Sub(c.epoch).Microseconds())}
+			c.writeFrame(ping, nil, peer) //nolint:errcheck // best-effort probe
+		}
+		c.mu.Lock()
+	}
+	if !due.Before(c.sweepAt) {
+		// Retransmit reliable tail losses that produce no gap signal, and
+		// sweep again only while something is still outstanding. Streams and
+		// sequences are visited in sorted order so the retransmission
+		// schedule is deterministic; a sweep that finds nothing stale —
+		// nearly all of them — sorts and allocates nothing.
+		stale := max(2*c.srtt, 100*time.Millisecond)
+		c.sweepAt = vclock.Deadline{}
+		for _, st := range c.streams {
+			lost := c.seqScratch[:0]
+			for seq, pp := range st.outstanding {
+				if !pp.queued && !pp.sending && !pp.lastSent.IsZero() && now.Sub(pp.lastSent) >= stale {
+					lost = append(lost, seq)
+				}
+			}
+			c.loseLocked(st, lost, now)
+			if len(st.outstanding) > 0 && c.sweepAt.At.IsZero() {
+				c.setLocked(&c.sweepAt, now.Add(sweepInterval), now)
+			}
+		}
+	}
+	if !due.Before(c.paceAt) { // the gap is over
+		c.paceAt = vclock.Deadline{}
+		c.drainOwed = true
+	}
+	c.unlockAndDrain(now)
+	c.mu.Lock()
+	if !due.Before(c.ackAt) {
+		// What is owed and old enough leaves as a pure ack; what was filed
+		// after a ride emptied the list waits out the rest of its own delay.
+		c.ackAt = vclock.Deadline{}
+		switch wait := c.ackDelayLocked() - now.Sub(c.owedSince); {
+		case c.owedN == 0: // a ride took them
+		case wait > 0:
+			c.setLocked(&c.ackAt, now.Add(max(wait, c.grain)), now)
+		default:
+			c.flushAcksLocked(now)
+		}
+	}
+	c.alarmAt = vclock.Deadline{}
+	next := c.ackAt
+	for _, d := range [...]vclock.Deadline{c.kaAt, c.sweepAt, c.paceAt} {
+		if d.Before(next) {
+			next = d
+		}
+	}
+	c.armLocked(next, now)
 	c.mu.Unlock()
-	if notify != State(-1) && c.cfg.OnStateChange != nil {
-		c.cfg.OnStateChange(notify)
-	}
-	if peer != nil {
-		ping := Header{Type: TypePing, SendMicro: uint64(c.now().Microseconds())}
-		c.writeFrame(ping, nil, peer) //nolint:errcheck // best-effort probe
-	}
 }
 
 // State reports the current liveness judgement.
@@ -588,14 +662,6 @@ func (c *Conn) LostFrameCount() int64 {
 	return c.LostFrames
 }
 
-// FailoverCount reports how many in-flight frames were re-enqueued onto
-// surviving paths after a path manager declared their path dead.
-func (c *Conn) FailoverCount() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Failovers
-}
-
 // requeueFrames is the path manager's sub-RTT failover hook: each listed
 // frame that is still outstanding and not already queued goes straight
 // back onto its band queue for immediate retransmission on a surviving
@@ -618,12 +684,11 @@ func (c *Conn) requeueFrames(keys []frameKey) {
 			continue
 		}
 		pp.queued = true
-		c.Failovers++
 		c.enqueueLocked(st, k.seq, pp.payload, pp.pbuf, pp.traceID, pp.spanID)
 	}
 }
 
-// Close stops all timers and closes the transport.
+// Close stops the alarm, clears every deadline and closes the transport.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -632,13 +697,12 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.state = StateClosed
-	for _, t := range []vclock.Timer{c.paceTimer, c.sweepTimer, c.kaTimer, c.ackTimer} {
-		if t != nil {
-			t.Stop()
-		}
+	if c.alarm != nil {
+		c.alarm.Stop()
 	}
-	c.paceTimer, c.sweepTimer, c.kaTimer, c.ackTimer = nil, nil, nil, nil
-	c.paceArmed, c.ackArmed = false, false
+	var none vclock.Deadline
+	c.alarmAt, c.paceAt, c.sweepAt, c.kaAt, c.ackAt = none, none, none, none, none
+	c.paceArmed = false
 	c.mu.Unlock()
 	if c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateClosed)
@@ -651,8 +715,6 @@ func (c *Conn) Close() error {
 	}
 	return c.pc.Close()
 }
-
-func (c *Conn) now() time.Duration { return c.clock.Now().Sub(c.epoch) }
 
 // reallocateLocked distributes the budget across streams by priority; the
 // caller must hold mu (the controller invokes it via OnChange from paths
@@ -744,6 +806,13 @@ func (c *Conn) sendLocked(streamID uint16, payload []byte, traceID, spanID uint6
 			pp.deadline = now.Add(st.spec.Deadline)
 		}
 		st.outstanding[seq] = pp
+		if c.sweepAt.At.IsZero() {
+			// The first frame outstanding since a sweep found none: sweeps
+			// resume on the epoch + k·sweepInterval grid they ran on before,
+			// at the first grid point more than a clock granule away.
+			since := now.Add(c.grain).Sub(c.epoch)
+			c.setLocked(&c.sweepAt, now.Add(c.grain+sweepInterval-since%sweepInterval), now)
+		}
 	}
 	c.enqueueLocked(st, seq, buf, pbuf, traceID, spanID)
 	return true, nil
@@ -786,37 +855,30 @@ func (c *Conn) unlockAndDrain(now time.Time) {
 	}
 }
 
-// paceFire is the pace timer's callback: the gap it was armed for is over.
-func (c *Conn) paceFire() { c.drain(c.clock.Now()) }
-
 // paceDueLocked reports whether the head of the queue may leave at now —
 // nextSend is within one clock granule. The granule of budget sent early
 // is debt nextSend carries forward, so the rate still averages to the
 // budget while no timer is asked to time what the clock cannot (44 µs on
 // the system clock is a 1 ms sleep). When the head is not due this is the
-// one place the pace timer is armed, always for more than a granule.
+// one place the pace deadline is set, always more than a granule away.
 func (c *Conn) paceDueLocked(now time.Time) bool {
+	c.paceAt = vclock.Deadline{}
 	c.paceArmed = !c.closed && !c.emptyBandsLocked()
 	if !c.paceArmed {
 		return false
 	}
-	d := c.nextSend.Sub(now)
-	if d <= c.grain {
+	if c.nextSend.Sub(now) <= c.grain {
 		return true
 	}
-	if c.paceTimer == nil {
-		c.paceTimer = c.clock.AfterFunc(d, c.paceFn)
-	} else {
-		c.paceTimer = vclock.Rearm(c.clock, c.paceTimer, d, c.paceFn)
-	}
+	c.setLocked(&c.paceAt, c.nextSend, now)
 	return false
 }
 
 // drain is the transmit loop: while the head of the queue is due it pops
 // the frame at the head of the highest non-empty band and writes it, one
 // frame per transport write, on the goroutine that made it sendable — the
-// Send caller, the reader that decoded a NACK, the sweep, or the pace timer
-// after a gap. now is the caller's clock reading; the loop reads the clock
+// Send caller, the reader that decoded a NACK, or the alarm after a sweep or
+// a gap. now is the caller's clock reading; the loop reads the clock
 // again only when it goes round.
 //
 // Lock choreography: sendMu guards the frame buffer; mu covers the
@@ -1058,8 +1120,8 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		if c.flushAcksLocked(now); c.closed {
 			return
 		}
-	case !c.ackArmed:
-		c.armAckLocked(c.ackDelayLocked())
+	case c.ackAt.At.IsZero():
+		c.setLocked(&c.ackAt, now.Add(c.ackDelayLocked()), now)
 	}
 	if !fresh {
 		st.dups++
@@ -1145,35 +1207,6 @@ func (c *Conn) flushAcksLocked(now time.Time) {
 // heard moves by little, but no less than the clock can time.
 func (c *Conn) ackDelayLocked() time.Duration {
 	return min(max(c.srtt/4, c.grain), maxAckDelay)
-}
-
-// armAckLocked arms the ack timer, when something is owed and it is not
-// pending; a ride that empties the list lets it fire on nothing (no Stop).
-func (c *Conn) armAckLocked(d time.Duration) {
-	c.ackArmed = true
-	if c.ackTimer == nil {
-		c.ackTimer = c.clock.AfterFunc(d, c.ackFn)
-	} else {
-		c.ackTimer = vclock.Rearm(c.clock, c.ackTimer, d, c.ackFn)
-	}
-}
-
-// ackFire is the ack timer's callback: what is owed and old enough leaves as
-// a pure ack; what was filed after a ride emptied the list waits out the
-// rest of its own delay.
-func (c *Conn) ackFire() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ackArmed = false
-	if c.closed || c.owedN == 0 {
-		return
-	}
-	now := c.clock.Now()
-	if wait := c.ackDelayLocked() - now.Sub(c.owedSince); wait > 0 {
-		c.armAckLocked(max(wait, c.grain))
-		return
-	}
-	c.flushAcksLocked(now)
 }
 
 // observeArrivalLocked accounts one new (not duplicate) data frame toward
@@ -1357,33 +1390,6 @@ func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending, now time.Time)
 	pp.queued = true
 	st.retx++
 	c.enqueueLocked(st, seq, pp.payload, pp.pbuf, pp.traceID, pp.spanID)
-}
-
-// sweepFire retransmits reliable tail losses that produce no gap signal,
-// then re-arms itself. Streams and sequences are visited in sorted order
-// so the retransmission schedule is deterministic; a sweep that finds
-// nothing stale — nearly all of them — sorts and allocates nothing.
-func (c *Conn) sweepFire() {
-	c.mu.Lock()
-	now := c.clock.Now()
-	defer c.unlockAndDrain(now)
-	if c.closed {
-		return
-	}
-	stale := 2 * c.srtt
-	if stale < 100*time.Millisecond {
-		stale = 100 * time.Millisecond
-	}
-	for _, st := range c.streams {
-		lost := c.seqScratch[:0]
-		for seq, pp := range st.outstanding {
-			if !pp.queued && !pp.sending && !pp.lastSent.IsZero() && now.Sub(pp.lastSent) >= stale {
-				lost = append(lost, seq)
-			}
-		}
-		c.loseLocked(st, lost, now)
-	}
-	c.sweepTimer = vclock.Rearm(c.clock, c.sweepTimer, sweepInterval, c.sweepFn)
 }
 
 // StreamStats is a snapshot of one stream's counters.

@@ -358,7 +358,7 @@ func TestNackPayloadClampProperty(t *testing.T) {
 		for i := range missing {
 			missing[i] = rng.Int63() - rng.Int63()
 		}
-		p := EncodeNackPayload(missing)
+		p := AppendNackPayload(nil, missing)
 		if len(p) > MaxPayload {
 			t.Fatalf("trial %d: encoded %d entries into %d bytes > MaxPayload", trial, n, len(p))
 		}

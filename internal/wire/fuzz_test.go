@@ -120,12 +120,12 @@ func FuzzHeaderDecode(f *testing.F) {
 func FuzzNackDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
-	f.Add(EncodeNackPayload([]int64{1, 2, 3, -9}))
-	f.Add(EncodeNackPayload(nil))
+	f.Add(AppendNackPayload(nil, []int64{1, 2, 3, -9}))
+	f.Add(AppendNackPayload(nil, nil))
 	f.Add([]byte{0xFF, 0xFF}) // declares 65535 seqs, carries none
 	// Clamp boundary: exactly MaxNackEntries round-trips; one more is the
 	// first count the decoder must refuse (no conforming encoder emits it).
-	f.Add(EncodeNackPayload(make([]int64, MaxNackEntries)))
+	f.Add(AppendNackPayload(nil, make([]int64, MaxNackEntries)))
 	f.Add(func() []byte {
 		p := AppendNackPayload(nil, make([]int64, MaxNackEntries))
 		p[0], p[1] = byte(MaxNackEntries+1), byte((MaxNackEntries+1)>>8)
@@ -137,7 +137,7 @@ func FuzzNackDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		reenc := EncodeNackPayload(missing)
+		reenc := AppendNackPayload(nil, missing)
 		missing2, err := DecodeNackPayload(reenc)
 		if err != nil {
 			t.Fatalf("re-encoded NACK failed to decode: %v", err)

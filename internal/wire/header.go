@@ -347,17 +347,6 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 // senders chunk instead.
 const MaxNackEntries = (MaxPayload - 2) / 8
 
-// EncodeNackPayload serializes a list of missing sequence numbers,
-// clamping to the MaxNackEntries that fit one frame. Callers with longer
-// gap lists send several NACKs (see AppendNackPayload for the
-// allocation-free variant used on the hot path).
-func EncodeNackPayload(missing []int64) []byte {
-	if len(missing) > MaxNackEntries {
-		missing = missing[:MaxNackEntries]
-	}
-	return AppendNackPayload(nil, missing)
-}
-
 // AppendNackPayload serializes up to MaxNackEntries of missing into dst
 // and returns the extended slice. Entries beyond the clamp are the
 // caller's to re-send in a following NACK.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,18 +53,11 @@ func (p *stampPC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
 	return p.stubPC.WriteToUDP(b, a)
 }
 
-// paceArms is the delays of the timers armed since mark that are not the
-// 50 ms sweep re-arming itself.
+// paceArms is the delays of the timers armed since mark.
 func paceArms(clk *manualClock, mark int) []time.Duration {
 	clk.mu.Lock()
 	defer clk.mu.Unlock()
-	var out []time.Duration
-	for _, d := range clk.arms[mark:] {
-		if d != sweepInterval {
-			out = append(out, d)
-		}
-	}
-	return out
+	return append([]time.Duration(nil), clk.arms[mark:]...)
 }
 
 // TestSendTransmitsOnCaller pins who transmits: a frame that is due is on
@@ -247,11 +241,61 @@ func TestRetransmitDrainsAfterUnlock(t *testing.T) {
 	if pc.writes != 3 || c.Stats(1).Retx != 2 {
 		t.Fatalf("after the sweep: %d writes, %d retx, want 3 and 2", pc.writes, c.Stats(1).Retx)
 	}
-	if arms := paceArms(clk, mark); len(arms) != 0 {
-		t.Fatalf("retransmissions armed timers %v, want none", arms)
+	// The frame is still outstanding, so the one timer armed is the alarm
+	// for the next sweep; none was armed for pacing.
+	if arms := paceArms(clk, mark); len(arms) != 1 || arms[0] != sweepInterval {
+		t.Fatalf("retransmissions armed timers %v, want only the next sweep's [%v]", arms, sweepInterval)
 	}
 	if pc.held != 0 {
 		t.Fatalf("%d data frames were written with conn.mu held", pc.held)
+	}
+}
+
+// TestIdleConnArmsOnlyKeepalive: a conn with nothing outstanding sets no
+// sweep deadline, so an idle second on a 100 ms keepalive arms its one timer
+// once per probe — ten times, where a sweep that re-armed itself every 50 ms
+// added twenty. A frame sent after the idle spell, off the grid, sets the
+// sweep again on the conn's epoch + k·50 ms grid, so its retransmission
+// leaves on the grid point a sweep that never stopped would have sent it
+// from: the first sweep at least 100 ms after the send (no RTT sample).
+func TestIdleConnArmsOnlyKeepalive(t *testing.T) {
+	clk := newManualClock()
+	pc := &stampPC{clk: clk, stubPC: stubPC{record: true}}
+	c, err := DialVia(pc, stubPeer, Config{
+		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9}},
+		StartBudget: 1e9,
+		Keepalive:   100 * time.Millisecond,
+		Clock:       clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	t0 := clk.Now()
+	until := func(at time.Duration) {
+		for clk.Now().Sub(t0) < at {
+			clk.advance(time.Millisecond)
+		}
+	}
+	mark := len(clk.arms)
+	until(time.Second)
+	if arms := paceArms(clk, mark); len(arms) != 10 {
+		t.Fatalf("an idle second armed %d timers %v, want 10: one per keepalive", len(arms), arms)
+	}
+
+	until(1017 * time.Millisecond)
+	if ok, serr := c.Send(1, []byte("dropped")); serr != nil || !ok {
+		t.Fatal("send refused", serr)
+	}
+	until(1200 * time.Millisecond)
+	var data []time.Duration
+	for i, f := range pc.frames {
+		if h, _, derr := DecodeFrame(f); derr == nil && h.Type == TypeData {
+			data = append(data, pc.at[i].Sub(t0))
+		}
+	}
+	if want := []time.Duration{1017 * time.Millisecond, 1150 * time.Millisecond}; !slices.Equal(data, want) {
+		t.Fatalf("data frames left at %v, want %v", data, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/vclock"
 )
 
 // capturePC is a transport that goes nowhere and remembers what a Conn
@@ -205,7 +206,7 @@ func TestArrivalRateFeedsController(t *testing.T) {
 
 // The per-packet bookkeeping off the protocol's critical path stays free
 // of allocations: finding a known peer's connection, sharing the budget
-// out after an ack, a retransmit sweep with nothing to retransmit, the
+// out after an ack, the deadline alarm with nothing due or stale, the
 // arrival accounting that measures the peer's rate, and an acknowledgement
 // from owed to retired, riding or alone. Every write here takes the
 // single-frame path: drain pops, seals and writes one frame per round.
@@ -256,11 +257,16 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for c.QueuedFrames() > 0 { // let the pacer finish: its timers are not the sweep's
+	for c.QueuedFrames() > 0 { // let the pacer finish: only the sweep is left
 		time.Sleep(time.Millisecond)
 	}
-	if allocs := testing.AllocsPerRun(200, c.sweepFire); allocs != 0 {
-		t.Errorf("sweepFire with nothing stale: %.2f allocs/op, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() {
+		c.mu.Lock()
+		c.sweepAt = vclock.Deadline{At: c.clock.Now()} // every run takes the sweep branch
+		c.mu.Unlock()
+		c.onDeadline()
+	}); allocs != 0 {
+		t.Errorf("the alarm's sweep with nothing stale: %.2f allocs/op, want 0", allocs)
 	}
 	if got := c.Stats(3).Retx; got != 0 {
 		t.Errorf("sweep retransmitted %d fresh frames", got)

@@ -94,7 +94,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestNackPayloadRoundTrip(t *testing.T) {
 	missing := []int64{1, 5, 9, 1 << 40}
-	p := EncodeNackPayload(missing)
+	p := AppendNackPayload(nil, missing)
 	got, err := DecodeNackPayload(p)
 	if err != nil {
 		t.Fatal(err)
