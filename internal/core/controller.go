@@ -23,10 +23,8 @@ import "time"
 // budget already exceeds it, behaves exactly as one without the method.
 type Controller struct {
 	budget       float64
-	baseRTT      time.Duration
-	srtt         time.Duration
-	prevSrtt     time.Duration
-	jitter       time.Duration
+	rtt          RTT
+	prevSrtt     time.Duration // the smoothed RTT after the previous ack: its trend
 	lastDecrease time.Duration
 	lastIncrease time.Duration
 	peerRate     float64 // last ObservePeerRate reading, bits/s (0 = none)
@@ -72,14 +70,9 @@ func NewController(startBudget float64) *Controller {
 // Budget reports the current sending budget in bits/s.
 func (c *Controller) Budget() float64 { return c.budget }
 
-// SRTT reports the smoothed RTT estimate.
-func (c *Controller) SRTT() time.Duration { return c.srtt }
-
-// BaseRTT reports the minimum RTT observed.
-func (c *Controller) BaseRTT() time.Duration { return c.baseRTT }
-
-// Jitter reports the mean absolute RTT deviation.
-func (c *Controller) Jitter() time.Duration { return c.jitter }
+// RTT is the controller's estimator of the samples OnAck is fed: its
+// minimum is the base RTT, its deviation the jitter trigger() widens on.
+func (c *Controller) RTT() *RTT { return &c.rtt }
 
 // ObservePeerRate records the rate, in bits/s, at which the peer was last
 // measured sending to this endpoint. It changes no budget by itself: OnAck
@@ -116,23 +109,12 @@ func (c *Controller) changed() {
 // raises the budget additively when healthy, and cuts it when the delay
 // signal fires.
 func (c *Controller) OnAck(now time.Duration, rtt time.Duration) {
-	if c.baseRTT == 0 || rtt < c.baseRTT {
-		c.baseRTT = rtt
-	}
-	if c.srtt == 0 {
-		c.srtt = rtt
-	} else {
-		diff := c.srtt - rtt
-		if diff < 0 {
-			diff = -diff
-		}
-		c.jitter = (3*c.jitter + diff) / 4
-		c.srtt = (7*c.srtt + rtt) / 8
-	}
+	c.rtt.Update(rtt)
+	srtt, base := c.rtt.Smoothed(), c.rtt.Min()
 
-	trendingDown := c.srtt < c.prevSrtt
-	c.prevSrtt = c.srtt
-	if c.srtt > c.baseRTT+c.trigger() {
+	trendingDown := srtt < c.prevSrtt
+	c.prevSrtt = srtt
+	if srtt > base+c.trigger() {
 		// Cut only while the delay is still building. Once the signal
 		// trends down the earlier cut is working and the queue is
 		// draining — cutting again on the lagging EWMA is the "cut train"
@@ -158,11 +140,11 @@ func (c *Controller) OnAck(now time.Duration, rtt time.Duration) {
 	// headroom), grow ~25% per base RTT, stopping exactly at the target.
 	// Near saturation the delay hovers around the trigger and growth stays
 	// additive, keeping the equilibrium calm.
-	base := max(c.baseRTT, BaseRTTFloor)
-	calm := c.lastDecrease == 0 || now-c.lastDecrease > 8*base
-	headroom := c.srtt <= c.baseRTT+c.trigger()/4
+	floor := max(base, BaseRTTFloor)
+	calm := c.lastDecrease == 0 || now-c.lastDecrease > 8*floor
+	headroom := srtt <= base+c.trigger()/4
 	if room := c.probeTarget() - c.budget; room > 0 && calm && headroom {
-		inc = max(inc, min(c.budget*0.25*dt/base.Seconds(), room))
+		inc = max(inc, min(c.budget*0.25*dt/floor.Seconds(), room))
 	}
 	c.budget = min(c.budget+inc, maxBudget)
 	c.changed()
@@ -179,7 +161,7 @@ func (c *Controller) OnLoss(now time.Duration, lossOfValuable bool) {
 	if !lossOfValuable {
 		return
 	}
-	if c.srtt <= c.baseRTT+c.trigger()/2 {
+	if c.rtt.Smoothed() <= c.rtt.Min()+c.trigger()/2 {
 		c.RandomLosses++
 		return
 	}
@@ -191,7 +173,7 @@ func (c *Controller) OnLoss(now time.Duration, lossOfValuable bool) {
 // a standing queue (cellular links jitter by tens of milliseconds with no
 // congestion at all — Section IV-A).
 func (c *Controller) trigger() time.Duration {
-	if j := 3 * c.jitter; j > delayThreshold {
+	if j := 3 * c.rtt.Dev(); j > delayThreshold {
 		return j
 	}
 	return delayThreshold
@@ -201,7 +183,7 @@ func (c *Controller) trigger() time.Duration {
 // queue-free path RTT — using the inflated smoothed RTT here would slow the
 // reaction exactly when the queue is deepest).
 func (c *Controller) decrease(now time.Duration) {
-	if c.lastDecrease != 0 && now-c.lastDecrease < max(c.baseRTT, BaseRTTFloor) {
+	if c.lastDecrease != 0 && now-c.lastDecrease < max(c.rtt.Min(), BaseRTTFloor) {
 		return
 	}
 	c.lastDecrease = now
@@ -213,7 +195,7 @@ func (c *Controller) decrease(now time.Duration) {
 	// flows share one bottleneck — then converge near capacity instead of
 	// synchronously collapsing.
 	factor := beta
-	if over := c.srtt - (c.baseRTT + c.trigger()); over > 0 {
+	if over := c.rtt.Smoothed() - (c.rtt.Min() + c.trigger()); over > 0 {
 		sev := float64(over) / float64(c.trigger())
 		if sev > 1 {
 			sev = 1

@@ -167,10 +167,10 @@ func TestControllerAccessors(t *testing.T) {
 	c := NewController(1e6)
 	c.OnAck(10*time.Millisecond, 20*time.Millisecond)
 	c.OnAck(20*time.Millisecond, 30*time.Millisecond)
-	if c.SRTT() == 0 || c.BaseRTT() != 20*time.Millisecond {
-		t.Errorf("srtt=%v base=%v", c.SRTT(), c.BaseRTT())
+	if c.RTT().Smoothed() == 0 || c.RTT().Min() != 20*time.Millisecond {
+		t.Errorf("srtt=%v base=%v", c.RTT().Smoothed(), c.RTT().Min())
 	}
-	if c.Jitter() == 0 {
+	if c.RTT().Dev() == 0 {
 		t.Error("jitter should be nonzero after differing samples")
 	}
 }

@@ -107,7 +107,7 @@ func TestProbeDoesNotBloatSlowDownlink(t *testing.T) {
 		probe := run(8e6, nil)
 		uncapped := run(8e6, func(c *Controller) { c.cutFrom = 0 })
 		jump := run(8e6, func(c *Controller) {
-			if c.srtt <= c.baseRTT+c.trigger() && c.budget < c.peerRate {
+			if c.RTT().Smoothed() <= c.RTT().Min()+c.trigger() && c.budget < c.peerRate {
 				c.budget = c.peerRate
 			}
 		})
@@ -191,7 +191,7 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 			now := time.Duration(0)
 			feed(c, &now, 20*ms, 20*ms)
 			c.ObservePeerRate(200e6)
-			for c.srtt <= c.baseRTT+c.trigger() { // SRTT needs a few samples to cross the trigger
+			for c.RTT().Smoothed() <= c.RTT().Min()+c.trigger() { // SRTT needs a few samples to cross the trigger
 				feed(c, &now, ms, 80*ms)
 			}
 			before := c.Budget()

@@ -16,7 +16,8 @@
 //     snapshot structs (rpc.ServerStats, overload.GateStats, ...) without
 //     rewriting their hot paths.
 //   - Tracer/Span: per-frame spans stitched across process boundaries by
-//     the trace ID + parent span ID carried in wire v3 frame headers.
+//     the trace ID + parent span ID carried in wire frame headers with
+//     flagTraced set.
 //     Tracing off costs nothing: the disabled fast path allocates nothing
 //     and every Span method is nil-safe.
 //   - BudgetReport/BudgetTracker: per-frame attribution of the 75 ms

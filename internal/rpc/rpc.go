@@ -53,7 +53,7 @@ const (
 // anchors the absolute deadline at arrival, so no clock sync is needed.
 // Response layout: [8B call id][1B method][1B status][payload...].
 //
-// Traced calls (wire v3 frames, nonzero trace id) get an 8-byte timing
+// Traced calls (nonzero trace id: wire frames with flagTraced set) get an 8-byte timing
 // trailer between the response header and the payload:
 // [4B queue-wait µs][4B service-time µs]. The client uses it to attribute
 // the frame's latency budget (obs.BudgetReport) without clock sync: both
@@ -155,7 +155,7 @@ func WithTierHandler(h TierHandler) ServerOption {
 }
 
 // WithTracer records a server-side span for every traced call, stitched
-// to the client's trace via the wire v3 header. Traced calls carry a
+// to the client's trace via the ids a flagTraced wire header carries. Traced calls carry a
 // timing trailer on the response whether or not a tracer is installed;
 // the tracer only controls whether the server keeps its own spans.
 func WithTracer(t *obs.Tracer) ServerOption {
@@ -840,7 +840,7 @@ type ClientConfig struct {
 	OnStateChange func(wire.State)
 
 	// Tracer, when set, mints a span per call, propagates its trace id in
-	// the wire v3 request header, and turns on per-frame budget
+	// the request's wire header (flagTraced set), and turns on per-frame budget
 	// attribution: every finished call produces an obs.BudgetReport
 	// splitting its latency across queue/compute/network/overhead.
 	Tracer *obs.Tracer

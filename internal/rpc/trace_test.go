@@ -85,8 +85,8 @@ func TestTracedCallBudget(t *testing.T) {
 	}
 }
 
-// TestUntracedInterop: a client without a tracer speaks the legacy (v1)
-// wire format end to end against a tracer-equipped server — no spans, no
+// TestUntracedInterop: a client without a tracer sends wire frames without
+// flagTraced end to end against a tracer-equipped server — no spans, no
 // reports, correct answers.
 func TestUntracedInterop(t *testing.T) {
 	srvTracer := obs.NewTracer(16, 1)

@@ -10,6 +10,7 @@ package tcp
 import (
 	"time"
 
+	"marnet/internal/core"
 	"marnet/internal/simnet"
 	"marnet/internal/trace"
 )
@@ -58,8 +59,7 @@ type Sender struct {
 	inRecovery bool
 	recover    int64
 
-	srtt    time.Duration
-	rttvar  time.Duration
+	rtt     core.RTT
 	rto     time.Duration
 	timer   simnet.Event
 	sent    map[int64]bool // segments transmitted at least once
@@ -264,7 +264,8 @@ func (s *Sender) onNewAck(cum int64) {
 	// cumulatively acknowledged and was never retransmitted (Karn).
 	if s.timing && cum > s.rttSeq {
 		if !s.rexmit[s.rttSeq] {
-			s.updateRTT(s.sim.Now() - s.rttTime)
+			s.rtt.Update(s.sim.Now() - s.rttTime)
+			s.rto = max(s.rtt.Smoothed()+4*s.rtt.Dev(), minRTO)
 		}
 		s.timing = false
 	}
@@ -293,7 +294,7 @@ func (s *Sender) onNewAck(cum int64) {
 		// RFC 8312 §4.1: approach the cubic target gradually — per ACK the
 		// window grows by (W(t+RTT) − cwnd)/cwnd, which spreads the convex
 		// region's growth over an RTT instead of bursting to the target.
-		if tgt := s.cubic.target(s.sim.Now()+s.srtt, s.cwnd); tgt > s.cwnd {
+		if tgt := s.cubic.target(s.sim.Now()+s.rtt.Smoothed(), s.cwnd); tgt > s.cwnd {
 			s.cwnd += (tgt - s.cwnd) / s.cwnd * float64(acked)
 		}
 	} else {
@@ -354,26 +355,8 @@ func (s *Sender) clamp() {
 	}
 }
 
-func (s *Sender) updateRTT(sample time.Duration) {
-	if s.srtt == 0 {
-		s.srtt = sample
-		s.rttvar = sample / 2
-	} else {
-		diff := s.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
-		s.rttvar = (3*s.rttvar + diff) / 4
-		s.srtt = (7*s.srtt + sample) / 8
-	}
-	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < minRTO {
-		s.rto = minRTO
-	}
-}
-
 // SRTT exposes the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.srtt }
+func (s *Sender) SRTT() time.Duration { return s.rtt.Smoothed() }
 
 // Receiver is the receiving half: it consumes KindData packets via Handle,
 // delivers in-order payload to its goodput sampler, and emits cumulative

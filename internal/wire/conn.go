@@ -41,8 +41,8 @@ type Message struct {
 	Peer *net.UDPAddr
 	Conn *Conn
 	// TraceID/SpanID carry the sender's trace context when the frame was
-	// traced (wire v3); both are zero for untraced frames. SpanID names
-	// the sender's span — the parent of any span the receiver starts.
+	// traced (flagTraced set); both are zero for untraced frames. SpanID
+	// names the sender's span — the parent of any span the receiver starts.
 	TraceID uint64
 	SpanID  uint64
 	// Backlog is how many datagrams the reader that delivered this one
@@ -314,12 +314,14 @@ type Conn struct {
 	arrStart time.Time
 	arrBits  int
 
-	// srtt is the measured smoothed RTT everything that times the network
-	// reads. The controller is fed the same samples, except over a PathSet
-	// (set once by bindConn), where each is rebased onto the path that
+	// rtt is the measured estimator everything that times the network
+	// reads. On a plain conn it is the controller's own, which is fed the
+	// same samples. Over a PathSet (bindConn) it is pathRTT, fed the raw
+	// samples, while the controller is fed each rebased onto the path that
 	// carried the frame it echoes (PathSet.rebaseRTT). Guarded by mu.
-	paths *PathSet
-	srtt  time.Duration
+	paths   *PathSet
+	rtt     *core.RTT
+	pathRTT core.RTT
 
 	// Mux mode: datagrams arrive through the mux's route on the goroutine
 	// that read them, writes go through the shared transport, and Close
@@ -331,7 +333,6 @@ type Conn struct {
 	SentFrames      int64
 	AcksSent        int64 // pure-ack datagrams written
 	AcksPiggybacked int64 // acknowledgement blocks that rode a data frame
-	AckedRTT        time.Duration
 	AuthFailures    int64
 	LostFrames      int64 // transmissions declared lost (gap, nack or sweep)
 
@@ -424,6 +425,7 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 		nextSend:  now,
 		sendFrame: getFrameBuf(),
 	}
+	c.rtt = c.ctrl.RTT()
 	if ps, ok := pc.(*PathSet); ok {
 		// A Conn built directly over a PathSet gets the sub-RTT failover
 		// hook: path-down evacuation re-enqueues in-flight frames here.
@@ -539,7 +541,7 @@ func (c *Conn) onDeadline() {
 		// sequences are visited in sorted order so the retransmission
 		// schedule is deterministic; a sweep that finds nothing stale —
 		// nearly all of them — sorts and allocates nothing.
-		stale := max(2*c.srtt, 100*time.Millisecond)
+		stale := max(2*c.rtt.Smoothed(), 100*time.Millisecond)
 		c.sweepAt = vclock.Deadline{}
 		for _, st := range c.streams {
 			lost := c.seqScratch[:0]
@@ -637,13 +639,16 @@ func (c *Conn) Budget() float64 {
 	return c.ctrl.Budget()
 }
 
-// SRTT reports the controller's smoothed round-trip estimate (zero before
-// the first acknowledged exchange). Deadline-aware servers use half of it
-// as the one-way return-trip charge when anchoring propagated budgets.
+// SRTT reports the smoothed round-trip estimate of the conn's core.RTT
+// (zero before the first acknowledged exchange): the controller's own on a
+// plain conn, and over a PathSet the conn's estimator of the raw samples,
+// not the rebased ones the controller reacts to. Deadline-aware servers use
+// half of it as the one-way return-trip charge when anchoring propagated
+// budgets.
 func (c *Conn) SRTT() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.srtt
+	return c.rtt.Smoothed()
 }
 
 // LossRate reports the smoothed per-transmission loss rate in [0,1]
@@ -752,9 +757,10 @@ func (c *Conn) Send(streamID uint16, payload []byte) (bool, error) {
 }
 
 // SendTraced is Send with trace context attached: when traceID is
-// nonzero the frame (and any retransmission of it) is encoded as wire
-// v3 carrying the ids, so the receiver can stitch its span onto the
-// sender's trace. SendTraced(id, p, 0, 0) is exactly Send(id, p).
+// nonzero the frame (and any retransmission of it) is encoded with
+// flagTraced set and the ids in its header, so the receiver can stitch its
+// span onto the sender's trace. SendTraced(id, p, 0, 0) is exactly
+// Send(id, p).
 func (c *Conn) SendTraced(streamID uint16, payload []byte, traceID, spanID uint64) (bool, error) {
 	if len(payload) > maxPlain(c.sealer != nil) {
 		return false, fmt.Errorf("%w (%d bytes)", ErrOversize, len(payload))
@@ -1113,7 +1119,7 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 	}
 	c.oweAckLocked(ack, hdr.SendMicro, now)
 	switch {
-	case !fresh || hdr.Seq != expected || c.srtt == 0 || c.owedN == MaxAckRanges:
+	case !fresh || hdr.Seq != expected || c.rtt.Smoothed() == 0 || c.owedN == MaxAckRanges:
 		// A duplicate, an arrival out of order (the peer's loss detection
 		// is waiting on it), a peer we cannot time a delay for, or no room
 		// to owe more. The ack leaves before any NACK and before OnMessage.
@@ -1206,7 +1212,7 @@ func (c *Conn) flushAcksLocked(now time.Time) {
 // quarter of the round trip, so the peer's estimate of when it should have
 // heard moves by little, but no less than the clock can time.
 func (c *Conn) ackDelayLocked() time.Duration {
-	return min(max(c.srtt/4, c.grain), maxAckDelay)
+	return min(max(c.rtt.Smoothed()/4, c.grain), maxAckDelay)
 }
 
 // observeArrivalLocked accounts one new (not duplicate) data frame toward
@@ -1274,14 +1280,9 @@ func (c *Conn) onAcksLocked(b AckBlock, now time.Time) {
 	at := now.Sub(c.epoch)
 	rtt := at - time.Duration(b.Echo())*time.Microsecond - b.Hold()
 	if rtt > 0 {
-		c.AckedRTT = rtt
-		if c.srtt == 0 {
-			c.srtt = rtt
-		} else {
-			c.srtt = (7*c.srtt + rtt) / 8
-		}
 		delay := rtt
 		if c.paths != nil {
+			c.rtt.Update(rtt)
 			delay = c.paths.rebaseRTT(rtt, b.Echo())
 		}
 		c.ctrl.OnAck(at, delay)
@@ -1350,7 +1351,7 @@ func (c *Conn) lossEligibleLocked(pp *wpending, now time.Time) bool {
 	if pp.queued || pp.sending || pp.lastSent.IsZero() {
 		return false
 	}
-	return now.Sub(pp.lastSent) >= max(c.srtt, 5*time.Millisecond)
+	return now.Sub(pp.lastSent) >= max(c.rtt.Smoothed(), 5*time.Millisecond)
 }
 
 // lossEWMAGain smooths the per-transmission loss indicator; 1/16 rides
@@ -1376,7 +1377,7 @@ func (c *Conn) onLostLocked(st *wstream, seq int64, pp *wpending, now time.Time)
 	c.ctrl.OnLoss(now.Sub(c.epoch), !st.spec.Priority.Discardable())
 	if pp.class == core.ClassLossRecovery {
 		affordable := pp.deadline.IsZero() ||
-			(c.srtt > 0 && now.Add(c.srtt/2).Before(pp.deadline))
+			(c.rtt.Smoothed() > 0 && now.Add(c.rtt.Smoothed()/2).Before(pp.deadline))
 		if !affordable || pp.retx >= c.cfg.RetxLimit {
 			c.removePendingLocked(st, seq, pp)
 			return

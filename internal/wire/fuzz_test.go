@@ -28,8 +28,8 @@ func FuzzHeaderDecode(f *testing.F) {
 		frame, _ := AppendFrame(nil, Header{Type: TypeData}, make([]byte, 100))
 		return frame[:HeaderLen+10]
 	}())
-	// v3 (traced) frames: every type with trace context, extreme ids, and
-	// a v3 header truncated inside the trace-id extension.
+	// flagTraced frames: every type with trace context, extreme ids, and
+	// a flagTraced header truncated inside the trace-id extension.
 	for _, typ := range []uint8{TypeData, TypeAck, TypeNack, TypePing, TypePong} {
 		frame, err := AppendFrame(nil, Header{
 			Type: typ, Stream: 7, Class: 2, Prio: 1,
@@ -45,7 +45,7 @@ func FuzzHeaderDecode(f *testing.F) {
 		frame, _ := AppendFrame(nil, Header{Type: TypeData, TraceID: ^uint64(0), SpanID: ^uint64(0)}, nil)
 		return frame
 	}())
-	f.Add(func() []byte { // v3 magic+version but cut off before the span id
+	f.Add(func() []byte { // magic and flagBase|flagTraced, but cut off before the span id
 		frame, _ := AppendFrame(nil, Header{Type: TypeAck, TraceID: 1, SpanID: 2}, nil)
 		return frame[:HeaderLen+4]
 	}())

@@ -8,12 +8,12 @@
 // study of the paper is measured.
 //
 // The wire format is a fixed little-endian header followed by the payload.
-// Byte 2 is the one version there is, a flag byte: 1 | traced·2 | acks·4.
-// The base bit is always set; each further bit inserts an extension before
-// the payload length, which stays the LAST two header bytes so that sealing
-// (which authenticates everything before the payload length) is
-// layout-independent. A byte without the base bit, or with a bit above
-// acks, is ErrBadVersion. With neither extension the header is 26 bytes:
+// Byte 2 is a flag byte, 1 | traced·2 | acks·4 (flagBase, flagTraced,
+// flagAcks). The base bit is always set; each further bit inserts an
+// extension before the payload length, which stays the LAST two header
+// bytes so that sealing (which authenticates everything before the payload
+// length) is layout-independent. A byte without the base bit, or with a bit above
+// acks, is ErrBadFlags. With neither extension the header is 26 bytes:
 //
 //	off size field
 //	0   2    magic 0xAR7P (0xA27B)
@@ -94,14 +94,13 @@ const (
 // Codec constants.
 const (
 	Magic           = 0xA27B
-	Version         = 1
-	VersionTraced   = 3
 	HeaderLen       = 26   // header length with no extension
 	HeaderLenTraced = 42   // header length with trace ids (flags 1|2)
 	MaxPayload      = 1200 // keeps frames under typical path MTU
 
-	versionTracedBit = 2 // version byte flag: trace ids present
-	versionAcksBit   = 4 // version byte flag: acknowledgement block present
+	flagBase   = 1 // flag byte: always set
+	flagTraced = 2 // flag byte: trace ids present
+	flagAcks   = 4 // flag byte: acknowledgement block present
 
 	MaxAckRanges   = 8  // ranges one acknowledgement block can carry
 	ackBlockFixed  = 13 // count + echo + hold
@@ -109,8 +108,8 @@ const (
 	maxAckBlockLen = ackBlockFixed + MaxAckRanges*ackRangeLen
 )
 
-// headerLen returns the encoded header length for a header's wire
-// version, which is determined by whether it carries trace context and an
+// headerLen returns the encoded header length for a header's flags, which
+// are determined by whether it carries trace context and an
 // acknowledgement block.
 func headerLen(h Header) int {
 	n := HeaderLen + len(h.Acks)
@@ -193,7 +192,7 @@ func (b AckBlock) Covers(stream uint16, seq int64) bool {
 var (
 	ErrShortFrame = errors.New("wire: frame too short")
 	ErrBadMagic   = errors.New("wire: bad magic")
-	ErrBadVersion = errors.New("wire: unsupported version")
+	ErrBadFlags   = errors.New("wire: unsupported flag byte")
 	ErrBadType    = errors.New("wire: unknown frame type")
 	ErrOversize   = errors.New("wire: payload exceeds MaxPayload")
 	ErrTruncated  = errors.New("wire: payload truncated")
@@ -255,7 +254,7 @@ func AppendFrame(dst []byte, h Header, payload []byte) ([]byte, error) {
 // validation; callers (AppendFrame, the sealer) validate first.
 func putHeader(dst []byte, h Header, payloadLen int) {
 	binary.LittleEndian.PutUint16(dst[0:], Magic)
-	dst[2] = Version
+	dst[2] = flagBase
 	dst[3] = h.Type
 	binary.LittleEndian.PutUint16(dst[4:], h.Stream)
 	dst[6] = h.Class
@@ -264,13 +263,13 @@ func putHeader(dst []byte, h Header, payloadLen int) {
 	binary.LittleEndian.PutUint64(dst[16:], h.SendMicro)
 	off := HeaderLen - 2
 	if h.TraceID|h.SpanID != 0 {
-		dst[2] |= versionTracedBit
+		dst[2] |= flagTraced
 		binary.LittleEndian.PutUint64(dst[off:], h.TraceID)
 		binary.LittleEndian.PutUint64(dst[off+8:], h.SpanID)
 		off += 16
 	}
 	if len(h.Acks) > 0 {
-		dst[2] |= versionAcksBit
+		dst[2] |= flagAcks
 		off += copy(dst[off:], h.Acks)
 	}
 	binary.LittleEndian.PutUint16(dst[off:], uint16(payloadLen))
@@ -287,9 +286,9 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 	if binary.LittleEndian.Uint16(buf[0:]) != Magic {
 		return Header{}, nil, ErrBadMagic
 	}
-	ver := buf[2]
-	if ver&Version == 0 || ver > Version|versionTracedBit|versionAcksBit {
-		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
+	flags := buf[2]
+	if flags&flagBase == 0 || flags > flagBase|flagTraced|flagAcks {
+		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadFlags, flags)
 	}
 	h := Header{
 		Type:      buf[3],
@@ -300,14 +299,14 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 		SendMicro: binary.LittleEndian.Uint64(buf[16:]),
 	}
 	hlen := HeaderLen // grows by each extension found before the payload length
-	if ver&versionTracedBit != 0 {
+	if flags&flagTraced != 0 {
 		if hlen += 16; len(buf) < hlen {
 			return Header{}, nil, ErrShortFrame
 		}
 		h.TraceID = binary.LittleEndian.Uint64(buf[hlen-18:])
 		h.SpanID = binary.LittleEndian.Uint64(buf[hlen-10:])
 	}
-	if ver&versionAcksBit != 0 {
+	if flags&flagAcks != 0 {
 		start := hlen - 2
 		if hlen += ackBlockFixed; len(buf) < hlen {
 			return Header{}, nil, ErrShortFrame

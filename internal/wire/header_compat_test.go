@@ -12,10 +12,10 @@ import (
 
 // encodeLegacy hand-rolls the 26-byte layout under any flag byte, so the
 // compat tests do not depend on AppendFrame's flag selection.
-func encodeLegacy(version uint8, h Header, payload []byte) []byte {
+func encodeLegacy(flags uint8, h Header, payload []byte) []byte {
 	buf := make([]byte, HeaderLen+len(payload))
 	binary.LittleEndian.PutUint16(buf[0:], Magic)
-	buf[2] = version
+	buf[2] = flags
 	buf[3] = h.Type
 	binary.LittleEndian.PutUint16(buf[4:], h.Stream)
 	buf[6] = h.Class
@@ -27,50 +27,51 @@ func encodeLegacy(version uint8, h Header, payload []byte) []byte {
 	return buf
 }
 
-// TestDecodeLegacyVersions: the 26-byte layout decodes under flag byte 1
-// (zero trace context), and no longer under 2, the second number it once
-// had: 2 lacks the base bit, so it is ErrBadVersion.
+// TestDecodeLegacyVersions: the 26-byte layout decodes under flagBase alone
+// (zero trace context), and not under flag byte 2, the second number it
+// once had: 2 lacks flagBase, so it is ErrBadFlags.
 func TestDecodeLegacyVersions(t *testing.T) {
 	want := Header{Type: TypeData, Stream: 9, Class: 1, Prio: 2, Seq: 77, SendMicro: 5555, PayloadLen: 5}
 	frame := encodeLegacy(1, want, []byte("hello"))
 	h, payload, err := DecodeFrame(frame)
 	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
+		t.Fatalf("flagBase decode: %v", err)
 	}
 	if !sameHeader(h, want) {
-		t.Fatalf("v1 header = %+v, want %+v", h, want)
+		t.Fatalf("flagBase header = %+v, want %+v", h, want)
 	}
 	if h.TraceID != 0 || h.SpanID != 0 {
-		t.Fatalf("v1 frame must carry no trace context: %+v", h)
+		t.Fatalf("flagBase frame must carry no trace context: %+v", h)
 	}
 	if string(payload) != "hello" {
-		t.Fatalf("v1 payload = %q", payload)
+		t.Fatalf("flagBase payload = %q", payload)
 	}
-	if _, _, err := DecodeFrame(encodeLegacy(2, want, []byte("hello"))); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v2 decode: err = %v, want ErrBadVersion", err)
+	if _, _, err := DecodeFrame(encodeLegacy(2, want, []byte("hello"))); !errors.Is(err, ErrBadFlags) {
+		t.Fatalf("flag byte 2 decode: err = %v, want ErrBadFlags", err)
 	}
 }
 
-// TestUntracedEncodesAsV1: a v3-capable sender without trace context emits
-// bytes a legacy (v1-only) decoder would accept — byte-identical to v1.
+// TestUntracedEncodesAsV1: a sender without trace context or owed acks
+// sets flagBase alone and emits the bare 26-byte layout, byte for byte.
 func TestUntracedEncodesAsV1(t *testing.T) {
 	h := Header{Type: TypeAck, Stream: 3, Seq: 12, SendMicro: 900}
 	frame, err := AppendFrame(nil, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := encodeLegacy(Version, h, nil)
+	legacy := encodeLegacy(flagBase, h, nil)
 	if !bytes.Equal(frame, legacy) {
-		t.Fatalf("untraced v3-capable encoding differs from v1:\n got %x\nwant %x", frame, legacy)
+		t.Fatalf("untraced encoding differs from the flagBase layout:\n got %x\nwant %x", frame, legacy)
 	}
-	if frame[2] != Version {
-		t.Fatalf("version byte = %d, want %d", frame[2], Version)
+	if frame[2] != flagBase {
+		t.Fatalf("flag byte = %d, want %d", frame[2], flagBase)
 	}
 }
 
 // TestFrameWithoutAcksEncodesAsBefore: the acknowledgement block is an
 // extension a frame without one does not pay for — a traced frame is still
-// the 42-byte v3 layout, byte for byte (the untraced case is the test above).
+// the 42-byte flagBase|flagTraced layout, byte for byte (the untraced case
+// is the test above).
 func TestFrameWithoutAcksEncodesAsBefore(t *testing.T) {
 	h := Header{Type: TypeData, Stream: 16, Class: 2, Prio: 1, Seq: 1000, SendMicro: 42, TraceID: 0xABCDEF, SpanID: 0x123456}
 	payload := []byte("req")
@@ -78,13 +79,13 @@ func TestFrameWithoutAcksEncodesAsBefore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeLegacy(VersionTraced, h, nil)[:HeaderLen-2]
+	want := encodeLegacy(flagBase|flagTraced, h, nil)[:HeaderLen-2]
 	want = binary.LittleEndian.AppendUint64(want, h.TraceID)
 	want = binary.LittleEndian.AppendUint64(want, h.SpanID)
 	want = binary.LittleEndian.AppendUint16(want, uint16(len(payload)))
 	want = append(want, payload...)
 	if !bytes.Equal(frame, want) {
-		t.Fatalf("traced frame without a block differs from v3:\n got %x\nwant %x", frame, want)
+		t.Fatalf("traced frame without a block differs from the flagBase|flagTraced layout:\n got %x\nwant %x", frame, want)
 	}
 }
 
@@ -97,7 +98,7 @@ func testRanges(n int) []AckRange {
 }
 
 // TestAckBlockRoundTrip: one range and eight, on traced and untraced frames,
-// on a data frame and as a pure ack: the version byte says 1 | traced·2 |
+// on a data frame and as a pure ack: the flag byte says 1 | traced·2 |
 // acks·4, the header grows by 13 + 12n bytes, the payload length stays the
 // last two header bytes and everything comes back as it went in.
 func TestAckBlockRoundTrip(t *testing.T) {
@@ -107,10 +108,10 @@ func TestAckBlockRoundTrip(t *testing.T) {
 				ranges := testRanges(n)
 				h := Header{Type: typ, Stream: 9, Class: 1, Prio: 2, Seq: 77, SendMicro: 5555,
 					Acks: AppendAckBlock(nil, 123456789, 2500*time.Microsecond, ranges)}
-				wantVer, wantLen := uint8(Version|versionAcksBit), HeaderLen+13+12*n
+				wantFlags, wantLen := uint8(flagBase|flagAcks), HeaderLen+13+12*n
 				if traced {
 					h.TraceID, h.SpanID = 0xDEADBEEF, 0xF00D
-					wantVer, wantLen = wantVer|versionTracedBit, wantLen+16
+					wantFlags, wantLen = wantFlags|flagTraced, wantLen+16
 				}
 				var payload []byte
 				if typ == TypeData {
@@ -120,8 +121,8 @@ func TestAckBlockRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if frame[2] != wantVer || len(frame) != wantLen+len(payload) {
-					t.Fatalf("n=%d traced=%v: version %d and %d bytes, want %d and %d", n, traced, frame[2], len(frame), wantVer, wantLen+len(payload))
+				if frame[2] != wantFlags || len(frame) != wantLen+len(payload) {
+					t.Fatalf("n=%d traced=%v: flags %d and %d bytes, want %d and %d", n, traced, frame[2], len(frame), wantFlags, wantLen+len(payload))
 				}
 				if got := binary.LittleEndian.Uint16(frame[wantLen-2:]); int(got) != len(payload) {
 					t.Fatalf("n=%d traced=%v: last two header bytes say %d, want the payload length %d", n, traced, got, len(payload))
@@ -231,7 +232,7 @@ func TestAckBlockIsAuthenticated(t *testing.T) {
 }
 
 // TestTracedRoundTrip: trace context survives encode/decode and flips the
-// version byte to 3 with the 42-byte layout.
+// flag byte to flagBase|flagTraced with the 42-byte layout.
 func TestTracedRoundTrip(t *testing.T) {
 	h := Header{
 		Type: TypeData, Stream: 16, Class: 2, Prio: 1, Seq: 1000, SendMicro: 42,
@@ -241,8 +242,8 @@ func TestTracedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[2] != VersionTraced {
-		t.Fatalf("version byte = %d, want %d", frame[2], VersionTraced)
+	if frame[2] != flagBase|flagTraced {
+		t.Fatalf("flag byte = %d, want %d", frame[2], flagBase|flagTraced)
 	}
 	if len(frame) != HeaderLenTraced+3 {
 		t.Fatalf("frame length = %d, want %d", len(frame), HeaderLenTraced+3)
@@ -257,7 +258,7 @@ func TestTracedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracedSealedRoundTrip: the AAD construction must cover the v3
+// TestTracedSealedRoundTrip: the AAD construction must cover the traced
 // header (including trace ids), and tampering with a trace id must fail
 // authentication.
 func TestTracedSealedRoundTrip(t *testing.T) {

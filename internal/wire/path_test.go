@@ -224,6 +224,13 @@ func TestPathFECUnrepairedAccounting(t *testing.T) {
 
 // --- hub: a deterministic in-memory multi-endpoint network -----------------
 
+// measured is a subpath estimator that has seen one probe answer, rtt.
+func measured(rtt time.Duration) core.RTT {
+	var r core.RTT
+	r.Update(rtt)
+	return r
+}
+
 // hub connects named endpoints; writes deliver synchronously to the
 // destination's recv callback — or, given a clock, delay later on it.
 // drop() installs directional loss.
@@ -394,8 +401,8 @@ func TestPathSetFailoverEvacuatesInflight(t *testing.T) {
 	ps.mu.Lock()
 	ps.requeue = func(keys []frameKey) { requeued = append(requeued, keys...) }
 	// Pin wifi as the best path so the reliable frames land on it.
-	ps.paths[0].srtt = 5 * time.Millisecond
-	ps.paths[1].srtt = 30 * time.Millisecond
+	ps.paths[0].rtt = measured(5 * time.Millisecond)
+	ps.paths[1].rtt = measured(30 * time.Millisecond)
 	ps.mu.Unlock()
 
 	for seq := int64(0); seq < 3; seq++ {
@@ -443,8 +450,8 @@ func TestPathSetInteractivePinningAndStriping(t *testing.T) {
 	defer ps.Close()
 	ps.Start(func([]byte, *net.UDPAddr, int) {})
 	ps.mu.Lock()
-	ps.paths[0].srtt = 5 * time.Millisecond
-	ps.paths[1].srtt = 30 * time.Millisecond
+	ps.paths[0].rtt = measured(5 * time.Millisecond)
+	ps.paths[1].rtt = measured(30 * time.Millisecond)
 	ps.mu.Unlock()
 
 	// Band-0 (interactive) frames all pin to wifi, the lowest-SRTT path.
@@ -567,8 +574,8 @@ func TestPathSetRebasesOntoTheEchoedFramesPath(t *testing.T) {
 		t.Errorf("before any probe answer: %v, want the sample passed through", got)
 	}
 	ps.mu.Lock()
-	ps.paths[0].srtt, ps.paths[0].minRTT = 17*ms, 16*ms
-	ps.paths[1].srtt, ps.paths[1].minRTT = 78*ms, 76*ms
+	ps.paths[0].rtt = measured(16 * ms)
+	ps.paths[1].rtt = measured(76 * ms)
 	ps.paths[0].state = PathDown
 	ps.mu.Unlock()
 	write(100, core.ClassFullBestEffort, core.PrioLowest) // LTE: the only live path

@@ -166,8 +166,7 @@ type subPath struct {
 	pc   PacketConn
 
 	state        PathState
-	srtt         time.Duration
-	minRTT       time.Duration // the fastest probe answer: the path's base RTT
+	rtt          core.RTT // of probe answers: Min is the path's base RTT
 	loss         float64
 	lossKnown    bool
 	pending      int // probes sent since the last probe-ack
@@ -260,12 +259,13 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 // bindConn installs the failover hook: newConnCommon calls this when a
 // Conn is built directly over a PathSet, so path-down evacuation can
 // re-enqueue in-flight frames without exporting Conn internals. The Conn,
-// not yet shared, also learns to feed its controller rebaseRTT.
+// not yet shared, also learns to feed its controller rebaseRTT and to keep
+// the raw samples in an estimator of its own.
 func (ps *PathSet) bindConn(c *Conn) {
 	ps.mu.Lock()
 	ps.requeue = c.requeueFrames
 	ps.mu.Unlock()
-	c.paths = ps
+	c.paths, c.rtt = ps, &c.pathRTT
 }
 
 // rebaseRTT is the delay a bound Conn's controller reacts to (Section
@@ -285,7 +285,7 @@ func (ps *PathSet) rebaseRTT(rtt time.Duration, echo uint64) time.Duration {
 	defer ps.mu.Unlock()
 	var below, above time.Duration // slowest base <= rtt, fastest base > rtt
 	consider := func(p *subPath) {
-		switch base := p.minRTT; {
+		switch base := p.rtt.Min(); {
 		case base == 0:
 		case base <= rtt:
 			below = max(below, base)
@@ -506,15 +506,15 @@ func pathLess(a, b *subPath, i, j int) bool {
 	if ra, rb := a.state.rank(), b.state.rank(); ra != rb {
 		return ra < rb
 	}
-	switch {
-	case a.srtt == 0 && b.srtt == 0:
+	switch sa, sb := a.rtt.Smoothed(), b.rtt.Smoothed(); {
+	case sa == 0 && sb == 0:
 		return i < j
-	case a.srtt == 0:
+	case sa == 0:
 		return false
-	case b.srtt == 0:
+	case sb == 0:
 		return true
-	case a.srtt != b.srtt:
-		return a.srtt < b.srtt
+	case sa != sb:
+		return sa < sb
 	}
 	return i < j
 }
@@ -616,7 +616,7 @@ func (ps *PathSet) probeFire() {
 			p.state = PathUp
 		}
 		if p.state != prev {
-			ps.cfg.Recorder.Record(obs.EvPathState, uint8(p.state), uint16(i), 0, uint64(p.srtt.Microseconds()))
+			ps.cfg.Recorder.Record(obs.EvPathState, uint8(p.state), uint16(i), 0, uint64(p.rtt.Smoothed().Microseconds()))
 			if p.state == PathDown {
 				pathDied = true
 			}
@@ -628,7 +628,7 @@ func (ps *PathSet) probeFire() {
 			probe := PathProbe{
 				Seq:           p.probeSeq,
 				SendMicro:     ps.micros(),
-				SRTTMicro:     uint32(p.srtt.Microseconds()),
+				SRTTMicro:     uint32(p.rtt.Smoothed().Microseconds()),
 				IntervalMicro: uint32(interval.Microseconds()),
 				State:         uint8(p.state),
 			}
@@ -773,21 +773,11 @@ func (ps *PathSet) onProbeAck(pathIdx int, probe PathProbe) {
 	p := ps.paths[pathIdx]
 	p.pending = 0
 	p.probesAcked++
-	rtt := time.Duration(ps.micros()-probe.SendMicro) * time.Microsecond
-	if rtt > 0 {
-		if p.minRTT == 0 || rtt < p.minRTT {
-			p.minRTT = rtt
-		}
-		if p.srtt == 0 {
-			p.srtt = rtt
-		} else {
-			p.srtt = (7*p.srtt + rtt) / 8
-		}
-	}
+	p.rtt.Update(time.Duration(ps.micros()-probe.SendMicro) * time.Microsecond)
 	if p.state == PathDown || p.state == PathProbing {
 		p.state = PathUp
 		p.loss, p.lossKnown = 0, true
-		ps.cfg.Recorder.Record(obs.EvPathState, uint8(p.state), uint16(pathIdx), 0, uint64(p.srtt.Microseconds()))
+		ps.cfg.Recorder.Record(obs.EvPathState, uint8(p.state), uint16(pathIdx), 0, uint64(p.rtt.Smoothed().Microseconds()))
 		if ps.cfg.OnPathState != nil {
 			name, st, notify = p.name, p.state, true
 		}
@@ -887,7 +877,7 @@ func (ps *PathSet) Stats() PathSetStats {
 	}
 	for _, p := range ps.paths {
 		out.Paths = append(out.Paths, PathStats{
-			Name: p.name, State: p.state, SRTT: p.srtt, Loss: p.loss,
+			Name: p.name, State: p.state, SRTT: p.rtt.Smoothed(), Loss: p.loss,
 			DeliveryRate: p.deliveryRate,
 			SentFrames:   p.sentFrames, SentBytes: p.sentBytes,
 			ProbesSent: p.probesSent, ProbesAcked: p.probesAcked,

@@ -70,8 +70,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	bad = append([]byte(nil), frame...)
 	bad[2] = 9
-	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("version: %v", err)
+	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrBadFlags) {
+		t.Errorf("flags: %v", err)
 	}
 	bad = append([]byte(nil), frame...)
 	bad[3] = 99
@@ -352,7 +352,7 @@ func TestRTTEstablishesOverLoopback(t *testing.T) {
 	if !waitFor(t, 3*time.Second, func() bool {
 		client.mu.Lock()
 		defer client.mu.Unlock()
-		return client.ctrl.SRTT() > 0
+		return client.ctrl.RTT().Smoothed() > 0
 	}) {
 		t.Fatal("no RTT estimate established")
 	}
