@@ -38,14 +38,15 @@ benchmark-check:
 
 # The allocation pins, by name and without the race detector (which
 # allocates on its own account): what one offloaded call, one simulated
-# datagram, one link hop, one admission cycle, one received batch, one
-# trace record, one keyed Send transmitted on its caller and one request
-# served on the goroutine that read it may cost in heap objects, what a
+# datagram (delivered or dropped by a link), one link hop, one admission
+# cycle, one delivered data frame, one received batch, one trace record,
+# one keyed Send transmitted on its caller and one request served on the
+# goroutine that read it may cost in heap objects, what a
 # trace record costs in heap bytes, and that hashing a trace allocates
 # the same however long it is. They also
 # run in `test`; this target is the list, and fails if one of them is
 # renamed away.
-ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc
+ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestLinkDropsRecycle|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestDeliverZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc
 allocs:
 	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/ ./internal/rpc/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \

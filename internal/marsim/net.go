@@ -24,8 +24,9 @@ const udpOverhead = 28
 //
 // A datagram, the simnet.Packet that carries it and its data buffer are one
 // recycled record: Net.get hands one out per injected datagram and every
-// terminal outcome (delivered, sink, endpoint closed) returns it with
-// Net.put. What a link loses, filters or tail-drops is left to the GC.
+// terminal outcome returns it with Net.put — delivered, sink and endpoint
+// closed here, and lost, filtered or tail-dropped on a link, which hands
+// the record back through ReleasePayload.
 type datagram struct {
 	pkt     simnet.Packet // pkt.Payload is the datagram itself
 	data    []byte        // the bytes, in room unless larger; a loan to recv while delivering
@@ -34,6 +35,7 @@ type datagram struct {
 	dst     netip.AddrPort // destination endpoint key (wire.PeerKey)
 	dstName uint32         // the destination's trace name id
 	cross   bool           // background cross-traffic, terminates at the sink
+	free    bool           // on the free list: a second put is a double free
 }
 
 // ClonePayload implements simnet.PayloadCloner: a duplicated packet gets a
@@ -44,6 +46,10 @@ func (d *datagram) ClonePayload() any {
 	c.src, c.dst, c.dstName, c.cross = d.src, d.dst, d.dstName, d.cross
 	return c
 }
+
+// ReleasePayload implements simnet.PayloadReleaser: a datagram a link loses
+// or drops goes back on the free list.
+func (d *datagram) ReleasePayload() { d.src.n.put(d) }
 
 // Net is the in-memory datagram network: endpoints joined through a
 // zero-delay core router, each behind its own uplink/downlink pair shaped
@@ -105,6 +111,7 @@ func (n *Net) get() *datagram {
 	if k := len(n.free); k > 0 {
 		d := n.free[k-1]
 		n.free = n.free[:k-1]
+		d.free = false
 		return d
 	}
 	d := &datagram{}
@@ -113,10 +120,16 @@ func (n *Net) get() *datagram {
 }
 
 // put recycles a datagram at its terminal outcome; d is dead to the caller.
+// A record put twice would be handed out twice, so put panics on one that
+// is already free.
 func (n *Net) put(d *datagram) {
+	if d.free {
+		panic("marsim: datagram record recycled twice")
+	}
 	wire.PoisonBuf(d.data)
 	d.data = d.data[:0]
 	d.src, d.dstName, d.dst, d.cross = nil, 0, netip.AddrPort{}, false
+	d.free = true
 	n.free = append(n.free, d)
 }
 

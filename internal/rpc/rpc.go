@@ -26,6 +26,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -235,7 +236,9 @@ type ServerStats struct {
 // serverCall is the queued unit of work: the gate's overload.Item (whose
 // Job points back at the record) and everything a worker needs to run the
 // handler and answer the right peer, in one record recycled once its
-// response or refusal is out. arrived anchors the queue-wait measurement;
+// response or refusal is out. req is the record's own copy of the request
+// body (the delivered payload is only lent to onMessage), its buffer kept
+// across recycling; arrived anchors the queue-wait measurement;
 // traceID/spanID carry the client's trace context (zero when untraced);
 // inline marks a call the reader serves itself.
 type serverCall struct {
@@ -273,7 +276,7 @@ func (s *Server) getCall() *serverCall {
 
 // putCall recycles a record the caller and the gate are both done with.
 func (s *Server) putCall(call *serverCall) {
-	*call = serverCall{item: overload.Item{Job: call}, s: s, timer: call.timer, complete: call.complete}
+	*call = serverCall{item: overload.Item{Job: call}, s: s, req: call.req[:0], timer: call.timer, complete: call.complete}
 	s.mu.Lock()
 	s.free = append(s.free, call)
 	s.mu.Unlock()
@@ -466,7 +469,8 @@ func (s *Server) onMessage(m wire.Message) {
 	}
 
 	call := s.getCall()
-	call.conn, call.id, call.req = conn, id, m.Payload[reqHeader:]
+	call.conn, call.id = conn, id
+	call.req = append(call.req, m.Payload[reqHeader:]...) // the one copy: m.Payload is lent
 	call.arrived, call.traceID, call.spanID = s.clock.Now(), m.TraceID, m.SpanID
 	it := &call.item
 	it.Tier, it.Method = prio.AdmissionTier(), method
@@ -1036,7 +1040,8 @@ func (c *Client) onMessage(m wire.Message) {
 		service = time.Duration(binary.LittleEndian.Uint32(body[4:])) * time.Microsecond
 		body = body[traceTrailer:]
 	}
-	// m.Payload is this callback's own copy; the response is a slice of it.
+	// body is a slice of the lent m.Payload: the caller gets its own copy
+	// below, made only for a call still waiting for it.
 	res := callResult{
 		status:  m.Payload[9],
 		payload: body,
@@ -1051,6 +1056,7 @@ func (c *Client) onMessage(m wire.Message) {
 	var fin completion
 	if ok {
 		delete(c.pending, id)
+		res.payload = bytes.Clone(res.payload)
 		fin = cs.onResultLocked(id, res)
 	}
 	c.mu.Unlock()

@@ -2,7 +2,10 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +117,90 @@ func TestConcurrentCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestQueuedRequestKeepsItsBytes: a queued request outlives the datagram
+// that carried it — the reader has gone on reading into (and, under -race,
+// poisoning) that buffer — so the server's call record must keep its own
+// copy. One worker is held on a first call while 32 distinct requests queue
+// behind it on a real socket; each body carries a digest of itself, checked
+// when the worker finally serves it.
+func TestQueuedRequestKeepsItsBytes(t *testing.T) {
+	const (
+		methodHold   = 10
+		methodDigest = 11
+		queued       = 32
+	)
+	digest := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b) //nolint:errcheck // never fails
+		return h.Sum64()
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	handler := func(method uint8, req []byte) []byte {
+		if method == methodHold {
+			close(held)
+			<-release
+			return nil
+		}
+		n := len(req) - 8
+		if n < 8 || binary.LittleEndian.Uint64(req[n:]) != digest(req[:n]) {
+			return []byte("corrupt")
+		}
+		return req[:8] // the request's sequence number
+	}
+	srv, err := NewServer("127.0.0.1:0", nil, handler, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	holdDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Call(methodHold, nil, 5*time.Second)
+		holdDone <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the holding call never reached the worker")
+	}
+	errs := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		req := make([]byte, 400)
+		binary.LittleEndian.PutUint64(req, uint64(i))
+		for j := 8; j < len(req)-8; j++ {
+			req[j] = byte(i*31 + j)
+		}
+		binary.LittleEndian.PutUint64(req[len(req)-8:], digest(req[:len(req)-8]))
+		go func() {
+			resp, err := cl.Call(methodDigest, req, 5*time.Second)
+			if err == nil && !bytes.Equal(resp, req[:8]) {
+				err = fmt.Errorf("request %d answered %q", binary.LittleEndian.Uint64(req), resp)
+			}
+			errs <- err
+		}()
+	}
+	// Release the worker only once every request waits in the queue.
+	for end := time.Now().Add(5 * time.Second); srv.Gate().Stats().Admitted < queued+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("admitted %d, want the held call and %d queued", srv.Gate().Stats().Admitted, queued)
+		}
+	}
+	close(release)
+	if err := <-holdDone; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < queued; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

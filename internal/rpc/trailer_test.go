@@ -66,6 +66,7 @@ func TestResponseTrailerWireLayout(t *testing.T) {
 		StartBudget: 10e6,
 		OnMessage: func(m wire.Message) {
 			if m.Stream == respStream {
+				m.Payload = bytes.Clone(m.Payload) // lent until we return
 				resps <- m
 			}
 		},

@@ -95,6 +95,20 @@ type PayloadCloner interface {
 	ClonePayload() any
 }
 
+// PayloadReleaser is the sibling of PayloadCloner, for payloads their owner
+// recycles: a packet the link loses, filters or drops at the tail reaches no
+// handler, so the link hands its payload back with ReleasePayload instead.
+type PayloadReleaser interface {
+	ReleasePayload()
+}
+
+// release hands back the payload of a packet that ends on this link.
+func release(pkt *Packet) {
+	if r, ok := pkt.Payload.(PayloadReleaser); ok {
+		r.ReleasePayload()
+	}
+}
+
 // LinkOption configures a Link.
 type LinkOption func(*Link)
 
@@ -172,6 +186,7 @@ func (l *Link) Handle(pkt *Packet) { l.Send(pkt) }
 func (l *Link) Send(pkt *Packet) {
 	if !l.queue.Enqueue(pkt, l.sim.Now()) {
 		l.stats.QueueDrops++
+		release(pkt)
 		return
 	}
 	if n := l.queue.Len(); n > l.stats.MaxQueueLen {
@@ -219,8 +234,10 @@ func (l *Link) startTx() {
 	switch {
 	case lost:
 		l.stats.LostPackets++
+		release(pkt)
 	case filtered:
 		l.stats.FilterDrops++
+		release(pkt)
 	default:
 		l.propagate(pkt, arrive)
 		if duplicate {

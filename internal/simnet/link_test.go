@@ -362,3 +362,47 @@ func TestLinkDuplicateClonesPayload(t *testing.T) {
 		t.Errorf("plain payload not shared by the duplicate: %p %p", c.Payload, d.Payload)
 	}
 }
+
+type dropAll struct{}
+
+func (dropAll) Filter(*Packet, time.Duration) Verdict { return Verdict{Drop: true} }
+
+// releaseCounter is a payload its owner recycles.
+type releaseCounter struct{ releases int }
+
+func (r *releaseCounter) ReleasePayload() { r.releases++ }
+
+// A packet that ends on the link — lost, filtered, or refused by a full
+// queue — reaches no handler, so a PayloadReleaser payload is handed back
+// exactly once; a delivered one is left to the handler.
+func TestLinkReleasesDroppedPayload(t *testing.T) {
+	sim := New(1)
+	col := NewCollector(sim)
+	lossy := NewLink(sim, 100e6, time.Millisecond, col, WithLoss(1))
+	filtered := NewLink(sim, 100e6, time.Millisecond, col)
+	filtered.SetFilter(dropAll{})
+	full := NewLink(sim, 1e3, time.Millisecond, col, WithQueue(NewDropTail(1)))
+
+	lost, dropped := &releaseCounter{}, &releaseCounter{}
+	onWire, queued, refused := &releaseCounter{}, &releaseCounter{}, &releaseCounter{}
+	lossy.Send(&Packet{Size: 100, Payload: lost})
+	filtered.Send(&Packet{Size: 100, Payload: dropped})
+	full.Send(&Packet{Size: 100, Payload: onWire}) // the serializer takes it
+	full.Send(&Packet{Size: 100, Payload: queued}) // fills the one slot
+	full.Send(&Packet{Size: 100, Payload: refused})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		r    *releaseCounter
+		want int
+	}{{"lost", lost, 1}, {"filtered", dropped, 1}, {"tail-dropped", refused, 1}, {"delivered", onWire, 0}, {"delivered after queueing", queued, 0}} {
+		if c.r.releases != c.want {
+			t.Errorf("%s payload released %d times, want %d", c.name, c.r.releases, c.want)
+		}
+	}
+	if col.Count() != 2 {
+		t.Errorf("delivered %d packets, want 2", col.Count())
+	}
+}

@@ -31,8 +31,9 @@ type StreamSpec struct {
 
 // Message is one received application datagram.
 type Message struct {
-	Stream  uint16
-	Seq     int64
+	Stream uint16
+	Seq    int64
+	// Payload is lent, valid only until OnMessage returns (Config.OnMessage).
 	Payload []byte
 	// Peer is the remote address the datagram came from and Conn the
 	// connection that delivered it (useful behind a Mux, where one handler
@@ -92,8 +93,9 @@ type Config struct {
 	// simulation's event loop. It must not block, since that goroutine
 	// serves every peer of the transport; it may close its own conn, and it
 	// may do short work of its own there — answer on m.Conn, say — when
-	// m.Backlog says the reader is busy anyway. The payload is owned by the
-	// callee.
+	// m.Backlog says the reader is busy anyway. m.Payload is a loan of the
+	// transport's receive buffer, valid until OnMessage returns: copy what
+	// must outlive the call.
 	OnMessage func(Message)
 	// Key, when set (16/24/32 bytes), seals every payload with AES-GCM and
 	// authenticates headers (Section VI-G). Both endpoints must share it.
@@ -1033,8 +1035,8 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 		// In-place open: the plaintext overwrites the ciphertext region of
 		// the loaned delivery buffer, which handleDatagram is free to do —
 		// the transport contract only loans the buffer for this call, and
-		// every consumer below either finishes synchronously (acks, nacks,
-		// pings) or copies (onDataLocked hands OnMessage its own copy).
+		// every consumer below finishes synchronously: acks, nacks, pings,
+		// and OnMessage, which is lent the plaintext for its call alone.
 		plain, oerr := c.sealer.openInPlace(hdr, payload)
 		if oerr != nil {
 			c.mu.Lock()
@@ -1151,11 +1153,11 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		}
 	}
 	if c.cfg.OnMessage != nil {
-		// The one copy on the receive path: dgram is the transport's (or
-		// the mux's) loan, and OnMessage may keep what it is handed.
+		// No copy: dgram is the transport's (or the mux's) loan for this
+		// call, and OnMessage is lent the payload for the length of its own.
 		msg := Message{
 			Stream: hdr.Stream, Seq: hdr.Seq,
-			Payload: append([]byte(nil), payload...), Peer: c.peer, Conn: c,
+			Payload: payload, Peer: c.peer, Conn: c,
 			TraceID: hdr.TraceID, SpanID: hdr.SpanID, Backlog: backlog,
 		}
 		// Deliver without holding the lock.

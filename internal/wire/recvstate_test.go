@@ -351,3 +351,52 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		t.Errorf("%d pure acks and %d ridden blocks for %d one-way frames, want one pure ack each", sent, rode, seq)
 	}
 }
+
+// TestDeliverZeroAlloc pins the receive path's last copy away: a sealed,
+// in-order data frame through handleDatagram — open in place, mark, owe its
+// ack, deliver — reaches OnMessage as a loan of the datagram and allocates
+// nothing.
+func TestDeliverZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race")
+	}
+	seal, err := newSealer(benchKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 600)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	delivered := 0
+	c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: newManualClock(), Key: benchKey,
+		OnMessage: func(m Message) {
+			if m.Seq != int64(delivered) || len(m.Payload) != len(payload) || m.Payload[599] != payload[599] {
+				t.Fatalf("delivery %d: seq %d, %d bytes", delivered, m.Seq, len(m.Payload))
+			}
+			delivered++
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var in []byte
+	seq := int64(0)
+	arrive := func() {
+		h := Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}
+		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.handleDatagram(in, stubPeer, 0)
+		seq++
+	}
+	for i := 0; i < 64; i++ {
+		arrive()
+	}
+	if allocs := testing.AllocsPerRun(200, arrive); allocs != 0 {
+		t.Errorf("in-order delivery: %.2f allocs/frame, want 0", allocs)
+	}
+	if delivered != int(seq) {
+		t.Errorf("delivered %d of %d frames", delivered, seq)
+	}
+}

@@ -115,13 +115,15 @@ func TestNackPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// collector accumulates received messages thread-safely.
+// collector accumulates received messages thread-safely. The payload is
+// lent to OnMessage, so add keeps a copy.
 type collector struct {
 	mu   sync.Mutex
 	msgs []Message
 }
 
 func (c *collector) add(m Message) {
+	m.Payload = bytes.Clone(m.Payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.msgs = append(c.msgs, m)
