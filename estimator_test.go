@@ -2,9 +2,7 @@ package main_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,26 +15,20 @@ import (
 // core.RTT instead.
 func TestOneRTTEstimator(t *testing.T) {
 	home := filepath.Join("internal", "core", "rtt.go")
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == home {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+	src := programSource(t)
+	for _, p := range src.pkgs {
+		for _, f := range p.files {
+			path := src.fset.Position(f.Pos()).Filename
+			top, _, _ := strings.Cut(filepath.ToSlash(path), "/")
+			if path == home || top != "internal" && top != "cmd" && top != "examples" {
+				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if e, ok := n.(*ast.BinaryExpr); ok && isSRTTUpdate(e) {
-					t.Errorf("%s: a hand-written SRTT EWMA; keep a core.RTT and Update it", fset.Position(e.Pos()))
+					t.Errorf("%s: a hand-written SRTT EWMA; keep a core.RTT and Update it", src.fset.Position(e.Pos()))
 				}
 				return true
 			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

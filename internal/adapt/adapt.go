@@ -218,8 +218,6 @@ type Controller struct {
 	pol        Policy
 	decisions  []Decision
 	hash       uint64 // rolling FNV-1a over every encoded decision
-
-	dwell [numModes]*obs.Histogram // nil until PublishMetrics
 }
 
 // NewController builds a controller starting at ModeFull with ARQ
@@ -426,9 +424,6 @@ func (c *Controller) stepModeLocked(now time.Duration, sig Signals, instant floa
 }
 
 func (c *Controller) switchLocked(now time.Duration, to Mode) {
-	if h := c.dwell[c.mode]; h != nil {
-		h.ObserveDuration(now - c.lastSwitch)
-	}
 	c.mode = to
 	c.lastSwitch = now
 	c.cleanSince = -1
@@ -463,13 +458,6 @@ func (c *Controller) Policy() Policy {
 	return c.pol
 }
 
-// Mode returns the current ladder rung.
-func (c *Controller) Mode() Mode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
-}
-
 // Switches reports how many times the payload mode changed.
 func (c *Controller) Switches() int64 {
 	c.mu.Lock()
@@ -482,13 +470,6 @@ func (c *Controller) Ticks() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ticks
-}
-
-// MissEWMA returns the smoothed miss rate the ladder is acting on.
-func (c *Controller) MissEWMA() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.miss
 }
 
 // Decisions returns a copy of the retained decision trace (the most

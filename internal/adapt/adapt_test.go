@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"marnet/internal/fec"
-	"marnet/internal/obs"
 )
 
 // tickSeq drives a controller through signals at a fixed 100 ms cadence.
@@ -272,29 +271,6 @@ func TestPolicyDecodeRejectsGarbage(t *testing.T) {
 	for i, b := range bad {
 		if _, _, err := DecodePolicy(b); err == nil {
 			t.Fatalf("case %d: decode accepted garbage %v", i, b)
-		}
-	}
-}
-
-func TestPublishMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := NewController(Config{})
-	c.PublishMetrics(reg, obs.L("client", "t"))
-	for i := 0; i < 40; i++ {
-		c.Tick(time.Duration(i)*100*time.Millisecond, Signals{Frames: 10, Misses: 10})
-	}
-	if p, ok := reg.Lookup("mar_adapt_mode", obs.L("client", "t")); !ok || p.Value != float64(ModeSkip) {
-		t.Fatalf("mode gauge: %+v ok=%v", p, ok)
-	}
-	if p, ok := reg.Lookup("mar_adapt_mode_switches_total", obs.L("client", "t")); !ok || p.Value < 3 {
-		t.Fatalf("switch counter: %+v ok=%v", p, ok)
-	}
-	// Dwell histograms observed on departure: full/features/tracking were
-	// all left at least once.
-	for _, mode := range []Mode{ModeFull, ModeFeatures, ModeTracking} {
-		pt, ok := reg.Lookup("mar_adapt_mode_dwell_ns", obs.L("client", "t"), obs.L("mode", mode.String()))
-		if !ok || pt.Hist.Count < 1 {
-			t.Fatalf("dwell histogram for %v missing or empty: %+v ok=%v", mode, pt, ok)
 		}
 	}
 }

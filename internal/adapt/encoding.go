@@ -32,12 +32,6 @@ const (
 // control message.
 var ErrBadPolicy = errors.New("adapt: malformed policy message")
 
-// AppendPolicy appends the canonical encoding of p to dst and returns the
-// extended slice.
-func AppendPolicy(dst []byte, p Policy, tick uint32) []byte {
-	return encodePolicyInto(dst, p, tick)
-}
-
 // EncodePolicy returns the canonical PolicyLen-byte encoding of p.
 func EncodePolicy(p Policy, tick uint32) []byte {
 	return encodePolicyInto(make([]byte, 0, PolicyLen), p, tick)

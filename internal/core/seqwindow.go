@@ -34,9 +34,6 @@ func (w *SeqWindow) Next() int64 { return w.next }
 // Floor is the oldest sequence the window still covers.
 func (w *SeqWindow) Floor() int64 { return w.next - int64(len(w.slots)) }
 
-// Size reports how many sequences the window covers.
-func (w *SeqWindow) Size() int { return len(w.slots) }
-
 // Mark records seq as received and reports whether it was new. A sequence
 // at or beyond Next slides the window forward, clearing only the slots
 // between the old and the new high-water mark (all of them when the jump

@@ -79,8 +79,8 @@ func TestSeqWindow(t *testing.T) {
 			if w.Next() != tc.wantNext {
 				t.Errorf("Next() = %d, want %d", w.Next(), tc.wantNext)
 			}
-			if w.Size() != size {
-				t.Errorf("Size() = %d, want %d", w.Size(), size)
+			if len(w.slots) != size {
+				t.Errorf("slots = %d, want %d", len(w.slots), size)
 			}
 		})
 	}
@@ -191,8 +191,8 @@ func TestSeqWindowMatchesReferenceModel(t *testing.T) {
 			}
 			head = w.Next()
 		}
-		if w.Size() != size {
-			t.Fatalf("seed %d: ring grew to %d slots", seed, w.Size())
+		if len(w.slots) != size {
+			t.Fatalf("seed %d: ring grew to %d slots", seed, len(w.slots))
 		}
 	}
 }

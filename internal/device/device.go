@@ -117,10 +117,6 @@ func Lookup(platform string) (Device, error) {
 	return Device{}, fmt.Errorf("%w: %q", ErrUnknownDevice, platform)
 }
 
-// Mobile reports whether the device can run a MAR application on the go
-// (portability at least medium).
-func (d Device) Mobile() bool { return d.Portability >= LevelMedium }
-
 // StorageStr formats the storage column as in Table I.
 func (d Device) StorageStr() string {
 	if d.StorageMinGB == 0 {

@@ -39,22 +39,11 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Platform != "Smartphone" || !d.Mobile() {
+	if d.Platform != "Smartphone" {
 		t.Errorf("lookup gave %+v", d)
 	}
 	if _, err := Lookup("mainframe"); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("err = %v, want ErrUnknownDevice", err)
-	}
-}
-
-func TestMobileClassification(t *testing.T) {
-	cloud, _ := Lookup("Cloud computing")
-	if cloud.Mobile() {
-		t.Error("cloud is not mobile")
-	}
-	glasses, _ := Lookup("Smart glasses")
-	if !glasses.Mobile() {
-		t.Error("glasses are mobile")
 	}
 }
 

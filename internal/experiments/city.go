@@ -128,10 +128,6 @@ func cityRow(mode string, sites int, res marsim.CityResult) CityRow {
 	}
 }
 
-// City runs the fleet-scale provisioning study at full scale: 100k
-// residents, ten virtual minutes.
-func City(seed int64) CityBenchResult { return CityAt(seed, cityFullUsers, cityFullMinutes) }
-
 // CityAt runs the study at an explicit scale (CI smoke uses a small
 // one). The wall-time gate is enforced only at full scale.
 func CityAt(seed int64, users int, minutes float64) CityBenchResult {

@@ -51,10 +51,3 @@ func (f *LinkFilter) Filter(pkt *simnet.Packet, now time.Duration) simnet.Verdic
 		ExtraDelay: v.delay,
 	}
 }
-
-// Counters returns the engine tallies.
-func (f *LinkFilter) Counters() Counters {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.eng.counters()
-}

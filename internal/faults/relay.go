@@ -93,9 +93,6 @@ func NewRelay(upstream string, cfg Config) (*Relay, error) {
 // Addr returns the relay's listening address (give this to the client).
 func (r *Relay) Addr() string { return r.sock.LocalAddr().String() }
 
-// Elapsed reports time since the relay (and its timeline) started.
-func (r *Relay) Elapsed() time.Duration { return r.clock.Since(r.start) }
-
 // SetUpstream redirects future client traffic to a new server address —
 // the real-socket version of a server restart or migration. Packets
 // already in the delay queue still go to the old destination.
@@ -124,16 +121,6 @@ func (r *Relay) SetBlackhole(dir Direction, drop bool) {
 	r.mu.Lock()
 	for _, e := range r.dirEnginesLocked(dir) {
 		e.cfg.Blackhole = drop
-	}
-	r.mu.Unlock()
-}
-
-// SetConfig replaces a direction's impairment parameters mid-run. The
-// random stream and counters are preserved.
-func (r *Relay) SetConfig(dir Direction, cfg DirConfig) {
-	r.mu.Lock()
-	for _, e := range r.dirEnginesLocked(dir) {
-		e.setConfig(cfg)
 	}
 	r.mu.Unlock()
 }

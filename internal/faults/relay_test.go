@@ -232,9 +232,6 @@ func TestRelayTimelineBlackholeWindow(t *testing.T) {
 	if len(got) == 0 || got[len(got)-1][0] != 24 {
 		t.Errorf("last packet after window not delivered (got %d pkts)", len(got))
 	}
-	if relay.Elapsed() <= 0 {
-		t.Error("Elapsed not advancing")
-	}
 }
 
 // A timeline event at 0 is in force when NewRelay returns: the first

@@ -45,18 +45,6 @@ func BenchmarkRSReconstruct8x2_2Erasures(b *testing.B) {
 	}
 }
 
-func BenchmarkXOREncode8_1200B(b *testing.B) {
-	x, _ := NewXOR(8)
-	data := benchShards(b, 8, 1200)
-	b.SetBytes(8 * 1200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := x.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkResidualLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ResidualLoss(8, 2, 0.05)

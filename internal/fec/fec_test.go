@@ -177,59 +177,6 @@ func TestRSProperty(t *testing.T) {
 	}
 }
 
-func TestXORRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x, err := NewXOR(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := mkShards(rng, 5, 100)
-	parity, err := x.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for missing := 0; missing < 6; missing++ {
-		shards := make([][]byte, 6)
-		for i := 0; i < 5; i++ {
-			shards[i] = data[i]
-		}
-		shards[5] = parity
-		shards[missing] = nil
-		got, err := x.Reconstruct(shards)
-		if err != nil {
-			t.Fatalf("missing %d: %v", missing, err)
-		}
-		for i := 0; i < 5; i++ {
-			if !bytes.Equal(got[i], data[i]) {
-				t.Fatalf("missing %d: shard %d mismatch", missing, i)
-			}
-		}
-	}
-}
-
-func TestXORTwoErasuresFails(t *testing.T) {
-	x, _ := NewXOR(3)
-	data := [][]byte{{1}, {2}, {3}}
-	parity, _ := x.Encode(data)
-	shards := [][]byte{nil, nil, data[2], parity}
-	if _, err := x.Reconstruct(shards); !errors.Is(err, ErrShortBlock) {
-		t.Fatalf("err = %v, want ErrShortBlock", err)
-	}
-}
-
-func TestXORValidation(t *testing.T) {
-	if _, err := NewXOR(0); !errors.Is(err, ErrBadParams) {
-		t.Error("k=0 should fail")
-	}
-	x, _ := NewXOR(2)
-	if _, err := x.Encode([][]byte{{1}}); !errors.Is(err, ErrBadParams) {
-		t.Error("wrong count should fail")
-	}
-	if _, err := x.Reconstruct([][]byte{{1}, {2}}); !errors.Is(err, ErrBadParams) {
-		t.Error("wrong reconstruct count should fail")
-	}
-}
-
 func TestResidualLoss(t *testing.T) {
 	// No repair: residual loss = P(any symbol lost) for a block to be
 	// incomplete; with k=1, m=0 it's exactly p.

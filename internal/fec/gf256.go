@@ -3,10 +3,9 @@
 // in a latency-constrained context redundancy is preferable to ARQ whenever
 // the RTT exceeds half the latency budget).
 //
-// Two codes are provided: a simple XOR parity code (1 repair symbol per
-// block, recovers any single erasure) and a systematic Reed–Solomon erasure
-// code over GF(2^8) built on a Vandermonde matrix (k data + m repair
-// symbols, recovers any m erasures).
+// The code is a systematic Reed–Solomon erasure code over GF(2^8) built on
+// a Vandermonde matrix (k data + m repair symbols, recovers any m
+// erasures).
 package fec
 
 // GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1 (0x11b),
@@ -55,14 +54,6 @@ func gfMul(a, b byte) byte {
 		return 0
 	}
 	return gfExp[gfLog[a]+gfLog[b]]
-}
-
-// gfDiv divides a by b (b must be nonzero).
-func gfDiv(a, b byte) byte {
-	if a == 0 {
-		return 0
-	}
-	return gfExp[gfLog[a]-gfLog[b]+255]
 }
 
 // gfInv returns the multiplicative inverse of a nonzero element.

@@ -212,76 +212,6 @@ func shardSize(shards [][]byte) (int, error) {
 	return size, nil
 }
 
-// XOR is the degenerate single-parity code: one repair shard that is the
-// XOR of all data shards; it recovers exactly one erasure.
-type XOR struct{ K int }
-
-// NewXOR returns a parity code over k data shards.
-func NewXOR(k int) (*XOR, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadParams, k)
-	}
-	return &XOR{K: k}, nil
-}
-
-// Encode returns the single parity shard.
-func (x *XOR) Encode(data [][]byte) ([]byte, error) {
-	if len(data) != x.K {
-		return nil, fmt.Errorf("%w: got %d data shards, want %d", ErrBadParams, len(data), x.K)
-	}
-	size, err := shardSize(data)
-	if err != nil {
-		return nil, err
-	}
-	parity := make([]byte, size)
-	for _, s := range data {
-		for i := range s {
-			parity[i] ^= s[i]
-		}
-	}
-	return parity, nil
-}
-
-// Reconstruct recovers at most one missing data shard. shards has length
-// K+1 (data then parity), nil marking erasures.
-func (x *XOR) Reconstruct(shards [][]byte) ([][]byte, error) {
-	if len(shards) != x.K+1 {
-		return nil, fmt.Errorf("%w: got %d shards, want %d", ErrBadParams, len(shards), x.K+1)
-	}
-	missing := -1
-	size := 0
-	for i, s := range shards {
-		if s == nil {
-			if missing >= 0 {
-				return nil, ErrShortBlock
-			}
-			missing = i
-		} else if size == 0 {
-			size = len(s)
-		} else if len(s) != size {
-			return nil, ErrShardSize
-		}
-	}
-	if size == 0 {
-		return nil, ErrShardSize
-	}
-	if missing < 0 || missing == x.K {
-		return shards[:x.K], nil
-	}
-	buf := make([]byte, size)
-	for i, s := range shards {
-		if i == missing {
-			continue
-		}
-		for j := range s {
-			buf[j] ^= s[j]
-		}
-	}
-	out := append([][]byte(nil), shards[:x.K]...)
-	out[missing] = buf
-	return out, nil
-}
-
 // ResidualLoss returns the probability that a block of k data + m repair
 // symbols cannot be fully reconstructed when each symbol is independently
 // lost with probability p — i.e. more than m of the k+m symbols are lost.

@@ -114,13 +114,6 @@ func POffload(a App, p OffloadParams) (time.Duration, error) {
 	return total, nil
 }
 
-// InTime reports whether a per-frame delay satisfies δa (Equation 1's
-// constraint P < δa).
-func InTime(delay time.Duration, a App) bool {
-	d := a.Deadline()
-	return d > 0 && delay < d
-}
-
 // BestStrategy compares local, local+DB and offloaded execution for the app
 // and returns the name of the fastest strategy and its delay. It is the
 // decision rule an offloading runtime applies per device class.

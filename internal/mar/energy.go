@@ -28,8 +28,6 @@ type EnergyModel struct {
 	// TxJPerByte / RxJPerByte per technology name (phy.Profile.Name).
 	TxJPerByte map[string]float64
 	RxJPerByte map[string]float64
-	// IdleRadioJPerS burns while the radio stays associated.
-	IdleRadioJPerS float64
 }
 
 // DefaultEnergyModel returns coefficients for a smartphone-class device.
@@ -54,7 +52,6 @@ func DefaultEnergyModel() EnergyModel {
 			phy.LTEDirect.Name:   0.9e-6,
 			phy.HSPAPlus.Name:    2.2e-6,
 		},
-		IdleRadioJPerS: 0.05,
 	}
 }
 
@@ -87,15 +84,4 @@ func (m EnergyModel) PipelineEnergy(radio string, localOps float64, upBytes, dow
 		e.RxJ = float64(downBytes) * rx
 	}
 	return e, nil
-}
-
-// BatteryHours estimates how long a battery of capacityJ joules lasts at
-// fps frames per second of the given per-frame energy, plus the idle radio
-// draw.
-func (m EnergyModel) BatteryHours(capacityJ float64, perFrame FrameEnergy, fps float64) float64 {
-	watts := perFrame.Total()*fps + m.IdleRadioJPerS
-	if watts <= 0 {
-		return 0
-	}
-	return capacityJ / watts / 3600
 }

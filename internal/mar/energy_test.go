@@ -60,23 +60,3 @@ func TestPipelineEnergyUnknownRadio(t *testing.T) {
 		t.Errorf("local-only should not need a radio: %v", err)
 	}
 }
-
-func TestBatteryHours(t *testing.T) {
-	m := DefaultEnergyModel()
-	// A smartphone battery is ~40 kJ (≈ 3000 mAh at 3.7 V).
-	const battery = 40e3
-	local, _ := m.PipelineEnergy(phy.WiFiLocal.Name, 12e6, 0, 0)
-	offload, _ := m.PipelineEnergy(phy.WiFiLocal.Name, 0, 20000, 400)
-	hLocal := m.BatteryHours(battery, local, 30)
-	hOffload := m.BatteryHours(battery, offload, 30)
-	if hOffload <= hLocal {
-		t.Errorf("offloading battery life %.1fh should exceed local %.1fh", hOffload, hLocal)
-	}
-	// Sanity: both in the plausible hours-to-tens-of-hours range.
-	if hLocal < 1 || hLocal > 50 || hOffload > 200 {
-		t.Errorf("implausible battery lives: local %.1fh offload %.1fh", hLocal, hOffload)
-	}
-	if m.BatteryHours(0, local, 30) != 0 && m.BatteryHours(battery, FrameEnergy{}, 0) == 0 {
-		t.Log("degenerate inputs handled")
-	}
-}

@@ -161,10 +161,8 @@ type cityCell struct {
 	overhead   time.Duration // effective per-frame MAC overhead at current contention
 	active     int32
 	peakActive int32
-	slowActive int32 // active stations below 18 Mb/s
 
 	offloads, hits, misses, shed int64
-	airtime                      time.Duration
 }
 
 // CityResult is one run's ledger.
@@ -346,14 +344,8 @@ func clampI(v, lo, hi int) int {
 	return v
 }
 
-// Sim exposes the underlying simulator (tests sample Pending through it).
-func (c *City) Sim() *simnet.Sim { return c.sim }
-
 // Config returns the city's configuration with all defaults resolved.
 func (c *City) Config() CityConfig { return c.cfg }
-
-// Trace exposes the deterministic run trace.
-func (c *City) Trace() *Trace { return c.trace }
 
 // Population reports resident + crowd endpoints.
 func (c *City) Population() int { return len(c.users) }
@@ -485,9 +477,6 @@ func (c *City) activate(u *cityUser, now time.Duration) {
 	if cl.active > cl.peakActive {
 		cl.peakActive = cl.active
 	}
-	if u.rate < 18e6 {
-		cl.slowActive++
-	}
 	c.retune(cl)
 }
 
@@ -497,9 +486,6 @@ func (c *City) deactivate(u *cityUser) {
 	c.active--
 	cl := &c.cells[u.cell]
 	cl.active--
-	if u.rate < 18e6 {
-		cl.slowActive--
-	}
 	c.retune(cl)
 }
 
@@ -550,7 +536,6 @@ func (c *City) offload(u *cityUser, now time.Duration) {
 	perFrame := cl.overhead + time.Duration(float64(1500*8)/float64(u.rate)*float64(time.Second))
 	air := time.Duration(frames) * perFrame
 	cl.busyUntil = now + backlog + air
-	cl.airtime += air
 
 	e2e := backlog + air + 2*u.netLat + c.cfg.Compute
 	bucket := int(e2e / time.Millisecond)
@@ -708,39 +693,4 @@ func (c *City) checkConservation(r CityResult) error {
 		return fmt.Errorf("marsim: city cell attachment: %d attached vs %d active", attached, c.active)
 	}
 	return nil
-}
-
-// CellLoadReport summarizes one cell for diagnostics and tests.
-type CellLoadReport struct {
-	Cell            int
-	Offloads, Shed  int64
-	PeakActive      int
-	SlowActiveAtEnd int
-	Utilization     float64 // airtime / horizon
-}
-
-// BusiestCells returns the n highest-offload cells, descending.
-func (c *City) BusiestCells(n int) []CellLoadReport {
-	reports := make([]CellLoadReport, 0, len(c.cells))
-	for i := range c.cells {
-		cl := &c.cells[i]
-		if cl.offloads == 0 {
-			continue
-		}
-		reports = append(reports, CellLoadReport{
-			Cell: i, Offloads: cl.offloads, Shed: cl.shed,
-			PeakActive:      int(cl.peakActive),
-			SlowActiveAtEnd: int(cl.slowActive),
-			Utilization:     float64(cl.airtime) / float64(c.cfg.Horizon),
-		})
-	}
-	for i := 1; i < len(reports); i++ { // insertion sort: n is small, keep it deterministic
-		for j := i; j > 0 && reports[j].Offloads > reports[j-1].Offloads; j-- {
-			reports[j], reports[j-1] = reports[j-1], reports[j]
-		}
-	}
-	if n < len(reports) {
-		reports = reports[:n]
-	}
-	return reports
 }

@@ -26,7 +26,7 @@ func TestFlightGEBurstCapturesStorm(t *testing.T) {
 	if res.StormSnapshot < 0 {
 		for i, sn := range res.Snaps {
 			t.Logf("snapshot %d reason=%s retx=%d moves=%d", i, sn.Reason,
-				sn.Count(obs.EvFrameRetransmit), sn.Count(obs.EvAdaptMove))
+				countKind(sn, obs.EvFrameRetransmit), countKind(sn, obs.EvAdaptMove))
 		}
 		t.Fatal("no snapshot shows retransmit storm -> ladder downgrade")
 	}
@@ -37,9 +37,9 @@ func TestFlightGEBurstCapturesStorm(t *testing.T) {
 		t.Error("global SLO (chained parent) never fired")
 	}
 	storm := res.Snaps[res.StormSnapshot]
-	if storm.Count(obs.EvFrameRetransmit) == 0 || storm.Count(obs.EvAdaptMove) == 0 {
+	if countKind(storm, obs.EvFrameRetransmit) == 0 || countKind(storm, obs.EvAdaptMove) == 0 {
 		t.Errorf("storm snapshot lacks the chain: retx=%d moves=%d",
-			storm.Count(obs.EvFrameRetransmit), storm.Count(obs.EvAdaptMove))
+			countKind(storm, obs.EvFrameRetransmit), countKind(storm, obs.EvAdaptMove))
 	}
 }
 
@@ -77,4 +77,15 @@ func TestFlightGEBurstDeterministic(t *testing.T) {
 	if c.TraceHash == a.TraceHash {
 		t.Error("different seeds produced identical traces")
 	}
+}
+
+// countKind reports how many of a snapshot's events have the given kind.
+func countKind(s *obs.Snapshot, kind obs.EventKind) int {
+	n := 0
+	for _, e := range s.Events {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

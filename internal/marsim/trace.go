@@ -145,14 +145,6 @@ func (t *Trace) Ends(e obs.Event) (src, dst string) {
 	return t.names[e.C>>32], t.names[uint32(e.C)]
 }
 
-// Lines reports how many events were recorded.
-func (t *Trace) Lines() int {
-	if len(t.chunks) == 0 {
-		return 0
-	}
-	return (len(t.chunks)-1)*chunkEvents + t.fill
-}
-
 // Bytes renders the full trace as text, one line per record, into one
 // buffer sized for it.
 func (t *Trace) Bytes() []byte {

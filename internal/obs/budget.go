@@ -32,7 +32,7 @@ var stageOrder = [...]string{StageQueue, StageCompute, StageNetUp, StageNetDown,
 
 // StageIndex maps a budget stage name to its canonical ordinal (the
 // compact encoding flight-recorder events use); unknown names map to
-// len(stageOrder). StageName is the inverse.
+// len(stageOrder).
 func StageIndex(name string) int {
 	for i, s := range stageOrder {
 		if s == name {
@@ -40,14 +40,6 @@ func StageIndex(name string) int {
 		}
 	}
 	return len(stageOrder)
-}
-
-// StageName returns the stage at ordinal i ("" when out of range).
-func StageName(i int) string {
-	if i < 0 || i >= len(stageOrder) {
-		return ""
-	}
-	return stageOrder[i]
 }
 
 // BudgetReport attributes one frame's end-to-end latency to the pipeline
@@ -170,14 +162,6 @@ func NewBudgetTracker(budget time.Duration, reg *Registry, labels ...Label) *Bud
 		bt.blownBy[st] = reg.Counter("mar_budget_blown_by_stage_total", ls...)
 	}
 	return bt
-}
-
-// Budget reports the bound frames are judged against.
-func (bt *BudgetTracker) Budget() time.Duration {
-	if bt == nil {
-		return 0
-	}
-	return bt.budget
 }
 
 // Observe folds one report into the aggregates. The report's Budget field

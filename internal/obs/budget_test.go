@@ -65,17 +65,17 @@ func TestBudgetTracker(t *testing.T) {
 		t.Fatalf("reports retained = %d, want 3", got)
 	}
 	// The registry sees the same numbers.
-	if p, ok := reg.Lookup("mar_budget_blown_total", L("client", "a")); !ok || p.Value != 2 {
+	if p, ok := lookup(reg, "mar_budget_blown_total", L("client", "a")); !ok || p.Value != 2 {
 		t.Fatalf("registry blown = %+v ok=%v, want 2", p, ok)
 	}
-	if p, ok := reg.Lookup("mar_budget_stage_ns", L("client", "a"), L("stage", StageQueue)); !ok || p.Hist == nil || p.Hist.Count != 3 {
+	if p, ok := lookup(reg, "mar_budget_stage_ns", L("client", "a"), L("stage", StageQueue)); !ok || p.Hist == nil || p.Hist.Count != 3 {
 		t.Fatalf("stage histogram = %+v ok=%v", p, ok)
 	}
 
 	// Nil tracker: all no-ops.
 	var nilBT *BudgetTracker
 	nilBT.Observe(report(time.Millisecond))
-	if nilBT.Frames() != 0 || nilBT.Reports() != nil || nilBT.Budget() != 0 {
+	if nilBT.Frames() != 0 || nilBT.Reports() != nil {
 		t.Fatal("nil tracker must be inert")
 	}
 }

@@ -10,7 +10,7 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("frames_total", L("stream", "video")).Add(3)
-	r.Gauge("queue_depth").Set(1.5)
+	r.GaugeFunc("queue_depth", func() float64 { return 1.5 })
 	h := r.Histogram("latency_ns")
 	h.Observe(1000)
 	h.Observe(2000)
@@ -47,7 +47,7 @@ func TestWritePrometheusDeterministicAcrossRegistrationOrder(t *testing.T) {
 		ops := []func(){
 			func() { r.Counter("zz_total", L("s", "b")).Add(2) },
 			func() { r.Counter("zz_total", L("s", "a")).Add(1) },
-			func() { r.Gauge("mid_depth").Set(3.5) },
+			func() { r.GaugeFunc("mid_depth", func() float64 { return 3.5 }) },
 			func() { r.Counter("aa_total").Add(7) },
 			func() { r.Histogram("lat_ns", L("leg", "x")).Observe(100) },
 		}
@@ -176,4 +176,96 @@ func TestMuxEndpoints(t *testing.T) {
 	if code, _ := get("/healthz"); code != 503 {
 		t.Fatalf("/healthz while unhealthy = %d, want 503", code)
 	}
+}
+
+// Add adds n (negative deltas are ignored: counters only go up).
+func (c *Counter) Add(n int64) {
+	if n > 0 {
+		c.v.Add(n)
+	}
+}
+
+// SetEnabled flips recording (and freezing). Disabled recorders drop
+// events without touching the ring.
+func (r *FlightRecorder) SetEnabled(on bool) {
+	if r != nil {
+		r.enabled.Store(on)
+	}
+}
+
+// Enabled reports whether events are being retained.
+func (r *FlightRecorder) Enabled() bool { return r != nil && r.enabled.Load() }
+
+// lookup returns the gathered point for name+labels, labels in any order.
+func lookup(r *Registry, name string, labels ...Label) (Point, bool) {
+	k := key(name, labels)
+	for _, p := range r.Gather() {
+		if key(p.Name, p.Labels) == k {
+			return p, true
+		}
+	}
+	return Point{}, false
+}
+
+// Session reports the recorder's session label ("" when nil).
+func (r *FlightRecorder) Session() string {
+	if r == nil {
+		return ""
+	}
+	return r.cfg.Session
+}
+
+// Suppressed reports how many Freeze calls the cooldown swallowed.
+func (r *FlightRecorder) Suppressed() int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.suppressed
+}
+
+// Events returns a copy of the live ring, oldest first.
+func (r *FlightRecorder) Events() []Event {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.eventsLocked(0)
+}
+
+// SLOState is a consistent snapshot of the objective.
+type SLOState struct {
+	Name                   string
+	Objective              float64
+	Hits, Misses, Triggers int64
+	FastBurn, SlowBurn     float64
+	FastFrames, SlowFrames int64
+}
+
+// HitRatio is lifetime hits/(hits+misses) (1 when no observations).
+func (st SLOState) HitRatio() float64 {
+	if st.Hits+st.Misses == 0 {
+		return 1
+	}
+	return float64(st.Hits) / float64(st.Hits+st.Misses)
+}
+
+// State evaluates the windows at the current clock reading.
+func (s *SLO) State() SLOState {
+	if s == nil {
+		return SLOState{}
+	}
+	now := s.clock.Since(s.epoch)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	idx := int64(now / s.cfg.Slot)
+	st := SLOState{
+		Name: s.cfg.Name, Objective: s.cfg.Objective,
+		Hits: s.hits, Misses: s.misses, Triggers: s.triggers,
+	}
+	st.FastBurn, st.FastFrames = s.burnLocked(idx, s.nfast)
+	st.SlowBurn, st.SlowFrames = s.burnLocked(idx, s.nslow)
+	return st
 }

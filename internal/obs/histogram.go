@@ -66,22 +66,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum reports the running sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Max reports the exact largest observation (0 when empty).
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) by nearest rank over
-// the buckets. The estimate is capped at the exact maximum; an empty
-// histogram reports 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	return h.Snapshot().Quantile(q)
-}
-
 // HistSnapshot is a consistent-enough copy of a histogram for export: the
 // buckets are loaded one by one, so observations racing the snapshot may
 // be partially visible, which is fine for monitoring.
@@ -104,7 +88,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile estimates the q-th quantile of the snapshot.
+// Quantile estimates the q-th quantile (0 <= q <= 1) of the snapshot by
+// nearest rank over the buckets. The estimate is capped at the exact
+// maximum; an empty snapshot reports 0.
 func (s HistSnapshot) Quantile(q float64) int64 {
 	var total int64
 	for _, b := range s.Buckets {
@@ -138,12 +124,4 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean reports the arithmetic mean (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -1,6 +1,6 @@
 // Package obs is the unified observability layer for the MAR stack: a
-// zero-dependency metrics registry (lock-free counters, gauges and
-// log-bucketed histograms, all with label support), span-based frame
+// zero-dependency metrics registry (lock-free counters and log-bucketed
+// histograms, plus callback-backed counters and gauges, all with labels), span-based frame
 // tracing whose context rides the ARTP wire header, and motion-to-photon
 // budget attribution against the paper's 75 ms end-to-end bound
 // (Section III-B, Table II).
@@ -11,7 +11,7 @@
 // degrade, retry, hedge and fail over — none of which can be operated
 // blind. This package is the one pipe every layer reports through:
 //
-//   - Registry: named counters/gauges/histograms with labels, plus
+//   - Registry: named counters and histograms with labels, plus
 //     CounterFunc/GaugeFunc adapters that publish the pre-existing
 //     snapshot structs (rpc.ServerStats, overload.GateStats, ...) without
 //     rewriting their hot paths.
@@ -31,13 +31,7 @@
 // Everything here is safe for concurrent use unless documented otherwise.
 package obs
 
-import (
-	"math"
-	"sync/atomic"
-)
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
+import "sync/atomic"
 
 // Counter is a lock-free monotonically increasing counter.
 type Counter struct {
@@ -47,33 +41,5 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (negative deltas are ignored: counters only go up).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a lock-free instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Add adjusts the gauge by delta using a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }

@@ -16,11 +16,12 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	r := NewRegistry()
+	g := 2.5
+	r.GaugeFunc("g", func() float64 { return g })
+	g--
+	if p, _ := lookup(r, "g"); p.Value != 1.5 {
+		t.Fatalf("gauge = %v, want 1.5 (read at gather time)", p.Value)
 	}
 }
 
@@ -52,41 +53,43 @@ func TestHistogramQuantiles(t *testing.T) {
 		h.Observe(v)
 	}
 	sort.Slice(exact, func(i, j int) bool { return exact[i] < exact[j] })
+	s := h.Snapshot()
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		want := exact[int(q*float64(len(exact)-1))]
-		got := h.Quantile(q)
+		got := s.Quantile(q)
 		// Log-bucketed with 4 sub-buckets per octave: <= 12.5% relative
 		// error, plus slack for the rank-vs-index convention.
 		if diff := float64(got-want) / float64(want); diff > 0.15 || diff < -0.15 {
 			t.Errorf("q%.2f = %d, exact %d (err %.1f%%)", q, got, want, 100*diff)
 		}
 	}
-	if h.Max() != exact[len(exact)-1] {
-		t.Errorf("max = %d, want %d", h.Max(), exact[len(exact)-1])
+	if s.Max != exact[len(exact)-1] {
+		t.Errorf("max = %d, want %d", s.Max, exact[len(exact)-1])
 	}
-	if h.Count() != int64(len(exact)) {
-		t.Errorf("count = %d, want %d", h.Count(), len(exact))
+	if s.Count != int64(len(exact)) {
+		t.Errorf("count = %d, want %d", s.Count, len(exact))
 	}
 }
 
 func TestHistogramEdges(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Max() != 0 {
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Max != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(-5) // clamps to 0
 	h.Observe(0)
 	h.Observe(3)
-	if got := h.Quantile(1); got != 3 {
+	if got := h.Snapshot().Quantile(1); got != 3 {
 		t.Fatalf("q100 of {0,0,3} = %d, want 3", got)
 	}
 	h.ObserveDuration(time.Millisecond)
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	s := h.Snapshot()
+	if s.Count != 4 {
+		t.Fatalf("count = %d, want 4", s.Count)
 	}
 	// Quantile estimates never exceed the exact max.
-	if got := h.Quantile(0.99); got > h.Max() {
-		t.Fatalf("q99 %d > max %d", got, h.Max())
+	if got := s.Quantile(0.99); got > s.Max {
+		t.Fatalf("q99 %d > max %d", got, s.Max)
 	}
 }
 
@@ -117,11 +120,11 @@ func TestRegistrySameInstance(t *testing.T) {
 		t.Fatal("different labels must return a distinct counter")
 	}
 	a.Inc()
-	p, ok := r.Lookup("x", L("k", "v"))
+	p, ok := lookup(r, "x", L("k", "v"))
 	if !ok || p.Value != 1 {
 		t.Fatalf("lookup = %+v ok=%v, want value 1", p, ok)
 	}
-	if _, ok := r.Lookup("nope"); ok {
+	if _, ok := lookup(r, "nope"); ok {
 		t.Fatal("lookup of unknown metric must fail")
 	}
 }
@@ -134,7 +137,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m")
+	r.Histogram("m")
 }
 
 func TestRegistryFuncs(t *testing.T) {
@@ -142,16 +145,16 @@ func TestRegistryFuncs(t *testing.T) {
 	n := int64(7)
 	r.CounterFunc("snap", func() int64 { return n })
 	r.GaugeFunc("load", func() float64 { return 0.25 })
-	p, _ := r.Lookup("snap")
+	p, _ := lookup(r, "snap")
 	if p.Value != 7 {
 		t.Fatalf("counterfunc = %v, want 7", p.Value)
 	}
 	n = 9
 	r.CounterFunc("snap", func() int64 { return n }) // re-register replaces
-	if p, _ = r.Lookup("snap"); p.Value != 9 {
+	if p, _ = lookup(r, "snap"); p.Value != 9 {
 		t.Fatalf("counterfunc after replace = %v, want 9", p.Value)
 	}
-	if p, _ = r.Lookup("load"); p.Value != 0.25 {
+	if p, _ = lookup(r, "load"); p.Value != 0.25 {
 		t.Fatalf("gaugefunc = %v, want 0.25", p.Value)
 	}
 }

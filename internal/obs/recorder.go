@@ -239,25 +239,6 @@ func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
 	return r
 }
 
-// Session reports the recorder's session label ("" when nil).
-func (r *FlightRecorder) Session() string {
-	if r == nil {
-		return ""
-	}
-	return r.cfg.Session
-}
-
-// SetEnabled flips recording (and freezing). Disabled recorders drop
-// events without touching the ring.
-func (r *FlightRecorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether events are being retained.
-func (r *FlightRecorder) Enabled() bool { return r != nil && r.enabled.Load() }
-
 // Record stamps the event with the recorder's clock and stores it. The
 // hot path (wire pacing) prefers RecordAt with the time it already holds,
 // saving the clock read.
@@ -310,17 +291,6 @@ func (r *FlightRecorder) Recorded() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seq
-}
-
-// Events returns a copy of the live ring, oldest first. Diagnostic use
-// (the /debug/flight/live dump); Freeze is the structured capture.
-func (r *FlightRecorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked(0)
 }
 
 // eventsLocked copies ring events with At >= since, oldest first. Zero-
@@ -398,31 +368,6 @@ func (r *FlightRecorder) Snapshots() []*Snapshot {
 	return append([]*Snapshot(nil), r.snaps...)
 }
 
-// Suppressed reports how many Freeze calls the cooldown swallowed.
-func (r *FlightRecorder) Suppressed() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.suppressed
-}
-
-// PublishMetrics registers the recorder's counters on a registry.
-func (r *FlightRecorder) PublishMetrics(reg *Registry, labels ...Label) {
-	if r == nil || reg == nil {
-		return
-	}
-	ls := append([]Label{L("session", r.cfg.Session)}, labels...)
-	reg.CounterFunc("mar_flight_events_total", func() int64 { return int64(r.Recorded()) }, ls...)
-	reg.CounterFunc("mar_flight_snapshots_total", func() int64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return int64(len(r.snaps)) + r.snapsEvic
-	}, ls...)
-	reg.CounterFunc("mar_flight_freezes_suppressed_total", r.Suppressed, ls...)
-}
-
 // Snapshot is one frozen capture: the events of the trigger's trailing
 // window plus enough bookkeeping to know what the ring had lost. All
 // fields are immutable after Freeze returns.
@@ -435,20 +380,6 @@ type Snapshot struct {
 	// nonzero means the window may be incomplete at its old end.
 	Overwritten uint64  `json:"overwritten"`
 	Events      []Event `json:"events"`
-}
-
-// Count reports how many snapshot events have the given kind.
-func (s *Snapshot) Count(kind EventKind) int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range s.Events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // Timeline renders the snapshot as text lines: a header plus one line

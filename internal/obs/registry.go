@@ -21,7 +21,6 @@ type Kind int
 // Metric kinds.
 const (
 	KindCounter Kind = iota + 1
-	KindGauge
 	KindHistogram
 	KindCounterFunc
 	KindGaugeFunc
@@ -31,7 +30,7 @@ func (k Kind) String() string {
 	switch k {
 	case KindCounter, KindCounterFunc:
 		return "counter"
-	case KindGauge, KindGaugeFunc:
+	case KindGaugeFunc:
 		return "gauge"
 	case KindHistogram:
 		return "summary"
@@ -45,7 +44,6 @@ type entry struct {
 	kind   Kind
 
 	c  *Counter
-	g  *Gauge
 	h  *Histogram
 	cf func() int64
 	gf func() float64
@@ -88,29 +86,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetMaxLabelSets adjusts the per-family label-set cap (n <= 0 restores
-// the default). Lowering the cap does not evict existing label sets; it
-// only refuses new ones.
-func (r *Registry) SetMaxLabelSets(n int) {
-	if n <= 0 {
-		n = DefaultMaxLabelSets
-	}
-	r.mu.Lock()
-	r.maxSets = n
-	r.mu.Unlock()
-}
-
-// DroppedLabelSets reports how many label sets the cardinality cap has
-// refused.
-func (r *Registry) DroppedLabelSets() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.dropped == nil {
-		return 0
-	}
-	return r.dropped.Value()
-}
-
 // dropLocked accounts one refused label set (registering the drop counter
 // itself on first use — it is unlabeled, so never capped).
 func (r *Registry) dropLocked() {
@@ -126,11 +101,6 @@ func (r *Registry) dropLocked() {
 	}
 	r.dropped.Inc()
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default is the process-wide registry.
-func Default() *Registry { return defaultRegistry }
 
 // key renders the unique identity of name+labels. Labels are sorted so
 // the same set in any order is one metric.
@@ -178,8 +148,6 @@ func (r *Registry) get(name string, kind Kind, labels []Label) *entry {
 	switch kind {
 	case KindCounter:
 		e.c = &Counter{}
-	case KindGauge:
-		e.g = &Gauge{}
 	case KindHistogram:
 		e.h = &Histogram{}
 	}
@@ -201,11 +169,6 @@ func (r *Registry) get(name string, kind Kind, labels []Label) *entry {
 // Counter returns the counter for name+labels, creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return r.get(name, KindCounter, labels).c
-}
-
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	return r.get(name, KindGauge, labels).g
 }
 
 // Histogram returns the histogram for name+labels, creating it on first
@@ -258,8 +221,6 @@ func (r *Registry) Gather() []Point {
 		switch e.kind {
 		case KindCounter:
 			p.Value = float64(e.c.Value())
-		case KindGauge:
-			p.Value = e.g.Value()
 		case KindHistogram:
 			s := e.h.Snapshot()
 			p.Hist = &s
@@ -281,23 +242,4 @@ func (r *Registry) Gather() []Point {
 		pts = append(pts, p)
 	}
 	return pts
-}
-
-// Lookup returns the gathered point for name+labels (ok=false when the
-// metric does not exist). Tests use it to compare exported values against
-// legacy snapshot structs.
-func (r *Registry) Lookup(name string, labels ...Label) (Point, bool) {
-	k := key(name, labels)
-	r.mu.RLock()
-	_, exists := r.entries[k]
-	r.mu.RUnlock()
-	if !exists {
-		return Point{}, false
-	}
-	for _, p := range r.Gather() {
-		if key(p.Name, p.Labels) == k {
-			return p, true
-		}
-	}
-	return Point{}, false
 }

@@ -7,14 +7,14 @@ import (
 
 func TestRegistryLabelCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxLabelSets(2)
+	r.maxSets = 2
 
 	a := r.Counter("reqs_total", L("session", "a"))
 	b := r.Counter("reqs_total", L("session", "b"))
 	a.Add(1)
 	b.Add(2)
-	if r.DroppedLabelSets() != 0 {
-		t.Fatalf("cap fired under the limit: dropped=%d", r.DroppedLabelSets())
+	if dropped(r) != 0 {
+		t.Fatalf("cap fired under the limit: dropped=%d", dropped(r))
 	}
 
 	// Third label set: detached but still a working instrument.
@@ -23,8 +23,8 @@ func TestRegistryLabelCardinalityCap(t *testing.T) {
 	if c.Value() != 40 {
 		t.Fatalf("detached counter value = %d, want 40", c.Value())
 	}
-	if r.DroppedLabelSets() != 1 {
-		t.Fatalf("dropped = %d, want 1", r.DroppedLabelSets())
+	if dropped(r) != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(r))
 	}
 
 	// Existing sets keep resolving to the same instruments.
@@ -36,17 +36,17 @@ func TestRegistryLabelCardinalityCap(t *testing.T) {
 	if c2 == c {
 		t.Fatal("refused label set got registered on retry")
 	}
-	if r.DroppedLabelSets() != 2 {
-		t.Fatalf("dropped = %d after retry, want 2", r.DroppedLabelSets())
+	if dropped(r) != 2 {
+		t.Fatalf("dropped = %d after retry, want 2", dropped(r))
 	}
 
 	// Unlabeled metrics are never capped, and other families are
 	// independent.
 	r.Counter("unlabeled_total").Inc()
-	r.Gauge("depth", L("q", "x")).Set(1)
-	r.Gauge("depth", L("q", "y")).Set(2)
-	if r.DroppedLabelSets() != 2 {
-		t.Fatalf("unrelated metrics tripped the cap: dropped=%d", r.DroppedLabelSets())
+	r.GaugeFunc("depth", func() float64 { return 1 }, L("q", "x"))
+	r.GaugeFunc("depth", func() float64 { return 2 }, L("q", "y"))
+	if dropped(r) != 2 {
+		t.Fatalf("unrelated metrics tripped the cap: dropped=%d", dropped(r))
 	}
 
 	var sb strings.Builder
@@ -73,13 +73,19 @@ func TestRegistryDropCounterCoexistsWithUserMetric(t *testing.T) {
 	// A user registers the drop-counter name before the cap ever fires:
 	// the cap must reuse that counter, not panic on a kind clash.
 	user := r.Counter(droppedLabelsMetric)
-	r.SetMaxLabelSets(1)
+	r.maxSets = 1
 	r.Counter("f", L("x", "1")).Inc()
 	r.Counter("f", L("x", "2")).Inc()
 	if user.Value() != 1 {
 		t.Fatalf("pre-registered drop counter = %d, want 1", user.Value())
 	}
-	if r.DroppedLabelSets() != 1 {
-		t.Fatalf("DroppedLabelSets = %d, want 1", r.DroppedLabelSets())
+	if dropped(r) != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(r))
 	}
+}
+
+// dropped reads the cardinality cap's drop counter off the export.
+func dropped(r *Registry) int64 {
+	p, _ := lookup(r, droppedLabelsMetric)
+	return int64(p.Value)
 }

@@ -157,14 +157,6 @@ func NewSLO(cfg SLOConfig) *SLO {
 	return s
 }
 
-// Name reports the objective's label ("" when nil).
-func (s *SLO) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.cfg.Name
-}
-
 // Observe folds one frame verdict in (hit = the frame met its deadline),
 // re-evaluates the burn rates, fires OnTrigger when both windows exceed
 // their thresholds outside the cooldown, and forwards the observation to
@@ -234,41 +226,6 @@ func (s *SLO) burnLocked(cur, n int64) (float64, int64) {
 	return (float64(misses) / float64(total)) / allowed, total
 }
 
-// SLOState is a consistent snapshot of the objective.
-type SLOState struct {
-	Name                   string
-	Objective              float64
-	Hits, Misses, Triggers int64
-	FastBurn, SlowBurn     float64
-	FastFrames, SlowFrames int64
-}
-
-// HitRatio is lifetime hits/(hits+misses) (1 when no observations).
-func (st SLOState) HitRatio() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 1
-	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
-}
-
-// State evaluates the windows at the current clock reading.
-func (s *SLO) State() SLOState {
-	if s == nil {
-		return SLOState{}
-	}
-	now := s.clock.Since(s.epoch)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := int64(now / s.cfg.Slot)
-	st := SLOState{
-		Name: s.cfg.Name, Objective: s.cfg.Objective,
-		Hits: s.hits, Misses: s.misses, Triggers: s.triggers,
-	}
-	st.FastBurn, st.FastFrames = s.burnLocked(idx, s.nfast)
-	st.SlowBurn, st.SlowFrames = s.burnLocked(idx, s.nslow)
-	return st
-}
-
 // Triggers reports how many burn-rate alerts have fired.
 func (s *SLO) Triggers() int64 {
 	if s == nil {
@@ -277,30 +234,4 @@ func (s *SLO) Triggers() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.triggers
-}
-
-// Publish registers the objective on a registry: lifetime counters, the
-// live burn rates for both windows, and the hit ratio — every scrape
-// re-evaluates the sliding windows at scrape time.
-func (s *SLO) Publish(reg *Registry, labels ...Label) {
-	if s == nil || reg == nil {
-		return
-	}
-	ls := append([]Label{L("slo", s.cfg.Name)}, labels...)
-	reg.CounterFunc("mar_slo_frames_total", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.hits + s.misses
-	}, ls...)
-	reg.CounterFunc("mar_slo_misses_total", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.misses
-	}, ls...)
-	reg.CounterFunc("mar_slo_triggers_total", s.Triggers, ls...)
-	reg.GaugeFunc("mar_slo_hit_ratio", func() float64 { return s.State().HitRatio() }, ls...)
-	fastLs := append(append([]Label(nil), ls...), L("window", "fast"))
-	slowLs := append(append([]Label(nil), ls...), L("window", "slow"))
-	reg.GaugeFunc("mar_slo_burn_rate", func() float64 { return s.State().FastBurn }, fastLs...)
-	reg.GaugeFunc("mar_slo_burn_rate", func() float64 { return s.State().SlowBurn }, slowLs...)
 }

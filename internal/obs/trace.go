@@ -44,20 +44,6 @@ func (s *Span) Stage(name string, d time.Duration) {
 	s.Stages = append(s.Stages, Stage{Name: name, Dur: d})
 }
 
-// StageDur sums the recorded durations for name (0 if absent).
-func (s *Span) StageDur(name string) time.Duration {
-	if s == nil {
-		return 0
-	}
-	var sum time.Duration
-	for _, st := range s.Stages {
-		if st.Name == name {
-			sum += st.Dur
-		}
-	}
-	return sum
-}
-
 // Finish stamps the end time and hands the span to the tracer's ring.
 // Calling Finish more than once publishes only the first time.
 func (s *Span) Finish() {
@@ -70,17 +56,6 @@ func (s *Span) Finish() {
 		s.End = time.Now()
 	}
 	t.publish(s)
-}
-
-// Duration is End-Start (time.Since(Start) while unfinished).
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	if s.End.IsZero() {
-		return time.Since(s.Start)
-	}
-	return s.End.Sub(s.Start)
 }
 
 // Tracer mints spans and retains the most recent finished ones in a
@@ -221,16 +196,4 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Stitch groups spans by trace ID — the cross-process view of one frame's
-// journey once client-side and server-side spans are pooled.
-func Stitch(spans ...[]*Span) map[TraceID][]*Span {
-	out := make(map[TraceID][]*Span)
-	for _, set := range spans {
-		for _, s := range set {
-			out[s.Trace] = append(out[s.Trace], s)
-		}
-	}
-	return out
 }

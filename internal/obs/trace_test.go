@@ -13,8 +13,8 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	root.Stage("attempt", 3*time.Millisecond)
 	root.Stage("attempt", 2*time.Millisecond)
-	if got := root.StageDur("attempt"); got != 5*time.Millisecond {
-		t.Fatalf("StageDur = %v, want 5ms", got)
+	if got := len(root.Stages); got != 2 || root.Stages[0].Dur+root.Stages[1].Dur != 5*time.Millisecond {
+		t.Fatalf("stages = %v, want 3ms + 2ms", root.Stages)
 	}
 	child := tr.StartSpan("server", root.Trace, root.ID)
 	if child.Trace != root.Trace || child.Parent != root.ID {
@@ -31,9 +31,10 @@ func TestSpanLifecycle(t *testing.T) {
 	if len(tr.Take()) != 0 {
 		t.Fatal("Take must drain")
 	}
-	byTrace := Stitch(spans)
-	if len(byTrace[root.Trace]) != 2 {
-		t.Fatalf("stitch lost spans: %v", byTrace)
+	for _, s := range spans {
+		if s.Trace != root.Trace {
+			t.Fatalf("span %q left trace %x", s.Name, root.Trace)
+		}
 	}
 }
 
@@ -51,9 +52,6 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	// Every method on a nil span must be a no-op, not a panic.
 	s.Stage("a", time.Millisecond)
 	s.Finish()
-	if s.Duration() != 0 || s.StageDur("a") != 0 {
-		t.Fatal("nil span must report zeros")
-	}
 	if nilT.Take() != nil || nilT.Dropped() != 0 {
 		t.Fatal("nil tracer must report empty state")
 	}

@@ -125,12 +125,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	return a
 }
 
-// Offer submits an item for admission. It returns false when the item's
-// tier queue is at capacity (or the queues are closed); the item is
+// offer submits an item for admission at now. It returns false when the
+// item's tier queue is at capacity (or the queues are closed); the item is
 // stamped and queued otherwise.
-func (a *Admission) Offer(it *Item) bool { return a.offer(it, a.cfg.Clock()) }
-
-// offer is Offer at the caller's clock reading.
 func (a *Admission) offer(it *Item, now time.Time) bool {
 	a.clampTier(it)
 	a.mu.Lock()
@@ -206,24 +203,12 @@ func (a *Admission) dispatchLocked(it *Item, now time.Time) []*Item {
 	return shed
 }
 
-// Pop blocks until work is available (or the queues close: ok=false). It
-// returns the next item in strict tier order plus any items the CoDel
+// pop returns the next item in strict tier order plus any items the CoDel
 // controller shed while the caller was away — the caller owes each shed
 // item a rejection answer, so sheds surface to clients immediately instead
-// of as silence.
-func (a *Admission) Pop() (it *Item, shed []*Item, ok bool) {
-	it, shed, _, ok = a.pop(true)
-	return it, shed, ok
-}
-
-// TryPop is Pop without blocking; ok is false when no work is queued.
-func (a *Admission) TryPop() (it *Item, shed []*Item, ok bool) {
-	it, shed, _, ok = a.pop(false)
-	return it, shed, ok
-}
-
-// pop is Pop (wait) or TryPop, and hands back the clock reading the pop was
-// judged at.
+// of as silence — and the clock reading the pop was judged at. With wait
+// it blocks until work is available or the queues close (ok=false);
+// without, ok is false when no work is queued.
 func (a *Admission) pop(wait bool) (it *Item, shed []*Item, now time.Time, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -325,13 +325,6 @@ func (g *Gate) SetDraining(on bool) {
 	g.mu.Unlock()
 }
 
-// Draining reports the drain state.
-func (g *Gate) Draining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
-}
-
 // WaitDrain blocks until the queues are empty and no work is in flight,
 // or the timeout elapses; it reports whether the drain completed. Callers
 // normally SetDraining(true) first — otherwise new admissions can keep the
@@ -353,13 +346,6 @@ func (g *Gate) WaitDrain(timeout time.Duration) bool {
 		}
 		g.sleep(time.Millisecond)
 	}
-}
-
-// Inflight reports how many items workers currently hold.
-func (g *Gate) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight
 }
 
 // QueueDelay exposes the smoothed queue delay (the ladder's load signal).

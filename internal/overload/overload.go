@@ -10,8 +10,8 @@
 //
 //   - Admission: per-priority bounded queues (one tier per ARTP priority
 //     level, Tiers of them) with queue-delay shedding by the CoDel law of
-//     package queue/codel — the one queue.CoDel runs — whose drops fall on
-//     the lowest tier. Work is always dispatched highest-tier-first.
+//     package queue/codel — the one each queue.FQCoDel flow runs — whose
+//     drops fall on the lowest tier. Work is always dispatched highest-tier-first.
 //   - Estimator: a per-method EWMA of observed service time, so the server
 //     can refuse work it cannot finish inside the client's remaining
 //     budget instead of discovering that after spending the cycles.

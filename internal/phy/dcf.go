@@ -65,16 +65,6 @@ func (st *Station) Send(pkt *simnet.Packet) {
 	st.medium.kick()
 }
 
-// SetRate changes the station's PHY rate (rate adaptation: the Figure 2
-// scenario moves station B from the 54 Mb/s zone into the 18 Mb/s zone).
-func (st *Station) SetRate(bps float64) { st.rate = bps }
-
-// Rate returns the station's PHY rate.
-func (st *Station) Rate() float64 { return st.rate }
-
-// Backlog reports queued packets.
-func (st *Station) Backlog() int { return st.queue.Len() }
-
 func (m *Medium) kick() {
 	if m.busy {
 		return

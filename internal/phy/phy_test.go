@@ -68,8 +68,8 @@ func TestProfileLinks(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 1 {
-		t.Errorf("delivered %d, want 1", col.Count())
+	if len(col.Packets) != 1 {
+		t.Errorf("delivered %d, want 1", len(col.Packets))
 	}
 }
 
@@ -140,8 +140,8 @@ func TestOutageBlocksAndRestores(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 2 {
-		t.Fatalf("delivered %d packets, want 2", col.Count())
+	if len(col.Packets) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(col.Packets))
 	}
 	if col.Packets[0].ID != 1 || col.Packets[1].ID != 3 {
 		t.Errorf("wrong packets survived: %d, %d", col.Packets[0].ID, col.Packets[1].ID)
@@ -214,8 +214,8 @@ func TestMediumRoundRobinSkipsIdleStations(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 10 {
-		t.Errorf("idle station blocked the medium: delivered %d", col.Count())
+	if len(col.Packets) != 10 {
+		t.Errorf("idle station blocked the medium: delivered %d", len(col.Packets))
 	}
 }
 
@@ -274,8 +274,8 @@ func TestCollisionCounterAndNoLoss(t *testing.T) {
 		t.Error("CWMin=4 with two saturated stations should collide")
 	}
 	// Collisions delay but never destroy frames.
-	if col.Count() != 2*n {
-		t.Errorf("delivered %d/%d frames", col.Count(), 2*n)
+	if len(col.Packets) != 2*n {
+		t.Errorf("delivered %d/%d frames", len(col.Packets), 2*n)
 	}
 }
 

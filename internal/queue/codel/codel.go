@@ -1,9 +1,9 @@
 // Package codel is the Controlled Delay law of RFC 8289, written once for
-// every queue that judges itself by the sojourn of its head: queue.CoDel,
-// each flow of queue.FQCoDel, and overload.Admission. It knows no packet or
-// item type and no clock: the caller hands it the head's sojourn, the time
-// now on any monotonic scale, and whether anything waits behind the head,
-// and it answers whether to drop one now. What to drop is the caller's.
+// every queue that judges itself by the sojourn of its head: each flow of
+// queue.FQCoDel, and overload.Admission. It knows no packet or item type
+// and no clock: the caller hands it the head's sojourn, the time now on any
+// monotonic scale, and whether anything waits behind the head, and it
+// answers whether to drop one now. What to drop is the caller's.
 package codel
 
 import (

@@ -1,8 +1,15 @@
+// Package queue implements the queueing disciplines the paper discusses for
+// MAR uplinks (Section VI-H): FQ-CoDel active queue management and a
+// strict-priority discipline for classful traffic. Both implement
+// simnet.Queue. The CoDel law itself — RFC 8289's controller, shared with
+// overload.Admission — is the standard-library-only subpackage codel, so
+// the serving path can run it without linking the simulator.
 package queue
 
 import (
 	"time"
 
+	"marnet/internal/queue/codel"
 	"marnet/internal/simnet"
 )
 
@@ -24,8 +31,14 @@ type FQCoDel struct {
 	drops    int64
 }
 
+// fqFlow is one flow's sub-queue: a FIFO judged by the CoDel law at
+// dequeue, packets whose sojourn stays above codel.Target for a full
+// codel.Interval dropped with spacing decreasing by the inverse square
+// root of the drop count.
 type fqFlow struct {
-	codel   CoDel
+	fifo    simnet.DropTail
+	law     codel.Law
+	drops   int64 // AQM drops
 	deficit int
 	active  bool
 	isNew   bool
@@ -60,10 +73,7 @@ func (q *FQCoDel) Enqueue(pkt *simnet.Packet, now time.Duration) bool {
 		return false
 	}
 	f := q.flowOf(pkt)
-	if !f.codel.Enqueue(pkt, now) {
-		q.drops++
-		return false
-	}
+	f.fifo.Enqueue(pkt, now) // unbounded: the bound is the total above
 	q.total++
 	q.bytes += pkt.Size
 	if !f.active {
@@ -94,12 +104,12 @@ func (q *FQCoDel) Dequeue(now time.Duration) *simnet.Packet {
 			q.rotate(f, fromNew)
 			continue
 		}
-		beforeLen, beforeBytes := f.codel.Len(), f.codel.Bytes()
-		pkt := f.codel.Dequeue(now)
+		beforeLen, beforeBytes := f.fifo.Len(), f.fifo.Bytes()
+		pkt := f.dequeue(now)
 		// Account every packet CoDel removed (AQM drops plus the returned
 		// packet) against our aggregate counters in one step.
-		q.total -= beforeLen - f.codel.Len()
-		q.bytes -= beforeBytes - f.codel.Bytes()
+		q.total -= beforeLen - f.fifo.Len()
+		q.bytes -= beforeBytes - f.fifo.Bytes()
 		if pkt == nil {
 			// Flow is empty: a new flow that empties becomes inactive (RFC
 			// 8290 §4.1.2 simplified: we do not keep empty flows on lists).
@@ -116,6 +126,22 @@ func (q *FQCoDel) Dequeue(now time.Duration) *simnet.Packet {
 		}
 		return pkt
 	}
+}
+
+// dequeue hands out the flow's head, first dropping every head the law
+// condemns. The law drops only when something waits behind the head —
+// here, more than an MTU of it — so a dropped head always has a successor.
+func (f *fqFlow) dequeue(now time.Duration) *simnet.Packet {
+	pkt := f.fifo.Dequeue(now)
+	if pkt == nil {
+		f.law.Stop()
+		return nil
+	}
+	for f.law.Drop(now-pkt.Enq, now, f.fifo.Bytes() > 1500) {
+		f.drops++
+		pkt = f.fifo.Dequeue(now)
+	}
+	return pkt
 }
 
 func (q *FQCoDel) rotate(f *fqFlow, fromNew bool) {
@@ -143,14 +169,3 @@ func (q *FQCoDel) Len() int { return q.total }
 
 // Bytes reports total queued bytes.
 func (q *FQCoDel) Bytes() int { return q.bytes }
-
-// Drops reports total drops (tail + AQM).
-func (q *FQCoDel) Drops() int64 {
-	d := q.drops
-	for _, f := range q.flows {
-		if f != nil {
-			d += f.codel.Drops()
-		}
-	}
-	return d
-}

@@ -85,9 +85,3 @@ func (q *StrictPriority) Bytes() int {
 	}
 	return n
 }
-
-// Drops reports tail drops across bands.
-func (q *StrictPriority) Drops() int64 { return q.drops }
-
-// BandLen reports queued packets in band i.
-func (q *StrictPriority) BandLen(i int) int { return q.bands[i].Len() }

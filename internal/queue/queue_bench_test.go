@@ -25,6 +25,6 @@ func benchDiscipline(b *testing.B, q simnet.Queue) {
 	}
 }
 
-func BenchmarkCoDel(b *testing.B)          { benchDiscipline(b, NewCoDel(0)) }
+func BenchmarkCoDel(b *testing.B)          { benchDiscipline(b, oneFlow(0)) }
 func BenchmarkFQCoDel(b *testing.B)        { benchDiscipline(b, NewFQCoDel(0)) }
 func BenchmarkStrictPriority(b *testing.B) { benchDiscipline(b, NewStrictPriority(4, 0)) }

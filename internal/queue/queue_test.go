@@ -13,8 +13,16 @@ func pkt(id uint64, size int, flow uint64) *simnet.Packet {
 	return &simnet.Packet{ID: id, Size: size, Flow: flow}
 }
 
+// oneFlow is an FQ-CoDel queue with one flow bucket: every packet shares
+// one CoDel flow, which is plain CoDel behind a total packet bound.
+func oneFlow(maxPkts int) *FQCoDel {
+	q := NewFQCoDel(maxPkts)
+	q.NumFlows, q.flows = 1, q.flows[:1]
+	return q
+}
+
 func TestCoDelPassesLowDelayTraffic(t *testing.T) {
-	q := NewCoDel(0)
+	q := oneFlow(0)
 	// Packets that spend no time queued must never be dropped.
 	for i := 0; i < 1000; i++ {
 		now := time.Duration(i) * time.Millisecond
@@ -32,7 +40,7 @@ func TestCoDelPassesLowDelayTraffic(t *testing.T) {
 }
 
 func TestCoDelDropsStandingQueue(t *testing.T) {
-	q := NewCoDel(0)
+	q := oneFlow(0)
 	// Build a standing queue: 500 packets enqueued at t=0, drained slowly so
 	// sojourn times grow far beyond target for more than one interval.
 	for i := 0; i < 500; i++ {
@@ -56,7 +64,7 @@ func TestCoDelDropsStandingQueue(t *testing.T) {
 }
 
 func TestCoDelTailBound(t *testing.T) {
-	q := NewCoDel(10)
+	q := oneFlow(10)
 	for i := 0; i < 20; i++ {
 		q.Enqueue(pkt(uint64(i), 100, 1), 0)
 	}
@@ -69,7 +77,7 @@ func TestCoDelTailBound(t *testing.T) {
 }
 
 func TestCoDelEmptyDequeue(t *testing.T) {
-	q := NewCoDel(0)
+	q := oneFlow(0)
 	if q.Dequeue(time.Second) != nil {
 		t.Error("empty queue should return nil")
 	}
@@ -228,7 +236,7 @@ func TestNewStrictPriorityMinimumBands(t *testing.T) {
 // packets in, and Bytes()/Len() return to zero after a full drain.
 func TestQueueConservationProperty(t *testing.T) {
 	mk := map[string]func() simnet.Queue{
-		"codel":    func() simnet.Queue { return NewCoDel(50) },
+		"codel":    func() simnet.Queue { return oneFlow(50) },
 		"fqcodel":  func() simnet.Queue { return NewFQCoDel(50) },
 		"priority": func() simnet.Queue { return NewStrictPriority(4, 50) },
 		"droptail": func() simnet.Queue { return simnet.NewDropTail(50) },

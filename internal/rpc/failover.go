@@ -2,11 +2,8 @@ package rpc
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
-
-	"marnet/internal/obs"
 )
 
 // FailoverClient dispatches calls across a primary server and ordered
@@ -52,17 +49,6 @@ func DialFailover(addrs []string, cfg ClientConfig) (*FailoverClient, error) {
 		fc.clients = append(fc.clients, cl)
 	}
 	return fc, nil
-}
-
-// NewFailoverFromClients assembles a FailoverClient from already-dialed
-// per-server clients (clients[0] is the primary). The simulation testkit
-// uses this: each client is dialed with its own simulated transport, then
-// composed into the Figure 5a topology.
-func NewFailoverFromClients(clients []*Client) (*FailoverClient, error) {
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("rpc: no clients")
-	}
-	return &FailoverClient{clients: clients}, nil
 }
 
 // Call tries the primary first, then each backup in order, splitting the
@@ -144,28 +130,6 @@ func (fc *FailoverClient) Stats() FailoverStats {
 	fc.mu.Unlock()
 	return st
 }
-
-// PublishMetrics registers the failover counter plus every per-server
-// client's counters with an observability registry; each server's
-// metrics get a server="<index>" label (0 = primary) on top of the
-// caller's labels.
-func (fc *FailoverClient) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("mar_rpc_failovers_total", func() int64 {
-		fc.mu.Lock()
-		defer fc.mu.Unlock()
-		return fc.failovers
-	}, labels...)
-	for i, cl := range fc.clients {
-		ls := append(append([]obs.Label(nil), labels...), obs.L("server", strconv.Itoa(i)))
-		cl.PublishMetrics(reg, ls...)
-	}
-}
-
-// Clients exposes the per-server clients (primary first).
-func (fc *FailoverClient) Clients() []*Client { return fc.clients }
 
 // Close closes every per-server client.
 func (fc *FailoverClient) Close() error {

@@ -225,32 +225,3 @@ func TestFailoverValidation(t *testing.T) {
 		t.Error("bad address should fail")
 	}
 }
-
-func TestServerConnsTrackLivePopulation(t *testing.T) {
-	// The server's peer population must shrink when peers are evicted, not
-	// leak one connection per departed address.
-	srv, err := NewServer("127.0.0.1:0", nil, testHandler,
-		WithPeerIdleTimeout(150*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	for i := 0; i < 3; i++ {
-		cl, err := Dial(srv.Addr(), ClientConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Call(methodEcho, []byte("hi"), time.Second); err != nil {
-			t.Fatal(err)
-		}
-		cl.Close()
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && srv.Clients() > 0 {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if n := srv.Clients(); n != 0 {
-		t.Errorf("live conns = %d after idle eviction, want 0", n)
-	}
-}

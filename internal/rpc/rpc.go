@@ -115,22 +115,14 @@ type TierHandler func(method uint8, req []byte, tier overload.Tier) []byte
 type ServerOption func(*serverOptions)
 
 type serverOptions struct {
-	idleTimeout time.Duration
-	overload    overload.Config
-	workers     int
-	shards      int
-	tiered      TierHandler
-	tracer      *obs.Tracer
-	clock       vclock.Clock
-	pc          wire.PacketConn
-	svcModel    ServiceModel
-}
-
-// WithPeerIdleTimeout evicts client connections silent for longer than d,
-// bounding per-peer state on long-lived servers (clients with keepalive
-// enabled refresh their liveness with every heartbeat).
-func WithPeerIdleTimeout(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.idleTimeout = d }
+	overload overload.Config
+	workers  int
+	shards   int
+	tiered   TierHandler
+	tracer   *obs.Tracer
+	clock    vclock.Clock
+	pc       wire.PacketConn
+	svcModel ServiceModel
 }
 
 // WithOverload replaces the default admission configuration (bounded
@@ -164,8 +156,8 @@ func WithTracer(t *obs.Tracer) ServerOption {
 }
 
 // WithClock injects the server's time source (default the system clock).
-// It drives deadline anchoring, queue-wait measurement, idle eviction and
-// the admission gate, so a server on a virtual clock is fully
+// It drives deadline anchoring, queue-wait measurement and the admission
+// gate, so a server on a virtual clock is fully
 // deterministic.
 func WithClock(clock vclock.Clock) ServerOption {
 	return func(o *serverOptions) { o.clock = clock }
@@ -333,9 +325,6 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 		freeWorkers: so.workers,
 	}
 	muxOpts := []wire.MuxOption{wire.WithMuxClock(clock)}
-	if so.idleTimeout > 0 {
-		muxOpts = append(muxOpts, wire.WithIdleTimeout(so.idleTimeout))
-	}
 	// StartBudget is only where a conn's budget starts: its controller
 	// probes from there toward the rate the client's requests are observed
 	// arriving at (core.Controller, "Rate discovery"), so a server answers as
@@ -432,9 +421,6 @@ func (s *Server) Health() overload.Probe { return s.gate.Health() }
 // new calls with a draining status (so failover clients move on
 // immediately) but keeps serving everything already admitted.
 func (s *Server) SetDraining(on bool) { s.gate.SetDraining(on) }
-
-// Draining reports the drain state.
-func (s *Server) Draining() bool { return s.gate.Draining() }
 
 // WaitDrain blocks until all admitted work has completed or the timeout
 // elapses, reporting whether the drain finished.
@@ -950,55 +936,12 @@ func (c *Client) Stats() ClientStats {
 // unless the client was dialed with a Tracer).
 func (c *Client) BudgetTracker() *obs.BudgetTracker { return c.budget }
 
-// PublishMetrics registers the client's counters with an observability
-// registry as live read-through functions; every scrape reports exactly
-// what Stats would return at that instant.
-func (c *Client) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	for _, m := range []struct {
-		name string
-		get  func(ClientStats) int64
-	}{
-		{"mar_rpc_client_calls_total", func(s ClientStats) int64 { return s.Calls }},
-		{"mar_rpc_client_timeouts_total", func(s ClientStats) int64 { return s.Timeouts }},
-		{"mar_rpc_client_shed_total", func(s ClientStats) int64 { return s.ShedCalls }},
-		{"mar_rpc_client_retries_total", func(s ClientStats) int64 { return s.Retries }},
-		{"mar_rpc_client_hedges_total", func(s ClientStats) int64 { return s.Hedges }},
-		{"mar_rpc_client_hedge_wins_total", func(s ClientStats) int64 { return s.HedgeWins }},
-		{"mar_rpc_client_breaker_fast_fails_total", func(s ClientStats) int64 { return s.BreakerFastFails }},
-		{"mar_rpc_client_breaker_opens_total", func(s ClientStats) int64 { return s.BreakerOpens }},
-		{"mar_rpc_client_reconnects_total", func(s ClientStats) int64 { return s.Reconnects }},
-		{"mar_rpc_client_degraded_total", func(s ClientStats) int64 { return s.Degraded }},
-		{"mar_rpc_client_server_sheds_total", func(s ClientStats) int64 { return s.ServerSheds }},
-		{"mar_rpc_client_server_expired_total", func(s ClientStats) int64 { return s.ServerExpired }},
-		{"mar_rpc_client_server_cannot_finish_total", func(s ClientStats) int64 { return s.ServerCannotFinish }},
-		{"mar_rpc_client_server_draining_total", func(s ClientStats) int64 { return s.ServerDraining }},
-	} {
-		get := m.get
-		reg.CounterFunc(m.name, func() int64 { return get(c.Stats()) }, labels...)
-	}
-	reg.GaugeFunc("mar_rpc_client_srtt_seconds", func() float64 {
-		if conn := c.sess.Conn(); conn != nil {
-			return conn.SRTT().Seconds()
-		}
-		return 0
-	}, labels...)
-	reg.GaugeFunc("mar_rpc_client_loss_rate", func() float64 {
-		if conn := c.sess.Conn(); conn != nil {
-			return conn.LossRate()
-		}
-		return 0
-	}, labels...)
-}
-
 // BreakerOpen reports whether the circuit breaker is currently rejecting
 // calls (FailoverClient uses this to route around the primary).
 func (c *Client) BreakerOpen() bool { return !c.breaker.allowPeek(c.clock.Now()) }
 
 // KnownDraining reports whether this server recently declared itself
-// draining (via a rejection status or a probe). FailoverClient consults it
+// draining (via a rejection status). FailoverClient consults it
 // to steer calls away before they fail.
 func (c *Client) KnownDraining() bool {
 	c.mu.Lock()
@@ -1109,27 +1052,6 @@ func (c *Client) hedgeDelay(timeout time.Duration) time.Duration {
 		return d
 	}
 	return timeout / 2
-}
-
-// Probe asks the server for its health state, bypassing admission
-// control. A draining answer is cached so subsequent failover decisions
-// steer away without a round trip. Probes skip the breaker and the
-// call-level counters — they are how failover looks past an open breaker.
-func (c *Client) Probe(timeout time.Duration) (overload.Probe, error) {
-	w := waiterPool.Get().(*waiter)
-	c.startCall(MethodProbe, nil, c.cfg.Priority, timeout, 1, true, nil, w.done)
-	payload, err := w.wait()
-	if err != nil {
-		return 0, err
-	}
-	if len(payload) != 1 {
-		return 0, fmt.Errorf("rpc: malformed probe response (%d bytes)", len(payload))
-	}
-	p := overload.Probe(payload[0])
-	if p == overload.ProbeDraining {
-		c.markDraining()
-	}
-	return p, nil
 }
 
 // Call sends a request at the client's configured priority and waits up

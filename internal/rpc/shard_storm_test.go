@@ -35,7 +35,7 @@ func TestShardStormCrossShardRace(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	key := bytes.Repeat([]byte{0x5D}, 16)
-	srv, err := NewServer("127.0.0.1:0", key, testHandler, WithShards(4), WithPeerIdleTimeout(2*time.Second))
+	srv, err := NewServer("127.0.0.1:0", key, testHandler, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,19 +203,11 @@ func TestTrailerPopulatesBudgetReports(t *testing.T) {
 // trailer existed); false answers every request as plain legacy v2.
 func legacyPeer(t *testing.T, echoTrace bool, reply []byte) *wire.Mux {
 	t.Helper()
-	var mu sync.Mutex
-	conns := make(map[string]*wire.Conn)
-	var mux *wire.Mux
 	handle := func(m wire.Message) {
-		if m.Stream != reqStream || len(m.Payload) < reqHeader || m.Peer == nil {
+		if m.Stream != reqStream || len(m.Payload) < reqHeader {
 			return
 		}
-		mu.Lock()
-		conn := conns[m.Peer.String()]
-		mu.Unlock()
-		if conn == nil {
-			return
-		}
+		conn := m.Conn
 		out := make([]byte, respHeader+len(reply))
 		copy(out, m.Payload[:8]) // echo the call id
 		out[8] = m.Payload[8]
@@ -240,11 +232,6 @@ func legacyPeer(t *testing.T, echoTrace bool, reply []byte) *wire.Mux {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux.SetOnConn(func(conn *wire.Conn, peer *net.UDPAddr) {
-		mu.Lock()
-		conns[peer.String()] = conn
-		mu.Unlock()
-	})
 	t.Cleanup(func() { mux.Close() })
 	return mux
 }

@@ -29,7 +29,7 @@ func TestLinkConservationProperty(t *testing.T) {
 			return false
 		}
 		st := link.Stats()
-		if st.Delivered != int64(col.Count()) {
+		if st.Delivered != int64(len(col.Packets)) {
 			return false
 		}
 		// Conservation: queued-dropped + serialized == offered, and
@@ -55,16 +55,17 @@ func TestLinkConservationProperty(t *testing.T) {
 func TestDuplexSymmetry(t *testing.T) {
 	sim := New(1)
 	colA, colB := NewCollector(sim), NewCollector(sim)
-	d := NewDuplex(sim, 1e6, 5*time.Millisecond, colA, colB)
-	d.AtoB.Send(&Packet{ID: 1, Size: 1250})
-	d.BtoA.Send(&Packet{ID: 2, Size: 1250})
+	aToB := NewLink(sim, 1e6, 5*time.Millisecond, colB)
+	bToA := NewLink(sim, 1e6, 5*time.Millisecond, colA)
+	aToB.Send(&Packet{ID: 1, Size: 1250})
+	bToA.Send(&Packet{ID: 2, Size: 1250})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if colB.Count() != 1 || colB.Packets[0].ID != 1 {
+	if len(colB.Packets) != 1 || colB.Packets[0].ID != 1 {
 		t.Errorf("B got %v", colB.Packets)
 	}
-	if colA.Count() != 1 || colA.Packets[0].ID != 2 {
+	if len(colA.Packets) != 1 || colA.Packets[0].ID != 2 {
 		t.Errorf("A got %v", colA.Packets)
 	}
 	if colA.Times[0] != colB.Times[0] {

@@ -62,6 +62,3 @@ func (q *DropTail) Len() int { return len(q.pkts) - q.head }
 
 // Bytes reports the number of queued bytes.
 func (q *DropTail) Bytes() int { return q.bytes }
-
-// Drops reports the number of packets rejected at the tail.
-func (q *DropTail) Drops() int64 { return q.drops }

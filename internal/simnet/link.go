@@ -152,9 +152,6 @@ func (l *Link) Rate() float64 { return l.rate }
 // models use this to emulate rate adaptation and fading.
 func (l *Link) SetRate(bps float64) { l.rate = bps }
 
-// Delay returns the propagation delay.
-func (l *Link) Delay() time.Duration { return l.delay }
-
 // SetDelay changes the propagation delay for future deliveries.
 func (l *Link) SetDelay(d time.Duration) { l.delay = d }
 
@@ -257,21 +254,4 @@ func (l *Link) serialization(size int) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(size*8) / l.rate * float64(time.Second))
-}
-
-// Duplex couples two links into a bidirectional pipe between two handlers.
-type Duplex struct {
-	AtoB *Link
-	BtoA *Link
-}
-
-// NewDuplex builds a symmetric duplex pipe: both directions share rate,
-// delay and options (each direction gets its own fresh DropTail queue unless
-// WithQueue is supplied, in which case both directions share that queue —
-// pass per-direction options via NewLink instead for asymmetric setups).
-func NewDuplex(sim *Sim, rate float64, d time.Duration, a, b Handler, opts ...LinkOption) *Duplex {
-	return &Duplex{
-		AtoB: NewLink(sim, rate, d, b, opts...),
-		BtoA: NewLink(sim, rate, d, a, opts...),
-	}
 }

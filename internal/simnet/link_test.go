@@ -14,8 +14,8 @@ func TestLinkSerializationAndDelay(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 1 {
-		t.Fatalf("delivered %d packets, want 1", col.Count())
+	if len(col.Packets) != 1 {
+		t.Fatalf("delivered %d packets, want 1", len(col.Packets))
 	}
 	if got, want := col.Times[0], 20*time.Millisecond; got != want {
 		t.Errorf("delivery at %v, want %v", got, want)
@@ -56,8 +56,8 @@ func TestLinkQueueDrops(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 3 {
-		t.Errorf("delivered %d, want 3", col.Count())
+	if len(col.Packets) != 3 {
+		t.Errorf("delivered %d, want 3", len(col.Packets))
 	}
 	if got := link.Stats().QueueDrops; got != 7 {
 		t.Errorf("queue drops = %d, want 7", got)
@@ -74,8 +74,8 @@ func TestLinkLossAllAndNone(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 0 {
-		t.Errorf("loss=1 delivered %d packets", col.Count())
+	if len(col.Packets) != 0 {
+		t.Errorf("loss=1 delivered %d packets", len(col.Packets))
 	}
 	if got := lossy.Stats().LostPackets; got != 50 {
 		t.Errorf("lost = %d, want 50", got)
@@ -90,8 +90,8 @@ func TestLinkLossAllAndNone(t *testing.T) {
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col2.Count() != 50 {
-		t.Errorf("loss=0 delivered %d packets, want 50", col2.Count())
+	if len(col2.Packets) != 50 {
+		t.Errorf("loss=0 delivered %d packets, want 50", len(col2.Packets))
 	}
 }
 
@@ -152,11 +152,11 @@ func TestLinkJitterReorders(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 100 {
-		t.Fatalf("delivered %d packets, want 100", col.Count())
+	if len(col.Packets) != 100 {
+		t.Fatalf("delivered %d packets, want 100", len(col.Packets))
 	}
 	overtaken := 0
-	for i := 1; i < col.Count(); i++ {
+	for i := 1; i < len(col.Packets); i++ {
 		if col.Packets[i].ID < col.Packets[i-1].ID {
 			overtaken++
 		}
@@ -206,8 +206,8 @@ func TestRouterAndDemux(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if colA.Count() != 1 || colB.Count() != 1 {
-		t.Errorf("colA=%d colB=%d, want 1 and 1", colA.Count(), colB.Count())
+	if len(colA.Packets) != 1 || len(colB.Packets) != 1 {
+		t.Errorf("colA=%d colB=%d, want 1 and 1", len(colA.Packets), len(colB.Packets))
 	}
 	if router.Dropped() != 1 {
 		t.Errorf("router dropped = %d, want 1", router.Dropped())
@@ -220,11 +220,10 @@ func TestDemuxFallbackAndDrop(t *testing.T) {
 	if d.Dropped() != 1 {
 		t.Errorf("dropped = %d, want 1", d.Dropped())
 	}
-	fb := &Sink{}
-	d.SetFallback(fb)
+	d.Register(9, &Sink{})
 	d.Handle(&Packet{Dst: 9})
-	if fb.N != 1 {
-		t.Errorf("fallback got %d, want 1", fb.N)
+	if d.Dropped() != 1 {
+		t.Errorf("dropped = %d after registering the destination, want still 1", d.Dropped())
 	}
 }
 
@@ -240,7 +239,7 @@ func TestNewPathChainsHops(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 1 {
+	if len(col.Packets) != 1 {
 		t.Fatal("packet not delivered")
 	}
 	if got, want := col.Times[0], 30*time.Millisecond; got != want {
@@ -284,8 +283,8 @@ func TestDropTailFIFOAndCompaction(t *testing.T) {
 func TestCollectorAndSink(t *testing.T) {
 	c := NewCollector(nil)
 	c.Handle(&Packet{Size: 7})
-	if c.Count() != 1 || c.Bytes != 7 {
-		t.Errorf("collector count=%d bytes=%d", c.Count(), c.Bytes)
+	if len(c.Packets) != 1 || c.Bytes != 7 {
+		t.Errorf("collector count=%d bytes=%d", len(c.Packets), c.Bytes)
 	}
 	var sk Sink
 	sk.Handle(&Packet{})
@@ -348,8 +347,8 @@ func TestLinkDuplicateClonesPayload(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Count() != 4 || l.Stats().FilterDups != 2 {
-		t.Fatalf("delivered %d packets with %d duplicates, want 4 and 2", col.Count(), l.Stats().FilterDups)
+	if len(col.Packets) != 4 || l.Stats().FilterDups != 2 {
+		t.Fatalf("delivered %d packets with %d duplicates, want 4 and 2", len(col.Packets), l.Stats().FilterDups)
 	}
 	a, b, c, d := col.Packets[0], col.Packets[1], col.Packets[2], col.Packets[3]
 	if a == b || a.ID != 1 || b.ID != 1 || a.Size != b.Size {
@@ -402,7 +401,7 @@ func TestLinkReleasesDroppedPayload(t *testing.T) {
 			t.Errorf("%s payload released %d times, want %d", c.name, c.r.releases, c.want)
 		}
 	}
-	if col.Count() != 2 {
-		t.Errorf("delivered %d packets, want 2", col.Count())
+	if len(col.Packets) != 2 {
+		t.Errorf("delivered %d packets, want 2", len(col.Packets))
 	}
 }

@@ -7,7 +7,6 @@ import "time"
 // their address.
 type Demux struct {
 	handlers map[Addr]Handler
-	fallback Handler
 	dropped  int64
 }
 
@@ -19,20 +18,10 @@ func NewDemux() *Demux {
 // Register binds addr to h, replacing any previous binding.
 func (d *Demux) Register(addr Addr, h Handler) { d.handlers[addr] = h }
 
-// SetFallback installs a handler for packets whose destination is unknown.
-func (d *Demux) SetFallback(h Handler) { d.fallback = h }
-
-// Dropped reports packets that had no handler and no fallback.
-func (d *Demux) Dropped() int64 { return d.dropped }
-
 // Handle routes pkt by destination address.
 func (d *Demux) Handle(pkt *Packet) {
 	if h, ok := d.handlers[pkt.Dst]; ok {
 		h.Handle(pkt)
-		return
-	}
-	if d.fallback != nil {
-		d.fallback.Handle(pkt)
 		return
 	}
 	d.dropped++
@@ -57,9 +46,6 @@ func (c *Collector) Handle(pkt *Packet) {
 		c.Times = append(c.Times, c.sim.Now())
 	}
 }
-
-// Count reports the number of packets received.
-func (c *Collector) Count() int { return len(c.Packets) }
 
 // Sink silently discards packets (a /dev/null endpoint).
 type Sink struct{ N int64 }

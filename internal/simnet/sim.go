@@ -79,36 +79,6 @@ func (e Event) Pending() bool {
 	return e.rec != nil && e.rec.gen == e.gen && !e.rec.firing
 }
 
-// Fired reports whether the event's callback ran. It stays true while the
-// callback runs and until the recycled record completes a subsequent
-// lifetime; after that the handle has expired and Fired reports false.
-func (e Event) Fired() bool {
-	r := e.rec
-	if r == nil {
-		return false
-	}
-	if r.gen == e.gen {
-		return r.firing
-	}
-	return r.gen == e.gen+1 && r.prevFired
-}
-
-// Cancelled reports whether Cancel stopped the event before it fired, with
-// the same one-completion freshness window as Fired.
-func (e Event) Cancelled() bool {
-	r := e.rec
-	return r != nil && r.gen == e.gen+1 && !r.prevFired
-}
-
-// At reports the simulated time the event is scheduled for (zero once the
-// handle has expired).
-func (e Event) At() time.Duration {
-	if e.rec != nil && e.rec.gen == e.gen {
-		return e.rec.at
-	}
-	return 0
-}
-
 // Sim is a discrete-event simulation instance.
 type Sim struct {
 	now      time.Duration
@@ -119,7 +89,6 @@ type Sim struct {
 	pktID    uint64
 	maxEvent int
 
-	scheduled uint64
 	fired     uint64
 	cancelled uint64
 }
@@ -177,7 +146,6 @@ func (s *Sim) ScheduleStamped(t time.Duration, stamp uint64, fn func()) Event {
 	}
 	r.at, r.seq, r.fn = t, stamp, fn
 	s.heapPush(r)
-	s.scheduled++
 	return Event{rec: r, gen: r.gen}
 }
 
@@ -227,25 +195,16 @@ func (s *Sim) RunUntil(t time.Duration) error {
 	return nil
 }
 
-// SetEventLimit overrides the runaway-loop protection limit.
-func (s *Sim) SetEventLimit(n int) { s.maxEvent = n }
-
 // Pending reports the number of live queued events. Cancelled events leave
 // the queue immediately, so Pending is exactly the number of timers and
 // deliveries still armed — the quiescence and leak-detection signal.
 func (s *Sim) Pending() int { return len(s.events) }
-
-// TotalScheduled reports how many events have ever been scheduled.
-func (s *Sim) TotalScheduled() uint64 { return s.scheduled }
 
 // TotalFired reports how many event callbacks have run.
 func (s *Sim) TotalFired() uint64 { return s.fired }
 
 // TotalCancelled reports how many events were cancelled before firing.
 func (s *Sim) TotalCancelled() uint64 { return s.cancelled }
-
-// poolSize reports the free-list length (test hook for the pooling pin).
-func (s *Sim) poolSize() int { return len(s.free) }
 
 // NextPacketID returns a process-unique packet identifier.
 func (s *Sim) NextPacketID() uint64 {

@@ -150,15 +150,6 @@ func (s *Sender) Start() {
 	s.trySend()
 }
 
-// Cwnd returns the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// AckedBytes reports the number of cumulatively acknowledged payload bytes.
-func (s *Sender) AckedBytes() int64 { return s.sndUna * MSS }
-
-// Completed reports whether a bounded transfer has fully finished.
-func (s *Sender) Completed() bool { return s.done }
-
 func (s *Sender) inFlight() int64 { return s.nextSeq - s.sndUna }
 
 func (s *Sender) traceCwnd() {
@@ -354,9 +345,6 @@ func (s *Sender) clamp() {
 		s.cwnd = s.maxCwnd
 	}
 }
-
-// SRTT exposes the smoothed RTT estimate.
-func (s *Sender) SRTT() time.Duration { return s.rtt.Smoothed() }
 
 // Receiver is the receiving half: it consumes KindData packets via Handle,
 // delivers in-order payload to its goodput sampler, and emits cumulative

@@ -35,14 +35,6 @@ func (s *Series) Add(t time.Duration, v float64) {
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Last returns the most recent value, or 0 if the series is empty.
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
 // At returns the value of the most recent sample at or before t, or 0 if no
 // sample precedes t.
 func (s *Series) At(t time.Duration) float64 {
@@ -54,18 +46,6 @@ func (s *Series) At(t time.Duration) float64 {
 	return s.Values[i-1]
 }
 
-// Mean returns the arithmetic mean of all values (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
 // Max returns the maximum value (0 for an empty series).
 func (s *Series) Max() float64 {
 	if len(s.Values) == 0 {
@@ -74,20 +54,6 @@ func (s *Series) Max() float64 {
 	m := s.Values[0]
 	for _, v := range s.Values[1:] {
 		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum value (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	m := s.Values[0]
-	for _, v := range s.Values[1:] {
-		if v < m {
 			m = v
 		}
 	}
@@ -137,24 +103,6 @@ func (d *DurStats) Mean() time.Duration {
 	return sum / time.Duration(len(d.samples))
 }
 
-// Min returns the smallest sample (0 when empty).
-func (d *DurStats) Min() time.Duration {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[0]
-}
-
-// Max returns the largest sample (0 when empty).
-func (d *DurStats) Max() time.Duration {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.sort()
-	return d.samples[len(d.samples)-1]
-}
-
 // Percentile returns the p-th percentile using the nearest-rank method.
 // It returns 0 when the set is empty; p is clamped into [0, 100], with
 // NaN treated as 0, so out-of-range requests degrade to Min/Max instead
@@ -183,21 +131,6 @@ func (d *DurStats) Percentile(p float64) time.Duration {
 		rank = n
 	}
 	return d.samples[rank-1]
-}
-
-// Stddev returns the population standard deviation of the samples.
-func (d *DurStats) Stddev() time.Duration {
-	n := len(d.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(d.Mean())
-	var ss float64
-	for _, v := range d.samples {
-		diff := float64(v) - mean
-		ss += diff * diff
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
 }
 
 func (d *DurStats) sort() {
@@ -249,36 +182,6 @@ func (tp *Throughput) Series(name string) *Series {
 	}
 	return s
 }
-
-// TotalBytes reports the total number of bytes recorded.
-func (tp *Throughput) TotalBytes() int64 {
-	var sum int64
-	for _, b := range tp.bytes {
-		sum += b
-	}
-	return sum
-}
-
-// MeanRate reports the average rate in bits/s between time 0 and the last
-// recorded sample (0 if nothing was recorded).
-func (tp *Throughput) MeanRate() float64 {
-	if tp.maxTm == 0 {
-		return 0
-	}
-	return float64(tp.TotalBytes()) * 8 / tp.maxTm.Seconds()
-}
-
-// Counter is a named monotonically increasing counter.
-type Counter struct {
-	Name string
-	N    int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.N++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.N += n }
 
 // Mbps formats a bits/s value as "X.XX Mb/s".
 func Mbps(bps float64) string {

@@ -103,22 +103,6 @@ func TestDurStats(t *testing.T) {
 	}
 }
 
-func TestDurStatsStddev(t *testing.T) {
-	var d DurStats
-	d.Observe(10 * time.Millisecond)
-	if d.Stddev() != 0 {
-		t.Errorf("single-sample stddev should be 0")
-	}
-	d.Observe(10 * time.Millisecond)
-	if d.Stddev() != 0 {
-		t.Errorf("constant samples stddev should be 0, got %v", d.Stddev())
-	}
-	d.Observe(40 * time.Millisecond)
-	if d.Stddev() == 0 {
-		t.Errorf("spread samples should have nonzero stddev")
-	}
-}
-
 // Percentile must always return one of the observed samples and be monotone
 // in p.
 func TestDurStatsPercentileProperty(t *testing.T) {
@@ -246,12 +230,6 @@ func TestThroughputDefaults(t *testing.T) {
 }
 
 func TestCounterAndMbps(t *testing.T) {
-	c := Counter{Name: "drops"}
-	c.Inc()
-	c.Add(4)
-	if c.N != 5 {
-		t.Errorf("counter = %d, want 5", c.N)
-	}
 	if got := Mbps(12_340_000); got != "12.34 Mb/s" {
 		t.Errorf("Mbps = %q", got)
 	}

@@ -23,7 +23,7 @@ import (
 // build tags.
 func TestWireGoroutineSites(t *testing.T) {
 	allowed := map[string]int{"packetconn.go": 1, "demux.go": 1}
-	timers := map[string]int{"conn.go": 1, "session.go": 3, "mux.go": 2, "pathset.go": 2, "pathrouter.go": 1}
+	timers := map[string]int{"conn.go": 1, "session.go": 3, "pathset.go": 2, "pathrouter.go": 1}
 	// The names of the paths this model replaced, split so a grep for them
 	// finds live code only.
 	banned := map[string]string{

@@ -195,8 +195,6 @@ type frameQueue struct {
 
 func (q *frameQueue) empty() bool { return q.head >= len(q.buf) }
 
-func (q *frameQueue) len() int { return len(q.buf) - q.head }
-
 func (q *frameQueue) push(f outFrame) { q.buf = append(q.buf, f) }
 
 func (q *frameQueue) pop() outFrame {
@@ -585,13 +583,6 @@ func (c *Conn) onDeadline() {
 	}
 	c.armLocked(next, now)
 	c.mu.Unlock()
-}
-
-// State reports the current liveness judgement.
-func (c *Conn) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
 }
 
 // LastActivity reports when the last authenticated frame arrived from the
@@ -1006,19 +997,6 @@ func (c *Conn) emptyBandsLocked() bool {
 		}
 	}
 	return true
-}
-
-// QueuedFrames reports how many frames are waiting in the pacing bands —
-// the sender-side backlog a saturation workload watches to keep the pipe
-// full without unbounded queue growth.
-func (c *Conn) QueuedFrames() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for b := range c.bands {
-		n += c.bands[b].len()
-	}
-	return n
 }
 
 // handleDatagram parses and processes one inbound datagram. It is the

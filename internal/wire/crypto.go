@@ -122,21 +122,6 @@ func (s *sealer) appendSealedFrame(dst []byte, h Header, payload []byte) ([]byte
 	return s.aead.Seal(dst, nonce, payload, aad), nil
 }
 
-// headerAAD renders the header bytes used as associated data. It must
-// match the header bytes of the final frame except the payload length
-// field (which describes the sealed length and is therefore written
-// after sealing); the length is excluded from authentication. Both the
-// legacy and the traced layouts keep the payload length as the last two
-// header bytes, so stripping them works for every version — and the trace
-// ids and the acknowledgement block are authenticated along with the rest.
-func headerAAD(h Header) []byte {
-	frame, err := AppendFrame(nil, h, nil)
-	if err != nil {
-		return nil
-	}
-	return frame[:headerLen(h)-2] // strip the 2-byte payload length
-}
-
 // aadPool recycles the scratch buffers openInPlace renders associated
 // data into. The AAD is at most a traced header with a full
 // acknowledgement block, but passing a stack array through the cipher.AEAD
@@ -172,28 +157,6 @@ func (s *sealer) openInPlace(h Header, sealed []byte) ([]byte, error) {
 	aad := renderAAD(*aadBuf, h)
 	plain, err := s.aead.Open(sealed[nonceLen:nonceLen], sealed[:nonceLen], sealed[nonceLen:], aad)
 	aadPool.Put(aadBuf)
-	if err != nil {
-		return nil, ErrAuthFailed
-	}
-	return plain, nil
-}
-
-// seal encrypts payload under a fresh nonce, binding the header, and
-// returns nonce||ciphertext||tag in a fresh buffer. The fast path uses
-// appendSealedFrame instead; this form remains for tests and tools that
-// want the sealed payload alone.
-func (s *sealer) seal(h Header, payload []byte) ([]byte, error) {
-	out := make([]byte, nonceLen, nonceLen+len(payload)+gcmTagLen)
-	s.putNonce(out[:nonceLen])
-	return s.aead.Seal(out, out[:nonceLen], payload, headerAAD(h)), nil
-}
-
-// open authenticates and decrypts a sealed payload.
-func (s *sealer) open(h Header, sealed []byte) ([]byte, error) {
-	if len(sealed) < sealedOver {
-		return nil, ErrAuthFailed
-	}
-	plain, err := s.aead.Open(nil, sealed[:nonceLen], sealed[nonceLen:], headerAAD(h))
 	if err != nil {
 		return nil, ErrAuthFailed
 	}

@@ -19,7 +19,7 @@ import (
 // first in debug builds, so a callback that retains the slice fails
 // deterministically). A packet is therefore accounted exactly once:
 // enqueued and later delivered, or dropped at ingest (queue full,
-// oversized datagram), or swept at teardown — DemuxStats exposes the
+// oversized datagram), or swept at teardown: the counters below hold the
 // conservation identity enqueued == delivered + sweep.
 type shardDemux struct {
 	pc     PacketConn
@@ -35,15 +35,6 @@ type shardDemux struct {
 	droppedFull     atomic.Int64
 	droppedOversize atomic.Int64
 	sweep           atomic.Int64
-}
-
-// DemuxStats is a snapshot of the demux packet accounting.
-type DemuxStats struct {
-	Enqueued        int64 // packets copied into a shard queue
-	Delivered       int64 // packets handed to a shard's recv callback
-	DroppedFull     int64 // shard queue full at ingest
-	DroppedOversize int64 // datagram larger than a delivery buffer
-	Sweep           int64 // queued at teardown, recycled undelivered
 }
 
 // demuxQueueLen bounds each shard's delivery queue: one slow shard drops
@@ -132,17 +123,6 @@ func (d *shardDemux) ingest(pkt []byte, from *net.UDPAddr, _ int) {
 	default:
 		demuxBufPool.Put(buf)
 		d.droppedFull.Add(1)
-	}
-}
-
-// Stats snapshots the demux packet accounting.
-func (d *shardDemux) Stats() DemuxStats {
-	return DemuxStats{
-		Enqueued:        d.enqueued.Load(),
-		Delivered:       d.delivered.Load(),
-		DroppedFull:     d.droppedFull.Load(),
-		DroppedOversize: d.droppedOversize.Load(),
-		Sweep:           d.sweep.Load(),
 	}
 }
 

@@ -7,6 +7,7 @@ package wire_test
 // the former wall-clock keepalive tests.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -126,7 +127,7 @@ func TestSimDeliveryInvariants(t *testing.T) {
 			prof := lossless
 			prof.Loss = tc.loss
 			serverEp := s.Net.NewEndpoint("server", prof)
-			checker := marsim.NewSeqChecker(tc.strict)
+			checker := NewSeqChecker(tc.strict)
 			server, err := wire.ListenVia(serverEp, wire.Config{
 				Clock:     s.Clock,
 				OnMessage: checker.Wrap(nil),
@@ -170,3 +171,57 @@ func TestSimDeliveryInvariants(t *testing.T) {
 		})
 	}
 }
+
+// SeqChecker is the per-stream delivery invariant: no sequence number is
+// ever delivered twice, and with Strict set (loss-free paths, where no
+// retransmission can overtake newer data) sequence numbers are strictly
+// increasing per stream.
+type SeqChecker struct {
+	Strict bool
+	seen   map[uint16]map[int64]bool
+	last   map[uint16]int64
+	errs   []string
+}
+
+// NewSeqChecker builds a checker; wrap the stack's OnMessage with Wrap.
+func NewSeqChecker(strict bool) *SeqChecker {
+	return &SeqChecker{
+		Strict: strict,
+		seen:   make(map[uint16]map[int64]bool),
+		last:   make(map[uint16]int64),
+	}
+}
+
+// Wrap interposes the checker before next (next may be nil).
+func (sc *SeqChecker) Wrap(next func(wire.Message)) func(wire.Message) {
+	return func(m wire.Message) {
+		if s := sc.seen[m.Stream]; s == nil {
+			sc.seen[m.Stream] = map[int64]bool{m.Seq: true}
+			sc.last[m.Stream] = m.Seq
+		} else if s[m.Seq] {
+			sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d delivered twice", m.Stream, m.Seq))
+		} else {
+			s[m.Seq] = true
+			if sc.Strict && m.Seq <= sc.last[m.Stream] {
+				sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d after %d", m.Stream, m.Seq, sc.last[m.Stream]))
+			}
+			if m.Seq > sc.last[m.Stream] {
+				sc.last[m.Stream] = m.Seq
+			}
+		}
+		if next != nil {
+			next(m)
+		}
+	}
+}
+
+// Err reports every violation observed, or nil.
+func (sc *SeqChecker) Err() error {
+	if len(sc.errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("seq invariant: %d violations, first: %s", len(sc.errs), sc.errs[0])
+}
+
+// Delivered reports how many distinct seqs arrived on stream id.
+func (sc *SeqChecker) Delivered(stream uint16) int { return len(sc.seen[stream]) }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"slices"
 	"sync"
-	"time"
 
 	"marnet/internal/vclock"
 )
@@ -22,21 +20,13 @@ type Mux struct {
 	// when a new peer's first datagram arrives; returning a Config with a
 	// nil OnMessage is fine (data is still acked).
 	configFor func(peer *net.UDPAddr) Config
-	// OnConn, when set, is invoked for every newly accepted peer. Set it
-	// via SetOnConn (or before any client traffic arrives).
-	OnConn func(conn *Conn, peer *net.UDPAddr)
 
-	idleTimeout time.Duration
-
-	mu           sync.Mutex
-	conns        map[netip.AddrPort]*Conn // keyed by PeerKey
-	onConnClosed func(conn *Conn, peer *net.UDPAddr)
-	closed       bool
-	evictTimer   vclock.Timer
+	mu     sync.Mutex
+	conns  map[netip.AddrPort]*Conn // keyed by PeerKey
+	closed bool
 
 	// Stats (guarded by mu).
 	Accepted int64
-	Evicted  int64 // peers closed by idle eviction
 }
 
 // PeerKey is the comparable form of a peer address, the key of every
@@ -51,16 +41,8 @@ func PeerKey(addr *net.UDPAddr) netip.AddrPort {
 // MuxOption configures a Mux at listen time.
 type MuxOption func(*Mux)
 
-// WithIdleTimeout enables idle-peer eviction: a peer that has sent nothing
-// (not even a keepalive) for d is closed and removed, so an offloading
-// server's per-peer state tracks its live population instead of every
-// address that ever appeared.
-func WithIdleTimeout(d time.Duration) MuxOption {
-	return func(m *Mux) { m.idleTimeout = d }
-}
-
-// WithMuxClock injects the clock driving idle eviction and every per-peer
-// connection whose Config leaves Clock nil. Defaults to the system clock.
+// WithMuxClock injects the clock driving every per-peer connection whose
+// Config leaves Clock nil. Defaults to the system clock.
 func WithMuxClock(clock vclock.Clock) MuxOption {
 	return func(m *Mux) { m.clock = clock }
 }
@@ -99,68 +81,8 @@ func ListenMuxVia(pc PacketConn, configFor func(peer *net.UDPAddr) Config, opts 
 	for _, opt := range opts {
 		opt(m)
 	}
-	if m.idleTimeout > 0 {
-		m.mu.Lock()
-		m.evictTimer = m.clock.AfterFunc(m.evictPeriod(), m.evictFire)
-		m.mu.Unlock()
-	}
 	m.pc.Start(m.route)
 	return m, nil
-}
-
-// SetOnConn installs the new-peer callback race-free.
-func (m *Mux) SetOnConn(fn func(conn *Conn, peer *net.UDPAddr)) {
-	m.mu.Lock()
-	m.OnConn = fn
-	m.mu.Unlock()
-}
-
-// SetOnConnClosed installs a callback fired whenever a registered peer
-// connection is closed and removed — by idle eviction or by an explicit
-// Close on the peer's Conn. It does not fire during Mux.Close teardown.
-// Layers that key per-peer state on the mux (e.g. an RPC server) use this
-// to drop their entries instead of leaking one per departed address.
-func (m *Mux) SetOnConnClosed(fn func(conn *Conn, peer *net.UDPAddr)) {
-	m.mu.Lock()
-	m.onConnClosed = fn
-	m.mu.Unlock()
-}
-
-func (m *Mux) evictPeriod() time.Duration {
-	period := m.idleTimeout / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	return period
-}
-
-// evictFire closes peers that have been silent longer than idleTimeout and
-// re-arms itself. Peers are scanned in address order so eviction order is
-// deterministic under a virtual clock.
-func (m *Mux) evictFire() {
-	var idle []*Conn
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	keys := make([]netip.AddrPort, 0, len(m.conns))
-	for k := range m.conns {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, netip.AddrPort.Compare)
-	for _, k := range keys {
-		c := m.conns[k]
-		if m.clock.Since(c.LastActivity()) > m.idleTimeout {
-			idle = append(idle, c)
-			m.Evicted++
-		}
-	}
-	m.evictTimer = m.clock.AfterFunc(m.evictPeriod(), m.evictFire)
-	m.mu.Unlock()
-	for _, c := range idle {
-		c.Close() //nolint:errcheck // eviction is best-effort
-	}
 }
 
 // LocalAddr returns the bound address.
@@ -188,10 +110,6 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
-	if m.evictTimer != nil {
-		m.evictTimer.Stop()
-		m.evictTimer = nil
-	}
 	conns := make([]*Conn, 0, len(m.conns))
 	for _, c := range m.conns {
 		conns = append(conns, c)
@@ -250,11 +168,7 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 	}
 	m.conns[key] = c
 	m.Accepted++
-	onConn := m.OnConn
 	m.mu.Unlock()
-	if onConn != nil {
-		onConn(c, raddr)
-	}
 	return c
 }
 
@@ -263,15 +177,10 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 // losing the accept race must not evict the winner.
 func (m *Mux) dropConn(key netip.AddrPort, c *Conn) {
 	m.mu.Lock()
-	var closed func(*Conn, *net.UDPAddr)
 	if m.conns[key] == c {
 		delete(m.conns, key)
-		closed = m.onConnClosed
 	}
 	m.mu.Unlock()
-	if closed != nil {
-		closed(c, c.peer)
-	}
 }
 
 // newMuxConn builds a per-peer Conn that shares the mux transport.

@@ -193,38 +193,38 @@ func TestMuxCloseIdempotentAndValidation(t *testing.T) {
 	}
 }
 
+// A new peer's first datagram registers one Conn for it.
 func TestMuxOnConnCallback(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	mux, err := ListenMux("127.0.0.1:0", func(*net.UDPAddr) Config { return Config{} })
+	var peers []string
+	mux, err := ListenMux("127.0.0.1:0", func(peer *net.UDPAddr) Config {
+		peers = append(peers, peer.String()) // on the mux's one reader
+		return Config{}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mux.Close()
-	mux.SetOnConn(func(_ *Conn, peer *net.UDPAddr) {
-		mu.Lock()
-		seen = append(seen, peer.String())
-		mu.Unlock()
-	})
 	cl, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	cl.Send(1, []byte("x")) //nolint:errcheck
-	if !waitFor(t, 2*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(seen) == 1
-	}) {
-		t.Fatal("OnConn never fired")
+	if !waitFor(t, 2*time.Second, func() bool { return len(mux.Conns()) == 1 }) {
+		t.Fatal("new peer never accepted")
+	}
+	mux.mu.Lock()
+	accepted := mux.Accepted
+	mux.mu.Unlock()
+	if accepted != 1 || len(peers) != 1 || peers[0] != mux.Conns()[0].peer.String() {
+		t.Fatalf("accepted %d, configured %v, want the one peer once", accepted, peers)
 	}
 }
 
 // A handler may close its own conn: the mux delivers on the transport's
 // reader, so Close has no delivery goroutine of the conn's to wait for. It
-// returns at once, the closed-conn callback fires, and the mux goes on
-// serving other peers.
+// returns at once, the conn leaves the mux's peer table, and the mux goes
+// on serving other peers.
 func TestMuxConnClosesItselfFromOnMessage(t *testing.T) {
 	rx := newMuxCollector()
 	var once sync.Once
@@ -247,14 +247,6 @@ func TestMuxConnClosesItselfFromOnMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mux.Close()
-	dropped := make(chan struct{}, 1)
-	mux.SetOnConnClosed(func(*Conn, *net.UDPAddr) {
-		select {
-		case dropped <- struct{}{}:
-		default:
-		}
-	})
-
 	first, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams(), StartBudget: 5e6})
 	if err != nil {
 		t.Fatal(err)
@@ -266,10 +258,8 @@ func TestMuxConnClosesItselfFromOnMessage(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Conn.Close called from its own OnMessage never returned")
 	}
-	select {
-	case <-dropped:
-	case <-time.After(2 * time.Second):
-		t.Fatal("SetOnConnClosed never fired for the self-closed conn")
+	if !waitFor(t, 2*time.Second, func() bool { return len(mux.Conns()) == 0 }) {
+		t.Fatal("the self-closed conn never left the peer table")
 	}
 
 	second, err := Dial(mux.LocalAddr().String(), Config{Streams: clientStreams(), StartBudget: 5e6})

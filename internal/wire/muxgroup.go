@@ -96,24 +96,12 @@ func newDemuxGroup(pc PacketConn, shards int, configFor func(peer *net.UDPAddr) 
 // Shards reports the number of shards (muxes) in the group.
 func (g *MuxGroup) Shards() int { return len(g.muxes) }
 
-// Mux returns shard i's mux.
-func (g *MuxGroup) Mux(i int) *Mux { return g.muxes[i] }
-
 // Muxes returns the per-shard muxes in shard order.
 func (g *MuxGroup) Muxes() []*Mux { return g.muxes }
 
 // ReusePort reports whether the group runs socket-per-shard (true) or
 // over the hashing-demux fallback / a single mux (false).
 func (g *MuxGroup) ReusePort() bool { return g.demux == nil && len(g.muxes) > 1 }
-
-// DemuxStats returns the fallback demux packet accounting (zero-valued on
-// the reuseport and single-shard paths).
-func (g *MuxGroup) DemuxStats() DemuxStats {
-	if g.demux == nil {
-		return DemuxStats{}
-	}
-	return g.demux.Stats()
-}
 
 // LocalAddr reports the bound address (shared by every shard).
 func (g *MuxGroup) LocalAddr() *net.UDPAddr {
@@ -130,17 +118,6 @@ func (g *MuxGroup) Conns() []*Conn {
 		out = append(out, m.Conns()...)
 	}
 	return out
-}
-
-// Stats sums the per-shard mux counters.
-func (g *MuxGroup) Stats() (accepted, evicted int64) {
-	for _, m := range g.muxes {
-		m.mu.Lock()
-		accepted += m.Accepted
-		evicted += m.Evicted
-		m.mu.Unlock()
-	}
-	return
 }
 
 // Close shuts every shard down. On the demux path the last shard's close

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"marnet/internal/obs"
 	"marnet/internal/vclock"
 )
 
@@ -470,19 +469,4 @@ func (r *PathRouter) Stats() RouterStats {
 		out.FECUnrepaired += s.rx.Unrepaired
 	}
 	return out
-}
-
-// PublishMetrics registers the router's counters on an observability
-// registry.
-func (r *PathRouter) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("mar_router_sessions", func() float64 { return float64(r.Stats().Sessions) }, labels...)
-	reg.CounterFunc("mar_router_probes_answered_total", func() int64 { return r.Stats().ProbesAnswered }, labels...)
-	reg.CounterFunc("mar_router_path_data_total", func() int64 { return r.Stats().PathData }, labels...)
-	reg.CounterFunc("mar_router_passthrough_total", func() int64 { return r.Stats().Passthrough }, labels...)
-	reg.CounterFunc("mar_router_parity_sent_total", func() int64 { return r.Stats().ParitySent }, labels...)
-	reg.CounterFunc("mar_router_fec_repaired_total", func() int64 { return r.Stats().FECRepaired }, labels...)
-	reg.CounterFunc("mar_router_fec_unrepaired_total", func() int64 { return r.Stats().FECUnrepaired }, labels...)
 }

@@ -886,28 +886,3 @@ func (ps *PathSet) Stats() PathSetStats {
 	}
 	return out
 }
-
-// PublishMetrics registers per-path gauges and set-level counters on an
-// observability registry. Each path gets a path="<name>" label.
-func (ps *PathSet) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("mar_path_failover_frames_total", func() int64 { return ps.Stats().FailoverFrames }, labels...)
-	reg.CounterFunc("mar_path_parity_sent_total", func() int64 { return ps.Stats().ParitySent }, labels...)
-	reg.CounterFunc("mar_path_fec_repaired_total", func() int64 { return ps.Stats().FECRepaired }, labels...)
-	reg.CounterFunc("mar_path_fec_unrepaired_total", func() int64 { return ps.Stats().FECUnrepaired }, labels...)
-	for i, p := range ps.paths {
-		idx := i
-		ls := append(append([]obs.Label(nil), labels...), obs.L("path", p.name))
-		at := func() PathStats { return ps.Stats().Paths[idx] }
-		reg.GaugeFunc("mar_path_srtt_seconds", func() float64 { return at().SRTT.Seconds() }, ls...)
-		reg.GaugeFunc("mar_path_loss_rate", func() float64 { return at().Loss }, ls...)
-		reg.GaugeFunc("mar_path_delivery_bytes_per_sec", func() float64 { return at().DeliveryRate }, ls...)
-		reg.GaugeFunc("mar_path_state", func() float64 { return float64(at().State) }, ls...)
-		reg.CounterFunc("mar_path_sent_frames_total", func() int64 { return at().SentFrames }, ls...)
-		reg.CounterFunc("mar_path_probes_sent_total", func() int64 { return at().ProbesSent }, ls...)
-		reg.CounterFunc("mar_path_probes_acked_total", func() int64 { return at().ProbesAcked }, ls...)
-		reg.CounterFunc("mar_path_downs_total", func() int64 { return at().Downs }, ls...)
-	}
-}

@@ -38,54 +38,6 @@ func (r *stateRecorder) saw(want State) bool {
 // they run the identical Conn code on the virtual clock with exact-timing
 // assertions instead of wall sleeps and scheduling slack.
 
-func TestMuxIdleEvictionFiresOnConnClosed(t *testing.T) {
-	var rx collector
-	mux, err := ListenMux("127.0.0.1:0", func(*net.UDPAddr) Config {
-		return Config{OnMessage: rx.add}
-	}, WithIdleTimeout(120*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mux.Close()
-
-	var closedMu sync.Mutex
-	closedPeers := 0
-	mux.SetOnConnClosed(func(*Conn, *net.UDPAddr) {
-		closedMu.Lock()
-		closedPeers++
-		closedMu.Unlock()
-	})
-
-	client, err := Dial(mux.LocalAddr().String(), Config{
-		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e6}},
-		StartBudget: 5e6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.Send(1, []byte("hi")) //nolint:errcheck
-	if !waitFor(t, 2*time.Second, func() bool { return len(mux.Conns()) == 1 }) {
-		t.Fatal("peer never accepted")
-	}
-	// Client goes silent (no keepalive): the mux must evict it.
-	if !waitFor(t, 2*time.Second, func() bool { return len(mux.Conns()) == 0 }) {
-		t.Fatal("idle peer never evicted")
-	}
-	closedMu.Lock()
-	n := closedPeers
-	closedMu.Unlock()
-	if n != 1 {
-		t.Errorf("OnConnClosed fired %d times, want 1", n)
-	}
-	mux.mu.Lock()
-	evicted := mux.Evicted
-	mux.mu.Unlock()
-	if evicted != 1 {
-		t.Errorf("Evicted = %d, want 1", evicted)
-	}
-}
-
 func TestSessionResumesThroughBlackholePreservingSeqs(t *testing.T) {
 	// Server behind a mux, client behind a chaos relay. The relay's address
 	// is the peer the server sees, so its per-peer receive state (the dup

@@ -288,21 +288,6 @@ func (s *Session) Conn() *Conn {
 	return s.conn
 }
 
-// State reports the session's liveness: Dead from outage detection until
-// the resumed path demonstrably carries frames again.
-func (s *Session) State() State {
-	s.mu.Lock()
-	conn, closed, down := s.conn, s.closed, s.down
-	s.mu.Unlock()
-	if closed {
-		return StateClosed
-	}
-	if down {
-		return StateDead
-	}
-	return conn.State()
-}
-
 // Stats returns the current connection's stream stats. Counters restart
 // from zero after a resumption (sequence numbers do not).
 func (s *Session) Stats(streamID uint16) StreamStats {
@@ -330,23 +315,6 @@ func (s *Session) LossRate() float64 {
 	conn := s.conn
 	s.mu.Unlock()
 	return conn.LossRate()
-}
-
-// PublishMetrics exposes the session's controller signals on an obs
-// registry as read-through gauges that always follow the *current*
-// connection — unlike Conn.PublishMetrics, whose closures go stale when
-// the session resumes onto a fresh connection:
-//
-//	mar_wire_session_srtt_seconds     smoothed RTT
-//	mar_wire_session_loss_rate        smoothed per-transmission loss rate
-//	mar_wire_session_reconnects_total resumption count
-func (s *Session) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("mar_wire_session_srtt_seconds", func() float64 { return s.SRTT().Seconds() }, labels...)
-	reg.GaugeFunc("mar_wire_session_loss_rate", s.LossRate, labels...)
-	reg.CounterFunc("mar_wire_session_reconnects_total", s.Reconnects, labels...)
 }
 
 // Reconnects reports how many times the session resumed.
