@@ -11,11 +11,11 @@ RACE_PKGS = ./internal/wire/... ./internal/rpc/... ./internal/faults/... ./inter
 # Per-fuzzer budget for the smoke pass wired into ci.
 FUZZTIME ?= 10s
 
-.PHONY: all ci fmt vet build test benchmark-check allocs race sim examples chaos overload fuzz bench-smoke bench bench-pair loc clean
+.PHONY: all ci fmt vet build test benchmark-check allocs guards race sim examples chaos overload fuzz bench-smoke bench bench-pair loc clean
 
 all: ci
 
-ci: fmt vet build test benchmark-check allocs race sim examples bench-smoke bench fuzz
+ci: fmt vet build test benchmark-check allocs guards race sim examples bench-smoke bench fuzz
 
 # Fails when any file is not gofmt-clean (gofmt itself exits 0 either way).
 fmt:
@@ -51,6 +51,19 @@ allocs:
 	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/ ./internal/rpc/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
 	for t in $$(echo '$(ALLOC_PINS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "allocation pin $$t did not run"; exit 1; }; done
+
+# The invariants a tool checks rather than a reviewer, by name: no function
+# and no struct field that only tests use (reach_test.go, guards_test.go,
+# each proved non-vacuous on testdata/reach), every …Locked call under its
+# lock, no wall-clock read in a package the simulator hosts, one RTT
+# estimator, and wire's goroutine, timer and write-path budget. They also
+# run in `test`; this target is the list, and fails if one of them is
+# renamed away.
+GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestWireGoroutineSites
+guards:
+	@out="$$($(GO) test -count=1 -v -run '^($(GUARDS))$$' . ./internal/wire/)"; rc=$$?; \
+	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
+	for t in $$(echo '$(GUARDS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "guard $$t did not run"; exit 1; }; done
 
 race:
 	$(GO) test -race $(RACE_PKGS)

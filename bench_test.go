@@ -250,7 +250,7 @@ func glimpseRun(seed int64, perFrame float64, maxDrift int64, dur time.Duration)
 		panic(err)
 	}
 	x0, y0 := truth(0)
-	tracker := vision.NewTracker(frame(0), x0, y0, 10, 14, 0.7)
+	tr := newTracker(frame(0), x0, y0, 10, 14, 0.7)
 	var g glimpse
 	var sumSq float64
 	var fixes trace.DurStats
@@ -263,11 +263,11 @@ func glimpseRun(seed int64, perFrame float64, maxDrift int64, dur time.Duration)
 			cur = i
 			f := frame(i)
 			sim.Schedule(track, func() {
-				x, y, score := tracker.Update(f)
+				x, y, score := tr.update(f)
 				tx, ty := truth(i)
 				sumSq += float64((x-tx)*(x-tx) + (y-ty)*(y-ty))
 				g.tracked++
-				if inflight || !(tracker.Lost() || score < 0.7 || i-lastFix >= maxDrift) {
+				if inflight || !(tr.lost || score < 0.7 || i-lastFix >= maxDrift) {
 					return
 				}
 				inflight, lastFix = true, i
@@ -277,7 +277,7 @@ func glimpseRun(seed int64, perFrame float64, maxDrift int64, dur time.Duration)
 					if err == nil {
 						fixes.Observe(lat)
 						tx, ty := truth(cur)
-						tracker.Reacquire(frame(cur), tx, ty)
+						tr.reacquire(frame(cur), tx, ty)
 					}
 				})
 			})

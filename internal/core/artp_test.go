@@ -15,8 +15,8 @@ import (
 
 // session is a single-path ARTP client->server session over a duplex link.
 type session struct {
-	sim *simnet.Sim
-	up  *simnet.Link
+	sim      *simnet.Sim
+	up, down *simnet.Link
 	*marsim.LinkSession
 }
 
@@ -26,7 +26,7 @@ func newSession(t *testing.T, upRate, downRate float64, delay time.Duration, str
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	up := simnet.NewLink(sim, upRate, delay, serverMux, opts...)
 	down := simnet.NewLink(sim, downRate, delay, clientMux, opts...)
-	return &session{sim: sim, up: up, LinkSession: marsim.DialLinks(sim, 1, up, down, clientMux, serverMux,
+	return &session{sim: sim, up: up, down: down, LinkSession: marsim.DialLinks(sim, 1, up, down, clientMux, serverMux,
 		wire.Config{StartBudget: upRate, Streams: streams})} // start at link rate for test speed
 }
 
@@ -61,8 +61,9 @@ func TestEndToEndDelivery(t *testing.T) {
 	if max := rs.Latency.Percentile(100); max > 100*time.Millisecond {
 		t.Errorf("max latency %v too high for a clean 5ms link", max)
 	}
-	// The server sends no data, so it acknowledges every frame on its own.
-	if acked, _ := s.Server.AckStats(); acked != 100 {
+	// The server sends no data, so it acknowledges every frame on its own:
+	// one pure-ack datagram each, and nothing else.
+	if acked := s.down.Stats().SentPackets; acked != 100 {
 		t.Errorf("acked = %d, want 100", acked)
 	}
 	if retx := s.Client.Stats(1).Retx; retx != 0 {
@@ -189,7 +190,7 @@ func TestAllocationFollowsPriorityOrder(t *testing.T) {
 	gotLow := -1.0
 	// The low-priority stream is declared first and has the lower id: the
 	// budget still funds the high-priority one first.
-	conn, err := wire.DialVia(marsim.NewLinkEndpoint(sim, 1, &simnet.Sink{}), marsim.LinkAddr(2), wire.Config{
+	conn, err := wire.DialVia(marsim.NewLinkEndpoint(1, &simnet.Sink{}), marsim.LinkAddr(2), wire.Config{
 		Clock: marsim.NewClock(sim), StartBudget: 1e6, Streams: []wire.StreamSpec{
 			{ID: 1, Class: core.ClassFullBestEffort, Priority: core.PrioLowest, Rate: 1e6, OnAllocate: func(r float64) { gotLow = r }},
 			{ID: 2, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.8e6},
@@ -239,10 +240,10 @@ func TestReceiverIgnoresMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range []any{[]byte("garbage, not a frame"), "not even bytes", nack} {
-		s.up.Send(&simnet.Packet{ID: s.sim.NextPacketID(), Src: 1, Dst: 2, Size: 64, Payload: payload})
+		s.up.Send(&simnet.Packet{Src: 1, Dst: 2, Size: 64, Payload: payload})
 	}
 	run(t, s.sim, time.Second)
-	if acked, _ := s.Server.AckStats(); acked != 0 {
+	if acked := s.down.Stats().SentPackets; acked != 0 {
 		t.Errorf("malformed packets acked %d times", acked)
 	}
 	if got := s.Tally.Stream(9).Delivered; got != 0 {
@@ -272,12 +273,12 @@ func TestMultiServerDispatch(t *testing.T) {
 	recognition := wire.StreamSpec{ID: 2, Class: core.ClassFullBestEffort, Priority: core.PrioNoDiscard, Rate: 3e6}
 	dial := func(local, server simnet.Addr, mux *simnet.Demux, back *simnet.Link, spec wire.StreamSpec) (*wire.Conn, *marsim.Tally) {
 		tally := marsim.NewTally(sim, spec)
-		srv := marsim.NewLinkEndpoint(sim, server, back)
+		srv := marsim.NewLinkEndpoint(server, back)
 		mux.Register(server, srv)
 		if _, err := wire.ListenVia(srv, wire.Config{Clock: clock, OnMessage: tally.OnMessage}); err != nil {
 			t.Fatal(err)
 		}
-		ep := marsim.NewLinkEndpoint(sim, local, router)
+		ep := marsim.NewLinkEndpoint(local, router)
 		clientMux.Register(local, ep)
 		conn, err := wire.DialVia(ep, marsim.LinkAddr(server), wire.Config{Clock: clock, StartBudget: 10e6, Streams: []wire.StreamSpec{spec}})
 		if err != nil {

@@ -30,12 +30,6 @@ type Controller struct {
 	peerRate     float64 // last ObservePeerRate reading, bits/s (0 = none)
 	cutFrom      float64 // budget in force at the most recent decrease (0 = none)
 
-	// Decreases counts congestion events acted on.
-	Decreases int64
-	// RandomLosses counts valuable losses ignored because the delay signal
-	// was healthy (treated as wireless noise, not congestion).
-	RandomLosses int64
-
 	onChange func()
 }
 
@@ -162,8 +156,7 @@ func (c *Controller) OnLoss(now time.Duration, lossOfValuable bool) {
 		return
 	}
 	if c.rtt.Smoothed() <= c.rtt.Min()+c.trigger()/2 {
-		c.RandomLosses++
-		return
+		return // random wireless loss, not congestion
 	}
 	c.decrease(now)
 }
@@ -206,6 +199,5 @@ func (c *Controller) decrease(now time.Duration) {
 	if c.budget < minBudget {
 		c.budget = minBudget
 	}
-	c.Decreases++
 	c.changed()
 }

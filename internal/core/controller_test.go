@@ -5,8 +5,22 @@ import (
 	"time"
 )
 
+// cuts counts, from the call on, the multiplicative decreases c acts on:
+// the changes that lower its budget.
+func cuts(c *Controller) *int {
+	n, last := new(int), c.Budget()
+	c.SetOnChange(func() {
+		if c.Budget() < last {
+			*n++
+		}
+		last = c.Budget()
+	})
+	return n
+}
+
 func TestControllerAdditiveIncrease(t *testing.T) {
 	c := NewController(1e6)
+	decreases := cuts(c)
 	now := time.Duration(0)
 	// Healthy acks at a steady 20 ms RTT for one second.
 	for i := 0; i < 100; i++ {
@@ -17,13 +31,14 @@ func TestControllerAdditiveIncrease(t *testing.T) {
 	if got := c.Budget(); got < 1.5e6 || got > 2.5e6 {
 		t.Errorf("budget = %v, want ~2e6", got)
 	}
-	if c.Decreases != 0 {
-		t.Errorf("unexpected decreases: %d", c.Decreases)
+	if *decreases != 0 {
+		t.Errorf("unexpected decreases: %d", *decreases)
 	}
 }
 
 func TestControllerDelayTriggersDecrease(t *testing.T) {
 	c := NewController(10e6)
+	decreases := cuts(c)
 	now := time.Duration(0)
 	for i := 0; i < 20; i++ {
 		now += 10 * time.Millisecond
@@ -36,7 +51,7 @@ func TestControllerDelayTriggersDecrease(t *testing.T) {
 		now += 10 * time.Millisecond
 		c.OnAck(now, 80*time.Millisecond)
 	}
-	if c.Decreases == 0 {
+	if *decreases == 0 {
 		t.Fatal("delay rise did not trigger a decrease")
 	}
 	if c.Budget() >= before {
@@ -46,6 +61,7 @@ func TestControllerDelayTriggersDecrease(t *testing.T) {
 
 func TestControllerDecreaseRateLimited(t *testing.T) {
 	c := NewController(10e6)
+	decreases := cuts(c)
 	now := 100 * time.Millisecond
 	c.OnAck(now, 20*time.Millisecond) // base = srtt = 20 ms
 	// Elevate the delay signal modestly (above trigger/2, below the
@@ -55,22 +71,23 @@ func TestControllerDecreaseRateLimited(t *testing.T) {
 		now += 5 * time.Millisecond
 		c.OnAck(now, 40*time.Millisecond)
 	}
-	if c.Decreases != 0 {
-		t.Fatalf("setup triggered %d decreases", c.Decreases)
+	if *decreases != 0 {
+		t.Fatalf("setup triggered %d decreases", *decreases)
 	}
 	// A burst of loss signals within one base RTT must produce one cut.
 	for i := 0; i < 10; i++ {
 		c.OnLoss(now+time.Duration(i)*time.Millisecond, true)
 	}
-	if c.Decreases != 1 {
-		t.Errorf("decreases = %d, want 1", c.Decreases)
+	if *decreases != 1 {
+		t.Errorf("decreases = %d, want 1", *decreases)
 	}
 }
 
 func TestControllerIgnoresDiscardableLoss(t *testing.T) {
 	c := NewController(10e6)
+	decreases := cuts(c)
 	c.OnLoss(time.Second, false)
-	if c.Decreases != 0 || c.Budget() != 10e6 {
+	if *decreases != 0 || c.Budget() != 10e6 {
 		t.Errorf("discardable loss should not cut budget")
 	}
 }
@@ -83,12 +100,10 @@ func TestControllerIgnoresRandomLossWhenDelayHealthy(t *testing.T) {
 		c.OnAck(now, 20*time.Millisecond)
 	}
 	before := c.Budget()
+	decreases := cuts(c)
 	c.OnLoss(now, true) // valuable loss, but delay is at baseline
-	if c.Decreases != 0 {
-		t.Errorf("healthy-delay loss should be ignored, got %d decreases", c.Decreases)
-	}
-	if c.RandomLosses != 1 {
-		t.Errorf("RandomLosses = %d, want 1", c.RandomLosses)
+	if *decreases != 0 {
+		t.Errorf("healthy-delay loss should be ignored, got %d decreases", *decreases)
 	}
 	if c.Budget() < before {
 		t.Error("budget dropped on random loss")

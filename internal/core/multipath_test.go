@@ -34,18 +34,30 @@ type pathEvent struct {
 type multipath struct {
 	sim    *simnet.Sim
 	ups    []*simnet.Link
+	carry  []int64 // data frames handed to each uplink
 	events []pathEvent
 	*marsim.LinkSession
 }
+
+// probeFloor sits between a path probe or keepalive (under 70 bytes on the
+// wire) and the tests' data frames (each carries 200 payload bytes or more).
+const probeFloor = 100
 
 func newMultipath(t *testing.T, seed int64, ps wire.PathSetConfig, streams []wire.StreamSpec, ups ...simnet.PathSpec) *multipath {
 	t.Helper()
 	m := &multipath{sim: simnet.New(seed)}
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	handlers := make([]simnet.Handler, len(ups))
+	m.carry = make([]int64, len(ups))
 	for i, sp := range ups {
-		m.ups = append(m.ups, simnet.NewLink(m.sim, sp.Rate, sp.Delay, serverMux, sp.Opts...))
-		handlers[i] = m.ups[i]
+		up := simnet.NewLink(m.sim, sp.Rate, sp.Delay, serverMux, sp.Opts...)
+		m.ups = append(m.ups, up)
+		handlers[i] = simnet.HandlerFunc(func(pkt *simnet.Packet) {
+			if pkt.Size > probeFloor {
+				m.carry[i]++
+			}
+			up.Handle(pkt)
+		})
 	}
 	ps.OnPathState = func(path string, st wire.PathState) { m.events = append(m.events, pathEvent{path, st, m.sim.Now()}) }
 	s, err := marsim.DialPaths(m.sim, 1, simnet.NewLink(m.sim, 10e6, 5*time.Millisecond, clientMux), clientMux, serverMux,
@@ -58,10 +70,7 @@ func newMultipath(t *testing.T, seed int64, ps wire.PathSetConfig, streams []wir
 }
 
 // data reports the data frames path i has carried: all it sent but probes.
-func (m *multipath) data(i int) int64 {
-	p := m.Paths.Stats().Paths[i]
-	return p.SentFrames - p.ProbesSent
-}
+func (m *multipath) data(i int) int64 { return m.carry[i] }
 
 // at runs fn at virtual time t.
 func (m *multipath) at(t time.Duration, fn func()) { m.sim.ScheduleAt(t, fn) }

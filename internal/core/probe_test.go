@@ -194,17 +194,18 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 			for c.RTT().Smoothed() <= c.RTT().Min()+c.trigger() { // SRTT needs a few samples to cross the trigger
 				feed(c, &now, ms, 80*ms)
 			}
-			before := c.Budget()
-			if _, hi := feed(c, &now, 40*ms, 80*ms); hi > 0 || c.Decreases == 0 || c.Budget() >= before {
+			before, decreases := c.Budget(), cuts(c)
+			if _, hi := feed(c, &now, 40*ms, 80*ms); hi > 0 || *decreases == 0 || c.Budget() >= before {
 				t.Fatalf("with SRTT past the trigger: largest step %.3f additive steps, %d decreases, budget %.0f -> %.0f",
-					hi, c.Decreases, before, c.Budget())
+					hi, *decreases, before, c.Budget())
 			}
 		}},
 		{"after a cut at B: additive for 8 base RTTs, then proportional up to B, then additive", func(t *testing.T, c *Controller) {
 			now := time.Duration(0)
 			feed(c, &now, 20*ms, 20*ms)
 			c.ObservePeerRate(200e6)
-			for c.Decreases == 0 {
+			decreases := cuts(c)
+			for *decreases == 0 {
 				feed(c, &now, ms, 80*ms)
 			}
 			cutAt, cutFrom := now, c.cutFrom
@@ -212,8 +213,8 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 				t.Fatalf("cut from %.0f to %.0f", cutFrom, c.Budget())
 			}
 			feed(c, &now, 100*ms, 20*ms) // SRTT and jitter settle back to the floor
-			if c.Decreases != 1 {
-				t.Fatalf("%d decreases, the scenario wants one", c.Decreases)
+			if *decreases != 1 {
+				t.Fatalf("%d decreases, the scenario wants one", *decreases)
 			}
 			if lo, hi := feed(c, &now, cutAt+8*20*ms-now, 20*ms); !additive(lo) || !additive(hi) {
 				t.Fatalf("inside 8 base RTTs of the cut the budget stepped %.3f..%.3f additive steps, want 1", lo, hi)
@@ -244,6 +245,7 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 	for _, peerRate := range []float64{0, 32e3} { // 32 kb/s is under minBudget
 		rng := rand.New(rand.NewSource(21))
 		plain, told := NewController(20e6), NewController(20e6)
+		decreases := cuts(plain)
 		now := time.Duration(0)
 		for i := 0; i < 1000; i++ {
 			now += time.Duration(1+rng.Intn(5000)) * time.Microsecond
@@ -264,7 +266,7 @@ func TestControllerProbesTowardPeerRate(t *testing.T) {
 				t.Fatalf("peer rate %.0f, ack %d: budget %.3f, want %.3f as without it", peerRate, i, told.Budget(), plain.Budget())
 			}
 		}
-		if plain.Decreases == 0 {
+		if *decreases == 0 {
 			t.Fatal("the seeded series never cut: it does not exercise the decrease path")
 		}
 	}

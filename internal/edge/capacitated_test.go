@@ -52,10 +52,10 @@ func TestAssignRelocatesViaAugmentingPath(t *testing.T) {
 	lat := func(s Site, u User) time.Duration { return DefaultLatency(s, u) }
 	ci := CapacitatedInstance{
 		Instance: Instance{
-			Sites: []Site{{ID: 0, X: 0, Y: 0}, {ID: 1, X: 6, Y: 0}},
+			Sites: []Site{{X: 0, Y: 0}, {X: 6, Y: 0}},
 			Users: []User{
-				{ID: 0, X: 3, Y: 0, Budget: 5 * time.Millisecond},  // reaches both
-				{ID: 1, X: -1, Y: 0, Budget: 3 * time.Millisecond}, // only site 0
+				{X: 3, Y: 0, Budget: 5 * time.Millisecond},  // reaches both
+				{X: -1, Y: 0, Budget: 3 * time.Millisecond}, // only site 0
 			},
 			Latency: lat,
 		},
@@ -125,7 +125,7 @@ func TestCapacitatedGreedyInsufficientTotalCapacity(t *testing.T) {
 
 func TestCapacitatedGreedyInfeasibleCoverage(t *testing.T) {
 	ci := capSmall([]int{5, 5, 5})
-	ci.Users = append(ci.Users, User{ID: 9, X: 900, Y: 900, Budget: time.Millisecond})
+	ci.Users = append(ci.Users, User{X: 900, Y: 900, Budget: time.Millisecond})
 	if _, _, err := CapacitatedGreedy(ci); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}

@@ -12,14 +12,14 @@ import (
 func ExampleGreedy() {
 	inst := edge.Instance{
 		Sites: []edge.Site{
-			{ID: 0, X: 2, Y: 2},
-			{ID: 1, X: 18, Y: 18},
-			{ID: 2, X: 40, Y: 40}, // covers nobody
+			{X: 2, Y: 2},
+			{X: 18, Y: 18},
+			{X: 40, Y: 40}, // covers nobody
 		},
 		Users: []edge.User{
-			{ID: 0, X: 1, Y: 2, Budget: 4 * time.Millisecond},
-			{ID: 1, X: 3, Y: 3, Budget: 4 * time.Millisecond},
-			{ID: 2, X: 18, Y: 19, Budget: 4 * time.Millisecond},
+			{X: 1, Y: 2, Budget: 4 * time.Millisecond},
+			{X: 3, Y: 3, Budget: 4 * time.Millisecond},
+			{X: 18, Y: 19, Budget: 4 * time.Millisecond},
 		},
 		Latency: edge.DefaultLatency,
 	}
@@ -37,14 +37,14 @@ func ExampleCapacitatedGreedy() {
 	ci := edge.CapacitatedInstance{
 		Instance: edge.Instance{
 			Sites: []edge.Site{
-				{ID: 0, X: 2, Y: 2},
-				{ID: 1, X: 2.5, Y: 2},
-				{ID: 2, X: 3, Y: 2.5},
+				{X: 2, Y: 2},
+				{X: 2.5, Y: 2},
+				{X: 3, Y: 2.5},
 			},
 			Users: []edge.User{
-				{ID: 0, X: 2, Y: 2.2, Budget: 4 * time.Millisecond},
-				{ID: 1, X: 2.4, Y: 2, Budget: 4 * time.Millisecond},
-				{ID: 2, X: 2.8, Y: 2.3, Budget: 4 * time.Millisecond},
+				{X: 2, Y: 2.2, Budget: 4 * time.Millisecond},
+				{X: 2.4, Y: 2, Budget: 4 * time.Millisecond},
+				{X: 2.8, Y: 2.3, Budget: 4 * time.Millisecond},
 			},
 			Latency: edge.DefaultLatency,
 		},

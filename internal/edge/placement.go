@@ -26,13 +26,11 @@ var (
 
 // Site is a candidate edge datacenter location.
 type Site struct {
-	ID   int
 	X, Y float64 // km
 }
 
 // User is a mobile MAR user with an offloading deadline.
 type User struct {
-	ID     int
 	X, Y   float64       // km
 	Budget time.Duration // δa minus compute terms: the latency the network may spend
 }
@@ -61,10 +59,10 @@ func NewGrid(nUsers, nSites int, sideKm float64, budget time.Duration, seed int6
 	rng := rand.New(rand.NewSource(seed))
 	inst := Instance{Latency: DefaultLatency}
 	for i := 0; i < nSites; i++ {
-		inst.Sites = append(inst.Sites, Site{ID: i, X: rng.Float64() * sideKm, Y: rng.Float64() * sideKm})
+		inst.Sites = append(inst.Sites, Site{X: rng.Float64() * sideKm, Y: rng.Float64() * sideKm})
 	}
 	for i := 0; i < nUsers; i++ {
-		inst.Users = append(inst.Users, User{ID: i, X: rng.Float64() * sideKm, Y: rng.Float64() * sideKm, Budget: budget})
+		inst.Users = append(inst.Users, User{X: rng.Float64() * sideKm, Y: rng.Float64() * sideKm, Budget: budget})
 	}
 	return inst
 }

@@ -14,14 +14,14 @@ func smallInstance() Instance {
 	lat := func(s Site, u User) time.Duration { return DefaultLatency(s, u) }
 	return Instance{
 		Sites: []Site{
-			{ID: 0, X: 1, Y: 1},
-			{ID: 1, X: 20, Y: 20},
-			{ID: 2, X: 100, Y: 100},
+			{X: 1, Y: 1},
+			{X: 20, Y: 20},
+			{X: 100, Y: 100},
 		},
 		Users: []User{
-			{ID: 0, X: 1.5, Y: 1, Budget: 4 * time.Millisecond},
-			{ID: 1, X: 0.5, Y: 1, Budget: 4 * time.Millisecond},
-			{ID: 2, X: 20, Y: 21, Budget: 4 * time.Millisecond},
+			{X: 1.5, Y: 1, Budget: 4 * time.Millisecond},
+			{X: 0.5, Y: 1, Budget: 4 * time.Millisecond},
+			{X: 20, Y: 21, Budget: 4 * time.Millisecond},
 		},
 		Latency: lat,
 	}
@@ -60,7 +60,7 @@ func TestGreedyCoversSmallInstance(t *testing.T) {
 
 func TestGreedyInfeasible(t *testing.T) {
 	inst := smallInstance()
-	inst.Users = append(inst.Users, User{ID: 9, X: 500, Y: 500, Budget: time.Millisecond})
+	inst.Users = append(inst.Users, User{X: 500, Y: 500, Budget: time.Millisecond})
 	if _, err := Greedy(inst); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}
@@ -158,7 +158,7 @@ func TestRandomBaselineValidAndWorse(t *testing.T) {
 
 func TestRandomBaselineInfeasible(t *testing.T) {
 	inst := smallInstance()
-	inst.Users = append(inst.Users, User{ID: 9, X: 500, Y: 500, Budget: time.Millisecond})
+	inst.Users = append(inst.Users, User{X: 500, Y: 500, Budget: time.Millisecond})
 	if _, err := RandomBaseline(inst, rand.New(rand.NewSource(1))); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
 	}

@@ -86,7 +86,7 @@ func marByteBalance(seed int64) (up, down int64) {
 	for i := 0; i < 300; i++ {
 		sim.Schedule(time.Duration(i)*33*time.Millisecond, func() {
 			downLink.Send(&simnet.Packet{
-				ID: sim.NextPacketID(), Src: 2, Dst: 1, Flow: 2, Size: 400,
+				Src: 2, Dst: 1, Flow: 2, Size: 400,
 			})
 		})
 	}

@@ -47,7 +47,6 @@ type TableIIRow struct {
 	Connection string
 	LinkRTT    time.Duration // measured mean
 	PaperRTT   time.Duration // the paper's reported value
-	Lost       int64         // probes whose call failed
 }
 
 // TableIIResult reproduces Table II: CloudRidAR link RTT in four scenarios.
@@ -131,7 +130,6 @@ func TableII(seed int64) TableIIResult {
 			Connection: sc.connection,
 			LinkRTT:    r.Latency.Mean().Round(100 * time.Microsecond),
 			PaperRTT:   sc.paper,
-			Lost:       r.Failed,
 		})
 	}
 	return out

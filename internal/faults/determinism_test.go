@@ -81,7 +81,7 @@ func TestLinkFilterTimelineDeterminism(t *testing.T) {
 	sawBlackhole := false
 	for i := 0; i < 10000; i++ {
 		now += 100 * time.Microsecond
-		pkt := &simnet.Packet{ID: uint64(i), Size: 100 + (i*53)%1100}
+		pkt := &simnet.Packet{Seq: int64(i), Size: 100 + (i*53)%1100}
 		va := fa.Filter(pkt, now)
 		vb := fb.Filter(pkt, now)
 		if va != vb {

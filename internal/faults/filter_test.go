@@ -16,7 +16,7 @@ func runFiltered(t *testing.T, f *LinkFilter, n int, gap time.Duration) simnet.L
 	link := simnet.NewLink(sim, 10e6, time.Millisecond, recv)
 	link.SetFilter(f)
 	for i := 0; i < n; i++ {
-		pkt := &simnet.Packet{ID: uint64(i), Size: 500}
+		pkt := &simnet.Packet{Seq: int64(i), Size: 500}
 		sim.Schedule(time.Duration(i)*gap, func() { link.Send(pkt) })
 	}
 	if err := sim.Run(); err != nil {

@@ -199,8 +199,8 @@ func TestVideoSourceGOPStructure(t *testing.T) {
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if v.GeneratedFrames < 60 {
-		t.Errorf("generated %d frames, want ~61", v.GeneratedFrames)
+	if v.frame < 60 {
+		t.Errorf("generated %d frames, want ~61", v.frame)
 	}
 	refDeliv := s.Tally.Stream(v.Ref.ID).Delivered
 	interDeliv := s.Tally.Stream(v.Inter.ID).Delivered
@@ -225,25 +225,27 @@ func TestSensorSourceAdaptsRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start(dial(sim, s.Spec).Client, 2*time.Second)
+	ls := dial(sim, s.Spec)
+	s.Start(ls.Client, 2*time.Second)
 	if err := sim.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if s.Generated < 150 {
-		t.Errorf("generated %d samples at full rate, want ~200", s.Generated)
+	// The link is lossless and far from full: every sample sent arrives.
+	if got := ls.Tally.Stream(s.Spec.ID).Delivered; got < 150 {
+		t.Errorf("delivered %d samples at full rate, want ~200", got)
 	}
 
 	// Manually squeeze the allocation: the sampler must decimate.
 	sim2 := simnet.New(77)
 	s2, _ := NewSensorSource(sim2, 1, SensorConfig{SampleBytes: 100, SamplesPerS: 100})
-	conn := dial(sim2, s2.Spec).Client
+	ls2 := dial(sim2, s2.Spec)
 	s2.rateScale = 0.25
-	s2.Start(conn, 2*time.Second)
+	s2.Start(ls2.Client, 2*time.Second)
 	if err := sim2.RunUntil(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Generated > 70 || s2.Skipped < 100 {
-		t.Errorf("decimation failed: generated=%d skipped=%d", s2.Generated, s2.Skipped)
+	if got := ls2.Tally.Stream(s2.Spec.ID).Delivered; got == 0 || got > 70 {
+		t.Errorf("decimation failed: %d of ~200 samples delivered at scale 0.25", got)
 	}
 }
 

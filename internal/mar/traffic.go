@@ -42,9 +42,6 @@ type VideoSource struct {
 	refQuality   float64
 	interQuality float64
 	frame        int64
-
-	GeneratedFrames int64
-	GeneratedBytes  int64
 }
 
 // NewVideoSource declares the two substreams, reference frames on stream
@@ -125,7 +122,6 @@ func (v *VideoSource) emitFrame() {
 	refSize, interSize := v.FrameSizes()
 	isRef := v.frame%int64(v.cfg.GOP) == 0
 	v.frame++
-	v.GeneratedFrames++
 	stream, size := v.Inter.ID, int(float64(interSize)*v.interQuality)
 	if isRef {
 		stream, size = v.Ref.ID, int(float64(refSize)*v.refQuality)
@@ -133,7 +129,6 @@ func (v *VideoSource) emitFrame() {
 	if size <= 0 {
 		return // quality floored: frame skipped entirely
 	}
-	v.GeneratedBytes += int64(size)
 	for size > 0 {
 		n := min(size, chunkBytes)
 		marsim.Send(v.sim, v.conn, stream, n)
@@ -161,8 +156,6 @@ type SensorSource struct {
 	Spec wire.StreamSpec
 
 	rateScale float64
-	Generated int64
-	Skipped   int64
 }
 
 // NewSensorSource declares the sensor stream with the given id.
@@ -202,10 +195,7 @@ func (s *SensorSource) Start(conn *wire.Conn, until time.Duration) {
 		acc += s.rateScale
 		if acc >= 1 {
 			acc -= 1
-			s.Generated++
 			marsim.Send(s.sim, s.conn, s.Spec.ID, s.cfg.SampleBytes)
-		} else {
-			s.Skipped++
 		}
 		if s.sim.Now()+period <= until {
 			s.sim.Schedule(period, tick)

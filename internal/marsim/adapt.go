@@ -91,7 +91,7 @@ const (
 // — not raw propagation — decides who makes the 75 ms budget.
 func adaptEdgeProfile() phy.Profile {
 	return phy.Profile{
-		Name: "edge-radio", TheoreticalDown: 8e6, TheoreticalUp: 1.2e6,
+		Name: "edge-radio", TheoreticalDown: 8e6,
 		Down: 4e6, Up: 800e3, OneWay: 6 * time.Millisecond,
 		Jitter: time.Millisecond,
 	}
@@ -133,8 +133,6 @@ type AdaptResult struct {
 	// Decisions is the controller's retained decision trace (nil for fixed
 	// policies) — tests assert phase behavior against it.
 	Decisions []adapt.Decision `json:"-"`
-	// Trace is the full scenario event log (hashes to TraceHash).
-	Trace []byte `json:"-"`
 }
 
 // HitRate is Hits/Frames.
@@ -495,7 +493,6 @@ func adaptScenario(name string, seed int64, kind AdaptPolicyKind, cfg adapt.Conf
 	if err := s.Run(length + adaptDeadline + 100*time.Millisecond); err != nil {
 		return nil, err
 	}
-	res.Trace = s.Trace.Bytes()
 	res.TraceHash = s.Trace.Hash()
 	res.SimTime = s.Sim.Now()
 	return res, nil

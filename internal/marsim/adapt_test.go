@@ -1,7 +1,6 @@
 package marsim
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -67,9 +66,6 @@ func TestAdaptDeterminism(t *testing.T) {
 	}
 	if a.TraceHash != b.TraceHash {
 		t.Errorf("trace hash diverged: %#x vs %#x", a.TraceHash, b.TraceHash)
-	}
-	if !bytes.Equal(a.Trace, b.Trace) {
-		t.Error("event traces are not byte-identical")
 	}
 	if a.Hits != b.Hits || a.UpBytes != b.UpBytes || a.Switches != b.Switches {
 		t.Errorf("counters diverged: hits %d/%d upBytes %d/%d switches %d/%d",

@@ -249,9 +249,8 @@ func NewCity(cfg CityConfig) *City {
 			jx := (rng.Float64() - 0.5) * 0.2 * spacing
 			jy := (rng.Float64() - 0.5) * 0.2 * spacing
 			c.sites = append(c.sites, edge.Site{
-				ID: iy*sg + ix,
-				X:  clampF((float64(ix)+0.5)*spacing+jx, 0, cfg.SideKm),
-				Y:  clampF((float64(iy)+0.5)*spacing+jy, 0, cfg.SideKm),
+				X: clampF((float64(ix)+0.5)*spacing+jx, 0, cfg.SideKm),
+				Y: clampF((float64(iy)+0.5)*spacing+jy, 0, cfg.SideKm),
 			})
 		}
 	}
@@ -365,7 +364,7 @@ func (c *City) DemandInstance() edge.Instance {
 	}
 	budget := c.cfg.NetBudget()
 	for i, u := range c.users {
-		inst.Users[i] = edge.User{ID: i, X: float64(u.x), Y: float64(u.y), Budget: budget}
+		inst.Users[i] = edge.User{X: float64(u.x), Y: float64(u.y), Budget: budget}
 	}
 	return inst
 }

@@ -38,8 +38,24 @@ func sortedDigest(trace []byte) uint64 {
 func resultDigest(r *Result) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v %d %d %d %d %+v %+v %+v %+v",
-		r.SimTime, r.Calls, r.OKs, r.Fails, r.Reconnects, r.Transitions, r.Client, simServerCounters(r.Server), r.Tiers)
+		r.SimTime, r.Calls, r.OKs, r.Fails, r.Reconnects, r.Transitions, simClientCounters(r.Client), simServerCounters(r.Server), r.Tiers)
 	return h.Sum64()
+}
+
+// clientCounters prints, under %+v, exactly as rpc.ClientStats did before
+// its unread counters were deleted: the column hashes the text, and
+// HedgeWins, BreakerFastFails, BreakerOpens, ServerSheds and ServerDraining
+// read 0 in every scenario the digests pin.
+type clientCounters struct {
+	Calls, Timeouts, ShedCalls, Retries, Hedges, HedgeWins, BreakerFastFails, BreakerOpens, Reconnects int64
+
+	Degraded, ServerSheds, ServerExpired, ServerCannotFinish, ServerDraining int64
+}
+
+func simClientCounters(st rpc.ClientStats) clientCounters {
+	return clientCounters{Calls: st.Calls, Timeouts: st.Timeouts, ShedCalls: st.ShedCalls, Retries: st.Retries,
+		Hedges: st.Hedges, Reconnects: st.Reconnects, Degraded: st.Degraded,
+		ServerExpired: st.ServerExpired, ServerCannotFinish: st.ServerCannotFinish}
 }
 
 // serverCounters prints, under %+v, exactly as rpc.ServerStats did before it

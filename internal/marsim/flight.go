@@ -58,9 +58,6 @@ type FlightResult struct {
 	SnapshotHash uint64        `json:"snapshot_hash"`
 	TraceHash    uint64        `json:"trace_hash"`
 	SimTime      time.Duration `json:"sim_time_ns"`
-
-	// Snaps holds the frozen snapshots for test inspection.
-	Snaps []*obs.Snapshot `json:"-"`
 }
 
 // stormIndex finds the first snapshot showing at least `minRetx`
@@ -180,7 +177,6 @@ func RunFlightGEBurst(seed int64) (*FlightResult, error) {
 			GlobalTriggers:  global.Triggers(),
 			StormSnapshot:   stormIndex(snaps, 1),
 			SnapshotHash:    hashSnapshots(snaps),
-			Snaps:           snaps,
 		}
 		for _, sn := range snaps {
 			res.Reasons = append(res.Reasons, sn.Reason)

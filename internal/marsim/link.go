@@ -15,7 +15,6 @@ import (
 // registered under on the Demux that delivers to it. Delivery runs on the
 // simulation loop, so a wire.Conn over it spawns no goroutine.
 type LinkEndpoint struct {
-	sim    *simnet.Sim
 	addr   simnet.Addr
 	udp    *net.UDPAddr
 	out    simnet.Handler
@@ -26,8 +25,8 @@ type LinkEndpoint struct {
 var _ wire.PacketConn = (*LinkEndpoint)(nil)
 
 // NewLinkEndpoint attaches an endpoint at addr whose datagrams go to out.
-func NewLinkEndpoint(sim *simnet.Sim, addr simnet.Addr, out simnet.Handler) *LinkEndpoint {
-	return &LinkEndpoint{sim: sim, addr: addr, udp: LinkAddr(addr), out: out}
+func NewLinkEndpoint(addr simnet.Addr, out simnet.Handler) *LinkEndpoint {
+	return &LinkEndpoint{addr: addr, udp: LinkAddr(addr), out: out}
 }
 
 // LinkAddr is the UDP address of the LinkEndpoint at a: what a Conn dials
@@ -47,8 +46,8 @@ func (e *LinkEndpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 		dst = simnet.Addr(ip[2])<<8 | simnet.Addr(ip[3])
 	}
 	e.out.Handle(&simnet.Packet{
-		ID: e.sim.NextPacketID(), Src: e.addr, Dst: dst, Flow: uint64(e.addr),
-		Size: len(b) + udpOverhead, Created: e.sim.Now(), Payload: append([]byte(nil), b...),
+		Src: e.addr, Dst: dst, Flow: uint64(e.addr),
+		Size: len(b) + udpOverhead, Payload: append([]byte(nil), b...),
 	})
 	return len(b), nil
 }

@@ -1,6 +1,7 @@
 package marsim
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -19,12 +20,12 @@ func TestLinkEndpointCarriesConn(t *testing.T) {
 		cm, sm := simnet.NewDemux(), simnet.NewDemux()
 		up := simnet.NewLink(sim, 10e6, 5*time.Millisecond, sm, simnet.WithLoss(0.02))
 		down := simnet.NewLink(sim, 10e6, 5*time.Millisecond, cm, simnet.WithLoss(0.02))
-		cep, sep := NewLinkEndpoint(sim, 1, up), NewLinkEndpoint(sim, 2, down)
+		cep, sep := NewLinkEndpoint(1, up), NewLinkEndpoint(2, down)
 		cm.Register(1, cep)
 		sm.Register(2, sep)
 		clock := NewClock(sim)
 		var got []int64
-		if _, err := wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: func(m wire.Message) { got = append(got, m.Seq) }}); err != nil {
+		if _, err := wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: func(m wire.Message) { got = append(got, int64(binary.LittleEndian.Uint64(m.Payload))) }}); err != nil {
 			t.Fatal(err)
 		}
 		cli, err := wire.DialVia(cep, LinkAddr(2), wire.Config{Clock: clock, StartBudget: 5e6,
@@ -33,7 +34,8 @@ func TestLinkEndpointCarriesConn(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
-			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { cli.Send(1, make([]byte, 200)) })
+			p := binary.LittleEndian.AppendUint64(make([]byte, 0, 200), uint64(i))
+			sim.Schedule(time.Duration(i)*10*time.Millisecond, func() { cli.Send(1, p[:200]) })
 		}
 		if err := sim.RunUntil(10 * time.Second); err != nil {
 			t.Fatal(err)

@@ -88,7 +88,6 @@ type PathEvent struct {
 type MultipathResult struct {
 	Mode      string        `json:"mode"`
 	Seed      int64         `json:"seed"`
-	Trace     []byte        `json:"-"`
 	TraceHash uint64        `json:"trace_hash"`
 	SimTime   time.Duration `json:"sim_time_ns"`
 
@@ -337,7 +336,6 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 	if rep, unrep := res.RepairedUp+res.RepairedDown, res.UnrepairedUp+res.UnrepairedDown; rep+unrep > 0 {
 		res.RepairRate = float64(rep) / float64(rep+unrep)
 	}
-	res.Trace = s.Trace.Bytes()
 	res.TraceHash = s.Trace.Hash()
 	res.SimTime = s.Sim.Now()
 	return res, nil

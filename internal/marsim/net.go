@@ -58,7 +58,6 @@ func (d *datagram) ReleasePayload() { d.src.n.put(d) }
 // offloading topology.
 type Net struct {
 	sim   *simnet.Sim
-	clock *Clock
 	trace *Trace
 
 	endpoints map[netip.AddrPort]*Endpoint
@@ -77,10 +76,9 @@ type Net struct {
 }
 
 // NewNet builds an empty network on sim, logging into trace.
-func NewNet(sim *simnet.Sim, clock *Clock, trace *Trace) *Net {
+func NewNet(sim *simnet.Sim, trace *Trace) *Net {
 	return &Net{
 		sim:       sim,
-		clock:     clock,
 		trace:     trace,
 		endpoints: make(map[netip.AddrPort]*Endpoint),
 	}
@@ -96,7 +94,7 @@ func (n *Net) NewEndpoint(name string, p phy.Profile) *Endpoint {
 		IP:   net.IPv4(10, 0, byte(id/250), byte(id%250+1)),
 		Port: 9000,
 	}
-	ep := &Endpoint{n: n, name: name, addr: addr, key: wire.PeerKey(addr), tid: n.trace.endpoint(addr.String())}
+	ep := &Endpoint{n: n, addr: addr, key: wire.PeerKey(addr), tid: n.trace.endpoint(addr.String())}
 	ep.up = simnet.NewLink(n.sim, p.Up, p.OneWay, simnet.HandlerFunc(n.route),
 		simnet.WithJitter(p.Jitter), simnet.WithLoss(p.Loss), simnet.WithName(name+"/up"))
 	ep.down = simnet.NewLink(n.sim, p.Down, p.OneWay, simnet.HandlerFunc(ep.deliver),
@@ -183,13 +181,12 @@ func (n *Net) CheckConservation() error {
 
 // NetStats is a snapshot of the global packet accounting.
 type NetStats struct {
-	AppTx, CrossTx, Delivered, Sink, DropClosed int64
+	AppTx, Delivered, DropClosed int64
 }
 
 // Stats snapshots the network-wide packet counters.
 func (n *Net) Stats() NetStats {
-	return NetStats{AppTx: n.appTx, CrossTx: n.crossTx, Delivered: n.delivered,
-		Sink: n.sink, DropClosed: n.dropClosed}
+	return NetStats{AppTx: n.appTx, Delivered: n.delivered, DropClosed: n.dropClosed}
 }
 
 // Endpoint is one attachment point: a wire.PacketConn whose datagrams ride
@@ -197,7 +194,6 @@ func (n *Net) Stats() NetStats {
 // whole stack above it runs without a single goroutine.
 type Endpoint struct {
 	n      *Net
-	name   string
 	addr   *net.UDPAddr
 	key    netip.AddrPort // routing key in Net.endpoints
 	tid    uint32         // addr's name id in the trace
@@ -205,7 +201,6 @@ type Endpoint struct {
 	down   *simnet.Link
 	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed bool
-	host   *Host
 }
 
 var _ wire.PacketConn = (*Endpoint)(nil)
@@ -226,7 +221,7 @@ func (ep *Endpoint) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 		d.dstName = n.trace.intern(addr.String()) // no such endpoint: the sink line still names it
 	}
 	n.trace.packet(obs.EvDgramTx, ep.tid, d.dstName, len(b))
-	d.pkt = simnet.Packet{ID: n.sim.NextPacketID(), Size: len(b) + udpOverhead, Created: n.sim.Now(), Payload: d}
+	d.pkt = simnet.Packet{Size: len(b) + udpOverhead, Payload: d}
 	ep.up.Send(&d.pkt)
 	return len(b), nil
 }
@@ -288,7 +283,6 @@ func (n *Net) NewHost(name string, p phy.Profile) *Host {
 // NewEndpoint opens a fresh attachment (socket) on this host's radio.
 func (h *Host) NewEndpoint() *Endpoint {
 	ep := h.n.NewEndpoint(fmt.Sprintf("%s/%d", h.name, len(h.eps)), h.profile)
-	ep.host = h
 	h.eps = append(h.eps, ep)
 	h.applyTo(ep)
 	return ep
@@ -383,7 +377,7 @@ func (h *Host) StartCrossTraffic(bps float64, pktSize int) (stop func()) {
 			h.n.crossTx++
 			d := h.n.get()
 			d.src, d.cross = ep, true // the zero dst routes nowhere
-			d.pkt = simnet.Packet{ID: h.n.sim.NextPacketID(), Size: pktSize, Created: h.n.sim.Now(), Payload: d}
+			d.pkt = simnet.Packet{Size: pktSize, Payload: d}
 			ep.up.Send(&d.pkt)
 		}
 		ev = h.n.sim.Schedule(interval, tick)

@@ -35,7 +35,7 @@ func NewScenario(name string, seed int64) *Scenario {
 		Seed:  seed,
 		Sim:   sim,
 		Clock: clock,
-		Net:   NewNet(sim, clock, trace),
+		Net:   NewNet(sim, trace),
 		Trace: trace,
 	}
 }

@@ -89,8 +89,8 @@ func (t *Tally) OnMessage(m wire.Message) {
 // LinkSession is a one-way measured ARTP session over simnet links: the
 // client conn sends, the server conn acknowledges and tallies.
 type LinkSession struct {
-	Client, Server *wire.Conn
-	Tally          *Tally
+	Client *wire.Conn
+	Tally  *Tally
 	// The client's subflows and the server's router (DialPaths only).
 	Paths  *wire.PathSet
 	Router *wire.PathRouter
@@ -104,11 +104,11 @@ type LinkSession struct {
 // cfg is ignored), so neither conn can fail to open.
 func DialLinks(sim *simnet.Sim, addr simnet.Addr, up, down simnet.Handler, clientMux, serverMux *simnet.Demux, cfg wire.Config) *LinkSession {
 	clock := NewClock(sim)
-	cep, sep := NewLinkEndpoint(sim, addr, up), NewLinkEndpoint(sim, addr+1, down)
+	cep, sep := NewLinkEndpoint(addr, up), NewLinkEndpoint(addr+1, down)
 	clientMux.Register(addr, cep)
 	serverMux.Register(addr+1, sep)
 	s := &LinkSession{Tally: NewTally(sim, cfg.Streams...)}
-	s.Server, _ = wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
+	wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
 	cfg.Clock, cfg.Key = clock, nil
 	s.Client, _ = wire.DialVia(cep, LinkAddr(addr+1), cfg)
 	return s
@@ -124,7 +124,7 @@ func DialPaths(sim *simnet.Sim, addr simnet.Addr, down simnet.Handler, clientMux
 	paths := make([]wire.PathConf, len(ups))
 	for i, up := range ups {
 		a := addr + simnet.Addr(2*i)
-		ep := NewLinkEndpoint(sim, a, up)
+		ep := NewLinkEndpoint(a, up)
 		clientMux.Register(a, ep)
 		paths[i] = wire.PathConf{Name: fmt.Sprintf("path%d", i), PC: ep}
 	}
@@ -136,11 +136,11 @@ func DialPaths(sim *simnet.Sim, addr simnet.Addr, down simnet.Handler, clientMux
 	if err != nil {
 		return nil, err
 	}
-	sep := NewLinkEndpoint(sim, addr+1, down)
+	sep := NewLinkEndpoint(addr+1, down)
 	serverMux.Register(addr+1, sep)
 	s := &LinkSession{Tally: NewTally(sim, cfg.Streams...), Paths: ps,
 		Router: wire.NewPathRouter(sep, wire.RouterConfig{Clock: clock})}
-	s.Server, _ = wire.ListenVia(s.Router, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
+	wire.ListenVia(s.Router, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
 	cfg.Clock, cfg.Key = clock, nil
 	s.Client, _ = wire.DialVia(ps, LinkAddr(addr+1), cfg)
 	return s, nil

@@ -215,16 +215,6 @@ func (r *FlightRecorder) Session() string {
 	return r.cfg.Session
 }
 
-// Suppressed reports how many Freeze calls the cooldown swallowed.
-func (r *FlightRecorder) Suppressed() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.suppressed
-}
-
 // Events returns a copy of the live ring, oldest first.
 func (r *FlightRecorder) Events() []Event {
 	if r == nil {
@@ -239,12 +229,13 @@ func (r *FlightRecorder) Events() []Event {
 type SLOState struct {
 	Name                   string
 	Objective              float64
-	Hits, Misses, Triggers int64
+	Hits, Misses, Triggers int64 // Hits and Misses: the slow window's
 	FastBurn, SlowBurn     float64
 	FastFrames, SlowFrames int64
 }
 
-// HitRatio is lifetime hits/(hits+misses) (1 when no observations).
+// HitRatio is the slow window's hits/(hits+misses) (1 when no
+// observations).
 func (st SLOState) HitRatio() float64 {
 	if st.Hits+st.Misses == 0 {
 		return 1
@@ -261,9 +252,12 @@ func (s *SLO) State() SLOState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := int64(now / s.cfg.Slot)
-	st := SLOState{
-		Name: s.cfg.Name, Objective: s.cfg.Objective,
-		Hits: s.hits, Misses: s.misses, Triggers: s.triggers,
+	st := SLOState{Name: s.cfg.Name, Objective: s.cfg.Objective, Triggers: s.triggers}
+	for _, sl := range s.slots {
+		if sl.idx > idx-s.nslow && sl.idx <= idx {
+			st.Hits += sl.hits
+			st.Misses += sl.misses
+		}
 	}
 	st.FastBurn, st.FastFrames = s.burnLocked(idx, s.nfast)
 	st.SlowBurn, st.SlowFrames = s.burnLocked(idx, s.nslow)

@@ -209,8 +209,6 @@ type FlightRecorder struct {
 	frozeOnce  bool
 	lastFreeze time.Duration
 	snaps      []*Snapshot
-	snapsEvic  int64 // snapshots evicted by MaxSnapshots
-	suppressed int64 // freezes suppressed by the cooldown
 }
 
 // NewFlightRecorder builds an enabled recorder. The ring is allocated
@@ -312,7 +310,7 @@ func (r *FlightRecorder) eventsLocked(since time.Duration) []Event {
 
 // Freeze captures the last Window of events into a snapshot. It returns
 // nil when the recorder is disabled, empty, or within the cooldown of the
-// previous freeze (suppressed freezes are counted). The OnFreeze hook
+// previous freeze. The OnFreeze hook
 // runs without locks held.
 func (r *FlightRecorder) Freeze(reason string) *Snapshot {
 	if r == nil || !r.enabled.Load() {
@@ -325,7 +323,6 @@ func (r *FlightRecorder) Freeze(reason string) *Snapshot {
 		return nil
 	}
 	if r.frozeOnce && now-r.lastFreeze < r.cfg.Cooldown {
-		r.suppressed++
 		r.mu.Unlock()
 		return nil
 	}
@@ -348,7 +345,6 @@ func (r *FlightRecorder) Freeze(reason string) *Snapshot {
 	if len(r.snaps) > r.cfg.MaxSnapshots {
 		evict := len(r.snaps) - r.cfg.MaxSnapshots
 		r.snaps = append(r.snaps[:0], r.snaps[evict:]...)
-		r.snapsEvic += int64(evict)
 	}
 	hook := r.cfg.OnFreeze
 	r.mu.Unlock()

@@ -48,7 +48,7 @@ func TestRecorderNilIsSafeAndSilent(t *testing.T) {
 		t.Error("nil recorder froze a snapshot")
 	}
 	if r.Enabled() || r.Recorded() != 0 || r.Session() != "" ||
-		r.Events() != nil || r.Snapshots() != nil || r.Suppressed() != 0 {
+		r.Events() != nil || r.Snapshots() != nil {
 		t.Error("nil recorder reported live state")
 	}
 }
@@ -141,9 +141,6 @@ func TestRecorderFreezeCooldownAndEviction(t *testing.T) {
 	clock.Advance(100 * time.Millisecond)
 	if r.Freeze("too-soon") != nil {
 		t.Fatal("freeze inside the cooldown was not suppressed")
-	}
-	if r.Suppressed() != 1 {
-		t.Fatalf("Suppressed = %d, want 1", r.Suppressed())
 	}
 	for i := 0; i < 3; i++ {
 		clock.Advance(time.Second)

@@ -98,8 +98,6 @@ type SLO struct {
 
 	mu          sync.Mutex
 	slots       []sloSlot
-	hits        int64 // lifetime
-	misses      int64
 	triggers    int64
 	trigOnce    bool
 	lastTrigger time.Duration
@@ -174,10 +172,8 @@ func (s *SLO) Observe(hit bool) {
 	}
 	if hit {
 		sl.hits++
-		s.hits++
 	} else {
 		sl.misses++
-		s.misses++
 	}
 	var trig SLOTrigger
 	fire := false

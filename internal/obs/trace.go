@@ -27,10 +27,6 @@ type Stage struct {
 type Span struct {
 	Trace  TraceID
 	ID     SpanID
-	Parent SpanID
-	Name   string
-	Start  time.Time
-	End    time.Time
 	Stages []Stage
 
 	tracer *Tracer
@@ -44,17 +40,14 @@ func (s *Span) Stage(name string, d time.Duration) {
 	s.Stages = append(s.Stages, Stage{Name: name, Dur: d})
 }
 
-// Finish stamps the end time and hands the span to the tracer's ring.
-// Calling Finish more than once publishes only the first time.
+// Finish hands the span to the tracer's ring. Calling Finish more than
+// once publishes only the first time.
 func (s *Span) Finish() {
 	if s == nil || s.tracer == nil {
 		return
 	}
 	t := s.tracer
 	s.tracer = nil
-	if s.End.IsZero() {
-		s.End = time.Now()
-	}
 	t.publish(s)
 }
 
@@ -119,35 +112,23 @@ func (t *Tracer) id() uint64 {
 }
 
 // StartTrace mints a new trace and its root span. Returns nil when
-// disabled.
+// disabled. name labels the call site only: a span keeps no name, since
+// nothing reads one.
 func (t *Tracer) StartTrace(name string) *Span {
 	if !t.Enabled() {
 		return nil
 	}
-	return &Span{
-		Trace:  TraceID(t.id()),
-		ID:     SpanID(t.id()),
-		Name:   name,
-		Start:  time.Now(),
-		tracer: t,
-	}
+	return &Span{Trace: TraceID(t.id()), ID: SpanID(t.id()), tracer: t}
 }
 
-// StartSpan opens a span inside an existing trace (trace/parent arrive
-// off the wire on the server side, or from a local parent span). Returns
-// nil when disabled or when trace is zero.
-func (t *Tracer) StartSpan(name string, trace TraceID, parent SpanID) *Span {
+// StartSpan opens a span inside an existing trace (the trace arrives off
+// the wire on the server side). Returns nil when disabled or when trace is
+// zero.
+func (t *Tracer) StartSpan(trace TraceID) *Span {
 	if !t.Enabled() || trace == 0 {
 		return nil
 	}
-	return &Span{
-		Trace:  trace,
-		ID:     SpanID(t.id()),
-		Parent: parent,
-		Name:   name,
-		Start:  time.Now(),
-		tracer: t,
-	}
+	return &Span{Trace: trace, ID: SpanID(t.id()), tracer: t}
 }
 
 func (t *Tracer) publish(s *Span) {

@@ -16,8 +16,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if got := len(root.Stages); got != 2 || root.Stages[0].Dur+root.Stages[1].Dur != 5*time.Millisecond {
 		t.Fatalf("stages = %v, want 3ms + 2ms", root.Stages)
 	}
-	child := tr.StartSpan("server", root.Trace, root.ID)
-	if child.Trace != root.Trace || child.Parent != root.ID {
+	child := tr.StartSpan(root.Trace)
+	if child.Trace != root.Trace || child.ID == root.ID {
 		t.Fatalf("child not linked: %+v", child)
 	}
 	child.Finish()
@@ -33,7 +33,7 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	for _, s := range spans {
 		if s.Trace != root.Trace {
-			t.Fatalf("span %q left trace %x", s.Name, root.Trace)
+			t.Fatalf("span %x left trace %x", s.ID, root.Trace)
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestDisabledTracingAllocs(t *testing.T) {
 	}
 	var nilT *Tracer
 	allocs = testing.AllocsPerRun(1000, func() {
-		s := nilT.StartSpan("frame", 1, 2)
+		s := nilT.StartSpan(1)
 		s.Stage("queue", time.Millisecond)
 		s.Finish()
 	})

@@ -59,11 +59,7 @@ type Runner struct {
 	DeadlineHits int64
 	DeadlineMiss int64 // late frames, and frames whose calls failed
 	UpBytes      int64 // request payload bytes sent
-	DownBytes    int64 // answer payload bytes received
-	LocalFrames  int64
-	Offloaded    int64
 	Failed       int64 // shipped frames with a failed call
-	Computed     int64 // frames the surrogate charged its compute for
 }
 
 // NewRunner wires a device and a surrogate of serverOps ops/s onto the
@@ -85,7 +81,7 @@ func NewRunner(sim *simnet.Sim, pl Pipeline, serverOps float64, up, down simnet.
 	r.chunks = (max(pl.UploadBytes, pl.ResultBytes) + chunkBytes - 1) / chunkBytes
 	answer := make([]byte, chunkBytes)
 	clock := marsim.NewClock(sim)
-	sep := marsim.NewLinkEndpoint(sim, serverAddr, down)
+	sep := marsim.NewLinkEndpoint(serverAddr, down)
 	serverMux.Register(serverAddr, sep)
 	_, err := rpc.NewServer("sim", nil,
 		func(_ uint8, req []byte) []byte {
@@ -99,7 +95,6 @@ func NewRunner(sim *simnet.Sim, pl Pipeline, serverOps float64, up, down simnet.
 				return 0
 			}
 			delete(r.arrived, f)
-			r.Computed++
 			return compute
 		}))
 	if err != nil {
@@ -108,7 +103,7 @@ func NewRunner(sim *simnet.Sim, pl Pipeline, serverOps float64, up, down simnet.
 	addr := serverAddr
 	r.cl, err = rpc.Dial("sim", rpc.ClientConfig{Clock: clock, Dialer: func(cfg wire.Config) (*wire.Conn, error) {
 		addr++
-		ep := marsim.NewLinkEndpoint(sim, addr, up)
+		ep := marsim.NewLinkEndpoint(addr, up)
 		clientMux.Register(addr, ep)
 		return wire.DialVia(ep, marsim.LinkAddr(serverAddr), cfg)
 	}})
@@ -140,8 +135,7 @@ func (r *Runner) Ship(deadline time.Duration, done func(lat time.Duration, err e
 		binary.LittleEndian.PutUint32(req, seq)
 		binary.LittleEndian.PutUint16(req[4:], uint16(i))
 		r.UpBytes += int64(len(req))
-		r.cl.CallAsync(methodFrame, req, core.PrioHighest, deadline, func(resp []byte, err error) {
-			r.DownBytes += int64(len(resp))
+		r.cl.CallAsync(methodFrame, req, core.PrioHighest, deadline, func(_ []byte, err error) {
 			if err != nil && failed == nil {
 				failed = err
 			}
@@ -169,11 +163,9 @@ func (r *Runner) Run(deviceOps float64, fps int, budget, dur time.Duration) erro
 			t0 := r.sim.Now()
 			r.sim.Schedule(local, func() {
 				if !r.pl.Offloads() || i%every != 0 {
-					r.LocalFrames++
 					r.score(r.sim.Now()-t0, budget)
 					return
 				}
-				r.Offloaded++
 				r.Ship(deadlineBudgets*budget, func(_ time.Duration, err error) {
 					if err != nil {
 						r.Failed++

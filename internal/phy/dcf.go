@@ -28,9 +28,6 @@ type Medium struct {
 	// approximation behind Bianchi-style DCF analysis. A collision wastes
 	// the frame's airtime and the frame is retried.
 	CWMin int
-
-	// Collisions counts wasted transmissions.
-	Collisions int64
 }
 
 // Station is one 802.11 transmitter on a Medium with its own PHY rate.
@@ -40,7 +37,6 @@ type Station struct {
 	queue     simnet.Queue
 	dst       simnet.Handler
 	SentBytes int64
-	SentPkts  int64
 }
 
 // NewMedium creates an empty shared channel with the given per-frame MAC
@@ -88,7 +84,6 @@ func (m *Medium) transmitNext() {
 		if m.collides() {
 			// The slot is burned: both colliding frames' airtime is lost,
 			// and the frame returns to the head of the station's queue.
-			m.Collisions++
 			m.sim.Schedule(tx, func() {
 				st.Send(pkt) // retry via normal contention
 				m.busy = false
@@ -98,7 +93,6 @@ func (m *Medium) transmitNext() {
 		}
 		m.sim.Schedule(tx, func() {
 			st.SentBytes += int64(pkt.Size)
-			st.SentPkts++
 			st.dst.Handle(pkt)
 			m.busy = false
 			m.transmitNext()

@@ -20,9 +20,9 @@ import (
 type Profile struct {
 	Name string
 
-	// Theoretical peak rates in bits/s (marketing numbers).
+	// TheoreticalDown is the theoretical peak downlink rate in bits/s
+	// (the marketing number).
 	TheoreticalDown float64
-	TheoreticalUp   float64
 
 	// Measured typical rates in bits/s (the paper's survey values).
 	Down float64
@@ -35,10 +35,6 @@ type Profile struct {
 
 	// Loss is the residual random packet loss probability.
 	Loss float64
-
-	// RateSpread is the relative standard deviation of the rate-variation
-	// process (0 = stable rate).
-	RateSpread float64
 }
 
 // Profiles as characterized in Section IV-A. RTT figures in the paper are
@@ -48,79 +44,71 @@ var (
 	// down / ~1.5 Mb/s up, 110-131 ms RTT with spikes to 800 ms and
 	// order-of-magnitude throughput swings.
 	HSPAPlus = Profile{
-		Name:            "HSPA+",
-		TheoreticalDown: 42e6, TheoreticalUp: 22e6,
+		Name: "HSPA+", TheoreticalDown: 42e6,
 		Down: 2.5e6, Up: 1.5e6,
 		OneWay: 60 * time.Millisecond, Jitter: 80 * time.Millisecond,
-		Loss: 0.01, RateSpread: 0.8,
+		Loss: 0.01,
 	}
 
 	// LTE: theoretical 326/75 Mb/s; measured ~19.6 down / 7.9 up (Speedtest
 	// Aug 2016), 66-85 ms RTT.
 	LTE = Profile{
-		Name:            "LTE",
-		TheoreticalDown: 326e6, TheoreticalUp: 75e6,
+		Name: "LTE", TheoreticalDown: 326e6,
 		Down: 19.6e6, Up: 7.9e6,
 		OneWay: 38 * time.Millisecond, Jitter: 20 * time.Millisecond,
-		Loss: 0.003, RateSpread: 0.3,
+		Loss: 0.003,
 	}
 
 	// WiFi80211n: theoretical 600 Mb/s; measured 6.7 Mb/s down across all
 	// users, ~150 ms average reported latency on open APs.
 	WiFi80211n = Profile{
-		Name:            "802.11n",
-		TheoreticalDown: 600e6, TheoreticalUp: 600e6,
+		Name: "802.11n", TheoreticalDown: 600e6,
 		Down: 6.7e6, Up: 6.7e6,
 		OneWay: 75 * time.Millisecond, Jitter: 40 * time.Millisecond,
-		Loss: 0.01, RateSpread: 0.4,
+		Loss: 0.01,
 	}
 
 	// WiFi80211ac: theoretical 1300 Mb/s; measured 33.4 Mb/s.
 	WiFi80211ac = Profile{
-		Name:            "802.11ac",
-		TheoreticalDown: 1300e6, TheoreticalUp: 1300e6,
+		Name: "802.11ac", TheoreticalDown: 1300e6,
 		Down: 33.4e6, Up: 33.4e6,
 		OneWay: 40 * time.Millisecond, Jitter: 25 * time.Millisecond,
-		Loss: 0.005, RateSpread: 0.35,
+		Loss: 0.005,
 	}
 
 	// WiFiLocal: a controlled personal access point — "delays can drop to a
 	// few milliseconds" (Section IV-A4).
 	WiFiLocal = Profile{
-		Name:            "WiFi (local AP)",
-		TheoreticalDown: 1300e6, TheoreticalUp: 1300e6,
+		Name: "WiFi (local AP)", TheoreticalDown: 1300e6,
 		Down: 200e6, Up: 200e6,
 		OneWay: 2 * time.Millisecond, Jitter: 2 * time.Millisecond,
-		Loss: 0.001, RateSpread: 0.05,
+		Loss: 0.001,
 	}
 
 	// WiFiDirect: 500 Mb/s within 200 m (Section IV-A5), strongly
 	// mobility-dependent.
 	WiFiDirect = Profile{
-		Name:            "WiFi-Direct",
-		TheoreticalDown: 500e6, TheoreticalUp: 500e6,
+		Name: "WiFi-Direct", TheoreticalDown: 500e6,
 		Down: 120e6, Up: 120e6,
 		OneWay: 3 * time.Millisecond, Jitter: 3 * time.Millisecond,
-		Loss: 0.005, RateSpread: 0.5,
+		Loss: 0.005,
 	}
 
 	// LTEDirect: ~1 Gb/s within 1 km, licensed spectrum, low latency
 	// (Section IV-A3) — undeployed, so these are datasheet figures.
 	LTEDirect = Profile{
-		Name:            "LTE-Direct",
-		TheoreticalDown: 1e9, TheoreticalUp: 1e9,
+		Name: "LTE-Direct", TheoreticalDown: 1e9,
 		Down: 400e6, Up: 400e6,
 		OneWay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond,
-		Loss: 0.002, RateSpread: 0.2,
+		Loss: 0.002,
 	}
 
 	// Backbone: wired ISP/peering segment used server-side in topologies.
 	Backbone = Profile{
-		Name:            "backbone",
-		TheoreticalDown: 10e9, TheoreticalUp: 10e9,
+		Name: "backbone", TheoreticalDown: 10e9,
 		Down: 1e9, Up: 1e9,
 		OneWay: 5 * time.Millisecond, Jitter: time.Millisecond,
-		Loss: 0.0001, RateSpread: 0,
+		Loss: 0.0001,
 	}
 )
 

@@ -6,55 +6,6 @@ import (
 	"marnet/internal/simnet"
 )
 
-// Vary attaches a rate-variation process to a link: every interval the link
-// rate is redrawn as mean·(1 + spread·N(0,1)), floored at 2% of the mean.
-// This models the "large variations over time" the paper measured on
-// cellular links. The process stops at the until horizon.
-func Vary(sim *simnet.Sim, link *simnet.Link, mean, spread float64, interval, until time.Duration) {
-	if spread <= 0 || interval <= 0 {
-		return
-	}
-	var step func()
-	step = func() {
-		f := 1 + spread*sim.Rand().NormFloat64()
-		if f < 0.02 {
-			f = 0.02
-		}
-		link.SetRate(mean * f)
-		if sim.Now()+interval <= until {
-			sim.Schedule(interval, step)
-		}
-	}
-	sim.Schedule(interval, step)
-}
-
-// GilbertRate drives a link through a two-state Markov rate process: a good
-// state at goodRate and a bad state at badRate, with per-step transition
-// probabilities pGoodToBad and pBadToGood. This reproduces the "abrupt
-// changes of several orders of magnitude" observed on HSPA+ (Section IV-A1).
-func GilbertRate(sim *simnet.Sim, link *simnet.Link, goodRate, badRate, pGoodToBad, pBadToGood float64, interval, until time.Duration) {
-	good := true
-	var step func()
-	step = func() {
-		if good {
-			if sim.Rand().Float64() < pGoodToBad {
-				good = false
-				link.SetRate(badRate)
-			}
-		} else {
-			if sim.Rand().Float64() < pBadToGood {
-				good = true
-				link.SetRate(goodRate)
-			}
-		}
-		if sim.Now()+interval <= until {
-			sim.Schedule(interval, step)
-		}
-	}
-	link.SetRate(goodRate)
-	sim.Schedule(interval, step)
-}
-
 // Outage forces 100% loss on the link during [start, start+dur), modelling
 // the multi-second connectivity gaps of WiFi handover (Section IV-A4). The
 // link's prior loss probability is restored afterwards.

@@ -28,7 +28,6 @@ type FQCoDel struct {
 	oldFlows []*fqFlow
 	total    int
 	bytes    int
-	drops    int64
 }
 
 // fqFlow is one flow's sub-queue: a FIFO judged by the CoDel law at
@@ -38,10 +37,8 @@ type FQCoDel struct {
 type fqFlow struct {
 	fifo    simnet.DropTail
 	law     codel.Law
-	drops   int64 // AQM drops
 	deficit int
 	active  bool
-	isNew   bool
 }
 
 var _ simnet.Queue = (*FQCoDel)(nil)
@@ -69,7 +66,6 @@ func (q *FQCoDel) flowOf(pkt *simnet.Packet) *fqFlow {
 // Enqueue hashes pkt to its flow queue.
 func (q *FQCoDel) Enqueue(pkt *simnet.Packet, now time.Duration) bool {
 	if q.MaxPkts > 0 && q.total >= q.MaxPkts {
-		q.drops++
 		return false
 	}
 	f := q.flowOf(pkt)
@@ -78,7 +74,6 @@ func (q *FQCoDel) Enqueue(pkt *simnet.Packet, now time.Duration) bool {
 	q.bytes += pkt.Size
 	if !f.active {
 		f.active = true
-		f.isNew = true
 		f.deficit = q.Quantum
 		q.newFlows = append(q.newFlows, f)
 	}
@@ -121,7 +116,6 @@ func (q *FQCoDel) Dequeue(now time.Duration) *simnet.Packet {
 			// After servicing, a new flow moves to the old list so it cannot
 			// starve others.
 			q.newFlows = q.newFlows[1:]
-			f.isNew = false
 			q.oldFlows = append(q.oldFlows, f)
 		}
 		return pkt
@@ -138,7 +132,6 @@ func (f *fqFlow) dequeue(now time.Duration) *simnet.Packet {
 		return nil
 	}
 	for f.law.Drop(now-pkt.Enq, now, f.fifo.Bytes() > 1500) {
-		f.drops++
 		pkt = f.fifo.Dequeue(now)
 	}
 	return pkt
@@ -147,7 +140,6 @@ func (f *fqFlow) dequeue(now time.Duration) *simnet.Packet {
 func (q *FQCoDel) rotate(f *fqFlow, fromNew bool) {
 	if fromNew {
 		q.newFlows = q.newFlows[1:]
-		f.isNew = false
 	} else {
 		q.oldFlows = q.oldFlows[1:]
 	}
@@ -161,7 +153,6 @@ func (q *FQCoDel) deactivate(f *fqFlow, fromNew bool) {
 		q.oldFlows = q.oldFlows[1:]
 	}
 	f.active = false
-	f.isNew = false
 }
 
 // Len reports total queued packets.

@@ -17,7 +17,6 @@ type StrictPriority struct {
 	Classify func(*simnet.Packet) int
 
 	bands []simnet.DropTail
-	drops int64
 }
 
 var _ simnet.Queue = (*StrictPriority)(nil)
@@ -51,11 +50,7 @@ func (q *StrictPriority) bandOf(pkt *simnet.Packet) int {
 
 // Enqueue places pkt into its band.
 func (q *StrictPriority) Enqueue(pkt *simnet.Packet, now time.Duration) bool {
-	if !q.bands[q.bandOf(pkt)].Enqueue(pkt, now) {
-		q.drops++
-		return false
-	}
-	return true
+	return q.bands[q.bandOf(pkt)].Enqueue(pkt, now)
 }
 
 // Dequeue returns the head of the lowest-numbered non-empty band.

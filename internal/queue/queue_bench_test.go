@@ -14,7 +14,7 @@ func benchDiscipline(b *testing.B, q simnet.Queue) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += time.Microsecond
-		p := &simnet.Packet{ID: uint64(i), Size: 1000 + i%500, Flow: uint64(i % 16)}
+		p := &simnet.Packet{Seq: int64(i), Size: 1000 + i%500, Flow: uint64(i % 16)}
 		p.Prio = i % 4
 		q.Enqueue(p, now)
 		if i%2 == 1 {

@@ -33,7 +33,6 @@ type breaker struct {
 	open    bool
 	probing bool
 	until   time.Time
-	opens   int64
 }
 
 func newBreaker(p BreakerPolicy) *breaker {
@@ -100,16 +99,9 @@ func (b *breaker) record(ok bool, now time.Time) {
 	}
 	if b.consec >= b.threshold {
 		b.open = true
-		b.opens++
 		b.until = now.Add(b.cooldown)
 		b.probing = false
 	}
-}
-
-func (b *breaker) openCount() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }
 
 // latencyTracker keeps a ring of recent call latencies for adaptive

@@ -144,9 +144,6 @@ func (c *Client) CallAsync(method uint8, req []byte, prio core.Priority, deadlin
 	c.mu.Unlock()
 
 	if !c.breaker.allow(c.clock.Now()) {
-		c.mu.Lock()
-		c.stats.BreakerFastFails++
-		c.mu.Unlock()
 		done(nil, ErrBreakerOpen)
 		return
 	}
@@ -266,9 +263,6 @@ func (cs *callState) onResultLocked(id uint64, res callResult) completion {
 	cs.used = cs.attempt + 1
 	cs.lastInfo = info
 	if rerr == nil {
-		if info.hedged {
-			c.stats.HedgeWins++
-		}
 		if !cs.probe {
 			c.lat.record(c.clock.Since(aStart))
 		}

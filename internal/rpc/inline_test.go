@@ -208,7 +208,7 @@ func TestServeInlineZeroAlloc(t *testing.T) {
 	req := make([]byte, reqHeader+64)
 	req[8], req[9] = methodEcho, byte(core.PrioHighest)
 	binary.LittleEndian.PutUint32(req[10:], 75_000) // 75 ms of budget
-	m := wire.Message{Stream: reqStream, Payload: req, Peer: peer, Conn: conns[0], Backlog: 1}
+	m := wire.Message{Stream: reqStream, Payload: req, Conn: conns[0], Backlog: 1}
 	// The peer acknowledges each response at the instant it leaves (no RTT
 	// sample, so the budget holds still), which hands the response's
 	// pooled records back as a live exchange does.

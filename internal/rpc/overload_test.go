@@ -116,9 +116,6 @@ func TestDrainingRejectsNewCalls(t *testing.T) {
 	if st := srv.Stats(); st.Draining != 1 {
 		t.Errorf("Draining = %d", st.Draining)
 	}
-	if st := cl.Stats(); st.ServerDraining != 1 {
-		t.Errorf("client ServerDraining = %d", st.ServerDraining)
-	}
 	if !cl.KnownDraining() {
 		t.Error("draining rejection did not mark the client")
 	}

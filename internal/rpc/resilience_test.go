@@ -91,10 +91,6 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 	if took := time.Since(start); took > 50*time.Millisecond {
 		t.Errorf("breaker fast-fail took %v", took)
 	}
-	st := cl.Stats()
-	if st.BreakerOpens != 1 || st.BreakerFastFails != 1 {
-		t.Errorf("stats = %+v", st)
-	}
 
 	// After the cooldown one probe is let through; its failure re-opens.
 	time.Sleep(300 * time.Millisecond)
@@ -129,9 +125,6 @@ func TestBreakerRecoversOnSuccess(t *testing.T) {
 	b.record(true, probe)
 	if !b.allow(probe) {
 		t.Fatal("breaker should be closed after probe success")
-	}
-	if b.openCount() != 1 {
-		t.Errorf("openCount = %d", b.openCount())
 	}
 }
 
@@ -200,7 +193,7 @@ func TestFailoverDispatchesToBackup(t *testing.T) {
 	if st.Failovers != n {
 		t.Errorf("failovers = %d, want %d", st.Failovers, n)
 	}
-	if st.PerServer[0].BreakerOpens == 0 {
+	if !fc.clients[0].BreakerOpen() {
 		t.Error("primary breaker never opened")
 	}
 	// With the primary's breaker open, calls reach the backup in

@@ -545,7 +545,7 @@ func (call *serverCall) serve() {
 	s, run := call.s, &call.item
 	call.t0 = s.clock.Now()
 	call.queued = call.t0.Sub(call.arrived)
-	call.span = s.tracer.StartSpan("server", obs.TraceID(call.traceID), obs.SpanID(call.spanID))
+	call.span = s.tracer.StartSpan(obs.TraceID(call.traceID))
 	if s.tiered != nil {
 		call.resp = s.tiered(run.Method, call.req, run.Degrade)
 	} else {
@@ -741,21 +741,16 @@ type HedgePolicy struct {
 
 // ClientStats is a snapshot of a client's counters.
 type ClientStats struct {
-	Calls            int64 // Call invocations
-	Timeouts         int64 // calls that exhausted their deadline
-	ShedCalls        int64 // transport-level sheds (per attempt)
-	Retries          int64 // extra attempts after a failed one
-	Hedges           int64 // duplicate requests launched
-	HedgeWins        int64 // calls won by the hedged request
-	BreakerFastFails int64 // calls rejected while the breaker was open
-	BreakerOpens     int64 // closed→open breaker transitions
-	Reconnects       int64 // session resumptions after dead-peer verdicts
+	Calls      int64 // Call invocations
+	Timeouts   int64 // calls that exhausted their deadline
+	ShedCalls  int64 // transport-level sheds (per attempt)
+	Retries    int64 // extra attempts after a failed one
+	Hedges     int64 // duplicate requests launched
+	Reconnects int64 // session resumptions after dead-peer verdicts
 
 	Degraded           int64 // responses served below full fidelity
-	ServerSheds        int64 // attempts refused by server admission control
 	ServerExpired      int64 // attempts the server declared dead on deadline
 	ServerCannotFinish int64 // attempts the server predicted could not finish
-	ServerDraining     int64 // attempts refused by a draining server
 }
 
 // callResult is one response off the wire: the server's status byte plus
@@ -927,7 +922,6 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	st := c.stats
 	c.mu.Unlock()
-	st.BreakerOpens = c.breaker.openCount()
 	st.Reconnects = c.sess.Reconnects()
 	return st
 }
@@ -1016,7 +1010,6 @@ func (c *Client) resolveLocked(res callResult) ([]byte, error) {
 		c.stats.Degraded++
 		return res.payload, nil
 	case statusShed:
-		c.stats.ServerSheds++
 		return nil, ErrServerShed
 	case statusExpired:
 		c.stats.ServerExpired++
@@ -1025,7 +1018,6 @@ func (c *Client) resolveLocked(res callResult) ([]byte, error) {
 		c.stats.ServerCannotFinish++
 		return nil, ErrCannotFinish
 	case statusDraining:
-		c.stats.ServerDraining++
 		return nil, ErrDraining
 	default:
 		return nil, fmt.Errorf("rpc: unknown response status %d", res.status)

@@ -14,7 +14,6 @@ type DropTail struct {
 	pkts  []*Packet
 	head  int
 	bytes int
-	drops int64
 }
 
 var _ Queue = (*DropTail)(nil)
@@ -26,12 +25,7 @@ func NewDropTail(maxPackets int) *DropTail {
 
 // Enqueue appends pkt unless a bound would be exceeded.
 func (q *DropTail) Enqueue(pkt *Packet, now time.Duration) bool {
-	if q.MaxPackets > 0 && q.Len() >= q.MaxPackets {
-		q.drops++
-		return false
-	}
-	if q.MaxBytes > 0 && q.bytes+pkt.Size > q.MaxBytes {
-		q.drops++
+	if q.MaxPackets > 0 && q.Len() >= q.MaxPackets || q.MaxBytes > 0 && q.bytes+pkt.Size > q.MaxBytes {
 		return false
 	}
 	pkt.Enq = now

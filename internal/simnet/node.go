@@ -7,7 +7,6 @@ import "time"
 // their address.
 type Demux struct {
 	handlers map[Addr]Handler
-	dropped  int64
 }
 
 // NewDemux returns an empty demultiplexer.
@@ -18,19 +17,17 @@ func NewDemux() *Demux {
 // Register binds addr to h, replacing any previous binding.
 func (d *Demux) Register(addr Addr, h Handler) { d.handlers[addr] = h }
 
-// Handle routes pkt by destination address.
+// Handle routes pkt by destination address; a packet for an address no
+// handler holds is dropped.
 func (d *Demux) Handle(pkt *Packet) {
 	if h, ok := d.handlers[pkt.Dst]; ok {
 		h.Handle(pkt)
-		return
 	}
-	d.dropped++
 }
 
 // Collector records every packet it receives, for tests and measurement.
 type Collector struct {
 	Packets []*Packet
-	Bytes   int64
 	Times   []time.Duration
 	sim     *Sim
 }
@@ -41,17 +38,16 @@ func NewCollector(sim *Sim) *Collector { return &Collector{sim: sim} }
 // Handle records pkt.
 func (c *Collector) Handle(pkt *Packet) {
 	c.Packets = append(c.Packets, pkt)
-	c.Bytes += int64(pkt.Size)
 	if c.sim != nil {
 		c.Times = append(c.Times, c.sim.Now())
 	}
 }
 
 // Sink silently discards packets (a /dev/null endpoint).
-type Sink struct{ N int64 }
+type Sink struct{}
 
 // Handle discards pkt.
-func (s *Sink) Handle(*Packet) { s.N++ }
+func (*Sink) Handle(*Packet) {}
 
 // Chain builds a multi-hop unidirectional path from a sequence of links:
 // each link delivers into the next; the last delivers to dst. It returns the

@@ -10,16 +10,13 @@ type Addr int
 // the only field the link layer interprets; everything else is carried for
 // the protocols and the measurement code.
 type Packet struct {
-	ID      uint64        // process-unique, assigned by the creator
 	Src     Addr          // source endpoint
 	Dst     Addr          // destination endpoint, used by Demux
 	Flow    uint64        // flow identifier for fair queueing
 	Size    int           // bytes on the wire
 	Seq     int64         // protocol sequence number
-	Class   int           // ARTP traffic class (see internal/core)
 	Prio    int           // ARTP priority level (see internal/core)
 	Kind    int           // protocol-specific packet kind
-	Created time.Duration // simulated creation time
 	Enq     time.Duration // time of last enqueue (set by queues)
 	Payload any           // protocol payload (headers, app data descriptors)
 }

@@ -87,11 +87,8 @@ func TestEventCancel(t *testing.T) {
 		t.Error("Pending() should be true before Cancel")
 	}
 	e.Cancel()
-	if !e.Cancelled() {
-		t.Error("Cancelled() should be true")
-	}
-	if e.Pending() || e.Fired() {
-		t.Error("cancelled event reports Pending or Fired")
+	if e.Pending() {
+		t.Error("cancelled event reports Pending")
 	}
 	if s.Pending() != 0 {
 		t.Errorf("Pending = %d after cancel, want 0 (eager removal)", s.Pending())
@@ -110,20 +107,21 @@ func TestEventCancel(t *testing.T) {
 
 func TestEventHandleLifecycle(t *testing.T) {
 	s := New(1)
-	e := s.Schedule(time.Millisecond, func() {})
+	fired, fired2 := 0, 0
+	e := s.Schedule(time.Millisecond, func() { fired++ })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Fired() {
-		t.Error("Fired() should be true right after the callback ran")
+	if fired != 1 {
+		t.Errorf("callback ran %d times, want 1", fired)
 	}
-	if e.Cancelled() || e.Pending() {
-		t.Error("fired event reports Cancelled or Pending")
+	if e.Pending() {
+		t.Error("fired event reports Pending")
 	}
 	e.Cancel() // no-op on a completed event
 	// The fired record is recycled: a new event reuses it, and once that
 	// second lifetime completes the first handle has fully expired.
-	e2 := s.Schedule(time.Millisecond, func() {})
+	e2 := s.Schedule(time.Millisecond, func() { fired2++ })
 	if e.Pending() {
 		t.Error("stale handle reports Pending after record reuse")
 	}
@@ -134,11 +132,11 @@ func TestEventHandleLifecycle(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Fired() || e.Cancelled() || e.Pending() {
-		t.Error("expired handle should report false everywhere")
+	if e.Pending() || fired != 1 {
+		t.Errorf("expired handle reports Pending, or its callback ran again (%d runs)", fired)
 	}
-	if !e2.Fired() {
-		t.Error("second-lifetime handle lost its outcome")
+	if fired2 != 1 {
+		t.Errorf("second-lifetime callback ran %d times, want 1", fired2)
 	}
 }
 
@@ -324,9 +322,9 @@ func TestDeterminism(t *testing.T) {
 		col := NewCollector(s)
 		link2 := NewLink(s, 1e6, time.Millisecond, col)
 		for i := 0; i < 100; i++ {
-			pkt := &Packet{ID: s.NextPacketID(), Size: 1000}
+			pkt := &Packet{Size: 1000}
 			link.Send(pkt)
-			link2.Send(&Packet{ID: s.NextPacketID(), Size: 500})
+			link2.Send(&Packet{Size: 500})
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)

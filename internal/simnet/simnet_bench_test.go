@@ -46,17 +46,18 @@ func BenchmarkEventRearmChurn(b *testing.B) {
 func BenchmarkLinkPacketForwarding(b *testing.B) {
 	b.ReportAllocs()
 	s := New(1)
-	sink := &Sink{}
+	delivered := 0
+	sink := HandlerFunc(func(*Packet) { delivered++ })
 	link := NewLink(s, 1e12, time.Microsecond, sink, WithQueue(NewDropTail(0)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		link.Send(&Packet{ID: uint64(i), Size: 1500})
+		link.Send(&Packet{Seq: int64(i), Size: 1500})
 	}
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
-	if sink.N != int64(b.N) {
-		b.Fatalf("delivered %d of %d", sink.N, b.N)
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
 }
 
@@ -71,7 +72,7 @@ func BenchmarkThreeHopPath(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ingress.Send(&Packet{ID: uint64(i), Size: 1500})
+		ingress.Send(&Packet{Seq: int64(i), Size: 1500})
 	}
 	if err := s.Run(); err != nil {
 		b.Fatal(err)

@@ -79,11 +79,6 @@ type Sender struct {
 	// CwndTrace, when set, records (t, cwnd-in-segments) on every change.
 	CwndTrace *trace.Series
 
-	// Stats.
-	Retransmits int64
-	Timeouts    int64
-	FastRexmits int64
-
 	algo  Algorithm
 	cubic cubicState
 }
@@ -168,9 +163,6 @@ func (s *Sender) trySend() {
 func (s *Sender) transmit(seq int64, isRexmit bool) {
 	if isRexmit || s.sent[seq] {
 		s.rexmit[seq] = true
-		if isRexmit {
-			s.Retransmits++
-		}
 	} else {
 		s.sent[seq] = true
 		// Start an RTT measurement if none is in progress.
@@ -181,14 +173,12 @@ func (s *Sender) transmit(seq int64, isRexmit bool) {
 		}
 	}
 	pkt := &simnet.Packet{
-		ID:      s.sim.NextPacketID(),
-		Src:     s.src,
-		Dst:     s.dst,
-		Flow:    s.flow,
-		Size:    MSS + HeaderSize,
-		Seq:     seq,
-		Kind:    KindData,
-		Created: s.sim.Now(),
+		Src:  s.src,
+		Dst:  s.dst,
+		Flow: s.flow,
+		Size: MSS + HeaderSize,
+		Seq:  seq,
+		Kind: KindData,
 	}
 	s.out.Handle(pkt)
 	// RFC 6298 (5.1): arm the timer if it is not already running. It is
@@ -215,7 +205,6 @@ func (s *Sender) onTimeout() {
 	if s.done || s.inFlight() == 0 {
 		return
 	}
-	s.Timeouts++
 	s.cubic.onLoss(s.cwnd)
 	s.ssthresh = maxf(float64(s.inFlight())/2, 2)
 	s.cwnd = 1
@@ -324,7 +313,6 @@ func (s *Sender) onDupAck() {
 	}
 	if s.dupAcks == 3 {
 		// Fast retransmit + fast recovery.
-		s.FastRexmits++
 		s.cubic.onLoss(s.cwnd)
 		if s.algo == Cubic {
 			s.ssthresh = maxf(s.cwnd*cubicBeta, 2)
@@ -361,8 +349,6 @@ type Receiver struct {
 
 	// Goodput, when set, records every in-order payload delivery.
 	Goodput *trace.Throughput
-	// Received counts distinct in-order segments delivered.
-	Received int64
 }
 
 // NewReceiver builds the receiving half. out is the egress toward the
@@ -390,13 +376,11 @@ func (r *Receiver) Handle(pkt *simnet.Packet) {
 		// Duplicate of already-delivered data: re-ACK below.
 	}
 	ack := &simnet.Packet{
-		ID:      r.sim.NextPacketID(),
 		Src:     r.src,
 		Dst:     r.dst,
 		Flow:    r.flow,
 		Size:    AckSize,
 		Kind:    KindAck,
-		Created: r.sim.Now(),
 		Payload: ackInfo{cum: r.rcvNxt},
 	}
 	r.out.Handle(ack)
@@ -404,7 +388,6 @@ func (r *Receiver) Handle(pkt *simnet.Packet) {
 
 func (r *Receiver) deliver() {
 	r.rcvNxt++
-	r.Received++
 	if r.Goodput != nil {
 		r.Goodput.Record(r.sim.Now(), MSS)
 	}

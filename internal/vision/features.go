@@ -200,7 +200,6 @@ func Hamming(a, b Descriptor) int {
 // Match is a correspondence between feature indexes in two sets.
 type Match struct {
 	I, J int // indexes into the query and train feature sets
-	Dist int
 }
 
 // MatchFeatures brute-force matches query features against train features
@@ -227,7 +226,7 @@ func MatchFeatures(query, train []Feature, maxDist int, ratio float64) []Match {
 		if second < 1<<30 && float64(best) > ratio*float64(second) {
 			continue
 		}
-		out = append(out, Match{I: i, J: bestJ, Dist: best})
+		out = append(out, Match{I: i, J: bestJ})
 	}
 	return out
 }

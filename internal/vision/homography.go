@@ -17,11 +17,6 @@ var (
 // where possible.
 type Homography [9]float64
 
-// Identity returns the identity homography.
-func Identity() Homography {
-	return Homography{1, 0, 0, 0, 1, 0, 0, 0, 1}
-}
-
 // Translation returns a pure translation homography.
 func Translation(dx, dy float64) Homography {
 	return Homography{1, 0, dx, 0, 1, dy, 0, 0, 1}
@@ -35,34 +30,6 @@ func (h Homography) Apply(x, y float64) (hx, hy float64, ok bool) {
 		return 0, 0, false
 	}
 	return (h[0]*x + h[1]*y + h[2]) / wd, (h[3]*x + h[4]*y + h[5]) / wd, true
-}
-
-// Invert returns the inverse homography.
-func (h Homography) Invert() (Homography, error) {
-	// Adjugate / determinant.
-	a, b, c := h[0], h[1], h[2]
-	d, e, f := h[3], h[4], h[5]
-	g, hh, i := h[6], h[7], h[8]
-	det := a*(e*i-f*hh) - b*(d*i-f*g) + c*(d*hh-e*g)
-	if math.Abs(det) < 1e-12 {
-		return Homography{}, ErrDegenerate
-	}
-	inv := Homography{
-		(e*i - f*hh) / det, (c*hh - b*i) / det, (b*f - c*e) / det,
-		(f*g - d*i) / det, (a*i - c*g) / det, (c*d - a*f) / det,
-		(d*hh - e*g) / det, (b*g - a*hh) / det, (a*e - b*d) / det,
-	}
-	return inv.normalize(), nil
-}
-
-func (h Homography) normalize() Homography {
-	if math.Abs(h[8]) > 1e-12 {
-		for i := range h {
-			h[i] /= h[8]
-		}
-		h[8] = 1
-	}
-	return h
 }
 
 // SolveHomography computes the homography mapping src[i] -> dst[i] from
@@ -117,9 +84,8 @@ type RansacConfig struct {
 
 // RansacResult carries the model and its support.
 type RansacResult struct {
-	H        Homography
-	Inliers  []int // indexes into the match list
-	NumIters int
+	H       Homography
+	Inliers []int // indexes into the match list
 }
 
 // EstimateHomography robustly fits a homography to the matched features
@@ -145,7 +111,7 @@ func EstimateHomography(query, train []Feature, matches []Match, cfg RansacConfi
 	}
 	var best RansacResult
 	thresh2 := cfg.InlierDist * cfg.InlierDist
-	for it := 0; it < cfg.Iterations; it++ {
+	for range cfg.Iterations {
 		idx := rng.Perm(len(matches))[:4]
 		var s4, d4 [4]Point
 		for k, i := range idx {
@@ -167,7 +133,7 @@ func EstimateHomography(query, train []Feature, matches []Match, cfg RansacConfi
 			}
 		}
 		if len(inliers) > len(best.Inliers) {
-			best = RansacResult{H: h, Inliers: inliers, NumIters: it + 1}
+			best = RansacResult{H: h, Inliers: inliers}
 			// Early exit on overwhelming consensus.
 			if len(inliers) > len(matches)*9/10 {
 				break
@@ -178,22 +144,4 @@ func EstimateHomography(query, train []Feature, matches []Match, cfg RansacConfi
 		return RansacResult{}, ErrNoConsensus
 	}
 	return best, nil
-}
-
-// ReprojectionError returns the RMS reprojection error of the homography
-// over the given correspondences.
-func ReprojectionError(h Homography, src, dst []Point) float64 {
-	if len(src) == 0 || len(src) != len(dst) {
-		return math.Inf(1)
-	}
-	var sum float64
-	for i := range src {
-		hx, hy, ok := h.Apply(src[i].X, src[i].Y)
-		if !ok {
-			return math.Inf(1)
-		}
-		dx, dy := hx-dst[i].X, hy-dst[i].Y
-		sum += dx*dx + dy*dy
-	}
-	return math.Sqrt(sum / float64(len(src)))
 }

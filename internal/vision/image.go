@@ -31,22 +31,6 @@ func NewFrame(w, h int) *Frame {
 	return &Frame{W: w, H: h, Pix: make([]uint8, w*h)}
 }
 
-// At returns the pixel at (x, y); out-of-bounds reads return 0.
-func (f *Frame) At(x, y int) uint8 {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return 0
-	}
-	return f.Pix[y*f.W+x]
-}
-
-// Set writes the pixel at (x, y); out-of-bounds writes are ignored.
-func (f *Frame) Set(x, y int, v uint8) {
-	if x < 0 || y < 0 || x >= f.W || y >= f.H {
-		return
-	}
-	f.Pix[y*f.W+x] = v
-}
-
 // Clone returns a deep copy.
 func (f *Frame) Clone() *Frame {
 	out := NewFrame(f.W, f.H)

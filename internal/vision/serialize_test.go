@@ -64,8 +64,8 @@ func TestSerializedFeaturesStillMatch(t *testing.T) {
 		t.Fatalf("only %d/%d self-matches after round trip", len(matches), len(feats))
 	}
 	for _, m := range matches {
-		if m.Dist != 0 {
-			t.Fatalf("nonzero distance %d after round trip", m.Dist)
+		if d := Hamming(decoded[m.I].Desc, feats[m.J].Desc); d != 0 {
+			t.Fatalf("nonzero distance %d after round trip", d)
 		}
 	}
 }

@@ -68,18 +68,6 @@ func BenchmarkMatchAndRansac(b *testing.B) {
 	}
 }
 
-func BenchmarkTrackerUpdate(b *testing.B) {
-	f := benchScene(b)
-	shifted := Warp(f, Translation(-2, -1))
-	tr := NewTracker(f, 160, 120, 10, 12, 0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Update(shifted)
-		tr.Reacquire(f, 160, 120)
-	}
-}
-
 func BenchmarkBoxBlur(b *testing.B) {
 	f := benchScene(b)
 	b.ReportAllocs()

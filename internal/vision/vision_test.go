@@ -137,8 +137,8 @@ func TestDescribeAndMatchIdentity(t *testing.T) {
 		t.Fatalf("only %d/%d self matches", len(matches), len(feats))
 	}
 	for _, m := range matches {
-		if m.I != m.J || m.Dist != 0 {
-			t.Fatalf("self match %d->%d dist %d", m.I, m.J, m.Dist)
+		if d := Hamming(feats[m.I].Desc, feats[m.J].Desc); m.I != m.J || d != 0 {
+			t.Fatalf("self match %d->%d dist %d", m.I, m.J, d)
 		}
 	}
 }
@@ -183,30 +183,11 @@ func TestSolveHomographyDegenerate(t *testing.T) {
 	}
 }
 
-func TestHomographyInvertRoundTrip(t *testing.T) {
-	h := Homography{1.1, 0.05, 8, -0.04, 0.97, -5, 0.0002, -0.0001, 1}
-	inv, err := h.Invert()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Point{{10, 10}, {200, 40}, {55, 180}} {
-		hx, hy, _ := h.Apply(p.X, p.Y)
-		bx, by, _ := inv.Apply(hx, hy)
-		if math.Abs(bx-p.X) > 1e-6 || math.Abs(by-p.Y) > 1e-6 {
-			t.Errorf("round trip of %v gave (%.4f,%.4f)", p, bx, by)
-		}
-	}
-}
-
 func TestTranslationAndIdentity(t *testing.T) {
 	h := Translation(5, -3)
 	x, y, _ := h.Apply(10, 10)
 	if x != 15 || y != 7 {
 		t.Errorf("translation applied wrong: (%v,%v)", x, y)
-	}
-	x, y, _ = Identity().Apply(42, 17)
-	if x != 42 || y != 17 {
-		t.Error("identity not identity")
 	}
 }
 
@@ -256,56 +237,6 @@ func TestEstimateHomographyErrors(t *testing.T) {
 	_, err := EstimateHomography(feats, feats, junk, RansacConfig{MinInliers: 25, Iterations: 50}, rng)
 	if err == nil {
 		t.Error("noise matches should not produce a confident model")
-	}
-}
-
-func TestReprojectionError(t *testing.T) {
-	h := Translation(1, 0)
-	src := []Point{{0, 0}, {10, 10}}
-	dst := []Point{{1, 0}, {11, 10}}
-	if got := ReprojectionError(h, src, dst); got > 1e-9 {
-		t.Errorf("perfect model error = %v", got)
-	}
-	if got := ReprojectionError(h, src, []Point{{0, 0}, {10, 10}}); math.Abs(got-1) > 1e-9 {
-		t.Errorf("unit offset error = %v, want 1", got)
-	}
-	if !math.IsInf(ReprojectionError(h, nil, nil), 1) {
-		t.Error("empty set should be +Inf")
-	}
-}
-
-func TestTrackerFollowsShift(t *testing.T) {
-	scene := testScene(9)
-	tr := NewTracker(scene, 160, 120, 10, 12, 0.5)
-	// Shift the scene progressively and track.
-	total := 0
-	for step := 1; step <= 3; step++ {
-		total += 3
-		shifted := Warp(scene, Translation(float64(-total), 0))
-		x, _, score := tr.Update(shifted)
-		if tr.Lost() {
-			t.Fatalf("tracker lost at step %d (score %.2f)", step, score)
-		}
-		if x != 160+total {
-			t.Fatalf("step %d: x = %d, want %d", step, x, 160+total)
-		}
-	}
-}
-
-func TestTrackerLostAndReacquire(t *testing.T) {
-	scene := testScene(10)
-	tr := NewTracker(scene, 100, 100, 8, 5, 0.7)
-	blank := NewFrame(scene.W, scene.H)
-	tr.Update(blank)
-	if !tr.Lost() {
-		t.Fatal("tracker should be lost on a blank frame")
-	}
-	tr.Reacquire(scene, 100, 100)
-	if tr.Lost() {
-		t.Fatal("reacquire should clear lost state")
-	}
-	if x, y := tr.Pos(); x != 100 || y != 100 {
-		t.Errorf("pos = (%d,%d)", x, y)
 	}
 }
 

@@ -32,14 +32,11 @@ type StreamSpec struct {
 // Message is one received application datagram.
 type Message struct {
 	Stream uint16
-	Seq    int64
 	// Payload is lent, valid only until OnMessage returns (Config.OnMessage).
 	Payload []byte
-	// Peer is the remote address the datagram came from and Conn the
-	// connection that delivered it (useful behind a Mux, where one handler
-	// serves many peers and answers on the connection the request came in
-	// on).
-	Peer *net.UDPAddr
+	// Conn is the connection that delivered the message (useful behind a
+	// Mux, where one handler serves many peers and answers on the
+	// connection the request came in on).
 	Conn *Conn
 	// TraceID/SpanID carry the sender's trace context when the frame was
 	// traced (flagTraced set); both are zero for untraced frames. SpanID
@@ -1134,8 +1131,7 @@ func (c *Conn) onDataLocked(hdr Header, payload []byte, wireLen int, now time.Ti
 		// No copy: dgram is the transport's (or the mux's) loan for this
 		// call, and OnMessage is lent the payload for the length of its own.
 		msg := Message{
-			Stream: hdr.Stream, Seq: hdr.Seq,
-			Payload: payload, Peer: c.peer, Conn: c,
+			Stream: hdr.Stream, Payload: payload, Conn: c,
 			TraceID: hdr.TraceID, SpanID: hdr.SpanID, Backlog: backlog,
 		}
 		// Deliver without holding the lock.

@@ -55,7 +55,6 @@ var demuxBufPool = sync.Pool{New: func() any {
 
 type demuxShard struct {
 	d      *shardDemux
-	idx    int
 	ch     chan demuxPkt
 	recv   func(pkt []byte, from *net.UDPAddr, backlog int)
 	closed atomic.Bool
@@ -97,7 +96,7 @@ func newShardDemux(pc PacketConn, n int) *shardDemux {
 	d := &shardDemux{pc: pc, done: make(chan struct{})}
 	d.shards = make([]*demuxShard, n)
 	for i := range d.shards {
-		d.shards[i] = &demuxShard{d: d, idx: i, ch: make(chan demuxPkt, demuxQueueLen)}
+		d.shards[i] = &demuxShard{d: d, ch: make(chan demuxPkt, demuxQueueLen)}
 	}
 	d.open.Store(int32(n))
 	return d

@@ -172,10 +172,11 @@ func TestSimDeliveryInvariants(t *testing.T) {
 	}
 }
 
-// SeqChecker is the per-stream delivery invariant: no sequence number is
-// ever delivered twice, and with Strict set (loss-free paths, where no
-// retransmission can overtake newer data) sequence numbers are strictly
-// increasing per stream.
+// SeqChecker is the per-stream delivery invariant: no message is ever
+// delivered twice, and with Strict set (loss-free paths, where no
+// retransmission can overtake newer data) messages arrive in the order
+// they were sent. A message is known by the index its sender writes into
+// the payload's first byte, in send order.
 type SeqChecker struct {
 	Strict bool
 	seen   map[uint16]map[int64]bool
@@ -195,18 +196,19 @@ func NewSeqChecker(strict bool) *SeqChecker {
 // Wrap interposes the checker before next (next may be nil).
 func (sc *SeqChecker) Wrap(next func(wire.Message)) func(wire.Message) {
 	return func(m wire.Message) {
+		seq := int64(m.Payload[0])
 		if s := sc.seen[m.Stream]; s == nil {
-			sc.seen[m.Stream] = map[int64]bool{m.Seq: true}
-			sc.last[m.Stream] = m.Seq
-		} else if s[m.Seq] {
-			sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d delivered twice", m.Stream, m.Seq))
+			sc.seen[m.Stream] = map[int64]bool{seq: true}
+			sc.last[m.Stream] = seq
+		} else if s[seq] {
+			sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d delivered twice", m.Stream, seq))
 		} else {
-			s[m.Seq] = true
-			if sc.Strict && m.Seq <= sc.last[m.Stream] {
-				sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d after %d", m.Stream, m.Seq, sc.last[m.Stream]))
+			s[seq] = true
+			if sc.Strict && seq <= sc.last[m.Stream] {
+				sc.errs = append(sc.errs, fmt.Sprintf("stream %d seq %d after %d", m.Stream, seq, sc.last[m.Stream]))
 			}
-			if m.Seq > sc.last[m.Stream] {
-				sc.last[m.Stream] = m.Seq
+			if seq > sc.last[m.Stream] {
+				sc.last[m.Stream] = seq
 			}
 		}
 		if next != nil {
@@ -223,5 +225,5 @@ func (sc *SeqChecker) Err() error {
 	return fmt.Errorf("seq invariant: %d violations, first: %s", len(sc.errs), sc.errs[0])
 }
 
-// Delivered reports how many distinct seqs arrived on stream id.
+// Delivered reports how many distinct messages arrived on stream id.
 func (sc *SeqChecker) Delivered(stream uint16) int { return len(sc.seen[stream]) }

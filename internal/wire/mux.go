@@ -24,9 +24,6 @@ type Mux struct {
 	mu     sync.Mutex
 	conns  map[netip.AddrPort]*Conn // keyed by PeerKey
 	closed bool
-
-	// Stats (guarded by mu).
-	Accepted int64
 }
 
 // PeerKey is the comparable form of a peer address, the key of every
@@ -167,7 +164,6 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 		return existing
 	}
 	m.conns[key] = c
-	m.Accepted++
 	m.mu.Unlock()
 	return c
 }

@@ -91,11 +91,10 @@ func TestMuxServesMultipleClients(t *testing.T) {
 		t.Fatal("not all clients fully delivered")
 	}
 	mux.mu.Lock()
-	accepted := mux.Accepted
 	nConns := len(mux.conns)
 	mux.mu.Unlock()
-	if accepted != nClients || nConns != nClients {
-		t.Errorf("accepted=%d conns=%d, want %d", accepted, nConns, nClients)
+	if nConns != nClients {
+		t.Errorf("conns=%d, want %d", nConns, nClients)
 	}
 	if len(mux.Conns()) != nClients {
 		t.Errorf("Conns() = %d", len(mux.Conns()))
@@ -213,11 +212,8 @@ func TestMuxOnConnCallback(t *testing.T) {
 	if !waitFor(t, 2*time.Second, func() bool { return len(mux.Conns()) == 1 }) {
 		t.Fatal("new peer never accepted")
 	}
-	mux.mu.Lock()
-	accepted := mux.Accepted
-	mux.mu.Unlock()
-	if accepted != 1 || len(peers) != 1 || peers[0] != mux.Conns()[0].peer.String() {
-		t.Fatalf("accepted %d, configured %v, want the one peer once", accepted, peers)
+	if len(peers) != 1 || peers[0] != mux.Conns()[0].peer.String() {
+		t.Fatalf("configured %v, want the one peer once", peers)
 	}
 }
 

@@ -78,12 +78,8 @@ type PathRouter struct {
 	flushTimer vclock.Timer
 	flushFn    func()
 
-	probesAnswered int64
-	pathData       int64
-	passthrough    int64
-	paritySent     int64
-	fecRepaired    int64 // accumulated from evicted sessions
-	fecUnrepaired  int64
+	fecRepaired   int64 // accumulated from evicted sessions
+	fecUnrepaired int64
 }
 
 var _ PacketConn = (*PathRouter)(nil)
@@ -202,7 +198,6 @@ func (s *routerSession) touchLocked(pathID uint8, from *net.UDPAddr, now time.Ti
 func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr, backlog int) {
 	if !IsPathFrame(pkt) {
 		r.mu.Lock()
-		r.passthrough++
 		recv, closed := r.recv, r.closed
 		r.mu.Unlock()
 		if recv != nil && !closed {
@@ -232,7 +227,6 @@ func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr, backlog int) {
 			p.interval = time.Duration(probe.IntervalMicro) * time.Microsecond
 		}
 		p.state = PathState(probe.State)
-		r.probesAnswered++
 		r.mu.Unlock()
 		ack := append([]byte(nil), pkt...)
 		ack[3] = PathKindProbeAck
@@ -249,7 +243,6 @@ func (r *PathRouter) handle(pkt []byte, from *net.UDPAddr, backlog int) {
 		}
 		s := r.sessionLocked(hdr.Session)
 		s.touchLocked(hdr.PathID, from, r.clock.Now())
-		r.pathData++
 		recovered := s.rx.onData(group, index, inner)
 		canon, recv := s.canon, r.recv
 		r.mu.Unlock()
@@ -409,7 +402,6 @@ func (r *PathRouter) encodeParityLocked(s *routerSession, dataPath int, parity [
 	for _, po := range parity {
 		frame := AppendPathParity(make([]byte, 0, PathPrefixLen+pathParityOver+len(po.shard)),
 			s.id, altID, po.hdr, po.shard)
-		r.paritySent++
 		out = append(out, pathWrite{addr: alt.addr, frame: frame})
 	}
 	return out
@@ -442,28 +434,15 @@ func (r *PathRouter) flushFire() {
 // RouterStats is a snapshot of the router's counters. FEC counters sum
 // live and already-evicted sessions.
 type RouterStats struct {
-	Sessions       int
-	ProbesAnswered int64
-	PathData       int64 // encapsulated data frames received
-	Passthrough    int64 // legacy datagrams forwarded untouched
-	ParitySent     int64
-	FECRepaired    int64
-	FECUnrepaired  int64
+	FECRepaired   int64
+	FECUnrepaired int64
 }
 
 // Stats snapshots the router.
 func (r *PathRouter) Stats() RouterStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := RouterStats{
-		Sessions:       len(r.sessions),
-		ProbesAnswered: r.probesAnswered,
-		PathData:       r.pathData,
-		Passthrough:    r.passthrough,
-		ParitySent:     r.paritySent,
-		FECRepaired:    r.fecRepaired,
-		FECUnrepaired:  r.fecUnrepaired,
-	}
+	out := RouterStats{FECRepaired: r.fecRepaired, FECUnrepaired: r.fecUnrepaired}
 	for _, s := range r.sessions {
 		out.FECRepaired += s.rx.Repaired
 		out.FECUnrepaired += s.rx.Unrepaired

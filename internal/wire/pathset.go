@@ -175,11 +175,9 @@ type subPath struct {
 	ackedBytes   int64   // since the last probe fire
 	deficit      float64 // striping credit
 
-	sentFrames  int64
-	sentBytes   int64
-	probesSent  int64
-	probesAcked int64
-	downs       int64
+	sentFrames int64
+	sentBytes  int64
+	probesSent int64
 }
 
 // PathSet multiplexes one logical ARTP transport over N subflows. It
@@ -606,7 +604,6 @@ func (ps *PathSet) probeFire() {
 		switch {
 		case p.pending >= ps.cfg.ProbeMiss && (p.state == PathUp || p.state == PathDegraded):
 			p.state = PathDown
-			p.downs++
 			evac = append(evac, ps.evacuateLocked(i)...)
 		case p.state == PathDown:
 			p.state = PathProbing
@@ -772,7 +769,6 @@ func (ps *PathSet) onProbeAck(pathIdx int, probe PathProbe) {
 	}
 	p := ps.paths[pathIdx]
 	p.pending = 0
-	p.probesAcked++
 	p.rtt.Update(time.Duration(ps.micros()-probe.SendMicro) * time.Microsecond)
 	if p.state == PathDown || p.state == PathProbing {
 		p.state = PathUp
@@ -844,16 +840,9 @@ func (ps *PathSet) creditAcksLocked(b AckBlock) {
 
 // PathStats is a snapshot of one subflow.
 type PathStats struct {
-	Name         string
-	State        PathState
-	SRTT         time.Duration
-	Loss         float64
-	DeliveryRate float64 // acked bytes/s
-	SentFrames   int64
-	SentBytes    int64
-	ProbesSent   int64
-	ProbesAcked  int64
-	Downs        int64
+	SRTT       time.Duration
+	SentFrames int64
+	SentBytes  int64
 }
 
 // PathSetStats is a snapshot of the whole set.
@@ -876,13 +865,7 @@ func (ps *PathSet) Stats() PathSetStats {
 		FECUnrepaired:  ps.rx.Unrepaired,
 	}
 	for _, p := range ps.paths {
-		out.Paths = append(out.Paths, PathStats{
-			Name: p.name, State: p.state, SRTT: p.rtt.Smoothed(), Loss: p.loss,
-			DeliveryRate: p.deliveryRate,
-			SentFrames:   p.sentFrames, SentBytes: p.sentBytes,
-			ProbesSent: p.probesSent, ProbesAcked: p.probesAcked,
-			Downs: p.downs,
-		})
+		out.Paths = append(out.Paths, PathStats{SRTT: p.rtt.Smoothed(), SentFrames: p.sentFrames, SentBytes: p.sentBytes})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"sync"
@@ -51,7 +52,7 @@ func (p *capturePC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
 func TestRecvWindowConstantUnderLoss(t *testing.T) {
 	pc := &capturePC{nacked: make(map[int64]int)}
 	delivered := make(map[int64]int)
-	c, err := ListenVia(pc, Config{OnMessage: func(m Message) { delivered[m.Seq]++ }})
+	c, err := ListenVia(pc, Config{OnMessage: func(m Message) { delivered[int64(binary.LittleEndian.Uint64(m.Payload))]++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 		f, err := AppendFrame(nil, Header{
 			Type: TypeData, Stream: 7, Class: uint8(core.ClassLossRecovery),
 			Prio: uint8(core.PrioHighest), Seq: seq,
-		}, []byte("payload"))
+		}, binary.LittleEndian.AppendUint64(nil, uint64(seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,8 +373,8 @@ func TestDeliverZeroAlloc(t *testing.T) {
 	delivered := 0
 	c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: newManualClock(), Key: benchKey,
 		OnMessage: func(m Message) {
-			if m.Seq != int64(delivered) || len(m.Payload) != len(payload) || m.Payload[599] != payload[599] {
-				t.Fatalf("delivery %d: seq %d, %d bytes", delivered, m.Seq, len(m.Payload))
+			if got := binary.LittleEndian.Uint64(m.Payload); got != uint64(delivered) || len(m.Payload) != len(payload) || m.Payload[599] != payload[599] {
+				t.Fatalf("delivery %d: frame %d, %d bytes", delivered, got, len(m.Payload))
 			}
 			delivered++
 		}})
@@ -385,6 +386,7 @@ func TestDeliverZeroAlloc(t *testing.T) {
 	seq := int64(0)
 	arrive := func() {
 		h := Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}
+		binary.LittleEndian.PutUint64(payload, uint64(seq))
 		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
 			t.Fatal(err)
 		}

@@ -222,11 +222,12 @@ func TestLossRecoveryThroughLossyRelay(t *testing.T) {
 	// No duplicates delivered to the app.
 	seen := map[int64]bool{}
 	rx.mu.Lock()
-	for _, m := range rx.msgs {
-		if seen[m.Seq] {
-			t.Errorf("duplicate seq %d delivered", m.Seq)
+	for _, m := range rx.msgs { // each payload is its send index
+		if k := int64(m.Payload[0]); seen[k] {
+			t.Errorf("duplicate message %d delivered", k)
+		} else {
+			seen[k] = true
 		}
-		seen[m.Seq] = true
 	}
 	rx.mu.Unlock()
 }

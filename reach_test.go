@@ -39,20 +39,6 @@ var reachAllow = map[string]string{
 	"simnet.Link.Queue":        "marsim's TestLinkDropsRecycle bounds an endpoint link's queue",
 	"simnet.NewCollector":      "tcp's and phy's tests end their simulated paths in a Collector",
 	"trace.DurStats.Count":     "offload's tests count the frames a Runner completed",
-
-	// Pending (item 21b): deleting these removes more tests than one change
-	// may drop, so they go in the next one.
-	"phy.Vary":                 "pending (item 21b): TestVaryChangesRate, TestVaryNoopWithoutSpread",
-	"phy.GilbertRate":          "pending (item 21b): TestGilbertRateTwoStates",
-	"vision.Identity":          "pending (item 21b): TestTranslationAndIdentity",
-	"vision.Homography.Invert": "pending (item 21b): TestHomographyInvertRoundTrip",
-	"vision.ReprojectionError": "pending (item 21b): TestReprojectionError",
-	"vision.Frame.Set":         "pending (item 21b): vision's tests draw frames with it",
-	"vision.NewTracker":        "pending (item 21b): TestTrackerFollowsShift, TestTrackerLostAndReacquire",
-	"vision.Tracker.Lost":      "pending (item 21b): TestTrackerLostAndReacquire",
-	"vision.Tracker.Pos":       "pending (item 21b): TestTrackerFollowsShift",
-	"vision.Tracker.Update":    "pending (item 21b): TestTrackerFollowsShift, TestTrackerLostAndReacquire",
-	"vision.Tracker.Reacquire": "pending (item 21b): TestTrackerLostAndReacquire",
 }
 
 // TestExportedAPIIsReached fails on a function or method of the program
@@ -72,11 +58,7 @@ func TestExportedAPIIsReached(t *testing.T) {
 // TestReachGuardFindsFixture runs the guard's checker on testdata/reach,
 // which holds one function of each kind the guard must tell apart.
 func TestReachGuardFindsFixture(t *testing.T) {
-	src, err := loadSource(filepath.Join("testdata", "reach"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found, err := unreached(src, map[string]string{"lib.Kept": "the fixture's allowlisted function"})
+	found, err := unreached(fixtureSource(t), map[string]string{"lib.Kept": "the fixture's allowlisted function"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +79,11 @@ func TestReachGuardFindsFixture(t *testing.T) {
 type source struct {
 	fset *token.FileSet
 	pkgs []*sourcePkg // in directory order
+
+	checkOnce sync.Once // typeCheck's result, computed once per source
+	checked   []*types.Package
+	infos     []*types.Info
+	checkErr  error
 }
 
 type sourcePkg struct {
@@ -105,9 +92,9 @@ type sourcePkg struct {
 }
 
 var (
-	programOnce sync.Once
-	program     *source
-	programErr  error
+	programOnce, fixtureOnce sync.Once
+	program, fixture         *source
+	programErr, fixtureErr   error
 )
 
 // programSource is this repository's source, parsed once for every test
@@ -118,6 +105,16 @@ func programSource(t *testing.T) *source {
 		t.Fatal(programErr)
 	}
 	return program
+}
+
+// fixtureSource is testdata/reach, the module that holds one case of each
+// kind every program-wide guard must tell apart, parsed once.
+func fixtureSource(t *testing.T) *source {
+	fixtureOnce.Do(func() { fixture, fixtureErr = loadSource(filepath.Join("testdata", "reach")) })
+	if fixtureErr != nil {
+		t.Fatal(fixtureErr)
+	}
+	return fixture
 }
 
 // loadSource parses the module rooted at root.
@@ -313,8 +310,14 @@ func receiverName(t types.Type) string {
 // typeCheck checks every package of src, importing the module's own
 // packages from src and everything else from the compiler's export data,
 // which one `go list -export` locates. It returns the packages and their
-// Info in src.pkgs order.
+// Info in src.pkgs order, and checks a source once however many guards
+// ask.
 func typeCheck(src *source) ([]*types.Package, []*types.Info, error) {
+	src.checkOnce.Do(func() { src.checked, src.infos, src.checkErr = checkSource(src) })
+	return src.checked, src.infos, src.checkErr
+}
+
+func checkSource(src *source) ([]*types.Package, []*types.Info, error) {
 	byPath := map[string]int{}
 	external := map[string]bool{}
 	for i, p := range src.pkgs {
@@ -356,9 +359,10 @@ func typeCheck(src *source) ([]*types.Package, []*types.Info, error) {
 			return pkgs[i], nil
 		}
 		infos[i] = &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		p, err := conf.Check(src.pkgs[i].path, src.fset, src.pkgs[i].files, infos[i])
