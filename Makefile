@@ -56,10 +56,11 @@ allocs:
 # and no struct field that only tests use (reach_test.go, guards_test.go,
 # each proved non-vacuous on testdata/reach), every …Locked call under its
 # lock, no wall-clock read in a package the simulator hosts, one RTT
-# estimator, and wire's goroutine, timer and write-path budget. They also
+# estimator, a wire conn core with no lock, clock, timer or socket, and
+# wire's goroutine, timer and write-path budget. They also
 # run in `test`; this target is the list, and fails if one of them is
 # renamed away.
-GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestWireGoroutineSites
+GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestWireGoroutineSites
 guards:
 	@out="$$($(GO) test -count=1 -v -run '^($(GUARDS))$$' . ./internal/wire/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
@@ -165,14 +166,16 @@ bench-pair:
 
 # Short coverage-guided smoke over the wire-format decoders, the policy
 # header codec, the Reed-Solomon reconstructor, the flight-recorder
-# snapshot codec, and the shard demux / GRO segment-split boundary. Go
-# runs one fuzz target per invocation, so each gets its own budget.
+# snapshot codec, the shard demux / GRO segment-split boundary, and two
+# conn cores over a lossy, duplicating, reordering pipe. Go runs one fuzz
+# target per invocation, so each gets its own budget.
 fuzz:
 	$(GO) test -fuzz FuzzHeaderDecode -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzNackDecode -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzPathFrameDecode -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzPathReassembler -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzShardDemux -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzConnStateMachine -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzPolicyDecode -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -fuzz FuzzReconstruct -fuzztime $(FUZZTIME) ./internal/fec/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/obs/

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -218,11 +219,7 @@ func (p *sourcePkg) name() string { return p.files[0].Name.Name }
 // lockAllow names the calls of a …Locked function the lock guard cannot
 // follow, each with the reason. Keys are "caller calls callee" or, for a
 // method value handed out to be called later, "caller passes callee".
-var lockAllow = map[string]string{
-	"wire.newConnCommon calls wire.Conn.addStreamLocked":   "the conn is being built: no other goroutine holds it yet",
-	"wire.newConnCommon calls wire.Conn.reallocateLocked":  "the conn is being built: no other goroutine holds it yet",
-	"wire.newConnCommon passes wire.Conn.reallocateLocked": "the controller's change hook: it fires from OnAck and OnLoss, which the conn calls only in onAcksLocked and onLostLocked",
-}
+var lockAllow = map[string]string{}
 
 // TestLockedCalledUnderLock guards the lock discipline the …Locked suffix
 // promises: such a function is called only from another …Locked function,
@@ -566,7 +563,6 @@ func wallClockCalls(src *source, prefix string, pkgs []string) ([]reachFinding, 
 	if err != nil {
 		return nil, err
 	}
-	wall := map[string]bool{"Now": true, "Since": true, "Until": true, "After": true, "AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true, "Sleep": true}
 	var found []reachFinding
 	for i, p := range src.pkgs {
 		hosted := false
@@ -584,7 +580,7 @@ func wallClockCalls(src *source, prefix string, pkgs []string) ([]reachFinding, 
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if call, ok := n.(*ast.CallExpr); ok {
-						if fn := callee(infos[i], call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" && wall[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
+						if fn := callee(infos[i], call); isWallClock(fn) {
 							found = append(found, reachFinding{src.fset.Position(call.Pos()), in + " calls time." + fn.Name()})
 						}
 					}
@@ -595,4 +591,107 @@ func wallClockCalls(src *source, prefix string, pkgs []string) ([]reachFinding, 
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
 	return found, nil
+}
+
+// isWallClock reports whether fn is a function of package time that reads
+// or waits on the wall clock.
+func isWallClock(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" || fn.Type().(*types.Signature).Recv() != nil {
+		return false
+	}
+	switch fn.Name() {
+	case "Now", "Since", "Until", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick", "Sleep":
+		return true
+	}
+	return false
+}
+
+// TestConnCoreIsPure guards wire's sans-I/O split: connCore, the protocol
+// state Conn drives, holds no lock, clock, timer or socket, and none of its
+// methods calls one or reads the wall clock — each works on the now its
+// driver hands it, so the same core runs under any driver.
+func TestConnCoreIsPure(t *testing.T) {
+	want := []string{"lib.Core.Guarded calls sync.Mutex.Lock", "lib.Core.Guarded calls sync.Mutex.Unlock",
+		"lib.Core.Tick calls lib.Ticker.Now", "lib.Core.Wall calls time.Now", "lib.Core.mu is a sync.Mutex", "lib.Core.tick is a lib.Ticker"}
+	if got := guardNames(impureCore(fixtureSource(t), "reachfix/lib", "Core", []string{"reachfix/lib.Ticker"})); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("on the fixture: reported %v, want %v", got, want)
+	}
+	found, err := impureCore(programSource(t), "marnet/internal/wire", "connCore",
+		[]string{"marnet/internal/vclock.Clock", "marnet/internal/vclock.Timer", "marnet/internal/wire.PacketConn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Errorf("%s:%d %s: the core takes its time from its caller and leaves locks, timers and writes to its driver", f.pos.Filename, f.pos.Line, f.name)
+	}
+}
+
+// impureCore returns, sorted by name, every field of the struct typ of
+// package pkg whose type (behind a pointer or not) is declared in package
+// sync or sync/atomic or is one of banned ("path.Name"), and every call a
+// method of typ makes on a value of such a type or of a wall-clock function
+// of package time.
+func impureCore(src *source, pkg, typ string, banned []string) ([]reachFinding, error) {
+	checked, infos, err := typeCheck(src)
+	if err != nil {
+		return nil, err
+	}
+	impure := func(t types.Type) (string, bool) {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		n, ok := t.(*types.Named)
+		if !ok || n.Obj().Pkg() == nil {
+			return "", false
+		}
+		path := n.Obj().Pkg().Path()
+		name := n.Obj().Pkg().Name() + "." + n.Obj().Name()
+		return name, path == "sync" || path == "sync/atomic" || slices.Contains(banned, path+"."+n.Obj().Name())
+	}
+	for i, p := range src.pkgs {
+		obj := checked[i].Scope().Lookup(typ)
+		if p.path != pkg || obj == nil {
+			continue
+		}
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			return nil, fmt.Errorf("%s.%s is not a struct", pkg, typ)
+		}
+		prefix := p.name() + "." + typ
+		var found []reachFinding
+		for j := 0; j < st.NumFields(); j++ {
+			if name, bad := impure(st.Field(j).Type()); bad {
+				found = append(found, reachFinding{src.fset.Position(st.Field(j).Pos()), prefix + "." + st.Field(j).Name() + " is a " + name})
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil || receiverName(infos[i].TypeOf(fd.Recv.List[0].Type)) != typ {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					fn := callee(infos[i], call)
+					if isWallClock(fn) {
+						found = append(found, reachFinding{src.fset.Position(call.Pos()), prefix + "." + fd.Name.Name + " calls time." + fn.Name()})
+					}
+					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if s := infos[i].Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+							if name, bad := impure(s.Recv()); bad {
+								found = append(found, reachFinding{src.fset.Position(call.Pos()), prefix + "." + fd.Name.Name + " calls " + name + "." + sel.Sel.Name})
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
+		return found, nil
+	}
+	return nil, fmt.Errorf("no type %s in package %s", typ, pkg)
 }

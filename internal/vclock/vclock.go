@@ -96,11 +96,12 @@ type Deadline struct {
 	Stamp uint64
 }
 
-// NewDeadline is a deadline at at, in the place of a timer armed now.
-func NewDeadline(clock Clock, at time.Time) Deadline {
+// NewDeadline is a deadline at at, in the place of a timer armed now on the
+// clock whose Sequencer seq is (nil: a clock without one).
+func NewDeadline(seq Sequencer, at time.Time) Deadline {
 	d := Deadline{At: at}
-	if s, ok := clock.(Sequencer); ok {
-		d.Stamp = s.Stamp()
+	if seq != nil {
+		d.Stamp = seq.Stamp()
 	}
 	return d
 }
@@ -108,8 +109,11 @@ func NewDeadline(clock Clock, at time.Time) Deadline {
 // Before reports whether d is set and comes before e (or e is not set), in
 // the order a Sequencer runs their callbacks.
 func (d Deadline) Before(e Deadline) bool {
+	if d.At.IsZero() || e.At.IsZero() {
+		return !d.At.IsZero()
+	}
 	c := d.At.Compare(e.At)
-	return !d.At.IsZero() && (e.At.IsZero() || c < 0 || c == 0 && d.Stamp < e.Stamp)
+	return c < 0 || c == 0 && d.Stamp < e.Stamp
 }
 
 // RearmAt re-arms t to run fn at d, now being the caller's reading: a

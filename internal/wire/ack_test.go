@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,59 +9,10 @@ import (
 	"marnet/internal/core"
 )
 
-// pipePC hands what its conn writes to the peer conn after delay on the
-// manual clock, and keeps the books the ack tests read: how many pure acks
-// left and when, and every block seen on any frame.
-type pipePC struct {
-	stubPC
-	clk    *manualClock
-	delay  time.Duration
-	to     *Conn
-	pure   int
-	pureAt []time.Time
-	blocks []AckBlock
-}
-
-func (p *pipePC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
-	cp := append([]byte(nil), b...)
-	h, _, err := DecodeFrame(cp)
-	if err != nil {
-		return 0, err
-	}
-	if h.Type == TypeAck {
-		p.pure++
-		p.pureAt = append(p.pureAt, p.clk.Now())
-	}
-	if len(h.Acks) > 0 {
-		p.blocks = append(p.blocks, h.Acks)
-	}
-	p.clk.AfterFunc(p.delay, func() { p.to.handleDatagram(cp, stubPeer, 0) })
-	return len(b), nil
-}
-
 var ackStreams = []StreamSpec{
 	{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9},
 	{ID: 2, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9},
 	{ID: 3, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9},
-}
-
-// ackPair is two conns, a and b, joined by pipes of oneWay each way; pb is
-// the pipe b writes to.
-func ackPair(t *testing.T, clk *manualClock, oneWay time.Duration, onB func(Message)) (a, b *Conn, pb *pipePC) {
-	t.Helper()
-	pa := &pipePC{clk: clk, delay: oneWay}
-	pb = &pipePC{clk: clk, delay: oneWay}
-	var err error
-	if a, err = DialVia(pa, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: clk}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
-	if b, err = DialVia(pb, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: clk, OnMessage: onB}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close() })
-	pa.to, pb.to = b, a
-	return a, b, pb
 }
 
 func mustSend(t *testing.T, c *Conn, stream uint16, payload []byte) {
@@ -70,12 +20,6 @@ func mustSend(t *testing.T, c *Conn, stream uint16, payload []byte) {
 	if ok, err := c.Send(stream, payload); err != nil || !ok {
 		t.Fatal("send refused", err)
 	}
-}
-
-func outstandingFrames(c *Conn, stream uint16) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.streamLocked(stream).outstanding)
 }
 
 // stepClock advances the manual clock by total in half-millisecond steps, so
@@ -95,45 +39,36 @@ func stepClock(clk *manualClock, total time.Duration) {
 // moved maxAcked to 63 and the 60 frames more than the reorder slack behind
 // it, all older than the 5 ms guard, were retransmitted in one burst.)
 func TestDroppedAcksAreRepairedNotRetransmitted(t *testing.T) {
-	clk := newManualClock()
-	pa, pb := &stubPC{record: true}, &stubPC{record: true}
-	a, err := DialVia(pa, stubPeer, Config{Streams: ackStreams[:1], StartBudget: 1e9, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenVia(pb, Config{Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	n := newCoreNet(0)
+	a := n.end(Config{Streams: ackStreams[:1], StartBudget: 1e9})
+	b := n.end(Config{})
 	const frames = 64
 	for i := 0; i < frames; i++ {
-		mustSend(t, a, 1, bytes.Repeat([]byte{byte(i)}, 100))
-		clk.advance(10 * time.Microsecond)
+		coreSend(t, a, 1, bytes.Repeat([]byte{byte(i)}, 100))
+		n.run(10 * time.Microsecond)
 	}
-	if len(pa.frames) != frames {
-		t.Fatalf("%d frames left the sender, want %d", len(pa.frames), frames)
+	if len(a.written) != frames {
+		t.Fatalf("%d frames left the sender, want %d", len(a.written), frames)
 	}
-	for _, f := range pa.frames {
-		b.handleDatagram(f, stubPeer, 0)
+	for _, f := range a.written {
+		b.receive(f)
 	}
 	// b has never sent, so it cannot time a delay: one pure ack per frame.
-	if len(pb.frames) != frames {
-		t.Fatalf("%d acks for %d frames of a one-way flow, want one each", len(pb.frames), frames)
+	if len(b.written) != frames {
+		t.Fatalf("%d acks for %d frames of a one-way flow, want one each", len(b.written), frames)
 	}
-	last, _, err := DecodeFrame(pb.frames[frames-1])
+	last, _, err := DecodeFrame(b.written[frames-1])
 	if err != nil || last.Type != TypeAck || last.Acks.Len() != 1 || last.Acks.Range(0) != (AckRange{Stream: 1, First: 0, Run: frames}) {
 		t.Fatalf("last ack = %+v (%v), want one range naming the whole run", last, err)
 	}
-	clk.advance(10 * time.Millisecond) // past the loss guard: every frame is old enough to be declared lost
-	a.handleDatagram(pb.frames[frames-1], stubPeer, 0)
-	if st := a.Stats(1); st.Retx != 0 || a.LostFrameCount() != 0 || outstandingFrames(a, 1) != 0 {
+	n.run(10 * time.Millisecond) // past the loss guard: every frame is old enough to be declared lost
+	a.receive(b.written[frames-1])
+	if st := a.core.stream(1); st.retx != 0 || a.core.lostFrames != 0 || len(st.outstanding) != 0 {
 		t.Fatalf("after the one ack that arrived: %d retransmissions, %d declared lost, %d outstanding; want 0, 0, 0",
-			st.Retx, a.LostFrameCount(), outstandingFrames(a, 1))
+			st.retx, a.core.lostFrames, len(st.outstanding))
 	}
-	if len(pa.frames) != frames {
-		t.Fatalf("%d frames on the wire, want %d: something was sent twice", len(pa.frames), frames)
+	if len(a.written) != frames {
+		t.Fatalf("%d frames on the wire, want %d: something was sent twice", len(a.written), frames)
 	}
 }
 
@@ -214,53 +149,73 @@ func TestHeldAckDoesNotInflateSRTT(t *testing.T) {
 			t.Errorf("%s SRTT = %v, want within 1 %% of %v", name, got, 2*oneWay)
 		}
 	}
-	run := func(t *testing.T, prime bool, onB func(b *Conn, clk *manualClock)) (b *Conn, pb *pipePC, arrivals []time.Time) {
-		clk := newManualClock()
-		var a *Conn
-		a, b, pb = ackPair(t, clk, oneWay, func(Message) {
-			arrivals = append(arrivals, clk.Now())
+	// run returns b with what it wrote and when each frame was delivered to it.
+	run := func(t *testing.T, prime bool, onB func(n *coreNet, b *coreEnd)) (b *coreEnd, arrivals []time.Time) {
+		n := newCoreNet(oneWay)
+		var a *coreEnd
+		a, b = n.pair(Config{Streams: ackStreams, StartBudget: 1e9}, Config{Streams: ackStreams, StartBudget: 1e9})
+		b.onMessage = func(Message) {
+			arrivals = append(arrivals, n.now)
 			if onB != nil {
-				onB(b, clk)
+				onB(n, b)
 			}
-		})
+		}
 		if prime { // one frame b → a gives b an RTT sample, so it may hold acks
-			mustSend(t, b, 1, []byte("prime"))
-			stepClock(clk, every)
+			coreSend(t, b, 1, []byte("prime"))
+			n.run(every)
 		}
 		for i := 0; i < frames; i++ {
-			mustSend(t, a, 1, make([]byte, 600))
-			stepClock(clk, every)
+			coreSend(t, a, 1, make([]byte, 600))
+			n.run(every)
 		}
-		within1pct("sender", a.SRTT())
-		return b, pb, arrivals
+		within1pct("sender", a.core.rtt.Smoothed())
+		return b, arrivals
+	}
+	// blocks is every acknowledgement block b wrote, and when each pure ack left.
+	blocks := func(b *coreEnd) (all []AckBlock, pureAt []time.Time) {
+		for i, f := range b.written {
+			h, _, err := DecodeFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Type == TypeAck {
+				pureAt = append(pureAt, b.writtenAt[i])
+			}
+			if len(h.Acks) > 0 {
+				all = append(all, h.Acks)
+			}
+		}
+		return all, pureAt
 	}
 
 	t.Run("at once", func(t *testing.T) {
-		_, pb, _ := run(t, false, nil)
-		if pb.pure != frames {
-			t.Errorf("%d pure acks for %d frames, want one each", pb.pure, frames)
+		b, _ := run(t, false, nil)
+		if pure := pureAcks(b.written); pure != frames {
+			t.Errorf("%d pure acks for %d frames, want one each", pure, frames)
 		}
 	})
 	t.Run("riding a response after 1 ms", func(t *testing.T) {
-		b, pb, _ := run(t, true, func(b *Conn, clk *manualClock) {
-			clk.AfterFunc(time.Millisecond, func() { mustSend(t, b, 1, []byte("response")) })
+		b, _ := run(t, true, func(n *coreNet, b *coreEnd) {
+			n.after(time.Millisecond, func() { coreSend(t, b, 1, []byte("response")) })
 		})
-		within1pct("responder", b.SRTT())
-		if pb.pure != 0 || len(pb.blocks) != frames {
-			t.Errorf("%d pure acks and %d blocks on responses, want 0 and %d", pb.pure, len(pb.blocks), frames)
+		within1pct("responder", b.core.rtt.Smoothed())
+		all, pureAt := blocks(b)
+		if len(pureAt) != 0 || len(all) != frames {
+			t.Errorf("%d pure acks and %d blocks on responses, want 0 and %d", len(pureAt), len(all), frames)
 		}
-		for _, blk := range pb.blocks {
+		for _, blk := range all {
 			if blk.Hold() != time.Millisecond {
 				t.Fatalf("a ridden block declares a hold of %v, want 1ms", blk.Hold())
 			}
 		}
 	})
 	t.Run("held for the ack delay", func(t *testing.T) {
-		_, pb, arrivals := run(t, true, nil)
-		if len(pb.pureAt) != frames || len(arrivals) != frames {
-			t.Fatalf("%d pure acks for %d arrivals, want %d of each", len(pb.pureAt), len(arrivals), frames)
+		b, arrivals := run(t, true, nil)
+		_, pureAt := blocks(b)
+		if len(pureAt) != frames || len(arrivals) != frames {
+			t.Fatalf("%d pure acks for %d arrivals, want %d of each", len(pureAt), len(arrivals), frames)
 		}
-		for i, at := range pb.pureAt {
+		for i, at := range pureAt {
 			if held := at.Sub(arrivals[i]); held != 2*oneWay/4 {
 				t.Fatalf("ack %d left %v after its frame, want SRTT/4 = %v", i, held, 2*oneWay/4)
 			}
@@ -268,29 +223,24 @@ func TestHeldAckDoesNotInflateSRTT(t *testing.T) {
 	})
 }
 
-// primedReceiver is a conn that has an RTT sample of rtt — one frame sent
-// and acknowledged by hand — so it holds acks for rtt/4, over a recording
-// transport that is empty again on return.
-func primedReceiver(t *testing.T, clk *manualClock, rtt time.Duration) (*Conn, *stubPC) {
+// primedReceiver is a core that has an RTT sample of rtt — one frame sent
+// and acknowledged by hand — so it holds acks for rtt/4, with nothing
+// recorded as written on return.
+func primedReceiver(t *testing.T, n *coreNet, rtt time.Duration) *coreEnd {
 	t.Helper()
-	pc := &stubPC{record: true}
-	c, err := DialVia(pc, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: clk})
+	c := n.end(Config{Streams: ackStreams, StartBudget: 1e9})
+	coreSend(t, c, 1, []byte("prime"))
+	sent, _, err := DecodeFrame(c.written[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	mustSend(t, c, 1, []byte("prime"))
-	sent, _, err := DecodeFrame(pc.frames[0])
-	if err != nil {
-		t.Fatal(err)
+	n.run(rtt)
+	c.receive(pureAck(sent.SendMicro, 0, AckRange{Stream: 1, First: 0, Run: 1}))
+	if got, out := c.core.rtt.Smoothed(), len(c.core.stream(1).outstanding); got != rtt || out != 0 {
+		t.Fatalf("primed core: SRTT %v with %d outstanding, want %v and 0", got, out, rtt)
 	}
-	clk.advance(rtt)
-	c.handleDatagram(pureAck(sent.SendMicro, 0, AckRange{Stream: 1, First: 0, Run: 1}), stubPeer, 0)
-	if got := c.SRTT(); got != rtt || outstandingFrames(c, 1) != 0 {
-		t.Fatalf("primed conn: SRTT %v with %d outstanding, want %v and 0", got, outstandingFrames(c, 1), rtt)
-	}
-	pc.frames = nil
-	return c, pc
+	c.written, c.writtenAt = nil, nil
+	return c
 }
 
 func pureAck(echo uint64, hold time.Duration, ranges ...AckRange) []byte {
@@ -315,21 +265,21 @@ func streamFrame(stream uint16, seq int64) []byte {
 // duplicate forces the issue — and the timer armed for them then fires on
 // nothing. The same holds for what a data frame carries.
 func TestAcksLeaveTogetherAndInOrder(t *testing.T) {
-	clk := newManualClock()
-	c, pc := primedReceiver(t, clk, 10*time.Millisecond)
+	n := newCoreNet(0)
+	c := primedReceiver(t, n, 10*time.Millisecond)
 	for _, stream := range []uint16{2, 1, 3} {
-		c.handleDatagram(streamFrame(stream, 0), stubPeer, 0)
-		c.handleDatagram(streamFrame(stream, 1), stubPeer, 0)
-		clk.advance(100 * time.Microsecond)
+		c.receive(streamFrame(stream, 0))
+		c.receive(streamFrame(stream, 1))
+		n.run(100 * time.Microsecond)
 	}
-	if len(pc.frames) != 0 {
-		t.Fatalf("%d datagrams left for in-order arrivals inside the ack delay, want none", len(pc.frames))
+	if len(c.written) != 0 {
+		t.Fatalf("%d datagrams left for in-order arrivals inside the ack delay, want none", len(c.written))
 	}
-	c.handleDatagram(streamFrame(1, 1), stubPeer, 0) // a duplicate: acked at once
-	if len(pc.frames) != 1 {
-		t.Fatalf("%d datagrams for the duplicate, want one", len(pc.frames))
+	c.receive(streamFrame(1, 1)) // a duplicate: acked at once
+	if len(c.written) != 1 {
+		t.Fatalf("%d datagrams for the duplicate, want one", len(c.written))
 	}
-	h, _, err := DecodeFrame(pc.frames[0])
+	h, _, err := DecodeFrame(c.written[0])
 	if err != nil || h.Type != TypeAck || h.Acks.Len() != 3 {
 		t.Fatalf("the ack = %+v (%v), want a pure ack of three ranges", h, err)
 	}
@@ -338,23 +288,23 @@ func TestAcksLeaveTogetherAndInOrder(t *testing.T) {
 			t.Errorf("range %d = %+v, want %+v (filing order; the duplicate's range folded into its run's)", i, got, want)
 		}
 	}
-	clk.advance(10 * time.Millisecond)
-	if len(pc.frames) != 1 || c.owedN != 0 {
-		t.Fatalf("%d datagrams and %d acks owed after the ack timer fired on an empty list, want 1 and 0", len(pc.frames), c.owedN)
+	n.run(10 * time.Millisecond)
+	if len(c.written) != 1 || c.core.owedN != 0 {
+		t.Fatalf("%d datagrams and %d acks owed after the ack timer fired on an empty list, want 1 and 0", len(c.written), c.core.owedN)
 	}
 
 	// Owed again, and this time a data frame takes them — all of them.
-	c.handleDatagram(streamFrame(3, 2), stubPeer, 0)
-	c.handleDatagram(streamFrame(2, 2), stubPeer, 0)
-	mustSend(t, c, 1, []byte("response"))
-	h, _, err = DecodeFrame(pc.frames[1])
+	c.receive(streamFrame(3, 2))
+	c.receive(streamFrame(2, 2))
+	coreSend(t, c, 1, []byte("response"))
+	h, _, err = DecodeFrame(c.written[1])
 	if err != nil || h.Type != TypeData || h.Acks.Len() != 2 ||
 		h.Acks.Range(0) != (AckRange{Stream: 3, First: 0, Run: 3}) || h.Acks.Range(1) != (AckRange{Stream: 2, First: 0, Run: 3}) {
 		t.Fatalf("the data frame = %+v (%v), want both owed runs riding it in filing order", h, err)
 	}
-	clk.advance(10 * time.Millisecond)
-	if len(pc.frames) != 2 {
-		t.Fatalf("%d datagrams, want 2: an ack left on its own after it had ridden", len(pc.frames))
+	n.run(10 * time.Millisecond)
+	if len(c.written) != 2 {
+		t.Fatalf("%d datagrams, want 2: an ack left on its own after it had ridden", len(c.written))
 	}
 }
 
@@ -364,21 +314,21 @@ func TestAcksLeaveTogetherAndInOrder(t *testing.T) {
 // filed beside it (which filled the eight ranges, and sent a pure ack, every
 // eight requests of a pipelined client).
 func TestOwedRunOutlivesTheWindow(t *testing.T) {
-	clk := newManualClock()
-	c, pc := primedReceiver(t, clk, 10*time.Millisecond)
+	n := newCoreNet(0)
+	c := primedReceiver(t, n, 10*time.Millisecond)
 	const frames = recvWindow + 100
 	for seq := int64(0); seq < frames; seq++ {
-		c.handleDatagram(streamFrame(2, seq), stubPeer, 0)
+		c.receive(streamFrame(2, seq))
 		if seq%500 == 499 { // a response now and then, well inside the ack delay
-			mustSend(t, c, 1, []byte("response"))
-			clk.advance(100 * time.Microsecond)
+			coreSend(t, c, 1, []byte("response"))
+			n.run(100 * time.Microsecond)
 		}
 	}
-	if sent, rode := c.AckStats(); sent != 0 || rode != frames/500 || c.owedN != 1 {
-		t.Fatalf("%d pure acks, %d ridden blocks, %d ranges owed; want 0, %d and 1", sent, rode, c.owedN, frames/500)
+	if sent, rode := c.core.acksSent, c.core.acksPiggybacked; sent != 0 || rode != frames/500 || c.core.owedN != 1 {
+		t.Fatalf("%d pure acks, %d ridden blocks, %d ranges owed; want 0, %d and 1", sent, rode, c.core.owedN, frames/500)
 	}
-	mustSend(t, c, 1, []byte("response"))
-	h, _, err := DecodeFrame(pc.frames[len(pc.frames)-1])
+	coreSend(t, c, 1, []byte("response"))
+	h, _, err := DecodeFrame(c.written[len(c.written)-1])
 	if err != nil || h.Acks.Len() != 1 {
 		t.Fatalf("last response = %+v (%v), want one range", h, err)
 	}
@@ -393,8 +343,8 @@ func TestOwedRunOutlivesTheWindow(t *testing.T) {
 // whatever fills the last of the eight ranges. The filler that touches the
 // run re-joins it backwards, so its ack names the whole run again.
 func TestOutOfOrderArrivalsAreAckedAtOnce(t *testing.T) {
-	clk := newManualClock()
-	c, pc := primedReceiver(t, clk, 10*time.Millisecond)
+	n := newCoreNet(0)
+	c := primedReceiver(t, n, 10*time.Millisecond)
 	ranges := func(frame []byte) []AckRange {
 		t.Helper()
 		h, _, err := DecodeFrame(frame)
@@ -408,34 +358,34 @@ func TestOutOfOrderArrivalsAreAckedAtOnce(t *testing.T) {
 		return out
 	}
 	for seq := int64(0); seq < 3; seq++ {
-		c.handleDatagram(streamFrame(1, seq), stubPeer, 0)
+		c.receive(streamFrame(1, seq))
 	}
-	c.handleDatagram(streamFrame(1, 5), stubPeer, 0) // opens the gap 3..4: the ack, then the NACK
-	if len(pc.frames) != 2 {
-		t.Fatalf("%d datagrams for the gap opener, want the ack and the NACK", len(pc.frames))
+	c.receive(streamFrame(1, 5)) // opens the gap 3..4: the ack, then the NACK
+	if len(c.written) != 2 {
+		t.Fatalf("%d datagrams for the gap opener, want the ack and the NACK", len(c.written))
 	}
-	if got := ranges(pc.frames[0]); len(got) != 2 || got[0] != (AckRange{1, 0, 3}) || got[1] != (AckRange{1, 5, 1}) {
+	if got := ranges(c.written[0]); len(got) != 2 || got[0] != (AckRange{1, 0, 3}) || got[1] != (AckRange{1, 5, 1}) {
 		t.Fatalf("gap opener acked as %+v, want the owed run 0..2 and then 5 alone", got)
 	}
-	c.handleDatagram(streamFrame(1, 3), stubPeer, 0) // fills a hole without touching the newest run
-	if got := ranges(pc.frames[2]); len(got) != 1 || got[0] != (AckRange{1, 3, 1}) {
+	c.receive(streamFrame(1, 3)) // fills a hole without touching the newest run
+	if got := ranges(c.written[2]); len(got) != 1 || got[0] != (AckRange{1, 3, 1}) {
 		t.Fatalf("hole filler 3 acked as %+v, want it alone, at once", got)
 	}
-	c.handleDatagram(streamFrame(1, 4), stubPeer, 0) // touches the run that starts at 5: 0..5 is whole again
-	if got := ranges(pc.frames[3]); len(got) != 1 || got[0] != (AckRange{1, 0, 6}) {
+	c.receive(streamFrame(1, 4)) // touches the run that starts at 5: 0..5 is whole again
+	if got := ranges(c.written[3]); len(got) != 1 || got[0] != (AckRange{1, 0, 6}) {
 		t.Fatalf("hole filler 4 acked as %+v, want the re-joined run 0..5", got)
 	}
 
 	// Eight streams' worth of in-order arrivals: the eighth fills the list.
-	pc.frames = nil
+	c.written = nil
 	for stream := uint16(10); stream < 10+MaxAckRanges; stream++ {
-		if len(pc.frames) != 0 {
+		if len(c.written) != 0 {
 			t.Fatalf("an ack left with %d ranges owed", stream-10)
 		}
-		c.handleDatagram(streamFrame(stream, 0), stubPeer, 0)
+		c.receive(streamFrame(stream, 0))
 	}
-	if len(pc.frames) != 1 || len(ranges(pc.frames[0])) != MaxAckRanges {
-		t.Fatalf("%d datagrams when the ranges filled up, want one ack carrying all %d", len(pc.frames), MaxAckRanges)
+	if len(c.written) != 1 || len(ranges(c.written[0])) != MaxAckRanges {
+		t.Fatalf("%d datagrams when the ranges filled up, want one ack carrying all %d", len(c.written), MaxAckRanges)
 	}
 }
 
@@ -445,42 +395,33 @@ func TestOutOfOrderArrivalsAreAckedAtOnce(t *testing.T) {
 // ack delay — it is left to fire on nothing, or re-armed for the remainder,
 // rather than stopped and restarted per frame.
 func TestAckTimerOnlyWhileOwed(t *testing.T) {
-	clk := newManualClock()
-	idle, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idle.Close()
-	oneWay, err := ListenVia(&stubPC{}, Config{Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oneWay.Close()
-	mark := len(clk.arms)
+	n := newCoreNet(0)
+	idle := n.end(Config{Streams: ackStreams})
+	oneWay := n.end(Config{})
 	for seq := int64(0); seq < 200; seq++ {
-		oneWay.handleDatagram(streamFrame(1, seq), stubPeer, 0)
-		clk.advance(time.Millisecond)
+		oneWay.receive(streamFrame(1, seq))
+		n.run(time.Millisecond)
 	}
-	if arms := paceArms(clk, mark); len(arms) != 0 {
-		t.Fatalf("an idle conn and a one-way receiver armed timers %v, want none but their sweeps", arms)
+	if arms := append(idle.arms, oneWay.arms...); len(arms) != 0 {
+		t.Fatalf("an idle conn and a one-way receiver armed timers %v, want none", arms)
 	}
-	if oneWay.AcksSent != 200 {
-		t.Fatalf("one-way receiver sent %d acks for 200 frames", oneWay.AcksSent)
+	if oneWay.core.acksSent != 200 {
+		t.Fatalf("one-way receiver sent %d acks for 200 frames", oneWay.core.acksSent)
 	}
 
 	const rtt, spacing, rideEvery, span = 10 * time.Millisecond, 100 * time.Microsecond, 10, 100 * time.Millisecond
-	busy, pc := primedReceiver(t, clk, rtt)
-	mark = len(clk.arms)
+	busy := primedReceiver(t, n, rtt)
+	mark := len(busy.arms)
 	seq := int64(0)
 	for el := time.Duration(0); el < span; el += spacing {
-		busy.handleDatagram(streamFrame(2, seq), stubPeer, 0)
+		busy.receive(streamFrame(2, seq))
 		seq++
 		if seq%rideEvery == 0 { // a response every millisecond takes what is owed
-			mustSend(t, busy, 1, []byte("response"))
+			coreSend(t, busy, 1, []byte("response"))
 		}
-		clk.advance(spacing)
+		n.run(spacing)
 	}
-	arms := paceArms(clk, mark)
+	arms := busy.arms[mark:]
 	if limit := int(span/(rtt/4-rideEvery*spacing)) + 1; len(arms) == 0 || len(arms) > limit {
 		t.Fatalf("ack timer armed %d times in %v of traffic with a %v ack delay, want 1..%d", len(arms), span, rtt/4, limit)
 	}
@@ -489,7 +430,7 @@ func TestAckTimerOnlyWhileOwed(t *testing.T) {
 			t.Fatalf("ack timer armed for %v, want within (0, %v]", d, rtt/4)
 		}
 	}
-	if busy.AcksSent != 0 || busy.AcksPiggybacked != seq/rideEvery || len(pc.frames) != int(seq/rideEvery) {
-		t.Fatalf("%d pure acks, %d blocks ridden on %d data frames; want 0, %d, %d", busy.AcksSent, busy.AcksPiggybacked, len(pc.frames), seq/rideEvery, seq/rideEvery)
+	if sent, rode := busy.core.acksSent, busy.core.acksPiggybacked; sent != 0 || rode != seq/rideEvery || len(busy.written) != int(seq/rideEvery) {
+		t.Fatalf("%d pure acks, %d blocks ridden on %d data frames; want 0, %d, %d", sent, rode, len(busy.written), seq/rideEvery, seq/rideEvery)
 	}
 }

@@ -182,7 +182,7 @@ func TestKeyMismatchDropsEverything(t *testing.T) {
 		t.Fatalf("wrong-key frames delivered: %d", rx.count())
 	}
 	server.mu.Lock()
-	fails := server.AuthFailures
+	fails := server.core.authFailures
 	server.mu.Unlock()
 	if fails == 0 {
 		t.Error("no auth failures recorded")

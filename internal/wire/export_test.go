@@ -20,8 +20,8 @@ func (c *Conn) QueuedFrames() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for b := range c.bands {
-		n += c.bands[b].len()
+	for b := range c.core.bands {
+		n += c.core.bands[b].len()
 	}
 	return n
 }
@@ -89,7 +89,7 @@ func (q *frameQueue) len() int { return len(q.buf) - q.head }
 func (c *Conn) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.state
+	return c.core.state
 }
 
 // headerAAD renders the header bytes used as associated data. It must

@@ -299,33 +299,21 @@ func TestSendCopiesPayload(t *testing.T) {
 // than one frame can carry and verifies every chunk is a decodable,
 // in-order NACK with no entry lost at the MaxNackEntries boundary.
 func TestNackChunking(t *testing.T) {
-	clk := newManualClock()
-	pc := &stubPC{record: true}
-	c, err := DialVia(pc, stubPeer, Config{
-		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest}},
-		StartBudget: 1e9,
-		Clock:       clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	n := newCoreNet(0)
+	c := n.end(Config{Streams: []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest}}, StartBudget: 1e9})
 
 	missing := make([]int64, 2*MaxNackEntries+5)
 	for i := range missing {
 		missing[i] = int64(i)
 	}
-	c.mu.Lock()
-	c.writeNackLocked(1, missing)
-	c.mu.Unlock()
+	c.core.oweNack(1, missing)
+	c.writeControl()
 
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if len(pc.frames) != 3 {
-		t.Fatalf("%d NACK frames, want 3 (149+149+5 entries)", len(pc.frames))
+	if len(c.written) != 3 {
+		t.Fatalf("%d NACK frames, want 3 (149+149+5 entries)", len(c.written))
 	}
 	var got []int64
-	for i, frame := range pc.frames {
+	for i, frame := range c.written {
 		h, payload, derr := DecodeFrame(frame)
 		if derr != nil || h.Type != TypeNack {
 			t.Fatalf("chunk %d: %v type %d", i, derr, h.Type)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"slices"
 	"sync"
@@ -18,7 +19,7 @@ type grainClock struct{ *manualClock }
 func (grainClock) Granularity() time.Duration { return time.Millisecond }
 
 // stampPC records when (on the test clock) each datagram left, and — given
-// the conn — that the writer did not hold the conn's state lock.
+// the conn — whether the writer held the conn's state lock.
 type stampPC struct {
 	stubPC
 	clk      *manualClock
@@ -28,13 +29,20 @@ type stampPC struct {
 	acks     int    // acks written
 	heldAcks int    // of them, with conn.mu held
 	onAck    func() // runs inside the write of every ack
+	// Per datagram type: how many were written, and how many of them with
+	// conn.mu held.
+	written, heldBy [TypePong + 1]int
 }
 
 func (p *stampPC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
-	if h, _, err := DecodeFrame(b); err == nil && (h.Type == TypeData || h.Type == TypeAck) && p.conn != nil {
+	if h, _, err := DecodeFrame(b); err == nil && p.conn != nil {
 		free := p.conn.mu.TryLock()
 		if free {
 			p.conn.mu.Unlock()
+		}
+		p.written[h.Type]++
+		if !free {
+			p.heldBy[h.Type]++
 		}
 		switch {
 		case h.Type == TypeAck:
@@ -45,7 +53,7 @@ func (p *stampPC) WriteToUDP(b []byte, a *net.UDPAddr) (int, error) {
 			if p.onAck != nil {
 				p.onAck()
 			}
-		case !free:
+		case h.Type == TypeData && !free:
 			p.held++
 		}
 	}
@@ -382,6 +390,43 @@ func TestAckWrittenWithMuFree(t *testing.T) {
 	}
 }
 
+// TestNoDatagramWrittenUnderMu: every datagram a conn writes — data, pure
+// ack, NACK, ping and pong — leaves with conn.mu free, so no Send, reader or
+// alarm waits out another's system call, and a transport may call back into
+// the conn from inside its write.
+func TestNoDatagramWrittenUnderMu(t *testing.T) {
+	clk := newManualClock()
+	pc := &stampPC{clk: clk}
+	c, err := DialVia(pc, stubPeer, Config{
+		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e9}},
+		StartBudget: 1e9,
+		Keepalive:   100 * time.Millisecond,
+		Clock:       clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pc.conn = c
+	mustSend(t, c, 1, []byte("data"))
+	c.handleDatagram(dataFrame(0, []byte("request")), stubPeer, 0) // no RTT sample: a pure ack at once
+	c.handleDatagram(dataFrame(2, []byte("past a gap")), stubPeer, 0)
+	ping, err := AppendFrame(nil, Header{Type: TypePing, SendMicro: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.handleDatagram(ping, stubPeer, 0)
+	clk.advance(100 * time.Millisecond) // the keepalive probe
+	for _, k := range []struct {
+		typ  uint8
+		name string
+	}{{TypeData, "data"}, {TypeAck, "pure ack"}, {TypeNack, "NACK"}, {TypePing, "ping"}, {TypePong, "pong"}} {
+		if pc.written[k.typ] == 0 || pc.heldBy[k.typ] != 0 {
+			t.Errorf("%s: %d written, %d of them with conn.mu held; want some, and none held", k.name, pc.written[k.typ], pc.heldBy[k.typ])
+		}
+	}
+}
+
 // TestInlineDrainConcurrent is the race detector's view of the rule: several
 // senders, a reader declaring losses and the clock's timers all make frames
 // sendable at once, and every frame still leaves exactly once per
@@ -475,5 +520,55 @@ func TestSendInlineZeroAlloc(t *testing.T) {
 	}
 	if arms := paceArms(clk, mark); len(arms) != 0 {
 		t.Fatalf("inline sends armed timers %v", arms)
+	}
+}
+
+// TestDeliverZeroAlloc pins the receive path's last copy away: a sealed,
+// in-order data frame through handleDatagram — open in place, mark, owe its
+// ack, deliver — reaches OnMessage as a loan of the datagram and allocates
+// nothing.
+func TestDeliverZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are meaningless under -race")
+	}
+	seal, err := newSealer(benchKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 600)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	delivered := 0
+	c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: newManualClock(), Key: benchKey,
+		OnMessage: func(m Message) {
+			if got := binary.LittleEndian.Uint64(m.Payload); got != uint64(delivered) || len(m.Payload) != len(payload) || m.Payload[599] != payload[599] {
+				t.Fatalf("delivery %d: frame %d, %d bytes", delivered, got, len(m.Payload))
+			}
+			delivered++
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var in []byte
+	seq := int64(0)
+	arrive := func() {
+		h := Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}
+		binary.LittleEndian.PutUint64(payload, uint64(seq))
+		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.handleDatagram(in, stubPeer, 0)
+		seq++
+	}
+	for i := 0; i < 64; i++ {
+		arrive()
+	}
+	if allocs := testing.AllocsPerRun(200, arrive); allocs != 0 {
+		t.Errorf("in-order delivery: %.2f allocs/frame, want 0", allocs)
+	}
+	if delivered != int(seq) {
+		t.Errorf("delivered %d of %d frames", delivered, seq)
 	}
 }

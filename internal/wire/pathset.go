@@ -254,16 +254,14 @@ func NewPathSet(paths []PathConf, cfg PathSetConfig) (*PathSet, error) {
 	return ps, nil
 }
 
-// bindConn installs the failover hook: newConnCommon calls this when a
-// Conn is built directly over a PathSet, so path-down evacuation can
-// re-enqueue in-flight frames without exporting Conn internals. The Conn,
-// not yet shared, also learns to feed its controller rebaseRTT and to keep
-// the raw samples in an estimator of its own.
+// bindConn hooks a Conn built directly over the PathSet: path-down
+// evacuation re-enqueues in-flight frames through it, and its core, not yet
+// shared, feeds its controller rebaseRTT and keeps the raw samples apart.
 func (ps *PathSet) bindConn(c *Conn) {
 	ps.mu.Lock()
 	ps.requeue = c.requeueFrames
 	ps.mu.Unlock()
-	c.paths, c.rtt = ps, &c.pathRTT
+	c.core.rebase, c.core.rtt = ps.rebaseRTT, &c.core.pathRTT
 }
 
 // rebaseRTT is the delay a bound Conn's controller reacts to (Section

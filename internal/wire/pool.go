@@ -2,22 +2,15 @@ package wire
 
 import "sync"
 
-// Buffer pools for the send fast path. Three object classes recycle
-// through here:
-//
-//   - payload buffers: the private copy Send takes of the caller's bytes
-//     (capacity MaxPayload). Ownership follows the frame: a reliable
-//     frame's buffer lives in its wpending until the sequence leaves the
-//     outstanding map; a best-effort frame's buffer is released by the
-//     transmit loop right after the datagram is written.
-//   - frame buffers: the full wire image (header + nonce + ciphertext or
-//     plain payload) built immediately before the transport write and
-//     released immediately after — transports never retain them.
-//   - pending records: the wpending bookkeeping structs of reliable
-//     frames.
-//
-// All pools store pointers so Get/Put themselves do not allocate; see
-// DESIGN.md §3g for the ownership rules in full.
+// Buffer pools for the send fast path, storing pointers so Get and Put do
+// not allocate (DESIGN.md §3g):
+//   - payload buffers: the copy Send takes of the caller's bytes. A
+//     reliable frame's lives in its wpending until the sequence leaves the
+//     outstanding map, a best-effort one's until poll has encoded it; a
+//     buffer is released under the driver's lock, since poll copies it
+//     into the frame a write reads;
+//   - frame buffers: a driver's, for the wire image it polls and writes;
+//   - pending records: the wpending of reliable frames.
 
 // maxFrameLen is the largest possible wire frame: a traced header, a full
 // acknowledgement block and a full payload.

@@ -4,44 +4,12 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"marnet/internal/core"
 	"marnet/internal/vclock"
 )
-
-// capturePC is a transport that goes nowhere and remembers what a Conn
-// wrote to it: how many acks, and which sequences were NACKed.
-type capturePC struct {
-	fuzzPC
-	mu     sync.Mutex
-	acks   int
-	nacked map[int64]int
-}
-
-func (p *capturePC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
-	hdr, payload, err := DecodeFrame(b)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch hdr.Type {
-	case TypeAck:
-		p.acks++
-	case TypeNack:
-		missing, err := DecodeNackPayload(payload)
-		if err != nil {
-			return 0, err
-		}
-		for _, seq := range missing {
-			p.nacked[seq]++
-		}
-	}
-	return len(b), nil
-}
 
 // The receive state of a stream is a fixed window however long the stream
 // runs and however much it loses: 100k sequences with 5 % loss leave it
@@ -50,14 +18,9 @@ func (p *capturePC) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
 // exactly once, and a frame replayed from 3000 sequences back — older than
 // the window — is a duplicate, not a second delivery.
 func TestRecvWindowConstantUnderLoss(t *testing.T) {
-	pc := &capturePC{nacked: make(map[int64]int)}
 	delivered := make(map[int64]int)
-	c, err := ListenVia(pc, Config{OnMessage: func(m Message) { delivered[int64(binary.LittleEndian.Uint64(m.Payload))]++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}
+	c := newCoreNet(0).end(Config{})
+	c.onMessage = func(m Message) { delivered[int64(binary.LittleEndian.Uint64(m.Payload))]++ }
 	frame := func(seq int64) []byte {
 		f, err := AppendFrame(nil, Header{
 			Type: TypeData, Stream: 7, Class: uint8(core.ClassLossRecovery),
@@ -73,9 +36,9 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	lost := make(map[int64]bool)
 	sent := 0
-	c.handleDatagram(frame(0), from, 0) // creates the stream
+	c.receive(frame(0)) // creates the stream
 	sent++
-	w := c.streamLocked(7).recv
+	w := c.core.stream(7).recv
 	size := int(w.Next() - w.Floor())
 	if size != recvWindow {
 		t.Fatalf("receive window = %d slots, want %d", size, recvWindow)
@@ -85,14 +48,33 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 			lost[seq] = true
 			continue
 		}
-		c.handleDatagram(frame(seq), from, 0)
+		c.receive(frame(seq))
 		sent++
 	}
 	if len(lost) < total/25 {
 		t.Fatalf("only %d of %d sequences lost: the loss process is broken", len(lost), total)
 	}
 
-	st := c.streamLocked(7)
+	acks, nacked := 0, make(map[int64]int)
+	for _, f := range c.written {
+		h, payload, err := DecodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch h.Type {
+		case TypeAck:
+			acks++
+		case TypeNack:
+			missing, err := DecodeNackPayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seq := range missing {
+				nacked[seq]++
+			}
+		}
+	}
+	st := c.core.stream(7)
 	if got := int(st.recv.Next() - st.recv.Floor()); got != size {
 		t.Errorf("receive window grew from %d to %d slots", size, got)
 	}
@@ -102,13 +84,13 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 	if len(delivered) != sent {
 		t.Errorf("delivered %d distinct sequences of %d sent", len(delivered), sent)
 	}
-	if pc.acks != sent {
-		t.Errorf("acked %d of %d frames", pc.acks, sent)
+	if acks != sent {
+		t.Errorf("acked %d of %d frames", acks, sent)
 	}
-	if len(pc.nacked) != len(lost) {
-		t.Errorf("NACKed %d sequences, lost %d", len(pc.nacked), len(lost))
+	if len(nacked) != len(lost) {
+		t.Errorf("NACKed %d sequences, lost %d", len(nacked), len(lost))
 	}
-	for seq, n := range pc.nacked {
+	for seq, n := range nacked {
 		if !lost[seq] || n != 1 {
 			t.Fatalf("sequence %d NACKed %d times (lost: %v), want once and only if lost", seq, n, lost[seq])
 		}
@@ -125,10 +107,10 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 			tooOld = seq
 		}
 	}
-	before := c.Stats(7)
-	c.handleDatagram(frame(inWindow), from, 0)
-	c.handleDatagram(frame(tooOld), from, 0)
-	after := c.Stats(7)
+	before := st.snapshot()
+	c.receive(frame(inWindow))
+	c.receive(frame(tooOld))
+	after := st.snapshot()
 	if delivered[inWindow] != 1 {
 		t.Errorf("late sequence %d inside the window delivered %d times, want 1", inWindow, delivered[inWindow])
 	}
@@ -149,12 +131,8 @@ func TestRecvWindowConstantUnderLoss(t *testing.T) {
 // arrival at least core.BaseRTTFloor after it opened, never on a timer, and
 // a duplicate is not traffic the peer's application offered.
 func TestArrivalRateFeedsController(t *testing.T) {
-	clk := newManualClock()
-	c, err := ListenVia(&stubPC{}, Config{Clock: clk})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	n := newCoreNet(0)
+	c := n.end(Config{})
 	frame := func(seq int64) []byte {
 		f, err := AppendFrame(nil, Header{Type: TypeData, Stream: 7, Class: uint8(core.ClassLossRecovery), Seq: seq}, make([]byte, 600))
 		if err != nil {
@@ -162,12 +140,7 @@ func TestArrivalRateFeedsController(t *testing.T) {
 		}
 		return f
 	}
-	peerRate := func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.ctrl.PeerRate()
-	}
-	mark := len(clk.arms)
+	peerRate := c.core.ctrl.PeerRate
 	seq, wireBits := int64(0), float64(len(frame(0))*8)
 	for _, tc := range []struct {
 		frames int
@@ -175,10 +148,10 @@ func TestArrivalRateFeedsController(t *testing.T) {
 	}{{101, time.Millisecond}, {41, 3 * time.Millisecond}, {400, 50 * time.Microsecond}} {
 		for i := 0; i < tc.frames; i++ {
 			if i > 0 {
-				clk.advance(tc.every)
+				n.run(tc.every)
 			}
-			c.handleDatagram(frame(seq), stubPeer, 0)
-			c.handleDatagram(frame(seq), stubPeer, 0) // every frame twice: the copy must not count
+			c.receive(frame(seq))
+			c.receive(frame(seq)) // every frame twice: the copy must not count
 			seq++
 		}
 		want := wireBits / tc.every.Seconds()
@@ -186,23 +159,23 @@ func TestArrivalRateFeedsController(t *testing.T) {
 			t.Fatalf("%d frames of %.0f bits, one every %v: observed %.0f b/s, want %.0f within 1 %%", tc.frames, wireBits, tc.every, got, want)
 		}
 	}
-	if got := c.Stats(7); got.Received != seq || got.Duplicates != seq {
+	if got := c.core.stream(7).snapshot(); got.Received != seq || got.Duplicates != seq {
 		t.Fatalf("received %d, duplicates %d, want %d of each", got.Received, got.Duplicates, seq)
 	}
 
 	// Silence closes nothing: the reading stands until the next arrival, which
 	// then averages over the silence.
 	before := peerRate()
-	clk.advance(time.Second)
+	n.run(time.Second)
 	if got := peerRate(); got != before {
 		t.Fatalf("the reading moved from %.0f to %.0f with no arrival", before, got)
 	}
-	c.handleDatagram(frame(seq), stubPeer, 0)
+	c.receive(frame(seq))
 	if got := peerRate(); got <= 0 || got > before/50 {
 		t.Fatalf("one frame after a second of silence: observed %.0f b/s, want the open window averaged over the second (was %.0f)", got, before)
 	}
-	if arms := paceArms(clk, mark); len(arms) != 0 {
-		t.Fatalf("measuring arrivals armed timers %v, want none", arms)
+	if len(c.arms) != 0 {
+		t.Fatalf("measuring arrivals armed timers %v, want none", c.arms)
 	}
 }
 
@@ -210,8 +183,7 @@ func TestArrivalRateFeedsController(t *testing.T) {
 // of allocations: finding a known peer's connection, sharing the budget
 // out after an ack, the deadline alarm with nothing due or stale, the
 // arrival accounting that measures the peer's rate, and an acknowledgement
-// from owed to retired, riding or alone. Every write here takes the
-// single-frame path: drain pops, seals and writes one frame per round.
+// from owed to retired, riding or alone, sealed on the way.
 func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")
@@ -241,16 +213,16 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 
 	for i, want := range []uint16{3, 5, 9} {
-		if got := c.streams[i].spec.ID; got != want {
+		if got := c.core.streams[i].spec.ID; got != want {
 			t.Fatalf("streams[%d] = stream %d, want %d (id order)", i, got, want)
 		}
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		c.mu.Lock()
-		c.reallocateLocked()
+		c.core.reallocate()
 		c.mu.Unlock()
 	}); allocs != 0 {
-		t.Errorf("reallocateLocked: %.2f allocs/op, want 0", allocs)
+		t.Errorf("reallocate: %.2f allocs/op, want 0", allocs)
 	}
 
 	// Frames in flight, none of them stale yet.
@@ -264,7 +236,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		c.mu.Lock()
-		c.sweepAt = vclock.Deadline{At: c.clock.Now()} // every run takes the sweep branch
+		c.core.sweepAt = vclock.Deadline{At: c.clock.Now()} // every run takes the sweep branch
 		c.mu.Unlock()
 		c.onDeadline()
 	}); allocs != 0 {
@@ -274,56 +246,64 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		t.Errorf("sweep retransmitted %d fresh frames", got)
 	}
 
-	at := c.clock.Now()
-	if allocs := testing.AllocsPerRun(200, func() {
-		at = at.Add(3 * time.Millisecond) // every fourth arrival closes a window
-		c.mu.Lock()
-		c.observeArrivalLocked(700, at)
-		c.mu.Unlock()
-	}); allocs != 0 {
-		t.Errorf("observeArrivalLocked: %.2f allocs/op, want 0", allocs)
+	// What is left runs on bare cores, on a synthetic now.
+	now := time.Unix(1_000_000, 0)
+	var arr connCore
+	if err := arr.init(Config{}, now, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if got, want := c.ctrl.PeerRate(), 700*8/0.003; got < want*0.99 || got > want*1.01 {
+	if allocs := testing.AllocsPerRun(200, func() {
+		now = now.Add(3 * time.Millisecond) // every fourth arrival closes a window
+		arr.observeArrival(700, now)
+	}); allocs != 0 {
+		t.Errorf("observeArrival: %.2f allocs/op, want 0", allocs)
+	}
+	if got, want := arr.ctrl.PeerRate(), 700*8/0.003; got < want*0.99 || got > want*1.01 {
 		t.Errorf("observed peer rate %.0f b/s, want %.0f", got, want)
 	}
 
-	// An acknowledgement's whole life on a keyed conn that may hold acks: a
-	// request arrives and its ack is owed (the timer is re-armed in place),
-	// the response takes the block along, and the block that comes back
-	// retires the response from the outstanding map.
-	clk := newManualClock()
-	seal, err := newSealer(benchKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dial := func() *Conn {
-		c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: clk, Key: benchKey})
-		if err != nil {
+	// An acknowledgement's whole life on a keyed core that may hold acks: a
+	// request arrives and its ack is owed (the deadline is set once), the
+	// response takes the block along, sealed with it, and the block that
+	// comes back retires the response from the outstanding map. What the
+	// core owes alone is polled as its driver would.
+	keyed := func() *connCore {
+		k := new(connCore)
+		if err := k.init(Config{Streams: ackStreams, StartBudget: 1e9, Key: benchKey}, now, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() })
-		return c
+		return k
 	}
-	var in, block []byte
-	arrive := func(c *Conn, h Header, payload []byte) {
-		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
-			t.Fatal(err)
+	var block []byte
+	out := make([]byte, 0, maxFrameLen)
+	transmit := func(k *connCore) (frames int) {
+		for _, ok := k.pollControl(out[:0]); ok; _, ok = k.pollControl(out[:0]) {
+			frames++
 		}
-		c.handleDatagram(in, stubPeer, 0)
+		if k.takeDrain() {
+			for _, ok := k.poll(now, out[:0]); ok; _, ok = k.poll(now, out[:0]) {
+				frames++
+			}
+		}
+		return frames
 	}
-	rr := dial()
-	clk.advance(20 * time.Millisecond)
+	rr := keyed()
+	now = now.Add(20 * time.Millisecond)
 	request, seq := make([]byte, 600), int64(0)
 	exchange := func() {
-		arrive(rr, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request)
-		if ok, err := rr.Send(1, request[:64]); err != nil || !ok {
+		rr.onDatagram(now, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
+		transmit(rr)
+		if ok, err := rr.send(now, 1, request[:64], 0, 0); err != nil || !ok {
 			t.Fatal("send refused", err)
 		}
-		echo := uint64(clk.Now().Sub(rr.epoch).Microseconds()) - 10_000
+		if transmit(rr) != 1 {
+			t.Fatal("the response did not leave")
+		}
+		echo := uint64(now.Sub(rr.epoch).Microseconds()) - 10_000
 		block = AppendAckBlock(block[:0], echo, 0, []AckRange{{Stream: 1, First: 0, Run: uint16(min(seq+1, recvWindow))}})
-		arrive(rr, Header{Type: TypeAck, Acks: block}, nil)
+		rr.onDatagram(now, Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
 		seq++
-		clk.advance(20 * time.Microsecond)
+		now = now.Add(20 * time.Microsecond)
 	}
 	for i := 0; i < 64; i++ {
 		exchange()
@@ -331,75 +311,28 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
 		t.Errorf("owe, ride, retire: %.2f allocs/op, want 0", allocs)
 	}
-	if sent, rode := rr.AckStats(); sent != 1 || rode != seq-1 || outstandingFrames(rr, 1) != 0 {
+	if sent, rode := rr.acksSent, rr.acksPiggybacked; sent != 1 || rode != seq-1 || len(rr.stream(1).outstanding) != 0 {
 		t.Errorf("%d pure acks and %d ridden blocks over %d exchanges with %d frames outstanding; want 1 (before the first RTT sample), %d, 0",
-			sent, rode, seq, outstandingFrames(rr, 1), seq-1)
+			sent, rode, seq, len(rr.stream(1).outstanding), seq-1)
 	}
 
-	// The pure-ack write, as the receiver of a one-way flow does it per frame.
-	ow := dial()
+	// The pure ack, as the receiver of a one-way flow owes and seals it per frame.
+	ow := keyed()
 	seq = 0
 	oneWay := func() {
-		arrive(ow, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request)
+		ow.onDatagram(now, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
+		if transmit(ow) != 1 {
+			t.Fatal("no pure ack")
+		}
 		seq++
 	}
 	for i := 0; i < 64; i++ {
 		oneWay()
 	}
 	if allocs := testing.AllocsPerRun(200, oneWay); allocs != 0 {
-		t.Errorf("pure-ack write: %.2f allocs/op, want 0", allocs)
+		t.Errorf("pure ack: %.2f allocs/op, want 0", allocs)
 	}
-	if sent, rode := ow.AckStats(); sent != seq || rode != 0 {
+	if sent, rode := ow.acksSent, ow.acksPiggybacked; sent != seq || rode != 0 {
 		t.Errorf("%d pure acks and %d ridden blocks for %d one-way frames, want one pure ack each", sent, rode, seq)
-	}
-}
-
-// TestDeliverZeroAlloc pins the receive path's last copy away: a sealed,
-// in-order data frame through handleDatagram — open in place, mark, owe its
-// ack, deliver — reaches OnMessage as a loan of the datagram and allocates
-// nothing.
-func TestDeliverZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation pins are meaningless under -race")
-	}
-	seal, err := newSealer(benchKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 600)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	delivered := 0
-	c, err := DialVia(&stubPC{}, stubPeer, Config{Streams: ackStreams, StartBudget: 1e9, Clock: newManualClock(), Key: benchKey,
-		OnMessage: func(m Message) {
-			if got := binary.LittleEndian.Uint64(m.Payload); got != uint64(delivered) || len(m.Payload) != len(payload) || m.Payload[599] != payload[599] {
-				t.Fatalf("delivery %d: frame %d, %d bytes", delivered, got, len(m.Payload))
-			}
-			delivered++
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var in []byte
-	seq := int64(0)
-	arrive := func() {
-		h := Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}
-		binary.LittleEndian.PutUint64(payload, uint64(seq))
-		if in, err = seal.appendSealedFrame(in[:0], h, payload); err != nil {
-			t.Fatal(err)
-		}
-		c.handleDatagram(in, stubPeer, 0)
-		seq++
-	}
-	for i := 0; i < 64; i++ {
-		arrive()
-	}
-	if allocs := testing.AllocsPerRun(200, arrive); allocs != 0 {
-		t.Errorf("in-order delivery: %.2f allocs/frame, want 0", allocs)
-	}
-	if delivered != int(seq) {
-		t.Errorf("delivered %d of %d frames", delivered, seq)
 	}
 }

@@ -355,7 +355,7 @@ func TestRTTEstablishesOverLoopback(t *testing.T) {
 	if !waitFor(t, 3*time.Second, func() bool {
 		client.mu.Lock()
 		defer client.mu.Unlock()
-		return client.ctrl.RTT().Smoothed() > 0
+		return client.core.ctrl.RTT().Smoothed() > 0
 	}) {
 		t.Fatal("no RTT estimate established")
 	}

@@ -1,6 +1,7 @@
 // Command reachfix is the fixture of the program-wide guards
 // (reach_test.go, guards_test.go): a module holding one function, field,
-// …Locked call and wall-clock read of each kind they tell apart.
+// …Locked call, wall-clock read and impure core of each kind they tell
+// apart.
 package main
 
 import (
@@ -17,6 +18,9 @@ func main() {
 	fmt.Println(b.Held(), b.Branch(), b.Unlocked(), b.Relocked(), b.Callback()(), b.Kept(), b.SwitchBreak())
 	b.LoopRelease()
 	b.LoopRelock()
+	c := &lib.Core{}
+	c.Guarded()
+	fmt.Println(c.Step(time.Time{}), c.Tick(), c.Wall())
 	fmt.Println(sim.Stamp(), sim.Clock()())
 	sim.Wait()
 	sim.Timeout()
