@@ -37,16 +37,17 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The allocation pins, by name and without the race detector (which
-# allocates on its own account): what one offloaded call, one simulated
+# allocates on its own account): what one offloaded call (answered at once,
+# or retried after an attempt timed out), one simulated
 # datagram (delivered or dropped by a link), one link hop, one admission
-# cycle, one delivered data frame, one received batch, one trace record,
+# cycle, one delivered data frame, one NACK answered, one received batch, one trace record,
 # one keyed Send transmitted on its caller and one request served on the
 # goroutine that read it may cost in heap objects, what a
 # trace record costs in heap bytes, and that hashing a trace allocates
 # the same however long it is. They also
 # run in `test`; this target is the list, and fails if one of them is
 # renamed away.
-ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestLinkDropsRecycle|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestDeliverZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc
+ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestLinkDropsRecycle|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestDeliverZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc|TestSimRetriedCallAllocs
 allocs:
 	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/ ./internal/rpc/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
@@ -56,11 +57,11 @@ allocs:
 # and no struct field that only tests use (reach_test.go, guards_test.go,
 # each proved non-vacuous on testdata/reach), every …Locked call under its
 # lock, no wall-clock read in a package the simulator hosts, one RTT
-# estimator, a wire conn core with no lock, clock, timer or socket, and
-# wire's goroutine, timer and write-path budget. They also
+# estimator, a wire conn core with no lock, clock, timer or socket and no
+# map to walk, and wire's goroutine, timer and write-path budget. They also
 # run in `test`; this target is the list, and fails if one of them is
 # renamed away.
-GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestWireGoroutineSites
+GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestConnCoreWalksNoMap|TestWireGoroutineSites
 guards:
 	@out="$$($(GO) test -count=1 -v -run '^($(GUARDS))$$' . ./internal/wire/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \

@@ -626,6 +626,80 @@ func TestConnCoreIsPure(t *testing.T) {
 	}
 }
 
+// TestConnCoreWalksNoMap guards the order of wire's per-packet walks: no
+// field of connCore, of a stream (wstream) or of its send window is a map,
+// and no method of theirs ranges over one. Map order is random, so a walk
+// over a map needs a sort to stay deterministic; the send window visits
+// in-flight frames in sequence order with neither.
+func TestConnCoreWalksNoMap(t *testing.T) {
+	want := []string{"lib.Core.Seen ranges over a map", "lib.Core.seen is a map"}
+	if got := guardNames(mapWalks(fixtureSource(t), "reachfix/lib", []string{"Core"})); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("on the fixture: reported %v, want %v", got, want)
+	}
+	found, err := mapWalks(programSource(t), "marnet/internal/wire", []string{"connCore", "wstream", "sendWindow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Errorf("%s:%d %s: keep in-flight state in sequence order, not in a map", f.pos.Filename, f.pos.Line, f.name)
+	}
+}
+
+// mapWalks returns, sorted by name, every map-typed field of the structs
+// typs of package pkg and every range over a map in one of their methods.
+func mapWalks(src *source, pkg string, typs []string) ([]reachFinding, error) {
+	checked, infos, err := typeCheck(src)
+	if err != nil {
+		return nil, err
+	}
+	isMap := func(t types.Type) bool {
+		_, ok := t.Underlying().(*types.Map)
+		return ok
+	}
+	for i, p := range src.pkgs {
+		if p.path != pkg {
+			continue
+		}
+		var found []reachFinding
+		for _, typ := range typs {
+			obj := checked[i].Scope().Lookup(typ)
+			if obj == nil {
+				return nil, fmt.Errorf("no type %s in package %s", typ, pkg)
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				return nil, fmt.Errorf("%s.%s is not a struct", pkg, typ)
+			}
+			for j := 0; j < st.NumFields(); j++ {
+				if isMap(st.Field(j).Type()) {
+					found = append(found, reachFinding{src.fset.Position(st.Field(j).Pos()), p.name() + "." + typ + "." + st.Field(j).Name() + " is a map"})
+				}
+			}
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil {
+					continue
+				}
+				recv := receiverName(infos[i].TypeOf(fd.Recv.List[0].Type))
+				if !slices.Contains(typs, recv) {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if rs, ok := n.(*ast.RangeStmt); ok && isMap(infos[i].TypeOf(rs.X)) {
+						found = append(found, reachFinding{src.fset.Position(rs.Pos()), p.name() + "." + recv + "." + fd.Name.Name + " ranges over a map"})
+					}
+					return true
+				})
+			}
+		}
+		sort.Slice(found, func(i, j int) bool { return found[i].name < found[j].name })
+		return found, nil
+	}
+	return nil, fmt.Errorf("no package %s", pkg)
+}
+
 // impureCore returns, sorted by name, every field of the struct typ of
 // package pkg whose type (behind a pointer or not) is declared in package
 // sync or sync/atomic or is one of banned ("path.Name"), and every call a

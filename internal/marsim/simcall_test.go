@@ -9,6 +9,7 @@ import (
 	"marnet/internal/overload"
 	"marnet/internal/phy"
 	"marnet/internal/rpc"
+	"marnet/internal/simnet"
 	"marnet/internal/wire"
 )
 
@@ -18,6 +19,7 @@ import (
 // ack) and every per-call object is the stack's own.
 type callRig struct {
 	s        *Scenario
+	host     *Host
 	cl       *rpc.Client
 	srv      *rpc.Server
 	req      []byte
@@ -27,7 +29,8 @@ type callRig struct {
 	deadline time.Duration
 }
 
-func newCallRig(tb testing.TB, gate overload.Config) *callRig {
+// newCallRig makes the rig; attempts is the client's attempt budget per call.
+func newCallRig(tb testing.TB, gate overload.Config, attempts int) *callRig {
 	tb.Helper()
 	key := []byte("0123456789abcdef")
 	link := phy.Profile{Name: "pin", Up: 100e6, Down: 100e6, OneWay: time.Millisecond}
@@ -45,10 +48,10 @@ func newCallRig(tb testing.TB, gate overload.Config) *callRig {
 		tb.Fatal(err)
 	}
 	r.srv = srv
-	host := r.s.Net.NewHost("mobile", link)
+	r.host = r.s.Net.NewHost("mobile", link)
 	r.cl, err = rpc.Dial("sim://server", rpc.ClientConfig{
-		Key: key, Clock: r.s.Clock, Dialer: host.Dialer(ep), Seed: 2,
-		RequestRate: 1e9, StartBudget: 1e9,
+		Key: key, Clock: r.s.Clock, Dialer: r.host.Dialer(ep), Seed: 2,
+		RequestRate: 1e9, StartBudget: 1e9, Retry: rpc.RetryPolicy{Max: attempts},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -99,7 +102,7 @@ func (r *callRig) call() {
 // in the count.
 func TestSimCallAllocs(t *testing.T) {
 	skipAllocPinUnderRace(t)
-	r := newCallRig(t, overload.Config{})
+	r := newCallRig(t, overload.Config{}, 1)
 	for i := 0; i < 200; i++ {
 		r.call()
 	}
@@ -114,12 +117,58 @@ func TestSimCallAllocs(t *testing.T) {
 	}
 }
 
+// holdRequest delays the next request datagram onto the uplink by hold,
+// once armed: a request is the only datagram the client sends that is
+// longer than an ack.
+type holdRequest struct {
+	armed bool
+	hold  time.Duration
+}
+
+func (h *holdRequest) Filter(pkt *simnet.Packet, _ time.Duration) simnet.Verdict {
+	if !h.armed || pkt.Size < 300 {
+		return simnet.Verdict{}
+	}
+	h.armed = false
+	return simnet.Verdict{ExtraDelay: h.hold}
+}
+
+// A call whose first attempt times out and whose retry succeeds allocates
+// no more than TestSimCallAllocs' call: the timed-out attempt's error is
+// formatted only when a call ends with it, so a retry that follows costs
+// none. The first request is held 40 ms, past its 37.5 ms share of the
+// deadline; its late answer arrives during the backoff and is dropped.
+func TestSimRetriedCallAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	r := newCallRig(t, overload.Config{}, 2)
+	hold := &holdRequest{hold: 40 * time.Millisecond}
+	r.host.SetUplinkFilter(hold)
+	retried := func() {
+		hold.armed = true
+		r.cl.CallAsync(methodRecognize, r.req, core.PrioHighest, r.deadline, r.done)
+		r.s.Sim.RunUntil(r.s.Sim.Now() + 150*time.Millisecond) //nolint:errcheck // horizon is unreachable in 150 ms
+	}
+	for i := 0; i < 50; i++ {
+		retried()
+	}
+	if st := r.cl.Stats(); r.oks != 50 || st.Retries != 50 || st.Timeouts != 0 {
+		t.Fatalf("warm-up: %d/50 calls ok with %d retries and %d timed out, last error %v; want each call retried once and ok",
+			r.oks, st.Retries, st.Timeouts, r.lastErr)
+	}
+	if got := testing.AllocsPerRun(100, retried); got > 3 {
+		t.Errorf("a call retried after a timeout allocates %.1f objects, want <= 3", got)
+	}
+	if st := r.cl.Stats(); r.oks != 151 || st.Retries != 151 {
+		t.Fatalf("measured calls: %d/151 ok with %d retries, last error %v", r.oks, st.Retries, r.lastErr)
+	}
+}
+
 // A call the gate refuses at the door (its estimate says the work cannot
 // finish in the budget) costs only pooled records: the typed refusal
 // carries no body for the caller to keep (it measures 0).
 func TestSimRejectedCallAllocs(t *testing.T) {
 	skipAllocPinUnderRace(t)
-	r := newCallRig(t, overload.Config{})
+	r := newCallRig(t, overload.Config{}, 1)
 	r.srv.Gate().Estimator().Observe(methodRecognize, time.Second)
 	for i := 0; i < 200; i++ {
 		r.call()
@@ -135,7 +184,7 @@ func TestSimRejectedCallAllocs(t *testing.T) {
 // BenchmarkSimCall is the cost of one simulated offloaded call, all
 // layers, in wall ns and heap objects.
 func BenchmarkSimCall(b *testing.B) {
-	r := newCallRig(b, overload.Config{})
+	r := newCallRig(b, overload.Config{}, 1)
 	for i := 0; i < 200; i++ {
 		r.call()
 	}

@@ -119,7 +119,15 @@ type callVars struct {
 
 	lastErr  error
 	lastInfo attemptInfo
+	// timedOutAfter is the time a timed-out attempt (or the call) had, when
+	// lastErr is errTimedOut: the error a caller sees is formatted from it
+	// once, by completeLocked, and not for every attempt a retry follows.
+	timedOutAfter time.Duration
 }
+
+// errTimedOut marks lastErr as a deadline error not yet formatted; it never
+// leaves completeLocked.
+var errTimedOut = errors.New("rpc: timed out")
 
 // CallAsync issues a call without blocking: done is invoked exactly once —
 // possibly synchronously — with the response or error, from an unspecified
@@ -182,7 +190,7 @@ func (cs *callState) beginAttemptLocked() completion {
 	remaining := cs.deadline - c.clock.Since(cs.started)
 	if remaining <= 0 {
 		if cs.lastErr == nil {
-			cs.lastErr = fmt.Errorf("%w after %v", ErrDeadline, cs.deadline)
+			cs.lastErr, cs.timedOutAfter = errTimedOut, cs.deadline
 		}
 		return cs.completeLocked(nil, cs.lastErr, false)
 	}
@@ -319,7 +327,8 @@ func (cs *callState) onAttemptTimeout() {
 	c.mu.Lock()
 	var fin completion
 	if cs.timeoutT.fired() {
-		fin = cs.attemptFailedLocked(fmt.Errorf("%w after %v", ErrDeadline, cs.aTimeout), attemptInfo{})
+		cs.timedOutAfter = cs.aTimeout
+		fin = cs.attemptFailedLocked(errTimedOut, attemptInfo{})
 	}
 	c.mu.Unlock()
 	c.run(fin)
@@ -373,6 +382,9 @@ func (cs *callState) completeLocked(resp []byte, err error, success bool) comple
 	c := cs.c
 	cs.endAttemptLocked()
 	cs.backoffT.stop()
+	if err == errTimedOut {
+		err = fmt.Errorf("%w after %v", ErrDeadline, cs.timedOutAfter)
+	}
 	if !success && !cs.probe && errors.Is(err, ErrDeadline) {
 		c.stats.Timeouts++
 	}

@@ -171,6 +171,26 @@ func (c *stepClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// steadyGoroutines is runtime.NumGoroutine once it has read the same for
+// 20 ms running: a goroutine an earlier test left behind may still be on
+// its way out, and one that exits inside a measured window would read as
+// the window's own doing.
+func steadyGoroutines(t *testing.T) int {
+	t.Helper()
+	n, since := runtime.NumGoroutine(), time.Now()
+	deadline := since.Add(5 * time.Second)
+	for time.Since(since) < 20*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatalf("the goroutine count did not settle in 5 s (now %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 // TestServeInlineZeroAlloc is the allocation pin of the inline serve: a
 // cheap request delivered with a backlog is admitted, handled, answered on
 // the transport and settled with the gate before onMessage returns, on the
@@ -234,7 +254,7 @@ func TestServeInlineZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		step()
 	}
-	goroutines := runtime.NumGoroutine()
+	goroutines := steadyGoroutines(t)
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("inline serve allocates %.1f objects per call, want 0", allocs)
 	}

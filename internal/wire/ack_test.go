@@ -63,12 +63,46 @@ func TestDroppedAcksAreRepairedNotRetransmitted(t *testing.T) {
 	}
 	n.run(10 * time.Millisecond) // past the loss guard: every frame is old enough to be declared lost
 	a.receive(b.written[frames-1])
-	if st := a.core.stream(1); st.retx != 0 || a.core.lostFrames != 0 || len(st.outstanding) != 0 {
+	if st := a.core.stream(1); st.retx != 0 || a.core.lostFrames != 0 || st.window.len() != 0 {
 		t.Fatalf("after the one ack that arrived: %d retransmissions, %d declared lost, %d outstanding; want 0, 0, 0",
-			st.retx, a.core.lostFrames, len(st.outstanding))
+			st.retx, a.core.lostFrames, st.window.len())
 	}
 	if len(a.written) != frames {
 		t.Fatalf("%d frames on the wire, want %d: something was sent twice", len(a.written), frames)
+	}
+}
+
+// TestFramesPastThePeerWindowAreNotResent: the same lagging reader, but
+// the one ack that gets through comes recvWindow+64 frames in. An ack names
+// at most the receiver's window, so the 64 oldest frames are uncovered and
+// declared lost. The receiver's window has passed them, and it would drop
+// a copy as a duplicate, so none is sent. (Sending them was up to half a
+// percent of TestDeliveryWindowedLoopbackSoak's frames when the sender's
+// reader stalled for more than recvWindow acks.)
+func TestFramesPastThePeerWindowAreNotResent(t *testing.T) {
+	n := newCoreNet(0)
+	a := n.end(Config{Streams: ackStreams[:1], StartBudget: 1e9})
+	b := n.end(Config{})
+	const frames, past = recvWindow + 64, 64
+	for i := 0; i < frames; i++ {
+		coreSend(t, a, 1, []byte{byte(i)})
+		n.run(10 * time.Microsecond)
+	}
+	for _, f := range a.written {
+		b.receive(f)
+	}
+	last, _, err := DecodeFrame(b.written[len(b.written)-1])
+	if err != nil || last.Acks.Len() != 1 || last.Acks.Range(0) != (AckRange{Stream: 1, First: past, Run: recvWindow}) {
+		t.Fatalf("last ack = %+v (%v), want one range naming the receiver's window", last, err)
+	}
+	n.run(10 * time.Millisecond) // past the loss guard
+	a.receive(b.written[len(b.written)-1])
+	if st := a.core.stream(1); st.retx != 0 || a.core.lostFrames != past || st.window.len() != 0 {
+		t.Fatalf("after the one ack that arrived: %d retransmissions, %d declared lost, %d outstanding; want 0, %d, 0",
+			st.retx, a.core.lostFrames, st.window.len(), past)
+	}
+	if len(a.written) != frames {
+		t.Fatalf("%d frames on the wire, want %d: a copy the receiver would drop was sent", len(a.written), frames)
 	}
 }
 
@@ -236,7 +270,7 @@ func primedReceiver(t *testing.T, n *coreNet, rtt time.Duration) *coreEnd {
 	}
 	n.run(rtt)
 	c.receive(pureAck(sent.SendMicro, 0, AckRange{Stream: 1, First: 0, Run: 1}))
-	if got, out := c.core.rtt.Smoothed(), len(c.core.stream(1).outstanding); got != rtt || out != 0 {
+	if got, out := c.core.rtt.Smoothed(), c.core.stream(1).window.len(); got != rtt || out != 0 {
 		t.Fatalf("primed core: SRTT %v with %d outstanding, want %v and 0", got, out, rtt)
 	}
 	c.written, c.writtenAt = nil, nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"net"
 	"testing"
+	"time"
 
 	"marnet/internal/core"
 )
@@ -89,4 +90,73 @@ func BenchmarkOnData(b *testing.B) {
 		deliver(recvWindow + int64(i))
 	}
 	_ = sink
+}
+
+// BenchmarkOnAcks is the sender's cost of one acknowledgement on a stream
+// with frames in flight: the oldest is acknowledged and a new frame sent,
+// so as many stay in flight. On stuck-head the oldest is held back, as a
+// critical frame lost again and again is, while the 4096 after it are
+// acknowledged one by one; then it is let go and the next is held.
+func BenchmarkOnAcks(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		inFlight int64
+		stuck    bool
+	}{
+		{"inflight=16", 16, false},
+		{"inflight=256", 256, false},
+		{"inflight=4096", 4096, false},
+		{"stuck-head", 16, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			// Time stands still and the clock granule is an hour: the pacer
+			// never holds a frame back, no block carries an RTT sample, and
+			// no frame is ever old enough to be declared lost.
+			now := time.Unix(1_000_000, 0)
+			var c connCore
+			if err := c.init(Config{Streams: ackStreams[:1], StartBudget: 1e9}, now, time.Hour, nil); err != nil {
+				b.Fatal(err)
+			}
+			payload, out := make([]byte, 64), make([]byte, 0, maxFrameLen)
+			var next int64
+			send := func() {
+				if ok, err := c.send(now, 1, payload, 0, 0); err != nil || !ok {
+					b.Fatal("send refused", err)
+				}
+				if _, ok := c.poll(now, out[:0]); !ok {
+					b.Fatal("the frame did not leave")
+				}
+				next++
+			}
+			ranges, block := make([]AckRange, 1), make([]byte, 0, maxAckBlockLen)
+			ackOne := func(seq int64) {
+				ranges[0] = AckRange{Stream: 1, First: seq, Run: 1}
+				block = AppendAckBlock(block[:0], 0, 0, ranges)
+				c.onAcks(block, now)
+			}
+			oldest, stuck := int64(0), int64(-1)
+			if tc.stuck {
+				stuck, oldest = 0, 1
+			}
+			for next < oldest+tc.inFlight {
+				send()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ackOne(oldest)
+				if oldest++; tc.stuck && oldest-stuck > 4096 {
+					ackOne(stuck)
+					stuck, oldest = oldest, oldest+1
+				}
+				for next < oldest+tc.inFlight {
+					send()
+				}
+			}
+			b.StopTimer()
+			if c.lostFrames != 0 {
+				b.Fatalf("%d frames declared lost: the benchmark acknowledges every frame", c.lostFrames)
+			}
+		})
+	}
 }

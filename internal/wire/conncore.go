@@ -62,7 +62,7 @@ type connCore struct {
 	owedSince time.Time
 	ackBuf    [maxAckBlockLen]byte
 
-	seqScratch []int64 // gap lists and loss candidates
+	seqScratch []int64 // gap lists
 
 	// The peer's sending rate: wire bits of new data frames since arrStart,
 	// handed to the controller by the first arrival core.BaseRTTFloor later.
@@ -88,8 +88,8 @@ type connCore struct {
 }
 
 // wpending is the bookkeeping record of one reliable frame awaiting
-// acknowledgment. Records are pooled: they return to pendingPool when the
-// sequence leaves the outstanding map (see pool.go for ownership rules).
+// acknowledgment, held by value in its stream's send window (sendwindow.go);
+// its payload buffer's ownership is pool.go's.
 type wpending struct {
 	pbuf     *[]byte // the payload, in a pooled buffer
 	deadline time.Time
@@ -107,8 +107,8 @@ type wstream struct {
 	tokens    float64
 	lastFill  time.Time
 
-	outstanding map[int64]*wpending
-	maxAcked    int64
+	window   sendWindow // the reliable frames awaiting acknowledgment
+	maxAcked int64
 
 	// recv is the receive side: which of the last recvWindow sequences
 	// arrived and which holes were NACKed. runStart is where the run of
@@ -156,11 +156,10 @@ func (q *frameQueue) pop() outFrame {
 
 func newStream(spec StreamSpec, now time.Time) *wstream {
 	return &wstream{
-		spec:        spec,
-		lastFill:    now,
-		outstanding: make(map[int64]*wpending),
-		maxAcked:    -1,
-		recv:        core.NewSeqWindow(recvWindow),
+		spec:     spec,
+		lastFill: now,
+		maxAcked: -1,
+		recv:     core.NewSeqWindow(recvWindow),
 	}
 }
 
@@ -305,22 +304,22 @@ func (c *connCore) probe(now time.Time, due vclock.Deadline) (ping, dead bool) {
 }
 
 // onDeadline is the alarm's second step. The sweep retransmits reliable
-// tail losses that produce no gap signal, in stream and sequence order,
-// and sweeps again only while something is outstanding; one that finds
-// nothing stale sorts and allocates nothing. A pace deadline owes a drain.
+// tail losses that produce no gap signal, walking each stream's send window
+// in sequence order, and sweeps again only while a window holds a frame;
+// it allocates nothing. A pace deadline owes a drain.
 func (c *connCore) onDeadline(now time.Time, due vclock.Deadline) {
 	if !due.Before(c.sweepAt) {
 		stale := max(2*c.rtt.Smoothed(), 100*time.Millisecond)
 		c.sweepAt = vclock.Deadline{}
 		for _, st := range c.streams {
-			lost := c.seqScratch[:0]
-			for seq, pp := range st.outstanding {
-				if !pp.queued && !pp.lastSent.IsZero() && now.Sub(pp.lastSent) >= stale {
-					lost = append(lost, seq)
+			for seq, ok := st.window.first(); ok; {
+				next, more := st.window.after(seq) // before onLost may retire seq
+				if pp := st.window.get(seq); !pp.queued && !pp.lastSent.IsZero() && now.Sub(pp.lastSent) >= stale {
+					c.onLost(st, seq, pp, now)
 				}
+				seq, ok = next, more
 			}
-			c.lose(st, lost, now)
-			if len(st.outstanding) > 0 && c.sweepAt.At.IsZero() {
+			if st.window.len() > 0 && c.sweepAt.At.IsZero() {
 				c.set(&c.sweepAt, now.Add(sweepInterval))
 			}
 		}
@@ -366,8 +365,8 @@ func (c *connCore) requeue(keys []frameKey) {
 		if st == nil {
 			continue
 		}
-		pp, ok := st.outstanding[k.seq]
-		if !ok || pp.queued {
+		pp := st.window.get(k.seq)
+		if pp == nil || pp.queued {
 			continue
 		}
 		pp.queued = true
@@ -429,14 +428,11 @@ func (c *connCore) send(now time.Time, streamID uint16, payload []byte, traceID,
 	// The private copy's ownership follows the frame: pool.go.
 	_, pbuf := getPayloadBuf(payload)
 	if st.spec.Class != core.ClassFullBestEffort {
-		pp := getPending()
-		pp.pbuf = pbuf
-		pp.queued = true
-		pp.traceID, pp.spanID = traceID, spanID
+		p := wpending{pbuf: pbuf, queued: true, traceID: traceID, spanID: spanID}
 		if st.spec.Deadline > 0 {
-			pp.deadline = now.Add(st.spec.Deadline)
+			p.deadline = now.Add(st.spec.Deadline)
 		}
-		st.outstanding[seq] = pp
+		st.window.put(seq, p)
 		if c.sweepAt.At.IsZero() {
 			// Sweeps resume on their epoch + k·sweepInterval grid, at the
 			// first point more than a granule away.
@@ -509,10 +505,9 @@ func (c *connCore) pop(now time.Time) (f outFrame, pp *wpending) {
 		c.acksPiggybacked++
 	}
 	if st := c.stream(f.hdr.Stream); st != nil {
-		if p, ok := st.outstanding[f.hdr.Seq]; ok {
-			p.queued = false
-			p.lastSent = now
-			pp = p
+		if pp = st.window.get(f.hdr.Seq); pp != nil {
+			pp.queued = false
+			pp.lastSent = now
 		}
 		st.sent++
 	}
@@ -737,19 +732,19 @@ func (c *connCore) observeArrival(wireLen int, now time.Time) {
 
 // removePending retires a reliable frame's record, and its payload buffer
 // unless a band entry holds that: a write in flight reads the copy poll
-// encoded (pool.go).
+// encoded (pool.go). pp is seq's record in the window.
 func (c *connCore) removePending(st *wstream, seq int64, pp *wpending) {
-	delete(st.outstanding, seq)
 	if !pp.queued {
 		putPayloadBuf(pp.pbuf)
 	}
-	putPending(pp)
+	st.window.remove(seq)
 }
 
 // onAcks processes an arriving acknowledgement block: one RTT sample, the
-// hold subtracted, and per stream one pass, in sequence order, that retires
+// hold subtracted, and per stream one walk of the send window, in sequence
+// order and no further than the newest sequence acknowledged, that retires
 // what a range covers and declares lost what lies more than the reorder
-// slack behind the newest sequence acknowledged.
+// slack behind that sequence.
 func (c *connCore) onAcks(b AckBlock, now time.Time) {
 	at := now.Sub(c.epoch)
 	rtt := at - time.Duration(b.Echo())*time.Microsecond - b.Hold()
@@ -772,41 +767,25 @@ func (c *connCore) onAcks(b AckBlock, now time.Time) {
 		if i+1 < n && b.Range(i+1).Stream == r.Stream {
 			continue // the pass runs once per stream, after its last range
 		}
-		seqs := c.seqScratch[:0]
-		for seq, pp := range st.outstanding {
-			if b.Covers(r.Stream, seq) || seq < st.maxAcked-reorderSlack && c.lossEligible(pp, now) {
-				seqs = append(seqs, seq)
-			}
-		}
-		c.seqScratch = seqs[:0]
-		slices.Sort(seqs)
-		for _, seq := range seqs {
-			pp := st.outstanding[seq]
-			if !b.Covers(r.Stream, seq) {
+		for seq, ok := st.window.first(); ok && seq <= st.maxAcked; {
+			next, more := st.window.after(seq) // before either verdict retires seq
+			switch pp := st.window.get(seq); {
+			case b.Covers(r.Stream, seq):
+				c.lossSample(0)
+				c.rec.RecordAt(now, obs.EvFrameAck, 0, r.Stream, uint32(seq), uint64(rtt.Microseconds()))
+				c.removePending(st, seq, pp)
+			case seq < st.maxAcked-reorderSlack && c.lossEligible(pp, now):
 				c.onLost(st, seq, pp, now)
-				continue
 			}
-			c.lossSample(0)
-			c.rec.RecordAt(now, obs.EvFrameAck, 0, r.Stream, uint32(seq), uint64(rtt.Microseconds()))
-			c.removePending(st, seq, pp)
+			seq, ok = next, more
 		}
 	}
 }
 
-// lose declares the listed outstanding sequences of st lost, in sequence
-// order at now. seqs is (a prefix of) seqScratch.
-func (c *connCore) lose(st *wstream, seqs []int64, now time.Time) {
-	c.seqScratch = seqs[:0]
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		if pp, ok := st.outstanding[seq]; ok {
-			c.onLost(st, seq, pp, now)
-		}
-	}
-}
-
+// onNack declares lost each sequence a NACK lists that is in the window
+// and eligible, reading the payload in place.
 func (c *connCore) onNack(hdr Header, payload []byte, now time.Time) {
-	missing, err := DecodeNackPayload(payload)
+	n, err := nackLen(payload)
 	if err != nil {
 		return
 	}
@@ -814,8 +793,9 @@ func (c *connCore) onNack(hdr Header, payload []byte, now time.Time) {
 	if st == nil {
 		return
 	}
-	for _, seq := range missing {
-		if pp, ok := st.outstanding[seq]; ok && c.lossEligible(pp, now) {
+	for i := 0; i < n; i++ {
+		seq := nackEntry(payload, i)
+		if pp := st.window.get(seq); pp != nil && c.lossEligible(pp, now) {
 			c.onLost(st, seq, pp, now)
 		}
 	}
@@ -842,6 +822,14 @@ func (c *connCore) onLost(st *wstream, seq int64, pp *wpending, now time.Time) {
 	c.lostFrames++
 	c.rec.RecordAt(now, obs.EvFrameLost, uint8(pp.retx), st.spec.ID, uint32(seq), 0)
 	c.ctrl.OnLoss(now.Sub(c.epoch), !st.spec.Priority.Discardable())
+	if seq <= st.maxAcked-recvWindow {
+		// The peer's receive window has passed seq: it would drop a copy as
+		// a duplicate, so none is sent. An ack names at most that window,
+		// so a reader that lags the peer's acks by more (the kernel drops
+		// the rest) finds the frames just past it uncovered.
+		c.removePending(st, seq, pp)
+		return
+	}
 	if st.spec.Class == core.ClassLossRecovery {
 		affordable := pp.deadline.IsZero() ||
 			(c.rtt.Smoothed() > 0 && now.Add(c.rtt.Smoothed()/2).Before(pp.deadline))

@@ -18,7 +18,9 @@ import (
 // covers a sequence the acknowledging end never received. Then the pipe
 // heals and the cores run on their own deadlines for a virtual minute, after
 // which every critical frame still under its retransmit limit (fewer than
-// 1 + 4×RetxLimit transmissions) has been delivered.
+// 1 + 4×RetxLimit transmissions) has been delivered and no send window
+// holds one. Every send window keeps its invariants (checkWindow) after
+// each step.
 func FuzzConnStateMachine(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x0e, 0x04, 0x05, 0x3e})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x08, 0x10, 0x18, 0x01, 0x01, 0xfe, 0x02, 0x0a, 0x12, 0x7e})
@@ -114,9 +116,16 @@ func FuzzConnStateMachine(f *testing.F) {
 			case 2:
 				n.run(time.Duration(op>>2) * 250 * time.Microsecond)
 			}
+			checkWindows(t, ends)
 		}
 		n.fate = func(*coreEnd, []byte) (int, time.Duration) { return 1, 0 }
 		n.run(time.Minute)
+		checkWindows(t, ends)
+		for _, e := range ends {
+			if held := e.core.stream(1).window.len(); held != 0 {
+				t.Fatalf("%d critical frames still in the send window after a healed minute", held)
+			}
+		}
 		limit := 1 + 4*a.core.retxLimit
 		for _, e := range ends {
 			for seq, id := range books[e].critical {
@@ -126,4 +135,16 @@ func FuzzConnStateMachine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWindows fails t on a send window of ends whose invariants broke.
+func checkWindows(t *testing.T, ends []*coreEnd) {
+	t.Helper()
+	for _, e := range ends {
+		for _, st := range e.core.streams {
+			if err := checkWindow(&st.window); err != nil {
+				t.Fatalf("stream %d's send window: %v", st.spec.ID, err)
+			}
+		}
+	}
 }

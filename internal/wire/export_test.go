@@ -106,3 +106,18 @@ func headerAAD(h Header) []byte {
 	}
 	return frame[:headerLen(h)-2] // strip the 2-byte payload length
 }
+
+// DecodeNackPayload parses a NACK payload into a fresh slice, with
+// nackLen's checks: the NACK tests and fuzzers read a payload whole, where
+// the conn reads one in place.
+func DecodeNackPayload(p []byte) ([]int64, error) {
+	n, err := nackLen(p)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = nackEntry(p, i)
+	}
+	return out, nil
+}

@@ -362,24 +362,24 @@ func AppendNackPayload(dst []byte, missing []int64) []byte {
 	return dst
 }
 
-// DecodeNackPayload parses a NACK payload. Counts above MaxNackEntries
-// are rejected: no conforming sender emits them (the encoder clamps), so
-// they are corruption, and accepting one would decode entries that can
-// never round-trip through a frame.
-func DecodeNackPayload(p []byte) ([]int64, error) {
+// nackLen checks a NACK payload and returns its entry count; the entries
+// are read in place (nackEntry). Counts above MaxNackEntries are rejected:
+// no conforming sender emits them (the encoder clamps), so they are
+// corruption, and accepting one would decode entries that can never
+// round-trip through a frame.
+func nackLen(p []byte) (int, error) {
 	if len(p) < 2 {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
 	n := int(binary.LittleEndian.Uint16(p))
 	if n > MaxNackEntries {
-		return nil, fmt.Errorf("%w: %d NACK entries", ErrOversize, n)
+		return 0, fmt.Errorf("%w: %d NACK entries", ErrOversize, n)
 	}
 	if len(p) < 2+8*n {
-		return nil, ErrTruncated
+		return 0, ErrTruncated
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(p[2+8*i:]))
-	}
-	return out, nil
+	return n, nil
 }
+
+// nackEntry is entry i of a payload nackLen accepted.
+func nackEntry(p []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(p[2+8*i:])) }

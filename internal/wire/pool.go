@@ -5,12 +5,14 @@ import "sync"
 // Buffer pools for the send fast path, storing pointers so Get and Put do
 // not allocate (DESIGN.md §3g):
 //   - payload buffers: the copy Send takes of the caller's bytes. A
-//     reliable frame's lives in its wpending until the sequence leaves the
-//     outstanding map, a best-effort one's until poll has encoded it; a
-//     buffer is released under the driver's lock, since poll copies it
+//     reliable frame's lives in its record until the sequence leaves the
+//     stream's send window, a best-effort one's until poll has encoded it;
+//     a buffer is released under the driver's lock, since poll copies it
 //     into the frame a write reads;
-//   - frame buffers: a driver's, for the wire image it polls and writes;
-//   - pending records: the wpending of reliable frames.
+//   - frame buffers: a driver's, for the wire image it polls and writes.
+//
+// The records themselves are not pooled: each lives by value in its
+// stream's send window (sendwindow.go).
 
 // maxFrameLen is the largest possible wire frame: a traced header, a full
 // acknowledgement block and a full payload.
@@ -25,8 +27,6 @@ var framePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, maxFrameLen)
 	return &b
 }}
-
-var pendingPool = sync.Pool{New: func() any { return new(wpending) }}
 
 // getPayloadBuf copies b into a pooled payload buffer and returns both
 // the working slice and the pooled pointer to release later.
@@ -46,10 +46,3 @@ func putPayloadBuf(pb *[]byte) {
 func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
 
 func putFrameBuf(fb *[]byte) { framePool.Put(fb) }
-
-func getPending() *wpending { return pendingPool.Get().(*wpending) }
-
-func putPending(pp *wpending) {
-	*pp = wpending{}
-	pendingPool.Put(pp)
-}

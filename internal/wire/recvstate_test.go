@@ -182,8 +182,9 @@ func TestArrivalRateFeedsController(t *testing.T) {
 // The per-packet bookkeeping off the protocol's critical path stays free
 // of allocations: finding a known peer's connection, sharing the budget
 // out after an ack, the deadline alarm with nothing due or stale, the
-// arrival accounting that measures the peer's rate, and an acknowledgement
-// from owed to retired, riding or alone, sealed on the way.
+// arrival accounting that measures the peer's rate, an acknowledgement
+// from owed to retired, riding or alone, sealed on the way, and a NACK
+// from arrival to the retransmission it owes.
 func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins are meaningless under -race")
@@ -265,7 +266,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	// An acknowledgement's whole life on a keyed core that may hold acks: a
 	// request arrives and its ack is owed (the deadline is set once), the
 	// response takes the block along, sealed with it, and the block that
-	// comes back retires the response from the outstanding map. What the
+	// comes back retires the response from the send window. What the
 	// core owes alone is polled as its driver would.
 	keyed := func() *connCore {
 		k := new(connCore)
@@ -311,9 +312,9 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
 		t.Errorf("owe, ride, retire: %.2f allocs/op, want 0", allocs)
 	}
-	if sent, rode := rr.acksSent, rr.acksPiggybacked; sent != 1 || rode != seq-1 || len(rr.stream(1).outstanding) != 0 {
+	if sent, rode := rr.acksSent, rr.acksPiggybacked; sent != 1 || rode != seq-1 || rr.stream(1).window.len() != 0 {
 		t.Errorf("%d pure acks and %d ridden blocks over %d exchanges with %d frames outstanding; want 1 (before the first RTT sample), %d, 0",
-			sent, rode, seq, len(rr.stream(1).outstanding), seq-1)
+			sent, rode, seq, rr.stream(1).window.len(), seq-1)
 	}
 
 	// The pure ack, as the receiver of a one-way flow owes and seals it per frame.
@@ -334,5 +335,41 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 	if sent, rode := ow.acksSent, ow.acksPiggybacked; sent != seq || rode != 0 {
 		t.Errorf("%d pure acks and %d ridden blocks for %d one-way frames, want one pure ack each", sent, rode, seq)
+	}
+
+	// A NACK read in place: a frame in flight that the peer names missing is
+	// declared lost, sent again, and retired by the ack that follows.
+	nk := keyed()
+	seq = 0
+	missing, nack := make([]int64, 1), make([]byte, 0, 16)
+	nacked := func() {
+		if ok, err := nk.send(now, 1, request[:64], 0, 0); err != nil || !ok {
+			t.Fatal("send refused", err)
+		}
+		if transmit(nk) != 1 {
+			t.Fatal("the frame did not leave")
+		}
+		now = now.Add(20 * time.Millisecond) // past the loss guard (SRTT, 10 ms)
+		missing[0] = seq
+		nack = AppendNackPayload(nack[:0], missing)
+		nk.onDatagram(now, Header{Type: TypeNack, Stream: 1}, nack, HeaderLen+len(nack), 0)
+		if transmit(nk) != 1 {
+			t.Fatal("the NACKed frame was not sent again")
+		}
+		echo := uint64(now.Sub(nk.epoch).Microseconds()) - 10_000
+		block = AppendAckBlock(block[:0], echo, 0, []AckRange{{Stream: 1, First: seq, Run: 1}})
+		nk.onDatagram(now, Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
+		seq++
+		now = now.Add(20 * time.Microsecond) // past the pacer's gap
+	}
+	for i := 0; i < 64; i++ {
+		nacked()
+	}
+	if allocs := testing.AllocsPerRun(200, nacked); allocs != 0 {
+		t.Errorf("NACK, resend, retire: %.2f allocs/op, want 0", allocs)
+	}
+	if st := nk.stream(1); st.retx != seq || nk.lostFrames != seq || st.window.len() != 0 {
+		t.Errorf("%d retransmissions and %d declared lost over %d NACKed frames with %d in the window; want %d, %d, 0",
+			st.retx, nk.lostFrames, seq, st.window.len(), seq, seq)
 	}
 }

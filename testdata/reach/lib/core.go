@@ -11,8 +11,10 @@ type Ticker interface{ Now() time.Time }
 // Core holds the purity cases.
 type Core struct {
 	n    int
-	mu   sync.Mutex // a sync field: reported
-	tick Ticker     // a banned field: reported
+	mu   sync.Mutex   // a sync field: reported
+	tick Ticker       // a banned field: reported
+	seen map[int]bool // a map field: reported by the map guard
+	log  []int        // a slice field: not reported
 }
 
 // Step works on the caller's now: not reported.
@@ -29,4 +31,16 @@ func (c *Core) Guarded() {
 	c.mu.Lock()
 	c.n++
 	c.mu.Unlock()
+}
+
+// Seen ranges over a map, then over a slice: the map guard reports the
+// map's walk alone.
+func (c *Core) Seen() (n int) {
+	for k := range c.seen {
+		n += k
+	}
+	for _, v := range c.log {
+		n += v
+	}
+	return n
 }

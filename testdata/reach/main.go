@@ -20,7 +20,7 @@ func main() {
 	b.LoopRelock()
 	c := &lib.Core{}
 	c.Guarded()
-	fmt.Println(c.Step(time.Time{}), c.Tick(), c.Wall())
+	fmt.Println(c.Step(time.Time{}), c.Tick(), c.Wall(), c.Seen())
 	fmt.Println(sim.Stamp(), sim.Clock()())
 	sim.Wait()
 	sim.Timeout()
