@@ -13,6 +13,7 @@ import (
 
 	"marnet/internal/core"
 	"marnet/internal/marsim"
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
 	"marnet/internal/wire"
@@ -31,7 +32,7 @@ func run() error {
 	lteUp := phy.LTE.Uplink(sim, serverMux)
 	down := simnet.NewLink(sim, 50e6, 8*time.Millisecond, clientMux)
 
-	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux, wire.PathSetConfig{
+	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux, wire.PathOptions{
 		OnPathState: func(path string, st wire.PathState) {
 			if path == "path0" { // WiFi; the subflows are named in the order given below
 				fmt.Printf("t=%.2fs *** WiFi %s ***\n", sim.Now().Seconds(), st)
@@ -51,13 +52,20 @@ func run() error {
 	for i := 0; i < packets; i++ {
 		sim.ScheduleAt(time.Duration(i)*10*time.Millisecond, func() { marsim.Send(sim, s.Client, 1, 1000) })
 	}
+	// The path counters, read as a scrape of the conn's metrics would.
+	reg := obs.NewRegistry()
+	s.Client.PublishMetrics(reg)
+	wifi, lte := obs.L("path", "path0"), obs.L("path", "path1")
+	metric := func(name string, path obs.Label) float64 { return marsim.Metric(reg, name, path) }
+	rtt := func(path obs.Label) time.Duration {
+		return time.Duration(metric("mar_wire_path_srtt_seconds", path) * float64(time.Second)).Round(time.Millisecond)
+	}
 	rs := s.Tally.Stream(1)
 	for sec := 1; sec <= 15; sec++ {
 		sim.ScheduleAt(time.Duration(sec)*time.Second, func() {
-			p := s.Paths.Stats().Paths
-			fmt.Printf("t=%2ds delivered=%4d wifi-sent=%5d lte-sent=%4d wifi-rtt=%v lte-rtt=%v\n",
-				sec, rs.Delivered, p[0].SentFrames, p[1].SentFrames,
-				p[0].SRTT.Round(time.Millisecond), p[1].SRTT.Round(time.Millisecond))
+			fmt.Printf("t=%2ds delivered=%4d wifi-sent=%5.0f lte-sent=%4.0f wifi-rtt=%v lte-rtt=%v\n",
+				sec, rs.Delivered, metric("mar_wire_path_sent_frames_total", wifi), metric("mar_wire_path_sent_frames_total", lte),
+				rtt(wifi), rtt(lte))
 		})
 	}
 	// The longest stretch without an in-time delivery around the outage is
@@ -77,7 +85,7 @@ func run() error {
 	}
 
 	fmt.Printf("\nin-time delivery: %d/%d (%.1f%%) through a 3 s WiFi outage; LTE carried %.2f MB\n",
-		rs.Delivered, packets, 100*float64(rs.Delivered)/packets, float64(s.Paths.Stats().Paths[1].SentBytes)/1e6)
+		rs.Delivered, packets, 100*float64(rs.Delivered)/packets, metric("mar_wire_path_sent_bytes_total", lte)/1e6)
 	if gap > 300*time.Millisecond {
 		return fmt.Errorf("the stream stalled: %v without an in-time delivery", gap)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"marnet/internal/core"
 	"marnet/internal/marsim"
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/simnet"
 	"marnet/internal/wire"
@@ -30,17 +31,16 @@ func run() error {
 	down := phy.LTE.Downlink(sim, clientMux)
 
 	// 2. Three streams, one per traffic class, on a session from the mobile
-	//    device to the surrogate: wire.DialVia over a one-path PathSet,
-	//    which adds FEC(8,2), and wire.ListenVia behind a PathRouter, which
-	//    repairs from it — the calls a session on UDP sockets makes, here on
-	//    simulated links.
+	//    device to the surrogate: wire.DialPaths over one path, which adds
+	//    FEC(8,2), and wire.ListenVia, which repairs from it — the calls a
+	//    session on UDP sockets makes, here on simulated links.
 	streams := []wire.StreamSpec{
 		{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.1e6},
 		{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 1.5e6, Deadline: 250 * time.Millisecond},
 		{ID: 3, Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: 0.5e6},
 	}
 	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux,
-		wire.PathSetConfig{FEC: wire.PathFEC{K: 8, M: 2}},
+		wire.PathOptions{FEC: wire.PathFEC{K: 8, M: 2}},
 		wire.Config{StartBudget: 4e6, Streams: streams}, up)
 	if err != nil {
 		return err
@@ -67,8 +67,12 @@ func run() error {
 		fmt.Printf("%-11s delivered=%3d late=%d retx=%d shed=%d p95-latency=%v\n",
 			name, rs.Delivered, rs.Late, st.Retx, st.Shed, rs.Latency.Percentile(95).Round(time.Millisecond))
 	}
-	fmt.Printf("fec: %d parity shards sent, %d frames repaired\n",
-		s.Paths.Stats().ParitySent, s.Router.Stats().FECRepaired)
+	//    The FEC counters are the conns' metrics, read as a scrape would.
+	client, server := obs.NewRegistry(), obs.NewRegistry()
+	s.Client.PublishMetrics(client)
+	s.Server.PublishMetrics(server)
+	fmt.Printf("fec: %.0f parity shards sent, %.0f frames repaired\n",
+		marsim.Metric(client, "mar_wire_path_parity_sent_total"), marsim.Metric(server, "mar_wire_path_fec_repaired_total"))
 	fmt.Printf("session: budget=%.2f Mb/s srtt=%v\n",
 		s.Client.Budget()/1e6, s.Client.SRTT().Round(time.Millisecond))
 	return nil

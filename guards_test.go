@@ -16,8 +16,10 @@ import (
 // anyway, each with the reason. Keys are pkg.Type.Field.
 var fieldAllow = map[string]string{
 	// Read without a selector.
-	"wire.addrKey.fam":  "part of the reader's peer-cache map key: every lookup hashes and compares it",
-	"wire.addrKey.port": "part of the reader's peer-cache map key: every lookup hashes and compares it",
+	"wire.addrKey.fam":    "part of the reader's peer-cache map key: every lookup hashes and compares it",
+	"wire.addrKey.port":   "part of the reader's peer-cache map key: every lookup hashes and compares it",
+	"wire.muxKey.peer":    "part of the Mux's conn map key: every lookup hashes and compares it",
+	"wire.muxKey.session": "part of the Mux's conn map key: every lookup hashes and compares it",
 
 	// What a simulated scenario reports; the tier-1 scenario tests, the
 	// determinism matrix and the trace digests read it (marsim.Run* are on
@@ -607,36 +609,40 @@ func isWallClock(fn *types.Func) bool {
 }
 
 // TestConnCoreIsPure guards wire's sans-I/O split: connCore, the protocol
-// state Conn drives, holds no lock, clock, timer or socket, and none of its
-// methods calls one or reads the wall clock — each works on the now its
-// driver hands it, so the same core runs under any driver.
+// state Conn drives, and its multipath state (pathTable) hold no lock,
+// clock, timer or socket, and none of their methods calls one or reads the
+// wall clock — each works on the now its driver hands it, so the same core
+// runs under any driver.
 func TestConnCoreIsPure(t *testing.T) {
 	want := []string{"lib.Core.Guarded calls sync.Mutex.Lock", "lib.Core.Guarded calls sync.Mutex.Unlock",
 		"lib.Core.Tick calls lib.Ticker.Now", "lib.Core.Wall calls time.Now", "lib.Core.mu is a sync.Mutex", "lib.Core.tick is a lib.Ticker"}
 	if got := guardNames(impureCore(fixtureSource(t), "reachfix/lib", "Core", []string{"reachfix/lib.Ticker"})); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("on the fixture: reported %v, want %v", got, want)
 	}
-	found, err := impureCore(programSource(t), "marnet/internal/wire", "connCore",
-		[]string{"marnet/internal/vclock.Clock", "marnet/internal/vclock.Timer", "marnet/internal/wire.PacketConn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range found {
-		t.Errorf("%s:%d %s: the core takes its time from its caller and leaves locks, timers and writes to its driver", f.pos.Filename, f.pos.Line, f.name)
+	for _, typ := range []string{"connCore", "pathTable"} {
+		found, err := impureCore(programSource(t), "marnet/internal/wire", typ,
+			[]string{"marnet/internal/vclock.Clock", "marnet/internal/vclock.Timer", "marnet/internal/wire.PacketConn"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range found {
+			t.Errorf("%s:%d %s: the core takes its time from its caller and leaves locks, timers and writes to its driver", f.pos.Filename, f.pos.Line, f.name)
+		}
 	}
 }
 
 // TestConnCoreWalksNoMap guards the order of wire's per-packet walks: no
-// field of connCore, of a stream (wstream) or of its send window is a map,
-// and no method of theirs ranges over one. Map order is random, so a walk
-// over a map needs a sort to stay deterministic; the send window visits
-// in-flight frames in sequence order with neither.
+// field of connCore, of a stream (wstream), of its send window or of the
+// path table is a map, and no method of theirs ranges over one. Map order
+// is random, so a walk over a map needs a sort to stay deterministic; the
+// send window visits in-flight frames in sequence order, the path table
+// its paths in id order, with neither.
 func TestConnCoreWalksNoMap(t *testing.T) {
 	want := []string{"lib.Core.Seen ranges over a map", "lib.Core.seen is a map"}
 	if got := guardNames(mapWalks(fixtureSource(t), "reachfix/lib", []string{"Core"})); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("on the fixture: reported %v, want %v", got, want)
 	}
-	found, err := mapWalks(programSource(t), "marnet/internal/wire", []string{"connCore", "wstream", "sendWindow"})
+	found, err := mapWalks(programSource(t), "marnet/internal/wire", []string{"connCore", "wstream", "sendWindow", "pathTable"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,15 +132,15 @@ func TestLossRecoveryRetransmitsWithinBudget(t *testing.T) {
 	}
 }
 
-// FEC rides a one-path PathSet: every group of up to 8 data frames is
-// followed by 2 parity shards on the same path.
+// FEC rides a one-path conn (wire.DialPaths): every group of up to 8 data
+// frames is followed by 2 parity shards on the same path.
 func TestFECRecoversWithoutRetx(t *testing.T) {
 	sim := simnet.New(21)
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
 	up := simnet.NewLink(sim, 10e6, 30*time.Millisecond, serverMux, simnet.WithLoss(0.05))
 	down := simnet.NewLink(sim, 10e6, 30*time.Millisecond, clientMux, simnet.WithLoss(0.05))
 	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux,
-		wire.PathSetConfig{FEC: wire.PathFEC{K: 8, M: 2}},
+		wire.PathOptions{FEC: wire.PathFEC{K: 8, M: 2}},
 		wire.Config{StartBudget: 10e6, Streams: []wire.StreamSpec{
 			{ID: 1, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 5e6, Deadline: time.Second},
 		}}, up)
@@ -149,11 +149,11 @@ func TestFECRecoversWithoutRetx(t *testing.T) {
 	}
 	drive(sim, s.Client, 1, 400, 1000, 5*time.Millisecond)
 	run(t, sim, 20*time.Second)
-	if s.Router.Stats().FECRepaired == 0 {
+	if pathMetric(s.Server, "mar_wire_path_fec_repaired_total") == 0 {
 		t.Error("FEC recovered nothing under 5% loss")
 	}
-	if parity := s.Paths.Stats().ParitySent; parity < 400/8*2 {
-		t.Errorf("parity shards = %d, want at least %d", parity, 400/8*2)
+	if parity := pathMetric(s.Client, "mar_wire_path_parity_sent_total"); parity < 400/8*2 {
+		t.Errorf("parity shards = %.0f, want at least %d", parity, 400/8*2)
 	}
 	if got := s.Tally.Stream(1).Delivered; got < 390 {
 		t.Errorf("delivered+recovered = %d/400", got)

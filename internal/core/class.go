@@ -14,8 +14,9 @@
 // The protocol has one engine, package wire: wire.Conn runs the classes,
 // priorities, controller, budget-bounded loss recovery (Section VI-C) and
 // QoS feedback over any datagram transport — UDP sockets, or the simulator
-// through internal/marsim — and wire.PathSet adds multipath scheduling,
-// probing failover and cross-path FEC (Section VI-D). The tests of this
+// through internal/marsim — and, dialled over several paths
+// (wire.DialPaths), multipath scheduling, probing failover and cross-path
+// FEC (Section VI-D). The tests of this
 // package hold that engine to each class's delivery contract.
 package core
 

@@ -8,12 +8,13 @@ import (
 
 	"marnet/internal/core"
 	"marnet/internal/marsim"
+	"marnet/internal/obs"
 	"marnet/internal/simnet"
 	"marnet/internal/wire"
 )
 
-// Section VI-D's behaviours, held by a wire.PathSet: the client attaches
-// over several uplinks into one PathRouter'd server, probes every path,
+// Section VI-D's behaviours, held by a multipath conn (wire.DialPaths): the
+// client attaches over several uplinks into one server, probes every path,
 // and routes each frame onto a live one.
 
 var (
@@ -21,7 +22,7 @@ var (
 	lte  = simnet.Hop(5e6, 20*time.Millisecond)
 )
 
-const probeEvery = 50 * time.Millisecond // the PathSet default
+const probeEvery = 50 * time.Millisecond // every path's probe period
 
 type pathEvent struct {
 	path  string
@@ -43,7 +44,7 @@ type multipath struct {
 // wire) and the tests' data frames (each carries 200 payload bytes or more).
 const probeFloor = 100
 
-func newMultipath(t *testing.T, seed int64, ps wire.PathSetConfig, streams []wire.StreamSpec, ups ...simnet.PathSpec) *multipath {
+func newMultipath(t *testing.T, seed int64, ps wire.PathOptions, streams []wire.StreamSpec, ups ...simnet.PathSpec) *multipath {
 	t.Helper()
 	m := &multipath{sim: simnet.New(seed)}
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
@@ -90,7 +91,7 @@ var bulk = []wire.StreamSpec{{ID: 1, Class: core.ClassFullBestEffort, Priority: 
 func TestMultipathFailoverEndToEnd(t *testing.T) {
 	// Two paths to the same server; kill path 0 mid-run; traffic must
 	// continue over path 1 and delivery must keep happening.
-	m := newMultipath(t, 31, wire.PathSetConfig{}, []wire.StreamSpec{
+	m := newMultipath(t, 31, wire.PathOptions{}, []wire.StreamSpec{
 		{ID: 1, Class: core.ClassFullBestEffort, Priority: core.PrioNoDiscard, Rate: 1e6},
 	}, wifi, lte)
 	m.at(2*time.Second, func() { m.ups[0].SetLoss(1) })
@@ -109,7 +110,7 @@ func TestMultipathFailoverEndToEnd(t *testing.T) {
 // and the traffic moves to the backup; once the path answers a probe again
 // it is preferred again.
 func TestMultipathFailsOverWithinProbeInterval(t *testing.T) {
-	m := newMultipath(t, 33, wire.PathSetConfig{}, bulk, wifi, lte)
+	m := newMultipath(t, 33, wire.PathOptions{}, bulk, wifi, lte)
 	drive(m.sim, m.Client, 1, 400, 500, 10*time.Millisecond)
 	m.at(2*time.Second, func() { m.ups[0].SetLoss(1) })
 	m.at(3*time.Second, func() { m.ups[0].SetLoss(0) })
@@ -140,7 +141,7 @@ func TestMultipathFailsOverWithinProbeInterval(t *testing.T) {
 // the sender — best-effort frames arrive in every half second, and every
 // critical frame arrives.
 func TestMultipathChurnNeverStarves(t *testing.T) {
-	m := newMultipath(t, 7, wire.PathSetConfig{}, []wire.StreamSpec{
+	m := newMultipath(t, 7, wire.PathOptions{}, []wire.StreamSpec{
 		{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.2e6},
 		{ID: 2, Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: 1e6},
 	}, wifi, lte)
@@ -177,7 +178,7 @@ func TestMultipathChurnNeverStarves(t *testing.T) {
 
 // Critical traffic rides the lowest-RTT path, wherever it is listed.
 func TestMultipathCriticalUsesMinRTT(t *testing.T) {
-	m := newMultipath(t, 35, wire.PathSetConfig{}, []wire.StreamSpec{
+	m := newMultipath(t, 35, wire.PathOptions{}, []wire.StreamSpec{
 		{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 0.5e6},
 	}, lte, wifi) // the slow path first
 	drive(m.sim, m.Client, 1, 300, 200, 10*time.Millisecond)
@@ -197,7 +198,7 @@ func TestMultipathCriticalUsesMinRTT(t *testing.T) {
 // the other takes over when it dies, and with every path dead the set
 // still sends on one — the probe that revives a path must travel somehow.
 func TestMultipathFailoverOrder(t *testing.T) {
-	m := newMultipath(t, 37, wire.PathSetConfig{}, bulk, wifi, lte)
+	m := newMultipath(t, 37, wire.PathOptions{}, bulk, wifi, lte)
 	drive(m.sim, m.Client, 1, 300, 500, 10*time.Millisecond)
 	var c [6][2]int64
 	for i, at := range []time.Duration{500, 900, 1400, 1900, 2400, 2900} {
@@ -220,7 +221,7 @@ func TestMultipathFailoverOrder(t *testing.T) {
 // A single path that stops answering probes is declared down after two
 // silent intervals, and one answered probe brings it back.
 func TestPathSilenceDetection(t *testing.T) {
-	m := newMultipath(t, 39, wire.PathSetConfig{}, bulk, wifi)
+	m := newMultipath(t, 39, wire.PathOptions{}, bulk, wifi)
 	m.at(time.Second, func() { m.ups[0].SetLoss(1) })
 	m.at(1500*time.Millisecond, func() { m.ups[0].SetLoss(0) })
 	run(t, m.sim, 2*time.Second)
@@ -235,7 +236,7 @@ func TestPathSilenceDetection(t *testing.T) {
 // A path that never answers a probe is abandoned: once declared down it
 // carries no data, even for a striped bulk stream.
 func TestPathNeverAckedBlackholeLimit(t *testing.T) {
-	m := newMultipath(t, 43, wire.PathSetConfig{Stripe: true}, []wire.StreamSpec{
+	m := newMultipath(t, 43, wire.PathOptions{Stripe: true}, []wire.StreamSpec{
 		{ID: 1, Class: core.ClassFullBestEffort, Priority: core.PrioNoDiscard, Rate: 1e6},
 	}, wifi, simnet.Hop(lte.Rate, lte.Delay, simnet.WithLoss(1)))
 	drive(m.sim, m.Client, 1, 300, 500, 10*time.Millisecond)
@@ -258,7 +259,7 @@ func TestPathNeverAckedBlackholeLimit(t *testing.T) {
 // the same transitions at the same instants, run after run.
 func TestMultipathClockInjectedDownDetection(t *testing.T) {
 	verdicts := func() []pathEvent {
-		m := newMultipath(t, 41, wire.PathSetConfig{}, bulk, wifi, lte)
+		m := newMultipath(t, 41, wire.PathOptions{}, bulk, wifi, lte)
 		drive(m.sim, m.Client, 1, 250, 500, 10*time.Millisecond)
 		m.at(time.Second, func() { m.ups[0].SetLoss(1) })
 		m.at(1500*time.Millisecond, func() { m.ups[0].SetLoss(0) })
@@ -272,4 +273,12 @@ func TestMultipathClockInjectedDownDetection(t *testing.T) {
 	if again := verdicts(); !slices.Equal(first, again) {
 		t.Errorf("same timeline, different verdicts:\n%v\n%v", first, again)
 	}
+}
+
+// pathMetric reads one of c's path series, as a scrape of its metrics
+// would report it.
+func pathMetric(c *wire.Conn, name string, labels ...obs.Label) float64 {
+	reg := obs.NewRegistry()
+	c.PublishMetrics(reg)
+	return marsim.Metric(reg, name, labels...)
 }

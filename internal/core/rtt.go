@@ -3,7 +3,7 @@ package core
 import "time"
 
 // RTT is the one round-trip estimator every holder of an RTT keeps: the
-// controller, a wire.Conn over a PathSet, each PathSet subpath and the TCP
+// controller, a multipath wire.Conn, each of its paths and the TCP
 // baseline. It smooths samples by RFC 6298 §2: the first sample R sets
 // the smoothed RTT to R and the deviation to R/2; each later one moves the
 // deviation a quarter and the smoothed RTT an eighth of the way toward it,

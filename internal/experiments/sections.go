@@ -11,6 +11,7 @@ import (
 	"marnet/internal/fec"
 	"marnet/internal/mar"
 	"marnet/internal/marsim"
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/queue"
 	"marnet/internal/simnet"
@@ -74,8 +75,8 @@ func SectionVIC(seed int64) SectionVICResult {
 
 // vicRun runs one configuration and returns the fraction of packets
 // delivered (or FEC-recovered) within the deadline, and the fraction
-// delivered at all. FEC rides a one-path PathSet, whose parity shares the
-// data's path.
+// delivered at all. FEC rides a one-path conn (wire.DialPaths), whose
+// parity shares the data's path.
 func vicRun(seed int64, rtt, budget time.Duration, lossP float64, arq bool, fecK, fecM int) (inTime, complete float64) {
 	sim := simnet.New(seed)
 	clientMux, serverMux := simnet.NewDemux(), simnet.NewDemux()
@@ -93,7 +94,7 @@ func vicRun(seed int64, rtt, budget time.Duration, lossP float64, arq bool, fecK
 	if fecK == 0 {
 		s = marsim.DialLinks(sim, 1, up, down, clientMux, serverMux, cfg)
 	} else {
-		s = dialPaths(sim, down, clientMux, serverMux, wire.PathSetConfig{FEC: wire.PathFEC{K: fecK, M: fecM}}, cfg, up)
+		s = dialPaths(sim, down, clientMux, serverMux, wire.PathOptions{FEC: wire.PathFEC{K: fecK, M: fecM}}, cfg, up)
 	}
 	// Each 30 FPS frame is shipped as 4 packets, as a real encoder would
 	// packetize it; intra-frame gaps give the receiver a fast loss signal.
@@ -146,7 +147,7 @@ type SectionVIDResult struct {
 }
 
 // SectionVID evaluates the paper's three multipath behaviours during WiFi
-// outages (AP handovers), each on a two-path PathSet whose probes notice
+// outages (AP handovers), each on a two-path conn whose probes notice
 // the outage: (1) WiFi with LTE only as handover cover, (2) WiFi preferred
 // with LTE fallback — the same failover, its losses repaired by parity on
 // LTE, and (3) WiFi and LTE simultaneously — a bulk priority striped over
@@ -156,12 +157,12 @@ func SectionVID(seed int64) SectionVIDResult {
 	fec := wire.PathFEC{K: 2, M: 2}
 	behaviors := []struct {
 		name string
-		ps   wire.PathSetConfig
+		ps   wire.PathOptions
 		prio core.Priority
 	}{
-		{"WiFi + LTE handover only", wire.PathSetConfig{}, core.PrioHighest},
-		{"WiFi preferred, LTE fallback", wire.PathSetConfig{FEC: fec}, core.PrioHighest},
-		{"WiFi and LTE simultaneously", wire.PathSetConfig{FEC: fec, Stripe: true}, core.PrioNoDiscard},
+		{"WiFi + LTE handover only", wire.PathOptions{}, core.PrioHighest},
+		{"WiFi preferred, LTE fallback", wire.PathOptions{FEC: fec}, core.PrioHighest},
+		{"WiFi and LTE simultaneously", wire.PathOptions{FEC: fec, Stripe: true}, core.PrioNoDiscard},
 	}
 	var out SectionVIDResult
 	for i, bh := range behaviors {
@@ -186,11 +187,13 @@ func SectionVID(seed int64) SectionVIDResult {
 			panic(err)
 		}
 		rs := s.Tally.Stream(1)
+		reg := obs.NewRegistry()
+		s.Client.PublishMetrics(reg)
 		out.Rows = append(out.Rows, SectionVIDRow{
 			Behavior:  bh.name,
 			Delivered: float64(rs.Delivered) / packets,
 			MeanLat:   rs.Latency.Mean().Round(100 * time.Microsecond),
-			LTEBytes:  s.Paths.Stats().Paths[1].SentBytes,
+			LTEBytes:  int64(marsim.Metric(reg, "mar_wire_path_sent_bytes_total", obs.L("path", "path1"))),
 		})
 	}
 	return out
@@ -198,7 +201,7 @@ func SectionVID(seed int64) SectionVIDResult {
 
 // dialPaths is marsim.DialPaths for a study: client subflows at addresses
 // 1, 3, ..., the server at 2, and a bad configuration is a bug.
-func dialPaths(sim *simnet.Sim, down simnet.Handler, clientMux, serverMux *simnet.Demux, ps wire.PathSetConfig, cfg wire.Config, ups ...simnet.Handler) *marsim.LinkSession {
+func dialPaths(sim *simnet.Sim, down simnet.Handler, clientMux, serverMux *simnet.Demux, ps wire.PathOptions, cfg wire.Config, ups ...simnet.Handler) *marsim.LinkSession {
 	s, err := marsim.DialPaths(sim, 1, down, clientMux, serverMux, ps, cfg, ups...)
 	if err != nil {
 		panic(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"marnet/internal/core"
+	"marnet/internal/obs"
 	"marnet/internal/simnet"
 	"marnet/internal/wire"
 )
@@ -57,7 +58,7 @@ func TestLinkEndpointCarriesConn(t *testing.T) {
 }
 
 // twoPaths is Section VI-D's client: WiFi (20 Mb/s, 8 ms) and LTE (7.9
-// Mb/s, 38 ms) uplinks into a PathRouter'd server that answers over one
+// Mb/s, 38 ms) uplinks into a server that answers over one
 // 50 Mb/s downlink, offering 1000 B every 10 ms for 30 s on each stream.
 type twoPaths struct {
 	sim    *simnet.Sim
@@ -72,7 +73,7 @@ func newTwoPaths(t *testing.T, stripe bool, specs ...wire.StreamSpec) *twoPaths 
 	wifiUp := simnet.NewLink(sim, 20e6, 8*time.Millisecond, sm, simnet.WithJitter(3*time.Millisecond))
 	lteUp := simnet.NewLink(sim, 7.9e6, 38*time.Millisecond, sm, simnet.WithJitter(10*time.Millisecond))
 	down := simnet.NewLink(sim, 50e6, 8*time.Millisecond, cm)
-	s, err := DialPaths(sim, 1, down, cm, sm, wire.PathSetConfig{Stripe: stripe},
+	s, err := DialPaths(sim, 1, down, cm, sm, wire.PathOptions{Stripe: stripe},
 		wire.Config{StartBudget: 6e6, Streams: specs}, wifiUp, lteUp)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +86,14 @@ func newTwoPaths(t *testing.T, stripe bool, specs ...wire.StreamSpec) *twoPaths 
 		})
 	}
 	return &twoPaths{sim: sim, wifiUp: wifiUp, LinkSession: s}
+}
+
+// lteFrames is how many datagrams the client sent on LTE, as its metrics
+// report it.
+func (p *twoPaths) lteFrames() int64 {
+	reg := obs.NewRegistry()
+	p.Client.PublishMetrics(reg)
+	return int64(Metric(reg, "mar_wire_path_sent_frames_total", obs.L("path", "path1")))
 }
 
 // lowestBudget samples the client's budget every 10 ms until the end of
@@ -113,7 +122,7 @@ func TestPathSetFailoverKeepsBudget(t *testing.T) {
 	}
 	st := p.Tally.Stream(spec.ID)
 	t.Logf("lowest budget %.2f Mb/s; %d of 3000 in time, %d late; LTE carried %d frames",
-		*lowest/1e6, st.Delivered, st.Late, p.Paths.Stats().Paths[1].SentFrames)
+		*lowest/1e6, st.Delivered, st.Late, p.lteFrames())
 	if *lowest < 0.8e6 {
 		t.Errorf("the budget fell to %.3f Mb/s, under the 0.8 Mb/s offered", *lowest/1e6)
 	}
@@ -133,7 +142,7 @@ func TestPathSetStripeKeepsMeasuredRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	srtt, st := p.Client.SRTT(), p.Client.Stats(spec.ID)
-	t.Logf("SRTT %v; %d retransmissions of %d frames; LTE carried %d", srtt, st.Retx, st.Sent, p.Paths.Stats().Paths[1].SentFrames)
+	t.Logf("SRTT %v; %d retransmissions of %d frames; LTE carried %d", srtt, st.Retx, st.Sent, p.lteFrames())
 	if srtt < 16*time.Millisecond {
 		t.Errorf("conn SRTT %v is under WiFi's 16 ms round trip: the timers read the rebased delay", srtt)
 	}
@@ -164,7 +173,7 @@ func TestPathSetStripeOfMixedClassesKeepsBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			offered := 0.8e6 * float64(len(tc.specs))
-			lte := p.Paths.Stats().Paths[1].SentFrames
+			lte := p.lteFrames()
 			t.Logf("lowest budget %.2f Mb/s against %.1f Mb/s offered; LTE carried %d frames; bulk %d in time",
 				*lowest/1e6, offered/1e6, lte, p.Tally.Stream(bulk.ID).Delivered)
 			if lte < 300 {

@@ -2,10 +2,12 @@ package marsim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"marnet/internal/core"
 	"marnet/internal/faults"
+	"marnet/internal/obs"
 	"marnet/internal/phy"
 	"marnet/internal/rpc"
 	"marnet/internal/simnet"
@@ -14,21 +16,20 @@ import (
 
 // This file is the multipath robustness scenario (Section VI-D): one
 // mobile client with two access links — a local WiFi AP and an LTE
-// uplink — streaming recognition calls against a server behind a
-// wire.PathRouter. The script throws the paper's two wireless failure
-// modes at the WiFi link mid-stream: a Gilbert–Elliott burst-loss window
-// (cross-path FEC territory) and then a total blackhole (sub-RTT
-// failover territory). Three modes run the identical script:
+// uplink — streaming recognition calls against an rpc server on one
+// socket. The script throws the paper's two wireless failure modes at the
+// WiFi link mid-stream: a Gilbert–Elliott burst-loss window (cross-path
+// FEC territory) and then a total blackhole (sub-RTT failover territory).
+// Three modes run the identical script:
 //
-//   - MPSingle: the legacy single-path client on WiFi alone — the
-//     baseline, and proof the router's passthrough keeps legacy peers
-//     working; it must re-dial across the blackhole.
-//   - MPFailover: a wire.PathSet over both links, probing and
+//   - MPSingle: the single-path client on WiFi alone — the baseline; it
+//     must re-dial across the blackhole.
+//   - MPFailover: a wire.DialPaths conn over both links, probing and
 //     evacuation only (no FEC, no striping) — the session survives the
 //     blackhole with zero resets.
-//   - MPFull: PathSet with cross-path FEC and bulk striping on top —
-//     burst-lost frames repair from parity on the other link without
-//     end-to-end retransmission.
+//   - MPFull: cross-path FEC and bulk striping on top — burst-lost frames
+//     repair from parity on the other link without end-to-end
+//     retransmission.
 
 // MultipathMode selects how the client attaches to its access links.
 type MultipathMode int
@@ -52,15 +53,14 @@ func (m MultipathMode) String() string {
 	return "invalid"
 }
 
-// Multipath scenario script constants. The probe cadence is 5x faster
-// than the session keepalive, so path death is detected and evacuated
-// well before dead-peer detection could tear the session down.
+// Multipath scenario script constants. The keepalive is 5x the paths'
+// 50 ms probe cadence, so path death is detected and evacuated well before
+// dead-peer detection could tear the session down.
 const (
-	mpProbeInterval = 50 * time.Millisecond
-	mpKeepalive     = 250 * time.Millisecond
-	mpCallPeriod    = 50 * time.Millisecond
-	mpCallBytes     = 600
-	mpDeadline      = 400 * time.Millisecond
+	mpKeepalive  = 250 * time.Millisecond
+	mpCallPeriod = 50 * time.Millisecond
+	mpCallBytes  = 600
+	mpDeadline   = 400 * time.Millisecond
 
 	mpGEStart     = 1500 * time.Millisecond
 	mpGEEnd       = 3 * time.Second
@@ -103,7 +103,7 @@ type MultipathResult struct {
 
 	FailoverFrames int64 `json:"failover_frames"` // evacuated off the dead path
 	ParitySent     int64 `json:"parity_sent"`
-	RepairedUp     int64 `json:"repaired_up"` // router-side (client→server)
+	RepairedUp     int64 `json:"repaired_up"` // server-side (client→server)
 	UnrepairedUp   int64 `json:"unrepaired_up"`
 	RepairedDown   int64 `json:"repaired_down"` // client-side (server→client)
 	UnrepairedDown int64 `json:"unrepaired_down"`
@@ -185,21 +185,16 @@ func RunMultipathFlap(seed int64, mode MultipathMode) (*MultipathResult, error) 
 	}, seed, mode)
 }
 
-// runMP builds the two-radio client, the routed server, and the frame
-// loop, then runs the spec's script against them.
+// runMP builds the two-radio client, the server, and the frame loop, then
+// runs the spec's script against them.
 func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error) {
 	s := NewScenario(spec.name, seed)
 	res := &MultipathResult{Mode: mode.String(), Seed: seed}
 
 	serverEp := s.Net.NewEndpoint("server", phy.Backbone)
-	routerCfg := wire.RouterConfig{Clock: s.Clock}
-	if mode == MPFull {
-		routerCfg.FEC = wire.PathFEC{K: mpFECK, M: mpFECM}
-	}
-	router := wire.NewPathRouter(serverEp, routerCfg)
 	srv, err := rpc.NewServer("sim", nil,
 		func(uint8, []byte) []byte { return []byte("ok") },
-		rpc.WithPacketConn(router),
+		rpc.WithPacketConn(serverEp),
 		rpc.WithClock(s.Clock),
 		rpc.WithWorkers(4),
 		rpc.WithServiceModel(func(uint8, []byte) time.Duration { return 5 * time.Millisecond }))
@@ -210,38 +205,32 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 	wifi := s.Net.NewHost("wifi", phy.WiFiLocal)
 	lte := s.Net.NewHost("lte", phy.LTE)
 
-	// The dialer builds a fresh PathSet (fresh sockets on both radios)
-	// per dial, exactly like the single-path dialer opens a fresh socket;
-	// the multipath modes are expected to never need a second one.
-	var dials int
-	var sets []*wire.PathSet
+	// The dialer dials fresh paths (fresh sockets on both radios) per
+	// dial, exactly like the single-path dialer opens a fresh socket; the
+	// multipath modes are expected to never need a second one.
+	var dials []*wire.Conn
 	dialer := wifi.Dialer(serverEp)
 	if mode != MPSingle {
 		dialer = func(cfg wire.Config) (*wire.Conn, error) {
-			dials++
-			psCfg := wire.PathSetConfig{
-				Session:       uint64(seed)<<8 | uint64(dials),
-				Peer:          serverEp.UDPAddr(),
-				Clock:         s.Clock,
-				ProbeInterval: mpProbeInterval,
-				Stripe:        mode == MPFull,
+			opts := wire.PathOptions{
+				Session: uint64(seed)<<8 | uint64(len(dials)+1),
+				Stripe:  mode == MPFull,
 				OnPathState: func(path string, st wire.PathState) {
 					res.PathEvents = append(res.PathEvents, PathEvent{path, st.String(), s.Sim.Now()})
 					s.Logf("path %s %s at %s", path, st, stamp(s.Sim.Now()))
 				},
 			}
 			if mode == MPFull {
-				psCfg.FEC = wire.PathFEC{K: mpFECK, M: mpFECM}
+				opts.FEC = wire.PathFEC{K: mpFECK, M: mpFECM}
 			}
-			ps, err := wire.NewPathSet([]wire.PathConf{
+			c, err := wire.DialPaths([]wire.PathConf{
 				{Name: "wifi", PC: wifi.NewEndpoint()},
 				{Name: "lte", PC: lte.NewEndpoint()},
-			}, psCfg)
-			if err != nil {
-				return nil, err
+			}, serverEp.UDPAddr(), cfg, opts)
+			if err == nil {
+				dials = append(dials, c)
 			}
-			sets = append(sets, ps)
-			return wire.DialVia(ps, serverEp.UDPAddr(), cfg)
+			return c, err
 		}
 	}
 
@@ -294,21 +283,29 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 	s.At(spec.gapFrom, func() { okPre = res.OKs })
 	s.At(spec.horizon-500*time.Millisecond, func() { okTail = res.OKs })
 
+	// The path counters are read from a registry, as a scrape would: each
+	// conn's after its Close counted the holes of its open FEC groups.
+	reg := obs.NewRegistry()
 	s.Defer(func() {
-		srv.Close() // closes the router, draining downlink FEC accounting
-		rs := router.Stats()
-		res.RepairedUp, res.UnrepairedUp = rs.FECRepaired, rs.FECUnrepaired
+		conns := srv.Conns()
+		srv.Close()
+		for i, c := range conns {
+			c.PublishMetrics(reg, obs.L("side", "server"), obs.L("conn", strconv.Itoa(i)))
+			res.RepairedUp += int64(Metric(reg, "mar_wire_path_fec_repaired_total", obs.L("side", "server"), obs.L("conn", strconv.Itoa(i))))
+			res.UnrepairedUp += int64(Metric(reg, "mar_wire_path_fec_unrepaired_total", obs.L("side", "server"), obs.L("conn", strconv.Itoa(i))))
+		}
 	})
 	s.Defer(func() {
 		res.Reconnects = cl.Session().Reconnects()
 		stopped = true
 		cl.Close()
-		for _, ps := range sets {
-			st := ps.Stats()
-			res.FailoverFrames += st.FailoverFrames
-			res.ParitySent += st.ParitySent
-			res.RepairedDown += st.FECRepaired
-			res.UnrepairedDown += st.FECUnrepaired
+		for i, c := range dials {
+			ls := []obs.Label{obs.L("side", "client"), obs.L("conn", strconv.Itoa(i))}
+			c.PublishMetrics(reg, ls...)
+			res.FailoverFrames += int64(Metric(reg, "mar_wire_path_failover_frames_total", ls...))
+			res.ParitySent += int64(Metric(reg, "mar_wire_path_parity_sent_total", ls...))
+			res.RepairedDown += int64(Metric(reg, "mar_wire_path_fec_repaired_total", ls...))
+			res.UnrepairedDown += int64(Metric(reg, "mar_wire_path_fec_unrepaired_total", ls...))
 		}
 	})
 	s.Check(func() error {

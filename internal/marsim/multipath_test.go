@@ -7,8 +7,9 @@ import (
 )
 
 // runMPScenario mirrors runScenario for the multipath runners: zero
-// goroutines may survive a run (the PathSet/PathRouter machinery is
-// timer-chain-driven on the virtual clock, like everything else).
+// goroutines may survive a run (the paths' probes and FEC flushes are
+// deadlines of each conn's one alarm on the virtual clock, like everything
+// else).
 func runMPScenario(t *testing.T, name string, run func(int64) (*MultipathResult, error), seed int64) *MultipathResult {
 	t.Helper()
 	before := runtime.NumGoroutine()

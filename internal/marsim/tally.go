@@ -3,8 +3,10 @@ package marsim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
+	"marnet/internal/obs"
 	"marnet/internal/simnet"
 	"marnet/internal/trace"
 	"marnet/internal/wire"
@@ -90,10 +92,8 @@ func (t *Tally) OnMessage(m wire.Message) {
 // client conn sends, the server conn acknowledges and tallies.
 type LinkSession struct {
 	Client *wire.Conn
+	Server *wire.Conn
 	Tally  *Tally
-	// The client's subflows and the server's router (DialPaths only).
-	Paths  *wire.PathSet
-	Router *wire.PathRouter
 }
 
 // DialLinks opens a LinkSession on a duplex path the caller built: the
@@ -108,18 +108,18 @@ func DialLinks(sim *simnet.Sim, addr simnet.Addr, up, down simnet.Handler, clien
 	clientMux.Register(addr, cep)
 	serverMux.Register(addr+1, sep)
 	s := &LinkSession{Tally: NewTally(sim, cfg.Streams...)}
-	wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
+	s.Server, _ = wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
 	cfg.Clock, cfg.Key = clock, nil
 	s.Client, _ = wire.DialVia(cep, LinkAddr(addr+1), cfg)
 	return s
 }
 
-// DialPaths is DialLinks over a wire.PathSet: one client subflow per
-// uplink in ups, at addresses addr, addr+2, ... on clientMux, all answered
-// by a server at addr+1 behind a wire.PathRouter, sending into down. psCfg
-// keeps its policy (FEC, striping, probing); DialPaths fills in the
-// session id (addr, unless set), the peer and the clock.
-func DialPaths(sim *simnet.Sim, addr simnet.Addr, down simnet.Handler, clientMux, serverMux *simnet.Demux, psCfg wire.PathSetConfig, cfg wire.Config, ups ...simnet.Handler) (*LinkSession, error) {
+// DialPaths is DialLinks over several paths (wire.DialPaths): one client
+// path per uplink in ups, at addresses addr, addr+2, ... on clientMux, named
+// path0, path1, ..., all answered by a server at addr+1 sending into down.
+// opts keeps its policy (FEC, striping, OnPathState); DialPaths fills in
+// the session id (addr, unless set).
+func DialPaths(sim *simnet.Sim, addr simnet.Addr, down simnet.Handler, clientMux, serverMux *simnet.Demux, opts wire.PathOptions, cfg wire.Config, ups ...simnet.Handler) (*LinkSession, error) {
 	clock := NewClock(sim)
 	paths := make([]wire.PathConf, len(ups))
 	for i, up := range ups {
@@ -128,20 +128,29 @@ func DialPaths(sim *simnet.Sim, addr simnet.Addr, down simnet.Handler, clientMux
 		clientMux.Register(a, ep)
 		paths[i] = wire.PathConf{Name: fmt.Sprintf("path%d", i), PC: ep}
 	}
-	if psCfg.Session == 0 {
-		psCfg.Session = uint64(addr)
-	}
-	psCfg.Peer, psCfg.Clock = LinkAddr(addr+1), clock
-	ps, err := wire.NewPathSet(paths, psCfg)
-	if err != nil {
-		return nil, err
+	if opts.Session == 0 {
+		opts.Session = uint64(addr)
 	}
 	sep := NewLinkEndpoint(addr+1, down)
 	serverMux.Register(addr+1, sep)
-	s := &LinkSession{Tally: NewTally(sim, cfg.Streams...), Paths: ps,
-		Router: wire.NewPathRouter(sep, wire.RouterConfig{Clock: clock})}
-	wire.ListenVia(s.Router, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
+	s := &LinkSession{Tally: NewTally(sim, cfg.Streams...)}
+	s.Server, _ = wire.ListenVia(sep, wire.Config{Clock: clock, OnMessage: s.Tally.OnMessage})
 	cfg.Clock, cfg.Key = clock, nil
-	s.Client, _ = wire.DialVia(ps, LinkAddr(addr+1), cfg)
+	var err error
+	if s.Client, err = wire.DialPaths(paths, LinkAddr(addr+1), cfg, opts); err != nil {
+		s.Server.Close()
+		return nil, err
+	}
 	return s, nil
+}
+
+// Metric reads the value of the series name with labels from reg (0 when
+// it is not registered): what a scrape would report at this instant.
+func Metric(reg *obs.Registry, name string, labels ...obs.Label) float64 {
+	for _, p := range reg.Gather() {
+		if p.Name == name && slices.Equal(p.Labels, labels) {
+			return p.Value
+		}
+	}
+	return 0
 }

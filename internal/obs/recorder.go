@@ -51,7 +51,7 @@ const (
 	// EvRetxSwitch: the ARQ/FEC affordability switch flipped.
 	// Flag=1 for ARQ (retransmit on), 0 for FEC, C=SRTT in microseconds.
 	EvRetxSwitch
-	// EvPathState: a multipath subflow changed state.
+	// EvPathState: a path of a multipath conn changed state.
 	// Flag=new state, A=path index, C=path SRTT in microseconds.
 	EvPathState
 	// EvOverloadVerdict: the admission gate refused a request.

@@ -123,7 +123,7 @@ func BenchmarkOnAcks(b *testing.B) {
 				if ok, err := c.send(now, 1, payload, 0, 0); err != nil || !ok {
 					b.Fatal("send refused", err)
 				}
-				if _, ok := c.poll(now, out[:0]); !ok {
+				if _, _, ok := c.poll(now, out[:0]); !ok {
 					b.Fatal("the frame did not leave")
 				}
 				next++

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,18 +19,24 @@ import (
 // replaced), and any WriteBatch method or BatchWriter type (the send-batching
 // path no caller turned on) fails. A second write path comes back only with
 // a workload that turns it on. Timers are budgeted per file the same way: a
-// conn runs one alarm (conn.go's one AfterFunc), so a new conn timer is a
-// deadline field behind it. All platform variants are parsed, whatever the
-// build tags.
+// conn runs one alarm (conn.go's one AfterFunc), so a new conn timer — a
+// path's probe, an FEC group's flush — is a deadline field behind it. The
+// multipath shim below the conn, which kept its own timers and in-flight
+// map, may not come back under its names either. All platform variants are
+// parsed, whatever the build tags, and a budget or allowance for a file
+// that is gone fails.
 func TestWireGoroutineSites(t *testing.T) {
 	allowed := map[string]int{"packetconn.go": 1, "demux.go": 1}
-	timers := map[string]int{"conn.go": 1, "session.go": 3, "pathset.go": 2, "pathrouter.go": 1}
+	timers := map[string]int{"conn.go": 1, "session.go": 3}
 	// The names of the paths this model replaced, split so a grep for them
 	// finds live code only.
 	banned := map[string]string{
-		"Synchro" + "nous": "every transport delivers inline",
-		"Write" + "Batch":  "a conn writes one frame per WriteToUDP",
-		"Batch" + "Writer": "a conn writes one frame per WriteToUDP",
+		"Synchro" + "nous":   "every transport delivers inline",
+		"Write" + "Batch":    "a conn writes one frame per WriteToUDP",
+		"Batch" + "Writer":   "a conn writes one frame per WriteToUDP",
+		"Path" + "Set":       "a conn's paths are its core's (pathTable), not a transport below it",
+		"Path" + "Router":    "a server conn learns its client's paths itself, on its one socket",
+		"canonical" + "Addr": "a Mux keys a multipath conn by its session, not by a made-up address",
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -57,8 +64,8 @@ func TestWireGoroutineSites(t *testing.T) {
 					armed[name]++
 				}
 			case *ast.FuncDecl:
-				if why, ok := banned[n.Name.Name]; ok && n.Recv != nil {
-					t.Errorf("%s: method %s: %s", fset.Position(n.Pos()), n.Name.Name, why)
+				if why, ok := banned[n.Name.Name]; ok {
+					t.Errorf("%s: func %s: %s", fset.Position(n.Pos()), n.Name.Name, why)
 				}
 			case *ast.TypeSpec:
 				if why, ok := banned[n.Name.Name]; ok {
@@ -79,6 +86,13 @@ func TestWireGoroutineSites(t *testing.T) {
 	for name, want := range allowed {
 		if found[name] != want {
 			t.Errorf("%s: %d go statements, want %d (update this guard with the concurrency model)", name, found[name], want)
+		}
+	}
+	for _, budget := range []map[string]int{allowed, timers} {
+		for name := range budget {
+			if !slices.Contains(files, name) {
+				t.Errorf("%s: budgeted, but there is no such file (drop the entry with the file)", name)
+			}
 		}
 	}
 	for _, name := range files {

@@ -128,8 +128,11 @@ type Config struct {
 // goroutines, and the steady-state send path allocates nothing.
 type Conn struct {
 	pc    PacketConn
+	pcs   []PacketConn // the transports it owns, one per path (pcs[0] is pc); none behind a Mux
 	clock vclock.Clock
 	cfg   Config
+
+	onPathState func(path string, st PathState) // a multipath client's (PathOptions)
 
 	mu   sync.Mutex
 	core connCore
@@ -144,9 +147,9 @@ type Conn struct {
 
 	sentFrames atomic.Int64 // data frames the transport took
 
-	// Mux mode: datagrams arrive through the mux's route, writes go through
-	// the shared transport, and Close must not close it.
-	muxced  bool
+	// Behind a Mux datagrams arrive through its route, writes go through
+	// its transport, which Close leaves open (pcs is empty), and onClose
+	// drops the conn from its table.
 	onClose func()
 }
 
@@ -190,12 +193,69 @@ func ListenVia(pc PacketConn, cfg Config) (*Conn, error) {
 	return newConn(pc, nil, cfg)
 }
 
+// PathConf names one access link of a multipath conn and its transport,
+// which the conn owns and closes on Close.
+type PathConf struct {
+	Name string
+	PC   PacketConn
+}
+
+// PathFEC configures cross-path parity: every K data frames sent on one
+// path produce M Reed–Solomon repair shards carried on another; K+M <= 16.
+// K=0 disables FEC.
+type PathFEC struct {
+	K, M int
+}
+
+// PathOptions tunes a multipath conn.
+type PathOptions struct {
+	// Session links the paths on the wire: the server's Mux keys the conn
+	// on it. Must be nonzero and unique among the server's clients.
+	Session uint64
+	// FEC enables cross-path parity groups; the server answers with the
+	// same geometry.
+	FEC PathFEC
+	// Stripe spreads bulk bands across live paths by delivery-rate weight.
+	// Off, every frame follows the interactive path choice.
+	Stripe bool
+	// OnPathState observes per-path transitions (called without internal
+	// locks held).
+	OnPathState func(path string, st PathState)
+}
+
+// DialPaths connects to peer over several access links at once (Section
+// VI-D): one conn, one sequence space, whose core chooses the path of every
+// frame (pathtable.go). Any Listen, ListenVia or Mux server accepts it on its
+// one socket. The conn owns the transports and closes them on Close.
+func DialPaths(paths []PathConf, peer *net.UDPAddr, cfg Config, opts PathOptions) (*Conn, error) {
+	pcs := make([]PacketConn, len(paths))
+	for i, p := range paths {
+		pcs[i] = p.PC
+	}
+	t, err := newClientPaths(paths, opts)
+	var c *Conn
+	if err == nil {
+		c, err = newConnCommon(pcs[0], peer, cfg)
+	}
+	if err != nil {
+		for _, pc := range pcs {
+			pc.Close()
+		}
+		return nil, err
+	}
+	c.core.paths, c.core.rtt = t, &c.core.pathRTT
+	c.pcs, c.onPathState = pcs, opts.OnPathState
+	c.start()
+	return c, nil
+}
+
 func newConn(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	c, err := newConnCommon(pc, peer, cfg)
 	if err != nil {
 		pc.Close()
 		return nil, err
 	}
+	c.pcs = []PacketConn{pc}
 	c.start()
 	return c, nil
 }
@@ -209,19 +269,17 @@ func newConnCommon(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) 
 	if err := c.core.init(cfg, clock.Now(), vclock.Granularity(clock), seq); err != nil {
 		return nil, err
 	}
-	if ps, ok := pc.(*PathSet); ok {
-		ps.bindConn(c) // path-down evacuation re-enqueues in-flight frames here
-	}
 	c.alarmFn = c.onDeadline
 	return c, nil
 }
 
-// start begins inbound delivery and sets the first keepalive deadline.
+// start begins inbound delivery on every transport and sets the first
+// keepalive and probe deadlines.
 func (c *Conn) start() {
-	if !c.muxced {
-		c.pc.Start(c.handleDatagram)
+	for _, pc := range c.pcs {
+		pc.Start(c.handleDatagram)
 	}
-	if c.cfg.Keepalive > 0 {
+	if c.cfg.Keepalive > 0 || c.core.paths != nil {
 		c.mu.Lock()
 		now := c.clock.Now()
 		c.core.start(now)
@@ -256,35 +314,61 @@ func (c *Conn) unlockAndDrain(now time.Time) {
 
 // drain is the transmit loop of the goroutine that made frames sendable (a
 // Send, a reader's loss verdict, the alarm): one frame per round and write,
-// while one is due. The role stays taken across each write (paceArmed), so
-// a frame queued meanwhile, by another goroutine or an inline re-entry, is
+// while one is due, and after it the parity a frame that filled its FEC
+// group owed. The role stays taken across each write (paceArmed), so a
+// frame queued meanwhile, by another goroutine or an inline re-entry, is
 // left to this loop.
 func (c *Conn) drain(now time.Time) {
 	fb := getFrameBuf()
 	for again := false; ; again = true {
-		frame, peer, at, ok := c.transmit(fb, now, again)
+		frame, to, at, ok, owed := c.transmit(fb, now, again)
 		if !ok {
 			break
 		}
 		now = at
-		if c.write(frame, peer) {
+		if c.write(frame, to) {
 			c.sentFrames.Add(1)
+		}
+		if owed {
+			c.writeControl()
 		}
 	}
 	putFrameBuf(fb)
 }
 
 // transmit is one round of the drain: the frame due at now — the clock is
-// read again for a queued frame after the first round — encoded into fb.
-func (c *Conn) transmit(fb *[]byte, now time.Time, again bool) ([]byte, *net.UDPAddr, time.Time, bool) {
+// read again for a queued frame after the first round — encoded into fb,
+// and whether control datagrams are owed.
+func (c *Conn) transmit(fb *[]byte, now time.Time, again bool) ([]byte, route, time.Time, bool, bool) {
 	c.mu.Lock()
 	if again && !c.core.emptyBands() {
 		now = c.clock.Now()
 	}
-	frame, ok := c.core.poll(now, (*fb)[:0])
-	peer := c.peer
+	frame, path, ok := c.core.poll(now, (*fb)[:0])
+	to := c.routeLocked(path)
+	owed := len(c.core.ctl) > 0
 	c.unlock(now)
-	return frame, peer, now, ok
+	return frame, to, now, ok, owed
+}
+
+// route is where a datagram goes: a transport and an address.
+type route struct {
+	pc   PacketConn
+	addr *net.UDPAddr
+}
+
+// routeLocked is the route of a datagram on path: a multipath client's
+// transport for it, or a server's return address for it, else the conn's
+// own.
+func (c *Conn) routeLocked(path int) route {
+	r := route{c.pc, c.peer}
+	if path < len(c.pcs) {
+		r.pc = c.pcs[path]
+	}
+	if p := c.core.paths; p != nil && path < len(p.paths) && p.paths[path].addr != nil {
+		r.addr = p.paths[path].addr
+	}
+	return r
 }
 
 // writeControl writes the control datagrams the core owes, each polled in a
@@ -294,63 +378,86 @@ func (c *Conn) writeControl() bool {
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
 	for {
-		frame, peer, ok, open := c.nextControl(fb)
+		frame, to, ok, open := c.nextControl(fb)
 		if !ok || !open {
 			return open
 		}
-		c.write(frame, peer)
+		c.write(frame, to)
 	}
 }
 
 // nextControl polls the next control datagram owed into fb.
-func (c *Conn) nextControl(fb *[]byte) (frame []byte, peer *net.UDPAddr, ok, open bool) {
+func (c *Conn) nextControl(fb *[]byte) (frame []byte, to route, ok, open bool) {
 	c.mu.Lock()
+	path := 0
 	if open = !c.core.closed(); open {
-		frame, ok = c.core.pollControl((*fb)[:0])
+		frame, path, ok = c.core.pollControl((*fb)[:0])
 	}
-	peer = c.peer
+	to = c.routeLocked(path)
 	c.mu.Unlock()
-	return frame, peer, ok, open
+	return frame, to, ok, open
 }
 
-// write hands a datagram to the transport, with mu free (writes may be
+// write hands a datagram to its transport, with mu free (writes may be
 // concurrent), and reports whether it took it; without a peer it is lost.
-func (c *Conn) write(frame []byte, peer *net.UDPAddr) bool {
-	if peer == nil {
+func (c *Conn) write(frame []byte, to route) bool {
+	if to.addr == nil {
 		return false
 	}
-	_, err := c.pc.WriteToUDP(frame, peer)
+	_, err := to.pc.WriteToUDP(frame, to.addr)
 	return err == nil
 }
 
 // onDeadline is the alarm's callback. It reads the clock once and services
 // what is due — every deadline up to a granule ahead and not placed after
 // this fire's — in a fixed order, each step a section whose writes follow
-// it: the keepalive (state callback, then ping), the sweep and the pacer,
-// then the acks no frame carried. The last step re-arms the alarm.
+// it: the keepalive and the paths' probes and parity (state callbacks,
+// then the ping, then the rest), the sweep and the pacer, then the acks no
+// frame carried. The last step re-arms the alarm.
 func (c *Conn) onDeadline() {
 	c.mu.Lock()
 	now := c.clock.Now()
 	due := vclock.Deadline{At: now.Add(c.core.grain), Stamp: c.alarmAt.Stamp}
 	probed, dead := c.core.probe(now, due)
-	if !probed { // nothing to write or call back before the sweep: one section serves both
+	c.core.probePaths(now, due)
+	if !probed && len(c.core.ctl) == 0 { // nothing to write or call back before the sweep: one section serves both
 		c.core.onDeadline(now, due)
 		c.unlockAndDrain(now)
 	} else {
 		fb := getFrameBuf()
-		ping, ok := c.core.pollControl((*fb)[:0])
-		peer := c.peer
+		ping, path, ok := c.core.pollControl((*fb)[:0])
+		to := c.routeLocked(path)
+		notes := c.core.paths.takeNotes()
 		c.unlock(now)
 		if dead && c.cfg.OnStateChange != nil {
 			c.cfg.OnStateChange(StateDead)
 		}
+		c.notify(notes)
 		if ok {
-			c.write(ping, peer) // best-effort probe
+			c.write(ping, to) // best-effort probe
 		}
 		putFrameBuf(fb)
+		c.writeControl() // the rest of the round: more probes, parity
 		c.sweep(now, due)
 	}
 	c.flushDue(now, due)
+}
+
+// notify calls OnPathState for each transition, with mu free, freezing the
+// flight recorder first when a path died: it holds the sends, losses and
+// state flips that led into the failover.
+func (c *Conn) notify(notes []pathNote) {
+	for _, n := range notes {
+		if n.state == PathDown {
+			c.cfg.Recorder.Freeze("path-down")
+			break
+		}
+	}
+	if c.onPathState != nil {
+		for _, n := range notes {
+			c.onPathState(n.name, n.state)
+		}
+	}
 }
 
 // sweep is the alarm's middle step: the sweep, the pacer and their drain.
@@ -364,19 +471,20 @@ func (c *Conn) sweep(now time.Time, due vclock.Deadline) {
 func (c *Conn) flushDue(now time.Time, due vclock.Deadline) {
 	var fb *[]byte
 	var ack []byte
+	path := 0
 	c.mu.Lock()
 	ok := c.core.ackDue(now, due)
 	if ok {
 		fb = getFrameBuf()
-		ack, ok = c.core.pollControl((*fb)[:0])
+		ack, path, ok = c.core.pollControl((*fb)[:0])
 	}
-	peer := c.peer
+	to := c.routeLocked(path)
 	c.alarmAt = vclock.Deadline{}
 	c.core.rearm()
 	c.unlock(now)
 	if fb != nil {
 		if ok {
-			c.write(ack, peer) // best-effort ack
+			c.write(ack, to) // best-effort ack
 		}
 		putFrameBuf(fb)
 	}
@@ -398,8 +506,8 @@ func (c *Conn) LocalAddr() *net.UDPAddr {
 func (c *Conn) Budget() float64 { return read(c, func(k *connCore) float64 { return k.ctrl.Budget() }) }
 
 // SRTT reports the smoothed round trip (zero before the first acknowledged
-// exchange) of the raw samples, over a PathSet too, not the rebased ones the
-// controller reacts to. Deadline-aware servers charge half of it one way.
+// exchange) of the raw samples, over several paths too, not the rebased ones
+// the controller reacts to. Deadline-aware servers charge half of it one way.
 func (c *Conn) SRTT() time.Duration {
 	return read(c, func(k *connCore) time.Duration { return k.rtt.Smoothed() })
 }
@@ -420,16 +528,6 @@ func read[T any](c *Conn, f func(*connCore) T) T {
 	return f(&c.core)
 }
 
-// requeueFrames is PathSet's failover hook (connCore.requeue).
-func (c *Conn) requeueFrames(keys []frameKey) {
-	c.mu.Lock()
-	now := c.clock.Now()
-	if !c.core.closed() {
-		c.core.requeue(keys)
-	}
-	c.unlockAndDrain(now)
-}
-
 // Close stops the alarm, clears every deadline and closes the transport.
 func (c *Conn) Close() error {
 	c.mu.Lock()
@@ -445,13 +543,16 @@ func (c *Conn) Close() error {
 	if c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateClosed)
 	}
-	if c.muxced {
-		if c.onClose != nil {
-			c.onClose()
-		}
-		return nil
+	if c.onClose != nil {
+		c.onClose()
 	}
-	return c.pc.Close()
+	var first error
+	for _, pc := range c.pcs {
+		if err := pc.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Send submits one application datagram on a stream. It reports whether
@@ -481,9 +582,8 @@ func (c *Conn) SendTraced(streamID uint16, payload []byte, traceID, spanID uint6
 // transport's delivery callback, directly or through a Mux's route: on a
 // real socket it runs on the reader goroutine (or a demux shard's drain),
 // on a simulated transport on the event loop. backlog is the reader's (see
-// Message.Backlog). What follows leaves in a fixed order: the pure ack, the
-// NACKs, the delivery (whose answer may be sent and drained inline), the
-// retransmissions the verdicts queued, the revived peer's state callback.
+// Message.Backlog). The frames cross-path FEC regenerates from it follow it,
+// each handled the same way.
 func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 	hdr, payload, derr := DecodeFrame(dgram)
 	if derr != nil {
@@ -499,36 +599,67 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 			return
 		}
 	}
+	if !c.handleFrame(hdr, payload, len(dgram), raddr, backlog) || hdr.Session == 0 || hdr.Group == 0 && hdr.Type != TypeParity {
+		return
+	}
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
+	for {
+		c.mu.Lock()
+		frame, _, ok := popDatagram(&c.core.paths.repaired, &c.core.paths.repairedHead, (*fb)[:0])
+		c.mu.Unlock()
+		if !ok {
+			return
+		}
+		// Built from authenticated frames (pathfec.go): no second open.
+		if hdr, payload, derr = DecodeFrame(frame); derr != nil || !c.handleFrame(hdr, payload, len(frame), raddr, backlog) {
+			return
+		}
+	}
+}
+
+// handleFrame processes one authenticated frame, and reports whether the
+// conn is still open. What follows leaves in a fixed order: the pure ack,
+// the NACKs, the delivery (whose answer may be sent and drained inline), the
+// retransmissions the verdicts queued, the state callbacks.
+func (c *Conn) handleFrame(hdr Header, payload []byte, wireLen int, raddr *net.UDPAddr, backlog int) bool {
 	c.mu.Lock()
 	if c.core.closed() {
 		c.mu.Unlock()
-		return
+		return false
 	}
 	if c.peer == nil {
 		c.peer = raddr
 	}
 	now := c.clock.Now()
-	m, deliver, revived := c.core.onDatagram(now, hdr, payload, len(dgram), backlog)
+	var m Message
+	var deliver, revived bool
+	if hdr.Session == 0 || c.core.onPath(now, hdr, payload, raddr) {
+		m, deliver, revived = c.core.onDatagram(now, hdr, payload, wireLen, backlog)
+	}
 	deliver = deliver && c.cfg.OnMessage != nil
+	notes := c.core.paths.takeNotes()
 	control := len(c.core.ctl) > 0
 	if !control && !deliver {
 		c.unlockAndDrain(now) // retransmissions a loss verdict queued leave from here
 	} else {
 		c.unlock(now)
 		if control && !c.writeControl() {
-			return // closed from inside a write: nothing is delivered
+			return false // closed from inside a write: nothing is delivered
 		}
 		if deliver {
 			m.Conn = c
 			c.cfg.OnMessage(m)
 		}
 		if !c.settle(now) {
-			return
+			return false
 		}
 	}
 	if revived && c.cfg.OnStateChange != nil {
 		c.cfg.OnStateChange(StateActive)
 	}
+	c.notify(notes)
+	return true
 }
 
 // settle ends a datagram that wrote or delivered: it drains what the
@@ -613,7 +744,16 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	for _, st := range c.core.streams {
 		ids = append(ids, st.spec.ID)
 	}
+	var paths []string
+	if p := c.core.paths; p != nil {
+		for i := range p.paths {
+			paths = append(paths, p.paths[i].name)
+		}
+	}
 	c.mu.Unlock()
+	if paths != nil {
+		c.publishPaths(reg, paths, labels)
+	}
 	for _, id := range ids {
 		ls := append(append([]obs.Label(nil), labels...), obs.L("stream", strconv.Itoa(int(id))))
 		reg.CounterFunc("mar_wire_stream_sent_total", func() int64 { return c.Stats(id).Sent }, ls...)
@@ -623,4 +763,31 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		reg.CounterFunc("mar_wire_stream_duplicates_total", func() int64 { return c.Stats(id).Duplicates }, ls...)
 		reg.GaugeFunc("mar_wire_stream_allocated_bps", func() float64 { return c.Stats(id).Allocated }, ls...)
 	}
+}
+
+// publishPaths registers a multipath conn's path counters: per path (a
+// path="<name>" label, the id where the path has no name) its sent frames
+// and bytes, SRTT (as the server's paths advertise it) and state; per conn
+// the frames evacuated off dead paths, the parity sent and the FEC holes
+// repaired and left unrepaired.
+func (c *Conn) publishPaths(reg *obs.Registry, names []string, labels []obs.Label) {
+	count := func(f func(*pathTable) int64) func() int64 {
+		return func() int64 { return read(c, func(k *connCore) int64 { return f(k.paths) }) }
+	}
+	for i, name := range names {
+		if name == "" {
+			name = strconv.Itoa(i)
+		}
+		ls := append(append([]obs.Label(nil), labels...), obs.L("path", name))
+		reg.CounterFunc("mar_wire_path_sent_frames_total", count(func(p *pathTable) int64 { return p.paths[i].sentFrames }), ls...)
+		reg.CounterFunc("mar_wire_path_sent_bytes_total", count(func(p *pathTable) int64 { return p.paths[i].sentBytes }), ls...)
+		reg.GaugeFunc("mar_wire_path_srtt_seconds", func() float64 {
+			return time.Duration(count(func(p *pathTable) int64 { return int64(max(p.paths[i].rtt.Smoothed(), p.paths[i].adSRTT)) })()).Seconds()
+		}, ls...)
+		reg.GaugeFunc("mar_wire_path_state", func() float64 { return float64(count(func(p *pathTable) int64 { return int64(p.paths[i].state) })()) }, ls...)
+	}
+	reg.CounterFunc("mar_wire_path_failover_frames_total", count(func(p *pathTable) int64 { return p.failover }), labels...)
+	reg.CounterFunc("mar_wire_path_parity_sent_total", count(func(p *pathTable) int64 { return p.paritySent }), labels...)
+	reg.CounterFunc("mar_wire_path_fec_repaired_total", count(func(p *pathTable) int64 { return p.rx.repaired }), labels...)
+	reg.CounterFunc("mar_wire_path_fec_unrepaired_total", count(func(p *pathTable) int64 { return p.rx.unrepaired }), labels...)
 }

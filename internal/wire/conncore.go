@@ -13,10 +13,11 @@ import (
 
 // connCore is the protocol state of one ARTP connection and the rules that
 // change it: streams, band queues, windows, owed acks, frames outstanding,
-// the controller, core.RTT, the loss EWMA and four deadlines. It has no
-// lock, clock or socket: each method takes the caller's now, what is to be
-// sent comes out of poll and pollControl encoded, and what is to be
-// delivered out of onDatagram. Conn drives it (conn.go).
+// the controller, core.RTT, the loss EWMA, four deadlines and, on a
+// multipath conn, the pathTable (pathtable.go). It has no lock, clock or
+// socket: each method takes the caller's now, what is to be sent comes out
+// of poll and pollControl encoded, with the path it takes, and what is to
+// be delivered out of onDatagram. Conn drives it (conn.go).
 type connCore struct {
 	epoch     time.Time
 	grain     time.Duration    // the clock's timer floor: no pace deadline is shorter
@@ -29,7 +30,7 @@ type connCore struct {
 	ctrl      *core.Controller
 	streams   []*wstream // sorted by id; the order is fixed at declaration
 	bands     [4]frameQueue
-	ctl       []byte // control datagrams owed, each encoded behind its length
+	ctl       []byte // control datagrams owed, each encoded behind its length and path
 	ctlHead   int    // where the oldest starts
 	state     State
 	lastHeard time.Time // last authenticated frame from the peer
@@ -70,11 +71,12 @@ type connCore struct {
 	arrBits  int
 
 	// rtt is what everything that times the network reads: the controller's
-	// own on a plain conn; over a PathSet (bindConn), pathRTT of the raw
+	// own on a plain conn; on a multipath client, pathRTT of the raw
 	// samples, while the controller is fed each rebased onto its path.
 	rtt     *core.RTT
 	pathRTT core.RTT
-	rebase  func(rtt time.Duration, echo uint64) time.Duration
+
+	paths *pathTable // nil on a single-path conn
 
 	acksSent        int64 // pure-ack datagrams owed
 	acksPiggybacked int64 // acknowledgement blocks that rode a data frame
@@ -96,6 +98,7 @@ type wpending struct {
 	lastSent time.Time
 	retx     int
 	queued   bool
+	path     uint8  // the path the last transmission took
 	traceID  uint64 // retransmissions carry the original's trace context
 	spanID   uint64
 }
@@ -215,8 +218,16 @@ func (c *connCore) init(cfg Config, now time.Time, grain time.Duration, seq vclo
 	return nil
 }
 
-// start sets the first keepalive deadline (no sweep until a frame is sent).
-func (c *connCore) start(now time.Time) { c.set(&c.kaAt, now.Add(c.keepalive)) }
+// start sets the first keepalive deadline and a multipath client's first
+// probe round (no sweep until a frame is sent).
+func (c *connCore) start(now time.Time) {
+	if c.keepalive > 0 {
+		c.set(&c.kaAt, now.Add(c.keepalive))
+	}
+	if c.paths != nil && c.paths.client {
+		c.set(&c.paths.probeAt, now.Add(probeInterval))
+	}
+}
 
 func (c *connCore) closed() bool { return c.state == StateClosed }
 
@@ -230,6 +241,10 @@ func (c *connCore) close() bool {
 	var none vclock.Deadline
 	c.paceAt, c.sweepAt, c.kaAt, c.ackAt = none, none, none, none
 	c.paceArmed = false
+	if c.paths != nil {
+		c.paths.probeAt, c.paths.flushAt = none, none
+		c.paths.rx.drain() // every open group's holes are counted now
+	}
 	return true
 }
 
@@ -284,6 +299,13 @@ func (c *connCore) nextDeadline() vclock.Deadline {
 			next = d
 		}
 	}
+	if p := c.paths; p != nil {
+		for _, d := range [...]vclock.Deadline{p.probeAt, p.flushAt} {
+			if d.Before(next) {
+				next = d
+			}
+		}
+	}
 	return next
 }
 
@@ -299,7 +321,7 @@ func (c *connCore) probe(now time.Time, due vclock.Deadline) (ping, dead bool) {
 	if dead {
 		c.state = StateDead
 	}
-	c.oweControl(Header{Type: TypePing, SendMicro: uint64(now.Sub(c.epoch).Microseconds())}, nil)
+	c.oweControl(now, Header{Type: TypePing, SendMicro: uint64(now.Sub(c.epoch).Microseconds())}, nil)
 	return true, dead
 }
 
@@ -354,24 +376,6 @@ func (c *connCore) takeDrain() bool {
 	owed := c.drainOwed
 	c.drainOwed = false
 	return owed
-}
-
-// requeue is PathSet's sub-RTT failover: each listed frame still
-// outstanding and not queued goes back onto its band for a surviving path,
-// with no retransmit charge and no loss sample — its carrier died.
-func (c *connCore) requeue(keys []frameKey) {
-	for _, k := range keys {
-		st := c.stream(k.stream)
-		if st == nil {
-			continue
-		}
-		pp := st.window.get(k.seq)
-		if pp == nil || pp.queued {
-			continue
-		}
-		pp.queued = true
-		c.enqueue(st, k.seq, pp.pbuf, pp.traceID, pp.spanID)
-	}
 }
 
 // reallocate shares the budget out by priority, in id order within one
@@ -472,10 +476,11 @@ func (c *connCore) paceDue(now time.Time) bool {
 	return false
 }
 
-// poll, the transmitter's, encodes the frame due at now into dst, or
-// reports false having set the pace deadline or given the role up. A frame
-// the encoder refuses is left to loss recovery, like a dropped datagram.
-func (c *connCore) poll(now time.Time, dst []byte) ([]byte, bool) {
+// poll, the transmitter's, encodes the frame due at now into dst, with the
+// path it takes, or reports false having set the pace deadline or given the
+// role up. A frame the encoder refuses is left to loss recovery, like a
+// dropped datagram.
+func (c *connCore) poll(now time.Time, dst []byte) ([]byte, int, bool) {
 	for c.paceDue(now) {
 		f, pp := c.pop(now)
 		frame, err := c.encode(dst, f.hdr, *f.pbuf)
@@ -483,15 +488,16 @@ func (c *connCore) poll(now time.Time, dst []byte) ([]byte, bool) {
 			putPayloadBuf(f.pbuf)
 		}
 		if err == nil {
-			return frame, true
+			return frame, int(f.hdr.Path), true
 		}
 	}
-	return nil, false
+	return nil, 0, false
 }
 
 // pop takes the head of the highest non-empty band, stamps it with now,
-// lets everything owed ride it and advances nextSend by its budget gap. pp
-// is its pending record: nil for best effort or a sequence already acked.
+// lets everything owed ride it, puts it on its path and advances nextSend
+// by its budget gap. pp is its pending record: nil for best effort or a
+// sequence already acked.
 func (c *connCore) pop(now time.Time) (f outFrame, pp *wpending) {
 	for b := range c.bands {
 		if !c.bands[b].empty() {
@@ -504,16 +510,29 @@ func (c *connCore) pop(now time.Time) (f outFrame, pp *wpending) {
 		f.hdr.Acks = c.takeAcks(c.ackBuf[:0], now)
 		c.acksPiggybacked++
 	}
+	path := 0
+	if p := c.paths; p != nil {
+		path = p.pick(&f.hdr, now)
+		f.hdr.Session, f.hdr.Path = p.session, uint8(path)
+		c.group(&f.hdr, *f.pbuf, path, now)
+		if p.client {
+			p.stamp(f.hdr.SendMicro, path)
+		}
+	}
 	if st := c.stream(f.hdr.Stream); st != nil {
 		if pp = st.window.get(f.hdr.Seq); pp != nil {
 			pp.queued = false
 			pp.lastSent = now
+			pp.path = uint8(path)
 		}
 		st.sent++
 	}
 	wireLen := headerLen(f.hdr) + len(*f.pbuf)
 	if c.sealer != nil {
 		wireLen += sealedOver
+	}
+	if c.paths != nil {
+		c.paths.charge(path, wireLen)
 	}
 	if pp != nil && pp.retx > 0 {
 		c.rec.RecordAt(now, obs.EvFrameRetransmit, uint8(pp.retx), f.hdr.Stream, uint32(f.hdr.Seq), uint64(wireLen))
@@ -528,31 +547,46 @@ func (c *connCore) pop(now time.Time) (f outFrame, pp *wpending) {
 	return f, pp
 }
 
-// oweControl owes the peer one control datagram, encoded now.
-func (c *connCore) oweControl(h Header, payload []byte) {
+// oweControl owes the peer one control datagram, encoded at now. On a
+// multipath conn it takes h's path when h names one (a probe, the answer
+// to one, parity), else the best path.
+func (c *connCore) oweControl(now time.Time, h Header, payload []byte) {
+	if p := c.paths; p != nil && h.Session == 0 {
+		h.Session, h.Path = p.session, uint8(p.best(-1, now))
+	}
 	n := len(c.ctl)
-	frame, err := c.encode(append(c.ctl, 0, 0), h, payload)
+	frame, err := c.encode(append(c.ctl, 0, 0, h.Path), h, payload)
 	if err != nil {
 		c.ctl = c.ctl[:n]
 		return
 	}
-	binary.LittleEndian.PutUint16(frame[n:], uint16(len(frame)-n-2))
+	binary.LittleEndian.PutUint16(frame[n:], uint16(len(frame)-n-3))
 	c.ctl = frame
+	if c.paths != nil {
+		c.paths.charge(int(h.Path), len(frame)-n-3)
+	}
 }
 
-// pollControl copies the oldest control datagram owed into dst, and
-// reports false when nothing is owed.
-func (c *connCore) pollControl(dst []byte) ([]byte, bool) {
-	if c.ctlHead == len(c.ctl) {
-		return nil, false
+// pollControl copies the oldest control datagram owed into dst, with the
+// path it takes, and reports false when nothing is owed.
+func (c *connCore) pollControl(dst []byte) ([]byte, int, bool) {
+	return popDatagram(&c.ctl, &c.ctlHead, dst)
+}
+
+// popDatagram copies the oldest datagram of the queue q, each encoded
+// behind its length and path, into dst; *head is where it starts.
+func popDatagram(q *[]byte, head *int, dst []byte) ([]byte, int, bool) {
+	if *head == len(*q) {
+		return nil, 0, false
 	}
-	at := c.ctlHead + 2
-	c.ctlHead = at + int(binary.LittleEndian.Uint16(c.ctl[c.ctlHead:]))
-	frame := append(dst, c.ctl[at:c.ctlHead]...)
-	if c.ctlHead == len(c.ctl) {
-		c.ctl, c.ctlHead = c.ctl[:0], 0
+	at := *head + 3
+	path := int((*q)[at-1])
+	*head = at + int(binary.LittleEndian.Uint16((*q)[at-3:]))
+	frame := append(dst, (*q)[at:*head]...)
+	if *head == len(*q) {
+		*q, *head = (*q)[:0], 0
 	}
-	return frame, true
+	return frame, path, true
 }
 
 // encode serializes (and seals, when a key is configured) one frame into
@@ -594,8 +628,8 @@ func (c *connCore) onDatagram(now time.Time, hdr Header, payload []byte, wireLen
 		}
 	case TypeNack:
 		c.onNack(hdr, payload, now)
-	case TypePing:
-		c.oweControl(Header{Type: TypePong, SendMicro: hdr.SendMicro}, nil)
+	case TypePing: // answered on the path it came by
+		c.oweControl(now, Header{Type: TypePong, SendMicro: hdr.SendMicro, Session: hdr.Session, Path: hdr.Path}, nil)
 	} // an ack's block and a pong's liveness are done above
 	return m, deliver, revived
 }
@@ -655,7 +689,7 @@ func (c *connCore) onData(hdr Header, wireLen int, now time.Time) bool {
 		}
 		c.seqScratch = missing[:0]
 		if len(missing) > 0 {
-			c.oweNack(hdr.Stream, missing)
+			c.oweNack(now, hdr.Stream, missing)
 		}
 	}
 	return true
@@ -663,11 +697,11 @@ func (c *connCore) onData(hdr Header, wireLen int, now time.Time) bool {
 
 // oweNack owes NACKs of stream's missing sequences, chunked so no payload
 // exceeds MaxPayload (the peer's decoder would drop the whole signal).
-func (c *connCore) oweNack(stream uint16, missing []int64) {
+func (c *connCore) oweNack(now time.Time, stream uint16, missing []int64) {
 	for len(missing) > 0 {
 		n := min(len(missing), MaxNackEntries)
 		buf, pb := getPayloadBuf(nil)
-		c.oweControl(Header{Type: TypeNack, Stream: stream}, AppendNackPayload(buf, missing[:n]))
+		c.oweControl(now, Header{Type: TypeNack, Stream: stream}, AppendNackPayload(buf, missing[:n]))
 		putPayloadBuf(pb)
 		missing = missing[n:]
 	}
@@ -705,7 +739,7 @@ func (c *connCore) takeAcks(dst []byte, now time.Time) AckBlock {
 // flushAcks owes everything owed as one pure ack. Owed acks always leave
 // together, so none overtakes an earlier one.
 func (c *connCore) flushAcks(now time.Time) {
-	c.oweControl(Header{Type: TypeAck, Acks: c.takeAcks(c.ackBuf[:0], now)}, nil)
+	c.oweControl(now, Header{Type: TypeAck, Acks: c.takeAcks(c.ackBuf[:0], now)}, nil)
 	c.acksSent++
 }
 
@@ -750,9 +784,9 @@ func (c *connCore) onAcks(b AckBlock, now time.Time) {
 	rtt := at - time.Duration(b.Echo())*time.Microsecond - b.Hold()
 	if rtt > 0 {
 		delay := rtt
-		if c.rebase != nil {
+		if c.paths != nil && c.paths.client {
 			c.rtt.Update(rtt)
-			delay = c.rebase(rtt, b.Echo())
+			delay = c.paths.rebase(rtt, b.Echo())
 		}
 		c.ctrl.OnAck(at, delay)
 	}
@@ -773,6 +807,9 @@ func (c *connCore) onAcks(b AckBlock, now time.Time) {
 			case b.Covers(r.Stream, seq):
 				c.lossSample(0)
 				c.rec.RecordAt(now, obs.EvFrameAck, 0, r.Stream, uint32(seq), uint64(rtt.Microseconds()))
+				if c.paths != nil {
+					c.paths.credit(pp.path, HeaderLen+len(*pp.pbuf))
+				}
 				c.removePending(st, seq, pp)
 			case seq < st.maxAcked-reorderSlack && c.lossEligible(pp, now):
 				c.onLost(st, seq, pp, now)

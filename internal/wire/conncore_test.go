@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -52,6 +53,7 @@ type coreEnd struct {
 	written   [][]byte
 	writtenAt []time.Time
 	onMessage func(Message)
+	notes     []pathNote // the path transitions the core reported, in order
 }
 
 func newCoreNet(delay time.Duration) *coreNet {
@@ -71,6 +73,29 @@ func (n *coreNet) end(cfg Config) *coreEnd {
 	}
 	n.ends = append(n.ends, e)
 	return e
+}
+
+// dialPaths makes e a multipath client over paths path0, path1, ... (as
+// DialPaths does), with its first probe round due a probe interval from
+// now.
+func (e *coreEnd) dialPaths(paths int, opts PathOptions) {
+	names := make([]PathConf, paths)
+	for i := range names {
+		names[i].Name = "path" + string(rune('0'+i))
+	}
+	t, err := newClientPaths(names, opts)
+	if err != nil {
+		panic(err)
+	}
+	e.core.paths, e.core.rtt = t, &e.core.pathRTT
+	e.core.start(e.net.now)
+	e.unlock()
+}
+
+// pathAddr stands for the address a frame on path arrives from: the pipe
+// has one per path.
+func pathAddr(path uint8) *net.UDPAddr {
+	return &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 1000 + int(path)}
 }
 
 // pair adds two cores joined by the pipe.
@@ -152,18 +177,19 @@ func (e *coreEnd) unlockAndDrain() {
 	e.unlock()
 	if owed {
 		for {
-			frame, ok := e.core.poll(e.net.now, e.buf[:0])
+			frame, _, ok := e.core.poll(e.net.now, e.buf[:0])
 			e.unlock()
 			if !ok {
 				return
 			}
 			e.write(frame)
+			e.writeControl()
 		}
 	}
 }
 
 func (e *coreEnd) writeControl() {
-	for frame, ok := e.core.pollControl(e.buf[:0]); ok; frame, ok = e.core.pollControl(e.buf[:0]) {
+	for frame, _, ok := e.core.pollControl(e.buf[:0]); ok; frame, _, ok = e.core.pollControl(e.buf[:0]) {
 		e.write(frame)
 	}
 }
@@ -175,25 +201,47 @@ func (e *coreEnd) send(stream uint16, payload []byte) (bool, error) {
 	return ok, err
 }
 
-// receive is Conn.handleDatagram for an unsealed datagram.
+// receive is Conn.handleDatagram for an unsealed datagram, and the frames
+// FEC regenerates from it.
 func (e *coreEnd) receive(frame []byte) {
 	hdr, payload, err := DecodeFrame(frame)
 	if err != nil || e.core.closed() {
 		return
 	}
-	m, deliver, _ := e.core.onDatagram(e.net.now, hdr, payload, len(frame), 0)
+	var m Message
+	deliver := false
+	if hdr.Session == 0 || e.core.onPath(e.net.now, hdr, payload, pathAddr(hdr.Path)) {
+		m, deliver, _ = e.core.onDatagram(e.net.now, hdr, payload, len(frame), 0)
+	}
+	e.takeNotes()
 	e.unlock()
 	e.writeControl()
 	if deliver && e.onMessage != nil {
 		e.onMessage(m)
 	}
 	e.unlockAndDrain()
+	for e.core.paths != nil {
+		repaired, _, ok := popDatagram(&e.core.paths.repaired, &e.core.paths.repairedHead, nil)
+		if !ok {
+			return
+		}
+		e.receive(repaired)
+	}
+}
+
+// takeNotes keeps the path transitions the core reported.
+func (e *coreEnd) takeNotes() {
+	if e.core.paths != nil {
+		e.notes = append(e.notes, e.core.paths.takeNotes()...)
+	}
 }
 
 // fire is Conn.onDeadline.
 func (e *coreEnd) fire() {
 	due := vclock.Deadline{At: e.net.now, Stamp: e.alarmAt.Stamp}
 	e.core.probe(e.net.now, due)
+	e.core.probePaths(e.net.now, due)
+	e.takeNotes()
 	e.writeControl()
 	e.core.onDeadline(e.net.now, due)
 	e.unlockAndDrain()

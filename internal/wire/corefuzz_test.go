@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,10 +22,20 @@ import (
 // 1 + 4×RetxLimit transmissions) has been delivered and no send window
 // holds one. Every send window keeps its invariants (checkWindow) after
 // each step.
+//
+// A program whose first byte has its top bit set runs the two-path mode:
+// the first end dials the second over two paths of the pipe (DialPaths),
+// and path 0 is blackholed both ways from 2 ms × the second byte for
+// 4 ms × the third, into the healed minute if the program ends sooner. Each path must then move only along up ⇄ degraded →
+// down → probing → up (an answer that outruns the probing round revives a
+// path still down), and the checks above hold all the same.
 func FuzzConnStateMachine(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x0e, 0x04, 0x05, 0x3e})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x08, 0x10, 0x18, 0x01, 0x01, 0xfe, 0x02, 0x0a, 0x12, 0x7e})
 	f.Add([]byte{0x00, 0x04, 0x01, 0x05, 0x00, 0x04, 0x01, 0x05, 0x1a, 0x09, 0x11, 0x19, 0x21, 0x29, 0xfe})
+	f.Add([]byte{0x80, 0x10, 0x40, 0x00, 0x01, 0xfe, 0x04, 0x05, 0xfe, 0xfe, 0x00, 0xfe, 0xfe, 0xfe})
+	f.Add([]byte{0x80, 0x02, 0x40, 0x00, 0x01, 0x04, 0x05, 0x02, 0xfe, 0x00, 0x01, 0xfe, 0xfe})
+	f.Add([]byte{0x84, 0x00, 0xff, 0x00, 0x00, 0x08, 0x01, 0xfe, 0x02, 0x0a, 0x7e, 0xfe, 0xfe, 0xfe, 0xfe, 0xfe})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 || len(prog) > 512 {
 			return
@@ -37,6 +48,15 @@ func FuzzConnStateMachine(f *testing.F) {
 		n := newCoreNet(5 * time.Millisecond)
 		a, b := n.pair(cfg, cfg)
 		ends := []*coreEnd{a, b}
+		var from, until time.Time // path 0's blackhole, two-path mode only
+		if prog[0]&0x80 != 0 && len(prog) >= 3 {
+			a.dialPaths(2, PathOptions{Session: 1})
+			from = n.now.Add(time.Duration(prog[1]) * 2 * time.Millisecond)
+			until = from.Add(time.Duration(prog[2]) * 4 * time.Millisecond)
+		}
+		dark := func(h Header) bool {
+			return h.Session != 0 && h.Path == 0 && !n.now.Before(from) && n.now.Before(until)
+		}
 		type book struct {
 			sent      map[uint64]uint16         // payload id → stream
 			critical  map[int64]uint64          // critical seq → payload id
@@ -84,6 +104,9 @@ func FuzzConnStateMachine(f *testing.F) {
 			if h.Type == TypeData && h.Stream == 1 {
 				books[from].tx[h.Seq]++
 			}
+			if dark(h) {
+				return 0, 0
+			}
 			fate := prog[fates%len(prog)]
 			fates++
 			switch fate % 8 {
@@ -118,9 +141,15 @@ func FuzzConnStateMachine(f *testing.F) {
 			}
 			checkWindows(t, ends)
 		}
-		n.fate = func(*coreEnd, []byte) (int, time.Duration) { return 1, 0 }
+		n.fate = func(_ *coreEnd, frame []byte) (int, time.Duration) {
+			if h, _, _ := DecodeFrame(frame); dark(h) {
+				return 0, 0
+			}
+			return 1, 0
+		}
 		n.run(time.Minute)
 		checkWindows(t, ends)
+		checkPathMoves(t, a.notes)
 		for _, e := range ends {
 			if held := e.core.stream(1).window.len(); held != 0 {
 				t.Fatalf("%d critical frames still in the send window after a healed minute", held)
@@ -146,5 +175,25 @@ func checkWindows(t *testing.T, ends []*coreEnd) {
 				t.Fatalf("stream %d's send window: %v", st.spec.ID, err)
 			}
 		}
+	}
+}
+
+// checkPathMoves fails t on a path transition the state machine does not
+// make: up ⇄ degraded, either → down, down → probing, probing (or, on an
+// answer that outran the round, down) → up.
+func checkPathMoves(t *testing.T, notes []pathNote) {
+	t.Helper()
+	next := map[PathState][]PathState{
+		PathUp:       {PathDegraded, PathDown},
+		PathDegraded: {PathUp, PathDown},
+		PathDown:     {PathProbing, PathUp},
+		PathProbing:  {PathUp},
+	}
+	state := map[string]PathState{}
+	for _, n := range notes {
+		if from := state[n.name]; !slices.Contains(next[from], n.state) {
+			t.Fatalf("path %s moved %s → %s", n.name, from, n.state)
+		}
+		state[n.name] = n.state
 	}
 }

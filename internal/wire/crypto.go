@@ -104,7 +104,7 @@ func (s *sealer) putNonce(dst []byte) {
 // kept for tests and header-compat tooling.
 func (s *sealer) appendSealedFrame(dst []byte, h Header, payload []byte) ([]byte, error) {
 	sealedLen := sealedOver + len(payload)
-	if sealedLen > MaxPayload {
+	if sealedLen > maxPayloadOf(h.Type) {
 		return dst, fmt.Errorf("%w: %d bytes sealed", ErrOversize, sealedLen)
 	}
 	if err := checkHeader(h); err != nil {
@@ -128,7 +128,7 @@ func (s *sealer) appendSealedFrame(dst []byte, h Header, payload []byte) ([]byte
 // interface forces it to escape, so a pooled buffer is what keeps the recv
 // leg at zero allocations.
 var aadPool = sync.Pool{New: func() any {
-	b := make([]byte, HeaderLenTraced+maxAckBlockLen)
+	b := make([]byte, HeaderLenTraced+maxPathExt+maxAckBlockLen)
 	return &b
 }}
 

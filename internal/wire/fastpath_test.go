@@ -306,7 +306,7 @@ func TestNackChunking(t *testing.T) {
 	for i := range missing {
 		missing[i] = int64(i)
 	}
-	c.core.oweNack(1, missing)
+	c.core.oweNack(n.now, 1, missing)
 	c.writeControl()
 
 	if len(c.written) != 3 {

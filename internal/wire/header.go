@@ -8,12 +8,13 @@
 // study of the paper is measured.
 //
 // The wire format is a fixed little-endian header followed by the payload.
-// Byte 2 is a flag byte, 1 | traced·2 | acks·4 (flagBase, flagTraced,
-// flagAcks). The base bit is always set; each further bit inserts an
-// extension before the payload length, which stays the LAST two header
-// bytes so that sealing (which authenticates everything before the payload
-// length) is layout-independent. A byte without the base bit, or with a bit above
-// acks, is ErrBadFlags. With neither extension the header is 26 bytes:
+// Byte 2 is a flag byte, 1 | traced·2 | acks·4 | path·8 (flagBase,
+// flagTraced, flagAcks, flagPath). The base bit is always set; each further
+// bit inserts an extension before the payload length, which stays the LAST
+// two header bytes so that sealing (which authenticates everything before
+// the payload length) is layout-independent. A byte without the base bit,
+// or with a bit above path, is ErrBadFlags. With no extension the header is
+// 26 bytes:
 //
 //	off size field
 //	0   2    magic 0xAR7P (0xA27B)
@@ -49,8 +50,7 @@
 //
 // 25 bytes for one range, 109 for eight. A receiver owes an acknowledgement
 // for every data frame and pays it on the next data frame going the other
-// way (Conn.popLocked attaches everything owed to the next frame it
-// sends). A pure TypeAck frame — a header, a block, no payload — leaves only
+// way (connCore.pop attaches everything owed to the next frame it sends). A pure TypeAck frame — a header, a block, no payload — leaves only
 // when nothing rides: once the oldest owed acknowledgement is
 // clamp(SRTT/4, clock granule, 25 ms) old, and at once when the connection
 // has no RTT sample yet (a one-way flow is acknowledged frame by frame), for
@@ -65,9 +65,24 @@
 // The sender takes one RTT sample per block, now − echo − hold, so a held
 // acknowledgement does not inflate SRTT (the controller reacts to delay and
 // rpc.Server anchors deadlines on SRTT/2). The block is part of the AEAD's
-// associated data — it cannot be forged or altered — but travels in the
-// clear like the rest of the header, because PathSet attributes the
-// acknowledged bytes to the subflow that carried them.
+// associated data — it cannot be forged or altered — and travels in the
+// clear like the rest of the header.
+//
+// # Paths
+//
+// Every frame of a multipath conn (DialPaths, DESIGN.md §3i) sets the path
+// bit, which inserts the path extension first, right after the 24-byte
+// prefix, so that a server's Mux finds the session at a fixed offset:
+//
+//	0   8    session id: the conn, whichever access link carried the frame
+//	8   1    path id (0..127) | grouped·128
+//	9   4    FEC group (nonzero), when the grouped bit is set
+//	13  1    index of the frame in its group, when the grouped bit is set
+//
+// A grouped data frame is a member of a cross-path FEC group, whose repair
+// shards travel as TypeParity frames on another path (pathfec.go has their
+// payload). A frame without the path bit encodes byte for byte as it did
+// before multipath moved into the conn.
 //
 // NACK frames carry a list of missing sequence numbers as the payload.
 package wire
@@ -89,6 +104,9 @@ const (
 	TypeNack = 3
 	TypePing = 4
 	TypePong = 5
+	// TypeParity carries one Reed–Solomon repair shard of a cross-path FEC
+	// group (pathfec.go); only a multipath conn sends one.
+	TypeParity = 6
 )
 
 // Codec constants.
@@ -101,6 +119,12 @@ const (
 	flagBase   = 1 // flag byte: always set
 	flagTraced = 2 // flag byte: trace ids present
 	flagAcks   = 4 // flag byte: acknowledgement block present
+	flagPath   = 8 // flag byte: path extension present
+
+	pathExtLen  = 9   // session + path id
+	groupExtLen = 5   // FEC group + index, behind a grouped path id
+	pathGrouped = 128 // path id bit: the FEC group follows
+	maxPathExt  = pathExtLen + groupExtLen
 
 	MaxAckRanges   = 8  // ranges one acknowledgement block can carry
 	ackBlockFixed  = 13 // count + echo + hold
@@ -116,7 +140,22 @@ func headerLen(h Header) int {
 	if h.TraceID|h.SpanID != 0 {
 		n += HeaderLenTraced - HeaderLen
 	}
+	if h.Session != 0 {
+		n += pathExtLen
+		if h.Group != 0 {
+			n += groupExtLen
+		}
+	}
 	return n
+}
+
+// maxPayloadOf bounds a frame's payload by its type: a parity frame's
+// repair shard spans a whole data frame, header included.
+func maxPayloadOf(typ uint8) int {
+	if typ == TypeParity {
+		return maxParityPayload
+	}
+	return MaxPayload
 }
 
 // AckRange acknowledges Run consecutive sequences of one stream, starting
@@ -197,35 +236,48 @@ var (
 	ErrOversize   = errors.New("wire: payload exceeds MaxPayload")
 	ErrTruncated  = errors.New("wire: payload truncated")
 	ErrBadAcks    = errors.New("wire: malformed acknowledgement block")
+	ErrBadPath    = errors.New("wire: malformed path extension")
 )
 
 // Header is the decoded fixed header. TraceID and SpanID are zero on
 // untraced frames; a nonzero TraceID marks the frame as part of
 // a distributed trace and SpanID names the sender's span, which becomes
 // the parent of any span the receiver starts for this frame. Acks is the
-// acknowledgement block riding on the frame, nil when there is none.
+// acknowledgement block riding on the frame, nil when there is none. A
+// nonzero Session marks a multipath frame: Path names the access link that
+// carries it, and a nonzero Group places a data frame at Index of a
+// cross-path FEC group.
 type Header struct {
+	// The path fields sit in the others' padding: a band queue holds a
+	// Header per frame.
 	Type       uint8
+	Path       uint8
 	Stream     uint16
 	Class      uint8
 	Prio       uint8
+	Index      uint8
 	Seq        int64
 	SendMicro  uint64
 	PayloadLen uint16
+	Group      uint32
 	TraceID    uint64
 	SpanID     uint64
 	Acks       AckBlock
+	Session    uint64
 }
 
 // checkHeader is the validation every encoder runs before putHeader.
 func checkHeader(h Header) error {
 	switch h.Type {
-	case TypeData, TypeAck, TypeNack, TypePing, TypePong:
+	case TypeData, TypeAck, TypeNack, TypePing, TypePong, TypeParity:
 	default:
 		return fmt.Errorf("%w: %d", ErrBadType, h.Type)
 	}
 	if len(h.Acks) > 0 && !h.Acks.valid() {
 		return ErrBadAcks
+	}
+	if h.Path >= pathGrouped || h.Session == 0 && (h.Path != 0 || h.Group != 0) || h.Group == 0 && h.Index != 0 {
+		return ErrBadPath
 	}
 	return nil
 }
@@ -234,7 +286,7 @@ func checkHeader(h Header) error {
 // the extended slice. The flag byte says which extensions follow the
 // prefix: trace context, an acknowledgement block, both or neither.
 func AppendFrame(dst []byte, h Header, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
+	if len(payload) > maxPayloadOf(h.Type) {
 		return dst, fmt.Errorf("%w: %d bytes", ErrOversize, len(payload))
 	}
 	if err := checkHeader(h); err != nil {
@@ -262,6 +314,18 @@ func putHeader(dst []byte, h Header, payloadLen int) {
 	binary.LittleEndian.PutUint64(dst[8:], uint64(h.Seq))
 	binary.LittleEndian.PutUint64(dst[16:], h.SendMicro)
 	off := HeaderLen - 2
+	if h.Session != 0 {
+		dst[2] |= flagPath
+		binary.LittleEndian.PutUint64(dst[off:], h.Session)
+		dst[off+8] = h.Path
+		off += pathExtLen
+		if h.Group != 0 {
+			dst[off-1] |= pathGrouped
+			binary.LittleEndian.PutUint32(dst[off:], h.Group)
+			dst[off+4] = h.Index
+			off += groupExtLen
+		}
+	}
 	if h.TraceID|h.SpanID != 0 {
 		dst[2] |= flagTraced
 		binary.LittleEndian.PutUint64(dst[off:], h.TraceID)
@@ -276,9 +340,9 @@ func putHeader(dst []byte, h Header, payloadLen int) {
 }
 
 // DecodeFrame parses one frame from buf, returning the header and a
-// subslice of buf holding the payload. The traced bit additionally yields
-// trace context and the acks bit an acknowledgement block, also a subslice
-// of buf.
+// subslice of buf holding the payload. The path bit additionally yields
+// the session and path, the traced bit trace context and the acks bit an
+// acknowledgement block, also a subslice of buf.
 func DecodeFrame(buf []byte) (Header, []byte, error) {
 	if len(buf) < HeaderLen {
 		return Header{}, nil, ErrShortFrame
@@ -287,7 +351,7 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 		return Header{}, nil, ErrBadMagic
 	}
 	flags := buf[2]
-	if flags&flagBase == 0 || flags > flagBase|flagTraced|flagAcks {
+	if flags&flagBase == 0 || flags > flagBase|flagTraced|flagAcks|flagPath {
 		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadFlags, flags)
 	}
 	h := Header{
@@ -299,6 +363,26 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 		SendMicro: binary.LittleEndian.Uint64(buf[16:]),
 	}
 	hlen := HeaderLen // grows by each extension found before the payload length
+	if flags&flagPath != 0 {
+		if hlen += pathExtLen; len(buf) < hlen {
+			return Header{}, nil, ErrShortFrame
+		}
+		h.Session = binary.LittleEndian.Uint64(buf[hlen-11:])
+		h.Path = buf[hlen-3] &^ pathGrouped
+		if h.Session == 0 {
+			return Header{}, nil, ErrBadPath
+		}
+		if buf[hlen-3]&pathGrouped != 0 {
+			if hlen += groupExtLen; len(buf) < hlen {
+				return Header{}, nil, ErrShortFrame
+			}
+			h.Group = binary.LittleEndian.Uint32(buf[hlen-7:])
+			h.Index = buf[hlen-3]
+			if h.Group == 0 {
+				return Header{}, nil, ErrBadPath
+			}
+		}
+	}
 	if flags&flagTraced != 0 {
 		if hlen += 16; len(buf) < hlen {
 			return Header{}, nil, ErrShortFrame
@@ -322,14 +406,14 @@ func DecodeFrame(buf []byte) (Header, []byte, error) {
 	}
 	h.PayloadLen = binary.LittleEndian.Uint16(buf[hlen-2:])
 	switch h.Type {
-	case TypeData, TypeAck, TypeNack, TypePing, TypePong:
+	case TypeData, TypeAck, TypeNack, TypePing, TypePong, TypeParity:
 	default:
 		return Header{}, nil, fmt.Errorf("%w: %d", ErrBadType, h.Type)
 	}
 	// Mirror the encoder's bound: no conforming sender emits a payload
-	// above MaxPayload, so anything larger is corruption or an attack, and
-	// accepting it would yield headers that cannot round-trip.
-	if int(h.PayloadLen) > MaxPayload {
+	// above its type's bound, so anything larger is corruption or an
+	// attack, and accepting it would yield headers that cannot round-trip.
+	if int(h.PayloadLen) > maxPayloadOf(h.Type) {
 		return Header{}, nil, fmt.Errorf("%w: %d bytes", ErrOversize, h.PayloadLen)
 	}
 	end := hlen + int(h.PayloadLen)

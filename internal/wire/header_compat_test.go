@@ -184,8 +184,8 @@ func TestAckBlockDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestAckBlockIsAuthenticated: the block travels in the clear (PathSet reads
-// it) but inside the AEAD's associated data — flipping any bit of it makes
+// TestAckBlockIsAuthenticated: the block travels in the clear but inside
+// the AEAD's associated data — flipping any bit of it makes
 // the frame undecodable or fails authentication, on both open paths.
 func TestAckBlockIsAuthenticated(t *testing.T) {
 	s, err := newSealer(benchKey)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
@@ -10,9 +11,10 @@ import (
 )
 
 // Mux serves many ARTP peers over one datagram transport: each remote
-// address gets its own Conn (own streams, own congestion controller, own
-// retransmission state), which is what a real offloading server needs —
-// one surrogate, many mobile devices.
+// address — or, for a multipath client, each session, whichever path its
+// frames arrive by — gets its own Conn (own streams, own congestion
+// controller, own retransmission state), which is what a real offloading
+// server needs — one surrogate, many mobile devices.
 type Mux struct {
 	pc    PacketConn
 	clock vclock.Clock
@@ -22,8 +24,27 @@ type Mux struct {
 	configFor func(peer *net.UDPAddr) Config
 
 	mu     sync.Mutex
-	conns  map[netip.AddrPort]*Conn // keyed by PeerKey
+	conns  map[muxKey]*Conn
 	closed bool
+}
+
+// muxKey names a Mux's conn: a multipath client's by its session, any
+// other by its PeerKey.
+type muxKey struct {
+	peer    netip.AddrPort
+	session uint64
+}
+
+// keyOf is the key of the conn a datagram from raddr belongs to. A frame
+// with the path bit names its session at a fixed offset (header.go); the
+// conn authenticates it with the rest of the header.
+func keyOf(dgram []byte, raddr *net.UDPAddr) muxKey {
+	if len(dgram) >= HeaderLen+pathExtLen && binary.LittleEndian.Uint16(dgram) == Magic && dgram[2]&flagPath != 0 {
+		if s := binary.LittleEndian.Uint64(dgram[HeaderLen-2:]); s != 0 {
+			return muxKey{session: s}
+		}
+	}
+	return muxKey{peer: PeerKey(raddr)}
 }
 
 // PeerKey is the comparable form of a peer address, the key of every
@@ -73,7 +94,7 @@ func ListenMuxVia(pc PacketConn, configFor func(peer *net.UDPAddr) Config, opts 
 		pc:        pc,
 		clock:     vclock.System,
 		configFor: configFor,
-		conns:     make(map[netip.AddrPort]*Conn),
+		conns:     make(map[muxKey]*Conn),
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -111,7 +132,7 @@ func (m *Mux) Close() error {
 	for _, c := range m.conns {
 		conns = append(conns, c)
 	}
-	m.conns = map[netip.AddrPort]*Conn{}
+	m.conns = map[muxKey]*Conn{}
 	m.mu.Unlock()
 
 	for _, c := range conns {
@@ -125,14 +146,14 @@ func (m *Mux) Close() error {
 // it — a socket's reader, a demux shard's drain or a simulation's event
 // loop — exactly as a Dial or Listen conn receives.
 func (m *Mux) route(dgram []byte, raddr *net.UDPAddr, backlog int) {
-	if conn := m.connFor(raddr); conn != nil { // nil: shutting down
+	if conn := m.connFor(keyOf(dgram, raddr), raddr); conn != nil { // nil: shutting down
 		conn.handleDatagram(dgram, raddr, backlog)
 	}
 }
 
-// connFor returns (creating if necessary) the peer's connection.
-func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
-	key := PeerKey(raddr)
+// connFor returns (creating if necessary) the connection of key, whose
+// datagram came from raddr.
+func (m *Mux) connFor(key muxKey, raddr *net.UDPAddr) *Conn {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -146,7 +167,7 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 
 	// Build outside the lock: configFor is user code.
 	cfg := m.configFor(raddr)
-	c, err := newMuxConn(m, raddr, cfg)
+	c, err := newMuxConn(m, key, raddr, cfg)
 	if err != nil {
 		return nil
 	}
@@ -171,7 +192,7 @@ func (m *Mux) connFor(raddr *net.UDPAddr) *Conn {
 // dropConn removes a closing connection from the peer table, but only if
 // it is still the registered connection for its key — a duplicate conn
 // losing the accept race must not evict the winner.
-func (m *Mux) dropConn(key netip.AddrPort, c *Conn) {
+func (m *Mux) dropConn(key muxKey, c *Conn) {
 	m.mu.Lock()
 	if m.conns[key] == c {
 		delete(m.conns, key)
@@ -180,7 +201,7 @@ func (m *Mux) dropConn(key netip.AddrPort, c *Conn) {
 }
 
 // newMuxConn builds a per-peer Conn that shares the mux transport.
-func newMuxConn(m *Mux, peer *net.UDPAddr, cfg Config) (*Conn, error) {
+func newMuxConn(m *Mux, key muxKey, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = m.clock
 	}
@@ -188,8 +209,6 @@ func newMuxConn(m *Mux, peer *net.UDPAddr, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.muxced = true
-	key := PeerKey(peer)
 	c.onClose = func() { m.dropConn(key, c) }
 	c.start()
 	return c, nil

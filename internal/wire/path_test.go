@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,221 +16,416 @@ import (
 // --- codec -----------------------------------------------------------------
 
 func TestPathCodecDataRoundTrip(t *testing.T) {
-	inner, err := AppendFrame(nil, Header{Type: TypeData, Stream: 3, Class: uint8(core.ClassLossRecovery),
-		Prio: uint8(core.PrioHighest), Seq: 42}, []byte("pose-update"))
+	h := Header{Type: TypeData, Stream: 3, Class: uint8(core.ClassLossRecovery), Prio: uint8(core.PrioHighest),
+		Seq: 42, SendMicro: 7, Session: 0xDEADBEEF, Path: 1, Group: 77, Index: 3, TraceID: 5, SpanID: 6}
+	frame, err := AppendFrame(nil, h, []byte("pose-update"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := AppendPathData(nil, 0xDEADBEEF, 1, 77, 3, inner)
-	if !IsPathFrame(frame) {
-		t.Fatal("encoded path frame not recognized")
+	if frame[2] != flagBase|flagTraced|flagPath || len(frame) != HeaderLenTraced+pathExtLen+groupExtLen+len("pose-update") {
+		t.Fatalf("flags %#x, %d bytes", frame[2], len(frame))
 	}
-	if DecodeFrame(frame); true {
-		if _, _, err := DecodeFrame(frame); err == nil {
-			t.Fatal("path frame must not decode as a plain ARTP frame")
-		}
+	if got := keyOf(frame, pathAddr(1)); got != (muxKey{session: 0xDEADBEEF}) {
+		t.Fatalf("a Mux keys the frame as %+v, want its session", got)
 	}
-	hdr, body, err := DecodePathHeader(frame)
-	if err != nil {
-		t.Fatal(err)
+	got, payload, err := DecodeFrame(frame)
+	if err != nil || !sameHeader(got, Header{PayloadLen: 11, Type: h.Type, Stream: h.Stream, Class: h.Class, Prio: h.Prio,
+		Seq: h.Seq, SendMicro: h.SendMicro, Session: h.Session, Path: h.Path, Group: h.Group, Index: h.Index,
+		TraceID: h.TraceID, SpanID: h.SpanID}) || string(payload) != "pose-update" {
+		t.Fatalf("round trip: %v %+v %q", err, got, payload)
 	}
-	if hdr.Kind != PathKindData || hdr.Session != 0xDEADBEEF || hdr.PathID != 1 {
-		t.Fatalf("header mismatch: %+v", hdr)
-	}
-	group, index, gotInner, err := DecodePathData(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group != 77 || index != 3 || !bytes.Equal(gotInner, inner) {
-		t.Fatalf("data mismatch: group=%d index=%d", group, index)
+	// Ungrouped: the path extension alone.
+	h.Group, h.Index, h.TraceID, h.SpanID = 0, 0, 0, 0
+	frame, _ = AppendFrame(nil, h, nil)
+	if got, _, err := DecodeFrame(frame); err != nil || got.Group != 0 || got.Path != 1 || len(frame) != HeaderLen+pathExtLen {
+		t.Fatalf("ungrouped: %v %+v, %d bytes", err, got, len(frame))
 	}
 }
 
 func TestPathCodecProbeRoundTrip(t *testing.T) {
-	p := PathProbe{Seq: 9, SendMicro: 123456, SRTTMicro: 4200, IntervalMicro: 50000, State: uint8(PathDegraded)}
-	for _, kind := range []uint8{PathKindProbe, PathKindProbeAck} {
-		frame := AppendPathProbe(nil, kind, 7, 0, p)
-		hdr, body, err := DecodePathHeader(frame)
-		if err != nil || hdr.Kind != kind {
-			t.Fatalf("kind %d: %v %+v", kind, err, hdr)
+	ad := []byte{0x68, 0x10, 0, 0, uint8(PathDegraded)}
+	for _, typ := range []uint8{TypePing, TypePong} {
+		frame, err := AppendFrame(nil, Header{Type: typ, SendMicro: 123456, Session: 7, Path: 2}, ad)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err := DecodePathProbe(body)
-		if err != nil || got != p {
-			t.Fatalf("probe mismatch: %v %+v", err, got)
+		got, payload, err := DecodeFrame(frame)
+		if err != nil || got.Type != typ || got.Session != 7 || got.Path != 2 || got.SendMicro != 123456 || !bytes.Equal(payload, ad) {
+			t.Fatalf("type %d: %v %+v %x", typ, err, got, payload)
 		}
 	}
 }
 
 func TestPathCodecParityRoundTrip(t *testing.T) {
 	shard := bytes.Repeat([]byte{0xAB}, 64)
-	h := PathParityHeader{Group: 5, Index: 4, K: 4, M: 2, Actual: 3, ShardLen: 64}
-	frame := AppendPathParity(nil, 99, 1, h, shard)
-	hdr, body, err := DecodePathHeader(frame)
-	if err != nil || hdr.Kind != PathKindParity {
+	h := parityHeader{Group: 5, Index: 4, K: 4, M: 2, Actual: 3, ShardLen: 64}
+	frame, err := AppendFrame(nil, Header{Type: TypeParity, Session: 99, Path: 1}, appendParity(nil, h, shard))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotShard, err := DecodePathParity(body)
+	hdr, payload, err := DecodeFrame(frame)
+	if err != nil || hdr.Type != TypeParity {
+		t.Fatal(err)
+	}
+	got, gotShard, err := parseParity(payload)
 	if err != nil || got != h || !bytes.Equal(gotShard, shard) {
 		t.Fatalf("parity mismatch: %v %+v", err, got)
+	}
+	// A parity frame spans a whole data frame, so it may exceed MaxPayload.
+	big := make([]byte, maxShardLen)
+	if _, err := AppendFrame(nil, Header{Type: TypeParity, Session: 1}, appendParity(nil, parityHeader{Group: 1, Index: 1, K: 1, M: 1, ShardLen: maxShardLen}, big)); err != nil {
+		t.Fatalf("a full-size parity frame: %v", err)
 	}
 }
 
 func TestPathCodecRejectsGarbage(t *testing.T) {
-	if IsPathFrame([]byte{1, 2, 3}) {
-		t.Fatal("short buffer recognized as path frame")
-	}
 	plain, _ := AppendFrame(nil, Header{Type: TypeData, Stream: 1, Seq: 1}, []byte("x"))
-	if IsPathFrame(plain) {
-		t.Fatal("plain ARTP frame recognized as path frame")
+	if got := keyOf(plain, pathAddr(0)); got.session != 0 {
+		t.Fatal("a plain frame keyed by session")
 	}
-	if _, _, err := DecodePathHeader(plain); !errors.Is(err, ErrNotPathFrame) {
-		t.Fatalf("want ErrNotPathFrame, got %v", err)
+	for _, h := range []Header{
+		{Type: TypeData, Path: 1},                          // a path without a session
+		{Type: TypeData, Session: 1, Path: pathGrouped},    // path id past 127
+		{Type: TypeData, Session: 1, Index: 2},             // an index without a group
+		{Type: TypeData, Group: 3},                         // a group without a session
+		{Type: TypeData, Session: 1, Path: 1, Group: 0xff}, // fine
+	} {
+		_, err := AppendFrame(nil, h, nil)
+		if (err == nil) != (h.Group == 0xff) {
+			t.Errorf("%+v: %v", h, err)
+		}
 	}
-	bad := AppendPathData(nil, 1, 0, 0, 0, []byte("x"))
-	bad[3] = 99 // unknown kind
-	if _, _, err := DecodePathHeader(bad); !errors.Is(err, ErrBadPathKind) {
-		t.Fatalf("want ErrBadPathKind, got %v", err)
+	grouped, _ := AppendFrame(nil, Header{Type: TypeData, Session: 1, Group: 9}, nil)
+	zero := bytes.Clone(grouped)
+	zero[HeaderLen-2+pathExtLen] = 0 // group 0 behind the grouped bit
+	zero[HeaderLen-2+pathExtLen+1], zero[HeaderLen-2+pathExtLen+2], zero[HeaderLen-2+pathExtLen+3] = 0, 0, 0
+	noSession := bytes.Clone(grouped)
+	clear(noSession[HeaderLen-2 : HeaderLen-2+8])
+	for name, b := range map[string][]byte{"group 0": zero, "session 0": noSession} {
+		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadPath) {
+			t.Errorf("%s: want ErrBadPath, got %v", name, err)
+		}
 	}
-	if _, _, _, err := DecodePathData([]byte{1, 2}); !errors.Is(err, ErrPathTruncated) {
-		t.Fatalf("want ErrPathTruncated, got %v", err)
+	if _, _, err := DecodeFrame(grouped[:HeaderLen+pathExtLen]); !errors.Is(err, ErrShortFrame) {
+		t.Errorf("truncated group: want ErrShortFrame, got %v", err)
 	}
 	// Parity geometry violations must all be rejected.
 	shard := make([]byte, 8)
-	for _, h := range []PathParityHeader{
+	for _, h := range []parityHeader{
 		{Group: 0, Index: 4, K: 4, M: 2, ShardLen: 8},            // group 0 reserved
 		{Group: 1, Index: 2, K: 4, M: 2, ShardLen: 8},            // index below K
 		{Group: 1, Index: 6, K: 4, M: 2, ShardLen: 8},            // index past K+M
 		{Group: 1, Index: 4, K: 4, M: 2, Actual: 5, ShardLen: 8}, // actual > K
 		{Group: 1, Index: 4, K: 0, M: 2, ShardLen: 8},            // zero K
 		{Group: 1, Index: 4, K: 4, M: 0, ShardLen: 8},            // zero M
+		{Group: 1, Index: 16, K: 15, M: 2, ShardLen: 8},          // K+M past 16
+		{Group: 1, Index: 4, K: 4, M: 2, ShardLen: 9},            // shard length lying
 	} {
-		frame := AppendPathParity(nil, 1, 0, h, shard)
-		_, body, err := DecodePathHeader(frame)
-		if err != nil {
-			continue // bad kind paths can't even build; fine
-		}
-		if _, _, err := DecodePathParity(body); err == nil {
-			t.Fatalf("geometry %+v accepted", h)
+		if _, _, err := parseParity(appendParity(nil, h, shard)); !errors.Is(err, ErrBadPath) {
+			t.Errorf("geometry %+v: %v", h, err)
 		}
 	}
-	// Truncated shard.
-	ok := AppendPathParity(nil, 1, 0, PathParityHeader{Group: 1, Index: 4, K: 4, M: 2, ShardLen: 8}, shard)
-	_, body, _ := DecodePathHeader(ok[:len(ok)-3])
-	if _, _, err := DecodePathParity(body); err == nil {
-		t.Fatal("truncated shard accepted")
+	if _, _, err := parseParity(make([]byte, parityHeadLen-1)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated parity header: %v", err)
 	}
 }
 
 // --- cross-path FEC --------------------------------------------------------
 
-// innerFrame builds a distinguishable reliable data frame.
-func innerFrame(t testing.TB, seq int64, size int) []byte {
+// innerFrame is a distinguishable reliable data frame's header and payload.
+func innerFrame(seq int64, size int) (Header, []byte) {
+	return Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassLossRecovery), Prio: uint8(core.PrioHighest), Seq: seq},
+		bytes.Repeat([]byte{byte(seq)}, size)
+}
+
+// parityOf seals path's open group and returns its repair shards.
+func parityOf(t *testing.T, tx *fecTx, path int) (hdrs []parityHeader, shards [][]byte) {
 	t.Helper()
-	payload := bytes.Repeat([]byte{byte(seq)}, size)
-	f, err := AppendFrame(nil, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassLossRecovery),
-		Prio: uint8(core.PrioHighest), Seq: seq}, payload)
-	if err != nil {
-		t.Fatal(err)
+	h, repair := tx.seal(path)
+	for i, shard := range repair {
+		h.Index = h.K + uint8(i)
+		hdrs = append(hdrs, h)
+		shards = append(shards, shard)
 	}
-	return f
+	return hdrs, shards
+}
+
+// frames splits repaired, the receiver's queue, into frames.
+func frames(p *pathTable) [][]byte {
+	var out [][]byte
+	for f, _, ok := popDatagram(&p.repaired, &p.repairedHead, nil); ok; f, _, ok = popDatagram(&p.repaired, &p.repairedHead, nil) {
+		out = append(out, f)
+	}
+	return out
 }
 
 func TestPathFECRepairsDrops(t *testing.T) {
-	tx, err := newFECGroups(4, 2)
+	tx, err := newFECTx(4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := newFECReassembler()
-
+	var rx pathTable
 	type sent struct {
-		group  uint32
-		index  uint8
-		inner  []byte
-		parity []parityOut
+		group uint32
+		index uint8
+		image []byte
 	}
-	var frames []sent
+	var sents []sent
 	for seq := int64(0); seq < 4; seq++ {
-		inner := innerFrame(t, seq, 40+10*int(seq)) // unequal sizes exercise padding
-		g, i, parity := tx.place(0, inner)
-		frames = append(frames, sent{g, i, inner, parity})
+		h, p := innerFrame(seq, 40+10*int(seq)) // unequal sizes exercise padding
+		g, i, full := tx.place(0, h, p, time.Time{})
+		sents = append(sents, sent{g, i, groupImage(nil, h, p)})
+		if full != (seq == 3) {
+			t.Fatalf("frame %d: full=%v", seq, full)
+		}
 	}
-	if frames[3].parity == nil {
-		t.Fatal("full group emitted no parity")
-	}
+	hdrs, shards := parityOf(t, tx, 0)
 	// Deliver frames 0 and 3; drop 1 and 2 (a 2-burst); then the parity.
-	var recovered [][]byte
-	recovered = append(recovered, rx.onData(frames[0].group, frames[0].index, frames[0].inner)...)
-	recovered = append(recovered, rx.onData(frames[3].group, frames[3].index, frames[3].inner)...)
-	for _, p := range frames[3].parity {
-		recovered = append(recovered, rx.onParity(p.hdr, p.shard)...)
+	for _, s := range []sent{sents[0], sents[3]} {
+		rx.repaired = rx.rx.onData(s.group, s.index, s.image, rx.repaired)
 	}
-	if len(recovered) != 2 {
-		t.Fatalf("recovered %d frames, want 2", len(recovered))
+	for i := range hdrs {
+		rx.repaired = rx.rx.onParity(hdrs[i], shards[i], rx.repaired)
 	}
-	if !bytes.Equal(recovered[0], frames[1].inner) || !bytes.Equal(recovered[1], frames[2].inner) {
-		t.Fatal("recovered frames do not match the dropped originals")
+	got := frames(&rx)
+	if len(got) != 2 || !bytes.Equal(got[0], sents[1].image) || !bytes.Equal(got[1], sents[2].image) {
+		t.Fatalf("recovered %d frames, want the dropped originals", len(got))
 	}
-	if rx.Repaired != 2 || rx.Unrepaired != 0 {
-		t.Fatalf("accounting: repaired=%d unrepaired=%d", rx.Repaired, rx.Unrepaired)
+	if rx.rx.repaired != 2 || rx.rx.unrepaired != 0 {
+		t.Fatalf("accounting: repaired=%d unrepaired=%d", rx.rx.repaired, rx.rx.unrepaired)
 	}
 }
 
 func TestPathFECShortFlush(t *testing.T) {
-	tx, _ := newFECGroups(4, 2)
-	rx := newFECReassembler()
-	a := innerFrame(t, 1, 30)
-	b := innerFrame(t, 2, 50)
-	g1, _, parity := tx.place(0, a)
-	if parity != nil {
-		t.Fatal("premature parity")
-	}
-	tx.place(0, b)
-	out := tx.flush()
-	if len(out) != 2 {
-		t.Fatalf("flush produced %d shards, want 2", len(out))
-	}
-	if out[0].hdr.Actual != 2 || out[0].hdr.K != 4 {
-		t.Fatalf("short-flush header: %+v", out[0].hdr)
+	tx, _ := newFECTx(4, 2, 1)
+	var rx pathTable
+	ha, pa := innerFrame(1, 30)
+	hb, pb := innerFrame(2, 50)
+	g, _, _ := tx.place(0, ha, pa, time.Time{})
+	tx.place(0, hb, pb, time.Time{})
+	hdrs, shards := parityOf(t, tx, 0)
+	if len(hdrs) != 2 || hdrs[0].Actual != 2 || hdrs[0].K != 4 {
+		t.Fatalf("short-flush headers: %+v", hdrs)
 	}
 	// Drop frame a entirely; parity + frame b must still regenerate it,
 	// because indexes 2..3 are implicit zero shards.
-	rx.onData(g1, 1, b)
-	var rec [][]byte
-	for _, p := range out {
-		rec = append(rec, rx.onParity(p.hdr, p.shard)...)
+	rx.repaired = rx.rx.onData(g, 1, groupImage(nil, hb, pb), rx.repaired)
+	for i := range hdrs {
+		rx.repaired = rx.rx.onParity(hdrs[i], shards[i], rx.repaired)
 	}
-	if len(rec) != 1 || !bytes.Equal(rec[0], a) {
-		t.Fatalf("short-flush repair failed: %d frames", len(rec))
+	if got := frames(&rx); len(got) != 1 || !bytes.Equal(got[0], groupImage(nil, ha, pa)) {
+		t.Fatalf("short-flush repair failed: %d frames", len(got))
 	}
 }
 
 func TestPathFECUnrepairedAccounting(t *testing.T) {
-	tx, _ := newFECGroups(2, 1)
-	rx := newFECReassembler()
-	a := innerFrame(t, 1, 20)
-	b := innerFrame(t, 2, 20)
-	g, _, _ := tx.place(0, a)
-	_, _, parity := tx.place(0, b)
+	tx, _ := newFECTx(2, 1, 1)
+	var rx fecRx
+	for seq := int64(1); seq <= 2; seq++ {
+		h, p := innerFrame(seq, 20)
+		tx.place(0, h, p, time.Time{})
+	}
 	// Both data frames lost, only parity arrives: 1 shard of 2 needed.
-	for _, p := range parity {
-		if got := rx.onParity(p.hdr, p.shard); got != nil {
-			t.Fatal("impossible reconstruction")
-		}
+	hdrs, shards := parityOf(t, tx, 0)
+	if out := rx.onParity(hdrs[0], shards[0], nil); out != nil {
+		t.Fatal("impossible reconstruction")
 	}
 	rx.drain()
-	if rx.Unrepaired != 2 {
-		t.Fatalf("unrepaired=%d want 2 (group %d)", rx.Unrepaired, g)
+	rx.drain() // a second drain counts nothing twice
+	if rx.unrepaired != 2 {
+		t.Fatalf("unrepaired=%d want 2", rx.unrepaired)
 	}
 }
 
-// --- hub: a deterministic in-memory multi-endpoint network -----------------
+// --- the client's paths, on a coreNet ------------------------------------
 
-// measured is a subpath estimator that has seen one probe answer, rtt.
+// blackhole drops every frame either way on path while *on holds.
+func blackhole(n *coreNet, path uint8, on *bool) {
+	n.fate = func(_ *coreEnd, frame []byte) (int, time.Duration) {
+		if h, _, err := DecodeFrame(frame); err == nil && *on && h.Session != 0 && h.Path == path {
+			return 0, 0
+		}
+		return 1, 0
+	}
+}
+
+// dataOn lists, per written data frame of e at or after from, its path and
+// sequence.
+func dataOn(e *coreEnd, from time.Time) (paths []uint8, seqs []int64) {
+	for i, f := range e.written {
+		if h, _, err := DecodeFrame(f); err == nil && h.Type == TypeData && !e.writtenAt[i].Before(from) {
+			paths, seqs = append(paths, h.Path), append(seqs, h.Seq)
+		}
+	}
+	return paths, seqs
+}
+
+func TestPathSetProbeStateMachine(t *testing.T) {
+	n := newCoreNet(5 * time.Millisecond)
+	cli, srv := n.pair(Config{StartBudget: 1e7}, Config{StartBudget: 1e7})
+	cli.dialPaths(2, PathOptions{Session: 11})
+	dark := false
+	blackhole(n, 0, &dark)
+	n.run(220 * time.Millisecond)
+	for i := range cli.core.paths.paths {
+		if pa := cli.core.paths.paths[i]; pa.state != PathUp || pa.pending != 0 || pa.rtt.Smoothed() != 10*time.Millisecond {
+			t.Fatalf("path %d not healthy: %s with %d probes unanswered, SRTT %v", i, pa.state, pa.pending, pa.rtt.Smoothed())
+		}
+	}
+	if len(srv.core.paths.paths) != 2 {
+		t.Fatalf("the server learned %d paths, want 2", len(srv.core.paths.paths))
+	}
+
+	// Two unanswered probes declare the path down.
+	dark = true
+	n.run(150 * time.Millisecond)
+	if st := cli.core.paths.paths[0].state; st != PathDown {
+		t.Fatalf("path0 should be down, is %s", st)
+	}
+	if st := cli.core.paths.paths[1].state; st != PathUp {
+		t.Fatalf("path1 should be up, is %s", st)
+	}
+	// Heal: the next round probes, and its answer revives the path.
+	dark = false
+	n.run(50 * time.Millisecond)
+	if st := cli.core.paths.paths[0].state; st != PathUp {
+		t.Fatalf("path0 should recover to up, is %s", st)
+	}
+	want := []pathNote{{"path0", PathDown}, {"path0", PathProbing}, {"path0", PathUp}}
+	if !slices.Equal(cli.notes, want) {
+		t.Fatalf("transitions %v, want %v", cli.notes, want)
+	}
+}
+
+func TestPathSetFailoverEvacuatesInflight(t *testing.T) {
+	n := newCoreNet(5 * time.Millisecond)
+	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioHighest, Rate: 1e6}}
+	cli, srv := n.pair(Config{Streams: streams, StartBudget: 1e7}, Config{StartBudget: 1e7})
+	cli.dialPaths(2, PathOptions{Session: 12})
+	dark := false
+	blackhole(n, 0, &dark)
+	var got []int64
+	srv.onMessage = func(m Message) { got = append(got, int64(m.Payload[0])) }
+	n.run(61 * time.Millisecond) // both paths answered once, with equal RTTs: path0 preferred
+	dark = true
+	at := n.now
+	for seq := 0; seq < 3; seq++ {
+		coreSend(t, cli, 2, []byte{byte(seq)})
+	}
+	n.run(5 * time.Millisecond)
+	if paths, _ := dataOn(cli, at); !slices.Equal(paths, []uint8{0, 0, 0}) {
+		t.Fatalf("reliable frames took paths %v, want the preferred one", paths)
+	}
+	// The round at 200 ms finds path0's probes of 100 ms and 150 ms
+	// unanswered: it dies, and its frames leave on path1 before the sweep
+	// could call them lost.
+	at = n.now
+	n.run(150 * time.Millisecond)
+	paths, seqs := dataOn(cli, at)
+	if !slices.Equal(paths, []uint8{1, 1, 1}) || !slices.Equal(seqs, []int64{0, 1, 2}) {
+		t.Fatalf("after the failover: frames %v on paths %v, want 0 1 2 on path 1 (deterministic order)", seqs, paths)
+	}
+	if f, retx := cli.core.paths.failover, cli.core.stream(2).retx; f != 3 || retx != 0 {
+		t.Fatalf("failover frames %d, retransmissions %d; want 3 and none", f, retx)
+	}
+	if !slices.Equal(got, []int64{0, 1, 2}) {
+		t.Fatalf("server got %v", got)
+	}
+}
+
+func TestPathSetInteractivePinningAndStriping(t *testing.T) {
+	n := newCoreNet(5 * time.Millisecond)
+	streams := []StreamSpec{
+		{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e6},
+		{ID: 5, Class: core.ClassFullBestEffort, Priority: core.PrioNoDelay, Rate: 1e7},
+	}
+	cli, _ := n.pair(Config{Streams: streams, StartBudget: 1e8}, Config{StartBudget: 1e7})
+	cli.dialPaths(2, PathOptions{Session: 13, Stripe: true})
+	n.run(60 * time.Millisecond)
+	cli.core.paths.paths[0].rtt = measured(5 * time.Millisecond)
+	cli.core.paths.paths[1].rtt = measured(30 * time.Millisecond)
+
+	// Band-0 (interactive) frames all pin to path0, the lowest-SRTT path.
+	at := n.now
+	for seq := 0; seq < 5; seq++ {
+		coreSend(t, cli, 1, []byte("pose"))
+	}
+	n.run(time.Millisecond)
+	if paths, _ := dataOn(cli, at); !slices.Equal(paths, []uint8{0, 0, 0, 0, 0}) {
+		t.Fatalf("interactive frames took paths %v, want path 0 alone", paths)
+	}
+	// Bulk (band-1, best-effort) frames stripe across both live paths.
+	n.run(time.Millisecond)
+	at = n.now
+	for seq := 0; seq < 10; seq++ {
+		coreSend(t, cli, 5, []byte("bulk"))
+		n.run(time.Millisecond) // the stream's token bucket refills
+	}
+	paths, _ := dataOn(cli, at)
+	if !slices.Contains(paths, 0) || !slices.Contains(paths, 1) {
+		t.Fatalf("bulk frames did not stripe: %v", paths)
+	}
+}
+
+// measured is a path estimator that has seen one probe answer, rtt.
 func measured(rtt time.Duration) core.RTT {
 	var r core.RTT
 	r.Update(rtt)
 	return r
 }
+
+// TestPathSetRebasesOntoTheEchoedFramesPath: the controller's delay sample
+// is rebased onto the base RTT of the path that carried the frame the
+// acknowledgement echoes — a best-effort frame as much as a reliable one,
+// however recently another class took the other path.
+func TestPathSetRebasesOntoTheEchoedFramesPath(t *testing.T) {
+	p, err := newClientPaths([]PathConf{{Name: "wifi"}, {Name: "lte"}}, PathOptions{Session: 42, Stripe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lte := 0
+	write := func(stamp uint64, class core.Class, prio core.Priority) {
+		h := Header{Type: TypeData, Stream: 3, Class: uint8(class), Prio: uint8(prio), SendMicro: stamp}
+		i := p.pick(&h, time.Time{})
+		p.stamp(stamp, i)
+		lte += i
+	}
+	ms := time.Millisecond
+	if got := p.rebase(80*ms, 100); got != 80*ms {
+		t.Errorf("before any probe answer: %v, want the sample passed through", got)
+	}
+	p.paths[0].rtt = measured(16 * ms)
+	p.paths[1].rtt = measured(76 * ms)
+	p.paths[0].state = PathDown
+	write(100, core.ClassFullBestEffort, core.PrioLowest) // LTE: the only live path
+	p.paths[0].state = PathUp
+	write(200, core.ClassCritical, core.PrioHighest)      // pinned to WiFi
+	write(300, core.ClassFullBestEffort, core.PrioLowest) // one stamp, striped
+	write(300, core.ClassFullBestEffort, core.PrioLowest) // over both paths
+	if lte != 2 {
+		t.Fatalf("LTE carried %d frames, want the best-effort one and half the stripe", lte)
+	}
+	for _, tc := range []struct {
+		rtt  time.Duration
+		echo uint64
+		want time.Duration
+	}{
+		{80 * ms, 100, 14 * ms}, // best-effort on LTE, after which a critical frame took WiFi
+		{70 * ms, 100, 10 * ms}, // faster than LTE's fastest probe: no queue at all
+		{20 * ms, 200, 14 * ms}, // critical on WiFi
+		{80 * ms, 200, 74 * ms}, // a queue on WiFi, not hidden by LTE's base
+		{20 * ms, 300, 14 * ms}, // the stripe's WiFi frame: LTE's base is above the sample
+		{80 * ms, 300, 14 * ms}, // the stripe's LTE frame
+		{80 * ms, 50, 14 * ms},  // a stamp never written: any path could have carried it
+		{40 * ms, 50, 34 * ms},
+	} {
+		if got := p.rebase(tc.rtt, tc.echo); got != tc.want {
+			t.Errorf("rebase(%v, echo %d) = %v, want %v", tc.rtt, tc.echo, got, tc.want)
+		}
+	}
+}
+
+// --- hub: a deterministic in-memory multi-endpoint network -----------------
 
 // hub connects named endpoints; writes deliver synchronously to the
 // destination's recv callback — or, given a clock, delay later on it.
@@ -285,238 +479,40 @@ func (e *hubEP) LocalAddr() net.Addr                                       { ret
 func (e *hubEP) Close() error                                              { e.closed = true; return nil }
 func (e *hubEP) Start(fn func(pkt []byte, from *net.UDPAddr, backlog int)) { e.recv = fn }
 
-// --- path set state machine ------------------------------------------------
-
-func TestPathSetProbeStateMachine(t *testing.T) {
-	clock := newManualClock()
-	h := newHub()
-	wifi, lte := h.endpoint(1), h.endpoint(2)
-	server := h.endpoint(100)
-	// The server endpoint answers probes like a router would.
-	server.Start(func(pkt []byte, from *net.UDPAddr, _ int) {
-		if IsPathFrame(pkt) {
-			if hdr, _, err := DecodePathHeader(pkt); err == nil && hdr.Kind == PathKindProbe {
-				ack := append([]byte(nil), pkt...)
-				ack[3] = PathKindProbeAck
-				server.WriteToUDP(ack, from)
-			}
-		}
-	})
-
-	var transitions []string
-	var tmu sync.Mutex
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{
-			Session: 11, Clock: clock, Peer: server.addr,
-			ProbeInterval: 50 * time.Millisecond, ProbeMiss: 2,
-			OnPathState: func(path string, st PathState) {
-				tmu.Lock()
-				transitions = append(transitions, fmt.Sprintf("%s:%s", path, st))
-				tmu.Unlock()
-			},
-		})
+// dialHub dials a multipath conn over hub endpoints wifi and lte.
+func dialHub(t *testing.T, wifi, lte *hubEP, peer *net.UDPAddr, cfg Config, opts PathOptions) *Conn {
+	t.Helper()
+	c, err := DialPaths([]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}}, peer, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr, int) {})
-
-	for i := 0; i < 4; i++ {
-		clock.advance(50 * time.Millisecond)
-	}
-	// Inline hub: RTT is 0 virtual time, SRTT stays 0 — but each path's
-	// last probe must have been answered and the path must be up.
-	for i, name := range []string{"wifi", "lte"} {
-		if st, pending := pathState(ps, i); st != PathUp || pending != 0 {
-			t.Fatalf("path %s not healthy: %s with %d probes unanswered", name, st, pending)
-		}
-	}
-
-	// Blackhole wifi in both directions.
-	h.mu.Lock()
-	h.drop = func(src, dst *net.UDPAddr, _ []byte) bool {
-		return src.String() == wifi.addr.String() || dst.String() == wifi.addr.String()
-	}
-	h.mu.Unlock()
-
-	// Two unanswered probes declare the path down; one more fire moves it
-	// to probing.
-	for i := 0; i < 3; i++ {
-		clock.advance(50 * time.Millisecond)
-	}
-	if st, _ := pathState(ps, 0); st != PathDown && st != PathProbing {
-		t.Fatalf("wifi should be down/probing, is %s", st)
-	}
-	if st, _ := pathState(ps, 1); st != PathUp {
-		t.Fatalf("lte should be up, is %s", st)
-	}
-	tmu.Lock()
-	downs := strings.Count(strings.Join(transitions, " "), "wifi:"+PathDown.String())
-	tmu.Unlock()
-	if downs != 1 {
-		t.Fatalf("wifi downs=%d want 1", downs)
-	}
-
-	// Heal the network: the next answered probe revives the path.
-	h.mu.Lock()
-	h.drop = nil
-	h.mu.Unlock()
-	clock.advance(50 * time.Millisecond)
-	if got, _ := pathState(ps, 0); got != PathUp {
-		t.Fatalf("wifi should recover to up, is %s", got)
-	}
-
-	tmu.Lock()
-	defer tmu.Unlock()
-	want := []string{"wifi:down", "wifi:probing", "wifi:up"}
-	if len(transitions) != len(want) {
-		t.Fatalf("transitions %v, want %v", transitions, want)
-	}
-	for i := range want {
-		if transitions[i] != want[i] {
-			t.Fatalf("transitions %v, want %v", transitions, want)
-		}
-	}
-}
-
-func TestPathSetFailoverEvacuatesInflight(t *testing.T) {
-	clock := newManualClock()
-	h := newHub()
-	wifi, lte := h.endpoint(1), h.endpoint(2)
-	server := h.endpoint(100)
-	server.Start(func([]byte, *net.UDPAddr, int) {}) // mute server: nothing acked
-
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 12, Clock: clock, Peer: server.addr,
-			ProbeInterval: 50 * time.Millisecond, ProbeMiss: 2},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr, int) {})
-
-	var requeued []frameKey
-	ps.mu.Lock()
-	ps.requeue = func(keys []frameKey) { requeued = append(requeued, keys...) }
-	// Pin wifi as the best path so the reliable frames land on it.
-	ps.paths[0].rtt = measured(5 * time.Millisecond)
-	ps.paths[1].rtt = measured(30 * time.Millisecond)
-	ps.mu.Unlock()
-
-	for seq := int64(0); seq < 3; seq++ {
-		if _, err := ps.WriteToUDP(innerFrame(t, seq, 32), server.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No probe was ever answered (mute server): after ProbeMiss fires the
-	// first path to be declared down evacuates its in-flight frames.
-	clock.advance(50 * time.Millisecond)
-	clock.advance(50 * time.Millisecond)
-	clock.advance(50 * time.Millisecond)
-	if len(requeued) != 3 {
-		t.Fatalf("requeued %d frames, want 3 (stats: %+v)", len(requeued), ps.Stats())
-	}
-	for i, k := range requeued {
-		if k.stream != 2 || k.seq != int64(i) {
-			t.Fatalf("requeued[%d] = %+v, want stream 2 seq %d (deterministic order)", i, k, i)
-		}
-	}
-	if got := ps.Stats().FailoverFrames; got != 3 {
-		t.Fatalf("FailoverFrames=%d want 3", got)
-	}
-}
-
-func TestPathSetInteractivePinningAndStriping(t *testing.T) {
-	clock := newManualClock()
-	h := newHub()
-	wifi, lte := h.endpoint(1), h.endpoint(2)
-	server := h.endpoint(100)
-	var got []uint8 // path id of each delivered data frame
-	server.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
-		if hdr, _, err := DecodePathHeader(pkt); err == nil && hdr.Kind == PathKindData {
-			got = append(got, hdr.PathID)
-		}
-	})
-
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 13, Clock: clock, Peer: server.addr, Stripe: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr, int) {})
-	ps.mu.Lock()
-	ps.paths[0].rtt = measured(5 * time.Millisecond)
-	ps.paths[1].rtt = measured(30 * time.Millisecond)
-	ps.mu.Unlock()
-
-	// Band-0 (interactive) frames all pin to wifi, the lowest-SRTT path.
-	for seq := int64(0); seq < 5; seq++ {
-		ps.WriteToUDP(innerFrame(t, seq, 16), server.addr)
-	}
-	for i, id := range got {
-		if id != 0 {
-			t.Fatalf("interactive frame %d went to path %d, want 0", i, id)
-		}
-	}
-
-	// Bulk (band-1, best-effort) frames stripe across both live paths.
-	got = got[:0]
-	for seq := int64(0); seq < 10; seq++ {
-		payload := []byte("bulk")
-		f, _ := AppendFrame(nil, Header{Type: TypeData, Stream: 5, Class: uint8(core.ClassFullBestEffort),
-			Prio: uint8(core.PrioNoDelay), Seq: seq}, payload)
-		ps.WriteToUDP(f, server.addr)
-	}
-	counts := map[uint8]int{}
-	for _, id := range got {
-		counts[id]++
-	}
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("bulk frames did not stripe: %v", counts)
-	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // TestPathSetAttributesPiggybackedAcks: in a request/response exchange no
 // acknowledgement travels alone — the response carries the request's — so
-// the path set credits what any frame's block acknowledges, not only pure
-// acks: after 200 exchanges striped over two paths nothing is left in flight
-// and both paths have a delivery rate.
+// the conn credits what any frame's block acknowledges to the path that
+// carried it, not only pure acks: after 200 exchanges striped over two
+// paths nothing is left in flight and both paths have a delivery rate.
 func TestPathSetAttributesPiggybackedAcks(t *testing.T) {
 	clock := newManualClock()
 	h := newHub()
 	h.clk, h.delay = clock, time.Millisecond
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	serverEP := h.endpoint(100)
-	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
 	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioNoDiscard, Rate: 1e9}}
 	var srv *Conn
-	srv, err := ListenVia(router, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
+	srv, err := ListenVia(serverEP, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
 		OnMessage: func(m Message) { mustSend(t, srv, 2, []byte("response")) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 41, Clock: clock, Peer: serverEP.addr, ProbeInterval: 25 * time.Millisecond, Stripe: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	responses := 0
-	cli, err := DialVia(ps, serverEP.addr, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
-		OnMessage: func(Message) { responses++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	stepClock(clock, 25*time.Millisecond) // let probes register the paths
+	cli := dialHub(t, wifi, lte, serverEP.addr, Config{Streams: streams, StartBudget: 1e9, Clock: clock,
+		OnMessage: func(Message) { responses++ }}, PathOptions{Session: 41, Stripe: true})
+	stepClock(clock, 50*time.Millisecond) // let probes register the paths
 
 	const exchanges = 200
 	for i := 0; i < exchanges; i++ {
@@ -531,173 +527,75 @@ func TestPathSetAttributesPiggybackedAcks(t *testing.T) {
 	if rode := read(srv, func(k *connCore) int64 { return k.acksPiggybacked }); rode < exchanges-2 || sent > 2 {
 		t.Fatalf("server: %d blocks rode responses and %d pure acks left, want nearly all %d riding", rode, sent, exchanges)
 	}
-	ps.mu.Lock()
-	inflight := len(ps.inflight)
-	ps.mu.Unlock()
-	if inflight != 0 {
-		t.Errorf("%d frames still in flight in the path set: riding acks were not attributed", inflight)
+	cli.mu.Lock()
+	defer cli.mu.Unlock()
+	if held := cli.core.stream(2).window.len(); held != 0 {
+		t.Errorf("%d frames still in the send window", held)
 	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, p := range ps.paths {
+	for _, p := range cli.core.paths.paths {
 		if p.deliveryRate <= 0 || p.sentFrames < exchanges/4 {
 			t.Errorf("path %s: delivery rate %.0f B/s over %d frames sent, want both paths carrying and credited", p.name, p.deliveryRate, p.sentFrames)
 		}
 	}
 }
 
-// TestPathSetRebasesOntoTheEchoedFramesPath: the controller's delay sample
-// is rebased onto the base RTT of the path that carried the frame the
-// acknowledgement echoes — a best-effort frame as much as a reliable one,
-// however recently another class took the other path.
-func TestPathSetRebasesOntoTheEchoedFramesPath(t *testing.T) {
-	h := newHub()
-	wifi, lte := h.endpoint(1), h.endpoint(2)
-	server := h.endpoint(100)
-	server.Start(func([]byte, *net.UDPAddr, int) {})
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 42, Clock: newManualClock(), Peer: server.addr, Stripe: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	ms := time.Millisecond
-	write := func(stamp uint64, class core.Class, prio core.Priority) {
-		t.Helper()
-		f, err := AppendFrame(nil, Header{Type: TypeData, Stream: 3, Class: uint8(class), Prio: uint8(prio), SendMicro: stamp}, []byte("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ps.WriteToUDP(f, server.addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ps.rebaseRTT(80*ms, 100); got != 80*ms {
-		t.Errorf("before any probe answer: %v, want the sample passed through", got)
-	}
-	ps.mu.Lock()
-	ps.paths[0].rtt = measured(16 * ms)
-	ps.paths[1].rtt = measured(76 * ms)
-	ps.paths[0].state = PathDown
-	ps.mu.Unlock()
-	write(100, core.ClassFullBestEffort, core.PrioLowest) // LTE: the only live path
-	ps.mu.Lock()
-	ps.paths[0].state = PathUp
-	ps.mu.Unlock()
-	write(200, core.ClassCritical, core.PrioHighest)      // pinned to WiFi
-	write(300, core.ClassFullBestEffort, core.PrioLowest) // one stamp, striped
-	write(300, core.ClassFullBestEffort, core.PrioLowest) // over both paths
-	if n := ps.Stats().Paths[1].SentFrames; n != 2 {
-		t.Fatalf("LTE carried %d frames, want the best-effort one and half the stripe", n)
-	}
-	for _, tc := range []struct {
-		rtt  time.Duration
-		echo uint64
-		want time.Duration
-	}{
-		{80 * ms, 100, 14 * ms}, // best-effort on LTE, after which a critical frame took WiFi
-		{70 * ms, 100, 10 * ms}, // faster than LTE's fastest probe: no queue at all
-		{20 * ms, 200, 14 * ms}, // critical on WiFi
-		{80 * ms, 200, 74 * ms}, // a queue on WiFi, not hidden by LTE's base
-		{20 * ms, 300, 14 * ms}, // the stripe's WiFi frame: LTE's base is above the sample
-		{80 * ms, 300, 14 * ms}, // the stripe's LTE frame
-		{80 * ms, 50, 14 * ms},  // a stamp never written: any path could have carried it
-		{40 * ms, 50, 34 * ms},
-	} {
-		if got := ps.rebaseRTT(tc.rtt, tc.echo); got != tc.want {
-			t.Errorf("rebaseRTT(%v, echo %d) = %v, want %v", tc.rtt, tc.echo, got, tc.want)
-		}
-	}
-}
+// --- the server side -------------------------------------------------------
 
-// pathState reads subflow i's state and how many of its probes are still
-// unanswered.
-func pathState(ps *PathSet, i int) (PathState, int) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.paths[i].state, ps.paths[i].pending
-}
-
-// --- router ----------------------------------------------------------------
-
+// TestPathRouterEndToEnd: a Mux takes a multipath client's paths on its
+// one socket as one conn, keyed by the session whichever path a frame
+// takes, answers on the client's best path, and serves a single-path peer
+// beside it.
 func TestPathRouterEndToEnd(t *testing.T) {
 	clock := newManualClock()
 	h := newHub()
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	serverEP := h.endpoint(100)
-
-	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
-	var serverGot [][]byte
-	var serverFrom []*net.UDPAddr
-	router.Start(func(pkt []byte, from *net.UDPAddr, _ int) {
-		serverGot = append(serverGot, append([]byte(nil), pkt...))
-		serverFrom = append(serverFrom, from)
+	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioHighest, Rate: 1e6}}
+	var serverGot []string
+	m, err := ListenMuxVia(serverEP, func(*net.UDPAddr) Config {
+		return Config{Streams: streams, Clock: clock, OnMessage: func(msg Message) {
+			serverGot = append(serverGot, string(msg.Payload))
+			msg.Conn.Send(2, append([]byte("re:"), msg.Payload...)) //nolint:errcheck // checked by the client's count
+		}}
 	})
-	defer router.Close()
-
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 21, Clock: clock, Peer: serverEP.addr,
-			ProbeInterval: 50 * time.Millisecond, FEC: PathFEC{K: 2, M: 1}},
-	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	var clientGot [][]byte
-	ps.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
-		clientGot = append(clientGot, append([]byte(nil), pkt...))
-	})
+	defer m.Close()
+	var clientGot []string
+	cli := dialHub(t, wifi, lte, serverEP.addr, Config{Streams: streams, Clock: clock,
+		OnMessage: func(msg Message) { clientGot = append(clientGot, string(msg.Payload)) }}, PathOptions{Session: 21})
 
-	// Probes teach the router the client's paths and give the client RTTs.
-	clock.advance(50 * time.Millisecond)
-	router.mu.Lock()
-	sessions := len(router.sessions)
-	router.mu.Unlock()
-	_, pendingWiFi := pathState(ps, 0)
-	if _, pendingLTE := pathState(ps, 1); sessions != 1 || pendingWiFi != 0 || pendingLTE != 0 {
-		t.Fatalf("router after probes: %d sessions, probes unanswered on wifi %d and lte %d", sessions, pendingWiFi, pendingLTE)
+	clock.advance(50 * time.Millisecond) // probes on both paths
+	if conns := m.Conns(); len(conns) != 1 {
+		t.Fatalf("the mux made %d conns of one multipath client", len(conns))
 	}
-
-	// Uplink data arrives at the server under the canonical address, no
-	// matter which subflow carried it.
-	in1, in2 := innerFrame(t, 1, 40), innerFrame(t, 2, 40)
-	ps.WriteToUDP(in1, serverEP.addr)
-	ps.WriteToUDP(in2, serverEP.addr)
-	if len(serverGot) != 2 {
-		t.Fatalf("server saw %d frames, want 2", len(serverGot))
+	mustSend(t, cli, 2, []byte("a"))
+	// Kill wifi's uplink: the next request rides the other path.
+	h.mu.Lock()
+	h.drop = func(src, _ *net.UDPAddr, _ []byte) bool { return src.Port == wifi.addr.Port }
+	h.mu.Unlock()
+	cli.mu.Lock()
+	cli.core.paths.paths[0].state = PathDown
+	cli.mu.Unlock()
+	mustSend(t, cli, 2, []byte("b"))
+	clock.advance(time.Millisecond)
+	if !slices.Equal(serverGot, []string{"a", "b"}) || !slices.Equal(clientGot, []string{"re:a", "re:b"}) {
+		t.Fatalf("server got %q, client %q", serverGot, clientGot)
 	}
-	if !bytes.Equal(serverGot[0], in1) || !bytes.Equal(serverGot[1], in2) {
-		t.Fatal("inner frames corrupted in transit")
-	}
-	canon := canonicalAddr(21)
-	for _, from := range serverFrom {
-		if from.String() != canon.String() {
-			t.Fatalf("delivery from %v, want canonical %v", from, canon)
-		}
+	if conns := m.Conns(); len(conns) != 1 {
+		t.Fatalf("the mux made %d conns of one multipath client", len(conns))
 	}
 
-	// Downlink: writing to the canonical address routes onto a client path.
-	down := innerFrame(t, 3, 40)
-	if _, err := router.WriteToUDP(down, canon); err != nil {
+	// A single-path peer is a conn of its own, keyed by its address.
+	plain, err := DialVia(h.endpoint(7), serverEP.addr, Config{Streams: streams, Clock: clock})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clientGot) != 1 || !bytes.Equal(clientGot[0], down) {
-		t.Fatalf("client saw %d downlink frames", len(clientGot))
-	}
-
-	// A legacy (non-path) datagram passes straight through.
-	plain, _ := AppendFrame(nil, Header{Type: TypePing, Stream: 0, Seq: 0}, nil)
-	legacy := h.endpoint(7)
-	before := len(serverGot)
-	legacy.WriteToUDP(plain, serverEP.addr)
-	if len(serverGot) != before+1 {
-		t.Fatalf("server saw %d legacy datagrams, want 1", len(serverGot)-before)
-	}
-	if !bytes.Equal(serverGot[len(serverGot)-1], plain) {
-		t.Fatal("legacy datagram not delivered verbatim")
+	defer plain.Close()
+	mustSend(t, plain, 2, []byte("c"))
+	if conns := m.Conns(); len(conns) != 2 || serverGot[2] != "c" {
+		t.Fatalf("%d conns after a single-path peer; server got %q", len(conns), serverGot)
 	}
 }
 
@@ -706,82 +604,55 @@ func TestPathRouterFECRepairsUplinkBurst(t *testing.T) {
 	h := newHub()
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	serverEP := h.endpoint(100)
-
-	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
 	var serverSeqs []int64
-	router.Start(func(pkt []byte, _ *net.UDPAddr, _ int) {
-		if hdr, _, err := DecodeFrame(pkt); err == nil && hdr.Type == TypeData {
-			serverSeqs = append(serverSeqs, hdr.Seq)
-		}
-	})
-	defer router.Close()
-
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 22, Clock: clock, Peer: serverEP.addr,
-			ProbeInterval: 50 * time.Millisecond, FEC: PathFEC{K: 4, M: 2}},
-	)
+	srv, err := ListenVia(serverEP, Config{Clock: clock, OnMessage: func(m Message) { serverSeqs = append(serverSeqs, int64(m.Payload[0])) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	ps.Start(func([]byte, *net.UDPAddr, int) {})
+	defer srv.Close()
+	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioHighest, Rate: 1e9}}
+	cli := dialHub(t, wifi, lte, serverEP.addr, Config{Streams: streams, StartBudget: 1e9, Clock: clock}, PathOptions{Session: 22, FEC: PathFEC{K: 4, M: 2}})
 	clock.advance(50 * time.Millisecond) // register both paths
 
-	// Burst-drop data frames 1 and 2 on the wifi subflow only; parity
-	// (which rides the other path) must regenerate them.
+	// Burst-drop data frames 1 and 2 on wifi only; the parity, which rides
+	// the other path, must regenerate them.
 	var dropped int
 	h.mu.Lock()
 	h.drop = func(src, _ *net.UDPAddr, pkt []byte) bool {
-		if src.String() != wifi.addr.String() || !IsPathFrame(pkt) {
-			return false
-		}
-		hdr, body, err := DecodePathHeader(pkt)
-		if err != nil || hdr.Kind != PathKindData {
-			return false
-		}
-		_, _, inner, err := DecodePathData(body)
-		if err != nil {
-			return false
-		}
-		ih, _, err := DecodeFrame(inner)
-		if err == nil && (ih.Seq == 1 || ih.Seq == 2) {
+		if hdr, _, err := DecodeFrame(pkt); err == nil && src.Port == wifi.addr.Port && hdr.Type == TypeData && (hdr.Seq == 1 || hdr.Seq == 2) {
 			dropped++
 			return true
 		}
 		return false
 	}
 	h.mu.Unlock()
-
-	for seq := int64(0); seq < 4; seq++ {
-		ps.WriteToUDP(innerFrame(t, seq, 48), serverEP.addr)
+	for seq := 0; seq < 4; seq++ {
+		mustSend(t, cli, 2, bytes.Repeat([]byte{byte(seq)}, 48))
 	}
+	stepClock(clock, 2*time.Millisecond)
 	if dropped != 2 {
 		t.Fatalf("dropped %d frames, want 2", dropped)
 	}
-	if len(serverSeqs) != 4 {
-		t.Fatalf("server saw %d data frames, want 4 (repair failed): %v", len(serverSeqs), serverSeqs)
+	if slices.Sort(serverSeqs); !slices.Equal(serverSeqs, []int64{0, 1, 2, 3}) {
+		t.Fatalf("server saw %v, want all four", serverSeqs)
 	}
-	if st := router.Stats(); st.FECRepaired != 2 {
-		t.Fatalf("router repaired=%d want 2", st.FECRepaired)
+	if repaired := read(srv, func(k *connCore) int64 { return k.paths.rx.repaired }); repaired != 2 {
+		t.Fatalf("server repaired=%d want 2", repaired)
 	}
 }
 
-// TestPathSetConnFailover runs a real Conn over a PathSet against a
-// router-fronted Conn and kills the primary path mid-stream: the session
-// must keep delivering without a reset and the failover hook must fire.
+// TestPathSetConnFailover runs a multipath conn against a ListenVia conn
+// and kills the preferred path mid-stream: the conn must keep delivering
+// without a reset and report the path down.
 func TestPathSetConnFailover(t *testing.T) {
 	clock := newManualClock()
 	h := newHub()
 	wifi, lte := h.endpoint(1), h.endpoint(2)
 	serverEP := h.endpoint(100)
-
-	router := NewPathRouter(serverEP, RouterConfig{Clock: clock})
-	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery,
-		Priority: core.PrioHighest, Rate: 1e6}}
+	streams := []StreamSpec{{ID: 2, Class: core.ClassLossRecovery, Priority: core.PrioHighest, Rate: 1e6}}
 	var gotMu sync.Mutex
 	got := map[int64]bool{}
-	srv, err := ListenVia(router, Config{Streams: streams, Clock: clock,
+	srv, err := ListenVia(serverEP, Config{Streams: streams, Clock: clock,
 		OnMessage: func(m Message) {
 			gotMu.Lock()
 			got[int64(m.Payload[0])] = true // the payload repeats its send index
@@ -791,63 +662,40 @@ func TestPathSetConnFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	var transitions []string
+	cli := dialHub(t, wifi, lte, serverEP.addr, Config{Streams: streams, Clock: clock, RetxLimit: 8},
+		PathOptions{Session: 31, OnPathState: func(path string, st PathState) { transitions = append(transitions, fmt.Sprint(path, ":", st)) }})
 
-	var wifiDowns atomic.Int64
-	ps, err := NewPathSet(
-		[]PathConf{{Name: "wifi", PC: wifi}, {Name: "lte", PC: lte}},
-		PathSetConfig{Session: 31, Clock: clock, Peer: serverEP.addr,
-			ProbeInterval: 25 * time.Millisecond, ProbeMiss: 2,
-			OnPathState: func(path string, st PathState) {
-				if path == "wifi" && st == PathDown {
-					wifiDowns.Add(1)
-				}
-			}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := DialVia(ps, serverEP.addr, Config{Streams: streams, Clock: clock, RetxLimit: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	clock.advance(25 * time.Millisecond) // let probes register the paths
+	clock.advance(50 * time.Millisecond) // let probes register the paths
 	send := func(seq int64) {
-		ok, err := cli.Send(2, bytes.Repeat([]byte{byte(seq)}, 64))
-		if err != nil || !ok {
-			t.Fatalf("send %d: admitted=%v err=%v", seq, ok, err)
-		}
+		mustSend(t, cli, 2, bytes.Repeat([]byte{byte(seq)}, 64))
 		clock.advance(5 * time.Millisecond)
 	}
 	for seq := int64(0); seq < 5; seq++ {
 		send(seq)
 	}
-
 	// Kill wifi (the lower-index path both sides prefer while SRTTs tie).
 	h.mu.Lock()
 	h.drop = func(src, dst *net.UDPAddr, _ []byte) bool {
-		return src.String() == wifi.addr.String() || dst.String() == wifi.addr.String()
+		return src.Port == wifi.addr.Port || dst.Port == wifi.addr.Port
 	}
 	h.mu.Unlock()
 	for seq := int64(5); seq < 10; seq++ {
 		send(seq)
 	}
-	// Step in probe-interval increments (manualClock.advance fires a
-	// self-rearming chain at most once per call): probes declare wifi
-	// down, the evacuation requeues, and the pace/sweep chains resend.
-	for i := 0; i < 12; i++ {
-		clock.advance(25 * time.Millisecond)
-	}
+	stepClock(clock, 300*time.Millisecond)
 
 	gotMu.Lock()
 	defer gotMu.Unlock()
 	for seq := int64(0); seq < 10; seq++ {
 		if !got[seq] {
-			t.Fatalf("seq %d never delivered after failover (got %v, stats %+v)", seq, got, ps.Stats())
+			t.Fatalf("seq %d never delivered after failover (got %v)", seq, got)
 		}
 	}
-	if wifiDowns.Load() == 0 {
-		t.Fatal("wifi was never declared down")
+	if !slices.Contains(transitions, "wifi:down") {
+		t.Fatalf("wifi was never declared down: %v", transitions)
+	}
+	if st := read(cli, func(k *connCore) State { return k.state }); st != StateActive {
+		t.Fatalf("conn %s across the failover", st)
 	}
 }

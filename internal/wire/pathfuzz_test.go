@@ -5,102 +5,83 @@ import (
 	"testing"
 )
 
-// FuzzPathFrameDecode throws arbitrary bytes at the path-layer decoder
-// stack (prefix, then the kind-specific body). Invariants: never panic,
-// classify consistently with IsPathFrame, and every frame that decodes
-// cleanly must survive a re-encode/re-decode round trip unchanged.
+// FuzzPathFrameDecode throws arbitrary bytes at the decoder of multipath
+// frames: the path extension and, on a parity frame, the parity payload.
+// Invariants: never panic, a Mux keys a decodable frame by the session it
+// decodes to, and every frame that decodes cleanly survives a re-encode /
+// re-decode round trip unchanged, its parity payload included.
 func FuzzPathFrameDecode(f *testing.F) {
-	inner, _ := AppendFrame(nil, Header{Type: TypeData, Stream: 3, Seq: 42}, []byte("pose"))
-	f.Add(AppendPathData(nil, 0xDEADBEEF, 1, 77, 3, inner))
-	f.Add(AppendPathData(nil, 1, 0, 0, 0, nil)) // ungrouped, empty inner
-	f.Add(AppendPathProbe(nil, PathKindProbe, 7, 0,
-		PathProbe{Seq: 9, SendMicro: 123456, SRTTMicro: 4200, IntervalMicro: 50000, State: uint8(PathDegraded)}))
-	f.Add(AppendPathProbe(nil, PathKindProbeAck, 7, 1, PathProbe{Seq: ^uint32(0), SendMicro: ^uint64(0)}))
-	f.Add(AppendPathParity(nil, 99, 1,
-		PathParityHeader{Group: 5, Index: 4, K: 4, M: 2, Actual: 3, ShardLen: 64},
-		bytes.Repeat([]byte{0xAB}, 64)))
-	f.Add(AppendPathParity(nil, 1, 0,
-		PathParityHeader{Group: 1, Index: 2, K: 2, M: 14, Actual: 2, ShardLen: 2},
-		[]byte{0, 0}))
-	// Edge shapes: empty, bare prefix, truncated bodies, wrong magic,
-	// unknown kind, group-0 parity (reserved), shard length lying.
+	frame := func(h Header, payload []byte) []byte {
+		b, err := AppendFrame(nil, h, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	data := Header{Type: TypeData, Stream: 3, Seq: 42, Session: 0xDEADBEEF, Path: 1, Group: 77, Index: 3}
+	f.Add(frame(data, []byte("pose")))
+	f.Add(frame(Header{Type: TypeData, Session: 1}, nil)) // ungrouped, empty payload
+	f.Add(frame(Header{Type: TypePing, SendMicro: 123456, Session: 7}, []byte{0x68, 0x10, 0, 0, uint8(PathDegraded)}))
+	f.Add(frame(Header{Type: TypePong, SendMicro: ^uint64(0), Session: 7, Path: 1}, nil))
+	f.Add(frame(Header{Type: TypeParity, Session: 99, Path: 1},
+		appendParity(nil, parityHeader{Group: 5, Index: 4, K: 4, M: 2, Actual: 3, ShardLen: 64}, bytes.Repeat([]byte{0xAB}, 64))))
+	f.Add(frame(Header{Type: TypeParity, Session: 1},
+		appendParity(nil, parityHeader{Group: 1, Index: 2, K: 2, M: 14, Actual: 2, ShardLen: 2}, []byte{0, 0})))
+	// Edge shapes: empty, a bare prefix, a truncated extension, the path
+	// bit on a plain frame, a grouped bit with no group, group-0 parity
+	// (reserved), a shard length lying.
 	f.Add([]byte{})
-	f.Add(AppendPathData(nil, 1, 0, 0, 0, nil)[:PathPrefixLen])
-	f.Add(AppendPathProbe(nil, PathKindProbe, 1, 0, PathProbe{})[:PathPrefixLen+10])
+	f.Add(frame(data, nil)[:HeaderLen])
+	f.Add(frame(data, nil)[:HeaderLen+pathExtLen])
 	f.Add(func() []byte {
-		b := AppendPathData(nil, 1, 0, 1, 0, inner)
-		b[0] = 0x7B // ARTP magic low byte: no longer a path frame
+		b := frame(Header{Type: TypeData, Seq: 1}, []byte("x"))
+		b[2] |= flagPath
 		return b
 	}())
 	f.Add(func() []byte {
-		b := AppendPathData(nil, 1, 0, 1, 0, inner)
-		b[3] = 200 // unknown kind
+		b := frame(Header{Type: TypeData, Session: 1}, nil)
+		b[HeaderLen-2+pathExtLen-1] |= pathGrouped
 		return b
 	}())
-	f.Add(func() []byte {
-		b := AppendPathParity(nil, 1, 0,
-			PathParityHeader{Group: 0, Index: 4, K: 4, M: 2, ShardLen: 8}, make([]byte, 8))
-		return b
-	}())
-	f.Add(func() []byte {
-		b := AppendPathParity(nil, 1, 0,
-			PathParityHeader{Group: 3, Index: 4, K: 4, M: 2, ShardLen: 500}, make([]byte, 8))
-		return b
-	}())
+	f.Add(frame(Header{Type: TypeParity, Session: 1}, appendParity(nil, parityHeader{Group: 0, Index: 4, K: 4, M: 2, ShardLen: 8}, make([]byte, 8))))
+	f.Add(frame(Header{Type: TypeParity, Session: 1}, appendParity(nil, parityHeader{Group: 3, Index: 4, K: 4, M: 2, ShardLen: 500}, make([]byte, 8))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, body, err := DecodePathHeader(data)
+		h, payload, err := DecodeFrame(data)
 		if err != nil {
 			return
 		}
-		if !IsPathFrame(data) {
-			t.Fatal("DecodePathHeader accepted what IsPathFrame rejects")
+		if key := keyOf(data, pathAddr(0)); key.session != h.Session {
+			t.Fatalf("a Mux keys session %d, the frame decodes to %d", key.session, h.Session)
 		}
-		switch hdr.Kind {
-		case PathKindData:
-			group, index, in, derr := DecodePathData(body)
-			if derr != nil {
-				return
-			}
-			reenc := AppendPathData(nil, hdr.Session, hdr.PathID, group, index, in)
-			if !bytes.Equal(reenc, data) {
-				t.Fatalf("data round trip changed bytes:\n%x\n%x", data, reenc)
-			}
-		case PathKindProbe, PathKindProbeAck:
-			p, derr := DecodePathProbe(body)
-			if derr != nil {
-				return
-			}
-			reenc := AppendPathProbe(nil, hdr.Kind, hdr.Session, hdr.PathID, p)
-			// The probe body is fixed-length; trailing garbage is ignored
-			// by the decoder, so compare only the canonical bytes.
-			if !bytes.Equal(reenc, data[:len(reenc)]) {
-				t.Fatalf("probe round trip changed bytes:\n%x\n%x", data, reenc)
-			}
-			p2, derr := DecodePathProbe(reenc[PathPrefixLen:])
-			if derr != nil || p2 != p {
-				t.Fatalf("probe re-decode mismatch: %v %+v %+v", derr, p, p2)
-			}
-		case PathKindParity:
-			ph, shard, derr := DecodePathParity(body)
-			if derr != nil {
-				return
-			}
-			if int(ph.ShardLen) != len(shard) {
-				t.Fatalf("declared shard %d, returned %d", ph.ShardLen, len(shard))
-			}
-			reenc := AppendPathParity(nil, hdr.Session, hdr.PathID, ph, shard)
-			if !bytes.Equal(reenc, data) {
-				t.Fatalf("parity round trip changed bytes:\n%x\n%x", data, reenc)
-			}
+		reenc, err := AppendFrame(nil, h, payload)
+		if err != nil {
+			t.Fatalf("a decoded frame does not re-encode: %v (%+v)", err, h)
+		}
+		h2, payload2, err := DecodeFrame(reenc)
+		if err != nil || !sameHeader(h2, h) || !bytes.Equal(payload2, payload) {
+			t.Fatalf("round trip changed the frame:\n %+v %x\n-> %+v %x", h, payload, h2, payload2)
+		}
+		if h.Type != TypeParity {
+			return
+		}
+		ph, shard, err := parseParity(payload)
+		if err != nil {
+			return
+		}
+		if int(ph.ShardLen) != len(shard) || !ph.valid(len(shard)) {
+			t.Fatalf("accepted geometry %+v with a %d-byte shard", ph, len(shard))
+		}
+		if !bytes.Equal(appendParity(nil, ph, shard), payload) {
+			t.Fatalf("parity round trip changed bytes:\n%x", payload)
 		}
 	})
 }
 
 // FuzzPathReassembler drives the receive-side FEC state machine with
 // adversarial shard sequences: arbitrary group ids, indexes, geometry
-// and shard contents must never panic, never produce an inner frame
-// longer than a shard, and keep the repair accounting non-negative.
+// and shard contents must never panic, never produce a frame longer than
+// a shard, and keep the repair accounting non-negative.
 func FuzzPathReassembler(f *testing.F) {
 	// Seeds: a clean repair sequence and a few degenerate shapes, encoded
 	// as a flat byte script (op, args...) interpreted below.
@@ -110,7 +91,7 @@ func FuzzPathReassembler(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0, 1, 1, 1, 0xFF}, 40)) // hammer one group
 
 	f.Fuzz(func(t *testing.T, script []byte) {
-		rx := newFECReassembler()
+		var rx fecRx
 		for len(script) >= 4 {
 			op := script[0]
 			group := uint32(script[1])
@@ -122,18 +103,17 @@ func FuzzPathReassembler(f *testing.F) {
 			}
 			blob := script[:n]
 			script = script[n:]
+			var out []byte
+			limit := len(blob)
 			switch op % 2 {
 			case 0:
-				for _, out := range rx.onData(group, index, blob) {
-					if len(out) > len(blob)+maxFrameLen {
-						t.Fatal("recovered frame implausibly long")
-					}
-				}
+				out = rx.onData(group, index, blob, nil)
+				limit += maxFrameLen
 			case 1:
 				if n < 2 {
 					continue
 				}
-				hdr := PathParityHeader{
+				hdr := parityHeader{
 					Group:    group,
 					Index:    index,
 					K:        1 + blob[0]%8,
@@ -141,16 +121,19 @@ func FuzzPathReassembler(f *testing.F) {
 					Actual:   blob[0] % 9,
 					ShardLen: uint16(n),
 				}
-				for _, out := range rx.onParity(hdr, blob) {
-					if len(out) > int(hdr.ShardLen) {
-						t.Fatal("recovered frame longer than shard")
-					}
+				out = rx.onParity(hdr, blob, nil)
+			}
+			for len(out) > 0 {
+				m := int(out[0]) | int(out[1])<<8
+				if m > limit {
+					t.Fatalf("recovered a %d-byte frame from shards of %d", m, limit)
 				}
+				out = out[3+m:]
 			}
 		}
 		rx.drain()
-		if rx.Repaired < 0 || rx.Unrepaired < 0 {
-			t.Fatalf("negative accounting: %d %d", rx.Repaired, rx.Unrepaired)
+		if rx.repaired < 0 || rx.unrepaired < 0 {
+			t.Fatalf("negative accounting: %d %d", rx.repaired, rx.unrepaired)
 		}
 	})
 }

@@ -14,9 +14,9 @@ import "sync"
 // The records themselves are not pooled: each lives by value in its
 // stream's send window (sendwindow.go).
 
-// maxFrameLen is the largest possible wire frame: a traced header, a full
-// acknowledgement block and a full payload.
-const maxFrameLen = HeaderLenTraced + maxAckBlockLen + MaxPayload
+// maxFrameLen is the largest possible wire frame: a traced header with a
+// grouped path extension, a full acknowledgement block and a full payload.
+const maxFrameLen = HeaderLenTraced + maxPathExt + maxAckBlockLen + MaxPayload
 
 var payloadPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, MaxPayload)

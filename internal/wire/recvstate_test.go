@@ -200,13 +200,13 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	}
 	defer m.Close()
 	peer := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 5000}
-	c := m.connFor(peer)
+	c := m.connFor(muxKey{peer: PeerKey(peer)}, peer)
 	if c == nil {
 		t.Fatal("no conn for a new peer")
 	}
 	again := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3).To4(), Port: 5000} // same peer, other spelling
 	if allocs := testing.AllocsPerRun(200, func() {
-		if m.connFor(again) != c {
+		if m.connFor(keyOf(nil, again), again) != c {
 			t.Fatal("known peer routed to another conn")
 		}
 	}); allocs != 0 {
@@ -278,11 +278,11 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	var block []byte
 	out := make([]byte, 0, maxFrameLen)
 	transmit := func(k *connCore) (frames int) {
-		for _, ok := k.pollControl(out[:0]); ok; _, ok = k.pollControl(out[:0]) {
+		for _, _, ok := k.pollControl(out[:0]); ok; _, _, ok = k.pollControl(out[:0]) {
 			frames++
 		}
 		if k.takeDrain() {
-			for _, ok := k.poll(now, out[:0]); ok; _, ok = k.poll(now, out[:0]) {
+			for _, _, ok := k.poll(now, out[:0]); ok; _, _, ok = k.poll(now, out[:0]) {
 				frames++
 			}
 		}
@@ -371,5 +371,66 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	if st := nk.stream(1); st.retx != seq || nk.lostFrames != seq || st.window.len() != 0 {
 		t.Errorf("%d retransmissions and %d declared lost over %d NACKed frames with %d in the window; want %d, %d, 0",
 			st.retx, nk.lostFrames, seq, st.window.len(), seq, seq)
+	}
+
+	// Two paths: a reliable frame sent, acknowledged and probed on a
+	// multipath client, and heard on the server that learns its paths, each
+	// datagram delivered from the path's address; sealed both ways.
+	cli, srv := keyed(), keyed()
+	if cli.paths, err = newClientPaths([]PathConf{{Name: "wifi"}, {Name: "lte"}}, PathOptions{Session: 5}); err != nil {
+		t.Fatal(err)
+	}
+	cli.rtt = &cli.pathRTT
+	cli.start(now)
+	addrs := []*net.UDPAddr{pathAddr(0), pathAddr(1)}
+	in := make([]byte, 0, maxFrameLen)
+	var deliver func(to *connCore, frame []byte)
+	deliver = func(to *connCore, frame []byte) {
+		hdr, payload, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = to.sealer.openInPlace(hdr, payload); err != nil {
+			t.Fatal(err)
+		}
+		if to.onPath(now, hdr, payload, addrs[hdr.Path]) {
+			to.onDatagram(now, hdr, payload, len(frame), 0)
+		}
+		for f, _, ok := to.pollControl(in[:0]); ok; f, _, ok = to.pollControl(in[:0]) {
+			if to == cli {
+				deliver(srv, f)
+			} else {
+				deliver(cli, f)
+			}
+		}
+	}
+	twoPaths := func() {
+		now = now.Add(probeInterval)
+		if ok, err := cli.send(now, 1, request[:64], 0, 0); err != nil || !ok {
+			t.Fatal("send refused", err)
+		}
+		cli.takeDrain()
+		for f, _, ok := cli.poll(now, out[:0]); ok; f, _, ok = cli.poll(now, out[:0]) {
+			deliver(srv, f)
+		}
+		cli.probePaths(now, vclock.Deadline{At: now})
+		for f, _, ok := cli.pollControl(out[:0]); ok; f, _, ok = cli.pollControl(out[:0]) {
+			deliver(srv, f)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		twoPaths()
+	}
+	if allocs := testing.AllocsPerRun(200, twoPaths); allocs != 0 {
+		t.Errorf("a frame and a probe round over two paths: %.2f allocs/op, want 0", allocs)
+	}
+	for i, p := range cli.paths.paths {
+		if p.state != PathUp || p.pending != 0 || p.sentFrames < 264 || len(srv.paths.paths) != 2 || srv.paths.paths[i].addr != addrs[i] {
+			t.Errorf("path %s: %s, %d probes unanswered, %d datagrams sent; the server knows %d paths",
+				p.name, p.state, p.pending, p.sentFrames, len(srv.paths.paths))
+		}
+	}
+	if held := cli.stream(1).window.len(); held != 0 {
+		t.Errorf("%d frames left in the send window", held)
 	}
 }

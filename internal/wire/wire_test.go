@@ -69,7 +69,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("magic: %v", err)
 	}
 	bad = append([]byte(nil), frame...)
-	bad[2] = 9
+	bad[2] = 17 // the bit above path
 	if _, _, err := DecodeFrame(bad); !errors.Is(err, ErrBadFlags) {
 		t.Errorf("flags: %v", err)
 	}
