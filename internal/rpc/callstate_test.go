@@ -213,3 +213,38 @@ func TestCallTimerSwallowsOwedFire(t *testing.T) {
 		t.Fatal("a fire passed with the timer disarmed and nothing owed")
 	}
 }
+
+// Response copies carved from one block are the caller's own: each holds
+// its bytes after the lent buffer is overwritten, an append to one leaves
+// its neighbour alone, an empty body stays non-nil and a body above
+// slabResp gets a block of its own.
+func TestResponseCopiesAreIndependent(t *testing.T) {
+	var c Client
+	lent := make([]byte, slabResp+1)
+	var got [][]byte
+	for i := 0; i < 3*slabSize/slabResp; i++ {
+		n := 1 + i%slabResp
+		for j := range lent[:n] {
+			lent[j] = byte(i)
+		}
+		got = append(got, c.copyLocked(lent[:n]))
+	}
+	for j := range lent {
+		lent[j] = 0xDB
+	}
+	for i := range got {
+		_ = append(got[i], 0xEE)
+	}
+	for i, b := range got {
+		if want := bytes.Repeat([]byte{byte(i)}, 1+i%slabResp); !bytes.Equal(b, want) {
+			t.Fatalf("copy %d reads % x, want % x", i, b, want)
+		}
+	}
+	if b := c.copyLocked(lent[:0]); b == nil || len(b) != 0 {
+		t.Errorf("empty body copied to %#v, want a non-nil empty slice", b)
+	}
+	rest := len(c.slab)
+	if b := c.copyLocked(lent); !bytes.Equal(b, lent) || len(c.slab) != rest {
+		t.Errorf("a %d-byte body took %d bytes of the block", len(lent), rest-len(c.slab))
+	}
+}
