@@ -1,12 +1,13 @@
 package marsim
 
+import "marnet/internal/obs"
+
 // Trace exposes the deterministic run trace.
 func (c *City) Trace() *Trace { return c.trace }
 
-// Lines reports how many events were recorded.
+// Lines reports how many events were recorded, by walking the log.
 func (t *Trace) Lines() int {
-	if len(t.chunks) == 0 {
-		return 0
-	}
-	return (len(t.chunks)-1)*chunkEvents + t.fill
+	n := 0
+	t.Events(func(obs.Event) bool { n++; return true })
+	return n
 }

@@ -599,7 +599,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 			return
 		}
 	}
-	if !c.handleFrame(hdr, payload, len(dgram), raddr, backlog) || hdr.Session == 0 || hdr.Group == 0 && hdr.Type != TypeParity {
+	if !c.handleFrame(&hdr, payload, len(dgram), raddr, backlog) || hdr.Session == 0 || hdr.Group == 0 && hdr.Type != TypeParity {
 		return
 	}
 	fb := getFrameBuf()
@@ -612,7 +612,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 			return
 		}
 		// Built from authenticated frames (pathfec.go): no second open.
-		if hdr, payload, derr = DecodeFrame(frame); derr != nil || !c.handleFrame(hdr, payload, len(frame), raddr, backlog) {
+		if hdr, payload, derr = DecodeFrame(frame); derr != nil || !c.handleFrame(&hdr, payload, len(frame), raddr, backlog) {
 			return
 		}
 	}
@@ -622,7 +622,7 @@ func (c *Conn) handleDatagram(dgram []byte, raddr *net.UDPAddr, backlog int) {
 // conn is still open. What follows leaves in a fixed order: the pure ack,
 // the NACKs, the delivery (whose answer may be sent and drained inline), the
 // retransmissions the verdicts queued, the state callbacks.
-func (c *Conn) handleFrame(hdr Header, payload []byte, wireLen int, raddr *net.UDPAddr, backlog int) bool {
+func (c *Conn) handleFrame(hdr *Header, payload []byte, wireLen int, raddr *net.UDPAddr, backlog int) bool {
 	c.mu.Lock()
 	if c.core.closed() {
 		c.mu.Unlock()
@@ -638,7 +638,10 @@ func (c *Conn) handleFrame(hdr Header, payload []byte, wireLen int, raddr *net.U
 		m, deliver, revived = c.core.onDatagram(now, hdr, payload, wireLen, backlog)
 	}
 	deliver = deliver && c.cfg.OnMessage != nil
-	notes := c.core.paths.takeNotes()
+	var notes []pathNote
+	if hdr.Session != 0 { // a path transition is filed by onPath alone
+		notes = c.core.paths.takeNotes()
+	}
 	control := len(c.core.ctl) > 0
 	if !control && !deliver {
 		c.unlockAndDrain(now) // retransmissions a loss verdict queued leave from here

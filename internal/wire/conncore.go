@@ -611,7 +611,7 @@ func (c *connCore) emptyBands() bool {
 // at now: its acknowledgement block, whatever the type, then the frame. It
 // returns a fresh data frame for delivery (the driver fills in Conn) and
 // whether it revived a dead peer; backlog is the reader's.
-func (c *connCore) onDatagram(now time.Time, hdr Header, payload []byte, wireLen, backlog int) (m Message, deliver, revived bool) {
+func (c *connCore) onDatagram(now time.Time, hdr *Header, payload []byte, wireLen, backlog int) (m Message, deliver, revived bool) {
 	c.lastHeard = now
 	if c.state == StateDead {
 		c.state = StateActive
@@ -637,7 +637,7 @@ func (c *connCore) onDatagram(now time.Time, hdr Header, payload []byte, wireLen
 // onData files one data frame — its ack owed, as a pure ack at once when it
 // cannot wait, the holes it jumped over NACKed — and reports whether it is
 // new, to be delivered.
-func (c *connCore) onData(hdr Header, wireLen int, now time.Time) bool {
+func (c *connCore) onData(hdr *Header, wireLen int, now time.Time) bool {
 	st := c.stream(hdr.Stream)
 	if st == nil {
 		// A stream the peer declared alone: one-directional setups work.
@@ -821,7 +821,7 @@ func (c *connCore) onAcks(b AckBlock, now time.Time) {
 
 // onNack declares lost each sequence a NACK lists that is in the window
 // and eligible, reading the payload in place.
-func (c *connCore) onNack(hdr Header, payload []byte, now time.Time) {
+func (c *connCore) onNack(hdr *Header, payload []byte, now time.Time) {
 	n, err := nackLen(payload)
 	if err != nil {
 		return

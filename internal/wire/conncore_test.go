@@ -210,8 +210,8 @@ func (e *coreEnd) receive(frame []byte) {
 	}
 	var m Message
 	deliver := false
-	if hdr.Session == 0 || e.core.onPath(e.net.now, hdr, payload, pathAddr(hdr.Path)) {
-		m, deliver, _ = e.core.onDatagram(e.net.now, hdr, payload, len(frame), 0)
+	if hdr.Session == 0 || e.core.onPath(e.net.now, &hdr, payload, pathAddr(hdr.Path)) {
+		m, deliver, _ = e.core.onDatagram(e.net.now, &hdr, payload, len(frame), 0)
 	}
 	e.takeNotes()
 	e.unlock()

@@ -492,7 +492,7 @@ func (c *connCore) owe(i int, now time.Time) {
 // probe's answer; on both the FEC group member or repair shard, whose
 // regenerated frames wait in repaired. It reports whether the frame goes
 // on to onDatagram — not a parity frame, nor one of another session.
-func (c *connCore) onPath(now time.Time, hdr Header, payload []byte, addr *net.UDPAddr) bool {
+func (c *connCore) onPath(now time.Time, hdr *Header, payload []byte, addr *net.UDPAddr) bool {
 	if c.paths == nil { // the first path frame makes a listening conn multipath
 		c.paths = &pathTable{session: hdr.Session}
 	}
@@ -518,7 +518,7 @@ func (c *connCore) onPath(now time.Time, hdr Header, payload []byte, addr *net.U
 	switch hdr.Type {
 	case TypeData:
 		if hdr.Group != 0 {
-			p.scratch = groupImage(p.scratch[:0], hdr, payload)
+			p.scratch = groupImage(p.scratch[:0], *hdr, payload)
 			p.repaired = p.rx.onData(hdr.Group, hdr.Index, p.scratch, p.repaired)
 		}
 	case TypeParity:

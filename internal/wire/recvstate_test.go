@@ -292,7 +292,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	now = now.Add(20 * time.Millisecond)
 	request, seq := make([]byte, 600), int64(0)
 	exchange := func() {
-		rr.onDatagram(now, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
+		rr.onDatagram(now, &Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
 		transmit(rr)
 		if ok, err := rr.send(now, 1, request[:64], 0, 0); err != nil || !ok {
 			t.Fatal("send refused", err)
@@ -302,7 +302,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		}
 		echo := uint64(now.Sub(rr.epoch).Microseconds()) - 10_000
 		block = AppendAckBlock(block[:0], echo, 0, []AckRange{{Stream: 1, First: 0, Run: uint16(min(seq+1, recvWindow))}})
-		rr.onDatagram(now, Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
+		rr.onDatagram(now, &Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
 		seq++
 		now = now.Add(20 * time.Microsecond)
 	}
@@ -321,7 +321,7 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 	ow := keyed()
 	seq = 0
 	oneWay := func() {
-		ow.onDatagram(now, Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
+		ow.onDatagram(now, &Header{Type: TypeData, Stream: 2, Class: uint8(core.ClassCritical), Seq: seq, SendMicro: 1}, request, wireLenSealed(len(request)), 0)
 		if transmit(ow) != 1 {
 			t.Fatal("no pure ack")
 		}
@@ -352,13 +352,13 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		now = now.Add(20 * time.Millisecond) // past the loss guard (SRTT, 10 ms)
 		missing[0] = seq
 		nack = AppendNackPayload(nack[:0], missing)
-		nk.onDatagram(now, Header{Type: TypeNack, Stream: 1}, nack, HeaderLen+len(nack), 0)
+		nk.onDatagram(now, &Header{Type: TypeNack, Stream: 1}, nack, HeaderLen+len(nack), 0)
 		if transmit(nk) != 1 {
 			t.Fatal("the NACKed frame was not sent again")
 		}
 		echo := uint64(now.Sub(nk.epoch).Microseconds()) - 10_000
 		block = AppendAckBlock(block[:0], echo, 0, []AckRange{{Stream: 1, First: seq, Run: 1}})
-		nk.onDatagram(now, Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
+		nk.onDatagram(now, &Header{Type: TypeAck, Acks: block}, nil, HeaderLen+len(block), 0)
 		seq++
 		now = now.Add(20 * time.Microsecond) // past the pacer's gap
 	}
@@ -393,8 +393,8 @@ func TestPerPacketBookkeepingZeroAlloc(t *testing.T) {
 		if payload, err = to.sealer.openInPlace(hdr, payload); err != nil {
 			t.Fatal(err)
 		}
-		if to.onPath(now, hdr, payload, addrs[hdr.Path]) {
-			to.onDatagram(now, hdr, payload, len(frame), 0)
+		if to.onPath(now, &hdr, payload, addrs[hdr.Path]) {
+			to.onDatagram(now, &hdr, payload, len(frame), 0)
 		}
 		for f, _, ok := to.pollControl(in[:0]); ok; f, _, ok = to.pollControl(in[:0]) {
 			if to == cli {
