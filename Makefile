@@ -78,7 +78,7 @@ race:
 # rpc's closed loop on a fat simulated link, whose server must answer at
 # the rate it is asked and not at its start budget.
 sim:
-	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud' -v ./internal/marsim/
+	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud|TestSessionResetSnapshot' -v ./internal/marsim/
 	$(GO) test -race -run 'TestServerAnswersAtArrivalRate|TestCallIsTwoDatagrams' -v ./internal/rpc/
 
 # The examples that run on virtual time, end to end (seconds each): the

@@ -2,8 +2,8 @@
 // loopback: a server, a chaos-grade impairment relay, and a client sending
 // the paper's four traffic types (metadata, sensors, reference frames,
 // interframes) for a few seconds, then prints per-stream statistics. The
-// client rides the resilient session layer, so a scripted blackhole
-// (-blackhole) costs in-flight frames but never the session.
+// client's conn re-binds to a fresh socket when the relay falls silent, so
+// a scripted blackhole (-blackhole) costs late frames but never the session.
 package main
 
 import (
@@ -81,12 +81,10 @@ func run(dur time.Duration, cfg faults.Config, budget float64) error {
 		{ID: 3, Class: core.ClassLossRecovery, Priority: core.PrioHighest, Rate: 1e6, Deadline: 250 * time.Millisecond},
 		{ID: 4, Class: core.ClassFullBestEffort, Priority: core.PrioLowest, Rate: 2e6},
 	}
-	sess, err := wire.DialSession(relay.Addr(), wire.Config{
+	conn, err := wire.Dial(relay.Addr(), wire.Config{
 		Streams:     streams,
 		StartBudget: budget,
 		Keepalive:   100 * time.Millisecond,
-	}, wire.SessionConfig{
-		Seed: cfg.Seed,
 		OnStateChange: func(st wire.State) {
 			fmt.Printf("  [session] %v\n", st)
 		},
@@ -94,7 +92,7 @@ func run(dur time.Duration, cfg faults.Config, budget float64) error {
 	if err != nil {
 		return err
 	}
-	defer sess.Close()
+	defer conn.Close()
 
 	names := map[uint16]string{1: "metadata", 2: "sensors", 3: "ref-frames", 4: "inter-frames"}
 	fmt.Printf("artpdemo: server %s via chaos relay %s, running %v (seed %d)\n",
@@ -118,7 +116,7 @@ loop:
 				size int
 			}{{1, 1, 120}, {2, 2, 250}, {3, 1, 1000}, {4, 3, 1100}} {
 				for i := 0; i < s.n; i++ {
-					ok, err := sess.Send(s.id, make([]byte, s.size))
+					ok, err := conn.Send(s.id, make([]byte, s.size))
 					if err != nil {
 						return err
 					}
@@ -136,13 +134,13 @@ loop:
 	mu.Lock()
 	defer mu.Unlock()
 	for _, id := range []uint16{1, 2, 3, 4} {
-		st := sess.Stats(id)
+		st := conn.Stats(id)
 		fmt.Printf("%-14s %8d %8d %8d %8d %7.2f Mb\n",
 			names[id], sent[id], received[id], st.Shed, st.Retx, st.Allocated/1e6)
 	}
 	c := relay.Counters(faults.Both)
-	fmt.Printf("\nrelay: %d dropped (%d loss, %d blackholed), %d dup, %d reordered; session resumed %d time(s); final budget %.2f Mb/s\n",
+	fmt.Printf("\nrelay: %d dropped (%d loss, %d blackholed), %d dup, %d reordered; session re-bound %d time(s); final budget %.2f Mb/s\n",
 		relay.TotalDropped(), c.Dropped, c.Blackholed, c.Duplicated, c.Reordered,
-		sess.Reconnects(), sess.Conn().Budget()/1e6)
+		conn.ReconnectCount(), conn.Budget()/1e6)
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"marnet/internal/phy"
 	"marnet/internal/rpc"
 	"marnet/internal/simnet"
+	"marnet/internal/wire"
 )
 
 // This file runs the adaptive degradation controller against the REAL
@@ -149,6 +150,7 @@ func (r *AdaptResult) HitRate() float64 {
 type adaptRun struct {
 	s    *Scenario
 	cl   *rpc.Client
+	conn *wire.Conn        // the client's: SRTT and loss rate
 	ctrl *adapt.Controller // nil for fixed policies
 	pol  adapt.Policy      // policy in force for the next frame
 
@@ -208,7 +210,7 @@ func (r *adaptRun) netShareTick() float64 {
 }
 
 func startAdaptRun(s *Scenario, cl *rpc.Client, kind AdaptPolicyKind, cfg adapt.Config, until time.Duration) *adaptRun {
-	r := &adaptRun{s: s, cl: cl, err: baseErr, stopAt: until}
+	r := &adaptRun{s: s, cl: cl, conn: cl.Conn(), err: baseErr, stopAt: until}
 	switch kind {
 	case PolicyAdaptive:
 		r.ctrl = adapt.NewController(cfg)
@@ -243,8 +245,8 @@ func (r *adaptRun) ctrlTick() {
 	// the bottom of the ladder; with no new reports this tick it reads 0,
 	// which disables the high-net-share floor rather than fabricating one.
 	sig := adapt.Signals{
-		SRTT:       r.cl.Session().SRTT(),
-		Loss:       r.cl.Session().LossRate(),
+		SRTT:       r.conn.SRTT(),
+		Loss:       r.conn.LossRate(),
 		Frames:     r.tickFrames,
 		Misses:     r.tickMisses,
 		Rejections: r.tickRejects,
@@ -266,7 +268,7 @@ func (r *adaptRun) frameTick() {
 	r.frames++
 	// The loss EWMA decays back to zero on a clean tail, so remember the
 	// worst it got: that's what a burst-loss scenario asserts against.
-	if lr := r.cl.Session().LossRate(); lr > r.peakLoss {
+	if lr := r.conn.LossRate(); lr > r.peakLoss {
 		r.peakLoss = lr
 	}
 	r.err = math.Min(r.err+driftPerFrame, errCap)
@@ -484,7 +486,7 @@ func adaptScenario(name string, seed int64, kind AdaptPolicyKind, cfg adapt.Conf
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
 		res = run.result(kind, seed)
-		res.WireLoss = cl.Session().LossRate()
+		res.WireLoss = run.conn.LossRate()
 		run.stop()
 		cl.Close()
 	})

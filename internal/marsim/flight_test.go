@@ -1,6 +1,14 @@
 package marsim
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"marnet/internal/core"
+	"marnet/internal/obs"
+	"marnet/internal/phy"
+	"marnet/internal/rpc"
+)
 
 // The GE burst must arm the whole diagnosis chain: the recorder sees the
 // datapath, budget blows freeze snapshots, the SLO engine detects the
@@ -58,4 +66,56 @@ func TestFlightGEBurstDeterministic(t *testing.T) {
 	if c.TraceHash == a.TraceHash {
 		t.Error("different seeds produced identical traces")
 	}
+}
+
+// TestSessionResetSnapshot: the first re-bind of an outage freezes the
+// client's flight recorder, once however often the silent conn re-binds,
+// and the capture holds the reset record itself.
+func TestSessionResetSnapshot(t *testing.T) {
+	s := NewScenario("session-reset", 42)
+	srv, serverEp, err := simServer(s, 4*time.Millisecond, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := s.Net.NewHost("mobile", phy.WiFiLocal)
+	rec := obs.NewFlightRecorder(obs.RecorderConfig{Session: "mobile", Clock: s.Clock})
+	cl, err := rpc.Dial("sim://server", rpc.ClientConfig{
+		Clock:     s.Clock,
+		Dialer:    host.Dialer(serverEp),
+		Seed:      43,
+		Keepalive: 100 * time.Millisecond,
+		Recorder:  rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := startWorkload(s, cl, core.PrioHighest, 400, 50*time.Millisecond, 250*time.Millisecond)
+	s.At(time.Second, func() { host.Partition(true) })
+	s.At(2500*time.Millisecond, func() { host.Partition(false) })
+	var reconnects int64
+	s.Defer(func() { srv.Close() })
+	s.Defer(func() {
+		reconnects = cl.Stats().Reconnects
+		w.stop()
+		cl.Close()
+	})
+	if err := s.Run(3500 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+
+	var resets []*obs.Snapshot
+	for _, sn := range rec.Snapshots() {
+		if sn.Reason == "session-reset" {
+			resets = append(resets, sn)
+		}
+	}
+	if len(resets) != 1 || reconnects < 2 {
+		t.Fatalf("%d session-reset snapshots over %d re-binds, want 1 over several", len(resets), reconnects)
+	}
+	for _, e := range resets[0].Events {
+		if e.Kind == obs.EvSessionReset {
+			return
+		}
+	}
+	t.Errorf("the session-reset snapshot holds no %v record", obs.EvSessionReset)
 }

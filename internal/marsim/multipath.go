@@ -23,7 +23,7 @@ import (
 // Three modes run the identical script:
 //
 //   - MPSingle: the single-path client on WiFi alone — the baseline; it
-//     must re-dial across the blackhole.
+//     must re-bind across the blackhole.
 //   - MPFailover: a wire.DialPaths conn over both links, probing and
 //     evacuation only (no FEC, no striping) — the session survives the
 //     blackhole with zero resets.
@@ -239,8 +239,6 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 		Dialer:    dialer,
 		Seed:      seed + 1,
 		Keepalive: mpKeepalive,
-		RedialMin: 40 * time.Millisecond,
-		RedialMax: 160 * time.Millisecond,
 		Retry:     rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
@@ -296,7 +294,7 @@ func runMP(spec mpSpec, seed int64, mode MultipathMode) (*MultipathResult, error
 		}
 	})
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		stopped = true
 		cl.Close()
 		for i, c := range dials {

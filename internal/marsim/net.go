@@ -262,8 +262,8 @@ func (ep *Endpoint) Close() error {
 // Links exposes the endpoint's uplink and downlink for measurement.
 func (ep *Endpoint) Links() (up, down *simnet.Link) { return ep.up, ep.down }
 
-// Host models one mobile device: every endpoint it opens (each re-dial of
-// a resilient session opens a fresh one, like a fresh UDP socket) shares
+// Host models one mobile device: every endpoint it opens (each re-bind of
+// a dialed conn opens a fresh one, like a fresh UDP socket) shares
 // the host's current radio profile and partition state. SetProfile is a
 // vertical handover applied to live links; Partition is total loss.
 type Host struct {
@@ -337,12 +337,14 @@ func (h *Host) applyTo(ep *Endpoint) {
 	ep.down.SetLoss(loss)
 }
 
-// Dialer returns a wire.ConnDialer that opens a fresh endpoint on this
-// host per dial — exactly how a resilient session re-dials through a new
-// socket after the old path died.
+// Dialer returns a wire.ConnDialer whose conn opens a fresh endpoint on
+// this host at the dial and at each re-bind — exactly how a dialed conn
+// moves to a new socket after the old path fell silent.
 func (h *Host) Dialer(server *Endpoint) wire.ConnDialer {
 	return func(cfg wire.Config) (*wire.Conn, error) {
-		return wire.DialVia(h.NewEndpoint(), server.UDPAddr(), cfg)
+		return wire.DialWith(func() (wire.PacketConn, *net.UDPAddr, error) {
+			return h.NewEndpoint(), server.UDPAddr(), nil
+		}, cfg)
 	}
 }
 

@@ -24,7 +24,7 @@ type Scenario struct {
 }
 
 // NewScenario creates a named scenario; the seed fixes every random
-// decision (link loss, jitter, retry jitter, session redial backoff), so
+// decision (link loss, jitter, retry jitter), so
 // one (name, seed) pair identifies exactly one trace.
 func NewScenario(name string, seed int64) *Scenario {
 	sim := simnet.New(seed)

@@ -62,6 +62,7 @@ type workload struct {
 
 	stopped           bool
 	calls, oks, fails int64
+	marked, settled   int64 // the calls issued by the mark, and how many of them settled after it
 }
 
 func startWorkload(s *Scenario, cl *rpc.Client, prio core.Priority, size int, period, deadline time.Duration) *workload {
@@ -81,6 +82,9 @@ func (w *workload) tick() {
 		if w.stopped {
 			return // teardown failure of an in-flight call, not workload data
 		}
+		if seq <= w.marked {
+			w.settled++
+		}
 		if err == nil {
 			w.oks++
 			w.s.Logf("call %d ok", seq)
@@ -93,6 +97,13 @@ func (w *workload) tick() {
 }
 
 func (w *workload) stop() { w.stopped = true }
+
+// mark starts counting how the calls in flight now settle, and reports
+// how many there are.
+func (w *workload) mark() int64 {
+	w.marked = w.calls
+	return w.calls - w.oks - w.fails
+}
 
 // simServer starts the real rpc server on a fresh backbone endpoint with
 // a modeled service time — the event-dispatch mode, zero goroutines.
@@ -149,7 +160,7 @@ func RunHandover(seed int64) (*Result, error) {
 
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		w.stop()
 		cl.Close()
 	})
@@ -210,7 +221,7 @@ func RunCongestion(seed int64) (*Result, error) {
 	res := &Result{}
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		w.stop()
 		cl.Close()
 	})
@@ -237,9 +248,12 @@ func RunCongestion(seed int64) (*Result, error) {
 }
 
 // RunPartitionResume walks the client out of coverage: keepalives detect
-// the dead path, the session re-dials through fresh endpoints until the
-// partition heals, and calls flow again on the resumed session with
-// sequence numbers preserved.
+// the dead path, the conn re-binds to fresh endpoints until the partition
+// heals, and calls flow again on the same conn with sequence numbers
+// preserved. Every call in flight at the dead verdict settles exactly once,
+// none hung and none twice: as a failure, since its 250 ms deadline ends
+// inside the partition and a re-bind does not re-send what the old path
+// carried.
 func RunPartitionResume(seed int64) (*Result, error) {
 	s := NewScenario("partition-resume", seed)
 	srv, serverEp, err := simServer(s, 4*time.Millisecond, 4)
@@ -249,23 +263,26 @@ func RunPartitionResume(seed int64) (*Result, error) {
 	host := s.Net.NewHost("mobile", phy.WiFiLocal)
 
 	res := &Result{}
+	var w *workload
+	var inFlight int64 // calls in flight at the dead verdict
 	cl, err := rpc.Dial("sim://server", rpc.ClientConfig{
 		Clock:     s.Clock,
 		Dialer:    host.Dialer(serverEp),
 		Seed:      seed + 1,
 		Keepalive: 100 * time.Millisecond,
-		RedialMin: 40 * time.Millisecond,
-		RedialMax: 160 * time.Millisecond,
 		Retry:     rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
 			s.Logf("session %v at %s", st, stamp(s.Sim.Now()))
+			if st == wire.StateDead {
+				inFlight = w.mark()
+			}
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	w := startWorkload(s, cl, core.PrioHighest, 400, 50*time.Millisecond, 250*time.Millisecond)
+	w = startWorkload(s, cl, core.PrioHighest, 400, 50*time.Millisecond, 250*time.Millisecond)
 
 	const partitionAt, healAt = 2 * time.Second, 3500 * time.Millisecond
 	s.At(partitionAt, func() { host.Partition(true) })
@@ -275,7 +292,7 @@ func RunPartitionResume(seed int64) (*Result, error) {
 
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		w.stop()
 		cl.Close()
 	})
@@ -306,6 +323,9 @@ func RunPartitionResume(seed int64) (*Result, error) {
 		}
 		if w.oks <= okAtHeal {
 			return fmt.Errorf("no call succeeded on the resumed session")
+		}
+		if inFlight == 0 || w.settled != inFlight {
+			return fmt.Errorf("%d settlements of the %d calls in flight at the dead verdict", w.settled, inFlight)
 		}
 		return nil
 	})
@@ -429,12 +449,10 @@ func RunSoak(seed int64, simMinutes int) (*Result, error) {
 
 	res := &Result{}
 	cl, err := rpc.Dial("sim://server", rpc.ClientConfig{
-		Clock:     s.Clock,
-		Dialer:    host.Dialer(serverEp),
-		Seed:      seed + 1,
-		RedialMin: 50 * time.Millisecond,
-		RedialMax: 200 * time.Millisecond,
-		Retry:     rpc.RetryPolicy{Max: 2},
+		Clock:  s.Clock,
+		Dialer: host.Dialer(serverEp),
+		Seed:   seed + 1,
+		Retry:  rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
 			s.Logf("session %v at %s", st, stamp(s.Sim.Now()))
@@ -460,7 +478,7 @@ func RunSoak(seed int64, simMinutes int) (*Result, error) {
 
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		w.stop()
 		cl.Close()
 	})

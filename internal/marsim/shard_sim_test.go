@@ -41,8 +41,6 @@ func runShardedSim(seed int64) (*Result, int, error) {
 		Dialer:    host.Dialer(ep),
 		Seed:      seed + 1,
 		Keepalive: 100 * time.Millisecond,
-		RedialMin: 40 * time.Millisecond,
-		RedialMax: 160 * time.Millisecond,
 		Retry:     rpc.RetryPolicy{Max: 2},
 		OnStateChange: func(st wire.State) {
 			res.Transitions = append(res.Transitions, StateTransition{st, s.Sim.Now()})
@@ -59,7 +57,7 @@ func runShardedSim(seed int64) (*Result, int, error) {
 
 	s.Defer(func() { srv.Close() })
 	s.Defer(func() {
-		res.Reconnects = cl.Session().Reconnects()
+		res.Reconnects = cl.Stats().Reconnects
 		w.stop()
 		cl.Close()
 	})

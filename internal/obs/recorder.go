@@ -62,8 +62,8 @@ const (
 	// (StageIndex), B=total in microseconds, C=dominant stage's share in
 	// microseconds.
 	EvBudgetSplit
-	// EvSessionReset: the session layer began a resume after a dead-peer
-	// verdict. B=reconnect ordinal.
+	// EvSessionReset: a dialed conn re-bound to a fresh transport at a
+	// silence verdict. B=reconnect ordinal.
 	EvSessionReset
 	// EvSLOTrigger: the SLO engine's multi-window burn-rate alert fired.
 	// B=fast burn ×1000, C=slow burn ×1000.

@@ -3,6 +3,7 @@ package offload
 import (
 	"encoding/binary"
 	"fmt"
+	"net"
 	"time"
 
 	"marnet/internal/core"
@@ -102,10 +103,12 @@ func NewRunner(sim *simnet.Sim, pl Pipeline, serverOps float64, up, down simnet.
 	}
 	addr := serverAddr
 	r.cl, err = rpc.Dial("sim", rpc.ClientConfig{Clock: clock, Dialer: func(cfg wire.Config) (*wire.Conn, error) {
-		addr++
-		ep := marsim.NewLinkEndpoint(addr, up)
-		clientMux.Register(addr, ep)
-		return wire.DialVia(ep, marsim.LinkAddr(serverAddr), cfg)
+		return wire.DialWith(func() (wire.PacketConn, *net.UDPAddr, error) {
+			addr++
+			ep := marsim.NewLinkEndpoint(addr, up)
+			clientMux.Register(addr, ep)
+			return ep, marsim.LinkAddr(serverAddr), nil
+		}, cfg)
 	}})
 	if err != nil {
 		return nil, fmt.Errorf("offload: dial: %w", err)

@@ -128,7 +128,7 @@ func TestCallIsTwoDatagrams(t *testing.T) {
 					if err != nil {
 						t.Error(err)
 					}
-					answered, held = append(answered, s.Sim.Now()), append(held, cl.Session().SRTT()/4)
+					answered, held = append(answered, s.Sim.Now()), append(held, cl.Conn().SRTT()/4)
 				})
 			})
 		}

@@ -242,7 +242,7 @@ func (c *Client) launchLocked(cs *callState, budget time.Duration) (uint64, erro
 	if cs.span != nil {
 		traceID, spanID = uint64(cs.span.Trace), uint64(cs.span.ID)
 	}
-	ok, err := c.sess.SendTraced(reqStream, buf, traceID, spanID)
+	ok, err := c.conn.SendTraced(reqStream, buf, traceID, spanID)
 	if err != nil || !ok {
 		delete(c.pending, id)
 		if err != nil {

@@ -58,8 +58,6 @@ func TestChaosStormSuite(t *testing.T) {
 	fc, err := DialFailover([]string{relay.Addr(), backup.Addr()}, ClientConfig{
 		Key:             key,
 		Keepalive:       50 * time.Millisecond,
-		RedialMin:       20 * time.Millisecond,
-		RedialMax:       200 * time.Millisecond,
 		RequestDeadline: 80 * time.Millisecond,
 		Retry:           RetryPolicy{Max: 4, Backoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond},
 		Breaker:         BreakerPolicy{Enabled: true, Threshold: 4, Cooldown: 250 * time.Millisecond},

@@ -11,8 +11,8 @@
 // graceful-degradation doctrine.
 //
 // The client side is built to survive hostile networks (Section VI):
-// the underlying session resumes itself after outages, calls retry with
-// seeded-jitter exponential backoff inside their deadline, slow calls can
+// its conn re-binds itself to a fresh socket after outages, calls retry
+// with seeded-jitter exponential backoff inside their deadline, slow calls can
 // hedge a duplicate request after a p99-based delay, a circuit breaker
 // sheds work from a dead server, and FailoverClient dispatches to backup
 // servers when the primary's breaker opens (the Figure 5a multi-server
@@ -749,7 +749,7 @@ type ClientStats struct {
 	ShedCalls  int64 // transport-level sheds (per attempt)
 	Retries    int64 // extra attempts after a failed one
 	Hedges     int64 // duplicate requests launched
-	Reconnects int64 // session resumptions after dead-peer verdicts
+	Reconnects int64 // re-binds to a fresh transport at silence verdicts
 
 	Degraded           int64 // responses served below full fidelity
 	ServerExpired      int64 // attempts the server declared dead on deadline
@@ -768,7 +768,7 @@ type callResult struct {
 
 // Client issues calls to a Server.
 type Client struct {
-	sess   *wire.Session
+	conn   *wire.Conn
 	cfg    ClientConfig
 	budget *obs.BudgetTracker
 	clock  vclock.Clock
@@ -810,22 +810,20 @@ type ClientConfig struct {
 	// per call.
 	Priority core.Priority
 
-	// Keepalive is the heartbeat interval for dead-peer detection and
-	// session resumption (default 250 ms; three silent intervals mean the
-	// peer is dead).
+	// Keepalive is the heartbeat interval for dead-peer detection and the
+	// conn's re-bind (default 250 ms; three silent intervals mean the peer
+	// is dead, and the conn moves to a fresh transport).
 	Keepalive time.Duration
-	// RedialMin/RedialMax bound the session re-dial backoff.
-	RedialMin, RedialMax time.Duration
 	// Retry, Hedge and Breaker make individual calls survive loss bursts,
 	// stragglers and dead servers. All are off by default.
 	Retry   RetryPolicy
 	Hedge   HedgePolicy
 	Breaker BreakerPolicy
-	// Seed drives every randomized decision (retry jitter, redial jitter)
-	// so chaos runs are reproducible.
+	// Seed drives every randomized decision (retry jitter) so chaos runs
+	// are reproducible.
 	Seed int64
-	// OnStateChange observes session liveness (wire.StateDead on outage,
-	// wire.StateActive on recovery).
+	// OnStateChange observes the conn's liveness (wire.StateDead once per
+	// outage, wire.StateActive on recovery, wire.StateClosed at Close).
 	OnStateChange func(wire.State)
 
 	// Tracer, when set, mints a span per call, propagates its trace id in
@@ -854,10 +852,10 @@ type ClientConfig struct {
 	// draining TTL all run on it, so a client on a virtual clock is fully
 	// deterministic.
 	Clock vclock.Clock
-	// Dialer, when set, replaces the UDP dial for every connection attempt
-	// (initial and each session re-dial) — the hook internal/marsim uses to
-	// hand the client fresh simulated endpoints. The addr argument to Dial
-	// is then only a label.
+	// Dialer, when set, replaces the UDP dial (wire.Dial): the hook
+	// internal/marsim uses to hand the client a conn over simulated
+	// endpoints (wire.DialWith, a fresh one per re-bind). The addr argument
+	// to Dial is then only a label.
 	Dialer wire.ConnDialer
 }
 
@@ -878,6 +876,9 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = obs.DefaultBudget
 	}
+	if cfg.Keepalive <= 0 {
+		cfg.Keepalive = 250 * time.Millisecond
+	}
 	c := &Client{
 		cfg:     cfg,
 		clock:   vclock.OrSystem(cfg.Clock),
@@ -894,30 +895,23 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 			{ID: reqStream, Class: core.ClassLossRecovery, Priority: core.PrioHighest,
 				Rate: cfg.RequestRate, Deadline: cfg.RequestDeadline},
 		},
-		StartBudget: cfg.StartBudget,
-		Key:         cfg.Key,
-		OnMessage:   c.onMessage,
-		Keepalive:   cfg.Keepalive,
-		Clock:       cfg.Clock,
-		Recorder:    cfg.Recorder,
-	}
-	scfg := wire.SessionConfig{
-		RedialMin:     cfg.RedialMin,
-		RedialMax:     cfg.RedialMax,
-		Seed:          cfg.Seed + 1,
+		StartBudget:   cfg.StartBudget,
+		Key:           cfg.Key,
+		OnMessage:     c.onMessage,
+		Keepalive:     cfg.Keepalive,
 		OnStateChange: cfg.OnStateChange,
+		Clock:         cfg.Clock,
+		Recorder:      cfg.Recorder,
 	}
-	var sess *wire.Session
 	var err error
 	if cfg.Dialer != nil {
-		sess, err = wire.DialSessionWith(cfg.Dialer, wcfg, scfg)
+		c.conn, err = cfg.Dialer(wcfg)
 	} else {
-		sess, err = wire.DialSession(addr, wcfg, scfg)
+		c.conn, err = wire.Dial(addr, wcfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	c.sess = sess
 	return c, nil
 }
 
@@ -926,7 +920,7 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	st := c.stats
 	c.mu.Unlock()
-	st.Reconnects = c.sess.Reconnects()
+	st.Reconnects = c.conn.ReconnectCount()
 	return st
 }
 
@@ -953,8 +947,12 @@ func (c *Client) markDraining() {
 	c.mu.Unlock()
 }
 
-// Session exposes the underlying resilient session.
-func (c *Client) Session() *wire.Session { return c.sess }
+// Conn is the client's conn, the same one for the client's life: it
+// re-binds to a fresh socket after an outage.
+func (c *Client) Conn() *wire.Conn { return c.conn }
+
+// Session is the client's conn as a wire.Session handle.
+func (c *Client) Session() *wire.Session { return (*wire.Session)(c.conn) }
 
 // Close aborts all pending calls with ErrClosed and closes the
 // connection.
@@ -966,7 +964,7 @@ func (c *Client) Close() error {
 	for _, fin := range fins {
 		c.run(fin)
 	}
-	return c.sess.Close()
+	return c.conn.Close()
 }
 
 func (c *Client) onMessage(m wire.Message) {
@@ -1162,10 +1160,7 @@ func (c *Client) finishCall(span *obs.Span, win attemptInfo, total time.Duration
 		r.Compute = remain
 	}
 	remain -= r.Compute
-	netEst := time.Duration(0)
-	if conn := c.sess.Conn(); conn != nil {
-		netEst = conn.SRTT()
-	}
+	netEst := c.conn.SRTT()
 	if netEst > remain {
 		netEst = remain
 	}

@@ -101,8 +101,6 @@ func TestShardStormCrossShardRace(t *testing.T) {
 				Key:             key,
 				StartBudget:     20e6,
 				Keepalive:       keepalive,
-				RedialMin:       20 * time.Millisecond,
-				RedialMax:       150 * time.Millisecond,
 				RequestDeadline: reqDeadline,
 				Retry:           RetryPolicy{Max: 6, Backoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 				Breaker:         BreakerPolicy{Enabled: true, Threshold: 4, Cooldown: 250 * time.Millisecond},

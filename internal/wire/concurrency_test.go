@@ -27,7 +27,7 @@ import (
 // that is gone fails.
 func TestWireGoroutineSites(t *testing.T) {
 	allowed := map[string]int{"packetconn.go": 1, "demux.go": 1}
-	timers := map[string]int{"conn.go": 1, "session.go": 3}
+	timers := map[string]int{"conn.go": 1}
 	// The names of the paths this model replaced, split so a grep for them
 	// finds live code only.
 	banned := map[string]string{

@@ -98,14 +98,16 @@ type Config struct {
 	// authenticates headers (Section VI-G). Both endpoints must share it.
 	Key []byte
 	// Keepalive, when > 0, sends a heartbeat ping every interval and
-	// declares the peer dead after keepaliveMiss (3) unanswered intervals.
-	// Peers answer pings automatically whether or not they enable
-	// keepalive themselves.
+	// declares the peer dead after keepaliveMiss (3) unanswered intervals;
+	// a dialed conn re-binds then, and every keepaliveMiss intervals after
+	// until the peer is heard (DialWith). Peers answer pings automatically
+	// whether or not they enable keepalive themselves.
 	Keepalive time.Duration
-	// OnStateChange observes liveness transitions (Active↔Dead, and Closed
-	// on local close). It is called without internal locks held; it must
-	// not call back into blocking Conn methods from the same goroutine it
-	// wants to keep serviced.
+	// OnStateChange observes liveness transitions (Active↔Dead, each once
+	// per outage however often the conn re-binds, and Closed on local
+	// close). It is called without internal locks held; it must not call
+	// back into blocking Conn methods from the same goroutine it wants to
+	// keep serviced.
 	OnStateChange func(State)
 	// Clock supplies time and timer scheduling for every protocol deadline
 	// (pacing gaps, the retransmit sweep, keepalive, acks). Nil means the system
@@ -134,6 +136,10 @@ type Conn struct {
 
 	onPathState func(path string, st PathState) // a multipath client's (PathOptions)
 
+	// open, a dialed conn's, opens the fresh transport a silence verdict
+	// re-binds it to (rebind); nil on every other conn.
+	open func() (PacketConn, *net.UDPAddr, error)
+
 	mu   sync.Mutex
 	core connCore
 	peer *net.UDPAddr
@@ -153,24 +159,44 @@ type Conn struct {
 	onClose func()
 }
 
-// Dial connects to a server and starts the protocol machinery.
+// Dial connects to a server from a fresh UDP socket, and re-binds to
+// another at each silence verdict (DialWith).
 func Dial(server string, cfg Config) (*Conn, error) {
-	raddr, err := net.ResolveUDPAddr("udp", server)
+	return DialWith(func() (PacketConn, *net.UDPAddr, error) {
+		raddr, err := net.ResolveUDPAddr("udp", server)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: resolve %q: %w", server, err)
+		}
+		sock, err := net.ListenUDP("udp", nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: listen: %w", err)
+		}
+		return newUDPPacketConn(sock), raddr, nil
+	}, cfg)
+}
+
+// DialWith connects over the transport open returns, and keeps open: with
+// cfg.Keepalive set, every silence verdict (keepaliveMiss intervals with
+// nothing heard) opens a fresh transport through it and re-binds the conn
+// in place, so the client survives a dead socket or a walk out of coverage
+// with its streams and sequence numbers. The server meets the fresh
+// transport as a new peer, as a Mux does, so the queued and unacked frames
+// are not re-sent (connCore.rebind): delivery across a re-bind is at most
+// once. A Listen conn answers only the first peer it heard. open must
+// return a fresh transport per call, which the conn owns.
+func DialWith(open func() (PacketConn, *net.UDPAddr, error), cfg Config) (*Conn, error) {
+	pc, peer, err := open()
 	if err != nil {
-		return nil, fmt.Errorf("wire: resolve %q: %w", server, err)
+		return nil, err
 	}
-	sock, err := net.ListenUDP("udp", nil)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen: %w", err)
-	}
-	return newConn(newUDPPacketConn(sock), raddr, cfg)
+	return newConn(pc, peer, cfg, open)
 }
 
 // DialVia connects to peer over a caller-supplied transport (e.g. a
 // simulated network endpoint from internal/marsim). The Conn owns the
 // transport and closes it on Close.
 func DialVia(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
-	return newConn(pc, peer, cfg)
+	return newConn(pc, peer, cfg, nil)
 }
 
 // Listen binds a server endpoint; the peer address is learned from the
@@ -184,14 +210,25 @@ func Listen(addr string, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
 	}
-	return newConn(newUDPPacketConn(sock), nil, cfg)
+	return newConn(newUDPPacketConn(sock), nil, cfg, nil)
 }
 
 // ListenVia is Listen over a caller-supplied transport: the peer address is
 // learned from the first arriving frame.
 func ListenVia(pc PacketConn, cfg Config) (*Conn, error) {
-	return newConn(pc, nil, cfg)
+	return newConn(pc, nil, cfg, nil)
 }
+
+// ConnDialer opens a client's conn from its Config: DialWith over a fresh
+// transport, or DialPaths (rpc.ClientConfig.Dialer).
+type ConnDialer func(cfg Config) (*Conn, error)
+
+// Session is the handle rpc.Client.Session returns: the conn itself,
+// which outlives its sockets (DialWith), under another name.
+type Session Conn
+
+// Conn is the session's conn, the same one for the session's life.
+func (s *Session) Conn() *Conn { return (*Conn)(s) }
 
 // PathConf names one access link of a multipath conn and its transport,
 // which the conn owns and closes on Close.
@@ -249,13 +286,13 @@ func DialPaths(paths []PathConf, peer *net.UDPAddr, cfg Config, opts PathOptions
 	return c, nil
 }
 
-func newConn(pc PacketConn, peer *net.UDPAddr, cfg Config) (*Conn, error) {
+func newConn(pc PacketConn, peer *net.UDPAddr, cfg Config, open func() (PacketConn, *net.UDPAddr, error)) (*Conn, error) {
 	c, err := newConnCommon(pc, peer, cfg)
 	if err != nil {
 		pc.Close()
 		return nil, err
 	}
-	c.pcs = []PacketConn{pc}
+	c.pcs, c.open = []PacketConn{pc}, open
 	c.start()
 	return c, nil
 }
@@ -412,13 +449,13 @@ func (c *Conn) write(frame []byte, to route) bool {
 // what is due — every deadline up to a granule ahead and not placed after
 // this fire's — in a fixed order, each step a section whose writes follow
 // it: the keepalive and the paths' probes and parity (state callbacks,
-// then the ping, then the rest), the sweep and the pacer, then the acks no
-// frame carried. The last step re-arms the alarm.
+// then a re-bind or the ping, then the rest), the sweep and the pacer, then
+// the acks no frame carried. The last step re-arms the alarm.
 func (c *Conn) onDeadline() {
 	c.mu.Lock()
 	now := c.clock.Now()
 	due := vclock.Deadline{At: now.Add(c.core.grain), Stamp: c.alarmAt.Stamp}
-	probed, dead := c.core.probe(now, due)
+	probed, silent, dead := c.core.probe(now, due)
 	c.core.probePaths(now, due)
 	if !probed && len(c.core.ctl) == 0 { // nothing to write or call back before the sweep: one section serves both
 		c.core.onDeadline(now, due)
@@ -432,15 +469,44 @@ func (c *Conn) onDeadline() {
 		if dead && c.cfg.OnStateChange != nil {
 			c.cfg.OnStateChange(StateDead)
 		}
+		rebound := silent && c.open != nil && c.rebind(now, dead)
 		c.notify(notes)
-		if ok {
-			c.write(ping, to) // best-effort probe
+		if ok && !rebound {
+			c.write(ping, to) // best-effort probe; a re-bound conn's next leaves a keepalive later
 		}
 		putFrameBuf(fb)
 		c.writeControl() // the rest of the round: more probes, parity
 		c.sweep(now, due)
 	}
 	c.flushDue(now, due)
+}
+
+// rebind answers a silence verdict at now: it opens a fresh transport,
+// swaps it in for the silent one, which it closes, and restarts the core's
+// path state (connCore.rebind); the re-bind at the dead verdict freezes
+// the flight recorder. It reports false when open fails or the conn closed
+// meanwhile: the next verdict tries again.
+func (c *Conn) rebind(now time.Time, dead bool) bool {
+	pc, peer, err := c.open()
+	if err != nil {
+		return false
+	}
+	pc.Start(c.handleDatagram)
+	c.mu.Lock()
+	if c.core.closed() {
+		c.mu.Unlock()
+		pc.Close()
+		return false
+	}
+	old := c.pc
+	c.pc, c.pcs[0], c.peer = pc, pc, peer
+	c.core.rebind(now)
+	c.unlockAndDrain(now)
+	old.Close()
+	if dead {
+		c.cfg.Recorder.Freeze("session-reset")
+	}
+	return true
 }
 
 // notify calls OnPathState for each transition, with mu free, freezing the
@@ -490,15 +556,12 @@ func (c *Conn) flushDue(now time.Time, due vclock.Deadline) {
 	}
 }
 
-// LastActivity reports when the last authenticated frame arrived from the
-// peer (connection creation time if none has).
-func (c *Conn) LastActivity() time.Time {
-	return read(c, func(k *connCore) time.Time { return k.lastHeard })
-}
-
-// LocalAddr returns the bound UDP address.
+// LocalAddr returns the bound UDP address (the latest transport's).
 func (c *Conn) LocalAddr() *net.UDPAddr {
-	addr, _ := c.pc.LocalAddr().(*net.UDPAddr)
+	c.mu.Lock()
+	pc := c.pc
+	c.mu.Unlock()
+	addr, _ := pc.LocalAddr().(*net.UDPAddr)
 	return addr
 }
 
@@ -686,30 +749,10 @@ func (c *Conn) AuthFailureCount() int64 {
 	return read(c, func(k *connCore) int64 { return k.authFailures })
 }
 
-// streamSeqs snapshots every sending stream's next sequence number, for
-// session resumption.
-func (c *Conn) streamSeqs() map[uint16]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint16]int64, len(c.core.streams))
-	for _, st := range c.core.streams {
-		out[st.spec.ID] = st.nextSeq
-	}
-	return out
-}
-
-// setStreamSeqs fast-forwards sending sequence numbers to at least the
-// given values. A resumed session calls this before any Send so the peer's
-// duplicate filter (which remembers the pre-outage sequence space) does
-// not swallow fresh data.
-func (c *Conn) setStreamSeqs(seqs map[uint16]int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, seq := range seqs {
-		if st := c.core.stream(id); st != nil && seq > st.nextSeq {
-			st.nextSeq = seq
-		}
-	}
+// ReconnectCount reports how many times the conn re-bound to a fresh
+// transport (DialWith).
+func (c *Conn) ReconnectCount() int64 {
+	return read(c, func(k *connCore) int64 { return k.reconnects })
 }
 
 // Stats returns a snapshot for a stream.
@@ -737,6 +780,7 @@ func (c *Conn) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("mar_wire_acks_sent_total", func() int64 { return read(c, func(k *connCore) int64 { return k.acksSent }) }, labels...)
 	reg.CounterFunc("mar_wire_acks_piggybacked_total", func() int64 { return read(c, func(k *connCore) int64 { return k.acksPiggybacked }) }, labels...)
 	reg.CounterFunc("mar_wire_auth_failures_total", c.AuthFailureCount, labels...)
+	reg.CounterFunc("mar_wire_reconnects_total", c.ReconnectCount, labels...)
 	reg.GaugeFunc("mar_wire_srtt_seconds", func() float64 { return c.SRTT().Seconds() }, labels...)
 	reg.GaugeFunc("mar_wire_loss_rate", c.LossRate, labels...)
 	reg.CounterFunc("mar_wire_frames_lost_total", c.LostFrameCount, labels...)

@@ -19,13 +19,14 @@ import (
 // of poll and pollControl encoded, with the path it takes, and what is to
 // be delivered out of onDatagram. Conn drives it (conn.go).
 type connCore struct {
-	epoch     time.Time
-	grain     time.Duration    // the clock's timer floor: no pace deadline is shorter
-	seq       vclock.Sequencer // the clock's, if it has one: deadline stamps
-	retxLimit int
-	keepalive time.Duration
-	rec       *obs.FlightRecorder
-	sealer    *sealer // nil when Config.Key is unset
+	epoch       time.Time
+	grain       time.Duration    // the clock's timer floor: no pace deadline is shorter
+	seq         vclock.Sequencer // the clock's, if it has one: deadline stamps
+	retxLimit   int
+	keepalive   time.Duration
+	startBudget float64 // what a controller starts from, at init and at each re-bind
+	rec         *obs.FlightRecorder
+	sealer      *sealer // nil when Config.Key is unset
 
 	ctrl      *core.Controller
 	streams   []*wstream // sorted by id; the order is fixed at declaration
@@ -82,6 +83,7 @@ type connCore struct {
 	acksPiggybacked int64 // acknowledgement blocks that rode a data frame
 	authFailures    int64
 	lostFrames      int64 // transmissions declared lost (gap, nack or sweep)
+	reconnects      int64 // re-binds to a fresh transport (rebind)
 
 	// Smoothed per-transmission loss rate (0 per delivery, 1 per loss): the
 	// measured input of the §VI-C FEC sizing rule.
@@ -195,27 +197,73 @@ func (c *connCore) init(cfg Config, now time.Time, grain time.Duration, seq vclo
 		cfg.RetxLimit = 3
 	}
 	*c = connCore{
-		epoch:     now,
-		grain:     grain,
-		seq:       seq,
-		retxLimit: cfg.RetxLimit,
-		keepalive: cfg.Keepalive,
-		rec:       cfg.Recorder,
-		sealer:    sl,
-		ctrl:      core.NewController(cfg.StartBudget),
-		state:     StateActive,
-		lastHeard: now,
-		nextSend:  now,
+		epoch:       now,
+		grain:       grain,
+		seq:         seq,
+		retxLimit:   cfg.RetxLimit,
+		keepalive:   cfg.Keepalive,
+		startBudget: cfg.StartBudget,
+		rec:         cfg.Recorder,
+		sealer:      sl,
+		state:       StateActive,
+		lastHeard:   now,
+		nextSend:    now,
 	}
-	c.rtt = c.ctrl.RTT()
 	for _, spec := range cfg.Streams {
 		st := newStream(spec, now)
 		st.tokens = 4 * 1500 // initial burst credit
 		c.addStream(st)
 	}
+	c.newController()
+	return nil
+}
+
+// newController gives the conn a controller at the start budget, and its
+// RTT, and shares the budget out.
+func (c *connCore) newController() {
+	c.ctrl = core.NewController(c.startBudget)
+	c.rtt = c.ctrl.RTT()
 	c.ctrl.SetOnChange(c.reallocate)
 	c.reallocate()
-	return nil
+}
+
+// rebind restarts the conn on a fresh transport at now (Conn.rebind), as
+// RFC 9000 §9.4 has a migrated connection do: what measured the old path
+// (controller, core.RTT, loss EWMA, the peer's arrival rate) and what
+// belonged to the peer's conn behind it (receive windows, acks owed) start
+// afresh, and the sending streams keep their sequence numbers. Their
+// queued and unacked frames go: that peer conn may have delivered one
+// whose ack died, and the fresh transport meets a new conn (a Mux keys
+// them by source address) whose duplicate filter never saw it. Delivery
+// across a re-bind is at most once. The silence clock restarts: an outage
+// re-binds every keepaliveMiss intervals.
+func (c *connCore) rebind(now time.Time) {
+	c.reconnects++
+	c.rec.RecordAt(now, obs.EvSessionReset, 0, 0, uint32(c.reconnects), 0)
+	c.lastHeard = now
+	c.newController()
+	c.lossRate, c.lossKnown = 0, false
+	c.arrStart, c.arrBits = time.Time{}, 0
+	c.owedN, c.ackAt = 0, vclock.Deadline{}
+	for b := range c.bands {
+		for q := &c.bands[b]; !q.empty(); {
+			f, pp := q.pop(), (*wpending)(nil)
+			if st := c.stream(f.hdr.Stream); st != nil {
+				pp = st.window.get(f.hdr.Seq)
+			}
+			if pp == nil { // best effort, or acked while queued: the band held the last reference
+				putPayloadBuf(f.pbuf)
+			} else {
+				pp.queued = false // the window's now, freed below
+			}
+		}
+	}
+	for _, st := range c.streams {
+		st.recv, st.runStart = core.NewSeqWindow(recvWindow), 0
+		for seq, ok := st.window.first(); ok; seq, ok = st.window.first() {
+			c.removePending(st, seq, st.window.get(seq))
+		}
+	}
 }
 
 // start sets the first keepalive deadline and a multipath client's first
@@ -309,20 +357,22 @@ func (c *connCore) nextDeadline() vclock.Deadline {
 	return next
 }
 
-// probe is the alarm's first step: a keepalive that is due sets the next,
-// owes a ping, and reports the flip to dead once the silence threshold is
-// crossed (Section VI: what lets the session layer fail over).
-func (c *connCore) probe(now time.Time, due vclock.Deadline) (ping, dead bool) {
+// probe is the alarm's first step: a keepalive that is due sets the next
+// and owes a ping. It reports the silence verdict, keepaliveMiss intervals
+// with nothing heard (a dialed conn re-binds on it), and the flip to dead
+// the verdict brings an active peer (Section VI: what degrades gracefully
+// instead of tearing the session down).
+func (c *connCore) probe(now time.Time, due vclock.Deadline) (ping, silent, dead bool) {
 	if due.Before(c.kaAt) {
-		return false, false
+		return false, false, false
 	}
 	c.set(&c.kaAt, now.Add(c.keepalive))
-	dead = c.state == StateActive && now.Sub(c.lastHeard) >= keepaliveMiss*c.keepalive
-	if dead {
+	silent = now.Sub(c.lastHeard) >= keepaliveMiss*c.keepalive
+	if dead = silent && c.state == StateActive; dead {
 		c.state = StateDead
 	}
 	c.oweControl(now, Header{Type: TypePing, SendMicro: uint64(now.Sub(c.epoch).Microseconds())}, nil)
-	return true, dead
+	return true, silent, dead
 }
 
 // onDeadline is the alarm's second step. The sweep retransmits reliable

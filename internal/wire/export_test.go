@@ -68,21 +68,6 @@ func (d *shardDemux) Stats() DemuxStats {
 	}
 }
 
-// State reports the session's liveness: Dead from outage detection until
-// the resumed path demonstrably carries frames again.
-func (s *Session) State() State {
-	s.mu.Lock()
-	conn, closed, down := s.conn, s.closed, s.down
-	s.mu.Unlock()
-	if closed {
-		return StateClosed
-	}
-	if down {
-		return StateDead
-	}
-	return conn.State()
-}
-
 func (q *frameQueue) len() int { return len(q.buf) - q.head }
 
 // State reports the current liveness judgement.

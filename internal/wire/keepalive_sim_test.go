@@ -8,6 +8,7 @@ package wire_test
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -227,3 +228,75 @@ func (sc *SeqChecker) Err() error {
 
 // Delivered reports how many distinct messages arrived on stream id.
 func (sc *SeqChecker) Delivered(stream uint16) int { return len(sc.seen[stream]) }
+
+// TestRebindDeliversAtMostOnce: through a downlink-only outage the
+// client hears nothing and re-binds every keepaliveMiss intervals, while
+// every frame it sends still reaches the server conn behind the socket it
+// left on, and that conn's acks die. Each fresh socket meets a new server
+// conn with an empty duplicate filter, so a frame the conn re-sent after a
+// re-bind would be delivered twice: across all the Mux's conns each frame
+// arrives exactly once. The conn's state flips once each way, and after
+// the heal the echoes of the new server conn, from its own sequence space,
+// reach the client's fresh receive windows.
+func TestRebindDeliversAtMostOnce(t *testing.T) {
+	s := marsim.NewScenario("rebind-at-most-once", 5)
+	serverEp := s.Net.NewEndpoint("server", lossless)
+	checker := NewSeqChecker(false) // shared by every server conn
+	mux, err := wire.ListenMuxVia(serverEp, func(*net.UDPAddr) wire.Config {
+		return wire.Config{
+			Streams: []wire.StreamSpec{{ID: 2, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e6}},
+			OnMessage: checker.Wrap(func(m wire.Message) {
+				m.Conn.Send(2, m.Payload) //nolint:errcheck
+			}),
+		}
+	}, wire.WithMuxClock(s.Clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := s.Net.NewHost("mobile", lossless)
+	var changes []wire.State
+	echoed := map[byte]bool{}
+	client, err := host.Dialer(serverEp)(wire.Config{
+		Streams:       []wire.StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 1e6, Deadline: 2 * time.Second}},
+		Keepalive:     50 * time.Millisecond,
+		Clock:         s.Clock,
+		OnMessage:     func(m wire.Message) { echoed[m.Payload[0]] = true },
+		OnStateChange: func(st wire.State) { changes = append(changes, st) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames, period = 20, 50 * time.Millisecond
+	for i := range frames {
+		s.At(time.Duration(i)*period, func() { client.Send(1, []byte{byte(i)}) }) //nolint:errcheck
+	}
+	const partitionAt, healAt = 200 * time.Millisecond, 700 * time.Millisecond
+	serverUp, _ := serverEp.Links() // the server's uplink carries the client's downlink
+	s.At(partitionAt, func() { serverUp.SetLoss(1) })
+	s.At(healAt, func() { serverUp.SetLoss(0) })
+	var reconnects int64
+	s.Defer(func() { mux.Close() })
+	s.Defer(func() {
+		reconnects = client.ReconnectCount()
+		client.Close()
+	})
+	if err := s.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := checker.Err(); err != nil {
+		t.Error(err)
+	}
+	if got := checker.Delivered(1); got != frames {
+		t.Errorf("delivered %d distinct frames, want %d", got, frames)
+	}
+	if reconnects < 2 {
+		t.Errorf("%d re-binds during a %v outage, want several", reconnects, healAt-partitionAt)
+	}
+	if !echoed[frames-1] {
+		t.Errorf("the echo of frame %d, sent after the heal, never reached the client", frames-1)
+	}
+	if fmt.Sprint(changes) != "[dead active closed]" {
+		t.Errorf("state changes %v, want one dead, one active, closed", changes)
+	}
+}

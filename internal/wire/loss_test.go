@@ -14,7 +14,7 @@ import (
 func TestLossRateTracksLossyPath(t *testing.T) {
 	// A relay dropping a quarter of uplink datagrams: the connection's
 	// smoothed loss rate must move off zero and surface through the
-	// session.
+	// conn.
 	key := bytes.Repeat([]byte{9}, 16)
 	var rx collector
 	server, err := Listen("127.0.0.1:0", Config{Key: key, OnMessage: rx.add})
@@ -32,11 +32,12 @@ func TestLossRateTracksLossyPath(t *testing.T) {
 	}
 	defer relay.Close()
 
-	sess, err := DialSession(relay.Addr(), Config{
+	sess, err := Dial(relay.Addr(), Config{
 		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 2e6}},
 		StartBudget: 5e6,
 		Key:         key,
-	}, SessionConfig{Seed: 1})
+		Keepalive:   250 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestLossRateTracksLossyPath(t *testing.T) {
 	if !waitFor(t, 10*time.Second, func() bool { return sess.LossRate() > 0 }) {
 		t.Fatal("loss rate still zero after sustained 25% uplink loss")
 	}
-	if lost := sess.Conn().LostFrameCount(); lost == 0 {
+	if lost := sess.LostFrameCount(); lost == 0 {
 		t.Error("LostFrameCount zero despite relay drops")
 	}
 	if r := sess.LossRate(); r <= 0 || r >= 1 {

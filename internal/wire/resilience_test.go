@@ -41,7 +41,7 @@ func (r *stateRecorder) saw(want State) bool {
 func TestSessionResumesThroughBlackholePreservingSeqs(t *testing.T) {
 	// Server behind a mux, client behind a chaos relay. The relay's address
 	// is the peer the server sees, so its per-peer receive state (the dup
-	// filter) SURVIVES the client's re-dial — only sequence preservation
+	// filter) SURVIVES the client's re-bind — only sequence preservation
 	// keeps resumed traffic from being swallowed as duplicates.
 	var rx collector
 	mux, err := ListenMux("127.0.0.1:0", func(*net.UDPAddr) Config {
@@ -59,13 +59,10 @@ func TestSessionResumesThroughBlackholePreservingSeqs(t *testing.T) {
 	defer relay.Close()
 
 	var rec stateRecorder
-	sess, err := DialSession(relay.Addr(), Config{
-		Streams:     []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 2e6}},
-		StartBudget: 5e6,
-		Keepalive:   40 * time.Millisecond,
-	}, SessionConfig{
-		RedialMin:     20 * time.Millisecond,
-		Seed:          9,
+	sess, err := Dial(relay.Addr(), Config{
+		Streams:       []StreamSpec{{ID: 1, Class: core.ClassCritical, Priority: core.PrioHighest, Rate: 2e6}},
+		StartBudget:   5e6,
+		Keepalive:     40 * time.Millisecond,
 		OnStateChange: rec.add,
 	})
 	if err != nil {
@@ -91,7 +88,7 @@ func TestSessionResumesThroughBlackholePreservingSeqs(t *testing.T) {
 	}
 
 	relay.SetBlackhole(faults.Both, true)
-	if !waitFor(t, 2*time.Second, func() bool { return sess.Reconnects() >= 1 }) {
+	if !waitFor(t, 2*time.Second, func() bool { return sess.ReconnectCount() >= 1 }) {
 		t.Fatal("session never resumed during blackhole")
 	}
 	relay.SetBlackhole(faults.Both, false)
