@@ -58,10 +58,11 @@ allocs:
 # each proved non-vacuous on testdata/reach), every …Locked call under its
 # lock, no wall-clock read in a package the simulator hosts, one RTT
 # estimator, a wire conn core with no lock, clock, timer or socket and no
-# map to walk, and wire's goroutine, timer and write-path budget. They also
-# run in `test`; this target is the list, and fails if one of them is
-# renamed away.
-GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestConnCoreWalksNoMap|TestWireGoroutineSites
+# map to walk, wire's goroutine, timer and write-path budget, and the
+# serving path's (no goroutine or sync.Cond in overload, one slot goroutine
+# site in rpc). They also run in `test`; this target is the list, and fails
+# if one of them is renamed away.
+GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestConnCoreWalksNoMap|TestWireGoroutineSites|TestServingPathConcurrency
 guards:
 	@out="$$($(GO) test -count=1 -v -run '^($(GUARDS))$$' . ./internal/wire/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \

@@ -128,7 +128,11 @@ func marbench(args []string, table []study, stdout io.Writer) error {
 		res := st.run(o)
 		fmt.Fprintln(stdout, res.Format())
 		if gated, ok := res.(interface{ Pass() bool }); ok && !gated.Pass() {
-			return fmt.Errorf("%s study failed acceptance (see above)", st.name)
+			why := "see above"
+			if named, ok := res.(interface{ Failed() string }); ok {
+				why = named.Failed()
+			}
+			return fmt.Errorf("%s study failed acceptance (%s)", st.name, why)
 		}
 		if *outDir != "" && st.artifact != "" {
 			path := filepath.Join(*outDir, "BENCH_"+st.artifact+".json")

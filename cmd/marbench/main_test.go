@@ -92,6 +92,10 @@ func TestUnknownStudyAndFailedGateFail(t *testing.T) {
 	table := []study{
 		{name: "good", artifact: "good", run: func(options) result { return verdict(true) }},
 		{name: "bad", artifact: "bad", run: func(options) result { return verdict(false) }},
+		{name: "slowhook", run: func(options) result {
+			return experiments.ObsLoadResult{DisabledNsPerOp: 12, CodecRoundTrip: true, Deterministic: true,
+				FlightSnapshots: 1, FlightStormSeen: true, FlightSLOFired: true}
+		}},
 	}
 	dir := t.TempDir()
 	if err := marbench([]string{"-out", dir, "good"}, table, io.Discard); err != nil {
@@ -102,6 +106,9 @@ func TestUnknownStudyAndFailedGateFail(t *testing.T) {
 	}
 	if err := marbench([]string{"-out", dir, "bad"}, table, io.Discard); err == nil {
 		t.Error("a failed gate did not fail the run")
+	}
+	if err := marbench([]string{"slowhook"}, table, io.Discard); err == nil || !strings.Contains(err.Error(), "disabled hook 12.00 ns/op") {
+		t.Errorf("a failed obsload gate: err = %v, want it named", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "BENCH_bad.json")); err == nil {
 		t.Error("a study that failed its gate still wrote its artifact")

@@ -775,3 +775,49 @@ func impureCore(src *source, pkg, typ string, banned []string) ([]reachFinding, 
 	}
 	return nil, fmt.Errorf("no type %s in package %s", typ, pkg)
 }
+
+// TestServingPathConcurrency guards the serving path's concurrency model:
+// the admission gate is a state machine under one mutex that never blocks,
+// and the rpc server pumps it, starting a goroutine only for a slot that
+// has work. So non-test internal/overload has no go statement and no
+// sync.Cond, and internal/rpc has one go statement — the slot's — and no
+// sync.Cond either.
+func TestServingPathConcurrency(t *testing.T) {
+	src := programSource(t)
+	_, infos, err := typeCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := map[string]int{"marnet/internal/overload": 0, "marnet/internal/rpc": 1}
+	found := map[string]int{}
+	for i, p := range src.pkgs {
+		want, ok := sites[p.path]
+		if !ok {
+			continue
+		}
+		found[p.path] = 0
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					if found[p.path]++; found[p.path] > want {
+						t.Errorf("%s: go statement beyond the %d budgeted in %s", src.fset.Position(n.Pos()), want, p.path)
+					}
+				case *ast.Ident:
+					if obj := infos[i].Uses[n]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Cond" || obj.Name() == "NewCond") {
+						t.Errorf("%s: sync.%s: the serving path pumps a non-blocking gate; nothing parks on a condition", src.fset.Position(n.Pos()), obj.Name())
+					}
+				}
+				return true
+			})
+		}
+	}
+	for path, want := range sites {
+		got, ok := found[path]
+		if !ok {
+			t.Errorf("%s: no such package (drop the entry with the package)", path)
+		} else if got != want {
+			t.Errorf("%s: %d go statements, want %d (update this guard with the concurrency model)", path, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"time"
@@ -61,19 +62,36 @@ const (
 	obsMaxDisabledNs    = 10.0
 	obsMaxRecordAllocs  = 0.0
 	obsRecordIters      = 1 << 16
+	obsTimingRounds     = 5
 	obsBenchPackets     = 4000
 	obsBenchPayload     = 1000
 	obsAllocsRunsRecord = 4096
 )
 
 // Pass reports whether every acceptance gate holds.
-func (r ObsLoadResult) Pass() bool {
-	return r.Err == "" &&
-		r.RecordAllocsPerEvent <= obsMaxRecordAllocs &&
-		r.DisabledNsPerOp < obsMaxDisabledNs &&
-		r.Wire.OverheadPct < obsMaxOverheadPct &&
-		r.CodecRoundTrip && r.Deterministic &&
-		r.FlightSnapshots > 0 && r.FlightStormSeen && r.FlightSLOFired
+func (r ObsLoadResult) Pass() bool { return r.Failed() == "" }
+
+// Failed names the first acceptance gate that does not hold, with the
+// reading that failed it; it is empty when every gate holds.
+func (r ObsLoadResult) Failed() string {
+	switch {
+	case r.Err != "":
+		return "study error: " + r.Err
+	case r.RecordAllocsPerEvent > obsMaxRecordAllocs:
+		return fmt.Sprintf("recorder allocs/event %.2f > %.0f", r.RecordAllocsPerEvent, obsMaxRecordAllocs)
+	case r.DisabledNsPerOp >= obsMaxDisabledNs:
+		return fmt.Sprintf("disabled hook %.2f ns/op >= %.0f", r.DisabledNsPerOp, obsMaxDisabledNs)
+	case r.Wire.OverheadPct >= obsMaxOverheadPct:
+		return fmt.Sprintf("wire overhead %.2f%% >= %.0f%% (%.2f events/frame x %.1f ns over %.0f ns/frame)",
+			r.Wire.OverheadPct, obsMaxOverheadPct, r.Wire.EventsPerFrame, r.RecordNsPerOp, r.Wire.FrameNs)
+	case !r.CodecRoundTrip:
+		return "snapshot codec round trip"
+	case !r.Deterministic:
+		return "flight scenario not deterministic"
+	case r.FlightSnapshots == 0 || !r.FlightStormSeen || !r.FlightSLOFired:
+		return fmt.Sprintf("flight scenario: snapshots=%d storm=%v slo=%v", r.FlightSnapshots, r.FlightStormSeen, r.FlightSLOFired)
+	}
+	return ""
 }
 
 // allocsPerRun measures process-wide mallocs per call of f over runs
@@ -92,14 +110,20 @@ func allocsPerRun(runs int, f func()) float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(runs)
 }
 
-// nsPerOp times a tight loop of f.
+// nsPerOp times a tight loop of f in obsTimingRounds rounds and reports
+// the fastest: a descheduling or an interrupt only ever adds time to a
+// round, so the fastest is the one closest to the loop's own cost.
 func nsPerOp(iters int, f func()) float64 {
 	f() // warm
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		f()
+	best := math.Inf(1)
+	for r := 0; r < obsTimingRounds; r++ {
+		t0 := time.Now()
+		for i := 0; i < iters; i++ {
+			f()
+		}
+		best = min(best, float64(time.Since(t0).Nanoseconds())/float64(iters))
 	}
-	return float64(time.Since(t0).Nanoseconds()) / float64(iters)
+	return best
 }
 
 // ObsLoad measures the observability layer's own cost and verifies the

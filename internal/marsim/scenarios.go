@@ -106,7 +106,8 @@ func (w *workload) mark() int64 {
 }
 
 // simServer starts the real rpc server on a fresh backbone endpoint with
-// a modeled service time — the event-dispatch mode, zero goroutines.
+// a modeled service time: its slots are held by timers, so it starts no
+// goroutine.
 func simServer(s *Scenario, service time.Duration, workers int) (*rpc.Server, *Endpoint, error) {
 	ep := s.Net.NewEndpoint("server", phy.Backbone)
 	srv, err := rpc.NewServer("sim", nil,

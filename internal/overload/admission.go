@@ -1,7 +1,6 @@
 package overload
 
 import (
-	"sync"
 	"time"
 
 	"marnet/internal/queue/codel"
@@ -32,7 +31,7 @@ type Item struct {
 	Job any
 }
 
-// itemRing is one tier's FIFO: a ring of QueueCap slots made once (Offer
+// itemRing is one tier's FIFO: a ring of QueueCap slots made once (offer
 // checks the cap before pushing). A slice queue advanced with q[1:] walks
 // off its array and reallocates once per item when depth oscillates 0↔1.
 type itemRing struct {
@@ -63,23 +62,14 @@ func (r *itemRing) popBack() *Item {
 	return it
 }
 
-// AdmissionConfig sizes the per-tier bounded queues.
-type AdmissionConfig struct {
-	// QueueCap bounds each tier's queue (default 128). The cap is the
-	// hard backstop; CoDel shedding acts long before it fills.
-	QueueCap int
-	// Clock is the time source (default time.Now).
-	Clock func() time.Time
-}
-
 // AdmissionStats is a snapshot of the queue counters. Slices are indexed
 // by tier.
 type AdmissionStats struct {
-	Offered    []int64 // Offer calls per tier
+	Offered    []int64 // offers per tier
 	Admitted   []int64 // offers that entered a queue
 	TailDrop   []int64 // offers refused because the tier queue was full
 	CoDelShed  []int64 // queued items shed by the queue-delay controller
-	Dispatched []int64 // items handed to workers by Pop
+	Dispatched []int64 // items handed over by the gate's Next
 }
 
 // Admission is the tiered admission queue: bounded FIFO per tier, strict
@@ -89,10 +79,12 @@ type AdmissionStats struct {
 // for a full codel.Interval. This is the ARTP twist on RFC 8289: the signal
 // is classic CoDel, but the drop falls on the traffic the priority model
 // says is expendable, not on the head of the line.
+//
+// Admission has no lock of its own: the Gate that owns it calls it only
+// under the gate's one mutex, so one admission decision takes one lock.
 type Admission struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cfg  AdmissionConfig
+	queueCap int
+	clock    func() time.Time
 
 	tiers  [Tiers]itemRing
 	closed bool
@@ -111,17 +103,12 @@ type Admission struct {
 	offered, admitted, tailDrop, codelShed, dispatched [Tiers]int64
 }
 
-// NewAdmission builds the queues.
-func NewAdmission(cfg AdmissionConfig) *Admission {
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 128
-	}
-	cfg.Clock = clockOrNow(cfg.Clock)
-	a := &Admission{cfg: cfg, epoch: cfg.Clock()}
+// newAdmission builds queues of queueCap slots per tier, judged on clock.
+func newAdmission(queueCap int, clock func() time.Time) *Admission {
+	a := &Admission{queueCap: queueCap, clock: clock, epoch: clock()}
 	for i := range a.tiers {
-		a.tiers[i].buf = make([]*Item, cfg.QueueCap)
+		a.tiers[i].buf = make([]*Item, queueCap)
 	}
-	a.cond = sync.NewCond(&a.mu)
 	return a
 }
 
@@ -130,30 +117,24 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // stamped and queued otherwise.
 func (a *Admission) offer(it *Item, now time.Time) bool {
 	a.clampTier(it)
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.offered[it.Tier]++
-	if a.closed || a.tiers[it.Tier].n >= a.cfg.QueueCap {
+	if a.closed || a.tiers[it.Tier].n >= a.queueCap {
 		a.tailDrop[it.Tier]++
 		return false
 	}
-	a.admitLocked(it, now)
+	a.enter(it, now)
 	a.tiers[it.Tier].push(it)
-	a.cond.Signal()
 	return true
 }
 
 // take is offer and pop in one step, for a caller that will run the item
 // itself: when nothing of its tier or a higher one is queued — so a pop
 // would hand over exactly this item — it is counted offered, admitted and
-// dispatched at now, its zero sojourn feeds the delay signals as a pop's
-// would, and no waiting Pop is woken, since nobody else is to pop it. It
-// reports false, changing nothing, when the item would have to wait its
-// turn (or the queues are closed).
+// dispatched at now, and its zero sojourn feeds the delay signals as a
+// pop's would. It reports false, changing nothing, when the item would
+// have to wait its turn (or the queues are closed).
 func (a *Admission) take(it *Item, now time.Time) bool {
 	a.clampTier(it)
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.closed {
 		return false
 	}
@@ -163,8 +144,8 @@ func (a *Admission) take(it *Item, now time.Time) bool {
 		}
 	}
 	a.offered[it.Tier]++
-	a.admitLocked(it, now)
-	a.dispatchLocked(it, now) // a zero sojourn is under Target: nothing is shed
+	a.enter(it, now)
+	a.dispatch(it, now) // a zero sojourn is under Target: nothing is shed
 	return true
 }
 
@@ -173,8 +154,8 @@ func (a *Admission) clampTier(it *Item) {
 	it.Tier = min(max(it.Tier, 0), Tiers-1)
 }
 
-// admitLocked stamps and counts an item entering the queues at now.
-func (a *Admission) admitLocked(it *Item, now time.Time) {
+// enter stamps and counts an item entering the queues at now.
+func (a *Admission) enter(it *Item, now time.Time) {
 	it.Enqueued = now
 	if it.Degrade == 0 {
 		it.Degrade = TierFull
@@ -182,16 +163,15 @@ func (a *Admission) admitLocked(it *Item, now time.Time) {
 	a.admitted[it.Tier]++
 }
 
-// dispatchLocked counts an item leaving the queues for a worker at now,
-// runs the CoDel law against its sojourn, and returns what that shed. The
-// law judges the dispatched item; each drop it calls for falls on
-// shedLowestLocked's victim, and when nothing sheddable is queued the
-// dropping state ends.
-func (a *Admission) dispatchLocked(it *Item, now time.Time) []*Item {
+// dispatch counts an item leaving the queues at now, runs the CoDel law
+// against its sojourn, and returns what that shed. The law judges the
+// dispatched item; each drop it calls for falls on shedLowest's victim,
+// and when nothing sheddable is queued the dropping state ends.
+func (a *Admission) dispatch(it *Item, now time.Time) []*Item {
 	var shed []*Item
 	sojourn, at := now.Sub(it.Enqueued), now.Sub(a.epoch)
-	for a.law.Drop(sojourn, at, a.depthLocked() > 0) {
-		s := a.shedLowestLocked()
+	for a.law.Drop(sojourn, at, a.depth() > 0) {
+		s := a.shedLowest()
 		if s == nil {
 			a.law.Stop()
 			break
@@ -199,46 +179,32 @@ func (a *Admission) dispatchLocked(it *Item, now time.Time) []*Item {
 		shed = append(shed, s)
 	}
 	a.dispatched[it.Tier]++
-	a.observeDelayLocked(it.Tier, sojourn)
+	a.observeDelay(it.Tier, sojourn)
 	return shed
 }
 
 // pop returns the next item in strict tier order plus any items the CoDel
-// controller shed while the caller was away — the caller owes each shed
-// item a rejection answer, so sheds surface to clients immediately instead
-// of as silence — and the clock reading the pop was judged at. With wait
-// it blocks until work is available or the queues close (ok=false);
-// without, ok is false when no work is queued.
-func (a *Admission) pop(wait bool) (it *Item, shed []*Item, now time.Time, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if it := a.popLocked(); it != nil {
-			now = a.cfg.Clock()
-			return it, a.dispatchLocked(it, now), now, true
-		}
-		if a.closed || !wait {
-			return nil, nil, now, false
-		}
-		a.cond.Wait()
-	}
-}
-
-func (a *Admission) popLocked() *Item {
+// controller shed on the way — the caller owes each shed item a rejection
+// answer, so sheds surface to clients immediately instead of as silence —
+// and the clock reading the pop was judged at. it is nil when nothing is
+// queued. Items queued before Close are still handed out.
+func (a *Admission) pop() (it *Item, shed []*Item, now time.Time) {
 	for t := range a.tiers {
 		if q := &a.tiers[t]; q.n > 0 {
-			return q.popFront()
+			it = q.popFront()
+			now = a.clock()
+			return it, a.dispatch(it, now), now
 		}
 	}
-	return nil
+	return nil, nil, now
 }
 
-// shedLowestLocked removes the newest item of the lowest-priority
-// non-empty tier above tier 0 — the work the ARTP priority model marks
-// expendable, and within it the request that has invested the least wait.
-// Tier 0 (PrioHighest) is only ever tail-capped, mirroring "never
-// discarded" in the transport.
-func (a *Admission) shedLowestLocked() *Item {
+// shedLowest removes the newest item of the lowest-priority non-empty
+// tier above tier 0 — the work the ARTP priority model marks expendable,
+// and within it the request that has invested the least wait. Tier 0
+// (PrioHighest) is only ever tail-capped, mirroring "never discarded" in
+// the transport.
+func (a *Admission) shedLowest() *Item {
 	for t := Tiers - 1; t > 0; t-- {
 		if q := &a.tiers[t]; q.n > 0 {
 			a.codelShed[t]++
@@ -248,7 +214,8 @@ func (a *Admission) shedLowestLocked() *Item {
 	return nil
 }
 
-func (a *Admission) depthLocked() int {
+// depth reports the total queued items.
+func (a *Admission) depth() int {
 	n := 0
 	for i := range a.tiers {
 		n += a.tiers[i].n
@@ -256,7 +223,7 @@ func (a *Admission) depthLocked() int {
 	return n
 }
 
-func (a *Admission) observeDelayLocked(tier int, d time.Duration) {
+func (a *Admission) observeDelay(tier int, d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -272,46 +239,18 @@ func (a *Admission) observeDelayLocked(tier int, d time.Duration) {
 	}
 }
 
-// Depth reports the total queued items.
-func (a *Admission) Depth() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.depthLocked()
-}
-
-// QueueDelay reports the smoothed sojourn time of dispatched work — the
-// load signal the ladder and health probe consume.
-func (a *Admission) QueueDelay() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.delayEWMA
-}
-
-// QueueDelayTier reports the smoothed sojourn of one tier's dispatched
+// queueDelayTier reports the smoothed sojourn of one tier's dispatched
 // work — the wait a new request of that tier should expect, since
 // higher-priority work jumps ahead of the global mix.
-func (a *Admission) QueueDelayTier(tier int) time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *Admission) queueDelayTier(tier int) time.Duration {
 	if tier < 0 || tier >= Tiers {
 		return 0
 	}
 	return a.delayTier[tier]
 }
 
-// Close wakes all Pop callers; subsequent Offers are refused. Queued items
-// are retained so a closing caller can drain them with TryPop.
-func (a *Admission) Close() {
-	a.mu.Lock()
-	a.closed = true
-	a.mu.Unlock()
-	a.cond.Broadcast()
-}
-
-// Stats snapshots the counters.
-func (a *Admission) Stats() AdmissionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// stats snapshots the counters.
+func (a *Admission) stats() AdmissionStats {
 	cp := func(s *[Tiers]int64) []int64 { return append([]int64(nil), s[:]...) }
 	return AdmissionStats{
 		Offered:    cp(&a.offered),

@@ -10,23 +10,18 @@ import (
 // request whose remaining budget is smaller than the (safety-scaled)
 // estimate is refused before any work is spent on it.
 type Estimator struct {
-	mu    sync.Mutex
-	alpha float64
-	est   map[uint8]time.Duration
+	mu  sync.Mutex
+	est map[uint8]time.Duration
 }
 
-// DefaultEWMAAlpha is the smoothing factor used when none is configured:
-// heavy enough on history to ride out one odd sample, light enough to
-// re-track a method whose cost shifts (a recognition database growing).
-const DefaultEWMAAlpha = 0.2
+// ewmaAlpha is the estimator's smoothing factor: heavy enough on history
+// to ride out one odd sample, light enough to re-track a method whose cost
+// shifts (a recognition database growing).
+const ewmaAlpha = 0.2
 
-// NewEstimator builds an estimator with the given smoothing factor in
-// (0, 1]; out-of-range values fall back to DefaultEWMAAlpha.
-func NewEstimator(alpha float64) *Estimator {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultEWMAAlpha
-	}
-	return &Estimator{alpha: alpha, est: make(map[uint8]time.Duration)}
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
+	return &Estimator{est: make(map[uint8]time.Duration)}
 }
 
 // Observe feeds one measured service time for a method.
@@ -41,7 +36,7 @@ func (e *Estimator) Observe(method uint8, d time.Duration) {
 		e.est[method] = d
 		return
 	}
-	e.est[method] = cur + time.Duration(e.alpha*float64(d-cur))
+	e.est[method] = cur + time.Duration(ewmaAlpha*float64(d-cur))
 }
 
 // Estimate returns the current service-time estimate for a method; ok is

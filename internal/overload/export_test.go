@@ -1,29 +1,28 @@
 package overload
 
-// Offer submits an item for admission. It returns false when the item's
-// tier queue is at capacity (or the queues are closed); the item is
-// stamped and queued otherwise.
-func (a *Admission) Offer(it *Item) bool { return a.offer(it, a.cfg.Clock()) }
+// The gate calls its Admission only under its own lock; these tests drive
+// one Admission from a single goroutine.
 
-// Pop blocks until work is available (or the queues close: ok=false). It
-// returns the next item in strict tier order plus any items the CoDel
-// controller shed while the caller was away — the caller owes each shed
-// item a rejection answer, so sheds surface to clients immediately instead
-// of as silence.
-func (a *Admission) Pop() (it *Item, shed []*Item, ok bool) {
-	it, shed, _, ok = a.pop(true)
-	return it, shed, ok
-}
+// Offer submits an item for admission at the queues' clock reading.
+func (a *Admission) Offer(it *Item) bool { return a.offer(it, a.clock()) }
 
-// TryPop is Pop without blocking; ok is false when no work is queued.
+// TryPop returns the next item in strict tier order plus any items the
+// CoDel controller shed on the way; ok is false when no work is queued.
 func (a *Admission) TryPop() (it *Item, shed []*Item, ok bool) {
-	it, shed, _, ok = a.pop(false)
-	return it, shed, ok
+	it, shed, _ = a.pop()
+	return it, shed, it != nil
 }
 
-// Inflight reports how many items workers currently hold.
+// Inflight reports how many items have been handed over and not yet Done.
 func (g *Gate) Inflight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.inflight
+}
+
+// Depth reports the total queued items.
+func (g *Gate) Depth() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.adm.depth()
 }

@@ -10,8 +10,9 @@ import (
 
 // Config assembles a Gate.
 type Config struct {
-	// Admission tunes the tiered queues and the queue-delay shedder.
-	Admission AdmissionConfig
+	// QueueCap bounds each tier's queue (default 128). The cap is the
+	// hard backstop; CoDel shedding acts long before it fills.
+	QueueCap int
 	// Ladder enables degradation of admitted work; the zero Ladder serves
 	// everything at TierFull (queue caps, CoDel shedding and deadline
 	// rejection still apply).
@@ -20,8 +21,8 @@ type Config struct {
 	// request can finish inside its remaining budget (default 1.5: reject
 	// only when even an optimistic run would not fit).
 	Safety float64
-	// Clock is the time source (default time.Now); it is also pushed into
-	// Admission when that has none.
+	// Clock is the time source of every decision, the queues' included
+	// (default time.Now).
 	Clock func() time.Time
 	// Sleep is the poll pause WaitDrain uses between checks (default
 	// time.Sleep). Tests driving the gate on a virtual clock inject a hook
@@ -39,7 +40,7 @@ type Verdict int
 // Verdicts.
 const (
 	// Admit: the request entered a queue (from Admit) or is being handed
-	// to a worker (from Next).
+	// over to run (from Next).
 	Admit Verdict = iota + 1
 	// RejectExpired: the propagated deadline had already passed on
 	// arrival.
@@ -89,7 +90,7 @@ type GateStats struct {
 	Admission AdmissionStats
 
 	Admitted         int64 // requests that entered the queues
-	Completed        int64 // requests a worker finished
+	Completed        int64 // requests whose Done was called
 	Degraded         int64 // completions served below TierFull
 	ExpiredOnArrival int64 // deadline already expired when the request arrived
 	ExpiredInQueue   int64 // deadline expired while queued, before dispatch
@@ -101,23 +102,23 @@ type GateStats struct {
 // Gate is the assembled server-side admission controller: tiered bounded
 // queues with queue-delay shedding, deadline enforcement (expired-on-
 // arrival and cannot-finish-in-time), a degradation ladder, in-flight
-// tracking, and the drain protocol.
+// tracking, and the drain protocol. It is a state machine under one mutex
+// and never blocks: each Admit, Next or Done takes that lock once.
 //
-// Serving-layer contract: Admit every arriving request; run workers in a
-// loop around Next (or pump TryNext from completions); answer every
-// Rejection immediately; call Done exactly once per item Next or TryNext
-// returned. A goroutine that may itself run a request cheaply admits it
-// with AdmitInline instead: when nothing is queued ahead of it, the
-// request is handed straight back — no queue, no worker woken — and that
-// goroutine owes its Done (or its refusal) as a worker would.
+// Serving-layer contract: Admit every arriving request, then pump: while
+// the server has a free slot, call Next and run what it hands over, and
+// when Next finds the queue empty, stop until the next admission or
+// completion. Answer every Rejection immediately; call Done exactly once
+// per item Next returned. A goroutine that may itself run a request cheaply
+// admits it with AdmitInline instead: when nothing is queued ahead of it,
+// the request is handed straight back — no queue, no slot taken — and that
+// goroutine owes its Done (or its refusal) as a slot would.
 type Gate struct {
-	cfg   Config
-	adm   *Admission
-	est   *Estimator
-	clock func() time.Time
-	sleep func(d time.Duration)
+	cfg Config
+	est *Estimator
 
-	mu           sync.Mutex
+	mu           sync.Mutex // guards everything below, the queues included
+	adm          *Admission
 	draining     bool
 	inflight     int
 	admitted     int64
@@ -132,33 +133,29 @@ type Gate struct {
 
 // NewGate builds a gate.
 func NewGate(cfg Config) *Gate {
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 128
+	}
 	if cfg.Safety <= 0 {
 		cfg.Safety = 1.5
 	}
-	cfg.Clock = clockOrNow(cfg.Clock)
-	if cfg.Admission.Clock == nil {
-		cfg.Admission.Clock = cfg.Clock
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	return &Gate{
-		cfg:   cfg,
-		adm:   NewAdmission(cfg.Admission),
-		est:   NewEstimator(DefaultEWMAAlpha),
-		clock: cfg.Clock,
-		sleep: cfg.Sleep,
-	}
+	return &Gate{cfg: cfg, est: NewEstimator(), adm: newAdmission(cfg.QueueCap, cfg.Clock)}
 }
 
-// recordVerdict emits one refusal to the flight recorder. Nil-safe and
-// off the admit fast path: only rejections pay for it.
-func (g *Gate) recordVerdict(v Verdict, it *Item) {
-	if g.cfg.Recorder == nil {
-		return
+// rejectLocked emits one refusal to the flight recorder (nil-safe, and
+// only refusals pay for it) and returns its verdict.
+func (g *Gate) rejectLocked(v Verdict, it *Item) Verdict {
+	if g.cfg.Recorder != nil {
+		g.cfg.Recorder.Record(obs.EvOverloadVerdict, uint8(v), uint16(it.Method), 0,
+			uint64(g.adm.delayEWMA.Microseconds()))
 	}
-	g.cfg.Recorder.Record(obs.EvOverloadVerdict, uint8(v), uint16(it.Method), 0,
-		uint64(g.adm.QueueDelay().Microseconds()))
+	return v
 }
 
 // Admit decides whether the request may enter the queues, and enqueues it
@@ -171,33 +168,26 @@ func (g *Gate) Admit(it *Item) Verdict {
 
 // AdmitInline is Admit for a caller that will serve the request on its own
 // goroutine if nothing is queued ahead of it. Then the request skips the
-// queue — dispatched at once and vetted as Next vets, with no parked
-// worker woken for it — and inline is true: the request is the caller's
-// exactly as an item Next returned is a worker's, to run and settle with
-// Done when v is Admit, or to answer as refused when the vet said v.
-// Otherwise it is queued or refused exactly as Admit would, and inline is
-// false.
+// queue — dispatched at once and vetted as Next vets, with no slot taken
+// for it — and inline is true: the request is the caller's exactly as an
+// item Next returned is, to run and settle with Done when v is Admit, or
+// to answer as refused when the vet said v. Otherwise it is queued or
+// refused exactly as Admit would, and inline is false.
 func (g *Gate) AdmitInline(it *Item) (v Verdict, inline bool) { return g.admit(it, true) }
 
 func (g *Gate) admit(it *Item, inline bool) (Verdict, bool) {
-	now := g.clock()
+	now := g.cfg.Clock()
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.draining {
 		g.drainRejects++
-		g.mu.Unlock()
-		g.recordVerdict(RejectDraining, it)
-		return RejectDraining, false
+		return g.rejectLocked(RejectDraining, it), false
 	}
-	g.mu.Unlock()
-
 	if !it.Deadline.IsZero() {
 		remaining := it.Deadline.Sub(now)
 		if remaining <= 0 {
-			g.mu.Lock()
 			g.expArrival++
-			g.mu.Unlock()
-			g.recordVerdict(RejectExpired, it)
-			return RejectExpired, false
+			return g.rejectLocked(RejectExpired, it), false
 		}
 		// Cannot-finish at admission: predicted wait (the smoothed queue
 		// delay of this request's own tier — higher priorities jump the
@@ -205,106 +195,77 @@ func (g *Gate) admit(it *Item, inline bool) (Verdict, bool) {
 		// the remaining budget, or the work would be started only to be
 		// discarded.
 		if est, ok := g.est.Estimate(it.Method); ok {
-			need := g.adm.QueueDelayTier(it.Tier) + time.Duration(g.cfg.Safety*float64(est))
+			need := g.adm.queueDelayTier(it.Tier) + time.Duration(g.cfg.Safety*float64(est))
 			if need > remaining {
-				g.mu.Lock()
 				g.cannotFinish++
-				g.mu.Unlock()
-				g.recordVerdict(RejectCannotFinish, it)
-				return RejectCannotFinish, false
+				return g.rejectLocked(RejectCannotFinish, it), false
 			}
 		}
 	}
 	taken := inline && g.adm.take(it, now)
 	if !taken && !g.adm.offer(it, now) {
-		g.recordVerdict(RejectQueueFull, it)
-		return RejectQueueFull, false
+		return g.rejectLocked(RejectQueueFull, it), false
 	}
-	g.mu.Lock()
 	g.admitted++
-	g.mu.Unlock()
 	if !taken {
 		return Admit, false
 	}
-	if run, rejected := g.vet(it, nil, now); run == nil {
-		return rejected[0].Verdict, true
-	}
-	return Admit, true
+	return g.vetLocked(it, now), true
 }
 
-// Next blocks until a runnable item is available, returning it plus every
-// rejection decided along the way (queue-delay sheds, items that expired
-// in the queue, items whose budget no longer fits). ok=false after Close;
-// rejected may be non-empty even then. The returned item's Degrade field
-// carries the ladder's response tier.
-func (g *Gate) Next() (run *Item, rejected []Rejection, ok bool) { return g.next(true) }
-
-// TryNext is Next without blocking: ok is false when no work is queued
-// right now (rejections decided along the way may still be returned).
-// Event-driven servers — the deterministic simulation dispatch mode in
-// particular — pump the gate with TryNext from completion callbacks
-// instead of parking worker goroutines in Next.
-func (g *Gate) TryNext() (run *Item, rejected []Rejection, ok bool) { return g.next(false) }
-
-func (g *Gate) next(wait bool) (run *Item, rejected []Rejection, ok bool) {
+// Next hands over the next runnable item, with every rejection decided
+// along the way (queue-delay sheds, items that expired in the queue, items
+// whose budget no longer fits). It never blocks: ok is false when nothing
+// runnable is queued, and rejected may be non-empty even then. The
+// returned item's Degrade field carries the ladder's response tier.
+func (g *Gate) Next() (run *Item, rejected []Rejection, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for {
-		it, shed, now, popOK := g.adm.pop(wait)
+		it, shed, now := g.adm.pop()
 		for _, s := range shed {
-			g.recordVerdict(RejectShed, s)
-			rejected = append(rejected, Rejection{Item: s, Verdict: RejectShed})
+			rejected = append(rejected, Rejection{Item: s, Verdict: g.rejectLocked(RejectShed, s)})
 		}
-		if !popOK {
+		if it == nil {
 			return nil, rejected, false
 		}
-		if run, rejected = g.vet(it, rejected, now); run != nil {
-			return run, rejected, true
+		if v := g.vetLocked(it, now); v != Admit {
+			rejected = append(rejected, Rejection{Item: it, Verdict: v})
+			continue
 		}
+		return it, rejected, true
 	}
 }
 
-// vet applies the dispatch-time checks (expired-in-queue,
-// cannot-finish, ladder) to an item popped at now. It returns the item
-// ready to run, or nil with the rejection appended.
-func (g *Gate) vet(it *Item, rejected []Rejection, now time.Time) (*Item, []Rejection) {
+// vetLocked applies the dispatch-time checks (expired-in-queue,
+// cannot-finish, ladder) to an item popped at now. It returns Admit, the
+// item counted in flight, or the verdict that refused it.
+func (g *Gate) vetLocked(it *Item, now time.Time) Verdict {
 	if !it.Deadline.IsZero() {
 		remaining := it.Deadline.Sub(now)
 		if remaining <= 0 {
-			g.mu.Lock()
 			g.expQueue++
-			g.mu.Unlock()
-			g.recordVerdict(RejectExpired, it)
-			return nil, append(rejected, Rejection{Item: it, Verdict: RejectExpired})
+			return g.rejectLocked(RejectExpired, it)
 		}
-		if est, estOK := g.est.Estimate(it.Method); estOK {
-			if time.Duration(g.cfg.Safety*float64(est)) > remaining {
-				g.mu.Lock()
-				g.cannotFinish++
-				g.mu.Unlock()
-				g.recordVerdict(RejectCannotFinish, it)
-				return nil, append(rejected, Rejection{Item: it, Verdict: RejectCannotFinish})
-			}
+		if est, ok := g.est.Estimate(it.Method); ok && time.Duration(g.cfg.Safety*float64(est)) > remaining {
+			g.cannotFinish++
+			return g.rejectLocked(RejectCannotFinish, it)
 		}
 	}
 	if g.cfg.Ladder.Enabled() {
-		switch tier := g.cfg.Ladder.Tier(g.adm.QueueDelay()); tier {
-		case TierReject:
-			g.mu.Lock()
+		tier := g.cfg.Ladder.Tier(g.adm.delayEWMA)
+		if tier == TierReject {
 			g.ladderReject++
-			g.mu.Unlock()
-			g.recordVerdict(RejectShed, it)
-			return nil, append(rejected, Rejection{Item: it, Verdict: RejectShed})
-		default:
-			it.Degrade = tier
+			return g.rejectLocked(RejectShed, it)
 		}
+		it.Degrade = tier
 	}
-	g.mu.Lock()
 	g.inflight++
-	g.mu.Unlock()
-	return it, rejected
+	return Admit
 }
 
-// Done records the completion of an item returned by Next, feeding its
-// measured service time into the estimator.
+// Done records the completion of an item Next (or AdmitInline) handed
+// over, feeding its measured service time into the estimator.
 func (g *Gate) Done(it *Item, took time.Duration) {
 	g.est.Observe(it.Method, took)
 	g.mu.Lock()
@@ -317,7 +278,7 @@ func (g *Gate) Done(it *Item, took time.Duration) {
 }
 
 // SetDraining switches the drain state: while draining, Admit refuses all
-// new work but workers keep consuming the queues, so everything already
+// new work but Next keeps handing out the queues, so everything already
 // accepted completes.
 func (g *Gate) SetDraining(on bool) {
 	g.mu.Lock()
@@ -333,23 +294,27 @@ func (g *Gate) SetDraining(on bool) {
 // (and times out) on virtual time, the same time base as every other
 // decision it makes.
 func (g *Gate) WaitDrain(timeout time.Duration) bool {
-	deadline := g.clock().Add(timeout)
+	deadline := g.cfg.Clock().Add(timeout)
 	for {
 		g.mu.Lock()
-		idle := g.inflight == 0
+		idle := g.inflight == 0 && g.adm.depth() == 0
 		g.mu.Unlock()
-		if idle && g.adm.Depth() == 0 {
+		if idle {
 			return true
 		}
-		if g.clock().After(deadline) {
+		if g.cfg.Clock().After(deadline) {
 			return false
 		}
-		g.sleep(time.Millisecond)
+		g.cfg.Sleep(time.Millisecond)
 	}
 }
 
 // QueueDelay exposes the smoothed queue delay (the ladder's load signal).
-func (g *Gate) QueueDelay() time.Duration { return g.adm.QueueDelay() }
+func (g *Gate) QueueDelay() time.Duration {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.adm.delayEWMA
+}
 
 // Estimator exposes the per-method service-time estimator (servers may
 // pre-warm it with known costs).
@@ -361,12 +326,11 @@ func (g *Gate) Estimator() *Estimator { return g.est }
 // building even if nothing has been shed yet.
 func (g *Gate) Health() Probe {
 	g.mu.Lock()
-	draining := g.draining
+	draining, qd := g.draining, g.adm.delayEWMA
 	g.mu.Unlock()
 	if draining {
 		return ProbeDraining
 	}
-	qd := g.adm.QueueDelay()
 	if g.cfg.Ladder.Enabled() && g.cfg.Ladder.Tier(qd) != TierFull {
 		return ProbeDegraded
 	}
@@ -376,22 +340,28 @@ func (g *Gate) Health() Probe {
 	return ProbeHealthy
 }
 
-// Close unblocks all Next callers. Queued items are dropped unanswered;
-// drain first for a graceful stop.
-func (g *Gate) Close() { g.adm.Close() }
+// Close refuses every later admission as a full queue would. What is
+// already queued stays for Next to hand out; drain first for a graceful
+// stop.
+func (g *Gate) Close() {
+	g.mu.Lock()
+	g.adm.closed = true
+	g.mu.Unlock()
+}
 
 // Stats snapshots the counters.
 func (g *Gate) Stats() GateStats {
-	st := GateStats{Admission: g.adm.Stats()}
 	g.mu.Lock()
-	st.Admitted = g.admitted
-	st.Completed = g.completed
-	st.Degraded = g.degraded
-	st.ExpiredOnArrival = g.expArrival
-	st.ExpiredInQueue = g.expQueue
-	st.CannotFinish = g.cannotFinish
-	st.RejectedDraining = g.drainRejects
-	st.LadderRejected = g.ladderReject
-	g.mu.Unlock()
-	return st
+	defer g.mu.Unlock()
+	return GateStats{
+		Admission:        g.adm.stats(),
+		Admitted:         g.admitted,
+		Completed:        g.completed,
+		Degraded:         g.degraded,
+		ExpiredOnArrival: g.expArrival,
+		ExpiredInQueue:   g.expQueue,
+		CannotFinish:     g.cannotFinish,
+		RejectedDraining: g.drainRejects,
+		LadderRejected:   g.ladderReject,
+	}
 }

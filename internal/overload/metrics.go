@@ -38,9 +38,7 @@ func (g *Gate) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		return float64(g.Health())
 	}, labels...)
 
-	tiers := len(g.adm.Stats().Offered)
-	for tier := 0; tier < tiers; tier++ {
-		tier := tier
+	for tier := 0; tier < Tiers; tier++ {
 		ls := append(append([]obs.Label(nil), labels...), obs.L("tier", strconv.Itoa(tier)))
 		for _, m := range []struct {
 			name string
@@ -54,10 +52,7 @@ func (g *Gate) PublishMetrics(reg *obs.Registry, labels ...obs.Label) {
 		} {
 			get := m.get
 			reg.CounterFunc(m.name, func() int64 {
-				if vs := get(g.adm.Stats()); tier < len(vs) {
-					return vs[tier]
-				}
-				return 0
+				return get(g.Stats().Admission)[tier]
 			}, ls...)
 		}
 	}

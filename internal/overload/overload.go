@@ -28,8 +28,6 @@
 // is unit-testable deterministically; the zero clock is time.Now.
 package overload
 
-import "time"
-
 // Tier is one rung of the degradation ladder: what quality of answer the
 // server produces for an admitted request under its current load. It
 // mirrors the MAR pipeline's natural fallbacks (full recognition ->
@@ -95,12 +93,4 @@ func (p Probe) String() string {
 	default:
 		return "unknown-probe"
 	}
-}
-
-// clockOrNow defaults a nil clock to time.Now.
-func clockOrNow(clock func() time.Time) func() time.Time {
-	if clock == nil {
-		return time.Now
-	}
-	return clock
 }

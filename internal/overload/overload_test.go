@@ -2,6 +2,7 @@ package overload
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 
 func TestAdmissionPriorityOrder(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
+	a := newAdmission(128, clk.Now)
 	for _, tier := range []int{2, 0, 3, 1, 0} {
 		if !a.Offer(&Item{Tier: tier, Job: tier}) {
 			t.Fatalf("offer tier %d refused", tier)
@@ -40,7 +41,7 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	}
 	want := []int{0, 0, 1, 2, 3}
 	for i, w := range want {
-		it, shed, ok := a.Pop()
+		it, shed, ok := a.TryPop()
 		if !ok || len(shed) != 0 {
 			t.Fatalf("pop %d: ok=%v shed=%d", i, ok, len(shed))
 		}
@@ -52,7 +53,7 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 
 func TestAdmissionTailDrop(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{QueueCap: 2, Clock: clk.Now})
+	a := newAdmission(2, clk.Now)
 	if !a.Offer(&Item{Tier: 1}) || !a.Offer(&Item{Tier: 1}) {
 		t.Fatal("first two offers refused")
 	}
@@ -62,7 +63,7 @@ func TestAdmissionTailDrop(t *testing.T) {
 	if a.Offer(&Item{Tier: 2}) != true {
 		t.Fatal("other tier should have its own cap")
 	}
-	st := a.Stats()
+	st := a.stats()
 	if st.TailDrop[1] != 1 || st.Admitted[1] != 2 {
 		t.Fatalf("tier1 tailDrop=%d admitted=%d", st.TailDrop[1], st.Admitted[1])
 	}
@@ -73,7 +74,7 @@ func TestAdmissionTailDrop(t *testing.T) {
 // lowest tier first, and (c) never touches the protected top tier.
 func TestAdmissionCoDelShedsLowestTier(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{QueueCap: 100, Clock: clk.Now})
+	a := newAdmission(100, clk.Now)
 	// A backlog across three tiers, all enqueued at t0.
 	for i := 0; i < 12; i++ {
 		a.Offer(&Item{Tier: 0})
@@ -83,14 +84,14 @@ func TestAdmissionCoDelShedsLowestTier(t *testing.T) {
 	// Serve slowly: 50 ms per dispatch, so sojourn exceeds the target
 	// immediately and stays there for many intervals.
 	dispatched := 0
-	for a.Depth() > 0 {
+	for a.depth() > 0 {
 		clk.Advance(50 * time.Millisecond)
 		if _, _, ok := a.TryPop(); !ok {
 			break
 		}
 		dispatched++
 	}
-	st := a.Stats()
+	st := a.stats()
 	if st.CoDelShed[3] == 0 {
 		t.Fatal("standing queue delay never shed the lowest tier")
 	}
@@ -116,7 +117,7 @@ func TestAdmissionCoDelShedsLowestTier(t *testing.T) {
 func TestAdmissionResumesDropCadence(t *testing.T) {
 	clk := newFakeClock()
 	start := clk.Now()
-	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
+	a := newAdmission(128, clk.Now)
 	for i := 0; i < 100; i++ {
 		a.Offer(&Item{Tier: 3}) // the victims
 	}
@@ -171,7 +172,7 @@ func TestAdmissionResumesDropCadence(t *testing.T) {
 }
 
 func TestEstimatorEWMA(t *testing.T) {
-	e := NewEstimator(0.2)
+	e := NewEstimator()
 	if _, ok := e.Estimate(1); ok {
 		t.Fatal("estimate before any observation")
 	}
@@ -325,7 +326,7 @@ func TestGateLadderDegradesDispatch(t *testing.T) {
 		clk.Advance(20 * time.Millisecond)
 		run, rejected, ok := g.Next()
 		if !ok {
-			t.Fatal("gate closed early")
+			t.Fatal("Next found nothing runnable with work queued")
 		}
 		for range rejected {
 			// CoDel sheds count as rejections; ignore here.
@@ -335,7 +336,7 @@ func TestGateLadderDegradesDispatch(t *testing.T) {
 		}
 		tiers = append(tiers, run.Degrade)
 		g.Done(run, time.Millisecond)
-		if g.adm.Depth() == 0 {
+		if g.Depth() == 0 {
 			break
 		}
 	}
@@ -355,25 +356,22 @@ func TestGateLadderDegradesDispatch(t *testing.T) {
 
 // AdmitInline hands a request back only when a pop would have handed over
 // exactly that request — nothing of its tier or a higher one queued — and
-// counts it as an admission plus a dispatch. A worker parked in Next is
-// not woken for it: the next thing that worker gets is the next request
-// that was queued.
+// counts it as an admission plus a dispatch. It is never queued: the next
+// thing Next hands over is the next request that was.
 func TestAdmitInlineTakesOnlyFirstInLine(t *testing.T) {
 	clk := newFakeClock()
 	g := NewGate(Config{Clock: clk.Now})
 	defer g.Close()
 
-	got := make(chan *Item)
-	go func() {
-		run, _, _ := g.Next()
-		got <- run
-	}()
 	first := &Item{Tier: 1}
 	if v, inline := g.AdmitInline(first); v != Admit || !inline {
 		t.Fatalf("AdmitInline on empty queues = %v, inline %v; want admit, inline", v, inline)
 	}
-	if g.Inflight() != 1 || g.adm.Depth() != 0 {
-		t.Fatalf("inflight %d, depth %d after an inline admission; want 1, 0", g.Inflight(), g.adm.Depth())
+	if g.Inflight() != 1 || g.Depth() != 0 {
+		t.Fatalf("inflight %d, depth %d after an inline admission; want 1, 0", g.Inflight(), g.Depth())
+	}
+	if run, _, ok := g.Next(); ok {
+		t.Fatalf("Next handed over %+v after an inline admission; want nothing", run)
 	}
 	g.Done(first, time.Microsecond)
 
@@ -381,8 +379,8 @@ func TestAdmitInlineTakesOnlyFirstInLine(t *testing.T) {
 	if g.Admit(queued) != Admit {
 		t.Fatal("admission refused")
 	}
-	if run := <-got; run != queued {
-		t.Fatalf("the parked worker got %+v, want the queued item, not the inline one", run)
+	if run, _, _ := g.Next(); run != queued {
+		t.Fatalf("Next handed over %+v, want the queued item, not the inline one", run)
 	}
 	g.Done(queued, time.Microsecond)
 
@@ -431,22 +429,28 @@ func TestWaitDrainVirtualClock(t *testing.T) {
 }
 
 // TestGateConcurrent exercises the gate from many goroutines so the race
-// detector sees the real locking pattern: producers admitting, workers
-// consuming, a drainer flipping state.
+// detector sees the real locking pattern: producers admitting, consumers
+// polling the non-blocking Next, a drainer flipping state.
 func TestGateConcurrent(t *testing.T) {
 	g := NewGate(Config{})
 	var wg sync.WaitGroup
-	var workersDone sync.WaitGroup
+	var consumersDone sync.WaitGroup
+	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
-		workersDone.Add(1)
+		consumersDone.Add(1)
 		go func() {
-			defer workersDone.Done()
+			defer consumersDone.Done()
 			for {
-				run, _, ok := g.Next()
-				if !ok {
-					return
+				if run, _, ok := g.Next(); ok {
+					g.Done(run, 10*time.Microsecond)
+					continue
 				}
-				g.Done(run, 10*time.Microsecond)
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
 			}
 		}()
 	}
@@ -470,8 +474,9 @@ func TestGateConcurrent(t *testing.T) {
 	if !g.WaitDrain(5 * time.Second) {
 		t.Fatal("drain did not complete")
 	}
+	close(stop)
+	consumersDone.Wait()
 	g.Close()
-	workersDone.Wait()
 	st := g.Stats()
 	if st.Completed == 0 {
 		t.Fatal("nothing completed")
@@ -488,11 +493,11 @@ func TestGateConcurrent(t *testing.T) {
 // At light load a tier's depth oscillates between 0 and 1. The queue must
 // settle into storage it owns: an Offer/TryPop cycle allocates nothing
 // beyond the caller's Item (a slice queue advanced with q[1:] reallocated
-// once per offer), and the same holds for the gate's Admit/TryNext/Done
+// once per offer), and the same holds for the gate's Admit/Next/Done
 // and AdmitInline/Done.
 func TestAdmissionCycleZeroAlloc(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{Clock: clk.Now})
+	a := newAdmission(128, clk.Now)
 	items := []*Item{{Tier: 0}, {Tier: 2}, {Tier: 3}}
 	n := 0
 	cycle := func() {
@@ -518,15 +523,15 @@ func TestAdmissionCycleZeroAlloc(t *testing.T) {
 		if v := g.Admit(it); v != Admit {
 			t.Fatalf("Admit = %v", v)
 		}
-		run, rejected, ok := g.TryNext()
+		run, rejected, ok := g.Next()
 		if !ok || run != it || len(rejected) != 0 {
-			t.Fatalf("TryNext = %v, %d rejected, ok=%v", run, len(rejected), ok)
+			t.Fatalf("Next = %v, %d rejected, ok=%v", run, len(rejected), ok)
 		}
 		g.Done(run, time.Millisecond)
 	}
 	gateCycle()
 	if allocs := testing.AllocsPerRun(1000, gateCycle); allocs != 0 {
-		t.Errorf("Admit/TryNext/Done at depth 0<->1: %.2f allocs per cycle, want 0", allocs)
+		t.Errorf("Admit/Next/Done at depth 0<->1: %.2f allocs per cycle, want 0", allocs)
 	}
 
 	inlineCycle := func() {

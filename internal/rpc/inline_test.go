@@ -47,7 +47,7 @@ func burst(t *testing.T, cl *Client, methods []uint8, cheap uint8) time.Duration
 }
 
 // A request that arrives alone is served by the pool, however cheap: the
-// reader goes back to the socket while an idle worker answers. Eight calls
+// reader goes back to the socket while a slot's goroutine answers. Eight calls
 // issued together arrive as one read batch, and the cheap ones among them
 // are answered by the reader itself.
 func TestBackloggedCheapCallsServedInline(t *testing.T) {

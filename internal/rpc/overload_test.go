@@ -184,15 +184,13 @@ func TestFailoverSteersAroundDraining(t *testing.T) {
 	}
 }
 
-// TestPriorityShedsLowestFirst pushes a burst far past the worker pool's
+// TestPriorityShedsLowestFirst pushes a burst far past the server's slot
 // capacity with tight queues and checks the tiering: the highest ARTP
 // priority keeps being admitted while the lowest is refused first.
 func TestPriorityShedsLowestFirst(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", nil, testHandler,
 		WithWorkers(1),
-		WithOverload(overload.Config{
-			Admission: overload.AdmissionConfig{QueueCap: 4},
-		}))
+		WithOverload(overload.Config{QueueCap: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +227,7 @@ func TestPriorityShedsLowestFirst(t *testing.T) {
 			}
 		}
 	}
-	// 32 sleeps x 300 ms on one worker with 4-deep queues: most of the
+	// 32 sleeps x 300 ms on one slot with 4-deep queues: most of the
 	// burst must be refused, and the refusals must respect priority.
 	if shedLow == 0 {
 		t.Fatal("overload never shed the lowest priority")

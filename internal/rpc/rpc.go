@@ -98,7 +98,7 @@ var (
 )
 
 // Handler computes a response for a method and request payload. Handlers
-// run behind admission control, on the server's worker pool — except that
+// run behind admission control, in one of the server's slots — except that
 // a method measured at under 50 µs a call runs on the goroutine that read
 // its request whenever more datagrams wait behind that request, so a
 // handler must be safe on either goroutine. req is valid only until the
@@ -131,12 +131,13 @@ func WithOverload(cfg overload.Config) ServerOption {
 	return func(o *serverOptions) { o.overload = cfg }
 }
 
-// WithWorkers sets the handler worker pool size (default 8). The pool is
-// what turns queue depth into the load signal: admitted work waits in the
-// tiered queues, not in hidden goroutines. The pool serves every request
-// but the cheap ones (measured under 50 µs) that arrive in a backlogged
-// read batch, which the reader serves itself; a slow or not yet measured
-// method always goes to the pool.
+// WithWorkers sets the server's slots: how many requests it serves at once
+// (default 8). The slot count is what turns queue depth into the load
+// signal: admitted work waits in the tiered queues, not in hidden
+// goroutines, and on sockets a goroutine runs only while its slot has work.
+// The slots serve every request but the cheap ones (measured under 50 µs)
+// that arrive in a backlogged read batch, which the reader serves itself;
+// a slow or not yet measured method always takes a slot.
 func WithWorkers(n int) ServerOption {
 	return func(o *serverOptions) { o.workers = n }
 }
@@ -184,20 +185,19 @@ func WithShards(n int) ServerOption {
 	return func(o *serverOptions) { o.shards = n }
 }
 
-// ServiceModel declares how long serving a request takes. In the
-// event-dispatch mode it replaces measured handler wall time: the handler
-// still computes the real response (inline, assumed cheap), but the
-// worker slot is occupied for the modeled duration on the server's clock.
-// Under a virtual clock this is what makes a 5 ms recognition call cost
-// exactly 5 ms of simulated time and zero wall time.
+// ServiceModel declares how long serving a request takes. It replaces
+// measured handler wall time: the handler still computes the real response
+// (inline, assumed cheap), but its slot is occupied for the modeled
+// duration on the server's clock. Under a virtual clock this is what makes
+// a 5 ms recognition call cost exactly 5 ms of simulated time and zero wall
+// time.
 type ServiceModel func(method uint8, req []byte) time.Duration
 
-// WithServiceModel switches the server to event-driven dispatch: no
-// worker goroutines park in Gate.Next; instead completions pump the gate
-// with TryNext and each admitted call occupies one of the WithWorkers
-// slots for the modeled service time. Required for simulation (a parked
-// goroutine would deadlock a single-threaded virtual clock); usable only
-// when handler cost is modeled rather than measured.
+// WithServiceModel makes service time modeled rather than measured: the
+// server pumps the gate exactly as on sockets, but each call it hands a
+// slot runs its handler at once and a timer on the server's clock holds
+// the slot for the modeled time, so no goroutine is started. Required for
+// simulation (a goroutine would escape a single-threaded virtual clock).
 func WithServiceModel(m ServiceModel) ServerOption {
 	return func(o *serverOptions) { o.svcModel = m }
 }
@@ -206,6 +206,8 @@ func WithServiceModel(m ServiceModel) ServerOption {
 // counters. Rejections are split by cause so operators can tell "clients
 // are sending dead-on-arrival work" (ExpiredOnArrival) from "we are
 // overloaded" (Shed, QueueFull) from "we are shutting down" (Draining).
+// The gate counts each refusal once; the six refusal fields are read from
+// its counters (Gate).
 type ServerStats struct {
 	Served   int64 // calls answered with a handler response
 	Degraded int64 // of Served, answered below TierFull
@@ -217,8 +219,8 @@ type ServerStats struct {
 	// dispatch work was spent on them.
 	ExpiredOnArrival int64
 	ExpiredInQueue   int64 // deadline passed while queued, before dispatch
-	Shed             int64 // queue-delay sheds and ladder rejects
-	QueueFull        int64 // tier queue at capacity
+	Shed             int64 // queue-delay sheds (ΣCoDelShed) and ladder rejects
+	QueueFull        int64 // tier queue at capacity (ΣTailDrop)
 	CannotFinish     int64 // estimate did not fit the remaining budget
 	Draining         int64 // refused while draining
 
@@ -226,7 +228,7 @@ type ServerStats struct {
 }
 
 // serverCall is the queued unit of work: the gate's overload.Item (whose
-// Job points back at the record) and everything a worker needs to run the
+// Job points back at the record) and everything a slot needs to run the
 // handler and answer the right peer, in one record recycled once its
 // response or refusal is out. req is the record's own copy of the request
 // body (the delivered payload is only lent to onMessage), its buffer kept
@@ -244,13 +246,17 @@ type serverCall struct {
 	spanID  uint64
 	inline  bool
 
-	// Event-dispatch mode: the service in progress, its timer made once.
-	t0       time.Time
-	queued   time.Duration
-	span     *obs.Span
-	resp     []byte
-	timer    vclock.Timer
-	complete func()
+	// The service in progress, and (with a ServiceModel) its timer, made
+	// once.
+	t0     time.Time
+	queued time.Duration
+	span   *obs.Span
+	resp   []byte
+	timer  vclock.Timer
+	// slot is the call's turn in a slot, bound once so that starting it
+	// allocates nothing: the timer callback that ends its modeled service,
+	// or on sockets the body of the goroutine that serves it.
+	slot func()
 }
 
 func (s *Server) getCall() *serverCall {
@@ -262,13 +268,16 @@ func (s *Server) getCall() *serverCall {
 		return call
 	}
 	call := &serverCall{s: s}
-	call.item.Job, call.complete = call, call.serviceDone
+	call.item.Job, call.slot = call, call.work
+	if s.svcModel != nil {
+		call.slot = call.serviceDone
+	}
 	return call
 }
 
 // putCall recycles a record the caller and the gate are both done with.
 func (s *Server) putCall(call *serverCall) {
-	*call = serverCall{item: overload.Item{Job: call}, s: s, req: call.req[:0], timer: call.timer, complete: call.complete}
+	*call = serverCall{item: overload.Item{Job: call}, s: s, req: call.req[:0], timer: call.timer, slot: call.slot}
 	s.mu.Lock()
 	s.free = append(s.free, call)
 	s.mu.Unlock()
@@ -287,13 +296,13 @@ type Server struct {
 	tracer   *obs.Tracer
 	clock    vclock.Clock
 	svcModel ServiceModel
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // slot goroutines
 
-	mu          sync.Mutex
-	served      int64
-	stats       ServerStats
-	freeWorkers int           // event-dispatch mode: idle worker slots
-	free        []*serverCall // recycled call records
+	mu        sync.Mutex
+	stats     ServerStats   // Served, Degraded, Inline and Probes
+	freeSlots int           // slots no call holds
+	starved   bool          // a pump found no free slot since the last release
+	free      []*serverCall // recycled call records
 }
 
 // NewServer listens on addr. key (optional) enables AES-GCM sealing.
@@ -316,13 +325,13 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 		so.shards = 1
 	}
 	s := &Server{
-		handler:     handler,
-		tiered:      so.tiered,
-		gate:        overload.NewGate(so.overload),
-		tracer:      so.tracer,
-		clock:       clock,
-		svcModel:    so.svcModel,
-		freeWorkers: so.workers,
+		handler:   handler,
+		tiered:    so.tiered,
+		gate:      overload.NewGate(so.overload),
+		tracer:    so.tracer,
+		clock:     clock,
+		svcModel:  so.svcModel,
+		freeSlots: so.workers,
 	}
 	muxOpts := []wire.MuxOption{wire.WithMuxClock(clock)}
 	// StartBudget is only where a conn's budget starts: its controller
@@ -354,12 +363,6 @@ func NewServer(addr string, key []byte, handler Handler, opts ...ServerOption) (
 		return nil, err
 	}
 	s.mux = mux
-	if s.svcModel == nil {
-		for i := 0; i < so.workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	}
 	return s, nil
 }
 
@@ -379,16 +382,22 @@ func (s *Server) Shards() int { return s.mux.Shards() }
 func (s *Server) Served() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.served
+	return s.stats.Served
 }
 
 // Stats snapshots the serving and rejection counters.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	st := s.stats
-	st.Served = s.served
 	s.mu.Unlock()
-	st.Gate = s.gate.Stats()
+	g := s.gate.Stats()
+	st.Gate = g
+	st.ExpiredOnArrival, st.ExpiredInQueue = g.ExpiredOnArrival, g.ExpiredInQueue
+	st.CannotFinish, st.Draining, st.Shed = g.CannotFinish, g.RejectedDraining, g.LadderRejected
+	for t := range g.Admission.TailDrop {
+		st.QueueFull += g.Admission.TailDrop[t]
+		st.Shed += g.Admission.CoDelShed[t]
+	}
 	return st
 }
 
@@ -429,8 +438,9 @@ func (s *Server) SetDraining(on bool) { s.gate.SetDraining(on) }
 // elapses, reporting whether the drain finished.
 func (s *Server) WaitDrain(timeout time.Duration) bool { return s.gate.WaitDrain(timeout) }
 
-// Close shuts the server down. For a graceful stop, SetDraining(true) and
-// WaitDrain first; Close alone drops queued work unanswered.
+// Close shuts the server down and waits for its slot goroutines. For a
+// graceful stop, SetDraining(true) and WaitDrain first; Close alone leaves
+// queued work to be answered onto closed conns.
 func (s *Server) Close() error {
 	err := s.mux.Close()
 	s.gate.Close()
@@ -471,8 +481,8 @@ func (s *Server) onMessage(m wire.Message) {
 		d := time.Duration(budget)*time.Microsecond - conn.SRTT()/2
 		it.Deadline = call.arrived.Add(d)
 	}
-	// Once Admit has queued the record a worker may own it: only an
-	// inline admission leaves it to this goroutine.
+	// Once Admit has queued the record a slot may own it: only an inline
+	// admission leaves it to this goroutine.
 	var v overload.Verdict
 	inline := false
 	if s.cheapInline(method, m.Backlog) {
@@ -482,21 +492,21 @@ func (s *Server) onMessage(m wire.Message) {
 	}
 	switch {
 	case v != overload.Admit:
-		s.refuse(it, v, !inline)
+		s.refuse(it, v)
 	case inline:
 		call.inline = true
 		call.serve()
 		call.answer()
-	case s.svcModel != nil:
+	default:
 		s.pump()
 	}
 }
 
 // inlineServiceMax is the service-time line under which the reader
-// goroutine serves a request itself instead of waking a worker: the
-// gate→worker hand-off it saves costs a call about 50 µs of scheduler wait
-// on a busy server, so a method whose estimate is below that is cheaper to
-// run than to hand over. Well above the microsecond a recognition stub
+// goroutine serves a request itself instead of handing it to a slot: the
+// hand-off it saves costs a call about 50 µs of scheduler wait on a busy
+// server, so a method whose estimate is below that is cheaper to run than
+// to hand over. Well above the microsecond a recognition stub
 // takes, well below anything that sleeps or blocks.
 const inlineServiceMax = 50 * time.Microsecond
 
@@ -504,11 +514,11 @@ const inlineServiceMax = 50 * time.Microsecond
 // delivered with backlog datagrams behind it may be served on that reader.
 // Only when there is a backlog: then the reader is busy anyway and the CPU,
 // not the network, is what the next request waits for, while a request
-// that arrived alone is better served by an idle worker in parallel with
-// the reader's next read. And only for a method whose measured service
+// that arrived alone is better served by a slot in parallel with the
+// reader's next read. And only for a method whose measured service
 // estimate is under inlineServiceMax, so a slow handler never holds up the
-// datagrams behind it. The event-dispatch mode models service time on its
-// worker slots and never serves inline.
+// datagrams behind it. A server with a ServiceModel models service time on
+// its slots and never serves inline.
 func (s *Server) cheapInline(method uint8, backlog int) bool {
 	if backlog == 0 || s.svcModel != nil {
 		return false
@@ -517,30 +527,63 @@ func (s *Server) cheapInline(method uint8, backlog int) bool {
 	return ok && est < inlineServiceMax
 }
 
-// pump (event-dispatch mode) hands queued work to free worker slots until
-// either runs out. It is called after every admission and every modeled
-// completion — the event-driven equivalent of workers parked in Next.
+// pump hands queued work to free slots until either runs out. It runs
+// after every admission that queued a request and whenever a slot frees.
+// With a ServiceModel the handler runs here and a timer holds the slot for
+// the modeled time; on sockets each call it hands a slot starts a
+// goroutine, which serves the queue until it finds it empty, so goroutines
+// exist only while work is queued.
 func (s *Server) pump() {
 	for {
 		s.mu.Lock()
-		if s.freeWorkers <= 0 {
+		if s.freeSlots == 0 {
+			s.starved = true
 			s.mu.Unlock()
 			return
 		}
-		s.freeWorkers--
+		s.freeSlots--
 		s.mu.Unlock()
-		run, rejected, ok := s.gate.TryNext()
-		for _, rej := range rejected {
-			s.refuse(rej.Item, rej.Verdict, false)
-		}
-		if !ok {
-			s.mu.Lock()
-			s.freeWorkers++
-			s.mu.Unlock()
+		call := s.next()
+		if call == nil {
+			if s.release() {
+				continue
+			}
 			return
 		}
-		s.dispatch(run)
+		if s.svcModel == nil {
+			s.wg.Add(1)
+			go call.slot()
+			continue
+		}
+		call.serve()
+		service := max(s.svcModel(call.item.Method, call.req), 0)
+		call.timer = vclock.Rearm(s.clock, call.timer, service, call.slot)
 	}
+}
+
+// next takes the next runnable call from the gate, answering every request
+// it refused on the way; nil when nothing runnable is queued.
+func (s *Server) next() *serverCall {
+	run, rejected, ok := s.gate.Next()
+	for _, rej := range rejected {
+		s.refuse(rej.Item, rej.Verdict)
+	}
+	if !ok {
+		return nil
+	}
+	return run.Job.(*serverCall)
+}
+
+// release frees a slot. It reports whether a pump found every slot taken
+// since the last release: a slot freed after its holder found the queue
+// empty must then look again, or a request admitted in between would wait
+// for the next arrival.
+func (s *Server) release() (recheck bool) {
+	s.mu.Lock()
+	s.freeSlots++
+	recheck, s.starved = s.starved, false
+	s.mu.Unlock()
+	return recheck
 }
 
 // serve runs the handler for a call the gate handed over.
@@ -578,14 +621,14 @@ func (call *serverCall) answer() {
 		inline = 1
 	}
 	s.mu.Lock()
-	s.served++
+	s.stats.Served++
 	s.stats.Degraded += degraded
 	s.stats.Inline += inline
 	s.mu.Unlock()
 	if err := s.respond(call.conn, call.id, run.Method, status, call.resp,
 		call.traceID, call.spanID, call.queued, took); err != nil {
 		s.mu.Lock()
-		s.served--
+		s.stats.Served--
 		s.stats.Degraded -= degraded
 		s.stats.Inline -= inline
 		s.mu.Unlock()
@@ -594,79 +637,42 @@ func (call *serverCall) answer() {
 	s.putCall(call)
 }
 
-// dispatch (event-dispatch mode) runs the handler inline and holds the
-// worker slot for the modeled service time on the server's clock; the
-// response goes out when that time has elapsed, exactly as a worker pool
-// would behave if the handler really took that long.
-func (s *Server) dispatch(run *overload.Item) {
-	call := run.Job.(*serverCall)
-	call.serve()
-	service := s.svcModel(run.Method, call.req)
-	if service < 0 {
-		service = 0
-	}
-	call.timer = vclock.Rearm(s.clock, call.timer, service, call.complete)
-}
-
-// serviceDone (event-dispatch mode) fires when a call's modeled service
-// time has elapsed: answer, free the worker slot, look for more work.
+// serviceDone (ServiceModel) fires when a call's modeled service time has
+// elapsed: answer, free the slot, look for more work.
 func (call *serverCall) serviceDone() {
 	s := call.s
 	call.answer()
-	s.mu.Lock()
-	s.freeWorkers++
-	s.mu.Unlock()
+	s.release()
 	s.pump()
 }
 
-// worker consumes the admission queues: every item the gate hands over
-// runs the handler; every item the gate refused along the way gets an
-// immediate typed rejection on the wire.
-func (s *Server) worker() {
+// work (sockets) is a slot's goroutine: it serves its call, then every
+// call queued behind it, and frees the slot when the queue is empty.
+func (call *serverCall) work() {
+	s := call.s
 	defer s.wg.Done()
-	for {
-		run, rejected, ok := s.gate.Next()
-		for _, rej := range rejected {
-			s.refuse(rej.Item, rej.Verdict, false)
-		}
-		if !ok {
-			return
-		}
-		call := run.Job.(*serverCall)
-		call.serve()
-		call.answer()
+	for c := call; c != nil; c = s.next() {
+		c.serve()
+		c.answer()
+	}
+	if s.release() {
+		s.pump()
 	}
 }
 
-// refuse answers a rejected request with its typed status, records it and
-// recycles its record. onArrival distinguishes decisions made before the
-// request entered a queue from decisions made at dequeue.
-func (s *Server) refuse(it *overload.Item, v overload.Verdict, onArrival bool) {
+// refuse answers a request the gate refused (and counted) with its typed
+// status and recycles its record.
+func (s *Server) refuse(it *overload.Item, v overload.Verdict) {
 	call := it.Job.(*serverCall)
-	var status byte
-	s.mu.Lock()
+	status := byte(statusShed) // RejectQueueFull, RejectShed and anything new
 	switch v {
 	case overload.RejectExpired:
 		status = statusExpired
-		if onArrival {
-			s.stats.ExpiredOnArrival++
-		} else {
-			s.stats.ExpiredInQueue++
-		}
-	case overload.RejectQueueFull:
-		status = statusShed
-		s.stats.QueueFull++
 	case overload.RejectCannotFinish:
 		status = statusCannotFinish
-		s.stats.CannotFinish++
 	case overload.RejectDraining:
 		status = statusDraining
-		s.stats.Draining++
-	default: // RejectShed and anything new: generic shed
-		status = statusShed
-		s.stats.Shed++
 	}
-	s.mu.Unlock()
 	// Refusals on traced calls still carry the timing trailer (queue wait
 	// up to the refusal, zero service time) so the client's budget
 	// attribution can blame the server queue, not the network.

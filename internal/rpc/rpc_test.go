@@ -123,9 +123,9 @@ func TestConcurrentCalls(t *testing.T) {
 // TestQueuedRequestKeepsItsBytes: a queued request outlives the datagram
 // that carried it — the reader has gone on reading into (and, under -race,
 // poisoning) that buffer — so the server's call record must keep its own
-// copy. One worker is held on a first call while 32 distinct requests queue
+// copy. The one slot is held on a first call while 32 distinct requests queue
 // behind it on a real socket; each body carries a digest of itself, checked
-// when the worker finally serves it.
+// when the slot finally serves it.
 func TestQueuedRequestKeepsItsBytes(t *testing.T) {
 	const (
 		methodHold   = 10
@@ -169,7 +169,7 @@ func TestQueuedRequestKeepsItsBytes(t *testing.T) {
 	select {
 	case <-held:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the holding call never reached the worker")
+		t.Fatal("the holding call never reached the slot")
 	}
 	errs := make(chan error, queued)
 	for i := 0; i < queued; i++ {
@@ -187,7 +187,7 @@ func TestQueuedRequestKeepsItsBytes(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Release the worker only once every request waits in the queue.
+	// Release the slot only once every request waits in the queue.
 	for end := time.Now().Add(5 * time.Second); srv.Gate().Stats().Admitted < queued+1; time.Sleep(time.Millisecond) {
 		if time.Now().After(end) {
 			t.Fatalf("admitted %d, want the held call and %d queued", srv.Gate().Stats().Admitted, queued)
@@ -201,6 +201,96 @@ func TestQueuedRequestKeepsItsBytes(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestOneSlotStrandsNoCall pins the slot hand-off on sockets. A slot's
+// goroutine that finds the queue empty frees its slot and then looks
+// again: a request admitted in that gap found no free slot, and without
+// the second look it would wait for the next arrival — here there is none,
+// so it would run out its deadline.
+//
+// Four clients make lone calls on a server with one slot. Client 0 holds
+// the slot with a first call while clients 1-3 queue requests whose 1 ms
+// deadline passes in the queue; then they stop, and the slot is released.
+// Its goroutine answers the held call and pops the expired requests, and
+// it sends their refusals in the gap, before it frees the slot. Client 0's
+// next call, sent the moment its first is answered, arrives in that gap;
+// it must be answered well inside its deadline.
+func TestOneSlotStrandsNoCall(t *testing.T) {
+	const (
+		methodHold   = 10
+		methodDoomed = 11 // never served, so the gate never learns its cost
+		rounds       = 5
+		deadline     = time.Second
+	)
+	held, release := make(chan struct{}), make(chan struct{})
+	handler := func(method uint8, req []byte) []byte {
+		if method == methodHold {
+			held <- struct{}{}
+			<-release
+		}
+		return req
+	}
+	srv, err := NewServer("127.0.0.1:0", nil, handler, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var cls [4]*Client
+	for i := range cls {
+		if cls[i], err = Dial(srv.Addr(), ClientConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		defer cls[i].Close()
+	}
+	for r := 0; r < rounds; r++ {
+		done := make(chan error, 1)
+		go func() {
+			if _, err := cls[0].Call(methodHold, nil, deadline); err != nil {
+				done <- fmt.Errorf("held call: %w", err)
+				return
+			}
+			t0 := time.Now()
+			_, err := cls[0].Call(methodEcho, []byte("next"), deadline)
+			if took := time.Since(t0); err == nil && took > deadline/4 {
+				err = fmt.Errorf("answered after %v", took)
+			}
+			done <- err
+		}()
+		<-held
+		before := srv.Stats().Gate.Admitted
+		stop := make(chan struct{})
+		var doomed sync.WaitGroup
+		for _, cl := range cls[1:] {
+			doomed.Add(1)
+			go func() {
+				defer doomed.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						cl.Call(methodDoomed, nil, time.Millisecond) //nolint:errcheck // expires in the queue by design
+					}
+				}
+			}()
+		}
+		for end := time.Now().Add(5 * time.Second); srv.Stats().Gate.Admitted < before+30; time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatalf("round %d: %d requests queued behind the held call, want 30", r, srv.Stats().Gate.Admitted-before)
+			}
+		}
+		close(stop)
+		doomed.Wait()
+		time.Sleep(2 * time.Millisecond) // the last of them expire too
+		release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	if st := srv.Stats(); st.ExpiredInQueue == 0 {
+		t.Fatalf("no request expired in the queue: %+v", st)
 	}
 }
 

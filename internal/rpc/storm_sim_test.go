@@ -60,6 +60,18 @@ func TestOverloadStormShedsByPriority(t *testing.T) {
 	if rejects == 0 {
 		t.Error("server rejected nothing at 4x over-capacity")
 	}
+	// Each refusal is counted once, by the gate: the server's six refusal
+	// fields are its sums.
+	g := st.Gate
+	var tailDrop, codelShed int64
+	for tier := range g.Admission.TailDrop {
+		tailDrop += g.Admission.TailDrop[tier]
+		codelShed += g.Admission.CoDelShed[tier]
+	}
+	if got, want := [6]int64{st.QueueFull, st.Shed, st.Draining, st.ExpiredOnArrival, st.ExpiredInQueue, st.CannotFinish},
+		[6]int64{tailDrop, codelShed + g.LadderRejected, g.RejectedDraining, g.ExpiredOnArrival, g.ExpiredInQueue, g.CannotFinish}; got != want {
+		t.Errorf("server refusals (queue-full, shed, draining, expired on arrival, expired in queue, cannot finish) %v, gate's %v", got, want)
+	}
 	if n := st.Gate.Admission.CoDelShed[0]; n != 0 {
 		t.Errorf("protected tier was CoDel-shed %d times", n)
 	}

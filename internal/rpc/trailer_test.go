@@ -138,7 +138,7 @@ func TestResponseTrailerWireLayout(t *testing.T) {
 
 // TestTrailerPopulatesBudgetReports: the server-measured queue wait and
 // service time must surface in the client's BudgetReports as the Queue
-// and Compute stages. One worker and concurrent slow calls force real
+// and Compute stages. One slot and concurrent slow calls force real
 // queueing, so both fields are visibly nonzero.
 func TestTrailerPopulatesBudgetReports(t *testing.T) {
 	const serviceSleep = 20 * time.Millisecond
@@ -189,10 +189,10 @@ func TestTrailerPopulatesBudgetReports(t *testing.T) {
 	if maxCompute < serviceSleep/2 {
 		t.Errorf("max Compute stage = %v, server slept %v per call", maxCompute, serviceSleep)
 	}
-	// Three calls queued behind the first on the single worker, so at
+	// Three calls queued behind the first on the single slot, so at
 	// least one report must show a serious queue wait.
 	if maxQueue < serviceSleep/2 {
-		t.Errorf("max Queue stage = %v despite %d calls on one %v-slow worker",
+		t.Errorf("max Queue stage = %v despite %d calls on one %v-slow slot",
 			maxQueue, calls, serviceSleep)
 	}
 }
