@@ -60,9 +60,9 @@ allocs:
 # estimator, a wire conn core with no lock, clock, timer or socket and no
 # map to walk, wire's goroutine, timer and write-path budget, and the
 # serving path's (no goroutine or sync.Cond in overload, one slot goroutine
-# site in rpc). They also run in `test`; this target is the list, and fails
-# if one of them is renamed away.
-GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestConnCoreWalksNoMap|TestWireGoroutineSites|TestServingPathConcurrency
+# site in rpc), and one timer per rpc call. They also run in `test`; this
+# target is the list, and fails if one of them is renamed away.
+GUARDS = TestExportedAPIIsReached|TestReachGuardFindsFixture|TestNoWriteOnlyFields|TestLockedCalledUnderLock|TestNoWallClockInSimHostedPackages|TestOneRTTEstimator|TestConnCoreIsPure|TestConnCoreWalksNoMap|TestWireGoroutineSites|TestServingPathConcurrency|TestOneTimerPerCall
 guards:
 	@out="$$($(GO) test -count=1 -v -run '^($(GUARDS))$$' . ./internal/wire/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
@@ -75,11 +75,12 @@ race:
 # matrix, the virtual-clock scenario acceptance runs, the 10-minute
 # time-compressed soak smoke, and the fleet-tier city suite (its own
 # 3-seed x 2-scenario determinism matrix, the 30k-endpoint conservation
-# run, and the per-cell performance-anomaly property), race-checked; then
+# run, and the per-cell performance-anomaly property) and the rpc call
+# engine's timing (hedge, attempt timeout, retry backoff), race-checked; then
 # rpc's closed loop on a fat simulated link, whose server must answer at
 # the rate it is asked and not at its start budget.
 sim:
-	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud|TestSessionResetSnapshot' -v ./internal/marsim/
+	$(GO) test -race -run 'TestDeterminismMatrix|TestSoakTimeCompression|TestHandoverScenario|TestCongestionScenario|TestPartitionResume|TestBudgetStagesSumToWallTime|TestMultipath|TestCityDeterminismMatrix|TestCityFleetConservation|TestCellPerformanceAnomaly|TestCityPlacementBeatsCloud|TestSessionResetSnapshot|TestSimCallEngineTiming' -v ./internal/marsim/
 	$(GO) test -race -run 'TestServerAnswersAtArrivalRate|TestCallIsTwoDatagrams' -v ./internal/rpc/
 
 # The examples that run on virtual time, end to end (seconds each): the

@@ -68,9 +68,8 @@ func run() error {
 		Keepalive:       50 * time.Millisecond,
 		RequestDeadline: 80 * time.Millisecond,
 		Retry:           rpc.RetryPolicy{Max: 4, Backoff: 10 * time.Millisecond},
-		Breaker:         rpc.BreakerPolicy{Enabled: true, Threshold: 4, Cooldown: 250 * time.Millisecond},
 		Seed:            7,
-	})
+	}, rpc.BreakerPolicy{Threshold: 4, Cooldown: 250 * time.Millisecond})
 	if err != nil {
 		return err
 	}

@@ -168,7 +168,7 @@ func run() error {
 		return err
 	}
 	defer backup.Close()
-	fc, err := rpc.DialFailover([]string{srv.Addr(), backup.Addr()}, rpc.ClientConfig{Seed: 7})
+	fc, err := rpc.DialFailover([]string{srv.Addr(), backup.Addr()}, rpc.ClientConfig{Seed: 7}, rpc.BreakerPolicy{})
 	if err != nil {
 		return err
 	}

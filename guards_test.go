@@ -821,3 +821,61 @@ func TestServingPathConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// TestOneTimerPerCall guards the rpc client's call engine: a call is driven
+// by one timer, set for whichever of its instants comes next (the hedge,
+// the attempt's timeout, the end of the retry backoff). So the non-test
+// structs of internal/rpc hold one callTimer field in total, counting each
+// name of a field list and each element of an array.
+func TestOneTimerPerCall(t *testing.T) {
+	const pkg = "marnet/internal/rpc"
+	src := programSource(t)
+	_, infos, err := typeCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timers func(types.Type) int64
+	timers = func(typ types.Type) int64 {
+		switch typ := typ.(type) {
+		case *types.Named:
+			if obj := typ.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == pkg && obj.Name() == "callTimer" {
+				return 1
+			}
+		case *types.Pointer:
+			return timers(typ.Elem())
+		case *types.Array:
+			return typ.Len() * timers(typ.Elem())
+		}
+		return 0
+	}
+	var fields []string
+	total, found := int64(0), false
+	for i, p := range src.pkgs {
+		if p.path != pkg {
+			continue
+		}
+		found = true
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					names := max(len(field.Names), 1) // an embedded field is one
+					if k := int64(names) * timers(infos[i].TypeOf(field.Type)); k > 0 {
+						total += k
+						fields = append(fields, fmt.Sprintf("%s (%d)", src.fset.Position(field.Pos()), k))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !found {
+		t.Fatalf("%s: no such package (drop the guard with the package)", pkg)
+	}
+	if total != 1 {
+		t.Errorf("%s holds %d callTimer fields, want 1 — one timer per call:\n\t%s", pkg, total, strings.Join(fields, "\n\t"))
+	}
+}

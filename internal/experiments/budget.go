@@ -76,7 +76,7 @@ func Budget(seed int64) BudgetResult {
 		Tracer: obs.NewTracer(frames, seed),
 		Budget: budget,
 		Retry:  rpc.RetryPolicy{Max: 3, Backoff: 8 * time.Millisecond, MaxBackoff: 32 * time.Millisecond},
-		Hedge:  rpc.HedgePolicy{Enabled: true, Delay: 40 * time.Millisecond},
+		Hedge:  rpc.HedgePolicy{Delay: 40 * time.Millisecond},
 		Seed:   seed + 1,
 	})
 	if err != nil {

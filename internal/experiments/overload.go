@@ -155,7 +155,7 @@ func Overload(seed int64) OverloadResult {
 		panic(err)
 	}
 	defer backup.Close()
-	fc, err := rpc.DialFailover([]string{primary.Addr(), backup.Addr()}, rpc.ClientConfig{Seed: seed})
+	fc, err := rpc.DialFailover([]string{primary.Addr(), backup.Addr()}, rpc.ClientConfig{Seed: seed}, rpc.BreakerPolicy{})
 	if err != nil {
 		panic(err)
 	}

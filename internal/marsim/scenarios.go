@@ -12,9 +12,9 @@ import (
 )
 
 // This file holds the canonical seeded scenarios: each builds the REAL
-// client/server stack (rpc retries/hedging/breaker over wire sessions
-// over the simulated network) and scripts one of the paper's failure
-// modes. They are the repo's reproducible experiments: same seed, same
+// client/server stack (an rpc client retrying inside the call deadline,
+// over a wire conn that re-binds itself after an outage, over the
+// simulated network) and scripts one of the paper's failure modes. They are the repo's reproducible experiments: same seed, same
 // byte-identical trace.
 
 // methodRecognize is the simulated offloaded-recognition RPC method.

@@ -15,13 +15,13 @@ import (
 )
 
 // The client's call engine is an event-driven state machine: every call is
-// a callState whose transitions (response arrival, per-attempt timeout,
-// hedge fire, retry backoff) run as clock callbacks under Client.mu. No
-// goroutine parks waiting for a call, so the identical retry/hedge/breaker
-// logic runs on the system clock in production and on the simulation's
-// virtual clock in internal/marsim — where a whole storm of concurrent
-// calls executes deterministically on one event loop. The blocking Call /
-// CallPri API is a thin channel wait over CallAsync.
+// a callState whose transitions (response arrival, and its one timer's
+// fire: hedge, per-attempt timeout or retry backoff) run as clock
+// callbacks under Client.mu. No goroutine parks waiting for a call, so the
+// identical retry/hedge logic runs on the system clock in production and
+// on the simulation's virtual clock in internal/marsim — where a whole
+// storm of concurrent calls executes deterministically on one event loop.
+// The blocking Call / CallPri API is a thin channel wait over CallAsync.
 
 // completion is what a locked transition hands back when it finished a call,
 // by value: the callState is already back on the free list. Zero: in flight.
@@ -30,26 +30,22 @@ type completion struct {
 	resp     []byte
 	err      error
 	total    time.Duration
-	success  bool
 }
 
-// run is the unlocked tail of a finished call (callbacks and breaker/budget
+// run is the unlocked tail of a finished call (callbacks and budget
 // updates must not run under Client.mu); done may issue the next call.
 func (c *Client) run(fin completion) {
 	if fin.done == nil {
 		return
 	}
-	if !fin.probe {
-		c.breaker.record(fin.success, c.clock.Now())
-	}
 	c.finishCall(fin.span, fin.lastInfo, fin.total, fin.used)
 	fin.done(fin.resp, fin.err)
 }
 
-// callTimer is one of a callState's three timers: the callback is bound
-// once and the timer re-armed in place (vclock.Rearm) for every attempt of
-// every call, so arming allocates nothing. Such a callback cannot carry the
-// attempt or call it was armed for; the guard lives here, under Client.mu.
+// callTimer is a callState's one timer: the callback is bound once and the
+// timer re-armed in place (vclock.Rearm) for every instant of every call,
+// so arming allocates nothing. Such a callback cannot carry the attempt or
+// call it was armed for; the guard lives here, under Client.mu.
 // On the system clock a Stop that reports false means the callback's
 // goroutine has already started: one fire is in flight that belongs to
 // nobody. owed counts those, and fired swallows them first — in this call
@@ -85,11 +81,14 @@ func (ct *callTimer) fired() bool {
 	return live
 }
 
-// callState is one in-flight call: attempt bookkeeping plus the timers
-// that drive it, guarded by Client.mu and recycled through Client.free.
+// callState is one in-flight call: attempt bookkeeping plus the timer that
+// drives it, guarded by Client.mu and recycled through Client.free. The
+// timer is set for the next instant the call acts at: during an attempt
+// the hedge, then the attempt's timeout; between attempts the end of the
+// retry backoff.
 type callState struct {
-	c                          *Client // set once; callbacks read it before they hold c.mu
-	hedgeT, timeoutT, backoffT callTimer
+	c     *Client // set once; callbacks read it before they hold c.mu
+	timer callTimer
 	callVars
 }
 
@@ -102,9 +101,6 @@ type callVars struct {
 	deadline time.Duration
 	span     *obs.Span
 	done     func([]byte, error)
-	// probe bypasses the breaker and call-level stats (Calls, Timeouts,
-	// latency samples), exactly like the former direct-attempt path.
-	probe bool
 
 	started  time.Time
 	attempts int // attempt budget
@@ -114,6 +110,7 @@ type callVars struct {
 	// Current attempt state.
 	aStart   time.Time
 	aTimeout time.Duration
+	hedgeDue bool   // during the attempt, the timer is set for the hedge; the timeout follows
 	id1, id2 uint64 // primary and hedged request ids (0 = none)
 	hstart   time.Time
 
@@ -132,8 +129,8 @@ var errTimedOut = errors.New("rpc: timed out")
 // CallAsync issues a call without blocking: done is invoked exactly once —
 // possibly synchronously — with the response or error, from an unspecified
 // goroutine (on a virtual clock: the simulation loop). Semantics are
-// identical to CallPri: deadline split across retries, hedging,
-// breaker, typed server rejections.
+// identical to CallPri: deadline split across retries, hedging, typed
+// server rejections.
 //
 // Ownership: req must stay unchanged until done runs (retries and hedges
 // resend it); the resp handed to done is the caller's to keep.
@@ -149,42 +146,25 @@ func (c *Client) CallAsync(method uint8, req []byte, prio core.Priority, deadlin
 		return
 	}
 	c.stats.Calls++
-	c.mu.Unlock()
-
-	if !c.breaker.allow(c.clock.Now()) {
-		done(nil, ErrBreakerOpen)
-		return
-	}
-
-	attempts := c.cfg.Retry.Max
-	if attempts < 1 {
-		attempts = 1
-	}
-	c.startCall(method, req, prio, deadline, attempts, false, c.cfg.Tracer.StartTrace("call"), done)
-}
-
-// startCall takes a callState off the free list (or makes one, binding its
-// timer callbacks) and launches the first attempt.
-func (c *Client) startCall(method uint8, req []byte, prio core.Priority, deadline time.Duration, attempts int, probe bool, span *obs.Span, done func([]byte, error)) {
-	c.mu.Lock()
 	var cs *callState
 	if n := len(c.free); n > 0 {
 		cs = c.free[n-1]
 		c.free = c.free[:n-1]
 	} else {
 		cs = &callState{c: c}
-		cs.hedgeT.fn, cs.timeoutT.fn, cs.backoffT.fn = cs.onHedgeFire, cs.onAttemptTimeout, cs.onBackoffFire
+		cs.timer.fn = cs.onTimer
 	}
-	cs.callVars = callVars{method: method, req: req, prio: prio, deadline: deadline, attempts: attempts,
-		probe: probe, span: span, done: done, started: c.clock.Now()}
+	cs.callVars = callVars{method: method, req: req, prio: prio, deadline: deadline,
+		attempts: max(c.cfg.Retry.Max, 1), span: c.cfg.Tracer.StartTrace("call"), done: done, started: c.clock.Now()}
 	fin := cs.beginAttemptLocked()
 	c.mu.Unlock()
 	c.run(fin)
 }
 
-// beginAttemptLocked launches attempt cs.attempt, arming its timeout and
-// hedge timers. It returns a completion when the call ends synchronously
-// (deadline already burned, launch failure on the last attempt, ...).
+// beginAttemptLocked launches attempt cs.attempt and sets the timer for its
+// hedge, or for its timeout. It returns a completion when the call ends
+// synchronously (deadline already burned, launch failure on the last
+// attempt, ...).
 func (cs *callState) beginAttemptLocked() completion {
 	c := cs.c
 	remaining := cs.deadline - c.clock.Since(cs.started)
@@ -192,7 +172,7 @@ func (cs *callState) beginAttemptLocked() completion {
 		if cs.lastErr == nil {
 			cs.lastErr, cs.timedOutAfter = errTimedOut, cs.deadline
 		}
-		return cs.completeLocked(nil, cs.lastErr, false)
+		return cs.completeLocked(nil, cs.lastErr)
 	}
 	per := remaining / time.Duration(cs.attempts-cs.attempt)
 	cs.aStart = c.clock.Now()
@@ -203,12 +183,12 @@ func (cs *callState) beginAttemptLocked() completion {
 	}
 	cs.id1, cs.id2 = id, 0
 	cs.hstart = time.Time{}
-	if c.cfg.Hedge.Enabled {
-		if d := c.hedgeDelay(per); d < per {
-			cs.hedgeT.arm(c.clock, d)
-		}
+	d := c.cfg.Hedge.Delay
+	cs.hedgeDue = d > 0 && d < per
+	if !cs.hedgeDue {
+		d = per
 	}
-	cs.timeoutT.arm(c.clock, per)
+	cs.timer.arm(c.clock, d)
 	return completion{}
 }
 
@@ -266,15 +246,11 @@ func (cs *callState) onResultLocked(id uint64, res callResult) completion {
 		info.rtt = c.clock.Since(cs.aStart)
 	}
 	resp, rerr := c.resolveLocked(res)
-	aStart := cs.aStart
 	cs.endAttemptLocked()
 	cs.used = cs.attempt + 1
 	cs.lastInfo = info
 	if rerr == nil {
-		if !cs.probe {
-			c.lat.record(c.clock.Since(aStart))
-		}
-		return cs.completeLocked(resp, nil, true)
+		return cs.completeLocked(resp, nil)
 	}
 	return cs.attemptFailedLocked(rerr, info)
 }
@@ -290,10 +266,10 @@ func (cs *callState) attemptFailedLocked(err error, info attemptInfo) completion
 	if errors.Is(err, ErrClosed) || errors.Is(err, ErrDraining) {
 		// Permanent for this server: no point retrying here — a failover
 		// client moves the call to a backup instead.
-		return cs.completeLocked(nil, err, false)
+		return cs.completeLocked(nil, err)
 	}
 	if cs.attempt >= cs.attempts-1 {
-		return cs.completeLocked(nil, err, false)
+		return cs.completeLocked(nil, err)
 	}
 	c.stats.Retries++
 	b := c.cfg.Retry.Backoff
@@ -314,58 +290,48 @@ func (cs *callState) attemptFailedLocked(err error, info attemptInfo) completion
 	}
 	cs.attempt++
 	if sleep > 0 {
-		cs.backoffT.arm(c.clock, sleep)
+		cs.timer.arm(c.clock, sleep)
 		return completion{}
 	}
 	return cs.beginAttemptLocked()
 }
 
-// onAttemptTimeout fires when the current attempt exhausts its share of
-// the deadline with no response.
-func (cs *callState) onAttemptTimeout() {
+// onTimer acts on whichever of the call's instants is due: between
+// attempts the backoff is over and the next attempt starts; during one,
+// the hedge duplicates a straggling request (the first response wins) and
+// re-sets the timer for the attempt's timeout, or the attempt has
+// exhausted its share of the deadline with no response.
+func (cs *callState) onTimer() {
 	c := cs.c
 	c.mu.Lock()
 	var fin completion
-	if cs.timeoutT.fired() {
-		cs.timedOutAfter = cs.aTimeout
-		fin = cs.attemptFailedLocked(errTimedOut, attemptInfo{})
-	}
-	c.mu.Unlock()
-	c.run(fin)
-}
-
-// onHedgeFire duplicates a straggling request; the first response wins.
-func (cs *callState) onHedgeFire() {
-	c := cs.c
-	c.mu.Lock()
-	if cs.hedgeT.fired() && cs.id2 == 0 {
-		if id, err := c.launchLocked(cs, cs.aTimeout-c.clock.Since(cs.aStart)); err == nil {
-			cs.id2 = id
-			cs.hstart = c.clock.Now()
-			c.stats.Hedges++
+	if cs.timer.fired() {
+		switch {
+		case cs.id1 == 0:
+			fin = cs.beginAttemptLocked()
+		case cs.hedgeDue:
+			cs.hedgeDue = false
+			left := cs.aTimeout - c.clock.Since(cs.aStart)
+			if id, err := c.launchLocked(cs, left); err == nil {
+				cs.id2 = id
+				cs.hstart = c.clock.Now()
+				c.stats.Hedges++
+			}
+			cs.timer.arm(c.clock, left)
+		default:
+			cs.timedOutAfter = cs.aTimeout
+			fin = cs.attemptFailedLocked(errTimedOut, attemptInfo{})
 		}
 	}
 	c.mu.Unlock()
-}
-
-// onBackoffFire starts the next attempt after the retry backoff.
-func (cs *callState) onBackoffFire() {
-	c := cs.c
-	c.mu.Lock()
-	var fin completion
-	if cs.backoffT.fired() {
-		fin = cs.beginAttemptLocked()
-	}
-	c.mu.Unlock()
 	c.run(fin)
 }
 
-// endAttemptLocked stops the current attempt's timers and unregisters its
-// request ids; late responses for them are dropped on lookup.
+// endAttemptLocked stops the timer and unregisters the attempt's request
+// ids; late responses for them are dropped on lookup.
 func (cs *callState) endAttemptLocked() {
 	c := cs.c
-	cs.hedgeT.stop()
-	cs.timeoutT.stop()
+	cs.timer.stop()
 	if cs.id1 != 0 {
 		delete(c.pending, cs.id1)
 		cs.id1 = 0
@@ -378,17 +344,16 @@ func (cs *callState) endAttemptLocked() {
 
 // completeLocked finishes the call: it copies the outcome out, scrubs the
 // state and puts it on the free list. Nothing may touch cs afterwards.
-func (cs *callState) completeLocked(resp []byte, err error, success bool) completion {
+func (cs *callState) completeLocked(resp []byte, err error) completion {
 	c := cs.c
 	cs.endAttemptLocked()
-	cs.backoffT.stop()
 	if err == errTimedOut {
 		err = fmt.Errorf("%w after %v", ErrDeadline, cs.timedOutAfter)
 	}
-	if !success && !cs.probe && errors.Is(err, ErrDeadline) {
+	if errors.Is(err, ErrDeadline) {
 		c.stats.Timeouts++
 	}
-	fin := completion{cs.callVars, resp, err, c.clock.Since(cs.started), success}
+	fin := completion{cs.callVars, resp, err, c.clock.Since(cs.started)}
 	cs.callVars = callVars{}
 	c.free = append(c.free, cs)
 	return fin
@@ -409,7 +374,7 @@ func (c *Client) failPendingLocked(err error) []completion {
 		if !ok {
 			continue // an earlier id of the same call already completed it
 		}
-		fins = append(fins, cs.completeLocked(nil, err, false))
+		fins = append(fins, cs.completeLocked(nil, err))
 	}
 	c.pending = make(map[uint64]*callState)
 	return fins

@@ -134,7 +134,7 @@ func TestCallStateReuseRacingResponses(t *testing.T) {
 	cl, err := Dial(srv.Addr(), ClientConfig{
 		RequestRate: 1e9, StartBudget: 1e9,
 		Retry: RetryPolicy{Max: 2, Backoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond},
-		Hedge: HedgePolicy{Enabled: true, Delay: 400 * time.Microsecond},
+		Hedge: HedgePolicy{Delay: 400 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

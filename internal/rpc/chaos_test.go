@@ -60,9 +60,8 @@ func TestChaosStormSuite(t *testing.T) {
 		Keepalive:       50 * time.Millisecond,
 		RequestDeadline: 80 * time.Millisecond,
 		Retry:           RetryPolicy{Max: 4, Backoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond},
-		Breaker:         BreakerPolicy{Enabled: true, Threshold: 4, Cooldown: 250 * time.Millisecond},
 		Seed:            7,
-	})
+	}, BreakerPolicy{Threshold: 4, Cooldown: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,9 @@ import (
 func ServerConns(s *Server) []*wire.Conn { return s.mux.Conns() }
 
 // Probe asks the server for its health state (MethodProbe), bypassing
-// admission control. A draining answer is cached as KnownDraining. Probes
-// skip the breaker and the call-level counters.
+// admission control. A draining answer is cached as KnownDraining.
 func (c *Client) Probe(timeout time.Duration) (overload.Probe, error) {
-	w := waiterPool.Get().(*waiter)
-	c.startCall(MethodProbe, nil, c.cfg.Priority, timeout, 1, true, nil, w.done)
-	payload, err := w.wait()
+	payload, err := c.Call(MethodProbe, nil, timeout)
 	if err != nil {
 		return 0, err
 	}

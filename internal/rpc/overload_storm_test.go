@@ -47,7 +47,7 @@ func TestOverloadDrainFailoverLosesNothing(t *testing.T) {
 	}
 	defer backup.Close()
 
-	fc, err := DialFailover([]string{primary.Addr(), backup.Addr()}, ClientConfig{Seed: 7})
+	fc, err := DialFailover([]string{primary.Addr(), backup.Addr()}, ClientConfig{Seed: 7}, BreakerPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

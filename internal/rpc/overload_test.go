@@ -141,7 +141,7 @@ func TestFailoverSteersAroundDraining(t *testing.T) {
 	}
 	defer backup.Close()
 
-	fc, err := DialFailover([]string{primary.Addr(), backup.Addr()}, ClientConfig{Seed: 42})
+	fc, err := DialFailover([]string{primary.Addr(), backup.Addr()}, ClientConfig{Seed: 42}, BreakerPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

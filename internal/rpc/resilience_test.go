@@ -65,26 +65,25 @@ func TestRetryRecoversAfterOutage(t *testing.T) {
 }
 
 func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
-	cl, err := Dial(deadAddr(t), ClientConfig{
+	fc, err := DialFailover([]string{deadAddr(t)}, ClientConfig{
 		RequestDeadline: 30 * time.Millisecond,
-		Breaker:         BreakerPolicy{Enabled: true, Threshold: 3, Cooldown: 250 * time.Millisecond},
 		Seed:            2,
-	})
+	}, BreakerPolicy{Threshold: 3, Cooldown: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	defer fc.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := cl.Call(methodEcho, nil, 60*time.Millisecond); err == nil {
+		if _, err := fc.Call(methodEcho, nil, 60*time.Millisecond); err == nil {
 			t.Fatal("call to dead address succeeded")
 		}
 	}
-	if !cl.BreakerOpen() {
+	if !fc.cooling(0, time.Now()) {
 		t.Fatal("breaker closed after threshold failures")
 	}
 	start := time.Now()
-	_, err = cl.Call(methodEcho, nil, time.Second)
+	_, err = fc.Call(methodEcho, nil, time.Second)
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
@@ -94,43 +93,63 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 
 	// After the cooldown one probe is let through; its failure re-opens.
 	time.Sleep(300 * time.Millisecond)
-	if _, err := cl.Call(methodEcho, nil, 60*time.Millisecond); errors.Is(err, ErrBreakerOpen) {
+	if _, err := fc.Call(methodEcho, nil, 60*time.Millisecond); errors.Is(err, ErrBreakerOpen) {
 		t.Error("half-open probe was rejected")
 	}
-	if _, err := cl.Call(methodEcho, nil, 60*time.Millisecond); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := fc.Call(methodEcho, nil, 60*time.Millisecond); !errors.Is(err, ErrBreakerOpen) {
 		t.Errorf("post-probe call err = %v, want ErrBreakerOpen", err)
 	}
 }
 
+// A server that fails until the breaker opens and then answers again: the
+// half-open probe is the one call let through (a second call while it is
+// out still fails fast), and its success closes the breaker.
 func TestBreakerRecoversOnSuccess(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", nil, testHandler)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	b := newBreaker(BreakerPolicy{Enabled: true, Threshold: 2, Cooldown: 50 * time.Millisecond})
-	now := time.Now()
-	b.record(false, now)
-	b.record(false, now)
-	if b.allow(now) {
-		t.Fatal("breaker should be open")
+	relay, err := faults.NewRelay(srv.Addr(), faults.Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	probe := now.Add(60 * time.Millisecond)
-	if !b.allow(probe) {
-		t.Fatal("half-open probe rejected")
+	defer relay.Close()
+	relay.SetBlackhole(faults.Both, true)
+	fc, err := DialFailover([]string{relay.Addr()}, ClientConfig{Seed: 5},
+		BreakerPolicy{Threshold: 2, Cooldown: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.allow(probe) {
-		t.Fatal("second concurrent probe allowed")
+	defer fc.Close()
+
+	for i := 0; i < 2; i++ {
+		if _, err := fc.Call(methodEcho, nil, 30*time.Millisecond); err == nil {
+			t.Fatal("call through the blackhole succeeded")
+		}
 	}
-	b.record(true, probe)
-	if !b.allow(probe) {
-		t.Fatal("breaker should be closed after probe success")
+	if _, err := fc.Call(methodEcho, nil, time.Second); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("err = %v: breaker should be open", err)
+	}
+	relay.SetBlackhole(faults.Both, false)
+	time.Sleep(60 * time.Millisecond)
+	// methodSleep holds the probe out for 300 ms.
+	probe := make(chan error, 1)
+	fc.CallAsync(methodSleep, nil, 2*time.Second, func(_ []byte, err error) { probe <- err })
+	if _, err := fc.Call(methodEcho, nil, time.Second); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("err = %v: second concurrent probe allowed", err)
+	}
+	if err := <-probe; err != nil {
+		t.Fatalf("half-open probe: %v", err)
+	}
+	if _, err := fc.Call(methodEcho, nil, time.Second); err != nil {
+		t.Fatalf("err = %v: breaker should be closed after probe success", err)
 	}
 }
 
 func TestHedgedRequestLaunches(t *testing.T) {
 	_, cl := newPair(t, nil)
-	cl.cfg.Hedge = HedgePolicy{Enabled: true, Delay: 40 * time.Millisecond}
+	cl.cfg.Hedge = HedgePolicy{Delay: 40 * time.Millisecond}
 	// methodSleep takes 300ms, far beyond the hedge delay: a second request
 	// must be launched (and the call still succeeds).
 	resp, err := cl.Call(methodSleep, nil, 2*time.Second)
@@ -145,23 +164,6 @@ func TestHedgedRequestLaunches(t *testing.T) {
 	}
 }
 
-func TestLatencyTrackerQuantile(t *testing.T) {
-	lt := newLatencyTracker()
-	if _, ok := lt.quantile(0.99); ok {
-		t.Error("quantile available with no samples")
-	}
-	for i := 1; i <= 100; i++ {
-		lt.record(time.Duration(i) * time.Millisecond)
-	}
-	p99, ok := lt.quantile(0.99)
-	if !ok {
-		t.Fatal("quantile unavailable after 100 samples")
-	}
-	if p99 < 90*time.Millisecond || p99 > 100*time.Millisecond {
-		t.Errorf("p99 = %v", p99)
-	}
-}
-
 func TestFailoverDispatchesToBackup(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", nil, testHandler)
 	if err != nil {
@@ -171,9 +173,8 @@ func TestFailoverDispatchesToBackup(t *testing.T) {
 
 	fc, err := DialFailover([]string{deadAddr(t), srv.Addr()}, ClientConfig{
 		RequestDeadline: 40 * time.Millisecond,
-		Breaker:         BreakerPolicy{Enabled: true, Threshold: 2, Cooldown: 2 * time.Second},
 		Seed:            4,
-	})
+	}, BreakerPolicy{Threshold: 2, Cooldown: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestFailoverDispatchesToBackup(t *testing.T) {
 	if st.Failovers != n {
 		t.Errorf("failovers = %d, want %d", st.Failovers, n)
 	}
-	if !fc.clients[0].BreakerOpen() {
+	if !fc.cooling(0, time.Now()) {
 		t.Error("primary breaker never opened")
 	}
 	// With the primary's breaker open, calls reach the backup in
@@ -211,10 +212,10 @@ func TestFailoverDispatchesToBackup(t *testing.T) {
 }
 
 func TestFailoverValidation(t *testing.T) {
-	if _, err := DialFailover(nil, ClientConfig{}); err == nil {
+	if _, err := DialFailover(nil, ClientConfig{}, BreakerPolicy{}); err == nil {
 		t.Error("empty address list should fail")
 	}
-	if _, err := DialFailover([]string{"not an address"}, ClientConfig{}); err == nil {
+	if _, err := DialFailover([]string{"not an address"}, ClientConfig{}, BreakerPolicy{}); err == nil {
 		t.Error("bad address should fail")
 	}
 }

@@ -12,11 +12,11 @@
 //
 // The client side is built to survive hostile networks (Section VI):
 // its conn re-binds itself to a fresh socket after outages, calls retry
-// with seeded-jitter exponential backoff inside their deadline, slow calls can
-// hedge a duplicate request after a p99-based delay, a circuit breaker
-// sheds work from a dead server, and FailoverClient dispatches to backup
-// servers when the primary's breaker opens (the Figure 5a multi-server
-// topology on real sockets).
+// with seeded-jitter exponential backoff inside their deadline, slow calls
+// can hedge a duplicate request after a fixed delay, and FailoverClient
+// dispatches to backup servers, skipping a server whose circuit breaker
+// has opened on consecutive failures (the Figure 5a multi-server topology
+// on real sockets).
 //
 // The server side protects itself: every request carries its ARTP priority
 // and remaining deadline budget, and an overload.Gate decides — before any
@@ -742,9 +742,8 @@ type RetryPolicy struct {
 // after the hedge delay, a second identical request is launched and the
 // first response wins.
 type HedgePolicy struct {
-	Enabled bool
-	// Delay before hedging; 0 means adaptive — the observed p99 call
-	// latency (half the attempt timeout until enough samples exist).
+	// Delay before hedging an attempt (0: no hedging). An attempt whose
+	// share of the deadline is no longer than Delay is not hedged.
 	Delay time.Duration
 }
 
@@ -787,10 +786,7 @@ type Client struct {
 	rng           *rand.Rand
 	stats         ClientStats
 	drainingUntil time.Time
-
-	breaker *breaker
-	lat     *latencyTracker
-	slab    []byte // the unused tail of the block small responses are copied into
+	slab          []byte // the unused tail of the block small responses are copied into
 }
 
 // drainingTTL is how long a draining status keeps steering calls away
@@ -820,11 +816,10 @@ type ClientConfig struct {
 	// conn's re-bind (default 250 ms; three silent intervals mean the peer
 	// is dead, and the conn moves to a fresh transport).
 	Keepalive time.Duration
-	// Retry, Hedge and Breaker make individual calls survive loss bursts,
-	// stragglers and dead servers. All are off by default.
-	Retry   RetryPolicy
-	Hedge   HedgePolicy
-	Breaker BreakerPolicy
+	// Retry and Hedge make individual calls survive loss bursts and
+	// stragglers. Both are off by default.
+	Retry RetryPolicy
+	Hedge HedgePolicy
 	// Seed drives every randomized decision (retry jitter) so chaos runs
 	// are reproducible.
 	Seed int64
@@ -854,9 +849,9 @@ type ClientConfig struct {
 	SLO *obs.SLO
 
 	// Clock injects the client's time source (default the system clock).
-	// Deadlines, retry backoff, hedging, the breaker's windows and the
-	// draining TTL all run on it, so a client on a virtual clock is fully
-	// deterministic.
+	// Deadlines, retry backoff, hedging, a FailoverClient's breaker
+	// windows and the draining TTL all run on it, so a client on a
+	// virtual clock is fully deterministic.
 	Clock vclock.Clock
 	// Dialer, when set, replaces the UDP dial (wire.Dial): the hook
 	// internal/marsim uses to hand the client a conn over simulated
@@ -890,8 +885,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		clock:   vclock.OrSystem(cfg.Clock),
 		pending: make(map[uint64]*callState),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		breaker: newBreaker(cfg.Breaker),
-		lat:     newLatencyTracker(),
 	}
 	if cfg.Tracer != nil {
 		c.budget = obs.NewBudgetTracker(cfg.Budget, cfg.Metrics)
@@ -933,10 +926,6 @@ func (c *Client) Stats() ClientStats {
 // BudgetTracker exposes the per-frame budget attribution state (nil
 // unless the client was dialed with a Tracer).
 func (c *Client) BudgetTracker() *obs.BudgetTracker { return c.budget }
-
-// BreakerOpen reports whether the circuit breaker is currently rejecting
-// calls (FailoverClient uses this to route around the primary).
-func (c *Client) BreakerOpen() bool { return !c.breaker.allowPeek(c.clock.Now()) }
 
 // KnownDraining reports whether this server recently declared itself
 // draining (via a rejection status). FailoverClient consults it
@@ -1069,21 +1058,10 @@ type attemptInfo struct {
 	hedged  bool // the hedged duplicate produced the winning response
 }
 
-// hedgeDelay picks how long to wait before duplicating a request.
-func (c *Client) hedgeDelay(timeout time.Duration) time.Duration {
-	if c.cfg.Hedge.Delay > 0 {
-		return c.cfg.Hedge.Delay
-	}
-	if d, ok := c.lat.quantile(0.99); ok {
-		return d
-	}
-	return timeout / 2
-}
-
 // Call sends a request at the client's configured priority and waits up
 // to deadline for the response, retrying (per RetryPolicy) with
-// seeded-jitter exponential backoff inside the deadline, hedging
-// stragglers (per HedgePolicy), and honoring the circuit breaker.
+// seeded-jitter exponential backoff inside the deadline, and hedging
+// stragglers (per HedgePolicy).
 func (c *Client) Call(method uint8, req []byte, deadline time.Duration) ([]byte, error) {
 	return c.CallPri(method, req, c.cfg.Priority, deadline)
 }

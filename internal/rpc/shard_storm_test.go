@@ -103,9 +103,8 @@ func TestShardStormCrossShardRace(t *testing.T) {
 				Keepalive:       keepalive,
 				RequestDeadline: reqDeadline,
 				Retry:           RetryPolicy{Max: 6, Backoff: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-				Breaker:         BreakerPolicy{Enabled: true, Threshold: 4, Cooldown: 250 * time.Millisecond},
 				Seed:            int64(1000 + c),
-			})
+			}, BreakerPolicy{Threshold: 4, Cooldown: 250 * time.Millisecond})
 			if err != nil {
 				t.Errorf("client %d: dial: %v", c, err)
 				return

@@ -198,7 +198,7 @@ func TestChaosBudgetAttribution(t *testing.T) {
 		Budget:  30 * time.Millisecond, // tight: jittered retries must blow it
 		Metrics: reg,
 		Retry:   RetryPolicy{Max: 3, Backoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond},
-		Hedge:   HedgePolicy{Enabled: true, Delay: 25 * time.Millisecond},
+		Hedge:   HedgePolicy{Delay: 25 * time.Millisecond},
 		Seed:    9,
 	})
 	if err != nil {
