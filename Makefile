@@ -47,7 +47,7 @@ benchmark-check:
 # the same however long it is. They also
 # run in `test`; this target is the list, and fails if one of them is
 # renamed away.
-ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestLinkDropsRecycle|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestDeliverZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc|TestSimRetriedCallAllocs
+ALLOC_PINS = TestSimCallAllocs|TestSimRejectedCallAllocs|TestDatagramPathZeroAlloc|TestLinkDropsRecycle|TestTracePacketLineZeroAlloc|TestTraceBytesPerEvent|TestTraceHashStreams|TestLinkForwardingZeroAlloc|TestAdmissionCycleZeroAlloc|TestPerPacketBookkeepingZeroAlloc|TestDeliverZeroAlloc|TestRecvLoopAllocRegression|TestSendInlineZeroAlloc|TestServeInlineZeroAlloc|TestSimRetriedCallAllocs|TestSocketReaderHeap
 allocs:
 	@out="$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/marsim/ ./internal/simnet/ ./internal/overload/ ./internal/wire/ ./internal/rpc/)"; rc=$$?; \
 	echo "$$out" | grep -v '^=== '; [ $$rc -eq 0 ] || exit $$rc; \
@@ -169,7 +169,7 @@ bench-pair:
 
 # Short coverage-guided smoke over the wire-format decoders, the policy
 # header codec, the Reed-Solomon reconstructor, the flight-recorder
-# snapshot codec, the shard demux / GRO segment-split boundary, and two
+# snapshot codec, the shard demux ingest boundary, and two
 # conn cores over a lossy, duplicating, reordering pipe. Go runs one fuzz
 # target per invocation, so each gets its own budget.
 fuzz:

@@ -239,21 +239,31 @@ func NewFlightRecorder(cfg RecorderConfig) *FlightRecorder {
 
 // Record stamps the event with the recorder's clock and stores it. The
 // hot path (wire pacing) prefers RecordAt with the time it already holds,
-// saving the clock read.
+// saving the clock read. Record and RecordAt are only the nil/enabled
+// check, small enough to inline (79 and 80 of the compiler's budget of
+// 80, so `go build -gcflags=-m ./internal/obs` after any change to them),
+// and an uninstrumented caller pays no call; the stamp and the store are
+// outlined in recordSince / recordAt.
 func (r *FlightRecorder) Record(kind EventKind, flag uint8, a uint16, b uint32, c uint64) {
-	if r == nil || !r.enabled.Load() {
-		return
+	if r != nil && r.enabled.Load() {
+		r.recordSince(kind, flag, a, b, c)
 	}
-	r.store(r.clock.Since(r.epoch), kind, flag, a, b, c)
 }
 
 // RecordAt stores the event stamped with a caller-supplied instant from
 // the same clock the recorder runs on — the zero-extra-clock-read hook
 // for paths that already hold "now".
 func (r *FlightRecorder) RecordAt(at time.Time, kind EventKind, flag uint8, a uint16, b uint32, c uint64) {
-	if r == nil || !r.enabled.Load() {
-		return
+	if r != nil && r.enabled.Load() {
+		r.recordAt(at, kind, flag, a, b, c)
 	}
+}
+
+func (r *FlightRecorder) recordSince(kind EventKind, flag uint8, a uint16, b uint32, c uint64) {
+	r.store(r.clock.Since(r.epoch), kind, flag, a, b, c)
+}
+
+func (r *FlightRecorder) recordAt(at time.Time, kind EventKind, flag uint8, a uint16, b uint32, c uint64) {
 	r.store(at.Sub(r.epoch), kind, flag, a, b, c)
 }
 

@@ -61,9 +61,9 @@ func PoisonBuf(b []byte) {
 }
 
 // udpPacketConn is the production PacketConn: a kernel UDP socket plus one
-// reader goroutine. On Linux it reads in batches (recvmmsg, UDP GRO)
-// through batchIO; elsewhere batchIO is absent and it reads one datagram
-// per system call. It writes one datagram per system call everywhere.
+// reader goroutine. On Linux it reads in batches (recvmmsg into one slab
+// of frame-sized buffers) through batchIO; elsewhere batchIO is absent
+// and it reads one datagram per system call. It writes one datagram per system call everywhere.
 type udpPacketConn struct {
 	sock *net.UDPConn
 	bio  *batchIO // nil when the platform has no batch receive

@@ -3,9 +3,12 @@
 package wire
 
 // Batched kernel receive: recvmmsg(2) moves a vector of datagrams per
-// system call, and UDP GRO lets one of them carry a run of a peer's
-// frames, so the per-packet cost of the read loop is not dominated by
-// kernel entry. Implemented with the stdlib syscall package only (no new
+// system call, so the per-packet cost of the read loop is not dominated by
+// kernel entry. Each datagram lands in a frame-sized buffer of one slab
+// per socket. The socket does not opt into generic receive offload: no
+// sender in the tree writes a coalescible burst, and without the sockopt
+// the kernel splits a peer's GSO burst into its datagrams before they are
+// queued. Implemented with the stdlib syscall package only (no new
 // dependencies) via net.UDPConn.SyscallConn, whose Read callback parks the
 // goroutine in the runtime poller on EAGAIN, so the socket stays in
 // non-blocking mode and integrates with the scheduler exactly like the
@@ -25,19 +28,6 @@ import (
 // ioBatch is the mmsg vector width: how many datagrams one recvmmsg call
 // can move, headroom to drain bursts from several senders in one call.
 const ioBatch = 64
-
-// UDP generic receive offload: with the UDP_GRO sockopt set, the kernel
-// coalesces back-to-back equal-size datagrams of one flow into a single
-// large buffer handed up with one recvmsg, and a UDP_GRO control message
-// carrying the segment size so userspace can re-split (linux 5.0+). One kernel entry then delivers up to 64 frames,
-// which is where the batched recv leg's headroom beyond recvmmsg comes
-// from. The cmsg payload is the kernel's `int gso_size` (4 bytes).
-const (
-	udpGRO = 104 // UDP_GRO sockopt / cmsg type (linux/udp.h)
-	// groCtrlLen sizes the per-message control buffer: CmsgSpace(4) is 24
-	// on 64-bit and UDP_GRO is the only cmsg this socket can receive.
-	groCtrlLen = 64
-)
 
 // addrCacheMax bounds the reader's peer-address cache. When it fills, the
 // map is cleared and rebuilt — previously returned *net.UDPAddr values
@@ -62,13 +52,13 @@ type mmsghdr struct {
 // batchIO owns the scratch vectors for recvmmsg calls on one socket; they
 // belong to the single reader goroutine.
 type batchIO struct {
-	rc     syscall.RawConn
-	gro    bool // UDP_GRO enabled on the socket at construction
-	rhdrs  [ioBatch]mmsghdr
-	riovs  [ioBatch]syscall.Iovec
-	rsas   [ioBatch]syscall.RawSockaddrInet6
-	rbufs  [ioBatch][]byte
-	rctrl  [ioBatch][groCtrlLen]byte
+	rc    syscall.RawConn
+	rhdrs [ioBatch]mmsghdr
+	riovs [ioBatch]syscall.Iovec
+	rsas  [ioBatch]syscall.RawSockaddrInet6
+	// slab holds the packet buffers: message i reads into the recvBufLen
+	// bytes at i*recvBufLen.
+	slab   []byte
 	acache map[addrKey]*net.UDPAddr // owned by the reader goroutine
 	// recvFn is the RawConn.Read callback and rgot/rerrno its results. They
 	// live here, not in readBatch, so the closure and what it captures are
@@ -83,16 +73,7 @@ func newBatchIO(sock *net.UDPConn) *batchIO {
 	if err != nil {
 		return nil
 	}
-	b := &batchIO{rc: rc}
-	// Opt into GRO coalescing; a kernel that predates it (pre-5.0) refuses
-	// the sockopt and the reader simply never sees a UDP_GRO cmsg.
-	cerr := rc.Control(func(fd uintptr) {
-		b.gro = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) == nil
-	})
-	if cerr != nil {
-		b.gro = false
-	}
-	return b
+	return &batchIO{rc: rc}
 }
 
 // sockaddrFromRaw decodes a kernel-filled sockaddr into a fresh UDPAddr.
@@ -146,56 +127,31 @@ func (b *batchIO) addrOf(sa *syscall.RawSockaddrInet6) *net.UDPAddr {
 	return a
 }
 
-// groSegSize extracts the UDP_GRO segment size from message i's control
-// buffer, or 0 when the datagram was not coalesced. The walk is bounds-
-// checked so a malformed control length can never read out of the buffer.
-func (b *batchIO) groSegSize(i int) int {
-	n := int(b.rhdrs[i].hdr.Controllen)
-	if n > len(b.rctrl[i]) {
-		n = len(b.rctrl[i])
-	}
-	ctrl := b.rctrl[i][:n]
-	for len(ctrl) >= syscall.CmsgLen(0) {
-		h := (*syscall.Cmsghdr)(unsafe.Pointer(&ctrl[0]))
-		l := int(h.Len)
-		if l < syscall.CmsgLen(0) || l > len(ctrl) {
-			return 0
-		}
-		if h.Level == syscall.IPPROTO_UDP && h.Type == udpGRO && l >= syscall.CmsgLen(4) {
-			return int(*(*int32)(unsafe.Pointer(&ctrl[syscall.CmsgLen(0)])))
-		}
-		adv := (l + 7) &^ 7 // CMSG_ALIGN on 64-bit
-		if adv <= 0 || adv > len(ctrl) {
-			return 0
-		}
-		ctrl = ctrl[adv:]
-	}
-	return 0
-}
-
 // readLoop drains the socket with recvmmsg until it is closed, delivering
-// each datagram to recv. Packet buffers are loaned for the duration of the
-// callback (and poisoned afterwards in debug builds); peer addresses come
-// from the reader-owned cache, so the steady-state delivery path performs
-// zero allocations. GRO-coalesced datagrams are re-split at the advertised
-// segment size before delivery, so the callback sees exactly the frames
-// the peer sent, each with the count of those still behind it in the batch.
+// each datagram to recv with the count of those still behind it in the
+// batch. Packet buffers are loaned for the duration of the callback (and
+// poisoned afterwards in debug builds); peer addresses come from the
+// reader-owned cache, so the steady-state delivery path performs zero
+// allocations.
 func (b *batchIO) readLoop(recv func(pkt []byte, from *net.UDPAddr, backlog int)) {
 	b.readInit()
 	for b.readBatch(recv) {
 	}
 }
 
-// readInit allocates everything the reader will ever need: the packet
-// buffers, the address cache and the recvmmsg callback.
+// readInit allocates everything the reader will ever need — the packet
+// slab, the address cache and the recvmmsg callback — and builds the
+// recvmmsg vector, which then lives as long as the socket.
 func (b *batchIO) readInit() {
-	bufLen := recvBufLen
-	if b.gro {
-		// A coalesced GRO buffer holds up to a maximal UDP datagram.
-		bufLen = groRecvBufLen
-	}
-	for i := range b.rbufs {
-		b.rbufs[i] = make([]byte, bufLen)
+	b.slab = make([]byte, ioBatch*recvBufLen)
+	for i := range b.rhdrs {
+		b.riovs[i] = syscall.Iovec{Base: &b.slab[i*recvBufLen], Len: recvBufLen}
+		b.rhdrs[i].hdr = syscall.Msghdr{
+			Name:    (*byte)(unsafe.Pointer(&b.rsas[i])),
+			Namelen: uint32(unsafe.Sizeof(b.rsas[i])),
+			Iov:     &b.riovs[i],
+			Iovlen:  1,
+		}
 	}
 	b.acache = make(map[addrKey]*net.UDPAddr)
 	b.recvFn = func(fd uintptr) bool {
@@ -218,20 +174,6 @@ func (b *batchIO) readInit() {
 // until at least one datagram is there. It reports false once the socket
 // is gone.
 func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr, backlog int)) bool {
-	bufLen := len(b.rbufs[0])
-	for i := range b.rhdrs {
-		b.riovs[i] = syscall.Iovec{Base: &b.rbufs[i][0], Len: uint64(bufLen)}
-		b.rhdrs[i] = mmsghdr{hdr: syscall.Msghdr{
-			Name:    (*byte)(unsafe.Pointer(&b.rsas[i])),
-			Namelen: uint32(unsafe.Sizeof(b.rsas[i])),
-			Iov:     &b.riovs[i],
-			Iovlen:  1,
-		}}
-		if b.gro {
-			b.rhdrs[i].hdr.Control = &b.rctrl[i][0]
-			b.rhdrs[i].hdr.SetControllen(groCtrlLen)
-		}
-	}
 	if err := b.rc.Read(b.recvFn); err != nil {
 		return false // RawConn.Read fails only when the socket is closed
 	}
@@ -246,14 +188,14 @@ func (b *batchIO) readBatch(recv func(pkt []byte, from *net.UDPAddr, backlog int
 		return false
 	}
 	for i := 0; i < b.rgot; i++ {
-		n := int(b.rhdrs[i].n)
-		if n > bufLen {
-			n = bufLen
-		}
-		from := b.addrOf(&b.rsas[i])
-		pkt := b.rbufs[i][:n]
-		splitSegments(pkt, b.groSegSize(i), from, b.rgot-1-i, recv)
+		// The kernel clips a datagram to its iovec; the min only guards
+		// the slice. msg_namelen is value-result: re-arm it for the next
+		// call.
+		off := i * recvBufLen
+		pkt := b.slab[off : off+min(int(b.rhdrs[i].n), recvBufLen) : off+recvBufLen]
+		recv(pkt, b.addrOf(&b.rsas[i]), b.rgot-1-i)
 		PoisonBuf(pkt)
+		b.rhdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(b.rsas[i]))
 	}
 	return true
 }

@@ -88,8 +88,7 @@ func TestRecvLoopAllocRegression(t *testing.T) {
 }
 
 // Every datagram of a recvmmsg batch is delivered with the count still
-// behind it — whether the kernel hands the four over as four messages or
-// as one GRO-coalesced buffer the reader splits — and the last with 0.
+// behind it, and the last with 0.
 func TestReadBatchReportsBacklog(t *testing.T) {
 	recvSock, err := listenLoopback()
 	if err != nil {

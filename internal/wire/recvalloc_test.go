@@ -8,8 +8,8 @@ import (
 )
 
 // The recv fast path is pinned at zero allocations per operation, leg by
-// leg: in-place AEAD open (pooled AAD scratch), GRO segment split, and the
-// demux ingest/deliver cycle (pooled delivery buffers). AllocsPerRun is
+// leg: in-place AEAD open (pooled AAD scratch) and the demux
+// ingest/deliver cycle (pooled delivery buffers). AllocsPerRun is
 // meaningless under the race detector (instrumentation allocates), so the
 // pins skip there; `make test-race` still runs the same code for safety.
 
@@ -43,29 +43,6 @@ func TestOpenInPlaceZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("openInPlace: %.2f allocs/op, want 0", allocs)
 	}
-}
-
-func TestSplitSegmentsZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation pins are meaningless under -race")
-	}
-	data := bytes.Repeat([]byte{0x5A}, 4*1200+300)
-	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
-	sink := 0
-	cb := func(pkt []byte, _ *net.UDPAddr, _ int) { sink += len(pkt) }
-	// GRO leg: a coalesced datagram re-expanded into MTU-sized segments.
-	if allocs := testing.AllocsPerRun(200, func() {
-		splitSegments(data, 1200, from, 0, cb)
-	}); allocs != 0 {
-		t.Fatalf("splitSegments (coalesced): %.2f allocs/op, want 0", allocs)
-	}
-	// Non-GRO leg: whole-datagram passthrough.
-	if allocs := testing.AllocsPerRun(200, func() {
-		splitSegments(data, 0, from, 0, cb)
-	}); allocs != 0 {
-		t.Fatalf("splitSegments (passthrough): %.2f allocs/op, want 0", allocs)
-	}
-	_ = sink
 }
 
 func TestDemuxIngestZeroAlloc(t *testing.T) {

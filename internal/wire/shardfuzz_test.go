@@ -21,16 +21,14 @@ func (f *fuzzPC) LocalAddr() net.Addr {
 func (f *fuzzPC) Close() error                                           { f.closed.Store(true); return nil }
 func (f *fuzzPC) Start(func(pkt []byte, from *net.UDPAddr, backlog int)) {}
 
-// FuzzShardDemux hammers the two recv-side boundaries a hostile (or GRO-
-// coalescing) network can push malformed shapes through: the segment
-// splitter that re-expands coalesced datagrams, and the demux ingest that
-// copies packets into pooled buffers and queues them by address hash.
-// Invariants: segments reassemble exactly to the input, the segment count
-// matches the ceiling division, nothing panics feeding segments through
-// DecodeFrame, and the demux conserves packets (every ingest accounted as
-// queued, dropped-full or dropped-oversize, with queued payloads byte-
-// identical to what went in) for every shard count from 1 to 9, taken from
-// the peer's port so that non-powers of two are always among the seeds.
+// FuzzShardDemux hammers the recv-side boundary a hostile network can
+// push malformed shapes through: the demux ingest that copies packets into
+// pooled buffers and queues them by address hash. Invariants: nothing
+// panics feeding the datagram through DecodeFrame, and the demux conserves
+// packets (every ingest accounted as queued, dropped-full or
+// dropped-oversize, with queued payloads byte-identical to what went in)
+// for every shard count from 1 to 9, taken from the peer's port so that
+// non-powers of two are always among the seeds.
 func FuzzShardDemux(f *testing.F) {
 	sl, err := newSealer(benchKey)
 	if err != nil {
@@ -40,71 +38,23 @@ func FuzzShardDemux(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seeds: one valid frame unsplit, a GRO-style coalescence of four
-	// copies, a truncated frame, a short split that leaves a ragged tail,
-	// an oversized datagram (> recvBufLen), and degenerate segment sizes.
-	f.Add(frame, 0, uint16(40001))
-	f.Add(bytes.Repeat(frame, 4), len(frame), uint16(40002))
-	f.Add(frame[:10], 3, uint16(40003))
-	f.Add([]byte("ragged-tail-payload"), 7, uint16(40004))
-	f.Add(bytes.Repeat([]byte{0xDB}, recvBufLen+100), 1200, uint16(40005))
-	f.Add([]byte{}, -1, uint16(0))
-	f.Add([]byte{0x7B, 0xA2}, 1<<30, uint16(65535))
+	// Seeds: one valid frame, four copies back to back, a truncated
+	// frame, a ragged payload, an oversized datagram (> recvBufLen), an
+	// empty one and a two-byte one.
+	f.Add(frame, uint16(40001))
+	f.Add(bytes.Repeat(frame, 4), uint16(40002))
+	f.Add(frame[:10], uint16(40003))
+	f.Add([]byte("ragged-tail-payload"), uint16(40004))
+	f.Add(bytes.Repeat([]byte{0xDB}, recvBufLen+100), uint16(40005))
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x7B, 0xA2}, uint16(65535))
 	for port := uint16(0); port < 64; port++ { // every shard count, seven peers each
-		f.Add(frame, 0, port)
+		f.Add(frame, port)
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte, segSize int, port uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, port uint16) {
 		from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: int(port)}
-
-		// --- splitSegments invariants ---
-		var segs [][]byte
-		total := 0
-		const behind = 3 // datagrams after this one in the reader's batch
-		var backlogs []int
-		n := splitSegments(data, segSize, from, behind, func(pkt []byte, fr *net.UDPAddr, backlog int) {
-			if fr != from {
-				t.Fatal("splitSegments changed the peer address")
-			}
-			segs = append(segs, pkt)
-			backlogs = append(backlogs, backlog)
-			total += len(pkt)
-		})
-		if n != len(segs) {
-			t.Fatalf("splitSegments returned %d, delivered %d", n, len(segs))
-		}
-		for i, b := range backlogs {
-			if want := behind + n - 1 - i; b != want {
-				t.Fatalf("segment %d of %d delivered with backlog %d, want %d", i, n, b, want)
-			}
-		}
-		if total != len(data) {
-			t.Fatalf("segments sum to %d bytes, input was %d", total, len(data))
-		}
-		if !bytes.Equal(bytes.Join(segs, nil), data) {
-			t.Fatal("segments do not reassemble to the input")
-		}
-		if segSize > 0 && segSize < len(data) {
-			want := (len(data) + segSize - 1) / segSize
-			if n != want {
-				t.Fatalf("split %d bytes at %d: %d segments, want %d", len(data), segSize, n, want)
-			}
-			for i, s := range segs {
-				if i < len(segs)-1 && len(s) != segSize {
-					t.Fatalf("segment %d is %d bytes, want %d", i, len(s), segSize)
-				}
-				if len(s) == 0 || len(s) > segSize {
-					t.Fatalf("segment %d has invalid length %d", i, len(s))
-				}
-			}
-		} else if n != 1 {
-			t.Fatalf("degenerate segSize %d must deliver once, got %d", segSize, n)
-		}
-
-		// Every segment must be safe to push through the frame decoder.
-		for _, s := range segs {
-			DecodeFrame(s) //nolint:errcheck // must not panic, errors expected
-		}
+		DecodeFrame(data) //nolint:errcheck // must not panic, errors expected
 
 		// --- demux ingest conservation ---
 		shards := 1 + int(port)%9
